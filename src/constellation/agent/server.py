@@ -2,7 +2,8 @@
 
 The server owns all workflow logic — every state transition is decided here;
 the client (executor) only runs command batches it is handed. Per FSM round
-the strategies execute in configured order exactly once each.
+the strategies of ``STRATEGY_ORDER`` execute in that order exactly once each,
+and a task that has not ended after ``STEP_LIMIT`` rounds fails with TIMEOUT.
 """
 
 from __future__ import annotations
@@ -15,17 +16,16 @@ from ..clock import TimerHandle, VirtualClock
 from .fsm import AgentFsmState, fsm_step
 from .reasoner import ReasonerOutput, ScriptedReasoner
 
-DEFAULT_STEP_LIMIT = 25
+STEP_LIMIT = 25
 
 
 class StrategyKind(Enum):
-    DATA_COLLECTION = "DATA_COLLECTION"
     LLM_INTERACTION = "LLM_INTERACTION"
     ACTION_EXECUTION = "ACTION_EXECUTION"
     MEMORY_UPDATE = "MEMORY_UPDATE"
 
 
-DEFAULT_STRATEGY_ORDER = (
+STRATEGY_ORDER = (
     StrategyKind.LLM_INTERACTION,
     StrategyKind.ACTION_EXECUTION,
     StrategyKind.MEMORY_UPDATE,
@@ -50,17 +50,9 @@ class TaskRun:
 
 
 class AgentServer:
-    def __init__(
-        self,
-        clock: VirtualClock,
-        reasoner: ScriptedReasoner,
-        step_limit: int = DEFAULT_STEP_LIMIT,
-        strategy_order=DEFAULT_STRATEGY_ORDER,
-    ):
+    def __init__(self, clock: VirtualClock, reasoner: ScriptedReasoner):
         self.clock = clock
         self.reasoner = reasoner
-        self.step_limit = step_limit
-        self.strategy_order = tuple(strategy_order)
 
     def serve_task(
         self, task: Dict[str, Any], send_commands: SendCommands, on_end: EndCallback
@@ -84,12 +76,12 @@ class AgentServer:
     def _round(self, run: TaskRun, send_commands: SendCommands, on_end: EndCallback) -> None:
         if run.ended:
             return
-        if run.step >= self.step_limit:
+        if run.step >= STEP_LIMIT:
             self._end(
                 run,
                 on_end,
                 "FAILED",
-                {"error": f"step limit {self.step_limit} exceeded", "failure_reason": "TIMEOUT"},
+                {"error": f"step limit {STEP_LIMIT} exceeded", "failure_reason": "TIMEOUT"},
             )
             return
         output: Optional[ReasonerOutput] = None
@@ -99,10 +91,10 @@ class AgentServer:
             nonlocal output, results
             if run.ended:
                 return
-            if index >= len(self.strategy_order):
+            if index >= len(STRATEGY_ORDER):
                 finish_round()
                 return
-            kind = self.strategy_order[index]
+            kind = STRATEGY_ORDER[index]
             run.record_strategy(kind)
             if kind is StrategyKind.LLM_INTERACTION:
                 try:
@@ -131,7 +123,7 @@ class AgentServer:
                     send_commands(output.commands, on_results)
                 else:
                     run_strategy(index + 1)
-            elif kind is StrategyKind.MEMORY_UPDATE:
+            else:  # StrategyKind.MEMORY_UPDATE
                 assert output is not None
                 run.memory.append(
                     {
@@ -142,8 +134,6 @@ class AgentServer:
                         "next_state": output.next_state.value,
                     }
                 )
-                run_strategy(index + 1)
-            else:
                 run_strategy(index + 1)
 
         def finish_round() -> None:

@@ -166,15 +166,6 @@ class ConstellationEndpoint(_Endpoint):
         )
         return session_id
 
-    def request_device_info(self, device_id: str, request_id: str) -> None:
-        self.send(
-            self._device_address[device_id],
-            AipMessage(
-                MessageType.DEVICE_INFO_REQUEST,
-                {"target_id": device_id, "request_id": request_id},
-            ),
-        )
-
     # -- liveness --------------------------------------------------------
 
     def _arm_deadline(self, agent_id: str) -> None:

@@ -10,9 +10,7 @@ from .messages import AipMessage
 
 
 class SessionPhase(Enum):
-    REGISTERING = "REGISTERING"
     ACTIVE = "ACTIVE"
-    EDITING_TASK = "EDITING_TASK"
     CLOSED = "CLOSED"
 
 

@@ -44,9 +44,6 @@ class VirtualClock:
     def call_later(self, delay: float, callback: Callable[[], None], label: str = "") -> TimerHandle:
         return self.call_at(self.now + delay, callback, label)
 
-    def pending(self) -> int:
-        return sum(1 for _, _, h in self._heap if not h.cancelled)
-
     def step(self) -> bool:
         """Fire the next live timer; returns False when none remain."""
         while self._heap:

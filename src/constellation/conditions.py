@@ -27,21 +27,9 @@ class ConditionRegistry:
             raise UnknownCondition(f"no evaluator registered for condition {name!r}")
         return bool(self._predicates[name](result))
 
-    def known(self, name: str) -> bool:
-        return name in self._predicates
-
 
 def always_true(_result: Any) -> bool:
     return True
-
-
-def field_equals(field: str, expected: Any) -> Predicate:
-    """Predicate checking one field of a dict-shaped result payload."""
-
-    def check(result: Any) -> bool:
-        return isinstance(result, dict) and result.get(field) == expected
-
-    return check
 
 
 def default_registry() -> ConditionRegistry:

@@ -18,7 +18,7 @@ from .conditions import ConditionRegistry, default_registry
 from .edits import apply_delta
 from .errors import ConstellationError, ValidationFailed
 from .events import EventBus, EventKind, OrchestratorEvent
-from .model import FailureReason, TaskConstellation, TaskStar, TaskStatus
+from .model import FailureReason, TaskConstellation, TaskStar, TaskStatus, unrecovered_failures
 from .planner import Planner, PlannerInput, PlannerOutput, PlannerState, fsm_advance
 from .report import EditCycleRecord, RunOutcome, RunReport, TaskTiming
 from .serial import to_document
@@ -389,18 +389,9 @@ class Orchestrator:
             self._finish(self._outcome_from_statuses())
 
     def _outcome_from_statuses(self) -> RunOutcome:
-        tasks = self.constellation.tasks.values()
-        failed = [t for t in tasks if t.status is TaskStatus.FAILED]
-        if not failed:
+        if not unrecovered_failures(self.constellation):
             return RunOutcome.SUCCESS
-        completed = [t for t in tasks if t.status is TaskStatus.COMPLETED]
-        def retried(f):
-            return any(
-                c.description == f.description and c.device == f.device for c in completed
-            )
-        if all(retried(f) for f in failed):
-            return RunOutcome.SUCCESS
-        if any(t.status is TaskStatus.COMPLETED for t in tasks):
+        if any(t.status is TaskStatus.COMPLETED for t in self.constellation.tasks.values()):
             return RunOutcome.PARTIAL
         return RunOutcome.FAILED
 

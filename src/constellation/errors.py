@@ -55,10 +55,6 @@ class ScriptMiss(ConstellationError):
     """A strict script has no trigger matching the presented input."""
 
 
-class PlannerError(ConstellationError):
-    pass
-
-
 class SchemaViolation(ConstellationError):
     def __init__(self, field: str, reason: str):
         self.field = field
@@ -75,10 +71,6 @@ class AttemptsExhausted(ConstellationError):
 
 
 class NoScriptEntry(ConstellationError):
-    pass
-
-
-class StepLimitExceeded(ConstellationError):
     pass
 
 

@@ -221,15 +221,19 @@ def witness_path(
 
 
 def explore_extended(max_distinct: int = 50_000, max_depth: int = 64) -> ExploreStats:
-    from .edits import AddTask, EditDelta, apply_delta
+    from .edits import AddTask, EditDelta, apply_delta, build_constellation
     from .model import FailureReason, TaskConstellation, TaskStatus
 
-    def base() -> TaskConstellation:
-        c = TaskConstellation(request="extended exploration")
-        c.add_task({"id": "a", "name": "a", "description": "first", "device": "dev0"})
-        c.add_task({"id": "b", "name": "b", "description": "second", "device": "dev0"})
-        c.add_dependency({"id": "eab", "from_task": "a", "to_task": "b"})
-        return c
+    base = build_constellation(
+        {
+            "request": "extended exploration",
+            "tasks": [
+                {"id": "a", "name": "a", "description": "first", "device": "dev0"},
+                {"id": "b", "name": "b", "description": "second", "device": "dev0"},
+            ],
+            "dependencies": [{"id": "eab", "from_task": "a", "to_task": "b"}],
+        }
+    )
 
     spawn_delta = EditDelta(
         [AddTask({"id": "x", "name": "x", "description": "spawned", "device": "dev0"})]
@@ -247,7 +251,7 @@ def explore_extended(max_distinct: int = 50_000, max_depth: int = 64) -> Explore
 
     def thaw(frozen):
         tasks, _, lock, queue = frozen
-        c = base()
+        c = base.clone()
         if any(tid == "x" for tid, _, _ in tasks):
             c, _ = apply_delta(c, spawn_delta)
         assigned: Dict[str, str] = {}
@@ -310,5 +314,5 @@ def explore_extended(max_distinct: int = 50_000, max_depth: int = 64) -> Explore
         max_depth=max_depth,
         successors_fn=extended_successors,
         invariant_fn=extended_invariants,
-        initial_state=freeze(base(), {}, "free", ()),
+        initial_state=freeze(base, {}, "free", ()),
     )

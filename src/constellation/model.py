@@ -1,9 +1,10 @@
 """Mutable dependency-DAG of tasks: the data model the whole engine runs on.
 
 A constellation holds tasks keyed by id and directed dependency edges keyed
-by id. All public single-op mutators validate their preconditions, mutate in
-place and bump the version counter by one. Batched, atomic edits live in
-``edits.py``.
+by id. Its structure changes only through the atomic edits in ``edits.py``
+(``apply_delta`` and ``build_constellation``), which run the raw ``_...`` ops
+below on a working copy and bump the version once per commit; the engine
+moves task statuses with ``transition``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .conditions import ConditionRegistry, default_registry
 from .errors import (
@@ -19,9 +20,9 @@ from .errors import (
     DuplicateEdge,
     DuplicateId,
     IllegalField,
+    IllegalTransition,
     ImmutableTask,
     NotFound,
-    UnknownCondition,
 )
 
 
@@ -74,14 +75,6 @@ class DependencyType:
     @classmethod
     def unconditional(cls) -> "DependencyType":
         return cls(DependencyKind.UNCONDITIONAL)
-
-    @classmethod
-    def success_only(cls) -> "DependencyType":
-        return cls(DependencyKind.SUCCESS_ONLY)
-
-    @classmethod
-    def conditional(cls, condition_id: str) -> "DependencyType":
-        return cls(DependencyKind.CONDITIONAL, condition_id)
 
 
 # Fields an editor may patch on a task; status/result are engine-owned.
@@ -156,39 +149,7 @@ class TaskConstellation:
         """Incoming edge ids of a task, the derived `dependencies` field."""
         return [e.id for e in self.incoming(task_id)]
 
-    # -- single-op edits -------------------------------------------------
-
-    def add_task(self, spec: Dict[str, Any]) -> "TaskConstellation":
-        self._add_task(spec)
-        self.version += 1
-        return self
-
-    def remove_task(self, task_id: str) -> "TaskConstellation":
-        self._remove_task(task_id)
-        self.version += 1
-        return self
-
-    def update_task(self, task_id: str, patch: Dict[str, Any]) -> "TaskConstellation":
-        self._update_task(task_id, patch)
-        self.version += 1
-        return self
-
-    def add_dependency(self, spec: Dict[str, Any]) -> "TaskConstellation":
-        self._add_dependency(spec)
-        self.version += 1
-        return self
-
-    def remove_dependency(self, edge_id: str) -> "TaskConstellation":
-        self._remove_dependency(edge_id)
-        self.version += 1
-        return self
-
-    def update_dependency(self, edge_id: str, patch: Dict[str, Any]) -> "TaskConstellation":
-        self._update_dependency(edge_id, patch)
-        self.version += 1
-        return self
-
-    # -- raw ops (no version bump; used by batched deltas) ---------------
+    # -- raw ops (no version bump; used by atomic edits) -----------------
 
     def _add_task(self, spec: Dict[str, Any]) -> None:
         task = _task_from_spec(spec)
@@ -267,7 +228,9 @@ class TaskConstellation:
     ) -> None:
         task = self.task(task_id)
         if (task.status, new_status) not in _LEGAL_TRANSITIONS:
-            raise IllegalTransitionError(task.status, new_status, task_id)
+            raise IllegalTransition(
+                f"illegal transition {task.status.value}->{new_status.value} on task {task_id!r}"
+            )
         task.status = new_status
         if new_status.terminal:
             task.result = result
@@ -403,11 +366,22 @@ class TaskConstellation:
         return serialize(self) == serialize(other)
 
 
-class IllegalTransitionError(ImmutableTask):
-    def __init__(self, old: TaskStatus, new: TaskStatus, task_id: str):
-        super().__init__(f"illegal transition {old.value}->{new.value} on task {task_id!r}")
-        self.old = old
-        self.new = new
+def unrecovered_failures(constellation: TaskConstellation) -> List[TaskStar]:
+    """FAILED tasks, id-sorted, whose job no COMPLETED task has done.
+
+    A job is a (description, device) pair: a FAILED task whose pair also
+    belongs to a COMPLETED task counts as retried, not as a failure.
+    """
+    tasks = [task for _, task in sorted(constellation.tasks.items())]
+    completed_jobs = {
+        (task.description, task.device) for task in tasks if task.status is TaskStatus.COMPLETED
+    }
+    return [
+        task
+        for task in tasks
+        if task.status is TaskStatus.FAILED
+        and (task.description, task.device) not in completed_jobs
+    ]
 
 
 def _task_from_spec(spec: Dict[str, Any]) -> TaskStar:

@@ -3,7 +3,9 @@
 The planner is the single component allowed to edit the constellation. It is
 driven in rounds: each round receives a read-only snapshot plus the batch of
 events drained under the lock, and answers with an observation, a thought, a
-next FSM state, an optional final result and an edit delta.
+next FSM state, an optional final result and an edit delta. The orchestrator
+alone tracks the planner's FSM state and checks each requested move with
+``fsm_advance``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from .edits import EditDelta, delta_from_doc
 from .errors import IllegalTransition, ParseError, ScriptMiss
 from .events import EventKind, OrchestratorEvent
-from .model import TaskConstellation, TaskStatus
+from .model import TaskConstellation, TaskStar, TaskStatus, unrecovered_failures
 
 
 class PlannerState(Enum):
@@ -152,7 +154,6 @@ class ScriptedPlanner(Planner):
 
     def __init__(self, script: PlannerScript):
         self.script = script
-        self.state = PlannerState.START
 
     def edit(self, planner_input: PlannerInput) -> PlannerOutput:
         entry = self._select(planner_input.batch)
@@ -162,15 +163,12 @@ class ScriptedPlanner(Planner):
                     "no trigger matches batch "
                     + str([(e.kind.value, e.task_id) for e in planner_input.batch])
                 )
-            output = PlannerOutput(
+            return PlannerOutput(
                 observation=f"{len(planner_input.batch)} unmatched event(s)",
                 thought="no scripted reaction; waiting",
                 next_state=PlannerState.CONTINUE,
             )
-        else:
-            output = self._instantiate(entry.output_doc, planner_input)
-        self.state = fsm_advance(self.state, output.next_state)
-        return output
+        return self._instantiate(entry.output_doc, planner_input)
 
     def _select(self, batch: Sequence[OrchestratorEvent]) -> Optional[ScriptEntry]:
         for entry in self.script.entries:
@@ -223,24 +221,15 @@ def _fill_text(text: str, snapshot: TaskConstellation) -> str:
 
 
 def _failure_traces(snapshot: TaskConstellation) -> str:
-    completed_jobs = {
-        (task.description, task.device)
-        for task in snapshot.tasks.values()
-        if task.status is TaskStatus.COMPLETED
-    }
-    groups: Dict[Tuple[str, str], List[str]] = {}
-    for tid, task in sorted(snapshot.tasks.items()):
-        if task.status is TaskStatus.FAILED:
-            groups.setdefault((task.description, task.device), []).append(tid)
+    groups: Dict[Tuple[str, str], List[TaskStar]] = {}
+    for task in unrecovered_failures(snapshot):
+        groups.setdefault((task.description, task.device), []).append(task)
     traces = []
-    for (description, device), task_ids in sorted(groups.items()):
-        if (description, device) in completed_jobs:
-            continue  # a retry completed this job; not a failure of the job
-        reason = snapshot.tasks[task_ids[-1]].failure_reason
+    for (description, device), tasks in sorted(groups.items()):
+        reason = tasks[-1].failure_reason
         reason_text = reason.value if reason is not None else "UNKNOWN"
-        traces.append(
-            f"job '{description}' on {device} FAILED ({reason_text}; tasks {', '.join(task_ids)})"
-        )
+        task_ids = ", ".join(task.id for task in tasks)
+        traces.append(f"job '{description}' on {device} FAILED ({reason_text}; tasks {task_ids})")
     return "; ".join(traces)
 
 

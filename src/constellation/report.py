@@ -58,7 +58,6 @@ class RunReport:
     lock_trace: List[Dict[str, Any]] = field(default_factory=list)
     dropped_frames: List[Dict[str, Any]] = field(default_factory=list)
     assignments_while_held: int = 0
-    dispatch_version_mismatches: int = 0
     deadline_exceeded: bool = False
     error: Optional[str] = None
     finished_at: Optional[float] = None
@@ -125,7 +124,6 @@ class RunReport:
             "dropped_frames": self.dropped_frames,
             "instrumentation": {
                 "assignments_while_held": self.assignments_while_held,
-                "dispatch_version_mismatches": self.dispatch_version_mismatches,
             },
         }
 

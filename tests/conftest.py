@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from constellation import TaskConstellation, deserialize
+from constellation import TaskConstellation, build_constellation, deserialize
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS_DIR = ROOT / "scenarios"
@@ -41,32 +41,32 @@ def random_dag(
     construction. CONDITIONAL edges use the built-in "always" predicate."""
     n = rng.randint(1, max_nodes)
     order = [f"t{i}" for i in range(n)]
-    c = TaskConstellation(request="random dag")
-    for tid in order:
-        c.add_task(
-            {
-                "id": tid,
-                "name": tid,
-                "description": f"work item {tid}",
-                "device": rng.choice(devices),
-            }
-        )
-    edge_n = 0
+    tasks = [
+        {
+            "id": tid,
+            "name": tid,
+            "description": f"work item {tid}",
+            "device": rng.choice(devices),
+        }
+        for tid in order
+    ]
+    dependencies = []
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < edge_probability:
                 kind = rng.choice(kinds)
                 spec = {
-                    "id": f"e{edge_n}",
+                    "id": f"e{len(dependencies)}",
                     "from_task": order[i],
                     "to_task": order[j],
                     "dep_type": kind,
                 }
                 if kind == "CONDITIONAL":
                     spec["condition_id"] = "always"
-                c.add_dependency(spec)
-                edge_n += 1
-    return c
+                dependencies.append(spec)
+    return build_constellation(
+        {"request": "random dag", "tasks": tasks, "dependencies": dependencies}
+    )
 
 
 def topo_order(c: TaskConstellation) -> List[str]:

@@ -25,12 +25,12 @@ from constellation import (
     RunOutcome,
     ScriptedDispatcher,
     ScriptedPlanner,
-    TaskConstellation,
     TaskStatus,
     UpdateTask,
     VirtualClock,
     analytic_distinct_count,
     apply_delta,
+    build_constellation,
     explore,
     load_script,
     serialize,
@@ -363,12 +363,15 @@ def all_dags_up_to(n_max):
 
 
 def build_graph(n, edges):
-    c = TaskConstellation()
-    for i in range(n):
-        c.add_task({"id": f"t{i}", "device": "dev"})
-    for k, (i, j) in enumerate(edges):
-        c.add_dependency({"id": f"e{k}", "from_task": f"t{i}", "to_task": f"t{j}"})
-    return c
+    return build_constellation(
+        {
+            "tasks": [{"id": f"t{i}", "device": "dev"} for i in range(n)],
+            "dependencies": [
+                {"id": f"e{k}", "from_task": f"t{i}", "to_task": f"t{j}"}
+                for k, (i, j) in enumerate(edges)
+            ],
+        }
+    )
 
 
 def test_criterion_7_metrics_oracle(passed):
@@ -492,9 +495,15 @@ def test_criterion_9_deterministic_reports(passed):
 
 def test_criterion_10_planning_overlaps_execution(passed):
     t0 = time.monotonic()
-    c = TaskConstellation(request="overlap probe")
-    c.add_task({"id": "A", "name": "A", "description": "first leg", "device": "dev0"})
-    c.add_task({"id": "B", "name": "B", "description": "second leg", "device": "dev1"})
+    c = build_constellation(
+        {
+            "request": "overlap probe",
+            "tasks": [
+                {"id": "A", "name": "A", "description": "first leg", "device": "dev0"},
+                {"id": "B", "name": "B", "description": "second leg", "device": "dev1"},
+            ],
+        }
+    )
     edit_time = 5.0
     durations = {"A": 10.0, "B": 18.0, "C": 10.0}
     script = load_script(

@@ -160,9 +160,9 @@ class LocalClient:
         self.clock.call_later(total, lambda: on_results(results), label="client")
 
 
-def serve(reasoner_entries, executor_table, task=None, step_limit=25):
+def serve(reasoner_entries, executor_table, task=None):
     clock = VirtualClock()
-    server = AgentServer(clock, ScriptedReasoner(reasoner_entries), step_limit=step_limit)
+    server = AgentServer(clock, ScriptedReasoner(reasoner_entries))
     client = LocalClient(clock, ScriptedExecutor(executor_table, strict=False))
     ends = []
     run = server.serve_task(
@@ -230,7 +230,7 @@ class TestAgentServer:
 
     def test_step_limit_fails_with_timeout(self):
         entries = [{"when": {"always": True}, "next_state": "CONTINUE", "duration": 1.0}]
-        run, _, ends = serve(entries, [], step_limit=25)
+        run, _, ends = serve(entries, [])
         status, payload, at = ends[0]
         assert status == "FAILED"
         assert payload["failure_reason"] == "TIMEOUT"

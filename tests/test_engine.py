@@ -146,6 +146,21 @@ class TestOutcomeRule:
         assert report.outcome is RunOutcome.PARTIAL
 
 
+class TestPlannerFsm:
+    def test_return_to_start_aborts_the_run(self):
+        script = {
+            "strict": False,
+            "entries": [
+                {"trigger": [{"kind": "TASK_COMPLETED", "task": "*"}], "next_state": "START"}
+            ],
+        }
+        report = run_fig4(planner=ScriptedPlanner(load_script(script)))
+        assert report.outcome is RunOutcome.FAILED
+        assert "planner may not move CONTINUE -> START" in report.error
+        assert [cycle.next_state for cycle in report.edit_cycles] == ["CONTINUE"]
+        assert report.lock_trace[-1]["action"] == "release"
+
+
 class TestRejectedDelta:
     def script_with_cycle_then(self, second_entry):
         return {

@@ -1,66 +1,86 @@
-"""Core graph model: mutation preconditions, validation, readiness."""
+"""Core graph model: edit preconditions, validation, readiness."""
 
 import pytest
 
+import constellation
 from constellation import (
+    AddDependency,
+    AddTask,
     CycleIntroduced,
     DuplicateEdge,
     DuplicateId,
+    EditDelta,
     FailureReason,
+    IllegalTransition,
     ImmutableTask,
     NotFound,
+    RemoveDependency,
+    RemoveTask,
     TaskConstellation,
     TaskStatus,
+    UpdateTask,
+    apply_delta,
+    build_constellation,
+    serialize,
 )
-from constellation.model import IllegalTransitionError
+from constellation.errors import IllegalField
 
 
 def chain(*ids):
-    c = TaskConstellation(request="chain")
-    for tid in ids:
-        c.add_task({"id": tid, "name": tid, "description": tid, "device": "dev"})
-    for a, b in zip(ids, ids[1:]):
-        c.add_dependency({"id": f"e{a}{b}", "from_task": a, "to_task": b})
-    return c
+    return build_constellation(
+        {
+            "request": "chain",
+            "tasks": [{"id": tid, "name": tid, "description": tid, "device": "dev"} for tid in ids],
+            "dependencies": [
+                {"id": f"e{a}{b}", "from_task": a, "to_task": b} for a, b in zip(ids, ids[1:])
+            ],
+        }
+    )
+
+
+def apply_one(c, op):
+    post, _ = apply_delta(c, EditDelta([op]))
+    return post
+
+
+def assert_rejected(c, op, error):
+    """The one-op delta raises ``error`` and leaves the pre-state untouched."""
+    before = serialize(c)
+    with pytest.raises(error):
+        apply_delta(c, EditDelta([op]))
+    assert serialize(c) == before
 
 
 class TestTaskOps:
     def test_add_task_assigns_pending_status(self):
-        c = chain("A")
+        c = apply_one(TaskConstellation(), AddTask({"id": "A", "device": "dev"}))
         assert c.tasks["A"].status is TaskStatus.PENDING
         assert c.version == 1
 
     def test_duplicate_task_id_rejected(self):
-        c = chain("A")
-        with pytest.raises(DuplicateId):
-            c.add_task({"id": "A", "device": "dev"})
+        assert_rejected(chain("A"), AddTask({"id": "A", "device": "dev"}), DuplicateId)
 
     def test_remove_task_drops_incident_edges(self, fig4):
         # C has eAC incoming plus eCD and eCE outgoing; all three must go.
-        fig4.remove_task("C")
-        assert "C" not in fig4.tasks
-        assert set(fig4.edges) == {"eBD", "eDE"}
+        post = apply_one(fig4, RemoveTask("C"))
+        assert "C" not in post.tasks
+        assert set(post.edges) == {"eBD", "eDE"}
 
     def test_remove_non_pending_task_rejected(self):
         c = chain("A")
         c.transition("A", TaskStatus.RUNNING)
-        with pytest.raises(ImmutableTask):
-            c.remove_task("A")
+        assert_rejected(c, RemoveTask("A"), ImmutableTask)
 
     def test_update_task_respects_editable_fields(self):
         c = chain("A")
-        c.update_task("A", {"description": "new words", "tips": ["hint"]})
-        assert c.tasks["A"].description == "new words"
-        from constellation.errors import IllegalField
-
-        with pytest.raises(IllegalField):
-            c.update_task("A", {"status": "COMPLETED"})
+        post = apply_one(c, UpdateTask("A", {"description": "new words", "tips": ["hint"]}))
+        assert post.tasks["A"].description == "new words"
+        assert_rejected(c, UpdateTask("A", {"status": "COMPLETED"}), IllegalField)
 
     def test_update_non_pending_task_rejected(self):
         c = chain("A")
         c.transition("A", TaskStatus.RUNNING)
-        with pytest.raises(ImmutableTask):
-            c.update_task("A", {"description": "too late"})
+        assert_rejected(c, UpdateTask("A", {"description": "too late"}), ImmutableTask)
 
     def test_missing_task_raises_not_found(self):
         with pytest.raises(NotFound):
@@ -69,38 +89,29 @@ class TestTaskOps:
 
 class TestEdgeOps:
     def test_cycle_rejected_and_rolled_back(self):
-        c = chain("A", "B", "C")
-        before = set(c.edges)
-        with pytest.raises(CycleIntroduced):
-            c.add_dependency({"id": "eCA", "from_task": "C", "to_task": "A"})
-        assert set(c.edges) == before
+        edge = AddDependency({"id": "eCA", "from_task": "C", "to_task": "A"})
+        assert_rejected(chain("A", "B", "C"), edge, CycleIntroduced)
 
     def test_self_loop_rejected(self):
-        c = chain("A")
-        with pytest.raises(CycleIntroduced):
-            c.add_dependency({"id": "eAA", "from_task": "A", "to_task": "A"})
+        edge = AddDependency({"id": "eAA", "from_task": "A", "to_task": "A"})
+        assert_rejected(chain("A"), edge, CycleIntroduced)
 
     def test_parallel_edge_rejected(self):
-        c = chain("A", "B")
-        with pytest.raises(DuplicateEdge):
-            c.add_dependency({"id": "e2", "from_task": "A", "to_task": "B"})
+        edge = AddDependency({"id": "e2", "from_task": "A", "to_task": "B"})
+        assert_rejected(chain("A", "B"), edge, DuplicateEdge)
 
     def test_edge_to_non_pending_target_rejected(self):
-        c = chain("A", "B")
+        c = apply_one(chain("A", "B"), AddTask({"id": "C", "device": "dev"}))
         c.transition("B", TaskStatus.RUNNING)
-        c2 = chain("A", "B")
-        c2.add_task({"id": "C", "device": "dev"})
-        c2.transition("B", TaskStatus.RUNNING)
-        with pytest.raises(ImmutableTask):
-            c2.add_dependency({"id": "eCB", "from_task": "C", "to_task": "B"})
+        edge = AddDependency({"id": "eCB", "from_task": "C", "to_task": "B"})
+        assert_rejected(c, edge, ImmutableTask)
 
     def test_remove_edge_requires_pending_target(self):
         c = chain("A", "B")
         c.transition("A", TaskStatus.RUNNING)
         c.transition("A", TaskStatus.COMPLETED, result="ok")
         c.transition("B", TaskStatus.RUNNING)
-        with pytest.raises(ImmutableTask):
-            c.remove_dependency("eAB")
+        assert_rejected(c, RemoveDependency("eAB"), ImmutableTask)
 
 
 class TestTransitions:
@@ -125,9 +136,16 @@ class TestTransitions:
     )
     def test_illegal_transitions_rejected(self, path):
         c = chain("A")
-        with pytest.raises(IllegalTransitionError):
+        with pytest.raises(IllegalTransition):
             for status in path:
                 c.transition("A", status, result="x")
+
+    def test_illegal_transition_raises_the_exported_error(self):
+        c = chain("A")
+        with pytest.raises(constellation.IllegalTransition) as err:
+            c.transition("A", TaskStatus.COMPLETED, result="x")
+        assert str(err.value) == "illegal transition PENDING->COMPLETED on task 'A'"
+        assert c.tasks["A"].status is TaskStatus.PENDING and c.tasks["A"].result is None
 
 
 class TestValidate:
@@ -212,6 +230,6 @@ class TestCopies:
 
     def test_structural_equality(self, fig4):
         assert fig4.structurally_equal(fig4.clone())
-        other = fig4.clone()
-        other.update_task("A", {"description": "different"})
+        other = apply_one(fig4, UpdateTask("A", {"description": "different"}))
+        other.version = fig4.version
         assert not fig4.structurally_equal(other)

@@ -3,12 +3,16 @@
 import pytest
 
 from constellation import (
+    AddTask,
+    EditDelta,
     FailureReason,
     PlannerInput,
     PlannerState,
     ScriptedPlanner,
     TaskConstellation,
     TaskStatus,
+    apply_delta,
+    build_constellation,
     load_script,
 )
 from constellation.errors import IllegalTransition, ParseError, ScriptMiss
@@ -123,13 +127,6 @@ class TestScriptedPlanner:
         assert out.next_state is PlannerState.CONTINUE
         assert not out.delta
 
-    def test_planner_tracks_own_fsm(self):
-        planner = ScriptedPlanner(self.script())
-        planner.edit(pinput(batch=[event(EventKind.TASK_COMPLETED, "Z")]))
-        assert planner.state is PlannerState.FINISH
-        with pytest.raises(IllegalTransition):
-            planner.edit(pinput(batch=[event(EventKind.TASK_COMPLETED, "A")]))
-
     def test_bad_script_document_rejected(self):
         with pytest.raises(ParseError):
             load_script({"entries": [{"trigger": [{"kind": "NOT_A_KIND"}]}]})
@@ -137,12 +134,15 @@ class TestScriptedPlanner:
 
 class TestTemplates:
     def snapshot(self):
-        c = TaskConstellation()
-        for tid in ("A", "A2", "B", "C"):
-            c.add_task(
-                {"id": tid, "device": "linux1" if tid.startswith("A") else "linux2",
-                 "description": "Run job" if tid != "C" else "Other job"}
-            )
+        c = build_constellation(
+            {
+                "tasks": [
+                    {"id": tid, "device": "linux1" if tid.startswith("A") else "linux2",
+                     "description": "Run job" if tid != "C" else "Other job"}
+                    for tid in ("A", "A2", "B", "C")
+                ]
+            }
+        )
         c.transition("A", TaskStatus.RUNNING)
         c.transition("A", TaskStatus.FAILED, failure_reason=FailureReason.AGENT_DISCONNECTED)
         c.transition("A2", TaskStatus.RUNNING)
@@ -179,8 +179,8 @@ class TestTemplates:
         assert "TIMEOUT" in traces  # latest retry's reason wins
 
     def test_failure_traces_skip_jobs_with_completed_retry(self):
-        c = self.snapshot()
-        c.add_task({"id": "A3", "device": "linux1", "description": "Run job"})
+        retry = AddTask({"id": "A3", "device": "linux1", "description": "Run job"})
+        c, _ = apply_delta(self.snapshot(), EditDelta([retry]))
         c.transition("A3", TaskStatus.RUNNING)
         c.transition("A3", TaskStatus.COMPLETED, result="recovered")
         planner = self.planner_for("$failure_traces")

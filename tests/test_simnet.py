@@ -11,6 +11,7 @@ from constellation import (
     ScriptedDispatcher,
     TaskConstellation,
     VirtualClock,
+    build_constellation,
 )
 from constellation.simnet.metrics import (
     _peak_overlap,
@@ -194,16 +195,20 @@ def oracle_width(intervals):
 
 
 def fig4_with_uniform_durations():
-    c = TaskConstellation()
-    for tid in "ABCDE":
-        c.add_task({"id": tid, "device": "dev", "name": tid})
-    for eid, frm, to in (
-        ("eAC", "A", "C"),
-        ("eBD", "B", "D"),
-        ("eCD", "C", "D"),
-        ("eDE", "D", "E"),
-    ):
-        c.add_dependency({"id": eid, "from_task": frm, "to_task": to})
+    c = build_constellation(
+        {
+            "tasks": [{"id": tid, "device": "dev", "name": tid} for tid in "ABCDE"],
+            "dependencies": [
+                {"id": eid, "from_task": frm, "to_task": to}
+                for eid, frm, to in (
+                    ("eAC", "A", "C"),
+                    ("eBD", "B", "D"),
+                    ("eCD", "C", "D"),
+                    ("eDE", "D", "E"),
+                )
+            ],
+        }
+    )
     return c, {tid: 10.0 for tid in "ABCDE"}
 
 
@@ -217,20 +222,22 @@ class TestMetrics:
         assert m.parallelism_ratio == pytest.approx(1.25, abs=1e-9)
 
     def test_chain_has_width_one_and_ratio_one(self):
-        c = TaskConstellation()
-        for i, tid in enumerate("XYZ"):
-            c.add_task({"id": tid, "device": "dev"})
-        c.add_dependency({"id": "e1", "from_task": "X", "to_task": "Y"})
-        c.add_dependency({"id": "e2", "from_task": "Y", "to_task": "Z"})
+        c = build_constellation(
+            {
+                "tasks": [{"id": tid, "device": "dev"} for tid in "XYZ"],
+                "dependencies": [
+                    {"id": "e1", "from_task": "X", "to_task": "Y"},
+                    {"id": "e2", "from_task": "Y", "to_task": "Z"},
+                ],
+            }
+        )
         m = metrics_from_durations(c, {"X": 1.0, "Y": 2.0, "Z": 3.0})
         assert m.critical_path == m.total_work == 6.0
         assert m.max_parallel_width == 1
         assert m.parallelism_ratio == pytest.approx(1.0)
 
     def test_independent_tasks_are_fully_parallel(self):
-        c = TaskConstellation()
-        for tid in "PQRS":
-            c.add_task({"id": tid, "device": "dev"})
+        c = build_constellation({"tasks": [{"id": tid, "device": "dev"} for tid in "PQRS"]})
         m = metrics_from_durations(c, {tid: 5.0 for tid in "PQRS"})
         assert m.critical_path == 5.0
         assert m.max_parallel_width == 4
