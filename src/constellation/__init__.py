@@ -42,7 +42,7 @@ from .errors import (
     ValidationFailed,
     VerdictMismatch,
 )
-from .events import EventBus, EventKind, OrchestratorEvent
+from .events import EventKind, OrchestratorEvent
 from .explorer import (
     GOLDEN_STATS,
     ExploreStats,
@@ -88,7 +88,6 @@ __all__ = [
     "DuplicateId",
     "EditDelta",
     "EngineConfig",
-    "EventBus",
     "EventKind",
     "ExploreStats",
     "FailureReason",

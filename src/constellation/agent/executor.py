@@ -13,8 +13,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import NoScriptEntry, ParseError
 
-KNOWN_FUNCTIONS = ("EXEC_CLI", "SYS_INFO", "NOTEPAD_WRITE")
-
 
 class ScriptedExecutor:
     def __init__(

@@ -313,9 +313,6 @@ class DeviceServerEndpoint(_Endpoint):
             self._on_task(msg)
         elif msg.msg_type is MessageType.COMMAND_RESULTS:
             callback = self._pending_results.pop(msg.body["prev_response_id"], None)
-            session = self.sessions.get(msg.session_id or "")
-            if session is not None:
-                session.close_command(msg.body["prev_response_id"])
             if callback is not None:
                 callback(msg.body["action_results"])
         elif msg.msg_type is MessageType.DEVICE_INFO_REQUEST:
@@ -348,8 +345,6 @@ class DeviceServerEndpoint(_Endpoint):
         def send_commands(actions, on_results):
             command_id = f"c{next(self._cmd_seq)}-{self.agent_id}"
             self._pending_results[command_id] = on_results
-            session = self.session(session_id, self.client_address)
-            session.open_command(command_id)
             self.send(
                 self.client_address,
                 AipMessage(

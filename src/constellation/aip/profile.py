@@ -12,14 +12,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional
 
-MERGE_SOURCES = ("user-config", "service-manifest", "client-telemetry")
-
-_FIELD_GROUPS = ("os", "capabilities", "performance", "paths", "network")
-
 
 class AgentStatus(Enum):
     IDLE = "IDLE"
-    BUSY = "BUSY"
     DISCONNECTED = "DISCONNECTED"
 
 

@@ -7,7 +7,7 @@ pre-state is left untouched and the per-op error propagates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import ImmutableTask, ParseError, ValidationFailed
@@ -75,26 +75,8 @@ class ModificationSummary:
     removed_dependencies: int = 0
     modified_dependencies: int = 0
 
-    @property
-    def total(self) -> int:
-        return (
-            self.added_tasks
-            + self.removed_tasks
-            + self.modified_tasks
-            + self.added_dependencies
-            + self.removed_dependencies
-            + self.modified_dependencies
-        )
-
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "added_tasks": self.added_tasks,
-            "removed_tasks": self.removed_tasks,
-            "modified_tasks": self.modified_tasks,
-            "added_dependencies": self.added_dependencies,
-            "removed_dependencies": self.removed_dependencies,
-            "modified_dependencies": self.modified_dependencies,
-        }
+        return asdict(self)
 
 
 def build_constellation(

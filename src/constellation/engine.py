@@ -17,7 +17,7 @@ from .clock import TimerHandle, VirtualClock
 from .conditions import ConditionRegistry, default_registry
 from .edits import apply_delta
 from .errors import ConstellationError, ValidationFailed
-from .events import EventBus, EventKind, OrchestratorEvent
+from .events import EventKind, OrchestratorEvent
 from .model import FailureReason, TaskConstellation, TaskStar, TaskStatus, unrecovered_failures
 from .planner import Planner, PlannerInput, PlannerOutput, PlannerState, fsm_advance
 from .report import EditCycleRecord, RunOutcome, RunReport, TaskTiming
@@ -92,7 +92,6 @@ class Orchestrator:
         dispatcher: Dispatcher,
         constellation: Optional[TaskConstellation] = None,
         registry: Optional[ConditionRegistry] = None,
-        bus: Optional[EventBus] = None,
         config: Optional[EngineConfig] = None,
     ):
         self.clock = clock
@@ -100,7 +99,6 @@ class Orchestrator:
         self.dispatcher = dispatcher
         self.constellation = constellation if constellation is not None else TaskConstellation()
         self.registry = registry or default_registry()
-        self.bus = bus or EventBus()
         self.config = config or EngineConfig()
         self.report = RunReport(request=self.constellation.request)
 
@@ -109,12 +107,9 @@ class Orchestrator:
         self.planner_state = PlannerState.START
         self.done = False
         self._round_index = 0
-        self._round_in_flight = False
-        self._assigned: Dict[str, str] = {}
         self._pending_timers: Dict[str, TimerHandle] = {}
         self._execution_timers: Dict[str, TimerHandle] = {}
         self.dispatcher.set_availability_listener(self._on_availability_change)
-        self.bus.subscribe(self.report.record_event)
 
     # -- public driver ---------------------------------------------------
 
@@ -137,7 +132,7 @@ class Orchestrator:
         if self.done:
             return
         self.queue.append(event)
-        self.bus.publish(event)
+        self.report.record_event(event)
         if not self.lock_held:
             self._begin_cycle()
 
@@ -162,7 +157,7 @@ class Orchestrator:
         self.enqueue(OrchestratorEvent(kind, task_id, self.clock.now, payload))
 
     def _on_availability_change(self) -> None:
-        if not self.done and not self.lock_held and not self._round_in_flight:
+        if not self.done and not self.lock_held:
             self._reschedule()
 
     # -- locked edit cycles ----------------------------------------------
@@ -192,7 +187,6 @@ class Orchestrator:
         except Exception as exc:
             self._abort(f"planner error: {exc}")
             return
-        self._round_in_flight = True
         self.clock.call_later(
             output.duration,
             lambda: self._commit_round(planner_input, output, started_at, represented),
@@ -206,7 +200,6 @@ class Orchestrator:
         started_at: float,
         represented: bool,
     ) -> None:
-        self._round_in_flight = False
         summary_doc: Dict[str, int] = {}
         if output.delta:
             try:
@@ -235,7 +228,7 @@ class Orchestrator:
                 return
             self.constellation = new_constellation
             summary_doc = summary.as_dict()
-            self.bus.publish(
+            self.report.record_event(
                 OrchestratorEvent(
                     EventKind.CONSTELLATION_MODIFIED,
                     "",
@@ -313,9 +306,9 @@ class Orchestrator:
             return
         available = self.dispatcher.available_devices()
         for task_id in self.constellation.ready_tasks(self.registry):
-            if task_id in self._assigned:
-                continue
             task = self.constellation.tasks[task_id]
+            if task.status is not TaskStatus.PENDING:
+                continue  # a dispatcher re-entered _reschedule and sent it already
             if "*" in available or task.device in available:
                 self._dispatch(task)
             elif task_id not in self._pending_timers:
@@ -328,15 +321,12 @@ class Orchestrator:
     def _dispatch(self, task: TaskStar) -> None:
         if self.lock_held:
             self.report.assignments_while_held += 1
-        if task.id in self._assigned:
-            return
-        self._assigned[task.id] = task.device
         self._cancel_timer(self._pending_timers, task.id)
         self.constellation.transition(task.id, TaskStatus.RUNNING)
         self.report.timings[task.id] = TaskTiming(
             task_id=task.id, device=task.device, dispatched_at=self.clock.now
         )
-        self.bus.publish(
+        self.report.record_event(
             OrchestratorEvent(
                 EventKind.TASK_STARTED,
                 task.id,
@@ -355,8 +345,6 @@ class Orchestrator:
         self._pending_timers.pop(task_id, None)
         task = self.constellation.tasks.get(task_id)
         if self.done or task is None or task.status is not TaskStatus.PENDING:
-            return
-        if task_id in self._assigned:
             return
         self.enqueue(
             OrchestratorEvent(

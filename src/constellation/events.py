@@ -1,13 +1,10 @@
-"""Orchestrator event vocabulary and a minimal in-process event bus."""
+"""Orchestrator event vocabulary."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, List
-
-log = logging.getLogger(__name__)
+from typing import Any, Dict
 
 
 class EventKind(Enum):
@@ -31,24 +28,3 @@ class OrchestratorEvent:
         if self.payload:
             doc["payload"] = self.payload
         return doc
-
-
-Handler = Callable[[OrchestratorEvent], None]
-
-
-class EventBus:
-    """Synchronous publish/subscribe; a failing handler is logged, never
-    allowed to break delivery to the remaining handlers."""
-
-    def __init__(self) -> None:
-        self._handlers: List[Handler] = []
-
-    def subscribe(self, handler: Handler) -> None:
-        self._handlers.append(handler)
-
-    def publish(self, event: OrchestratorEvent) -> None:
-        for handler in list(self._handlers):
-            try:
-                handler(event)
-            except Exception:
-                log.exception("event handler failed for %s", event.kind.value)

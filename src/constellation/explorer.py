@@ -216,8 +216,10 @@ def witness_path(
 #
 # Instead of the stubbed per-task status/assignment tuples, extended mode
 # drives the real TaskConstellation operations — apply_delta for edits and
-# transition for status synchronization — over a tiny two-task graph. It
-# checks I1–I3 on every reached state but carries no golden counts.
+# transition for dispatch and status synchronization — over a tiny two-task
+# graph. Each operation runs once per generated successor: every state keeps
+# the graph that the operation reaching it first produced, and I1/I2 are
+# checked on that graph. No golden counts are carried.
 
 
 def explore_extended(max_distinct: int = 50_000, max_depth: int = 64) -> ExploreStats:
@@ -241,36 +243,24 @@ def explore_extended(max_distinct: int = 50_000, max_depth: int = 64) -> Explore
 
     # State: ((task id, status, assigned device) ..., (edge id, from, to) ...,
     # lock, queue). Assignment is orchestrator-side bookkeeping, so it rides
-    # in the frozen tuple rather than on the task.
+    # in the frozen tuple rather than on the task. ``built`` maps each state
+    # to the first (graph, assignment) pair frozen into it; successors that
+    # change the graph work on a copy, so a stored pair is never mutated.
+    built: Dict[object, Tuple[TaskConstellation, Dict[str, str]]] = {}
+
     def freeze(c: TaskConstellation, assigned: Dict[str, str], lock: str, queue):
         tasks = tuple(
             (tid, c.tasks[tid].status.value, assigned.get(tid, NULL)) for tid in sorted(c.tasks)
         )
         edges = tuple((eid, c.edges[eid].from_task, c.edges[eid].to_task) for eid in sorted(c.edges))
-        return (tasks, edges, lock, queue)
-
-    def thaw(frozen):
-        tasks, _, lock, queue = frozen
-        c = base.clone()
-        if any(tid == "x" for tid, _, _ in tasks):
-            c, _ = apply_delta(c, spawn_delta)
-        assigned: Dict[str, str] = {}
-        for tid, status, device in tasks:
-            if device != NULL:
-                assigned[tid] = device
-            if status == TaskStatus.RUNNING.value:
-                c.transition(tid, TaskStatus.RUNNING)
-            elif status == TaskStatus.COMPLETED.value:
-                c.transition(tid, TaskStatus.RUNNING)
-                c.transition(tid, TaskStatus.COMPLETED, result="ok")
-            elif status == TaskStatus.FAILED.value:
-                c.transition(tid, TaskStatus.RUNNING)
-                c.transition(tid, TaskStatus.FAILED, failure_reason=FailureReason.EXECUTION_ERROR)
-        return c, assigned, lock, queue
+        frozen = (tasks, edges, lock, queue)
+        built.setdefault(frozen, (c, assigned))
+        return frozen
 
     def extended_successors(frozen) -> List[Tuple[str, object]]:
         out: List[Tuple[str, object]] = []
-        c, assigned, lock, queue = thaw(frozen)
+        c, assigned = built[frozen]
+        _, _, lock, queue = frozen
         running = sorted(tid for tid, t in c.tasks.items() if t.status is TaskStatus.RUNNING)
         for tid in running:
             for event in EVENTS:
@@ -279,22 +269,23 @@ def explore_extended(max_distinct: int = 50_000, max_depth: int = 64) -> Explore
             out.append(("Acquire", freeze(c, assigned, "held", queue)))
             for tid in c.ready_tasks():
                 if tid not in assigned:
-                    c2, assigned2, _, _ = thaw(frozen)
-                    assigned2[tid] = "dev0"
-                    c2.transition(tid, TaskStatus.RUNNING)
-                    out.append(("Dispatch", freeze(c2, assigned2, lock, queue)))
+                    dispatched = c.clone()
+                    dispatched.transition(tid, TaskStatus.RUNNING)
+                    assigned2 = {**assigned, tid: "dev0"}
+                    out.append(("Dispatch", freeze(dispatched, assigned2, lock, queue)))
         if lock == "held":
             if queue:
                 event, _, tid = queue[0].partition(":")
-                c2, assigned2, _, _ = thaw(frozen)
-                if c2.tasks[tid].status is TaskStatus.RUNNING:
+                synced = c
+                if c.tasks[tid].status is TaskStatus.RUNNING:
+                    synced = c.clone()
                     if event == "TASK_COMPLETED":
-                        c2.transition(tid, TaskStatus.COMPLETED, result="ok")
+                        synced.transition(tid, TaskStatus.COMPLETED, result="ok")
                     else:
-                        c2.transition(
+                        synced.transition(
                             tid, TaskStatus.FAILED, failure_reason=FailureReason.EXECUTION_ERROR
                         )
-                out.append(("Synchronize", freeze(c2, assigned2, lock, queue[1:])))
+                out.append(("Synchronize", freeze(synced, assigned, lock, queue[1:])))
             if "x" not in c.tasks:
                 edited, _ = apply_delta(c, spawn_delta)
                 out.append(("Edit", freeze(edited, assigned, lock, queue)))
@@ -302,7 +293,7 @@ def explore_extended(max_distinct: int = 50_000, max_depth: int = 64) -> Explore
         return out
 
     def extended_invariants(frozen) -> None:
-        c, assigned, _, _ = thaw(frozen)
+        c, assigned = built[frozen]
         for tid, task in c.tasks.items():
             if task.status is TaskStatus.RUNNING and tid not in assigned:
                 raise InvariantViolation("I1", frozen)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional
 
+from .edits import ModificationSummary
 from .events import OrchestratorEvent
 
 
@@ -70,14 +71,7 @@ class RunReport:
 
     @property
     def edit_summary_totals(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {
-            "added_tasks": 0,
-            "removed_tasks": 0,
-            "modified_tasks": 0,
-            "added_dependencies": 0,
-            "removed_dependencies": 0,
-            "modified_dependencies": 0,
-        }
+        totals = ModificationSummary().as_dict()
         for cycle in self.edit_cycles:
             for key in totals:
                 totals[key] += cycle.summary.get(key, 0)

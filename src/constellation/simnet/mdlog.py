@@ -104,18 +104,10 @@ def emit_markdown_log(report: RunReport) -> str:
 
     out.append("## Edit summary")
     out.append("")
-    totals = report.edit_summary_totals
     out.append("| Category | Count |")
     out.append("|----------|-------|")
-    for key in (
-        "added_tasks",
-        "removed_tasks",
-        "modified_tasks",
-        "added_dependencies",
-        "removed_dependencies",
-        "modified_dependencies",
-    ):
-        out.append(f"| {key.replace('_', ' ')} | {totals[key]} |")
+    for key, count in report.edit_summary_totals.items():
+        out.append(f"| {key.replace('_', ' ')} | {count} |")
     out.append("")
     return "\n".join(out)
 

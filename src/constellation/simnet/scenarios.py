@@ -26,7 +26,6 @@ from ..aip.profile import ProfileRegistry
 from ..clock import VirtualClock
 from ..engine import EngineConfig, Orchestrator
 from ..errors import ParseError, PeerDisconnected, VerdictMismatch
-from ..events import EventBus
 from ..model import FailureReason, TaskStar, TaskStatus
 from ..planner import ScriptedPlanner, load_script
 from ..report import RunReport
@@ -148,7 +147,6 @@ def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
         planner,
         dispatcher,
         constellation=constellation,
-        bus=EventBus(),
         config=EngineConfig(
             initial_round=False,
             pending_dispatch_timeout=doc.get("pending_dispatch_timeout", 60.0),

@@ -148,7 +148,7 @@ class RandomEditPlanner(Planner):
         assert engine.lock_held  # rounds only run under the lock
         for tid, task in engine.constellation.tasks.items():
             if task.status is TaskStatus.RUNNING:
-                assert tid in engine._assigned  # I1
+                assert tid in engine.report.timings  # I1
         self.rounds_checked += 1
         if planner_input.violations:
             return PlannerOutput("rejected", "drop the edit", PlannerState.CONTINUE)

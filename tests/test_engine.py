@@ -59,6 +59,28 @@ class TestHappyPath:
         report = run_fig4()
         assert report.assignments_while_held == 0
 
+    def test_availability_change_inside_dispatch_sends_each_task_once(self):
+        """A dispatcher may report an availability change from inside
+        dispatch(); the nested reschedule must not leave the outer loop
+        holding already-dispatched tasks."""
+
+        class ReentrantDispatcher(ScriptedDispatcher):
+            def set_availability_listener(self, listener):
+                self.listener = listener
+
+            def dispatch(self, task, on_done):
+                super().dispatch(task, on_done)
+                self.listener()
+
+        clock = VirtualClock()
+        dispatcher = ReentrantDispatcher(clock, default_duration=10.0)
+        report = Orchestrator(
+            clock, NoopPlanner(), dispatcher, constellation=fig4_constellation()
+        ).run()
+        assert report.outcome is RunOutcome.SUCCESS
+        started = [e["task_id"] for e in report.events if e["kind"] == "TASK_STARTED"]
+        assert sorted(started) == ["A", "B", "C", "D", "E"]
+
 
 class TestOutcomeRule:
     def test_failure_without_retry_is_partial(self):

@@ -8,7 +8,9 @@ from constellation import (
     BoundExceeded,
     GOLDEN_STATS,
     InvariantViolation,
+    TaskConstellation,
     analytic_distinct_count,
+    edits,
     explore,
     explore_extended,
 )
@@ -128,19 +130,42 @@ class TestBounds:
 
 class TestExtendedMode:
     def test_extended_mode_statistics_and_safety(self):
-        stats = explore_extended()
-        assert stats.distinct == 880
-        assert stats.depth == 16
-        assert stats.violations == 0
-        assert set(stats.by_action) == {
-            "Init",
-            "Enqueue",
-            "Acquire",
-            "Dispatch",
-            "Synchronize",
-            "Edit",
-            "Release",
+        assert explore_extended().as_dict() == {
+            "distinct": 880,
+            "generated": 3124,
+            "depth": 16,
+            "by_action": {
+                "Acquire": 174,
+                "Dispatch": 86,
+                "Edit": 14,
+                "Enqueue": 320,
+                "Init": 1,
+                "Release": 129,
+                "Synchronize": 156,
+            },
+            "violations": 0,
+            "deadlocks": 0,
         }
 
     def test_extended_mode_is_deterministic(self):
         assert explore_extended().as_dict() == explore_extended().as_dict()
+
+    def test_each_model_operation_runs_once_per_successor(self, monkeypatch):
+        """No state is rebuilt by replay: apply_delta runs once per Edit
+        successor generated (52) and transition only for the Dispatch and
+        Synchronize successors that change a status (299)."""
+        calls = {"apply_delta": 0, "transition": 0}
+        apply_delta, transition = edits.apply_delta, TaskConstellation.transition
+
+        def counted_apply_delta(*args, **kwargs):
+            calls["apply_delta"] += 1
+            return apply_delta(*args, **kwargs)
+
+        def counted_transition(self, *args, **kwargs):
+            calls["transition"] += 1
+            return transition(self, *args, **kwargs)
+
+        monkeypatch.setattr(edits, "apply_delta", counted_apply_delta)
+        monkeypatch.setattr(TaskConstellation, "transition", counted_transition)
+        explore_extended()
+        assert calls == {"apply_delta": 52, "transition": 299}
