@@ -9,7 +9,6 @@ bounded explicit-state explorer of the locking protocol (`explorer`).
 """
 
 from .clock import TimerHandle, VirtualClock
-from .conditions import ConditionRegistry, default_registry
 from .edits import (
     AddDependency,
     AddTask,
@@ -79,7 +78,6 @@ __all__ = [
     "AddTask",
     "BoundExceeded",
     "BuildConstellation",
-    "ConditionRegistry",
     "ConstellationError",
     "CycleIntroduced",
     "DependencyKind",
@@ -129,7 +127,6 @@ __all__ = [
     "analytic_distinct_count",
     "apply_delta",
     "build_constellation",
-    "default_registry",
     "deserialize",
     "explore",
     "explore_extended",

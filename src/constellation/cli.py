@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from .engine import EngineConfig, Orchestrator, ScriptedDispatcher
-from .errors import BoundExceeded, ConstellationError, ParseError, ValidationFailed
+from .errors import BoundExceeded, ConstellationError, ValidationFailed
 from .explorer import GOLDEN_STATS, explore, explore_extended
 from .planner import NoopPlanner, ScriptedPlanner, load_script
 from .serial import deserialize
@@ -60,13 +60,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         constellation = deserialize(Path(args.constellation).read_text(encoding="utf-8"))
     except ValidationFailed as exc:
         for violation in exc.violations:
-            _emit(
-                {
-                    "event": "violation",
-                    "kind": getattr(violation, "kind", "Violation"),
-                    "detail": getattr(violation, "detail", str(violation)),
-                }
-            )
+            _emit({"event": "violation", "kind": violation.kind, "detail": violation.detail})
         _emit(
             {
                 "event": "validated",

@@ -7,11 +7,11 @@ pre-state is left untouched and the per-op error propagates.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import ImmutableTask, ParseError, ValidationFailed
-from .model import TaskConstellation, TaskStatus, Violation
+from .model import TaskConstellation, TaskStatus, Violation, from_entries
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,9 @@ class UpdateDependency:
 
 @dataclass(frozen=True)
 class BuildConstellation:
+    """Replaces the whole graph; grow one with AddTask/AddDependency ops."""
+
     config: Dict[str, Any]
-    clear: bool = True
 
 
 EditOp = Any  # one of the dataclasses above
@@ -80,41 +81,25 @@ class ModificationSummary:
 
 
 def build_constellation(
-    config: Dict[str, Any],
-    clear: bool = True,
-    base: Optional[TaskConstellation] = None,
+    config: Dict[str, Any], base: Optional[TaskConstellation] = None
 ) -> TaskConstellation:
-    """Batch-create tasks and dependencies from structured input, atomically."""
-    if clear or base is None:
-        target = TaskConstellation(config.get("request", base.request if base else ""))
-        if base is not None:
-            target.version = base.version
-            non_pending = sorted(
-                t.id for t in base.tasks.values() if t.status is not TaskStatus.PENDING
+    """Create a graph from a build config in one pass, atomically.
+
+    With ``base`` the build replaces it: refused while any base task has
+    left PENDING, and the request defaults to the base's.
+    """
+    if base is not None:
+        non_pending = sorted(
+            t.id for t in base.tasks.values() if t.status is not TaskStatus.PENDING
+        )
+        if non_pending:
+            raise ImmutableTask(
+                f"cannot replace constellation with non-PENDING tasks: {', '.join(non_pending)}"
             )
-            if non_pending:
-                raise ImmutableTask(
-                    f"cannot clear constellation with non-PENDING tasks: {', '.join(non_pending)}"
-                )
-    else:
-        target = base.clone()
-        if config.get("request"):
-            target.request = config["request"]
-    violations: List[Violation] = []
-    for task_spec in config.get("tasks", []):
-        try:
-            target._add_task(task_spec)
-        except Exception as exc:  # collect, report the full list
-            violations.append(Violation("BadTask", str(exc)))
-    for edge_spec in config.get("dependencies", []):
-        try:
-            target._add_dependency(edge_spec)
-        except Exception as exc:
-            violations.append(Violation("BadDependency", str(exc)))
-    violations.extend(target.validate())
-    if violations:
-        raise ValidationFailed(violations)
-    target.version += 1
+    target = from_entries(config, created=True)
+    if base is not None and "request" not in config:
+        target.request = base.request
+    target.version = 1
     return target
 
 
@@ -148,11 +133,9 @@ def apply_delta(
             working._update_dependency(op.edge_id, op.patch)
             summary.modified_dependencies += 1
         elif isinstance(op, BuildConstellation):
-            rebuilt = build_constellation(op.config, clear=op.clear, base=working)
-            rebuilt.version = working.version  # the delta commit bumps once
-            summary.added_tasks += len(op.config.get("tasks", []))
-            summary.added_dependencies += len(op.config.get("dependencies", []))
-            working = rebuilt
+            working = build_constellation(op.config, base=working)
+            summary.added_tasks += len(working.tasks)
+            summary.added_dependencies += len(working.edges)
         else:
             raise ParseError(f"unknown edit op {op!r}")
     violations = working.validate()
@@ -203,25 +186,29 @@ def edit_locality_violations(
 
 # -- document form (script files) ---------------------------------------
 
-_OP_PARSERS = {
-    "add_task": lambda d: AddTask(d["spec"]),
-    "remove_task": lambda d: RemoveTask(d["task_id"]),
-    "update_task": lambda d: UpdateTask(d["task_id"], d["patch"]),
-    "add_dependency": lambda d: AddDependency(d["spec"]),
-    "remove_dependency": lambda d: RemoveDependency(d["edge_id"]),
-    "update_dependency": lambda d: UpdateDependency(d["edge_id"], d["patch"]),
-    "build_constellation": lambda d: BuildConstellation(d["config"], d.get("clear", True)),
+_OPS = {
+    "add_task": AddTask,
+    "remove_task": RemoveTask,
+    "update_task": UpdateTask,
+    "add_dependency": AddDependency,
+    "remove_dependency": RemoveDependency,
+    "update_dependency": UpdateDependency,
+    "build_constellation": BuildConstellation,
 }
 
 
 def op_from_doc(doc: Dict[str, Any]) -> EditOp:
     try:
         name = doc["op"]
-        parser = _OP_PARSERS[name]
+        op = _OPS[name]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad edit op document: {doc!r}") from exc
+    names = [f.name for f in fields(op)]
+    unknown = sorted(set(doc) - {"op", *names})
+    if unknown:
+        raise ParseError(f"edit op {name!r} has unknown field(s) {', '.join(unknown)}")
     try:
-        return parser(doc)
+        return op(*(doc[n] for n in names))
     except KeyError as exc:
         raise ParseError(f"edit op {name!r} missing field {exc}") from exc
 

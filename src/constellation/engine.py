@@ -10,11 +10,10 @@ ever happens with the lock free, against the latest committed version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Set
 
 from .clock import TimerHandle, VirtualClock
-from .conditions import ConditionRegistry, default_registry
 from .edits import apply_delta
 from .errors import ConstellationError, ValidationFailed
 from .events import EventKind, OrchestratorEvent
@@ -91,14 +90,12 @@ class Orchestrator:
         planner: Planner,
         dispatcher: Dispatcher,
         constellation: Optional[TaskConstellation] = None,
-        registry: Optional[ConditionRegistry] = None,
         config: Optional[EngineConfig] = None,
     ):
         self.clock = clock
         self.planner = planner
         self.dispatcher = dispatcher
         self.constellation = constellation if constellation is not None else TaskConstellation()
-        self.registry = registry or default_registry()
         self.config = config or EngineConfig()
         self.report = RunReport(request=self.constellation.request)
 
@@ -305,7 +302,9 @@ class Orchestrator:
         if self.done:
             return
         available = self.dispatcher.available_devices()
-        for task_id in self.constellation.ready_tasks(self.registry):
+        for task_id in self.constellation.ready_tasks():
+            if self.lock_held or self.done:
+                break  # a callback inside dispatch() took the lock or ended the run; release reschedules
             task = self.constellation.tasks[task_id]
             if task.status is not TaskStatus.PENDING:
                 continue  # a dispatcher re-entered _reschedule and sent it already
@@ -373,7 +372,7 @@ class Orchestrator:
         pending_waiting = bool(self._pending_timers)
         if running or pending_waiting:
             return
-        if self.constellation.is_quiescent(self.registry):
+        if self.constellation.is_quiescent():
             self._finish(self._outcome_from_statuses())
 
     def _outcome_from_statuses(self) -> RunOutcome:

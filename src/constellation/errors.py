@@ -43,10 +43,6 @@ class ParseError(ConstellationError):
     pass
 
 
-class UnknownCondition(ConstellationError):
-    pass
-
-
 class IllegalTransition(ConstellationError):
     pass
 

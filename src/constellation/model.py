@@ -1,10 +1,16 @@
 """Mutable dependency-DAG of tasks: the data model the whole engine runs on.
 
 A constellation holds tasks keyed by id and directed dependency edges keyed
-by id. Its structure changes only through the atomic edits in ``edits.py``
-(``apply_delta`` and ``build_constellation``), which run the raw ``_...`` ops
-below on a working copy and bump the version once per commit; the engine
-moves task statuses with ``transition``.
+by id. Task and dependency entries (the format of
+``schemas/constellation.schema.json``) are read by one parser each,
+``task_from_entry`` and ``edge_from_entry``; a malformed entry raises
+``ParseError`` and a field the entry may not carry raises ``IllegalField``,
+whichever path reads it. Whole graphs (``serial.from_document`` and
+``edits.build_constellation``) are made by ``from_entries``: insert every
+entry, then validate once. After that the structure changes only through
+``edits.apply_delta``, which runs the raw ``_...`` ops below on a working
+copy and bumps the version once per commit; the engine moves task statuses
+with ``transition``.
 """
 
 from __future__ import annotations
@@ -12,9 +18,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from .conditions import ConditionRegistry, default_registry
 from .errors import (
     CycleIntroduced,
     DuplicateEdge,
@@ -23,6 +28,8 @@ from .errors import (
     IllegalTransition,
     ImmutableTask,
     NotFound,
+    ParseError,
+    ValidationFailed,
 )
 
 
@@ -77,9 +84,17 @@ class DependencyType:
         return cls(DependencyKind.UNCONDITIONAL)
 
 
+# Named predicates a CONDITIONAL edge may use, evaluated over the upstream
+# task's result; an edge naming any other is a validation violation.
+CONDITIONS: Dict[str, Callable[[Any], bool]] = {"always": lambda _result: True}
+
 # Fields an editor may patch on a task; status/result are engine-owned.
 EDITABLE_TASK_FIELDS = ("name", "description", "device", "tips")
 EDITABLE_EDGE_FIELDS = ("dep_type", "description")
+# Task fields only a document may carry: the engine-owned ones, and the
+# `dependencies` list derived from the edges (read back, never trusted).
+_DOCUMENT_TASK_FIELDS = ("status", "result", "failure_reason", "dependencies")
+_EDGE_FIELDS = ("id", "from_task", "to_task", "dep_type", "condition_id", "description")
 
 
 @dataclass
@@ -152,7 +167,7 @@ class TaskConstellation:
     # -- raw ops (no version bump; used by atomic edits) -----------------
 
     def _add_task(self, spec: Dict[str, Any]) -> None:
-        task = _task_from_spec(spec)
+        task = task_from_entry(spec, created=True)
         if task.id in self.tasks:
             raise DuplicateId(f"task id {task.id!r} already present")
         self.tasks[task.id] = task
@@ -177,7 +192,7 @@ class TaskConstellation:
             setattr(task, key, list(value) if key == "tips" else value)
 
     def _add_dependency(self, spec: Dict[str, Any]) -> None:
-        edge = _edge_from_spec(spec)
+        edge = edge_from_entry(spec)
         if edge.id in self.edges:
             raise DuplicateId(f"dependency id {edge.id!r} already present")
         if edge.from_task == edge.to_task:
@@ -213,8 +228,8 @@ class TaskConstellation:
         if illegal:
             raise IllegalField(f"cannot patch {', '.join(illegal)} on dependency {edge_id!r}")
         for key, value in patch.items():
-            if key == "dep_type" and not isinstance(value, DependencyType):
-                value = _dep_type_from_spec(value)
+            if key == "dep_type":
+                value = _dep_type(value)
             setattr(edge, key, value)
 
     # -- engine-owned status transitions ---------------------------------
@@ -248,6 +263,11 @@ class TaskConstellation:
                     )
             if edge.from_task == edge.to_task:
                 violations.append(Violation("SelfLoop", f"edge {edge.id!r} on {edge.from_task!r}"))
+            condition_id = edge.dep_type.condition_id
+            if edge.dep_type.kind is DependencyKind.CONDITIONAL and condition_id not in CONDITIONS:
+                violations.append(
+                    Violation("UnknownCondition", f"edge {edge.id!r} names condition {condition_id!r}")
+                )
         seen_pairs: Set[Tuple[str, str]] = set()
         for edge in sorted(self.edges.values(), key=lambda e: e.id):
             pair = (edge.from_task, edge.to_task)
@@ -289,30 +309,27 @@ class TaskConstellation:
 
     # -- readiness -------------------------------------------------------
 
-    def edge_satisfied(self, edge: TaskStarLine, registry: ConditionRegistry) -> bool:
+    def edge_satisfied(self, edge: TaskStarLine) -> bool:
         upstream = self.task(edge.from_task)
         kind = edge.dep_type.kind
         if kind is DependencyKind.UNCONDITIONAL:
             return upstream.status.terminal
         if kind is DependencyKind.SUCCESS_ONLY:
             return upstream.status is TaskStatus.COMPLETED
-        if not upstream.status.terminal:
-            return False
-        return registry.evaluate(edge.dep_type.condition_id, upstream.result)
+        return upstream.status.terminal and _condition_holds(edge, upstream)
 
-    def ready_tasks(self, registry: Optional[ConditionRegistry] = None) -> List[str]:
+    def ready_tasks(self) -> List[str]:
         """PENDING tasks whose incoming edges are all satisfied, id-sorted."""
-        registry = registry or default_registry()
         ready = []
         for task_id in sorted(self.tasks):
             task = self.tasks[task_id]
             if task.status is not TaskStatus.PENDING:
                 continue
-            if all(self.edge_satisfied(e, registry) for e in self.incoming(task_id)):
+            if all(self.edge_satisfied(e) for e in self.incoming(task_id)):
                 ready.append(task_id)
         return ready
 
-    def is_quiescent(self, registry: Optional[ConditionRegistry] = None) -> bool:
+    def is_quiescent(self) -> bool:
         """True iff every task is terminal or can never become ready.
 
         A PENDING task is permanently blocked when some incoming edge can
@@ -321,7 +338,6 @@ class TaskConstellation:
         a false predicate, or (transitively) an upstream that is itself
         permanently blocked.
         """
-        registry = registry or default_registry()
         if any(t.status is TaskStatus.RUNNING for t in self.tasks.values()):
             return False
         # Optimistically assume every non-terminal task may still complete,
@@ -331,21 +347,19 @@ class TaskConstellation:
         while changed:
             changed = False
             for task_id in sorted(live):
-                if self._edge_blocks(task_id, live, registry):
+                if self._edge_blocks(task_id, live):
                     live.discard(task_id)
                     changed = True
         return not live
 
-    def _edge_blocks(self, task_id: str, live: Set[str], registry: ConditionRegistry) -> bool:
+    def _edge_blocks(self, task_id: str, live: Set[str]) -> bool:
         for edge in self.incoming(task_id):
             upstream = self.task(edge.from_task)
             kind = edge.dep_type.kind
             if upstream.status.terminal:
                 if kind is DependencyKind.SUCCESS_ONLY and upstream.status is TaskStatus.FAILED:
                     return True
-                if kind is DependencyKind.CONDITIONAL and not registry.evaluate(
-                    edge.dep_type.condition_id, upstream.result
-                ):
+                if kind is DependencyKind.CONDITIONAL and not _condition_holds(edge, upstream):
                     return True
             elif edge.from_task not in live:
                 return True
@@ -366,6 +380,10 @@ class TaskConstellation:
         return serialize(self) == serialize(other)
 
 
+def _condition_holds(edge: TaskStarLine, upstream: TaskStar) -> bool:
+    return bool(CONDITIONS[edge.dep_type.condition_id](upstream.result))
+
+
 def unrecovered_failures(constellation: TaskConstellation) -> List[TaskStar]:
     """FAILED tasks, id-sorted, whose job no COMPLETED task has done.
 
@@ -384,52 +402,86 @@ def unrecovered_failures(constellation: TaskConstellation) -> List[TaskStar]:
     ]
 
 
-def _task_from_spec(spec: Dict[str, Any]) -> TaskStar:
-    if isinstance(spec, TaskStar):
-        return spec.copy()
-    known = {"id", "name", "description", "device", "tips"}
-    unknown = sorted(set(spec) - known)
-    if unknown:
-        raise IllegalField(f"unknown task fields: {', '.join(unknown)}")
-    if not spec.get("id"):
-        raise IllegalField("task spec requires a non-empty id")
-    return TaskStar(
-        id=spec["id"],
-        name=spec.get("name", spec["id"]),
-        description=spec.get("description", ""),
-        device=spec.get("device", ""),
-        tips=list(spec.get("tips", [])),
-    )
+def task_from_entry(entry: Dict[str, Any], created: bool) -> TaskStar:
+    """Parse one task entry: a document's, or with ``created`` an ``AddTask``
+    spec or build-config entry, which may not carry _DOCUMENT_TASK_FIELDS."""
+    allowed = {"id", *EDITABLE_TASK_FIELDS, *(() if created else _DOCUMENT_TASK_FIELDS)}
+    task_id = _entry_id(entry, "task", allowed)
+    try:
+        reason = entry.get("failure_reason")
+        return TaskStar(
+            id=task_id,
+            name=entry.get("name", task_id),
+            description=entry.get("description", ""),
+            device=entry.get("device", ""),
+            tips=list(entry.get("tips", [])),
+            status=TaskStatus(entry.get("status", "PENDING")),
+            result=entry.get("result"),
+            failure_reason=None if reason is None else FailureReason(reason),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad task entry {task_id!r}: {exc}") from exc
 
 
-def _dep_type_from_spec(value: Any) -> DependencyType:
-    if isinstance(value, DependencyType):
-        return value
-    if isinstance(value, str):
-        kind = DependencyKind(value)
-        if kind is DependencyKind.CONDITIONAL:
-            raise IllegalField("CONDITIONAL dependency spec requires a condition_id")
-        return DependencyType(kind)
-    kind = DependencyKind(value["kind"])
-    return DependencyType(kind, value.get("condition_id"))
-
-
-def _edge_from_spec(spec: Dict[str, Any]) -> TaskStarLine:
-    if isinstance(spec, TaskStarLine):
-        return spec.copy()
-    if not spec.get("id"):
-        raise IllegalField("dependency spec requires a non-empty id")
+def edge_from_entry(entry: Dict[str, Any]) -> TaskStarLine:
+    """Parse one dependency entry, of a document, a build config or an
+    ``AddDependency`` spec alike."""
+    edge_id = _entry_id(entry, "dependency", set(_EDGE_FIELDS))
     for endpoint in ("from_task", "to_task"):
-        if not spec.get(endpoint):
-            raise IllegalField(f"dependency spec requires {endpoint}")
-    raw_dep_type = spec.get("dep_type", "UNCONDITIONAL")
-    if isinstance(raw_dep_type, str) and spec.get("condition_id"):
-        raw_dep_type = {"kind": raw_dep_type, "condition_id": spec["condition_id"]}
-    dep_type = _dep_type_from_spec(raw_dep_type)
+        if not isinstance(entry.get(endpoint), str) or not entry[endpoint]:
+            raise ParseError(f"dependency {edge_id!r} requires a non-empty {endpoint}")
     return TaskStarLine(
-        id=spec["id"],
-        from_task=spec["from_task"],
-        to_task=spec["to_task"],
-        dep_type=dep_type,
-        description=spec.get("description", ""),
+        id=edge_id,
+        from_task=entry["from_task"],
+        to_task=entry["to_task"],
+        dep_type=_dep_type(entry.get("dep_type", "UNCONDITIONAL"), entry.get("condition_id")),
+        description=entry.get("description", ""),
     )
+
+
+def _entry_id(entry: Any, what: str, allowed: Set[str]) -> str:
+    """Check an entry's shape and field names; return its id."""
+    if not isinstance(entry, dict):
+        raise ParseError(f"{what} entry must be an object, not {entry!r}")
+    illegal = sorted(set(entry) - allowed)
+    if illegal:
+        raise IllegalField(f"{what} entry cannot carry {', '.join(illegal)}")
+    if not isinstance(entry.get("id"), str) or not entry["id"]:
+        raise ParseError(f"{what} entry requires a non-empty id")
+    return entry["id"]
+
+
+def _dep_type(kind: Any, condition_id: Any = None) -> DependencyType:
+    try:
+        return DependencyType(DependencyKind(kind), condition_id)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad dep_type {kind!r}: {exc}") from exc
+
+
+def from_entries(doc: Dict[str, Any], created: bool) -> TaskConstellation:
+    """Build a graph from a document or build config in one pass.
+
+    Every entry is parsed and inserted first; a malformed one raises at
+    once. Repeated ids and all of ``validate``'s violations are then raised
+    together as one ``ValidationFailed``, so a build costs one Kahn pass.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError("a constellation must be a JSON object")
+    constellation = TaskConstellation(doc.get("request", ""))
+    violations: List[Violation] = []
+    for entry in doc.get("tasks", []):
+        task = task_from_entry(entry, created)
+        if task.id in constellation.tasks:
+            violations.append(Violation("DuplicateId", f"task id {task.id!r} appears twice"))
+        else:
+            constellation.tasks[task.id] = task
+    for entry in doc.get("dependencies", []):
+        edge = edge_from_entry(entry)
+        if edge.id in constellation.edges:
+            violations.append(Violation("DuplicateId", f"dependency id {edge.id!r} appears twice"))
+        else:
+            constellation.edges[edge.id] = edge
+    violations.extend(constellation.validate())
+    if violations:
+        raise ValidationFailed(violations)
+    return constellation

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional
 
@@ -88,21 +88,7 @@ class RunReport:
             "initial_document": self.initial_document,
             "final_document": self.final_document,
             "events": self.events,
-            "edit_cycles": [
-                {
-                    "round_index": c.round_index,
-                    "started_at": c.started_at,
-                    "committed_at": c.committed_at,
-                    "batch": c.batch,
-                    "observation": c.observation,
-                    "thought": c.thought,
-                    "next_state": c.next_state,
-                    "summary": c.summary,
-                    "version_after": c.version_after,
-                    "represented": c.represented,
-                }
-                for c in self.edit_cycles
-            ],
+            "edit_cycles": [asdict(c) for c in self.edit_cycles],
             "timings": {
                 tid: {
                     "device": t.device,

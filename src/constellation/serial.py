@@ -10,17 +10,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
-from .errors import ParseError, ValidationFailed
-from .model import (
-    DependencyKind,
-    DependencyType,
-    FailureReason,
-    TaskConstellation,
-    TaskStar,
-    TaskStarLine,
-    TaskStatus,
-    Violation,
-)
+from .errors import ParseError
+from .model import TaskConstellation, TaskStar, TaskStarLine, from_entries
 
 SCHEMA_VERSION = 1
 
@@ -73,32 +64,8 @@ def serialize(constellation: TaskConstellation) -> str:
 
 
 def from_document(doc: Dict[str, Any]) -> TaskConstellation:
-    if not isinstance(doc, dict):
-        raise ParseError("constellation document must be a JSON object")
-    constellation = TaskConstellation(doc.get("request", ""))
-    violations = []
-    for task_doc in doc.get("tasks", []):
-        try:
-            task = _task_from_doc(task_doc)
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"bad task entry: {exc}") from exc
-        if task.id in constellation.tasks:
-            violations.append(Violation("DuplicateId", f"task id {task.id!r} appears twice"))
-            continue
-        constellation.tasks[task.id] = task
-    for edge_doc in doc.get("dependencies", []):
-        try:
-            edge = _edge_from_doc(edge_doc)
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"bad dependency entry: {exc}") from exc
-        if edge.id in constellation.edges:
-            violations.append(Violation("DuplicateId", f"dependency id {edge.id!r} appears twice"))
-            continue
-        constellation.edges[edge.id] = edge
+    constellation = from_entries(doc, created=False)
     constellation.version = int(doc.get("version", 0))
-    violations.extend(constellation.validate())
-    if violations:
-        raise ValidationFailed(violations)
     return constellation
 
 
@@ -108,30 +75,3 @@ def deserialize(text: str) -> TaskConstellation:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return from_document(doc)
-
-
-def _task_from_doc(doc: Dict[str, Any]) -> TaskStar:
-    task = TaskStar(
-        id=doc["id"],
-        name=doc.get("name", doc["id"]),
-        description=doc.get("description", ""),
-        device=doc.get("device", ""),
-        tips=list(doc.get("tips", [])),
-        status=TaskStatus(doc.get("status", "PENDING")),
-        result=doc.get("result"),
-    )
-    if doc.get("failure_reason") is not None:
-        task.failure_reason = FailureReason(doc["failure_reason"])
-    return task
-
-
-def _edge_from_doc(doc: Dict[str, Any]) -> TaskStarLine:
-    kind = DependencyKind(doc.get("dep_type", "UNCONDITIONAL"))
-    dep_type = DependencyType(kind, doc.get("condition_id"))
-    return TaskStarLine(
-        id=doc["id"],
-        from_task=doc["from_task"],
-        to_task=doc["to_task"],
-        dep_type=dep_type,
-        description=doc.get("description", ""),
-    )

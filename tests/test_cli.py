@@ -38,6 +38,17 @@ class TestValidate:
         assert any(line["event"] == "violation" for line in lines)
         assert lines[-1]["violations"] >= 1
 
+    def test_unknown_condition_exits_one(self, capsys, tmp_path):
+        doc = json.loads((SCENARIOS_DIR / "fig4.json").read_text())
+        doc["dependencies"][0].update(dep_type="CONDITIONAL", condition_id="never_registered")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, lines = run_cli(capsys, "validate", "--constellation", str(bad))
+        assert code == 1
+        assert [line["kind"] for line in lines if line["event"] == "violation"] == [
+            "UnknownCondition"
+        ]
+
     def test_missing_file_exits_two(self, capsys):
         code, lines = run_cli(capsys, "validate", "--constellation", "/no/such/file.json")
         assert code == 2

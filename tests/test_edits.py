@@ -5,6 +5,7 @@ import pytest
 from constellation import (
     AddDependency,
     AddTask,
+    BuildConstellation,
     EditDelta,
     RemoveDependency,
     RemoveTask,
@@ -15,9 +16,10 @@ from constellation import (
     ValidationFailed,
     apply_delta,
     build_constellation,
+    from_document,
 )
 from constellation.edits import delta_from_doc, op_from_doc
-from constellation.errors import ImmutableTask, ParseError
+from constellation.errors import IllegalField, ImmutableTask, ParseError
 
 FIG4_CONFIG = {
     "request": "fig4",
@@ -63,18 +65,36 @@ class TestBuildConstellation:
             build_constellation(config)
         assert len(err.value.violations) >= 2
 
-    def test_clear_refused_with_non_pending_tasks(self):
+    def test_replacing_non_pending_tasks_refused(self):
         base = build_constellation(FIG4_CONFIG)
         base.transition("A", TaskStatus.RUNNING)
         with pytest.raises(ImmutableTask):
-            build_constellation({"tasks": []}, clear=True, base=base)
+            apply_delta(base, EditDelta([BuildConstellation({"tasks": []})]))
 
-    def test_incremental_build_on_base(self):
+    def test_build_op_replaces_the_graph(self):
         base = build_constellation(FIG4_CONFIG)
-        grown = build_constellation(
-            {"tasks": [{"id": "F", "device": "d"}]}, clear=False, base=base
+        post, summary = apply_delta(
+            base, EditDelta([BuildConstellation({"tasks": [{"id": "F", "device": "d"}]})])
         )
-        assert set(grown.tasks) == set(base.tasks) | {"F"}
+        assert set(post.tasks) == {"F"} and not post.edges
+        assert post.request == "fig4" and post.version == base.version + 1
+        assert summary.added_tasks == 1 and summary.added_dependencies == 0
+
+    def test_layered_build_runs_one_cycle_check(self, monkeypatch):
+        """A bulk build inserts every entry, then validates once: one Kahn
+        pass, not one per edge."""
+        calls = []
+        find_cycle = TaskConstellation._find_cycle
+
+        def counted(self):
+            calls.append(1)
+            return find_cycle(self)
+
+        monkeypatch.setattr(TaskConstellation, "_find_cycle", counted)
+        config = layered_config(100, width=10, fan_in=2)
+        built = build_constellation(config)
+        assert (len(built.tasks), len(built.edges)) == (100, 180)
+        assert len(calls) == 1
 
 
 class TestApplyDelta:
@@ -189,8 +209,118 @@ class TestDocumentForm:
             {"op": "add_task"},
             {"spec": {}},
             "not a dict",
+            {"op": "build_constellation", "config": {"tasks": []}, "clear": False},
         ],
     )
     def test_malformed_op_documents_rejected(self, doc):
         with pytest.raises(ParseError):
             op_from_doc(doc)
+
+
+def layered_config(size, width, fan_in):
+    """Layers of ``width`` tasks; each task outside the first depends on the
+    first ``fan_in`` tasks of the layer before it."""
+    ids = [f"t{i:03d}" for i in range(size)]
+    layers = [ids[i : i + width] for i in range(0, size, width)]
+    return {
+        "request": f"layered build of {size} tasks",
+        "tasks": [{"id": tid, "device": "dev0"} for tid in ids],
+        "dependencies": [
+            {"id": f"{up}>{tid}", "from_task": up, "to_task": tid}
+            for upper, layer in zip(layers, layers[1:])
+            for tid in layer
+            for up in upper[:fan_in]
+        ],
+    }
+
+
+TWO_TASKS = [{"id": "A", "device": "d"}, {"id": "B", "device": "d"}]
+
+
+def with_entry(kind, entry):
+    """Tasks A and B plus ``entry``, a task or a dependency entry."""
+    return {
+        "tasks": TWO_TASKS + ([entry] if kind == "task" else []),
+        "dependencies": [entry] if kind == "dependency" else [],
+    }
+
+
+def through_document(kind, entry):
+    from_document(with_entry(kind, entry))
+
+
+def through_build(kind, entry):
+    build_constellation(with_entry(kind, entry))
+
+
+def through_delta(kind, entry):
+    op = AddTask(entry) if kind == "task" else AddDependency(entry)
+    apply_delta(build_constellation({"tasks": TWO_TASKS}), EditDelta([op]))
+
+
+class TestEntryParsing:
+    """One parser per entry kind: every path that reads an entry raises the
+    same error for the same malformed entry."""
+
+    @pytest.mark.parametrize("path", [through_document, through_build, through_delta])
+    @pytest.mark.parametrize(
+        "kind, entry, error",
+        [
+            ("task", {"device": "d"}, ParseError),
+            ("task", {"id": "", "device": "d"}, ParseError),
+            ("task", "not an object", ParseError),
+            ("task", {"id": "C", "device": "d", "colour": "red"}, IllegalField),
+            ("dependency", {"id": "e", "from_task": "A", "to_task": "B", "dep_type": "BOGUS"}, ParseError),
+            ("dependency", {"id": "e", "from_task": "A", "to_task": "B", "dep_type": "CONDITIONAL"}, ParseError),
+            ("dependency", {"id": "e", "from_task": "A"}, ParseError),
+            ("dependency", {"from_task": "A", "to_task": "B"}, ParseError),
+            ("dependency", {"id": "e", "from_task": "A", "to_task": "B", "weight": 2}, IllegalField),
+        ],
+        ids=[
+            "task-missing-id",
+            "task-empty-id",
+            "task-not-object",
+            "task-unknown-field",
+            "dep-bad-dep_type",
+            "dep-conditional-without-condition",
+            "dep-missing-endpoint",
+            "dep-missing-id",
+            "dep-unknown-field",
+        ],
+    )
+    def test_same_malformed_entry_same_error(self, path, kind, entry, error):
+        with pytest.raises(error):
+            path(kind, entry)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("status", "PENDING"), ("result", "early"), ("failure_reason", "TIMEOUT")],
+    )
+    def test_creation_entries_refuse_engine_owned_fields(self, field, value):
+        entry = {"id": "C", "device": "d", field: value}
+        for path in (through_build, through_delta):
+            with pytest.raises(IllegalField):
+                path("task", entry)
+
+    def test_documents_carry_engine_owned_fields(self):
+        doc = {
+            "tasks": [
+                {"id": "A", "device": "d", "status": "FAILED", "failure_reason": "TIMEOUT"},
+                {"id": "B", "device": "d", "status": "COMPLETED", "result": {"rows": 3}},
+            ]
+        }
+        c = from_document(doc)
+        assert c.tasks["A"].status is TaskStatus.FAILED and c.tasks["B"].result == {"rows": 3}
+
+    @pytest.mark.parametrize("path", [through_document, through_build, through_delta])
+    def test_unknown_condition_rejected_at_validation(self, path):
+        entry = {
+            "id": "e",
+            "from_task": "A",
+            "to_task": "B",
+            "dep_type": "CONDITIONAL",
+            "condition_id": "never_registered",
+        }
+        with pytest.raises(ValidationFailed) as err:
+            path("dependency", entry)
+        assert [v.kind for v in err.value.violations] == ["UnknownCondition"]

@@ -3,14 +3,19 @@
 import pytest
 
 from constellation import (
+    AddDependency,
+    EditDelta,
     EngineConfig,
+    FailureReason,
     NoopPlanner,
     Orchestrator,
+    Planner,
     RunOutcome,
     ScriptedDispatcher,
     ScriptedPlanner,
     TaskStatus,
     VirtualClock,
+    build_constellation,
     deserialize,
     load_script,
 )
@@ -80,6 +85,33 @@ class TestHappyPath:
         assert report.outcome is RunOutcome.SUCCESS
         started = [e["task_id"] for e in report.events if e["kind"] == "TASK_STARTED"]
         assert sorted(started) == ["A", "B", "C", "D", "E"]
+
+    def test_synchronous_failure_inside_dispatch_stops_dispatching(self):
+        """A failure reported from inside dispatch() takes the lock at once;
+        the tasks after it wait for the release instead of being sent under
+        the held lock."""
+
+        class FailsAInline(ScriptedDispatcher):
+            def dispatch(self, task, on_done):
+                if task.id == "a":
+                    on_done("a", TaskStatus.FAILED, None, FailureReason.AGENT_DISCONNECTED)
+                else:
+                    super().dispatch(task, on_done)
+
+        clock = VirtualClock()
+        constellation = build_constellation(
+            {
+                "request": "three independent tasks",
+                "tasks": [{"id": t, "description": f"job {t}", "device": "dev"} for t in "abc"],
+            }
+        )
+        report = Orchestrator(
+            clock, NoopPlanner(), FailsAInline(clock), constellation=constellation
+        ).run()
+        assert report.assignments_while_held == 0
+        assert report.outcome is RunOutcome.PARTIAL
+        started = [e["task_id"] for e in report.events if e["kind"] == "TASK_STARTED"]
+        assert started == ["a", "b", "c"]
 
 
 class TestOutcomeRule:
@@ -240,6 +272,31 @@ class TestRejectedDelta:
         report = run_fig4(planner=Corrects(load_script(script)))
         assert report.outcome is RunOutcome.SUCCESS
         assert any(cycle.represented for cycle in report.edit_cycles)
+
+
+    def test_malformed_entry_is_represented_not_aborted(self):
+        """A delta whose entry fails to parse is a rejected delta like any
+        other: the planner sees the batch again with the error."""
+        from constellation import PlannerOutput, PlannerState
+
+        seen = []
+
+        class BadDepType(Planner):
+            def edit(self, planner_input):
+                seen.append(planner_input.violations)
+                delta = EditDelta()
+                if planner_input.round_index == 0 and not planner_input.violations:
+                    spec = {"id": "eAB", "from_task": "A", "to_task": "B", "dep_type": "BOGUS"}
+                    delta = EditDelta([AddDependency(spec)])
+                return PlannerOutput(
+                    observation="", thought="", next_state=PlannerState.CONTINUE, delta=delta
+                )
+
+        report = run_fig4(planner=BadDepType())
+        assert report.error is None
+        assert report.outcome is RunOutcome.SUCCESS
+        assert seen[0] == () and "BOGUS" in seen[1][0]
+        assert report.edit_cycles[0].represented
 
 
 class TestTimeouts:

@@ -1,7 +1,9 @@
-"""Fault-injection scenarios: verdicts, golden event logs, session hygiene."""
+"""Fault-injection scenarios: verdicts, golden event logs, session hygiene,
+and schema conformance of the shipped scenario files."""
 
 import json
 
+import jsonschema
 import pytest
 
 from constellation import RunOutcome, VerdictMismatch
@@ -10,7 +12,7 @@ from constellation.simnet.scenarios import (
     run_scenario,
     run_scenario_strict,
 )
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, SCENARIOS_DIR, load_json, load_schema
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +142,32 @@ class TestHarness:
     def test_strict_runner_passes_clean_scenarios(self):
         for n in (1, 2, 3):
             assert run_scenario_strict(n, seed=0).verdict_ok
+
+
+def entry_schema(name):
+    """The constellation schema's definition of one task or dependency entry."""
+    defs = load_schema("constellation.schema.json")["$defs"]
+    return {"$defs": defs, "$ref": f"#/$defs/{name}"}
+
+
+class TestShippedFixtures:
+    @pytest.mark.parametrize("path", sorted(SCENARIOS_DIR.glob("*_planner.json")), ids=lambda p: p.name)
+    def test_planner_scripts_conform(self, path):
+        script = load_json(path)
+        jsonschema.validate(script, load_schema("planner_script.schema.json"))
+        task, dependency = entry_schema("task"), entry_schema("dependency")
+        for entry in script["entries"]:
+            for op in entry.get("delta", []):
+                if op["op"] == "add_task":
+                    jsonschema.validate(op["spec"], task)
+                elif op["op"] == "add_dependency":
+                    jsonschema.validate(op["spec"], dependency)
+                elif op["op"] == "build_constellation":
+                    for spec in op["config"].get("tasks", []):
+                        jsonschema.validate(spec, task)
+                    for spec in op["config"].get("dependencies", []):
+                        jsonschema.validate(spec, dependency)
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS_DIR.glob("scenario?.json")), ids=lambda p: p.name)
+    def test_scenarios_conform(self, path):
+        jsonschema.validate(load_json(path), load_schema("scenario.schema.json"))
