@@ -26,11 +26,8 @@ from .engine import EngineConfig, Orchestrator, ScriptedDispatcher
 from .errors import (
     BoundExceeded,
     ConstellationError,
-    CycleIntroduced,
-    DuplicateEdge,
     DuplicateId,
     IllegalTransition,
-    ImmutableTask,
     IncompleteRun,
     InvariantViolation,
     NotFound,
@@ -79,10 +76,8 @@ __all__ = [
     "BoundExceeded",
     "BuildConstellation",
     "ConstellationError",
-    "CycleIntroduced",
     "DependencyKind",
     "DependencyType",
-    "DuplicateEdge",
     "DuplicateId",
     "EditDelta",
     "EngineConfig",
@@ -91,7 +86,6 @@ __all__ = [
     "FailureReason",
     "GOLDEN_STATS",
     "IllegalTransition",
-    "ImmutableTask",
     "IncompleteRun",
     "InvariantViolation",
     "ModificationSummary",

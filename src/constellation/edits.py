@@ -1,16 +1,20 @@
 """Batched, atomic constellation edits.
 
-A delta is an ordered list of edit ops applied to a clone of the pre-state;
-either every op commits and the version rises by exactly one, or the
-pre-state is left untouched and the per-op error propagates.
+A delta is an ordered list of edit ops applied to a clone of the pre-state.
+The ops only parse and mutate, so a delta is judged on its result: the
+post-state is checked once, for structure (``validate``) and for edit
+locality (no non-PENDING task changed). Either it passes, commits and the
+version rises by exactly one, or the pre-state is left untouched and one
+error propagates: the op's parse or lookup error, or one ``ValidationFailed``
+listing every violation of the post-state.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from .errors import ImmutableTask, ParseError, ValidationFailed
+from .errors import ParseError, ValidationFailed
 from .model import TaskConstellation, TaskStatus, Violation, from_entries
 
 
@@ -80,25 +84,9 @@ class ModificationSummary:
         return asdict(self)
 
 
-def build_constellation(
-    config: Dict[str, Any], base: Optional[TaskConstellation] = None
-) -> TaskConstellation:
-    """Create a graph from a build config in one pass, atomically.
-
-    With ``base`` the build replaces it: refused while any base task has
-    left PENDING, and the request defaults to the base's.
-    """
-    if base is not None:
-        non_pending = sorted(
-            t.id for t in base.tasks.values() if t.status is not TaskStatus.PENDING
-        )
-        if non_pending:
-            raise ImmutableTask(
-                f"cannot replace constellation with non-PENDING tasks: {', '.join(non_pending)}"
-            )
+def build_constellation(config: Dict[str, Any]) -> TaskConstellation:
+    """Create a graph from a build config in one pass, atomically."""
     target = from_entries(config, created=True)
-    if base is not None and "request" not in config:
-        target.request = base.request
     target.version = 1
     return target
 
@@ -106,9 +94,10 @@ def build_constellation(
 def apply_delta(
     constellation: TaskConstellation, delta: EditDelta
 ) -> Tuple[TaskConstellation, ModificationSummary]:
-    """Apply every op in order on a clone; commit bumps version once.
+    """Apply every op in order on a clone, check the result once, and
+    commit with the version bumped once.
 
-    Any per-op failure aborts the whole delta and propagates; the caller's
+    Any failure aborts the whole delta and propagates; the caller's
     pre-state object is never mutated.
     """
     working = constellation.clone()
@@ -133,12 +122,16 @@ def apply_delta(
             working._update_dependency(op.edge_id, op.patch)
             summary.modified_dependencies += 1
         elif isinstance(op, BuildConstellation):
-            working = build_constellation(op.config, base=working)
+            built = build_constellation(op.config)
+            built.request = op.config.get("request", working.request)
+            working = built
             summary.added_tasks += len(working.tasks)
             summary.added_dependencies += len(working.edges)
         else:
             raise ParseError(f"unknown edit op {op!r}")
-    violations = working.validate()
+    # A build as the last op has validated the result already.
+    built_last = bool(delta.ops) and isinstance(delta.ops[-1], BuildConstellation)
+    violations = [] if built_last else working.validate()
     violations.extend(edit_locality_violations(constellation, working))
     if violations:
         raise ValidationFailed(violations)

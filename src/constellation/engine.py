@@ -202,8 +202,9 @@ class Orchestrator:
             try:
                 new_constellation, summary = apply_delta(self.constellation, output.delta)
             except ConstellationError as exc:
-                # Both post-validation failures and per-op precondition
-                # rejections re-present the same batch once, with violations.
+                # A refused delta re-presents the same batch once, with the
+                # refusal: an op's parse or lookup error, or each violation
+                # of the result.
                 if represented:
                     self._abort(f"planner delta rejected twice: {exc}")
                     return
@@ -364,13 +365,7 @@ class Orchestrator:
     # -- termination -----------------------------------------------------
 
     def _check_quiescence(self) -> None:
-        if self.done or self.queue or self.lock_held:
-            return
-        running = any(
-            t.status is TaskStatus.RUNNING for t in self.constellation.tasks.values()
-        )
-        pending_waiting = bool(self._pending_timers)
-        if running or pending_waiting:
+        if self.done or self.queue or self.lock_held or self._pending_timers:
             return
         if self.constellation.is_quiescent():
             self._finish(self._outcome_from_statuses())

@@ -1,4 +1,11 @@
-"""Exception hierarchy shared across the orchestration engine."""
+"""Exception hierarchy shared across the orchestration engine.
+
+One class per failure kind. Reading an entry, a patch or an edit op raises
+``ParseError``, ``IllegalField``, ``NotFound`` or ``DuplicateId``; every
+structural or edit-locality fault of a graph, whether it comes from a
+document, a build or a delta, is the one ``ValidationFailed`` that lists
+each violation by kind.
+"""
 
 from __future__ import annotations
 
@@ -11,24 +18,12 @@ class DuplicateId(ConstellationError):
     pass
 
 
-class DuplicateEdge(ConstellationError):
-    pass
-
-
 class NotFound(ConstellationError):
     pass
 
 
-class ImmutableTask(ConstellationError):
-    """Raised when an edit touches a task that is no longer PENDING."""
-
-
 class IllegalField(ConstellationError):
     """Raised when a patch touches a field the editor may not change."""
-
-
-class CycleIntroduced(ConstellationError):
-    pass
 
 
 class ValidationFailed(ConstellationError):

@@ -9,8 +9,11 @@ whichever path reads it. Whole graphs (``serial.from_document`` and
 ``edits.build_constellation``) are made by ``from_entries``: insert every
 entry, then validate once. After that the structure changes only through
 ``edits.apply_delta``, which runs the raw ``_...`` ops below on a working
-copy and bumps the version once per commit; the engine moves task statuses
-with ``transition``.
+copy, checks the result once and bumps the version once per commit; the
+engine moves task statuses with ``transition``. The raw ops only parse and
+mutate: they raise ``NotFound``, ``DuplicateId``, ``ParseError`` and
+``IllegalField``, and leave cycles, dangling or parallel edges and edits of
+non-PENDING tasks to the one check of the result.
 """
 
 from __future__ import annotations
@@ -21,12 +24,9 @@ from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .errors import (
-    CycleIntroduced,
-    DuplicateEdge,
     DuplicateId,
     IllegalField,
     IllegalTransition,
-    ImmutableTask,
     NotFound,
     ParseError,
     ValidationFailed,
@@ -145,13 +145,13 @@ class TaskConstellation:
     def task(self, task_id: str) -> TaskStar:
         try:
             return self.tasks[task_id]
-        except KeyError:
+        except (KeyError, TypeError):
             raise NotFound(f"no task {task_id!r}") from None
 
     def edge(self, edge_id: str) -> TaskStarLine:
         try:
             return self.edges[edge_id]
-        except KeyError:
+        except (KeyError, TypeError):
             raise NotFound(f"no dependency {edge_id!r}") from None
 
     def incoming(self, task_id: str) -> List[TaskStarLine]:
@@ -164,7 +164,7 @@ class TaskConstellation:
         """Incoming edge ids of a task, the derived `dependencies` field."""
         return [e.id for e in self.incoming(task_id)]
 
-    # -- raw ops (no version bump; used by atomic edits) -----------------
+    # -- raw ops (no version bump, no check of the result; see apply_delta) --
 
     def _add_task(self, spec: Dict[str, Any]) -> None:
         task = task_from_entry(spec, created=True)
@@ -173,9 +173,7 @@ class TaskConstellation:
         self.tasks[task.id] = task
 
     def _remove_task(self, task_id: str) -> None:
-        task = self.task(task_id)
-        if task.status is not TaskStatus.PENDING:
-            raise ImmutableTask(f"task {task_id!r} is {task.status.value}")
+        self.task(task_id)
         for edge in list(self.edges.values()):
             if task_id in (edge.from_task, edge.to_task):
                 del self.edges[edge.id]
@@ -183,54 +181,28 @@ class TaskConstellation:
 
     def _update_task(self, task_id: str, patch: Dict[str, Any]) -> None:
         task = self.task(task_id)
-        if task.status is not TaskStatus.PENDING:
-            raise ImmutableTask(f"task {task_id!r} is {task.status.value}")
-        illegal = sorted(set(patch) - set(EDITABLE_TASK_FIELDS))
-        if illegal:
-            raise IllegalField(f"cannot patch {', '.join(illegal)} on task {task_id!r}")
-        for key, value in patch.items():
-            setattr(task, key, list(value) if key == "tips" else value)
+        _check_patch(patch, EDITABLE_TASK_FIELDS, f"task {task_id!r}")
+        parsed = task_from_entry({**patch, "id": task_id}, created=True)
+        for key in patch:
+            setattr(task, key, getattr(parsed, key))
 
     def _add_dependency(self, spec: Dict[str, Any]) -> None:
         edge = edge_from_entry(spec)
         if edge.id in self.edges:
             raise DuplicateId(f"dependency id {edge.id!r} already present")
-        if edge.from_task == edge.to_task:
-            raise CycleIntroduced(f"self-dependency on {edge.from_task!r}")
-        for existing in self.edges.values():
-            if (existing.from_task, existing.to_task) == (edge.from_task, edge.to_task):
-                raise DuplicateEdge(
-                    f"edge {edge.from_task!r}->{edge.to_task!r} already exists as {existing.id!r}"
-                )
-        self.task(edge.from_task)
-        target = self.task(edge.to_task)
-        if target.status is not TaskStatus.PENDING:
-            raise ImmutableTask(f"task {edge.to_task!r} is {target.status.value}")
         self.edges[edge.id] = edge
-        cycle = self._find_cycle()
-        if cycle:
-            del self.edges[edge.id]
-            raise CycleIntroduced(f"cycle through {{{', '.join(sorted(cycle))}}}")
 
     def _remove_dependency(self, edge_id: str) -> None:
-        edge = self.edge(edge_id)
-        target = self.task(edge.to_task)
-        if target.status is not TaskStatus.PENDING:
-            raise ImmutableTask(f"task {edge.to_task!r} is {target.status.value}")
-        del self.edges[edge_id]
+        del self.edges[self.edge(edge_id).id]
 
     def _update_dependency(self, edge_id: str, patch: Dict[str, Any]) -> None:
         edge = self.edge(edge_id)
-        target = self.task(edge.to_task)
-        if target.status is not TaskStatus.PENDING:
-            raise ImmutableTask(f"task {edge.to_task!r} is {target.status.value}")
-        illegal = sorted(set(patch) - set(EDITABLE_EDGE_FIELDS))
-        if illegal:
-            raise IllegalField(f"cannot patch {', '.join(illegal)} on dependency {edge_id!r}")
-        for key, value in patch.items():
-            if key == "dep_type":
-                value = _dep_type(value)
-            setattr(edge, key, value)
+        _check_patch(patch, EDITABLE_EDGE_FIELDS, f"dependency {edge_id!r}")
+        parsed = edge_from_entry(
+            {**patch, "id": edge_id, "from_task": edge.from_task, "to_task": edge.to_task}
+        )
+        for key in patch:
+            setattr(edge, key, getattr(parsed, key))
 
     # -- engine-owned status transitions ---------------------------------
 
@@ -407,14 +379,17 @@ def task_from_entry(entry: Dict[str, Any], created: bool) -> TaskStar:
     spec or build-config entry, which may not carry _DOCUMENT_TASK_FIELDS."""
     allowed = {"id", *EDITABLE_TASK_FIELDS, *(() if created else _DOCUMENT_TASK_FIELDS)}
     task_id = _entry_id(entry, "task", allowed)
+    tips = entry.get("tips", [])
+    if not isinstance(tips, list) or not all(isinstance(tip, str) for tip in tips):
+        raise ParseError(f"task {task_id!r}: tips must be a list of strings, not {tips!r}")
     try:
         reason = entry.get("failure_reason")
         return TaskStar(
             id=task_id,
-            name=entry.get("name", task_id),
-            description=entry.get("description", ""),
-            device=entry.get("device", ""),
-            tips=list(entry.get("tips", [])),
+            name=_text(entry, "name", task_id),
+            description=_text(entry, "description"),
+            device=_text(entry, "device"),
+            tips=list(tips),
             status=TaskStatus(entry.get("status", "PENDING")),
             result=entry.get("result"),
             failure_reason=None if reason is None else FailureReason(reason),
@@ -435,7 +410,7 @@ def edge_from_entry(entry: Dict[str, Any]) -> TaskStarLine:
         from_task=entry["from_task"],
         to_task=entry["to_task"],
         dep_type=_dep_type(entry.get("dep_type", "UNCONDITIONAL"), entry.get("condition_id")),
-        description=entry.get("description", ""),
+        description=_text(entry, "description"),
     )
 
 
@@ -443,7 +418,7 @@ def _entry_id(entry: Any, what: str, allowed: Set[str]) -> str:
     """Check an entry's shape and field names; return its id."""
     if not isinstance(entry, dict):
         raise ParseError(f"{what} entry must be an object, not {entry!r}")
-    illegal = sorted(set(entry) - allowed)
+    illegal = sorted(map(str, set(entry) - allowed))
     if illegal:
         raise IllegalField(f"{what} entry cannot carry {', '.join(illegal)}")
     if not isinstance(entry.get("id"), str) or not entry["id"]:
@@ -451,7 +426,24 @@ def _entry_id(entry: Any, what: str, allowed: Set[str]) -> str:
     return entry["id"]
 
 
+def _check_patch(patch: Any, editable: Tuple[str, ...], what: str) -> None:
+    if not isinstance(patch, dict):
+        raise ParseError(f"patch of {what} must be an object, not {patch!r}")
+    illegal = sorted(map(str, set(patch) - set(editable)))
+    if illegal:
+        raise IllegalField(f"cannot patch {', '.join(illegal)} on {what}")
+
+
+def _text(entry: Dict[str, Any], key: str, default: str = "") -> str:
+    value = entry.get(key, default)
+    if not isinstance(value, str):
+        raise ParseError(f"entry {entry['id']!r}: {key} must be a string, not {value!r}")
+    return value
+
+
 def _dep_type(kind: Any, condition_id: Any = None) -> DependencyType:
+    if condition_id is not None and not isinstance(condition_id, str):
+        raise ParseError(f"condition_id must be a string, not {condition_id!r}")
     try:
         return DependencyType(DependencyKind(kind), condition_id)
     except (TypeError, ValueError) as exc:
@@ -467,15 +459,19 @@ def from_entries(doc: Dict[str, Any], created: bool) -> TaskConstellation:
     """
     if not isinstance(doc, dict):
         raise ParseError("a constellation must be a JSON object")
-    constellation = TaskConstellation(doc.get("request", ""))
+    request = doc.get("request", "")
+    tasks, edges = doc.get("tasks", []), doc.get("dependencies", [])
+    if not isinstance(request, str) or not isinstance(tasks, list) or not isinstance(edges, list):
+        raise ParseError("a constellation needs a string request and lists of tasks and dependencies")
+    constellation = TaskConstellation(request)
     violations: List[Violation] = []
-    for entry in doc.get("tasks", []):
+    for entry in tasks:
         task = task_from_entry(entry, created)
         if task.id in constellation.tasks:
             violations.append(Violation("DuplicateId", f"task id {task.id!r} appears twice"))
         else:
             constellation.tasks[task.id] = task
-    for entry in doc.get("dependencies", []):
+    for entry in edges:
         edge = edge_from_entry(entry)
         if edge.id in constellation.edges:
             violations.append(Violation("DuplicateId", f"dependency id {edge.id!r} appears twice"))

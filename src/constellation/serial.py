@@ -65,7 +65,10 @@ def serialize(constellation: TaskConstellation) -> str:
 
 def from_document(doc: Dict[str, Any]) -> TaskConstellation:
     constellation = from_entries(doc, created=False)
-    constellation.version = int(doc.get("version", 0))
+    version = doc.get("version", 0)
+    if isinstance(version, bool) or not isinstance(version, int) or version < 0:
+        raise ParseError(f"version must be an integer >= 0, not {version!r}")
+    constellation.version = version
     return constellation
 
 

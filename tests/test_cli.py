@@ -61,6 +61,17 @@ class TestValidate:
         assert code == 2
 
 
+    def test_non_integer_version_exits_two(self, capsys, tmp_path):
+        doc = json.loads((SCENARIOS_DIR / "fig4.json").read_text())
+        doc["version"] = "x"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, lines = run_cli(capsys, "validate", "--constellation", str(bad))
+        assert code == 2
+        assert lines == [{"event": "error", "error": lines[0]["error"]}]
+        assert "version" in lines[0]["error"]
+
+
 class TestRun:
     def test_missing_seed_exits_two(self, capsys):
         code, lines = run_cli(capsys, "run", "--constellation", FIG4)

@@ -1,5 +1,7 @@
 """Atomic batched edits: build, apply, rollback, locality, versioning."""
 
+import random
+
 import pytest
 
 from constellation import (
@@ -7,6 +9,7 @@ from constellation import (
     AddTask,
     BuildConstellation,
     EditDelta,
+    FailureReason,
     RemoveDependency,
     RemoveTask,
     TaskConstellation,
@@ -16,10 +19,13 @@ from constellation import (
     ValidationFailed,
     apply_delta,
     build_constellation,
+    deserialize,
     from_document,
+    serialize,
 )
-from constellation.edits import delta_from_doc, op_from_doc
-from constellation.errors import IllegalField, ImmutableTask, ParseError
+from constellation.edits import delta_from_doc, edit_locality_violations, op_from_doc
+from constellation.errors import ConstellationError, IllegalField, ParseError
+from conftest import random_dag
 
 FIG4_CONFIG = {
     "request": "fig4",
@@ -68,8 +74,7 @@ class TestBuildConstellation:
     def test_replacing_non_pending_tasks_refused(self):
         base = build_constellation(FIG4_CONFIG)
         base.transition("A", TaskStatus.RUNNING)
-        with pytest.raises(ImmutableTask):
-            apply_delta(base, EditDelta([BuildConstellation({"tasks": []})]))
+        assert_locality_refused(base, BuildConstellation({"tasks": []}))
 
     def test_build_op_replaces_the_graph(self):
         base = build_constellation(FIG4_CONFIG)
@@ -81,8 +86,10 @@ class TestBuildConstellation:
         assert summary.added_tasks == 1 and summary.added_dependencies == 0
 
     def test_layered_build_runs_one_cycle_check(self, monkeypatch):
-        """A bulk build inserts every entry, then validates once: one Kahn
-        pass, not one per edge."""
+        """A bulk build, a delta holding one build op and a delta of many
+        edges all insert everything, then validate once: one Kahn pass,
+        not one per edge."""
+        config = layered_config(100, width=10, fan_in=2)
         calls = []
         find_cycle = TaskConstellation._find_cycle
 
@@ -90,11 +97,14 @@ class TestBuildConstellation:
             calls.append(1)
             return find_cycle(self)
 
-        monkeypatch.setattr(TaskConstellation, "_find_cycle", counted)
-        config = layered_config(100, width=10, fan_in=2)
-        built = build_constellation(config)
-        assert (len(built.tasks), len(built.edges)) == (100, 180)
-        assert len(calls) == 1
+        for prepare, edges in ((by_build, 180), (by_build_op, 180), (by_edge_ops, 20)):
+            run = prepare(config)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(TaskConstellation, "_find_cycle", counted)
+                built = run()
+            assert (len(built.tasks), len(built.edges)) == (100, edges)
+            assert len(calls) == 1, prepare.__name__
 
 
 class TestApplyDelta:
@@ -150,29 +160,13 @@ class TestApplyDelta:
         c = build_constellation(FIG4_CONFIG)
         c.transition("A", TaskStatus.RUNNING)
         c.transition("A", TaskStatus.COMPLETED, result="ok")
-        # Bypass the per-op guards to prove the diff-based check also fires.
-        class SmuggledEdit:
-            pass
-
-        def smuggle(working):
-            working.tasks["A"].description = "tampered"
-
-        delta = EditDelta([UpdateTask("B", {"description": "fine"})])
-        post_pre_tamper, _ = apply_delta(c, delta)
-        tampered = c.clone()
-        smuggle(tampered)
-        from constellation.edits import edit_locality_violations
-
-        violations = edit_locality_violations(c, tampered)
-        assert [v.kind for v in violations] == ["ImmutableTask"]
-        assert post_pre_tamper.tasks["A"].description != "tampered"
+        assert_locality_refused(c, UpdateTask("A", {"description": "tampered"}))
 
     def test_removing_terminal_task_rejected(self):
         c = build_constellation(FIG4_CONFIG)
         c.transition("A", TaskStatus.RUNNING)
         c.transition("A", TaskStatus.COMPLETED, result="ok")
-        with pytest.raises(ImmutableTask):
-            apply_delta(c, EditDelta([RemoveTask("A")]))
+        assert_locality_refused(c, RemoveTask("A"))
 
     def test_update_dependency_kind(self):
         c = build_constellation(FIG4_CONFIG)
@@ -234,6 +228,30 @@ def layered_config(size, width, fan_in):
     }
 
 
+def assert_locality_refused(c, op):
+    """The one-op delta raises ``ValidationFailed`` with only edit-locality
+    violations, and leaves the pre-state untouched."""
+    before = serialize(c)
+    with pytest.raises(ValidationFailed) as err:
+        apply_delta(c, EditDelta([op]))
+    assert {v.kind for v in err.value.violations} == {"ImmutableTask"}
+    assert serialize(c) == before
+
+
+def by_build(config):
+    return lambda: build_constellation(config)
+
+
+def by_build_op(config):
+    return lambda: apply_delta(TaskConstellation(), EditDelta([BuildConstellation(config)]))[0]
+
+
+def by_edge_ops(config):
+    base = build_constellation({"tasks": config["tasks"]})
+    delta = EditDelta([AddDependency(edge) for edge in config["dependencies"][:20]])
+    return lambda: apply_delta(base, delta)[0]
+
+
 TWO_TASKS = [{"id": "A", "device": "d"}, {"id": "B", "device": "d"}]
 
 
@@ -275,6 +293,20 @@ class TestEntryParsing:
             ("dependency", {"id": "e", "from_task": "A"}, ParseError),
             ("dependency", {"from_task": "A", "to_task": "B"}, ParseError),
             ("dependency", {"id": "e", "from_task": "A", "to_task": "B", "weight": 2}, IllegalField),
+            ("task", {"id": "C", "device": 7}, ParseError),
+            ("task", {"id": "C", "device": "d", "name": ["x"]}, ParseError),
+            ("task", {"id": "C", "device": "d", "description": 5}, ParseError),
+            ("task", {"id": "C", "device": "d", "tips": 5}, ParseError),
+            ("task", {"id": "C", "device": "d", "tips": "abc"}, ParseError),
+            ("task", {"id": "C", "device": "d", "tips": ["ok", 1]}, ParseError),
+            ("task", {"id": "C", "device": "d", 5: "x", "colour": "red"}, IllegalField),
+            ("dependency", {"id": "e", "from_task": "A", "to_task": "B", "description": 5}, ParseError),
+            (
+                "dependency",
+                {"id": "e", "from_task": "A", "to_task": "B", "dep_type": "CONDITIONAL",
+                 "condition_id": ["always"]},
+                ParseError,
+            ),
         ],
         ids=[
             "task-missing-id",
@@ -286,11 +318,50 @@ class TestEntryParsing:
             "dep-missing-endpoint",
             "dep-missing-id",
             "dep-unknown-field",
+            "task-device-not-string",
+            "task-name-not-string",
+            "task-description-not-string",
+            "task-tips-not-list",
+            "task-tips-string",
+            "task-tips-not-strings",
+            "task-unknown-mixed-type-fields",
+            "dep-description-not-string",
+            "dep-condition_id-not-string",
         ],
     )
     def test_same_malformed_entry_same_error(self, path, kind, entry, error):
         with pytest.raises(error):
             path(kind, entry)
+
+    @pytest.mark.parametrize(
+        "op, error",
+        [
+            (UpdateTask("A", 5), ParseError),
+            (UpdateTask("A", ["name"]), ParseError),
+            (UpdateTask("A", {"tips": 5}), ParseError),
+            (UpdateTask("A", {"tips": ["ok", None]}), ParseError),
+            (UpdateTask("A", {"name": ["x"]}), ParseError),
+            (UpdateTask("A", {"device": 7}), ParseError),
+            (UpdateTask("A", {"status": "COMPLETED"}), IllegalField),
+            (UpdateTask("A", {"id": "Z"}), IllegalField),
+            (UpdateDependency("eAB", 5), ParseError),
+            (UpdateDependency("eAB", {"description": 5}), ParseError),
+            (UpdateDependency("eAB", {"dep_type": "BOGUS"}), ParseError),
+            (UpdateDependency("eAB", {"dep_type": "CONDITIONAL"}), ParseError),
+            (UpdateDependency("eAB", {"to_task": "A"}), IllegalField),
+        ],
+        ids=lambda value: getattr(value, "__name__", repr(value)),
+    )
+    def test_malformed_patch_refused(self, op, error):
+        """Patched values go through the same entry parsers, so a patch is
+        refused with the same error classes as an entry."""
+        c = build_constellation(
+            {"tasks": TWO_TASKS, "dependencies": [{"id": "eAB", "from_task": "A", "to_task": "B"}]}
+        )
+        before = serialize(c)
+        with pytest.raises(error):
+            apply_delta(c, EditDelta([op]))
+        assert serialize(c) == before
 
     @pytest.mark.parametrize(
         "field, value",
@@ -324,3 +395,108 @@ class TestEntryParsing:
         with pytest.raises(ValidationFailed) as err:
             path("dependency", entry)
         assert [v.kind for v in err.value.violations] == ["UnknownCondition"]
+
+
+GOOD_TASK_PATCHES = [{"description": "reworded"}, {"tips": ["hint"]}, {"device": "dev1"}]
+BAD_TASK_PATCHES = [
+    {"tips": 5},
+    {"tips": "abc"},
+    {"name": ["x"]},
+    {"status": "COMPLETED"},
+    {"id": "t0"},
+    5,
+    ["name"],
+    None,
+]
+GOOD_EDGE_PATCHES = [{"dep_type": "SUCCESS_ONLY"}, {"description": "why"}]
+BAD_EDGE_PATCHES = [
+    {"dep_type": "CONDITIONAL"},
+    {"dep_type": "BOGUS"},
+    {"description": 5},
+    {"from_task": "t0"},
+    5,
+    ["dep_type"],
+]
+
+
+def hostile_graph(rng):
+    """A random DAG with some tasks already RUNNING, COMPLETED or FAILED."""
+    c = random_dag(rng, max_nodes=6)
+    for task_id in sorted(c.tasks):
+        roll = rng.random()
+        if roll < 0.3:
+            c.transition(task_id, TaskStatus.RUNNING)
+        if roll < 0.15:
+            c.transition(task_id, TaskStatus.COMPLETED, result=f"{task_id} done")
+        elif 0.3 <= roll < 0.4:
+            c.transition(task_id, TaskStatus.FAILED, failure_reason=FailureReason.TIMEOUT)
+    return c
+
+
+def hostile_op(rng, c):
+    """One edit op, wrong about a third of the time: a cycle, a self-loop, a
+    parallel edge, a missing endpoint, a repeated id, an edit of a
+    non-PENDING task, an illegal field, or a mistyped patch or id."""
+    wrong = rng.random() < 0.35
+    pick = rng.choice
+    pending = [t for t, task in sorted(c.tasks.items()) if task.status is TaskStatus.PENDING]
+    if wrong:
+        targets = sorted(c.tasks) + ["ghost", 5, ["t0"]]
+        new_tasks, new_edges = sorted(c.tasks)[:1] + ["n0"], sorted(c.edges)[:1] + ["eN0"]
+        edges = sorted(c.edges) + ["ghost", ["eN0"]]
+        task_patches, edge_patches = BAD_TASK_PATCHES, BAD_EDGE_PATCHES
+    else:
+        targets = pending or ["n0"]
+        new_tasks, new_edges = ["n0", "n1"], ["eN0", "eN1"]
+        edges = sorted(e.id for e in c.edges.values() if e.to_task in pending) or ["eN0"]
+        task_patches, edge_patches = GOOD_TASK_PATCHES, GOOD_EDGE_PATCHES
+    kind = rng.randrange(7)
+    if kind == 0:
+        spec = {"id": pick(new_tasks), "device": "dev0"}
+        if wrong:
+            spec.update(pick([{"device": 7}, {"tips": 5}, {"status": "COMPLETED"}]))
+        return AddTask(spec)
+    if kind == 1:
+        return RemoveTask(pick(targets))
+    if kind == 2:
+        return UpdateTask(pick(targets), pick(task_patches))
+    if kind == 3:
+        from_task, to_task = pick(targets), pick(targets)
+        if wrong and c.edges:
+            edge = c.edges[pick(sorted(c.edges))]
+            from_task, to_task = pick(
+                [(edge.to_task, edge.from_task), (edge.from_task, edge.to_task), (to_task, to_task)]
+            )
+        return AddDependency({"id": pick(new_edges), "from_task": from_task, "to_task": to_task})
+    if kind == 4:
+        return RemoveDependency(pick(edges))
+    if kind == 5:
+        return UpdateDependency(pick(edges), pick(edge_patches))
+    tasks = [{"id": task_id, "device": "dev0"} for task_id in ("n0", "n1")]
+    return BuildConstellation({"tasks": 5 if wrong else tasks})
+
+
+class TestHostileDeltas:
+    """A planner that keeps sending invalid deltas: each delta either commits
+    a valid, locality-clean graph one version up, or raises a
+    ``ConstellationError``; the pre-state never changes."""
+
+    def test_each_delta_commits_a_valid_graph_or_raises_a_constellation_error(self):
+        outcomes = {"committed": 0, "refused": 0}
+        for seed in range(1000):
+            rng = random.Random(seed)
+            pre = hostile_graph(rng)
+            ops = [hostile_op(rng, pre) for _ in range(rng.randint(1, 4))]
+            before = serialize(pre)
+            try:
+                post, _ = apply_delta(pre, EditDelta(ops))
+            except ConstellationError:
+                outcomes["refused"] += 1
+            else:
+                outcomes["committed"] += 1
+                assert post.validate() == [], (seed, ops)
+                assert edit_locality_violations(pre, post) == [], (seed, ops)
+                assert post.version == pre.version + 1
+                assert deserialize(serialize(post)).structurally_equal(post), (seed, ops)
+            assert serialize(pre) == before, (seed, ops)
+        assert min(outcomes.values()) >= 150, outcomes

@@ -6,19 +6,17 @@ import constellation
 from constellation import (
     AddDependency,
     AddTask,
-    CycleIntroduced,
-    DuplicateEdge,
     DuplicateId,
     EditDelta,
     FailureReason,
     IllegalTransition,
-    ImmutableTask,
     NotFound,
     RemoveDependency,
     RemoveTask,
     TaskConstellation,
     TaskStatus,
     UpdateTask,
+    ValidationFailed,
     apply_delta,
     build_constellation,
     serialize,
@@ -51,6 +49,16 @@ def assert_rejected(c, op, error):
     assert serialize(c) == before
 
 
+def assert_invalid(c, ops, *kinds):
+    """The delta raises one ``ValidationFailed`` whose violations are of
+    exactly ``kinds``, and leaves the pre-state untouched."""
+    before = serialize(c)
+    with pytest.raises(ValidationFailed) as err:
+        apply_delta(c, EditDelta(ops))
+    assert sorted({v.kind for v in err.value.violations}) == sorted(kinds)
+    assert serialize(c) == before
+
+
 class TestTaskOps:
     def test_add_task_assigns_pending_status(self):
         c = apply_one(TaskConstellation(), AddTask({"id": "A", "device": "dev"}))
@@ -69,18 +77,20 @@ class TestTaskOps:
     def test_remove_non_pending_task_rejected(self):
         c = chain("A")
         c.transition("A", TaskStatus.RUNNING)
-        assert_rejected(c, RemoveTask("A"), ImmutableTask)
+        assert_invalid(c, [RemoveTask("A")], "ImmutableTask")
 
     def test_update_task_respects_editable_fields(self):
         c = chain("A")
         post = apply_one(c, UpdateTask("A", {"description": "new words", "tips": ["hint"]}))
         assert post.tasks["A"].description == "new words"
+        post = apply_one(c, UpdateTask("A", {"tips": ["hint"]}))
+        assert (post.tasks["A"].description, post.tasks["A"].tips) == ("A", ["hint"])
         assert_rejected(c, UpdateTask("A", {"status": "COMPLETED"}), IllegalField)
 
     def test_update_non_pending_task_rejected(self):
         c = chain("A")
         c.transition("A", TaskStatus.RUNNING)
-        assert_rejected(c, UpdateTask("A", {"description": "too late"}), ImmutableTask)
+        assert_invalid(c, [UpdateTask("A", {"description": "too late"})], "ImmutableTask")
 
     def test_missing_task_raises_not_found(self):
         with pytest.raises(NotFound):
@@ -90,28 +100,58 @@ class TestTaskOps:
 class TestEdgeOps:
     def test_cycle_rejected_and_rolled_back(self):
         edge = AddDependency({"id": "eCA", "from_task": "C", "to_task": "A"})
-        assert_rejected(chain("A", "B", "C"), edge, CycleIntroduced)
+        assert_invalid(chain("A", "B", "C"), [edge], "CycleIntroduced")
 
     def test_self_loop_rejected(self):
         edge = AddDependency({"id": "eAA", "from_task": "A", "to_task": "A"})
-        assert_rejected(chain("A"), edge, CycleIntroduced)
+        assert_invalid(chain("A"), [edge], "SelfLoop", "CycleIntroduced")
 
     def test_parallel_edge_rejected(self):
         edge = AddDependency({"id": "e2", "from_task": "A", "to_task": "B"})
-        assert_rejected(chain("A", "B"), edge, DuplicateEdge)
+        assert_invalid(chain("A", "B"), [edge], "DuplicateEdge")
 
     def test_edge_to_non_pending_target_rejected(self):
         c = apply_one(chain("A", "B"), AddTask({"id": "C", "device": "dev"}))
         c.transition("B", TaskStatus.RUNNING)
         edge = AddDependency({"id": "eCB", "from_task": "C", "to_task": "B"})
-        assert_rejected(c, edge, ImmutableTask)
+        assert_invalid(c, [edge], "ImmutableTask")
 
     def test_remove_edge_requires_pending_target(self):
         c = chain("A", "B")
         c.transition("A", TaskStatus.RUNNING)
         c.transition("A", TaskStatus.COMPLETED, result="ok")
         c.transition("B", TaskStatus.RUNNING)
-        assert_rejected(c, RemoveDependency("eAB"), ImmutableTask)
+        assert_invalid(c, [RemoveDependency("eAB")], "ImmutableTask")
+
+
+class TestJudgedOnResult:
+    """Ops only parse and mutate; the delta's result is checked once."""
+
+    def test_edge_before_its_endpoint_commits(self):
+        c = chain("X")
+        ops = [
+            AddDependency({"id": "eXY", "from_task": "X", "to_task": "Y"}),
+            AddTask({"id": "Y", "device": "dev"}),
+        ]
+        post, _ = apply_delta(c, EditDelta(ops))
+        assert [e.from_task for e in post.incoming("Y")] == ["X"]
+        assert post.validate() == [] and post.version == c.version + 1
+
+    def test_transient_cycle_commits_once_broken(self):
+        c = chain("A", "B")
+        ops = [AddDependency({"id": "eBA", "from_task": "B", "to_task": "A"}), RemoveDependency("eAB")]
+        post, _ = apply_delta(c, EditDelta(ops))
+        assert set(post.edges) == {"eBA"}
+
+    def test_every_violation_kind_named_in_one_failure(self):
+        c = chain("A", "B", "C")
+        c.transition("A", TaskStatus.RUNNING)
+        ops = [
+            UpdateTask("A", {"description": "too late"}),
+            AddDependency({"id": "eCB", "from_task": "C", "to_task": "B"}),
+            AddDependency({"id": "eCZ", "from_task": "C", "to_task": "Z"}),
+        ]
+        assert_invalid(c, ops, "ImmutableTask", "CycleIntroduced", "DanglingEdge")
 
 
 class TestTransitions:

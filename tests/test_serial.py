@@ -82,6 +82,18 @@ class TestRejection:
                 {"tasks": [{"id": "A", "device": "d", "status": "SLEEPING"}]}
             )
 
+    @pytest.mark.parametrize(
+        "doc", [{"tasks": 5}, {"dependencies": "ab"}, {"dependencies": {}}, {"request": 5}]
+    )
+    def test_top_level_fields_must_have_their_types(self, doc):
+        with pytest.raises(ParseError):
+            from_document(doc)
+
+    @pytest.mark.parametrize("version", ["x", "3", -1, 1.5, True, None])
+    def test_version_must_be_a_non_negative_integer(self, version):
+        with pytest.raises(ParseError):
+            from_document({"version": version, "tasks": [{"id": "A", "device": "d"}]})
+
     def test_cyclic_document_rejected_with_violations(self):
         doc = {
             "tasks": [{"id": "A", "device": "d"}, {"id": "B", "device": "d"}],
