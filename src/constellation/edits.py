@@ -1,21 +1,24 @@
 """Batched, atomic constellation edits.
 
 A delta is an ordered list of edit ops applied to a clone of the pre-state.
-The ops only parse and mutate, so a delta is judged on its result: the
-post-state is checked once, for structure (``validate``) and for edit
-locality (no non-PENDING task changed). Either it passes, commits and the
-version rises by exactly one, or the pre-state is left untouched and one
-error propagates: the op's parse or lookup error, or one ``ValidationFailed``
-listing every violation of the post-state.
+The clone shares the pre-state's frozen records, and an op replaces the
+records it changes, so the pre-state is never touched. The ops only parse
+and mutate, so a delta is judged on its result: the post-state is checked
+once, for structure (``validate``) and for edit locality (no non-PENDING
+task changed), together with any id a build op's config repeats. Either it
+passes, commits and the version rises by exactly one, or one error
+propagates: the op's parse or lookup error, or one ``ValidationFailed``
+listing every violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from itertools import zip_longest
 from typing import Any, Dict, List, Tuple
 
 from .errors import ParseError, ValidationFailed
-from .model import TaskConstellation, TaskStatus, Violation, from_entries
+from .model import TaskConstellation, TaskStatus, Violation, from_entries, insert_entries
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,7 @@ def apply_delta(
     """
     working = constellation.clone()
     summary = ModificationSummary()
+    violations: List[Violation] = []
     for op in delta.ops:
         if isinstance(op, AddTask):
             working._add_task(op.spec)
@@ -122,16 +126,15 @@ def apply_delta(
             working._update_dependency(op.edge_id, op.patch)
             summary.modified_dependencies += 1
         elif isinstance(op, BuildConstellation):
-            built = build_constellation(op.config)
+            built, repeated = insert_entries(op.config, created=True)
             built.request = op.config.get("request", working.request)
             working = built
+            violations.extend(repeated)
             summary.added_tasks += len(working.tasks)
             summary.added_dependencies += len(working.edges)
         else:
             raise ParseError(f"unknown edit op {op!r}")
-    # A build as the last op has validated the result already.
-    built_last = bool(delta.ops) and isinstance(delta.ops[-1], BuildConstellation)
-    violations = [] if built_last else working.validate()
+    violations.extend(working.validate())
     violations.extend(edit_locality_violations(constellation, working))
     if violations:
         raise ValidationFailed(violations)
@@ -147,7 +150,8 @@ def edit_locality_violations(
     Non-PENDING tasks must keep their fields, status, result and incoming
     edge set bit-identical across the edit. Outgoing edges of terminal tasks
     may be rewired, since only the (PENDING) downstream endpoint's inputs
-    change.
+    change. A task whose record and incoming edge records are the very
+    objects of the pre-state is unchanged; only the others are serialized.
     """
     from .serial import edge_to_doc, task_to_doc
 
@@ -159,6 +163,9 @@ def edit_locality_violations(
             violations.append(
                 Violation("ImmutableTask", f"non-PENDING task {task_id!r} was removed")
             )
+            continue
+        inputs = zip_longest(pre.incoming(task_id), post.incoming(task_id))
+        if post.tasks[task_id] is task and all(a is b for a, b in inputs):
             continue
         if task_to_doc(task, pre) != task_to_doc(post.tasks[task_id], post):
             violations.append(

@@ -339,7 +339,7 @@ class Orchestrator:
             lambda tid=task.id: self._execution_timeout(tid),
             label=f"execution-timeout:{task.id}",
         )
-        self.dispatcher.dispatch(task.copy(), self._on_task_done)
+        self.dispatcher.dispatch(self.constellation.tasks[task.id], self._on_task_done)
 
     def _pending_timeout(self, task_id: str) -> None:
         self._pending_timers.pop(task_id, None)

@@ -14,11 +14,18 @@ engine moves task statuses with ``transition``. The raw ops only parse and
 mutate: they raise ``NotFound``, ``DuplicateId``, ``ParseError`` and
 ``IllegalField``, and leave cycles, dangling or parallel edges and edits of
 non-PENDING tasks to the one check of the result.
+
+Task and dependency records are frozen: ``transition`` and the raw ops store
+a replaced record instead of changing one, so ``clone`` copies only the two
+dicts and versions share every record they did not change (path copying).
+The incoming-edge ids of each task are a derived index, built lazily from
+``edges``, dropped by the raw ops that change the structure, and shared by
+clones, which have the same structure.
 """
 
 from __future__ import annotations
 
-import copy
+import heapq
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
@@ -97,31 +104,25 @@ _DOCUMENT_TASK_FIELDS = ("status", "result", "failure_reason", "dependencies")
 _EDGE_FIELDS = ("id", "from_task", "to_task", "dep_type", "condition_id", "description")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskStar:
     id: str
     device: str
     name: str = ""
     description: str = ""
-    tips: List[str] = field(default_factory=list)
+    tips: Tuple[str, ...] = ()
     status: TaskStatus = TaskStatus.PENDING
     result: Any = None
     failure_reason: Optional[FailureReason] = None
 
-    def copy(self) -> "TaskStar":
-        return replace(self, tips=list(self.tips), result=copy.deepcopy(self.result))
 
-
-@dataclass
+@dataclass(frozen=True)
 class TaskStarLine:
     id: str
     from_task: str
     to_task: str
     dep_type: DependencyType = field(default_factory=DependencyType.unconditional)
     description: str = ""
-
-    def copy(self) -> "TaskStarLine":
-        return replace(self)
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,8 @@ class TaskConstellation:
         self.tasks: Dict[str, TaskStar] = {}
         self.edges: Dict[str, TaskStarLine] = {}
         self.version = 0
+        # Endpoint id -> incoming edge ids, id-sorted; None until first read.
+        self._incoming: Optional[Dict[str, Tuple[str, ...]]] = None
 
     # -- queries ---------------------------------------------------------
 
@@ -155,14 +158,19 @@ class TaskConstellation:
             raise NotFound(f"no dependency {edge_id!r}") from None
 
     def incoming(self, task_id: str) -> List[TaskStarLine]:
-        return [e for _, e in sorted(self.edges.items()) if e.to_task == task_id]
-
-    def outgoing(self, task_id: str) -> List[TaskStarLine]:
-        return [e for _, e in sorted(self.edges.items()) if e.from_task == task_id]
+        return [self.edges[edge_id] for edge_id in self._incoming_ids(task_id)]
 
     def dependencies_of(self, task_id: str) -> List[str]:
         """Incoming edge ids of a task, the derived `dependencies` field."""
-        return [e.id for e in self.incoming(task_id)]
+        return list(self._incoming_ids(task_id))
+
+    def _incoming_ids(self, task_id: str) -> Tuple[str, ...]:
+        if self._incoming is None:
+            index: Dict[str, List[str]] = {}
+            for edge_id in sorted(self.edges):
+                index.setdefault(self.edges[edge_id].to_task, []).append(edge_id)
+            self._incoming = {task: tuple(ids) for task, ids in index.items()}
+        return self._incoming.get(task_id, ())
 
     # -- raw ops (no version bump, no check of the result; see apply_delta) --
 
@@ -178,22 +186,24 @@ class TaskConstellation:
             if task_id in (edge.from_task, edge.to_task):
                 del self.edges[edge.id]
         del self.tasks[task_id]
+        self._incoming = None
 
     def _update_task(self, task_id: str, patch: Dict[str, Any]) -> None:
         task = self.task(task_id)
         _check_patch(patch, EDITABLE_TASK_FIELDS, f"task {task_id!r}")
         parsed = task_from_entry({**patch, "id": task_id}, created=True)
-        for key in patch:
-            setattr(task, key, getattr(parsed, key))
+        self.tasks[task_id] = replace(task, **{key: getattr(parsed, key) for key in patch})
 
     def _add_dependency(self, spec: Dict[str, Any]) -> None:
         edge = edge_from_entry(spec)
         if edge.id in self.edges:
             raise DuplicateId(f"dependency id {edge.id!r} already present")
         self.edges[edge.id] = edge
+        self._incoming = None
 
     def _remove_dependency(self, edge_id: str) -> None:
         del self.edges[self.edge(edge_id).id]
+        self._incoming = None
 
     def _update_dependency(self, edge_id: str, patch: Dict[str, Any]) -> None:
         edge = self.edge(edge_id)
@@ -201,8 +211,7 @@ class TaskConstellation:
         parsed = edge_from_entry(
             {**patch, "id": edge_id, "from_task": edge.from_task, "to_task": edge.to_task}
         )
-        for key in patch:
-            setattr(edge, key, getattr(parsed, key))
+        self.edges[edge_id] = replace(edge, **{key: getattr(parsed, key) for key in patch})
 
     # -- engine-owned status transitions ---------------------------------
 
@@ -218,10 +227,8 @@ class TaskConstellation:
             raise IllegalTransition(
                 f"illegal transition {task.status.value}->{new_status.value} on task {task_id!r}"
             )
-        task.status = new_status
-        if new_status.terminal:
-            task.result = result
-            task.failure_reason = failure_reason
+        changes = {"result": result, "failure_reason": failure_reason} if new_status.terminal else {}
+        self.tasks[task_id] = replace(task, status=new_status, **changes)
 
     # -- validation ------------------------------------------------------
 
@@ -262,22 +269,29 @@ class TaskConstellation:
 
     def _find_cycle(self) -> Set[str]:
         """Kahn peel; returns the node set of the residual cyclic core."""
-        indegree = {t: 0 for t in self.tasks}
+        return set(self.tasks).difference(self._peel_order())
+
+    def _peel_order(self) -> List[str]:
+        """Kahn's peel, smallest ready id first: a topological order of the
+        tasks not on or behind a cycle. The adjacency is built here from
+        ``edges``, not from the cached index, so a corrupted dict shows."""
+        indegree = dict.fromkeys(self.tasks, 0)
+        successors: Dict[str, List[str]] = {}
         for edge in self.edges.values():
-            if edge.to_task in indegree and edge.from_task in indegree:
+            if edge.from_task in indegree and edge.to_task in indegree:
                 indegree[edge.to_task] += 1
-        queue = sorted(t for t, d in indegree.items() if d == 0)
-        remaining = dict(indegree)
-        while queue:
-            node = queue.pop(0)
-            del remaining[node]
-            for edge in self.outgoing(node):
-                if edge.to_task in remaining:
-                    remaining[edge.to_task] -= 1
-                    if remaining[edge.to_task] == 0:
-                        queue.append(edge.to_task)
-            queue.sort()
-        return set(remaining)
+                successors.setdefault(edge.from_task, []).append(edge.to_task)
+        ready = [t for t, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            node = heapq.heappop(ready)
+            order.append(node)
+            for successor in successors.get(node, ()):
+                indegree[successor] -= 1
+                if indegree[successor] == 0:
+                    heapq.heappush(ready, successor)
+        return order
 
     # -- readiness -------------------------------------------------------
 
@@ -312,19 +326,15 @@ class TaskConstellation:
         """
         if any(t.status is TaskStatus.RUNNING for t in self.tasks.values()):
             return False
-        # Optimistically assume every non-terminal task may still complete,
-        # then peel off tasks proven blocked until a fixpoint.
-        live = {t for t, task in self.tasks.items() if not task.status.terminal}
-        changed = True
-        while changed:
-            changed = False
-            for task_id in sorted(live):
-                if self._edge_blocks(task_id, live):
-                    live.discard(task_id)
-                    changed = True
-        return not live
+        # In topological order every upstream is judged before its
+        # downstream tasks, so one pass finds every blocked task.
+        blocked: Set[str] = set()
+        for task_id in self._peel_order():
+            if not self.tasks[task_id].status.terminal and self._edge_blocks(task_id, blocked):
+                blocked.add(task_id)
+        return all(task.status.terminal or tid in blocked for tid, task in self.tasks.items())
 
-    def _edge_blocks(self, task_id: str, live: Set[str]) -> bool:
+    def _edge_blocks(self, task_id: str, blocked: Set[str]) -> bool:
         for edge in self.incoming(task_id):
             upstream = self.task(edge.from_task)
             kind = edge.dep_type.kind
@@ -333,17 +343,19 @@ class TaskConstellation:
                     return True
                 if kind is DependencyKind.CONDITIONAL and not _condition_holds(edge, upstream):
                     return True
-            elif edge.from_task not in live:
+            elif edge.from_task in blocked:
                 return True
         return False
 
     # -- copies and equality ---------------------------------------------
 
     def clone(self) -> "TaskConstellation":
+        """A new version sharing every (frozen) record and the index."""
         other = TaskConstellation(self.request)
         other.version = self.version
-        other.tasks = {tid: t.copy() for tid, t in self.tasks.items()}
-        other.edges = {eid: e.copy() for eid, e in self.edges.items()}
+        other.tasks = dict(self.tasks)
+        other.edges = dict(self.edges)
+        other._incoming = self._incoming
         return other
 
     def structurally_equal(self, other: "TaskConstellation") -> bool:
@@ -389,7 +401,7 @@ def task_from_entry(entry: Dict[str, Any], created: bool) -> TaskStar:
             name=_text(entry, "name", task_id),
             description=_text(entry, "description"),
             device=_text(entry, "device"),
-            tips=list(tips),
+            tips=tuple(tips),
             status=TaskStatus(entry.get("status", "PENDING")),
             result=entry.get("result"),
             failure_reason=None if reason is None else FailureReason(reason),
@@ -457,6 +469,20 @@ def from_entries(doc: Dict[str, Any], created: bool) -> TaskConstellation:
     once. Repeated ids and all of ``validate``'s violations are then raised
     together as one ``ValidationFailed``, so a build costs one Kahn pass.
     """
+    constellation, violations = insert_entries(doc, created)
+    violations.extend(constellation.validate())
+    if violations:
+        raise ValidationFailed(violations)
+    return constellation
+
+
+def insert_entries(
+    doc: Dict[str, Any], created: bool
+) -> Tuple[TaskConstellation, List[Violation]]:
+    """Parse and insert every entry of a document or build config, without
+    validating the result; a malformed entry raises at once. Returns the
+    graph and a ``DuplicateId`` violation per repeated id (the first entry
+    is kept), which the graph itself no longer shows."""
     if not isinstance(doc, dict):
         raise ParseError("a constellation must be a JSON object")
     request = doc.get("request", "")
@@ -477,7 +503,4 @@ def from_entries(doc: Dict[str, Any], created: bool) -> TaskConstellation:
             violations.append(Violation("DuplicateId", f"dependency id {edge.id!r} appears twice"))
         else:
             constellation.edges[edge.id] = edge
-    violations.extend(constellation.validate())
-    if violations:
-        raise ValidationFailed(violations)
-    return constellation
+    return constellation, violations

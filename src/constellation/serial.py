@@ -64,6 +64,10 @@ def serialize(constellation: TaskConstellation) -> str:
 
 
 def from_document(doc: Dict[str, Any]) -> TaskConstellation:
+    if isinstance(doc, dict) and "schema_version" in doc:
+        schema_version = doc["schema_version"]
+        if isinstance(schema_version, bool) or schema_version != SCHEMA_VERSION:
+            raise ParseError(f"schema_version must be {SCHEMA_VERSION}, not {schema_version!r}")
     constellation = from_entries(doc, created=False)
     version = doc.get("version", 0)
     if isinstance(version, bool) or not isinstance(version, int) or version < 0:

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from constellation import TaskConstellation, build_constellation, deserialize
+from constellation import TaskConstellation, TaskStarLine, build_constellation, deserialize
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS_DIR = ROOT / "scenarios"
@@ -67,6 +67,28 @@ def random_dag(
     return build_constellation(
         {"request": "random dag", "tasks": tasks, "dependencies": dependencies}
     )
+
+
+def layered_config(size: int, width: int, fan_in: int) -> dict:
+    """Layers of ``width`` tasks; each task outside the first depends on the
+    first ``fan_in`` tasks of the layer before it."""
+    ids = [f"t{i:03d}" for i in range(size)]
+    layers = [ids[i : i + width] for i in range(0, size, width)]
+    return {
+        "request": f"layered build of {size} tasks",
+        "tasks": [{"id": tid, "device": "dev0"} for tid in ids],
+        "dependencies": [
+            {"id": f"{up}>{tid}", "from_task": up, "to_task": tid}
+            for upper, layer in zip(layers, layers[1:])
+            for tid in layer
+            for up in upper[:fan_in]
+        ],
+    }
+
+
+def scanned_incoming(c: TaskConstellation, task_id: str) -> List[TaskStarLine]:
+    """Oracle for ``incoming``: a full scan of the edges, id-sorted."""
+    return [e for _, e in sorted(c.edges.items()) if e.to_task == task_id]
 
 
 def topo_order(c: TaskConstellation) -> List[str]:

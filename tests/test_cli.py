@@ -71,6 +71,15 @@ class TestValidate:
         assert lines == [{"event": "error", "error": lines[0]["error"]}]
         assert "version" in lines[0]["error"]
 
+    def test_unknown_schema_version_exits_two(self, capsys, tmp_path):
+        doc = json.loads((SCENARIOS_DIR / "fig4.json").read_text())
+        doc["schema_version"] = 2
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, lines = run_cli(capsys, "validate", "--constellation", str(bad))
+        assert code == 2
+        assert "schema_version" in lines[0]["error"]
+
 
 class TestRun:
     def test_missing_seed_exits_two(self, capsys):

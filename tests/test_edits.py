@@ -23,9 +23,10 @@ from constellation import (
     from_document,
     serialize,
 )
+from constellation import serial
 from constellation.edits import delta_from_doc, edit_locality_violations, op_from_doc
 from constellation.errors import ConstellationError, IllegalField, ParseError
-from conftest import random_dag
+from conftest import layered_config, random_dag, scanned_incoming
 
 FIG4_CONFIG = {
     "request": "fig4",
@@ -75,6 +76,29 @@ class TestBuildConstellation:
         base = build_constellation(FIG4_CONFIG)
         base.transition("A", TaskStatus.RUNNING)
         assert_locality_refused(base, BuildConstellation({"tasks": []}))
+
+    def test_failing_build_op_keeps_the_locality_violations(self):
+        base = build_constellation(FIG4_CONFIG)
+        base.transition("A", TaskStatus.RUNNING)
+        config = {
+            "tasks": TWO_TASKS,
+            "dependencies": [
+                {"id": "e1", "from_task": "A", "to_task": "B"},
+                {"id": "e2", "from_task": "B", "to_task": "A"},
+            ],
+        }
+        before = serialize(base)
+        with pytest.raises(ValidationFailed) as err:
+            apply_delta(base, EditDelta([BuildConstellation(config)]))
+        assert sorted({v.kind for v in err.value.violations}) == ["CycleIntroduced", "ImmutableTask"]
+        assert serialize(base) == before
+
+    def test_repeated_id_in_build_op_refused_whatever_follows(self):
+        config = {"tasks": [{"id": "A", "device": "d"}, {"id": "A", "device": "e"}]}
+        ops = [BuildConstellation(config), AddTask({"id": "B", "device": "d"})]
+        with pytest.raises(ValidationFailed) as err:
+            apply_delta(TaskConstellation(), EditDelta(ops))
+        assert [v.kind for v in err.value.violations] == ["DuplicateId"]
 
     def test_build_op_replaces_the_graph(self):
         base = build_constellation(FIG4_CONFIG)
@@ -168,6 +192,25 @@ class TestApplyDelta:
         c.transition("A", TaskStatus.COMPLETED, result="ok")
         assert_locality_refused(c, RemoveTask("A"))
 
+    def test_commit_serializes_only_replaced_records(self, monkeypatch):
+        """900 COMPLETED tasks keep their records through a one-task commit,
+        so the locality check serializes none of them."""
+        c = build_constellation(layered_config(1000, width=10, fan_in=2))
+        for task_id in sorted(c.tasks)[:900]:
+            c.transition(task_id, TaskStatus.RUNNING)
+            c.transition(task_id, TaskStatus.COMPLETED, result="ok")
+        calls = []
+        task_to_doc = serial.task_to_doc
+
+        def counted(task, constellation):
+            calls.append(task.id)
+            return task_to_doc(task, constellation)
+
+        monkeypatch.setattr(serial, "task_to_doc", counted)
+        post, _ = apply_delta(c, EditDelta([AddTask({"id": "new", "device": "dev0"})]))
+        assert len(post.tasks) == 1001
+        assert len(calls) <= 2
+
     def test_update_dependency_kind(self):
         c = build_constellation(FIG4_CONFIG)
         post, summary = apply_delta(
@@ -209,23 +252,6 @@ class TestDocumentForm:
     def test_malformed_op_documents_rejected(self, doc):
         with pytest.raises(ParseError):
             op_from_doc(doc)
-
-
-def layered_config(size, width, fan_in):
-    """Layers of ``width`` tasks; each task outside the first depends on the
-    first ``fan_in`` tasks of the layer before it."""
-    ids = [f"t{i:03d}" for i in range(size)]
-    layers = [ids[i : i + width] for i in range(0, size, width)]
-    return {
-        "request": f"layered build of {size} tasks",
-        "tasks": [{"id": tid, "device": "dev0"} for tid in ids],
-        "dependencies": [
-            {"id": f"{up}>{tid}", "from_task": up, "to_task": tid}
-            for upper, layer in zip(layers, layers[1:])
-            for tid in layer
-            for up in upper[:fan_in]
-        ],
-    }
 
 
 def assert_locality_refused(c, op):
@@ -476,10 +502,20 @@ def hostile_op(rng, c):
     return BuildConstellation({"tasks": 5 if wrong else tasks})
 
 
+def assert_index_matches_scan(c):
+    endpoints = {*c.tasks, *(t for e in c.edges.values() for t in (e.from_task, e.to_task))}
+    for task_id in endpoints:
+        assert c.incoming(task_id) == scanned_incoming(c, task_id), task_id
+
+
+def records(c):
+    return [*c.tasks.items(), *c.edges.items()]
+
+
 class TestHostileDeltas:
     """A planner that keeps sending invalid deltas: each delta either commits
     a valid, locality-clean graph one version up, or raises a
-    ``ConstellationError``; the pre-state never changes."""
+    ``ConstellationError``; the pre-state keeps its very records."""
 
     def test_each_delta_commits_a_valid_graph_or_raises_a_constellation_error(self):
         outcomes = {"committed": 0, "refused": 0}
@@ -487,7 +523,9 @@ class TestHostileDeltas:
             rng = random.Random(seed)
             pre = hostile_graph(rng)
             ops = [hostile_op(rng, pre) for _ in range(rng.randint(1, 4))]
-            before = serialize(pre)
+            before, before_records = serialize(pre), records(pre)
+            if seed % 2:
+                assert_index_matches_scan(pre)  # built before the delta's clone shares it
             try:
                 post, _ = apply_delta(pre, EditDelta(ops))
             except ConstellationError:
@@ -498,5 +536,11 @@ class TestHostileDeltas:
                 assert edit_locality_violations(pre, post) == [], (seed, ops)
                 assert post.version == pre.version + 1
                 assert deserialize(serialize(post)).structurally_equal(post), (seed, ops)
+                assert_index_matches_scan(post)
             assert serialize(pre) == before, (seed, ops)
+            after_records = records(pre)
+            assert len(after_records) == len(before_records), (seed, ops)
+            for (key, record), (key_after, record_after) in zip(before_records, after_records):
+                assert key == key_after and record is record_after, (seed, ops)
+            assert_index_matches_scan(pre)
         assert min(outcomes.values()) >= 150, outcomes

@@ -19,7 +19,7 @@ from constellation import (
     deserialize,
     load_script,
 )
-from conftest import SCENARIOS_DIR
+from conftest import SCENARIOS_DIR, layered_config
 
 
 def fig4_constellation():
@@ -112,6 +112,20 @@ class TestHappyPath:
         assert report.outcome is RunOutcome.PARTIAL
         started = [e["task_id"] for e in report.events if e["kind"] == "TASK_STARTED"]
         assert started == ["a", "b", "c"]
+
+
+    def test_large_layered_graph_runs_to_success(self):
+        """160 layers of 10 tasks, each task taking 1.0 s: the run must end
+        once the last layer completes, at virtual time 160.0."""
+        clock = VirtualClock()
+        constellation = build_constellation(layered_config(1600, width=10, fan_in=2))
+        engine = Orchestrator(
+            clock, NoopPlanner(), ScriptedDispatcher(clock), constellation=constellation
+        )
+        report = engine.run()
+        assert report.outcome is RunOutcome.SUCCESS
+        assert report.finished_at == 160.0
+        assert len(report.timings) == 1600
 
 
 class TestOutcomeRule:

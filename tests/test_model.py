@@ -1,5 +1,8 @@
 """Core graph model: edit preconditions, validation, readiness."""
 
+import dataclasses
+import random
+
 import pytest
 
 import constellation
@@ -14,6 +17,8 @@ from constellation import (
     RemoveDependency,
     RemoveTask,
     TaskConstellation,
+    TaskStar,
+    TaskStarLine,
     TaskStatus,
     UpdateTask,
     ValidationFailed,
@@ -22,6 +27,8 @@ from constellation import (
     serialize,
 )
 from constellation.errors import IllegalField
+from constellation.model import CONDITIONS, DependencyKind
+from conftest import random_dag, scanned_incoming
 
 
 def chain(*ids):
@@ -84,7 +91,7 @@ class TestTaskOps:
         post = apply_one(c, UpdateTask("A", {"description": "new words", "tips": ["hint"]}))
         assert post.tasks["A"].description == "new words"
         post = apply_one(c, UpdateTask("A", {"tips": ["hint"]}))
-        assert (post.tasks["A"].description, post.tasks["A"].tips) == ("A", ["hint"])
+        assert (post.tasks["A"].description, post.tasks["A"].tips) == ("A", ("hint",))
         assert_rejected(c, UpdateTask("A", {"status": "COMPLETED"}), IllegalField)
 
     def test_update_non_pending_task_rejected(self):
@@ -200,16 +207,14 @@ class TestValidate:
 
     def test_cycle_detected_with_node_listing(self):
         c = chain("A", "B")
-        c.edges["eBA"] = c.edges["eAB"].copy()
-        c.edges["eBA"].id = "eBA"
-        c.edges["eBA"].from_task, c.edges["eBA"].to_task = "B", "A"
+        c._add_dependency({"id": "eBA", "from_task": "B", "to_task": "A"})
         violations = [v for v in c.validate() if v.kind == "CycleIntroduced"]
         assert len(violations) == 1
         assert "A" in violations[0].detail and "B" in violations[0].detail
 
     def test_result_on_non_terminal_task_detected(self):
         c = chain("A")
-        c.tasks["A"].result = "phantom"
+        c.tasks["A"] = dataclasses.replace(c.tasks["A"], result="phantom")
         assert any(v.kind == "StatusResult" for v in c.validate())
 
 
@@ -260,13 +265,103 @@ class TestReadiness:
         assert fig4.is_quiescent()
 
 
+def oracle_ready_tasks(c):
+    """The full scan ``ready_tasks`` used to make over every edge."""
+    return [
+        task_id
+        for task_id in sorted(c.tasks)
+        if c.tasks[task_id].status is TaskStatus.PENDING
+        and all(c.edge_satisfied(e) for e in scanned_incoming(c, task_id))
+    ]
+
+
+def oracle_is_quiescent(c):
+    """The fixpoint ``is_quiescent`` used to run: assume every live task may
+    complete, then peel off tasks proven blocked until nothing changes."""
+    if any(t.status is TaskStatus.RUNNING for t in c.tasks.values()):
+        return False
+
+    def blocked(task_id, live):
+        for edge in scanned_incoming(c, task_id):
+            upstream = c.tasks[edge.from_task]
+            kind = edge.dep_type.kind
+            if upstream.status.terminal:
+                if kind is DependencyKind.SUCCESS_ONLY and upstream.status is TaskStatus.FAILED:
+                    return True
+                if kind is DependencyKind.CONDITIONAL and not CONDITIONS[
+                    edge.dep_type.condition_id
+                ](upstream.result):
+                    return True
+            elif edge.from_task not in live:
+                return True
+        return False
+
+    live = {t for t, task in c.tasks.items() if not task.status.terminal}
+    changed = True
+    while changed:
+        changed = False
+        for task_id in sorted(live):
+            if blocked(task_id, live):
+                live.discard(task_id)
+                changed = True
+    return not live
+
+
+class TestReadinessOracles:
+    def test_random_graphs_match_the_fixpoint_and_the_full_scan(self):
+        rng = random.Random(6)
+        blocked_for_good = 0  # quiescent although some task is still PENDING
+        for _ in range(1000):
+            c = random_dag(rng, max_nodes=10)
+            for task_id in sorted(c.tasks):
+                status = rng.choices(
+                    [TaskStatus.PENDING, TaskStatus.RUNNING, TaskStatus.COMPLETED, TaskStatus.FAILED],
+                    weights=[5, 1, 2, 10],
+                )[0]
+                if status is TaskStatus.FAILED:
+                    c.transition(task_id, status, failure_reason=FailureReason.EXECUTION_ERROR)
+                elif status is not TaskStatus.PENDING:
+                    c.transition(task_id, TaskStatus.RUNNING)
+                    if status is TaskStatus.COMPLETED:
+                        c.transition(task_id, status, result="ok")
+            assert c.ready_tasks() == oracle_ready_tasks(c)
+            assert c.is_quiescent() == oracle_is_quiescent(c)
+            blocked_for_good += c.is_quiescent() and TaskStatus.PENDING in {
+                t.status for t in c.tasks.values()
+            }
+        assert blocked_for_good >= 30, blocked_for_good
+
+
 class TestCopies:
-    def test_clone_is_deep(self, fig4):
+    def test_clone_is_independent(self, fig4):
         twin = fig4.clone()
-        twin.tasks["A"].description = "changed"
-        twin.tasks["A"].tips.append("hint")
-        assert fig4.tasks["A"].description == "Build the data set"
-        assert fig4.tasks["A"].tips == []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.tasks["A"].description = "changed"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.edges["eAC"].to_task = "B"
+        before = serialize(fig4)
+        twin.transition("A", TaskStatus.RUNNING)
+        apply_one(twin, UpdateTask("B", {"description": "changed", "tips": ["hint"]}))
+        apply_one(twin, AddDependency({"id": "eBE", "from_task": "B", "to_task": "E"}))
+        assert serialize(fig4) == before
+
+    def test_clone_constructs_no_record(self, fig4, monkeypatch):
+        built = []
+
+        def counted(init):
+            def wrapper(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+
+            return wrapper
+
+        for record in (TaskStar, TaskStarLine):
+            monkeypatch.setattr(record, "__init__", counted(record.__init__))
+        twin = fig4.clone()
+        assert built == []
+        twin.transition("A", TaskStatus.RUNNING)
+        assert built == ["TaskStar"]  # the one record the transition replaced
+        assert [t for t in fig4.tasks if twin.tasks[t] is not fig4.tasks[t]] == ["A"]
 
     def test_structural_equality(self, fig4):
         assert fig4.structurally_equal(fig4.clone())

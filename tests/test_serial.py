@@ -94,6 +94,15 @@ class TestRejection:
         with pytest.raises(ParseError):
             from_document({"version": version, "tasks": [{"id": "A", "device": "d"}]})
 
+    @pytest.mark.parametrize("schema_version", [0, 2, 99, "1", True, None, [1]])
+    def test_schema_version_other_than_one_rejected(self, schema_version):
+        with pytest.raises(ParseError, match="schema_version"):
+            from_document({"schema_version": schema_version, "tasks": [{"id": "A", "device": "d"}]})
+
+    def test_schema_version_one_or_absent_accepted(self):
+        for doc in ({"schema_version": 1}, {}):
+            assert from_document({**doc, "tasks": [{"id": "A", "device": "d"}]}).tasks["A"]
+
     def test_cyclic_document_rejected_with_violations(self):
         doc = {
             "tasks": [{"id": "A", "device": "d"}, {"id": "B", "device": "d"}],

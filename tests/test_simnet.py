@@ -153,8 +153,9 @@ def oracle_longest_path(constellation, durations):
         nonlocal best
         total += durations[task_id]
         best = max(best, total)
-        for edge in constellation.outgoing(task_id):
-            extend(edge.to_task, total)
+        for edge in constellation.edges.values():
+            if edge.from_task == task_id:
+                extend(edge.to_task, total)
 
     for task_id in constellation.tasks:
         extend(task_id, 0.0)
