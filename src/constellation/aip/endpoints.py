@@ -23,16 +23,13 @@ import random
 from typing import Any, Callable, Dict, List, Optional
 
 from ..clock import TimerHandle, VirtualClock
-from ..errors import AttemptsExhausted, PeerDisconnected
+from ..errors import AttemptsExhausted, PeerDisconnected, SchemaViolation
 from ..simnet.network import SimNetwork
 from ..agent.server import AgentServer, TaskRun
 from .backoff import BackoffPolicy
 from .messages import AipMessage, MessageType, decode, encode
-from .profile import AgentStatus, ProfileRegistry, merge_profile
+from .profile import HEARTBEAT_INTERVAL, MISSED_K, AgentStatus, ProfileRegistry, merge_profile
 from .session import SessionState
-
-DEFAULT_HEARTBEAT_INTERVAL = 5.0
-DEFAULT_MISSED_K = 3
 
 
 class _Endpoint:
@@ -93,6 +90,9 @@ class ConstellationEndpoint(_Endpoint):
             self._on_register(src, msg)
         elif msg.msg_type is MessageType.HEARTBEAT:
             agent_id = msg.body.get("agent_id", src)
+            if not isinstance(agent_id, str) or agent_id not in self.registry.profiles:
+                self._refuse(src, f"NotFound: no registered agent {agent_id!r}")
+                return
             self.registry.heartbeat(agent_id, self.clock.now)
             self._arm_deadline(agent_id)
             self.send(
@@ -112,21 +112,19 @@ class ConstellationEndpoint(_Endpoint):
     def _on_register(self, src: str, msg: AipMessage) -> None:
         client_id = msg.body.get("client_id", "")
         if not isinstance(client_id, str) or not client_id.strip():
-            self.send(
-                src,
-                AipMessage(
-                    MessageType.ERROR,
-                    {"error": "SchemaViolation: client_id must be non-empty", "context": {}},
-                ),
-            )
+            self._refuse(src, "SchemaViolation: client_id must be non-empty")
             return
         metadata = msg.body.get("metadata", {})
-        profile = merge_profile(
-            client_id,
-            user_config=self.user_configs.get(client_id),
-            service_manifest=metadata.get("service_manifest"),
-            client_telemetry=metadata.get("client_telemetry"),
-        )
+        try:
+            profile = merge_profile(
+                client_id,
+                user_config=self.user_configs.get(client_id),
+                service_manifest=metadata.get("service_manifest"),
+                client_telemetry=metadata.get("client_telemetry"),
+            )
+        except SchemaViolation as exc:
+            self._refuse(src, f"SchemaViolation: {exc}")
+            return
         self.registry.register(profile, self.clock.now)
         self._device_address[client_id] = src
         self._arm_deadline(client_id)
@@ -136,6 +134,9 @@ class ConstellationEndpoint(_Endpoint):
         )
         if self.availability_listener is not None:
             self.availability_listener()
+
+    def _refuse(self, src: str, error: str) -> None:
+        self.send(src, AipMessage(MessageType.ERROR, {"error": error, "context": {}}))
 
     def _on_task_end(self, msg: AipMessage) -> None:
         entry = self._outstanding.pop(msg.session_id, None)
@@ -257,8 +258,6 @@ class DeviceServerEndpoint(_Endpoint):
         client_address: str,
         manifest: Optional[Dict[str, Any]] = None,
         telemetry: Optional[Dict[str, Any]] = None,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        missed_k: int = DEFAULT_MISSED_K,
         backoff: Optional[BackoffPolicy] = None,
         seed: int = 0,
     ):
@@ -269,8 +268,6 @@ class DeviceServerEndpoint(_Endpoint):
         self.client_address = client_address
         self.manifest = dict(manifest or {})
         self.telemetry = dict(telemetry or {})
-        self.heartbeat_interval = heartbeat_interval
-        self.missed_k = missed_k
         self.backoff = backoff or BackoffPolicy()
         self.rng = random.Random(f"{seed}:{agent_id}")
 
@@ -376,7 +373,7 @@ class DeviceServerEndpoint(_Endpoint):
         if self._beat_timer is not None:
             self._beat_timer.cancel()
         self._beat_timer = self.clock.call_later(
-            self.heartbeat_interval, self._beat, label=f"beat:{self.agent_id}"
+            HEARTBEAT_INTERVAL, self._beat, label=f"beat:{self.agent_id}"
         )
 
     def _beat(self) -> None:
@@ -394,7 +391,7 @@ class DeviceServerEndpoint(_Endpoint):
     def _arm_ack_deadline(self) -> None:
         if self._ack_deadline_timer is not None:
             self._ack_deadline_timer.cancel()
-        deadline = self.last_ack + self.heartbeat_interval * self.missed_k
+        deadline = self.last_ack + HEARTBEAT_INTERVAL * MISSED_K
         self._ack_deadline_timer = self.clock.call_at(
             max(deadline, self.clock.now),
             self._on_ack_deadline,
@@ -405,7 +402,7 @@ class DeviceServerEndpoint(_Endpoint):
         self._ack_deadline_timer = None
         if not self.connected:
             return
-        if self.clock.now < self.last_ack + self.heartbeat_interval * self.missed_k:
+        if self.clock.now < self.last_ack + HEARTBEAT_INTERVAL * MISSED_K:
             self._arm_ack_deadline()
             return
         self._local_disconnect()

@@ -12,6 +12,23 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional
 
+from ..errors import SchemaViolation
+
+# The liveness policy both sides apply: an agent beats every
+# HEARTBEAT_INTERVAL seconds, and MISSED_K missed beats disconnect it.
+HEARTBEAT_INTERVAL = 5.0
+MISSED_K = 3
+
+# Field groups a profile layer may carry, with the JSON type of each.
+_LAYER_FIELDS = {
+    "os": str,
+    "os_version": str,
+    "capabilities": list,
+    "performance": dict,
+    "paths": dict,
+    "network": dict,
+}
+
 
 class AgentStatus(Enum):
     IDLE = "IDLE"
@@ -52,7 +69,10 @@ def merge_profile(
     service_manifest: Optional[Dict[str, Any]] = None,
     client_telemetry: Optional[Dict[str, Any]] = None,
 ) -> AgentProfile:
-    """Layered merge; later stages override earlier ones per field group."""
+    """Layered merge; later stages override earlier ones per field group.
+
+    A layer that is not an object, or a field group of the wrong type,
+    raises ``SchemaViolation``."""
     profile = AgentProfile(agent_id=agent_id)
     stages = (
         ("user-config", user_config),
@@ -60,8 +80,15 @@ def merge_profile(
         ("client-telemetry", client_telemetry),
     )
     for source, data in stages:
-        if not data:
+        if data is None:
             continue
+        if not isinstance(data, dict):
+            raise SchemaViolation(source, f"expected an object, got {type(data).__name__}")
+        for name, expected in _LAYER_FIELDS.items():
+            if name in data and not isinstance(data[name], expected):
+                raise SchemaViolation(
+                    f"{source}.{name}", f"expected {expected.__name__}, got {type(data[name]).__name__}"
+                )
         if "os" in data:
             profile.os = data["os"]
             profile.sources["os"] = source
@@ -86,13 +113,11 @@ def merge_profile(
 class ProfileRegistry:
     """Orchestrator-side registry with heartbeat bookkeeping.
 
-    An agent becomes DISCONNECTED once ``missed_k`` expected heartbeat
+    An agent becomes DISCONNECTED once ``MISSED_K`` expected heartbeat
     intervals elapse with no beat; it only rejoins the pool after a fresh
     REGISTER (resumed heartbeats alone are not enough)."""
 
-    def __init__(self, heartbeat_interval: float = 5.0, missed_k: int = 3):
-        self.heartbeat_interval = heartbeat_interval
-        self.missed_k = missed_k
+    def __init__(self) -> None:
         self.profiles: Dict[str, AgentProfile] = {}
 
     def register(self, profile: AgentProfile, now: float) -> None:
@@ -108,7 +133,7 @@ class ProfileRegistry:
 
     def deadline_for(self, agent_id: str) -> float:
         profile = self.profiles[agent_id]
-        return profile.last_heartbeat + self.heartbeat_interval * self.missed_k
+        return profile.last_heartbeat + HEARTBEAT_INTERVAL * MISSED_K
 
     def mark_disconnected(self, agent_id: str) -> None:
         profile = self.profiles.get(agent_id)

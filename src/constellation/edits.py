@@ -14,7 +14,6 @@ listing every violation.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from itertools import zip_longest
 from typing import Any, Dict, List, Tuple
 
 from .errors import ParseError, ValidationFailed
@@ -147,14 +146,11 @@ def edit_locality_violations(
 ) -> List[Violation]:
     """Diff-based check that no edit touched a non-PENDING task.
 
-    Non-PENDING tasks must keep their fields, status, result and incoming
-    edge set bit-identical across the edit. Outgoing edges of terminal tasks
-    may be rewired, since only the (PENDING) downstream endpoint's inputs
-    change. A task whose record and incoming edge records are the very
-    objects of the pre-state is unchanged; only the others are serialized.
+    Non-PENDING tasks must keep their record (fields, status, result) and
+    their incoming edge records equal across the edit; the frozen records
+    are compared directly. Outgoing edges of terminal tasks may be rewired,
+    since only the (PENDING) downstream endpoint's inputs change.
     """
-    from .serial import edge_to_doc, task_to_doc
-
     violations: List[Violation] = []
     for task_id, task in sorted(pre.tasks.items()):
         if task.status is TaskStatus.PENDING:
@@ -163,18 +159,11 @@ def edit_locality_violations(
             violations.append(
                 Violation("ImmutableTask", f"non-PENDING task {task_id!r} was removed")
             )
-            continue
-        inputs = zip_longest(pre.incoming(task_id), post.incoming(task_id))
-        if post.tasks[task_id] is task and all(a is b for a, b in inputs):
-            continue
-        if task_to_doc(task, pre) != task_to_doc(post.tasks[task_id], post):
+        elif post.tasks[task_id] != task or pre.dependencies_of(task_id) != post.dependencies_of(task_id):
             violations.append(
                 Violation("ImmutableTask", f"non-PENDING task {task_id!r} was modified")
             )
-            continue
-        pre_in = [edge_to_doc(e) for e in pre.incoming(task_id)]
-        post_in = [edge_to_doc(e) for e in post.incoming(task_id)]
-        if pre_in != post_in:
+        elif pre.incoming(task_id) != post.incoming(task_id):
             violations.append(
                 Violation(
                     "ImmutableTask",

@@ -6,6 +6,9 @@ queue is non-empty the orchestrator acquires the lock and runs edit cycles
 delta, commit atomically, publish the modification) until the queue is
 empty, then releases the lock and reschedules ready tasks. Dispatching only
 ever happens with the lock free, against the latest committed version.
+A ``dispatch()`` that raises fails its task with EXECUTION_ERROR; a
+completion for a task already finished, or never dispatched, is counted in
+``RunReport.dropped_completions`` and otherwise ignored.
 """
 
 from __future__ import annotations
@@ -141,9 +144,12 @@ class Orchestrator:
         failure_reason: Optional[FailureReason],
     ) -> None:
         timing = self.report.timings.get(task_id)
-        if timing is not None and timing.finished_at is None:
-            timing.finished_at = self.clock.now
-            timing.status = status.value
+        if timing is None or timing.finished_at is not None:
+            # Never dispatched, or already finished (a second or late call).
+            self.report.dropped_completions += 1
+            return
+        timing.finished_at = self.clock.now
+        timing.status = status.value
         self._cancel_timer(self._execution_timers, task_id)
         kind = EventKind.TASK_COMPLETED if status is TaskStatus.COMPLETED else EventKind.TASK_FAILED
         payload = {}
@@ -339,7 +345,10 @@ class Orchestrator:
             lambda tid=task.id: self._execution_timeout(tid),
             label=f"execution-timeout:{task.id}",
         )
-        self.dispatcher.dispatch(self.constellation.tasks[task.id], self._on_task_done)
+        try:
+            self.dispatcher.dispatch(self.constellation.tasks[task.id], self._on_task_done)
+        except Exception:
+            self._on_task_done(task.id, TaskStatus.FAILED, None, FailureReason.EXECUTION_ERROR)
 
     def _pending_timeout(self, task_id: str) -> None:
         self._pending_timers.pop(task_id, None)

@@ -234,7 +234,10 @@ class TaskConstellation:
 
     def validate(self) -> List[Violation]:
         violations: List[Violation] = []
-        for edge in sorted(self.edges.values(), key=lambda e: e.id):
+        duplicates: List[Violation] = []
+        seen_pairs: Set[Tuple[str, str]] = set()
+        for edge_id in sorted(self.edges):
+            edge = self.edges[edge_id]
             for endpoint in (edge.from_task, edge.to_task):
                 if endpoint not in self.tasks:
                     violations.append(
@@ -247,14 +250,11 @@ class TaskConstellation:
                 violations.append(
                     Violation("UnknownCondition", f"edge {edge.id!r} names condition {condition_id!r}")
                 )
-        seen_pairs: Set[Tuple[str, str]] = set()
-        for edge in sorted(self.edges.values(), key=lambda e: e.id):
             pair = (edge.from_task, edge.to_task)
             if pair in seen_pairs:
-                violations.append(
-                    Violation("DuplicateEdge", f"multiple edges {pair[0]!r}->{pair[1]!r}")
-                )
+                duplicates.append(Violation("DuplicateEdge", f"multiple edges {pair[0]!r}->{pair[1]!r}"))
             seen_pairs.add(pair)
+        violations.extend(duplicates)
         cycle = self._find_cycle()
         if cycle:
             violations.append(
@@ -269,12 +269,13 @@ class TaskConstellation:
 
     def _find_cycle(self) -> Set[str]:
         """Kahn peel; returns the node set of the residual cyclic core."""
-        return set(self.tasks).difference(self._peel_order())
+        return set(self.tasks).difference(self.topological_order())
 
-    def _peel_order(self) -> List[str]:
-        """Kahn's peel, smallest ready id first: a topological order of the
-        tasks not on or behind a cycle. The adjacency is built here from
-        ``edges``, not from the cached index, so a corrupted dict shows."""
+    def topological_order(self) -> List[str]:
+        """Kahn's order, smallest ready id first. Tasks on or behind a cycle
+        are left out, so a shorter order than ``tasks`` means a cycle. The
+        adjacency is built here from ``edges``, not from the cached index,
+        so a corrupted dict shows."""
         indegree = dict.fromkeys(self.tasks, 0)
         successors: Dict[str, List[str]] = {}
         for edge in self.edges.values():
@@ -316,36 +317,14 @@ class TaskConstellation:
         return ready
 
     def is_quiescent(self) -> bool:
-        """True iff every task is terminal or can never become ready.
+        """True iff no task is RUNNING and none is ready.
 
-        A PENDING task is permanently blocked when some incoming edge can
-        never be satisfied under any completion of the still-live tasks:
-        a SUCCESS_ONLY upstream FAILED, a CONDITIONAL upstream terminal with
-        a false predicate, or (transitively) an upstream that is itself
-        permanently blocked.
+        In an acyclic graph a PENDING task that is not ready waits, directly
+        or through PENDING upstream tasks, on an edge whose terminal upstream
+        can never satisfy it, so no completion can make progress.
         """
-        if any(t.status is TaskStatus.RUNNING for t in self.tasks.values()):
-            return False
-        # In topological order every upstream is judged before its
-        # downstream tasks, so one pass finds every blocked task.
-        blocked: Set[str] = set()
-        for task_id in self._peel_order():
-            if not self.tasks[task_id].status.terminal and self._edge_blocks(task_id, blocked):
-                blocked.add(task_id)
-        return all(task.status.terminal or tid in blocked for tid, task in self.tasks.items())
-
-    def _edge_blocks(self, task_id: str, blocked: Set[str]) -> bool:
-        for edge in self.incoming(task_id):
-            upstream = self.task(edge.from_task)
-            kind = edge.dep_type.kind
-            if upstream.status.terminal:
-                if kind is DependencyKind.SUCCESS_ONLY and upstream.status is TaskStatus.FAILED:
-                    return True
-                if kind is DependencyKind.CONDITIONAL and not _condition_holds(edge, upstream):
-                    return True
-            elif edge.from_task in blocked:
-                return True
-        return False
+        running = any(t.status is TaskStatus.RUNNING for t in self.tasks.values())
+        return not running and not self.ready_tasks()
 
     # -- copies and equality ---------------------------------------------
 

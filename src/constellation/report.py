@@ -59,6 +59,7 @@ class RunReport:
     lock_trace: List[Dict[str, Any]] = field(default_factory=list)
     dropped_frames: List[Dict[str, Any]] = field(default_factory=list)
     assignments_while_held: int = 0
+    dropped_completions: int = 0  # second, late or unknown task completions
     deadline_exceeded: bool = False
     error: Optional[str] = None
     finished_at: Optional[float] = None
@@ -104,6 +105,7 @@ class RunReport:
             "dropped_frames": self.dropped_frames,
             "instrumentation": {
                 "assignments_while_held": self.assignments_while_held,
+                "dropped_completions": self.dropped_completions,
             },
         }
 

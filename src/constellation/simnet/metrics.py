@@ -64,24 +64,18 @@ def metrics_from_durations(
 def _infinite_device_schedule(
     constellation: TaskConstellation, durations: Dict[str, float]
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Earliest-start schedule with unlimited devices. Each task starts the
-    instant all of its upstream tasks finish; finish times therefore equal
-    longest duration-weighted path ending at each task."""
+    """Earliest-start schedule with unlimited devices, in one walk over the
+    model's topological order. Each task starts the instant all of its
+    upstream tasks finish; finish times therefore equal the longest
+    duration-weighted path ending at each task."""
+    order = constellation.topological_order()
+    if len(order) < len(constellation.tasks):
+        raise IncompleteRun("dependency graph contains a cycle")
     starts: Dict[str, float] = {}
     finishes: Dict[str, float] = {}
-    remaining = set(constellation.tasks)
-    while remaining:
-        progressed = False
-        for task_id in sorted(remaining):
-            preds = [e.from_task for e in constellation.incoming(task_id)]
-            if any(p in remaining for p in preds):
-                continue
-            starts[task_id] = max((finishes[p] for p in preds), default=0.0)
-            finishes[task_id] = starts[task_id] + durations[task_id]
-            remaining.discard(task_id)
-            progressed = True
-        if not progressed:
-            raise IncompleteRun("dependency graph contains a cycle")
+    for task_id in order:
+        starts[task_id] = max((finishes[e.from_task] for e in constellation.incoming(task_id)), default=0.0)
+        finishes[task_id] = starts[task_id] + durations[task_id]
     return starts, finishes
 
 

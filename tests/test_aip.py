@@ -310,3 +310,44 @@ class TestLiveness:
         )
         advance(clock, 10.0)
         assert outcomes == [("T", "COMPLETED", "ok")]
+
+
+class TestFramesFromOutside:
+    """A frame the orchestrator endpoint cannot act on is answered with an
+    ERROR frame; no deadline is armed and the registry is left as it was."""
+
+    def send_from_rogue(self, msg):
+        clock, network, registry, orchestrator, _ = build_pair(outages=[])
+        advance(clock, 1.0)
+        received = []
+        network.attach("rogue", lambda src, frame: received.append(decode(frame)))
+        network.add_link("rogue", "orchestrator", LinkSpec(latency=0.001))
+        profiles = {agent: profile.as_dict() for agent, profile in registry.profiles.items()}
+        timers = dict(orchestrator._deadline_timers)
+        network.send("rogue", "orchestrator", encode(msg))
+        advance(clock, 2.0)
+        assert [m.msg_type for m in received] == [MessageType.ERROR]
+        assert orchestrator._deadline_timers == timers
+        assert {a: p.as_dict() for a, p in registry.profiles.items()} == profiles
+        return received[0].body["error"]
+
+    @pytest.mark.parametrize("agent_id", ["ghost", ["ghost"]])
+    def test_heartbeat_of_unregistered_agent(self, agent_id):
+        error = self.send_from_rogue(
+            AipMessage(MessageType.HEARTBEAT, {"timestamp": 1.0, "agent_id": agent_id})
+        )
+        assert error.startswith("NotFound") and "ghost" in error
+
+    @pytest.mark.parametrize(
+        "metadata",
+        [
+            {"service_manifest": "hosts"},
+            {"client_telemetry": {"capabilities": 5}},
+            {"service_manifest": {"paths": ["ab"]}},
+        ],
+    )
+    def test_register_with_malformed_profile_layer(self, metadata):
+        error = self.send_from_rogue(
+            AipMessage(MessageType.REGISTER, {"client_id": "ghost", "metadata": metadata})
+        )
+        assert error.startswith("SchemaViolation")

@@ -128,6 +128,78 @@ class TestHappyPath:
         assert len(report.timings) == 1600
 
 
+def three_independent_tasks():
+    return build_constellation(
+        {
+            "request": "three independent tasks",
+            "tasks": [{"id": t, "description": f"job {t}", "device": "dev"} for t in "abc"],
+        }
+    )
+
+
+class TestHostileDispatchers:
+    def test_raising_dispatch_fails_the_task(self):
+        """An exception out of dispatch() is the task's EXECUTION_ERROR,
+        reported like a synchronous failure; it does not escape run()."""
+
+        class RaisesForA(ScriptedDispatcher):
+            def dispatch(self, task, on_done):
+                if task.id == "a":
+                    raise RuntimeError("device driver crashed")
+                super().dispatch(task, on_done)
+
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock, NoopPlanner(), RaisesForA(clock), constellation=three_independent_tasks()
+        ).run()
+        assert report.outcome is RunOutcome.PARTIAL
+        by_id = {t["id"]: t for t in report.final_document["tasks"]}
+        assert by_id["a"]["status"] == "FAILED"
+        assert by_id["a"]["failure_reason"] == "EXECUTION_ERROR"
+        assert report.assignments_while_held == 0
+        started = [e["task_id"] for e in report.events if e["kind"] == "TASK_STARTED"]
+        assert started == ["a", "b", "c"]
+
+    def test_duplicate_completions_are_counted_not_recorded(self):
+        class CompletesTwice(ScriptedDispatcher):
+            def dispatch(self, task, on_done):
+                super().dispatch(task, on_done)
+                super().dispatch(task, on_done)
+
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock, NoopPlanner(), CompletesTwice(clock), constellation=three_independent_tasks()
+        ).run()
+        assert report.outcome is RunOutcome.SUCCESS
+        completed = [e["task_id"] for e in report.events if e["kind"] == "TASK_COMPLETED"]
+        assert sorted(completed) == ["a", "b", "c"]
+        assert report.dropped_completions == 3
+        assert report.as_dict()["instrumentation"]["dropped_completions"] == 3
+
+    def test_completion_after_execution_timeout_is_counted_not_recorded(self):
+        clock = VirtualClock()
+        constellation = build_constellation(
+            {
+                "tasks": [{"id": t, "device": "dev"} for t in "abc"],
+                "dependencies": [{"id": "ebc", "from_task": "b", "to_task": "c"}],
+            }
+        )
+        report = Orchestrator(
+            clock,
+            NoopPlanner(),
+            ScriptedDispatcher(clock, durations={"a": 60.0, "b": 40.0, "c": 40.0}),
+            constellation=constellation,
+            config=EngineConfig(execution_timeout=50.0),
+        ).run()
+        assert report.finished_at == 80.0  # the run outlives a's completion at 60
+        assert report.dropped_completions == 1
+        assert (report.timings["a"].finished_at, report.timings["a"].status) == (50.0, "FAILED")
+        a_events = [e["kind"] for e in report.events if e["task_id"] == "a"]
+        assert a_events == ["TASK_STARTED", "TASK_FAILED"]
+        by_id = {t["id"]: t for t in report.final_document["tasks"]}
+        assert by_id["a"]["failure_reason"] == "TIMEOUT"
+
+
 class TestOutcomeRule:
     def test_failure_without_retry_is_partial(self):
         report = run_fig4(failures={"C": "EXECUTION_ERROR"})

@@ -20,6 +20,7 @@ from constellation import (
     TaskStar,
     TaskStarLine,
     TaskStatus,
+    UpdateDependency,
     UpdateTask,
     ValidationFailed,
     apply_delta,
@@ -129,6 +130,24 @@ class TestEdgeOps:
         c.transition("A", TaskStatus.COMPLETED, result="ok")
         c.transition("B", TaskStatus.RUNNING)
         assert_invalid(c, [RemoveDependency("eAB")], "ImmutableTask")
+
+    def test_locality_message_names_record_or_incoming_edges(self):
+        """Rewiring a non-PENDING task's inputs changes its record (the
+        dependency ids); retyping one of them changes only its inputs."""
+        c = chain("A", "B")
+        c.transition("A", TaskStatus.RUNNING)
+        c.transition("A", TaskStatus.COMPLETED, result="ok")
+        c.transition("B", TaskStatus.RUNNING)
+        for op, message in (
+            (RemoveDependency("eAB"), "non-PENDING task 'B' was modified"),
+            (
+                UpdateDependency("eAB", {"dep_type": "SUCCESS_ONLY"}),
+                "incoming edges of non-PENDING task 'B' changed",
+            ),
+        ):
+            with pytest.raises(ValidationFailed) as err:
+                apply_delta(c, EditDelta([op]))
+            assert [str(v) for v in err.value.violations] == [f"ImmutableTask: {message}"]
 
 
 class TestJudgedOnResult:

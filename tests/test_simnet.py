@@ -13,6 +13,7 @@ from constellation import (
     VirtualClock,
     build_constellation,
 )
+from constellation.errors import IncompleteRun
 from constellation.simnet.metrics import (
     _peak_overlap,
     compute_metrics,
@@ -264,6 +265,15 @@ class TestMetrics:
             assert m.parallelism_ratio == pytest.approx(
                 sum(durations.values()) / expected_l, abs=1e-9
             )
+
+    def test_cycle_raises_incomplete_run(self):
+        """A 2-cycle, made with the raw op (a delta would refuse it), leaves
+        the topological order short of the task count."""
+        c = build_constellation({"tasks": [{"id": tid, "device": "dev"} for tid in "PQR"]})
+        c._add_dependency({"id": "ePQ", "from_task": "P", "to_task": "Q"})
+        c._add_dependency({"id": "eQP", "from_task": "Q", "to_task": "P"})
+        with pytest.raises(IncompleteRun, match="dependency graph contains a cycle"):
+            metrics_from_durations(c, {tid: 1.0 for tid in "PQR"})
 
     def test_compute_metrics_reports_actual_peak(self):
         c, _ = fig4_with_uniform_durations()
