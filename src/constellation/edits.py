@@ -5,10 +5,12 @@ The clone shares the pre-state's frozen records, and an op replaces the
 records it changes, so the pre-state is never touched. The ops only parse
 and mutate, so a delta is judged on its result: the post-state is checked
 once, for structure (``validate``) and for edit locality (no non-PENDING
-task changed), together with any id a build op's config repeats. Either it
-passes, commits and the version rises by exactly one, or one error
-propagates: the op's parse or lookup error, or one ``ValidationFailed``
-listing every violation.
+task changed), together with any id a build op's config repeats. A delta
+of edit ops is checked only where it replaced records; a build op, or a
+fault found there, brings the whole-graph check. Either the delta passes,
+commits and the version rises by exactly one, or one error propagates: the
+op's parse or lookup error, or one ``ValidationFailed`` listing every
+violation.
 """
 
 from __future__ import annotations
@@ -99,6 +101,14 @@ def apply_delta(
     """Apply every op in order on a clone, check the result once, and
     commit with the version bumped once.
 
+    ``constellation`` must be valid, as every graph made by
+    ``model.from_entries`` or committed here is. The check then needs only
+    what the ops replaced: the edges they added or updated (endpoints,
+    condition, no parallel edge, no cycle downstream of their targets) and
+    the locality of the tasks they touched. A build op, or a fault found there,
+    runs the full ``validate`` instead, so violations are listed the same
+    way whatever the delta's size.
+
     Any failure aborts the whole delta and propagates; the caller's
     pre-state object is never mutated.
     """
@@ -133,7 +143,8 @@ def apply_delta(
             summary.added_dependencies += len(working.edges)
         else:
             raise ParseError(f"unknown edit op {op!r}")
-    violations.extend(working.validate())
+    if not working._changes_valid():
+        violations.extend(working.validate())
     violations.extend(edit_locality_violations(constellation, working))
     if violations:
         raise ValidationFailed(violations)
@@ -150,10 +161,16 @@ def edit_locality_violations(
     their incoming edge records equal across the edit; the frozen records
     are compared directly. Outgoing edges of terminal tasks may be rewired,
     since only the (PENDING) downstream endpoint's inputs change.
+
+    ``post`` is either a clone of ``pre`` changed by the raw ops, and then
+    only the tasks they recorded as replaced are compared, in id order, or
+    a graph made another way (a build op's), and then every task of ``pre``.
     """
+    touched = pre.tasks if post._touched_tasks is None else post._touched_tasks
     violations: List[Violation] = []
-    for task_id, task in sorted(pre.tasks.items()):
-        if task.status is TaskStatus.PENDING:
+    for task_id in sorted(touched):
+        task = pre.tasks.get(task_id)
+        if task is None or task.status is TaskStatus.PENDING:
             continue
         if task_id not in post.tasks:
             violations.append(

@@ -16,19 +16,25 @@ mutate: they raise ``NotFound``, ``DuplicateId``, ``ParseError`` and
 non-PENDING tasks to the one check of the result.
 
 Task and dependency records are frozen: ``transition`` and the raw ops store
-a replaced record instead of changing one, so ``clone`` copies only the two
-dicts and versions share every record they did not change (path copying).
-The incoming-edge ids of each task are a derived index, built lazily from
-``edges``, dropped by the raw ops that change the structure, and shared by
-clones, which have the same structure.
+a replaced record instead of changing one, so ``clone`` copies only the dicts
+and versions share every record they did not change (path copying). Two
+derived indexes map each task to the ids of its incoming (id-sorted) and
+outgoing edges. They are built with the graph, kept up to date by the raw
+ops, and copied by ``clone`` as dicts sharing their immutable tuples.
+
+On a clone, the raw ops also record what they replaced: the ids of tasks
+whose record or incoming edges changed, and of edges added or updated. A
+commit judges a small delta from these records alone (see
+``edits.apply_delta``).
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import (
     DuplicateId,
@@ -140,8 +146,14 @@ class TaskConstellation:
         self.tasks: Dict[str, TaskStar] = {}
         self.edges: Dict[str, TaskStarLine] = {}
         self.version = 0
-        # Endpoint id -> incoming edge ids, id-sorted; None until first read.
-        self._incoming: Optional[Dict[str, Tuple[str, ...]]] = None
+        # Endpoint id -> incoming edge ids, id-sorted, and outgoing edge ids.
+        self._incoming: Dict[str, Tuple[str, ...]] = {}
+        self._outgoing: Dict[str, Tuple[str, ...]] = {}
+        # Ids of tasks whose record or incoming edges the raw ops replaced,
+        # and of edges they added or updated, since ``clone``; None on a
+        # graph made another way, whose every record counts as replaced.
+        self._touched_tasks: Optional[Set[str]] = None
+        self._touched_edges: Optional[Set[str]] = None
 
     # -- queries ---------------------------------------------------------
 
@@ -158,19 +170,28 @@ class TaskConstellation:
             raise NotFound(f"no dependency {edge_id!r}") from None
 
     def incoming(self, task_id: str) -> List[TaskStarLine]:
-        return [self.edges[edge_id] for edge_id in self._incoming_ids(task_id)]
+        return [self.edges[edge_id] for edge_id in self._incoming.get(task_id, ())]
 
     def dependencies_of(self, task_id: str) -> List[str]:
         """Incoming edge ids of a task, the derived `dependencies` field."""
-        return list(self._incoming_ids(task_id))
+        return list(self._incoming.get(task_id, ()))
 
-    def _incoming_ids(self, task_id: str) -> Tuple[str, ...]:
-        if self._incoming is None:
-            index: Dict[str, List[str]] = {}
-            for edge_id in sorted(self.edges):
-                index.setdefault(self.edges[edge_id].to_task, []).append(edge_id)
-            self._incoming = {task: tuple(ids) for task, ids in index.items()}
-        return self._incoming.get(task_id, ())
+    def _index_edges(self) -> None:
+        """Build both indexes from ``edges``."""
+        incoming: Dict[str, List[str]] = {}
+        outgoing: Dict[str, List[str]] = {}
+        for edge_id in sorted(self.edges):
+            edge = self.edges[edge_id]
+            incoming.setdefault(edge.to_task, []).append(edge_id)
+            outgoing.setdefault(edge.from_task, []).append(edge_id)
+        self._incoming = {task: tuple(ids) for task, ids in incoming.items()}
+        self._outgoing = {task: tuple(ids) for task, ids in outgoing.items()}
+
+    def _touch(self, task_id: str, edge_id: Optional[str] = None) -> None:
+        if self._touched_tasks is not None:
+            self._touched_tasks.add(task_id)
+            if edge_id is not None:
+                self._touched_edges.add(edge_id)
 
     # -- raw ops (no version bump, no check of the result; see apply_delta) --
 
@@ -179,31 +200,43 @@ class TaskConstellation:
         if task.id in self.tasks:
             raise DuplicateId(f"task id {task.id!r} already present")
         self.tasks[task.id] = task
+        self._touch(task.id)
 
     def _remove_task(self, task_id: str) -> None:
         self.task(task_id)
-        for edge in list(self.edges.values()):
-            if task_id in (edge.from_task, edge.to_task):
-                del self.edges[edge.id]
+        incident = (*self._incoming.get(task_id, ()), *self._outgoing.get(task_id, ()))
+        for edge_id in dict.fromkeys(incident):
+            self._remove_dependency(edge_id)
         del self.tasks[task_id]
-        self._incoming = None
+        self._touch(task_id)
 
     def _update_task(self, task_id: str, patch: Dict[str, Any]) -> None:
         task = self.task(task_id)
         _check_patch(patch, EDITABLE_TASK_FIELDS, f"task {task_id!r}")
-        parsed = task_from_entry({**patch, "id": task_id}, created=True)
+        parsed = task_from_entry({"device": task.device, **patch, "id": task_id}, created=True)
         self.tasks[task_id] = replace(task, **{key: getattr(parsed, key) for key in patch})
+        self._touch(task_id)
 
     def _add_dependency(self, spec: Dict[str, Any]) -> None:
         edge = edge_from_entry(spec)
         if edge.id in self.edges:
             raise DuplicateId(f"dependency id {edge.id!r} already present")
         self.edges[edge.id] = edge
-        self._incoming = None
+        ids = self._incoming.get(edge.to_task, ())
+        at = bisect(ids, edge.id)
+        self._incoming[edge.to_task] = ids[:at] + (edge.id,) + ids[at:]
+        self._outgoing[edge.from_task] = self._outgoing.get(edge.from_task, ()) + (edge.id,)
+        self._touch(edge.to_task, edge.id)
 
     def _remove_dependency(self, edge_id: str) -> None:
-        del self.edges[self.edge(edge_id).id]
-        self._incoming = None
+        edge = self.edges.pop(self.edge(edge_id).id)
+        for index, task_id in ((self._incoming, edge.to_task), (self._outgoing, edge.from_task)):
+            ids = tuple(other for other in index[task_id] if other != edge_id)
+            if ids:
+                index[task_id] = ids
+            else:
+                del index[task_id]
+        self._touch(edge.to_task)
 
     def _update_dependency(self, edge_id: str, patch: Dict[str, Any]) -> None:
         edge = self.edge(edge_id)
@@ -212,6 +245,7 @@ class TaskConstellation:
             {**patch, "id": edge_id, "from_task": edge.from_task, "to_task": edge.to_task}
         )
         self.edges[edge_id] = replace(edge, **{key: getattr(parsed, key) for key in patch})
+        self._touch(edge.to_task, edge_id)
 
     # -- engine-owned status transitions ---------------------------------
 
@@ -267,6 +301,50 @@ class TaskConstellation:
                 )
         return violations
 
+    def _changes_valid(self) -> bool:
+        """Whether ``validate()`` would return no violation, judged from the
+        edges the raw ops added or updated since ``clone`` alone.
+
+        Exact when the cloned graph was valid: removals add no violation,
+        the raw ops set no result, a new parallel pair has an added edge
+        and a new cycle runs through one. False when there is no record to
+        judge from.
+        """
+        if self._touched_edges is None:
+            return False
+        added = [self.edges[edge_id] for edge_id in self._touched_edges if edge_id in self.edges]
+        for edge in added:
+            condition_id = edge.dep_type.condition_id
+            if (
+                edge.from_task not in self.tasks
+                or edge.to_task not in self.tasks
+                or (edge.dep_type.kind is DependencyKind.CONDITIONAL and condition_id not in CONDITIONS)
+            ):
+                return False
+        targets = {edge.to_task for edge in added}
+        for task_id in targets:
+            sources = [self.edges[edge_id].from_task for edge_id in self._incoming[task_id]]
+            if len(set(sources)) < len(sources):
+                return False
+        return not self._cycle_downstream_of(targets)
+
+    def _cycle_downstream_of(self, starts: Set[str]) -> bool:
+        """Whether a cycle runs through the tasks reachable from ``starts``.
+
+        A forward search over the outgoing index collects them, then Kahn's
+        peel of that region leaves a cycle behind. A cycle through an added
+        edge lies wholly downstream of its target (a self-loop included),
+        so one search from all targets costs what they reach, once.
+        """
+        successors: Dict[str, List[str]] = {}
+        stack = list(starts)
+        while stack:
+            node = stack.pop()
+            if node not in successors:
+                successors[node] = [self.edges[edge_id].to_task for edge_id in self._outgoing.get(node, ())]
+                stack.extend(successors[node])
+        return len(_kahn_order(successors, successors)) < len(successors)
+
     def _find_cycle(self) -> Set[str]:
         """Kahn peel; returns the node set of the residual cyclic core."""
         return set(self.tasks).difference(self.topological_order())
@@ -274,25 +352,13 @@ class TaskConstellation:
     def topological_order(self) -> List[str]:
         """Kahn's order, smallest ready id first. Tasks on or behind a cycle
         are left out, so a shorter order than ``tasks`` means a cycle. The
-        adjacency is built here from ``edges``, not from the cached index,
-        so a corrupted dict shows."""
-        indegree = dict.fromkeys(self.tasks, 0)
+        adjacency is built here from ``edges``, not from the indexes, so a
+        corrupted dict shows."""
         successors: Dict[str, List[str]] = {}
         for edge in self.edges.values():
-            if edge.from_task in indegree and edge.to_task in indegree:
-                indegree[edge.to_task] += 1
+            if edge.from_task in self.tasks and edge.to_task in self.tasks:
                 successors.setdefault(edge.from_task, []).append(edge.to_task)
-        ready = [t for t, d in indegree.items() if d == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            node = heapq.heappop(ready)
-            order.append(node)
-            for successor in successors.get(node, ()):
-                indegree[successor] -= 1
-                if indegree[successor] == 0:
-                    heapq.heappush(ready, successor)
-        return order
+        return _kahn_order(self.tasks, successors)
 
     # -- readiness -------------------------------------------------------
 
@@ -329,18 +395,42 @@ class TaskConstellation:
     # -- copies and equality ---------------------------------------------
 
     def clone(self) -> "TaskConstellation":
-        """A new version sharing every (frozen) record and the index."""
+        """A new version sharing every (frozen) record and index tuple, with
+        nothing yet recorded as replaced."""
         other = TaskConstellation(self.request)
         other.version = self.version
         other.tasks = dict(self.tasks)
         other.edges = dict(self.edges)
-        other._incoming = self._incoming
+        other._incoming = dict(self._incoming)
+        other._outgoing = dict(self._outgoing)
+        other._touched_tasks = set()
+        other._touched_edges = set()
         return other
 
     def structurally_equal(self, other: "TaskConstellation") -> bool:
         from .serial import serialize
 
         return serialize(self) == serialize(other)
+
+
+def _kahn_order(nodes: Iterable[str], successors: Dict[str, List[str]]) -> List[str]:
+    """Kahn's order of ``nodes``, smallest ready id first, leaving out the
+    nodes on or behind a cycle. Every successor must be one of ``nodes``."""
+    indegree = dict.fromkeys(nodes, 0)
+    for targets in successors.values():
+        for target in targets:
+            indegree[target] += 1
+    ready = [node for node, degree in indegree.items() if degree == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for successor in successors.get(node, ()):
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                heapq.heappush(ready, successor)
+    return order
 
 
 def _condition_holds(edge: TaskStarLine, upstream: TaskStar) -> bool:
@@ -370,6 +460,8 @@ def task_from_entry(entry: Dict[str, Any], created: bool) -> TaskStar:
     spec or build-config entry, which may not carry _DOCUMENT_TASK_FIELDS."""
     allowed = {"id", *EDITABLE_TASK_FIELDS, *(() if created else _DOCUMENT_TASK_FIELDS)}
     task_id = _entry_id(entry, "task", allowed)
+    if "device" not in entry:
+        raise ParseError(f"task {task_id!r} requires a device")
     tips = entry.get("tips", [])
     if not isinstance(tips, list) or not all(isinstance(tip, str) for tip in tips):
         raise ParseError(f"task {task_id!r}: tips must be a list of strings, not {tips!r}")
@@ -482,4 +574,5 @@ def insert_entries(
             violations.append(Violation("DuplicateId", f"dependency id {edge.id!r} appears twice"))
         else:
             constellation.edges[edge.id] = edge
+    constellation._index_edges()
     return constellation, violations

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .edits import EditDelta, delta_from_doc
 from .errors import IllegalTransition, ParseError, ScriptMiss
@@ -101,18 +101,35 @@ class Trigger:
     def matches(self, batch: Sequence[OrchestratorEvent]) -> bool:
         if len(self.patterns) != len(batch):
             return False
-        return self._match(list(self.patterns), list(batch))
+        return self._match(self.patterns, batch)
 
     @staticmethod
-    def _match(patterns: List[Tuple[EventKind, str]], events: List[OrchestratorEvent]) -> bool:
-        if not patterns:
-            return True
-        kind, glob = patterns[0]
-        for i, event in enumerate(events):
-            if event.kind is kind and fnmatch.fnmatchcase(event.task_id, glob):
-                if Trigger._match(patterns[1:], events[:i] + events[i + 1 :]):
-                    return True
-        return False
+    def _match(
+        patterns: Sequence[Tuple[EventKind, str]], events: Sequence[OrchestratorEvent]
+    ) -> bool:
+        """Whether every pattern can take an event of its own: a perfect
+        bipartite matching, grown one pattern at a time along augmenting
+        paths (Kuhn's method), after one glob test per pattern and event."""
+        compatible = [
+            [
+                index
+                for index, event in enumerate(events)
+                if event.kind is kind and fnmatch.fnmatchcase(event.task_id, glob)
+            ]
+            for kind, glob in patterns
+        ]
+        owner: Dict[int, int] = {}  # event index -> pattern index
+
+        def augment(pattern: int, visited: Set[int]) -> bool:
+            for index in compatible[pattern]:
+                if index not in visited:
+                    visited.add(index)
+                    if index not in owner or augment(owner[index], visited):
+                        owner[index] = pattern
+                        return True
+            return False
+
+        return all(augment(pattern, set()) for pattern in range(len(patterns)))
 
 
 @dataclass

@@ -49,6 +49,13 @@ class TestValidate:
             "UnknownCondition"
         ]
 
+    def test_task_without_device_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"tasks": [{"id": "A"}]}))
+        code, lines = run_cli(capsys, "validate", "--constellation", str(bad))
+        assert code == 2
+        assert "device" in lines[0]["error"]
+
     def test_missing_file_exits_two(self, capsys):
         code, lines = run_cli(capsys, "validate", "--constellation", "/no/such/file.json")
         assert code == 2

@@ -17,13 +17,14 @@ from constellation import (
     UpdateDependency,
     UpdateTask,
     ValidationFailed,
+    Violation,
     apply_delta,
     build_constellation,
     deserialize,
     from_document,
     serialize,
 )
-from constellation import serial
+from constellation import edits, serial
 from constellation.edits import delta_from_doc, edit_locality_violations, op_from_doc
 from constellation.errors import ConstellationError, IllegalField, ParseError
 from conftest import layered_config, random_dag, scanned_incoming
@@ -110,9 +111,10 @@ class TestBuildConstellation:
         assert summary.added_tasks == 1 and summary.added_dependencies == 0
 
     def test_layered_build_runs_one_cycle_check(self, monkeypatch):
-        """A bulk build, a delta holding one build op and a delta of many
-        edges all insert everything, then validate once: one Kahn pass,
-        not one per edge."""
+        """A bulk build and a delta holding one build op insert everything,
+        then validate once: one Kahn pass, not one per edge. A delta of
+        many edges into a valid graph is checked from the edges it added,
+        with no Kahn pass over the whole graph."""
         config = layered_config(100, width=10, fan_in=2)
         calls = []
         find_cycle = TaskConstellation._find_cycle
@@ -121,14 +123,14 @@ class TestBuildConstellation:
             calls.append(1)
             return find_cycle(self)
 
-        for prepare, edges in ((by_build, 180), (by_build_op, 180), (by_edge_ops, 20)):
+        for prepare, edges, passes in ((by_build, 180, 1), (by_build_op, 180, 1), (by_edge_ops, 20, 0)):
             run = prepare(config)
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(TaskConstellation, "_find_cycle", counted)
                 built = run()
             assert (len(built.tasks), len(built.edges)) == (100, edges)
-            assert len(calls) == 1, prepare.__name__
+            assert len(calls) == passes, prepare.__name__
 
 
 class TestApplyDelta:
@@ -210,6 +212,41 @@ class TestApplyDelta:
         post, _ = apply_delta(c, EditDelta([AddTask({"id": "new", "device": "dev0"})]))
         assert len(post.tasks) == 1001
         assert len(calls) <= 2
+
+    def test_many_edges_are_searched_for_cycles_once(self, monkeypatch):
+        """One forward search from all added edges' targets, not one per
+        edge, so an edge-only delta costs about what one Kahn pass does."""
+        config = layered_config(100, width=10, fan_in=2)
+        base = build_constellation({"tasks": config["tasks"]})
+        calls = []
+        search = TaskConstellation._cycle_downstream_of
+
+        def counted(self, starts):
+            calls.append(len(starts))
+            return search(self, starts)
+
+        monkeypatch.setattr(TaskConstellation, "_cycle_downstream_of", counted)
+        post, _ = apply_delta(base, EditDelta([AddDependency(e) for e in config["dependencies"]]))
+        assert len(post.edges) == 180 and calls == [90]
+
+    def test_small_delta_on_a_large_graph_runs_no_whole_graph_check(self, monkeypatch):
+        c = build_constellation(layered_config(2000, width=10, fan_in=2))
+
+        def refuse(self):
+            raise AssertionError("whole-graph check on a small delta")
+
+        monkeypatch.setattr(TaskConstellation, "validate", refuse)
+        monkeypatch.setattr(TaskConstellation, "topological_order", refuse)
+        delta = EditDelta(
+            [
+                AddTask({"id": "new", "device": "dev0"}),
+                AddDependency({"id": "t1990>new", "from_task": "t1990", "to_task": "new"}),
+                AddDependency({"id": "t005>new", "from_task": "t005", "to_task": "new"}),
+            ]
+        )
+        post, _ = apply_delta(c, delta)
+        assert [e.id for e in post.incoming("new")] == ["t005>new", "t1990>new"]
+        assert post.version == c.version + 1
 
     def test_update_dependency_kind(self):
         c = build_constellation(FIG4_CONFIG)
@@ -312,6 +349,7 @@ class TestEntryParsing:
         [
             ("task", {"device": "d"}, ParseError),
             ("task", {"id": "", "device": "d"}, ParseError),
+            ("task", {"id": "C"}, ParseError),
             ("task", "not an object", ParseError),
             ("task", {"id": "C", "device": "d", "colour": "red"}, IllegalField),
             ("dependency", {"id": "e", "from_task": "A", "to_task": "B", "dep_type": "BOGUS"}, ParseError),
@@ -337,6 +375,7 @@ class TestEntryParsing:
         ids=[
             "task-missing-id",
             "task-empty-id",
+            "task-missing-device",
             "task-not-object",
             "task-unknown-field",
             "dep-bad-dep_type",
@@ -506,6 +545,16 @@ def assert_index_matches_scan(c):
     endpoints = {*c.tasks, *(t for e in c.edges.values() for t in (e.from_task, e.to_task))}
     for task_id in endpoints:
         assert c.incoming(task_id) == scanned_incoming(c, task_id), task_id
+    assert set(c._incoming) == {e.to_task for e in c.edges.values()}
+
+
+def assert_outgoing_matches_scan(c):
+    scanned = {}
+    for edge_id, edge in c.edges.items():
+        scanned.setdefault(edge.from_task, []).append(edge_id)
+    assert {task: sorted(ids) for task, ids in c._outgoing.items()} == {
+        task: sorted(ids) for task, ids in scanned.items()
+    }
 
 
 def records(c):
@@ -524,8 +573,7 @@ class TestHostileDeltas:
             pre = hostile_graph(rng)
             ops = [hostile_op(rng, pre) for _ in range(rng.randint(1, 4))]
             before, before_records = serialize(pre), records(pre)
-            if seed % 2:
-                assert_index_matches_scan(pre)  # built before the delta's clone shares it
+            assert_index_matches_scan(pre)
             try:
                 post, _ = apply_delta(pre, EditDelta(ops))
             except ConstellationError:
@@ -537,10 +585,90 @@ class TestHostileDeltas:
                 assert post.version == pre.version + 1
                 assert deserialize(serialize(post)).structurally_equal(post), (seed, ops)
                 assert_index_matches_scan(post)
+                assert_outgoing_matches_scan(post)
             assert serialize(pre) == before, (seed, ops)
             after_records = records(pre)
             assert len(after_records) == len(before_records), (seed, ops)
             for (key, record), (key_after, record_after) in zip(before_records, after_records):
                 assert key == key_after and record is record_after, (seed, ops)
             assert_index_matches_scan(pre)
+            assert_outgoing_matches_scan(pre)
         assert min(outcomes.values()) >= 150, outcomes
+
+
+def reshaping_ops(rng, c):
+    """Ops that reuse ids or endpoints within one delta: a task removed and
+    added back, an edge removed and added back (perhaps reversed), or an
+    edge added (perhaps a self-loop) and then one of its endpoints removed."""
+    tasks = sorted(c.tasks)
+    kind = rng.randrange(3)
+    if kind == 0:
+        task_id = rng.choice(tasks)
+        return [RemoveTask(task_id), AddTask({"id": task_id, "device": "dev1"})]
+    if kind == 1 and c.edges:
+        edge = c.edges[rng.choice(sorted(c.edges))]
+        from_task, to_task = rng.choice(
+            [(edge.from_task, edge.to_task), (edge.to_task, edge.from_task)]
+        )
+        spec = {"id": edge.id, "from_task": from_task, "to_task": to_task}
+        return [RemoveDependency(edge.id), AddDependency(spec)]
+    from_task, to_task = rng.choice(tasks), rng.choice(tasks)
+    spec = {"id": "eR", "from_task": from_task, "to_task": to_task}
+    return [AddDependency(spec), RemoveTask(rng.choice([from_task, to_task]))]
+
+
+def whole_graph_locality(pre, post):
+    """The full locality walk: every non-PENDING task of ``pre``, whatever
+    the delta touched."""
+    violations = []
+    for task_id, task in sorted(pre.tasks.items()):
+        if task.status is TaskStatus.PENDING:
+            continue
+        if task_id not in post.tasks:
+            violations.append(
+                Violation("ImmutableTask", f"non-PENDING task {task_id!r} was removed")
+            )
+        elif post.tasks[task_id] != task or pre.dependencies_of(task_id) != post.dependencies_of(task_id):
+            violations.append(
+                Violation("ImmutableTask", f"non-PENDING task {task_id!r} was modified")
+            )
+        elif pre.incoming(task_id) != post.incoming(task_id):
+            violations.append(
+                Violation("ImmutableTask", f"incoming edges of non-PENDING task {task_id!r} changed")
+            )
+    return violations
+
+
+def outcome(pre, ops):
+    try:
+        post, summary = apply_delta(pre, EditDelta(ops))
+    except ConstellationError as exc:
+        return type(exc).__name__, str(exc), [str(v) for v in getattr(exc, "violations", ())]
+    assert_index_matches_scan(post)
+    assert_outgoing_matches_scan(post)
+    return "committed", serialize(post), summary.as_dict()
+
+
+class TestIncrementalCheck:
+    """A delta of edit ops is checked only where it replaced records; the
+    whole-graph check (``validate`` plus the full locality walk) is the
+    oracle it must agree with exactly."""
+
+    def test_same_outcome_as_the_whole_graph_check(self, monkeypatch):
+        outcomes = {}
+        for seed in range(2000):
+            rng = random.Random(seed)
+            pre = hostile_graph(rng)
+            ops = []
+            for _ in range(rng.randint(1, 4)):
+                ops += reshaping_ops(rng, pre) if rng.random() < 0.4 else [hostile_op(rng, pre)]
+            got = outcome(pre, ops)
+            with monkeypatch.context() as patch:
+                patch.setattr(TaskConstellation, "_changes_valid", lambda self: False)
+                patch.setattr(edits, "edit_locality_violations", whole_graph_locality)
+                expected = outcome(pre, ops)
+            assert got == expected, (seed, ops)
+            assert_index_matches_scan(pre)
+            assert_outgoing_matches_scan(pre)
+            outcomes[got[0]] = outcomes.get(got[0], 0) + 1
+        assert outcomes["committed"] >= 200 and outcomes["ValidationFailed"] >= 400, outcomes

@@ -4,6 +4,7 @@ import pytest
 
 from constellation import (
     AddDependency,
+    AddTask,
     EditDelta,
     EngineConfig,
     FailureReason,
@@ -382,6 +383,27 @@ class TestRejectedDelta:
         assert report.error is None
         assert report.outcome is RunOutcome.SUCCESS
         assert seen[0] == () and "BOGUS" in seen[1][0]
+        assert report.edit_cycles[0].represented
+
+    def test_task_without_device_is_represented(self):
+        from constellation import PlannerOutput, PlannerState
+
+        seen = []
+
+        class NoDevice(Planner):
+            def edit(self, planner_input):
+                seen.append(planner_input.violations)
+                delta = EditDelta()
+                if planner_input.round_index == 0 and not planner_input.violations:
+                    delta = EditDelta([AddTask({"id": "F"})])
+                return PlannerOutput(
+                    observation="", thought="", next_state=PlannerState.CONTINUE, delta=delta
+                )
+
+        report = run_fig4(planner=NoDevice())
+        assert report.error is None
+        assert report.outcome is RunOutcome.SUCCESS
+        assert seen[0] == () and seen[1] == ("task 'F' requires a device",)
         assert report.edit_cycles[0].represented
 
 

@@ -1,5 +1,6 @@
 """Core graph model: edit preconditions, validation, readiness."""
 
+import copy
 import dataclasses
 import random
 
@@ -27,7 +28,8 @@ from constellation import (
     build_constellation,
     serialize,
 )
-from constellation.errors import IllegalField
+from constellation.errors import IllegalField, ParseError
+from constellation.serial import from_document, to_document
 from constellation.model import CONDITIONS, DependencyKind
 from conftest import random_dag, scanned_incoming
 
@@ -99,6 +101,15 @@ class TestTaskOps:
         c = chain("A")
         c.transition("A", TaskStatus.RUNNING)
         assert_invalid(c, [UpdateTask("A", {"description": "too late"})], "ImmutableTask")
+
+    def test_task_needs_a_device(self):
+        with pytest.raises(ParseError, match="requires a device"):
+            from_document({"tasks": [{"id": "A"}]})
+        assert_rejected(chain("A"), AddTask({"id": "B"}), ParseError)
+
+    def test_patch_without_device_keeps_the_device(self):
+        post = apply_one(chain("A"), UpdateTask("A", {"name": "renamed"}))
+        assert (post.tasks["A"].name, post.tasks["A"].device) == ("renamed", "dev")
 
     def test_missing_task_raises_not_found(self):
         with pytest.raises(NotFound):
@@ -381,6 +392,39 @@ class TestCopies:
         twin.transition("A", TaskStatus.RUNNING)
         assert built == ["TaskStar"]  # the one record the transition replaced
         assert [t for t in fig4.tasks if twin.tasks[t] is not fig4.tasks[t]] == ["A"]
+
+    def test_shared_results_are_never_mutated(self):
+        """A JSON object or list result is shared, not copied, by every
+        version: a commit, a clone and a document round trip."""
+        results = {"A": {"rows": [1, 2], "meta": {"ok": True}}, "B": [1, {"x": [2]}]}
+        doc = {
+            "tasks": [
+                *({"id": t, "device": "dev", "status": "COMPLETED", "result": r} for t, r in results.items()),
+                {"id": "C", "device": "dev"},
+            ],
+            "dependencies": [
+                {"id": "eAC", "from_task": "A", "to_task": "C"},
+                {"id": "eBC", "from_task": "B", "to_task": "C"},
+            ],
+        }
+        copies = copy.deepcopy(results)
+        c = from_document(doc)
+        post, _ = apply_delta(
+            c,
+            EditDelta(
+                [
+                    AddTask({"id": "D", "device": "dev"}),
+                    AddDependency({"id": "eAD", "from_task": "A", "to_task": "D"}),
+                    UpdateTask("C", {"description": "reworded"}),
+                ]
+            ),
+        )
+        twin = post.clone()
+        round_trip = from_document(to_document(twin))
+        for version in (c, post, twin, round_trip):
+            for task_id, result in results.items():
+                assert version.tasks[task_id].result is result
+                assert result == copies[task_id]
 
     def test_structural_equality(self, fig4):
         assert fig4.structurally_equal(fig4.clone())

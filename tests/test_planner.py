@@ -1,5 +1,8 @@
 """Planner FSM, scripted trigger matching, template substitution."""
 
+import fnmatch
+import random
+
 import pytest
 
 from constellation import (
@@ -82,6 +85,51 @@ class TestTrigger:
         trig = Trigger(())
         assert trig.matches([])
         assert not trig.matches([event(EventKind.TASK_COMPLETED, "A")])
+
+    def test_matching_agrees_with_backtracking_oracle(self):
+        kinds = (EventKind.TASK_COMPLETED, EventKind.TASK_FAILED)
+        globs = ("*", "A", "B", "[AB]", "C*", "?")
+        ids = ("A", "B", "C", "C1", "AB")
+        outcomes = {True: 0, False: 0}
+        for seed in range(3000):
+            rng = random.Random(seed)
+            size = rng.randint(0, 6)
+            patterns = tuple((rng.choice(kinds), rng.choice(globs)) for _ in range(size))
+            batch = [event(rng.choice(kinds), rng.choice(ids)) for _ in range(size)]
+            expected = backtracking_match(list(patterns), batch)
+            assert Trigger(patterns).matches(batch) is expected, (patterns, batch)
+            outcomes[expected] += 1
+        assert min(outcomes.values()) >= 500, outcomes
+
+    def test_unmatchable_trigger_needs_one_glob_test_per_pair(self, monkeypatch):
+        """63 completions and a failure against 64 completions: backtracking
+        tries every assignment of the 63 patterns before giving up."""
+        size = 64
+        patterns = ((EventKind.TASK_COMPLETED, "*"),) * (size - 1) + ((EventKind.TASK_FAILED, "*"),)
+        batch = [event(EventKind.TASK_COMPLETED, f"t{i}") for i in range(size)]
+        calls = []
+        fnmatchcase = fnmatch.fnmatchcase
+
+        def counted(name, pattern):
+            calls.append(1)
+            return fnmatchcase(name, pattern)
+
+        monkeypatch.setattr(fnmatch, "fnmatchcase", counted)
+        assert not Trigger(patterns).matches(batch)
+        assert len(calls) <= size * size
+
+
+def backtracking_match(patterns, events):
+    """The former ``Trigger._match``: try each event for the first pattern,
+    then match the rest recursively."""
+    if not patterns:
+        return True
+    kind, glob = patterns[0]
+    for i, candidate in enumerate(events):
+        if candidate.kind is kind and fnmatch.fnmatchcase(candidate.task_id, glob):
+            if backtracking_match(patterns[1:], events[:i] + events[i + 1 :]):
+                return True
+    return False
 
 
 class TestScriptedPlanner:
