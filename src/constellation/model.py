@@ -26,15 +26,24 @@ On a clone, the raw ops also record what they replaced: the ids of tasks
 whose record or incoming edges changed, and of edges added or updated. A
 commit judges a small delta from these records alone (see
 ``edits.apply_delta``).
+
+Readiness is kept, not searched for (Kahn's in-degree counts, applied to
+edge satisfaction): each PENDING task's count of unsatisfied incoming edges,
+the PENDING tasks whose count is zero, and the RUNNING tasks. The first
+query of a graph that has none counts every task once; after that
+``transition`` lowers the counts of a task's downstream tasks when it turns
+terminal (satisfaction only ever goes from false to true, since a terminal
+record never changes), and a query recounts only the tasks the raw ops
+touched since the last one. ``clone`` copies the counts and sets.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import (
     DuplicateId,
@@ -52,9 +61,10 @@ class TaskStatus(Enum):
     COMPLETED = "COMPLETED"
     FAILED = "FAILED"
 
-    @property
-    def terminal(self) -> bool:
-        return self in (TaskStatus.COMPLETED, TaskStatus.FAILED)
+    def __init__(self, value: str) -> None:
+        # A plain attribute, not a property: the readiness upkeep reads it
+        # per edge, and a member lookup through the enum class is slow.
+        self.terminal = value in ("COMPLETED", "FAILED")
 
 
 # PENDING -> FAILED covers planner cancellation and the dependency timeout
@@ -92,10 +102,9 @@ class DependencyType:
         if self.kind is not DependencyKind.CONDITIONAL and self.condition_id:
             raise ValueError("condition_id only valid on CONDITIONAL dependencies")
 
-    @classmethod
-    def unconditional(cls) -> "DependencyType":
-        return cls(DependencyKind.UNCONDITIONAL)
 
+# The type of every UNCONDITIONAL edge: records are frozen, so one is shared.
+UNCONDITIONAL = DependencyType(DependencyKind.UNCONDITIONAL)
 
 # Named predicates a CONDITIONAL edge may use, evaluated over the upstream
 # task's result; an edge naming any other is a validation violation.
@@ -103,11 +112,14 @@ CONDITIONS: Dict[str, Callable[[Any], bool]] = {"always": lambda _result: True}
 
 # Fields an editor may patch on a task; status/result are engine-owned.
 EDITABLE_TASK_FIELDS = ("name", "description", "device", "tips")
-EDITABLE_EDGE_FIELDS = ("dep_type", "description")
+EDITABLE_EDGE_FIELDS = ("dep_type", "condition_id", "description")
 # Task fields only a document may carry: the engine-owned ones, and the
 # `dependencies` list derived from the edges (read back, never trusted).
 _DOCUMENT_TASK_FIELDS = ("status", "result", "failure_reason", "dependencies")
-_EDGE_FIELDS = ("id", "from_task", "to_task", "dep_type", "condition_id", "description")
+# The keys each kind of entry may carry.
+_CREATED_TASK_KEYS = frozenset(("id", *EDITABLE_TASK_FIELDS))
+_DOCUMENT_TASK_KEYS = _CREATED_TASK_KEYS.union(_DOCUMENT_TASK_FIELDS)
+_EDGE_KEYS = frozenset(("id", "from_task", "to_task", *EDITABLE_EDGE_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -127,7 +139,7 @@ class TaskStarLine:
     id: str
     from_task: str
     to_task: str
-    dep_type: DependencyType = field(default_factory=DependencyType.unconditional)
+    dep_type: DependencyType = UNCONDITIONAL
     description: str = ""
 
 
@@ -154,6 +166,13 @@ class TaskConstellation:
         # graph made another way, whose every record counts as replaced.
         self._touched_tasks: Optional[Set[str]] = None
         self._touched_edges: Optional[Set[str]] = None
+        # Readiness: PENDING task -> count of its unsatisfied incoming edges
+        # (None until first counted), the PENDING tasks counting zero, the
+        # RUNNING tasks, and the tasks to recount before the next query.
+        self._waiting: Optional[Dict[str, int]] = None
+        self._ready: Set[str] = set()
+        self._running: Set[str] = set()
+        self._stale: Set[str] = set()
 
     # -- queries ---------------------------------------------------------
 
@@ -188,6 +207,8 @@ class TaskConstellation:
         self._outgoing = {task: tuple(ids) for task, ids in outgoing.items()}
 
     def _touch(self, task_id: str, edge_id: Optional[str] = None) -> None:
+        if self._waiting is not None:
+            self._stale.add(task_id)
         if self._touched_tasks is not None:
             self._touched_tasks.add(task_id)
             if edge_id is not None:
@@ -241,10 +262,14 @@ class TaskConstellation:
     def _update_dependency(self, edge_id: str, patch: Dict[str, Any]) -> None:
         edge = self.edge(edge_id)
         _check_patch(patch, EDITABLE_EDGE_FIELDS, f"dependency {edge_id!r}")
-        parsed = edge_from_entry(
-            {**patch, "id": edge_id, "from_task": edge.from_task, "to_task": edge.to_task}
+        # A patch naming dep_type replaces the whole type, condition included;
+        # one naming condition_id alone changes the current type's condition.
+        current = {"description": edge.description}
+        if "dep_type" not in patch:
+            current.update(dep_type=edge.dep_type.kind.value, condition_id=edge.dep_type.condition_id)
+        self.edges[edge_id] = edge_from_entry(
+            {**current, **patch, "id": edge_id, "from_task": edge.from_task, "to_task": edge.to_task}
         )
-        self.edges[edge_id] = replace(edge, **{key: getattr(parsed, key) for key in patch})
         self._touch(edge.to_task, edge_id)
 
     # -- engine-owned status transitions ---------------------------------
@@ -261,8 +286,33 @@ class TaskConstellation:
             raise IllegalTransition(
                 f"illegal transition {task.status.value}->{new_status.value} on task {task_id!r}"
             )
-        changes = {"result": result, "failure_reason": failure_reason} if new_status.terminal else {}
-        self.tasks[task_id] = replace(task, status=new_status, **changes)
+        if not new_status.terminal:
+            result, failure_reason = task.result, task.failure_reason
+        self.tasks[task_id] = TaskStar(
+            id=task_id,
+            device=task.device,
+            name=task.name,
+            description=task.description,
+            tips=task.tips,
+            status=new_status,
+            result=result,
+            failure_reason=failure_reason,
+        )
+        if self._waiting is None:
+            return
+        self._waiting.pop(task_id, None)
+        self._ready.discard(task_id)
+        if new_status is TaskStatus.RUNNING:
+            self._running.add(task_id)
+            return
+        self._running.discard(task_id)
+        for edge_id in self._outgoing.get(task_id, ()):
+            edge = self.edges[edge_id]
+            unsatisfied = self._waiting.get(edge.to_task)
+            if unsatisfied is not None and self.edge_satisfied(edge):
+                self._waiting[edge.to_task] = unsatisfied - 1
+                if unsatisfied == 1:
+                    self._ready.add(edge.to_task)
 
     # -- validation ------------------------------------------------------
 
@@ -364,39 +414,66 @@ class TaskConstellation:
 
     def edge_satisfied(self, edge: TaskStarLine) -> bool:
         upstream = self.task(edge.from_task)
+        if not upstream.status.terminal:
+            return False
         kind = edge.dep_type.kind
-        if kind is DependencyKind.UNCONDITIONAL:
-            return upstream.status.terminal
         if kind is DependencyKind.SUCCESS_ONLY:
             return upstream.status is TaskStatus.COMPLETED
-        return upstream.status.terminal and _condition_holds(edge, upstream)
+        return kind is DependencyKind.UNCONDITIONAL or _condition_holds(edge, upstream)
 
     def ready_tasks(self) -> List[str]:
-        """PENDING tasks whose incoming edges are all satisfied, id-sorted."""
-        ready = []
-        for task_id in sorted(self.tasks):
-            task = self.tasks[task_id]
-            if task.status is not TaskStatus.PENDING:
-                continue
-            if all(self.edge_satisfied(e) for e in self.incoming(task_id)):
-                ready.append(task_id)
-        return ready
+        """PENDING tasks whose incoming edges are all satisfied, id-sorted.
+
+        Read from the kept ready set: a call costs sorting it, plus
+        recounting the tasks the raw ops touched since the last query.
+        """
+        self._recount()
+        return sorted(self._ready)
 
     def is_quiescent(self) -> bool:
-        """True iff no task is RUNNING and none is ready.
+        """True iff no task is RUNNING and none is ready; read from the kept
+        sets, with no scan.
 
         In an acyclic graph a PENDING task that is not ready waits, directly
         or through PENDING upstream tasks, on an edge whose terminal upstream
         can never satisfy it, so no completion can make progress.
         """
-        running = any(t.status is TaskStatus.RUNNING for t in self.tasks.values())
-        return not running and not self.ready_tasks()
+        self._recount()
+        return not self._running and not self.ready_tasks()
+
+    def _recount(self) -> None:
+        """Bring the readiness counts up to date: count every task if there
+        are none yet, else the tasks the raw ops touched since the last
+        query. A task stays due until its recount succeeds (a dangling edge
+        into a PENDING task raises ``NotFound``)."""
+        if self._waiting is None:
+            self._waiting, self._ready, self._running = {}, set(), set()
+            self._stale = set(self.tasks)
+        waiting, ready, running = self._waiting, self._ready, self._running
+        for task_id in self._stale:
+            waiting.pop(task_id, None)
+            ready.discard(task_id)
+            running.discard(task_id)
+            task = self.tasks.get(task_id)
+            if task is None:
+                continue
+            if task.status is TaskStatus.PENDING:
+                unsatisfied = 0
+                for edge_id in self._incoming.get(task_id, ()):
+                    unsatisfied += not self.edge_satisfied(self.edges[edge_id])
+                waiting[task_id] = unsatisfied
+                if not unsatisfied:
+                    ready.add(task_id)
+            elif task.status is TaskStatus.RUNNING:
+                running.add(task_id)
+        self._stale.clear()
 
     # -- copies and equality ---------------------------------------------
 
     def clone(self) -> "TaskConstellation":
         """A new version sharing every (frozen) record and index tuple, with
-        nothing yet recorded as replaced."""
+        its own copy of the readiness counts and nothing yet recorded as
+        replaced."""
         other = TaskConstellation(self.request)
         other.version = self.version
         other.tasks = dict(self.tasks)
@@ -405,6 +482,11 @@ class TaskConstellation:
         other._outgoing = dict(self._outgoing)
         other._touched_tasks = set()
         other._touched_edges = set()
+        if self._waiting is not None:
+            other._waiting = dict(self._waiting)
+            other._ready = set(self._ready)
+            other._running = set(self._running)
+            other._stale = set(self._stale)
         return other
 
     def structurally_equal(self, other: "TaskConstellation") -> bool:
@@ -458,8 +540,7 @@ def unrecovered_failures(constellation: TaskConstellation) -> List[TaskStar]:
 def task_from_entry(entry: Dict[str, Any], created: bool) -> TaskStar:
     """Parse one task entry: a document's, or with ``created`` an ``AddTask``
     spec or build-config entry, which may not carry _DOCUMENT_TASK_FIELDS."""
-    allowed = {"id", *EDITABLE_TASK_FIELDS, *(() if created else _DOCUMENT_TASK_FIELDS)}
-    task_id = _entry_id(entry, "task", allowed)
+    task_id = _entry_id(entry, "task", _CREATED_TASK_KEYS if created else _DOCUMENT_TASK_KEYS)
     if "device" not in entry:
         raise ParseError(f"task {task_id!r} requires a device")
     tips = entry.get("tips", [])
@@ -473,7 +554,7 @@ def task_from_entry(entry: Dict[str, Any], created: bool) -> TaskStar:
             description=_text(entry, "description"),
             device=_text(entry, "device"),
             tips=tuple(tips),
-            status=TaskStatus(entry.get("status", "PENDING")),
+            status=TaskStatus(entry["status"]) if "status" in entry else TaskStatus.PENDING,
             result=entry.get("result"),
             failure_reason=None if reason is None else FailureReason(reason),
         )
@@ -484,7 +565,7 @@ def task_from_entry(entry: Dict[str, Any], created: bool) -> TaskStar:
 def edge_from_entry(entry: Dict[str, Any]) -> TaskStarLine:
     """Parse one dependency entry, of a document, a build config or an
     ``AddDependency`` spec alike."""
-    edge_id = _entry_id(entry, "dependency", set(_EDGE_FIELDS))
+    edge_id = _entry_id(entry, "dependency", _EDGE_KEYS)
     for endpoint in ("from_task", "to_task"):
         if not isinstance(entry.get(endpoint), str) or not entry[endpoint]:
             raise ParseError(f"dependency {edge_id!r} requires a non-empty {endpoint}")
@@ -497,12 +578,12 @@ def edge_from_entry(entry: Dict[str, Any]) -> TaskStarLine:
     )
 
 
-def _entry_id(entry: Any, what: str, allowed: Set[str]) -> str:
+def _entry_id(entry: Any, what: str, allowed: FrozenSet[str]) -> str:
     """Check an entry's shape and field names; return its id."""
     if not isinstance(entry, dict):
         raise ParseError(f"{what} entry must be an object, not {entry!r}")
-    illegal = sorted(map(str, set(entry) - allowed))
-    if illegal:
+    if not allowed.issuperset(entry):
+        illegal = sorted(map(str, set(entry) - allowed))
         raise IllegalField(f"{what} entry cannot carry {', '.join(illegal)}")
     if not isinstance(entry.get("id"), str) or not entry["id"]:
         raise ParseError(f"{what} entry requires a non-empty id")
@@ -525,6 +606,8 @@ def _text(entry: Dict[str, Any], key: str, default: str = "") -> str:
 
 
 def _dep_type(kind: Any, condition_id: Any = None) -> DependencyType:
+    if kind == "UNCONDITIONAL" and condition_id is None:
+        return UNCONDITIONAL
     if condition_id is not None and not isinstance(condition_id, str):
         raise ParseError(f"condition_id must be a string, not {condition_id!r}")
     try:

@@ -14,6 +14,7 @@ from constellation import (
     RunOutcome,
     ScriptedDispatcher,
     ScriptedPlanner,
+    TaskConstellation,
     TaskStatus,
     VirtualClock,
     build_constellation,
@@ -127,6 +128,26 @@ class TestHappyPath:
         assert report.outcome is RunOutcome.SUCCESS
         assert report.finished_at == 160.0
         assert len(report.timings) == 1600
+
+    def test_readiness_work_is_linear_in_tasks_and_edges(self, monkeypatch):
+        """A 2 000-task layered run looks at each edge a bounded number of
+        times: readiness is kept per task, not rescanned every round."""
+        calls = dict.fromkeys(("incoming", "edge_satisfied"), 0)
+        for name in calls:
+
+            def counted(self, *args, _name=name, _original=getattr(TaskConstellation, name)):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(TaskConstellation, name, counted)
+        config = layered_config(2000, width=10, fan_in=2)
+        clock = VirtualClock()
+        engine = Orchestrator(
+            clock, NoopPlanner(), ScriptedDispatcher(clock), constellation=build_constellation(config)
+        )
+        assert engine.run().outcome is RunOutcome.SUCCESS
+        size = len(config["tasks"]) + len(config["dependencies"])
+        assert sum(calls.values()) <= 2 * size, calls
 
 
 def three_independent_tasks():

@@ -28,10 +28,11 @@ from constellation import (
     build_constellation,
     serialize,
 )
-from constellation.errors import IllegalField, ParseError
+from constellation.errors import ConstellationError, IllegalField, ParseError
 from constellation.serial import from_document, to_document
-from constellation.model import CONDITIONS, DependencyKind
+from constellation.model import CONDITIONS, DependencyKind, DependencyType
 from conftest import random_dag, scanned_incoming
+from test_edits import hostile_graph, hostile_op
 
 
 def chain(*ids):
@@ -159,6 +160,40 @@ class TestEdgeOps:
             with pytest.raises(ValidationFailed) as err:
                 apply_delta(c, EditDelta([op]))
             assert [str(v) for v in err.value.violations] == [f"ImmutableTask: {message}"]
+
+
+    def test_patch_sets_the_type_or_its_condition(self, monkeypatch):
+        """A patch naming dep_type replaces the whole type, condition
+        included; one naming condition_id alone changes the condition of a
+        CONDITIONAL edge."""
+        monkeypatch.setitem(CONDITIONS, "never", lambda _result: False)
+        c = chain("A", "B")
+        steps = [
+            ({"dep_type": "CONDITIONAL", "condition_id": "always"}, DependencyKind.CONDITIONAL, "always"),
+            ({"condition_id": "never"}, DependencyKind.CONDITIONAL, "never"),
+            ({"description": "why"}, DependencyKind.CONDITIONAL, "never"),
+            ({"dep_type": "UNCONDITIONAL"}, DependencyKind.UNCONDITIONAL, None),
+        ]
+        for patch, kind, condition_id in steps:
+            c = apply_one(c, UpdateDependency("eAB", patch))
+            assert c.edges["eAB"].dep_type == DependencyType(kind, condition_id), patch
+        assert c.edges["eAB"].description == "why"
+        assert_rejected(c, UpdateDependency("eAB", {"condition_id": "always"}), ParseError)
+        assert_rejected(c, UpdateDependency("eAB", {"dep_type": "CONDITIONAL"}), ParseError)
+        unknown = UpdateDependency("eAB", {"dep_type": "CONDITIONAL", "condition_id": "nope"})
+        assert_invalid(c, [unknown], "UnknownCondition")
+
+    def test_readiness_follows_a_condition_patch(self, monkeypatch):
+        monkeypatch.setitem(CONDITIONS, "never", lambda _result: False)
+        c = chain("A", "B")
+        c.transition("A", TaskStatus.RUNNING)
+        c.transition("A", TaskStatus.COMPLETED, result="ok")
+        assert c.ready_tasks() == ["B"]
+        blocked = apply_one(c, UpdateDependency("eAB", {"dep_type": "CONDITIONAL", "condition_id": "never"}))
+        assert blocked.ready_tasks() == [] and blocked.is_quiescent()
+        unblocked = apply_one(blocked, UpdateDependency("eAB", {"condition_id": "always"}))
+        assert unblocked.ready_tasks() == ["B"] and not unblocked.is_quiescent()
+        assert c.ready_tasks() == ["B"] and blocked.ready_tasks() == []
 
 
 class TestJudgedOnResult:
@@ -294,6 +329,20 @@ class TestReadiness:
         fig4.transition("D", TaskStatus.COMPLETED, result="ok")
         assert fig4.is_quiescent()
 
+    def test_recount_reads_whatever_record_the_raw_ops_left(self):
+        """The raw ops may remove or replace a RUNNING task (a delta doing so
+        is refused only after its ops ran); a recount reads the record that
+        is there, whatever status the task had before."""
+        c = chain("A", "B")
+        c.transition("A", TaskStatus.RUNNING)
+        assert c.ready_tasks() == [] and not c.is_quiescent()
+        c._remove_task("A")
+        assert c.ready_tasks() == ["B"]
+        c._remove_task("B")
+        assert c.ready_tasks() == [] and c.is_quiescent()
+        c._add_task({"id": "A", "device": "dev"})
+        assert c.ready_tasks() == ["A"]
+
 
 def oracle_ready_tasks(c):
     """The full scan ``ready_tasks`` used to make over every edge."""
@@ -360,6 +409,49 @@ class TestReadinessOracles:
                 t.status for t in c.tasks.values()
             }
         assert blocked_for_good >= 30, blocked_for_good
+
+
+    def test_kept_counts_match_the_full_scan_along_random_walks(self):
+        """Legal transitions mixed with hostile deltas. Some steps go
+        unchecked, so transitions also land on counts a commit has not yet
+        refreshed. Where checked, the live graph and a fresh clone read as
+        the full scan does, and moving a clone's statuses never moves the
+        pre-state's ready set."""
+        moves = {
+            TaskStatus.PENDING: [TaskStatus.RUNNING, TaskStatus.FAILED],
+            TaskStatus.RUNNING: [TaskStatus.COMPLETED, TaskStatus.FAILED],
+        }
+        commits = 0
+        for seed in range(1000):
+            rng = random.Random(seed)
+            c = hostile_graph(rng)
+            for _ in range(20):
+                if rng.random() < 0.6:
+                    ops = [hostile_op(rng, c) for _ in range(rng.randint(1, 2))]
+                    try:
+                        c, _ = apply_delta(c, EditDelta(ops))
+                        commits += 1
+                    except ConstellationError:
+                        pass
+                for _ in range(rng.randint(0, 2)):
+                    live = sorted(t for t, task in c.tasks.items() if task.status in moves)
+                    if live:
+                        task_id = rng.choice(live)
+                        status = rng.choice(moves[c.tasks[task_id].status])
+                        result = "ok" if status is TaskStatus.COMPLETED else None
+                        c.transition(task_id, status, result=result)
+                if rng.random() < 0.3:
+                    continue
+                twin = c.clone()
+                for version in (twin, c) if rng.random() < 0.5 else (c, twin):
+                    assert version.ready_tasks() == oracle_ready_tasks(version), seed
+                    assert version.is_quiescent() == oracle_is_quiescent(version), seed
+                before = c.ready_tasks()
+                for task_id in twin.ready_tasks():
+                    twin.transition(task_id, TaskStatus.RUNNING)
+                assert twin.ready_tasks() == oracle_ready_tasks(twin) == []
+                assert c.ready_tasks() == before == oracle_ready_tasks(c), seed
+        assert commits >= 800, commits
 
 
 class TestCopies:
