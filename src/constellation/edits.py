@@ -4,13 +4,14 @@ A delta is an ordered list of edit ops applied to a clone of the pre-state.
 The clone shares the pre-state's frozen records, and an op replaces the
 records it changes, so the pre-state is never touched. The ops only parse
 and mutate, so a delta is judged on its result: the post-state is checked
-once, for structure (``validate``) and for edit locality (no non-PENDING
-task changed), together with any id a build op's config repeats. A delta
-of edit ops is checked only where it replaced records; a build op, or a
-fault found there, brings the whole-graph check. Either the delta passes,
-commits and the version rises by exactly one, or one error propagates: the
-op's parse or lookup error, or one ``ValidationFailed`` listing every
-violation.
+once, for structure and for edit locality (no non-PENDING task changed),
+together with any id a build op's config repeats. The check reads only
+the post-state's change record, which a build op fills with every record
+it inserts and every task it replaces; a fault found there brings
+``validate`` to list the violations. Either the delta passes, commits with
+its readiness recounted and the version risen by exactly one, or one error
+propagates: the op's parse or lookup error, or one ``ValidationFailed``
+listing every violation.
 """
 
 from __future__ import annotations
@@ -103,11 +104,11 @@ def apply_delta(
 
     ``constellation`` must be valid, as every graph made by
     ``model.from_entries`` or committed here is. The check then needs only
-    what the ops replaced: the edges they added or updated (endpoints,
-    condition, no parallel edge, no cycle downstream of their targets) and
-    the locality of the tasks they touched. A build op, or a fault found there,
-    runs the full ``validate`` instead, so violations are listed the same
-    way whatever the delta's size.
+    the change record: the edges added or updated (endpoints, condition, no
+    parallel edge, no cycle downstream of their targets) and the locality
+    of the tasks touched. Only a fault found there runs the full
+    ``validate``, so violations are listed the same way whatever the
+    delta's size.
 
     Any failure aborts the whole delta and propagates; the caller's
     pre-state object is never mutated.
@@ -137,6 +138,7 @@ def apply_delta(
         elif isinstance(op, BuildConstellation):
             built, repeated = insert_entries(op.config, created=True)
             built.request = op.config.get("request", working.request)
+            built._touched_tasks.update(constellation.tasks)
             working = built
             violations.extend(repeated)
             summary.added_tasks += len(working.tasks)
@@ -148,6 +150,7 @@ def apply_delta(
     violations.extend(edit_locality_violations(constellation, working))
     if violations:
         raise ValidationFailed(violations)
+    working._recount()
     working.version = constellation.version + 1
     return working, summary
 
@@ -162,13 +165,12 @@ def edit_locality_violations(
     are compared directly. Outgoing edges of terminal tasks may be rewired,
     since only the (PENDING) downstream endpoint's inputs change.
 
-    ``post`` is either a clone of ``pre`` changed by the raw ops, and then
-    only the tasks they recorded as replaced are compared, in id order, or
-    a graph made another way (a build op's), and then every task of ``pre``.
+    Only the tasks in ``post``'s change record are compared, in id order:
+    ``post`` is a clone of ``pre`` changed by the raw ops, or a build op's
+    graph, whose record also holds every task of ``pre``.
     """
-    touched = pre.tasks if post._touched_tasks is None else post._touched_tasks
     violations: List[Violation] = []
-    for task_id in sorted(touched):
+    for task_id in sorted(post._touched_tasks):
         task = pre.tasks.get(task_id)
         if task is None or task.status is TaskStatus.PENDING:
             continue

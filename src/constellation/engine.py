@@ -25,6 +25,8 @@ from .planner import Planner, PlannerInput, PlannerOutput, PlannerState, fsm_adv
 from .report import EditCycleRecord, RunOutcome, RunReport, TaskTiming
 from .serial import to_document
 
+# on_done(task_id, status, text, failure_reason): the text is a COMPLETED
+# task's result, or the error a FAILED one reports (kept out of its event).
 DoneCallback = Callable[[str, TaskStatus, Optional[str], Optional[FailureReason]], None]
 
 
@@ -153,7 +155,9 @@ class Orchestrator:
         self._cancel_timer(self._execution_timers, task_id)
         kind = EventKind.TASK_COMPLETED if status is TaskStatus.COMPLETED else EventKind.TASK_FAILED
         payload = {}
-        if result is not None:
+        if status is TaskStatus.FAILED:
+            timing.error = result
+        elif result is not None:
             payload["result"] = result
         if failure_reason is not None:
             payload["failure_reason"] = failure_reason.value
@@ -347,8 +351,8 @@ class Orchestrator:
         )
         try:
             self.dispatcher.dispatch(self.constellation.tasks[task.id], self._on_task_done)
-        except Exception:
-            self._on_task_done(task.id, TaskStatus.FAILED, None, FailureReason.EXECUTION_ERROR)
+        except Exception as exc:
+            self._on_task_done(task.id, TaskStatus.FAILED, str(exc), FailureReason.EXECUTION_ERROR)
 
     def _pending_timeout(self, task_id: str) -> None:
         self._pending_timers.pop(task_id, None)

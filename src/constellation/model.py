@@ -22,19 +22,21 @@ derived indexes map each task to the ids of its incoming (id-sorted) and
 outgoing edges. They are built with the graph, kept up to date by the raw
 ops, and copied by ``clone`` as dicts sharing their immutable tuples.
 
-On a clone, the raw ops also record what they replaced: the ids of tasks
-whose record or incoming edges changed, and of edges added or updated. A
-commit judges a small delta from these records alone (see
+Every graph keeps one change record: the ids of tasks whose record or
+incoming edges the raw ops replaced since ``clone``, and of edges they added
+or updated. ``clone`` starts it empty; ``insert_entries`` puts every record
+it inserts in it. A commit judges a delta from this record alone (see
 ``edits.apply_delta``).
 
 Readiness is kept, not searched for (Kahn's in-degree counts, applied to
 edge satisfaction): each PENDING task's count of unsatisfied incoming edges,
-the PENDING tasks whose count is zero, and the RUNNING tasks. The first
-query of a graph that has none counts every task once; after that
-``transition`` lowers the counts of a task's downstream tasks when it turns
-terminal (satisfaction only ever goes from false to true, since a terminal
-record never changes), and a query recounts only the tasks the raw ops
-touched since the last one. ``clone`` copies the counts and sets.
+the PENDING tasks whose count is zero, and the RUNNING tasks. They are
+settled whenever a graph becomes valid: ``from_entries`` counts every task
+once ``validate`` passes, and a commit recounts the tasks in its record.
+After that ``transition`` lowers the counts of a task's downstream tasks
+when it turns terminal (satisfaction only ever goes from false to true,
+since a terminal record never changes), so the queries only read.
+``clone`` copies the counts and sets.
 """
 
 from __future__ import annotations
@@ -161,18 +163,15 @@ class TaskConstellation:
         # Endpoint id -> incoming edge ids, id-sorted, and outgoing edge ids.
         self._incoming: Dict[str, Tuple[str, ...]] = {}
         self._outgoing: Dict[str, Tuple[str, ...]] = {}
-        # Ids of tasks whose record or incoming edges the raw ops replaced,
-        # and of edges they added or updated, since ``clone``; None on a
-        # graph made another way, whose every record counts as replaced.
-        self._touched_tasks: Optional[Set[str]] = None
-        self._touched_edges: Optional[Set[str]] = None
-        # Readiness: PENDING task -> count of its unsatisfied incoming edges
-        # (None until first counted), the PENDING tasks counting zero, the
-        # RUNNING tasks, and the tasks to recount before the next query.
-        self._waiting: Optional[Dict[str, int]] = None
+        # The change record: ids of tasks whose record or incoming edges the
+        # raw ops replaced, and of edges they added or updated.
+        self._touched_tasks: Set[str] = set()
+        self._touched_edges: Set[str] = set()
+        # Readiness: PENDING task -> count of its unsatisfied incoming edges,
+        # the PENDING tasks counting zero, and the RUNNING tasks.
+        self._waiting: Dict[str, int] = {}
         self._ready: Set[str] = set()
         self._running: Set[str] = set()
-        self._stale: Set[str] = set()
 
     # -- queries ---------------------------------------------------------
 
@@ -207,12 +206,9 @@ class TaskConstellation:
         self._outgoing = {task: tuple(ids) for task, ids in outgoing.items()}
 
     def _touch(self, task_id: str, edge_id: Optional[str] = None) -> None:
-        if self._waiting is not None:
-            self._stale.add(task_id)
-        if self._touched_tasks is not None:
-            self._touched_tasks.add(task_id)
-            if edge_id is not None:
-                self._touched_edges.add(edge_id)
+        self._touched_tasks.add(task_id)
+        if edge_id is not None:
+            self._touched_edges.add(edge_id)
 
     # -- raw ops (no version bump, no check of the result; see apply_delta) --
 
@@ -298,8 +294,6 @@ class TaskConstellation:
             result=result,
             failure_reason=failure_reason,
         )
-        if self._waiting is None:
-            return
         self._waiting.pop(task_id, None)
         self._ready.discard(task_id)
         if new_status is TaskStatus.RUNNING:
@@ -353,15 +347,14 @@ class TaskConstellation:
 
     def _changes_valid(self) -> bool:
         """Whether ``validate()`` would return no violation, judged from the
-        edges the raw ops added or updated since ``clone`` alone.
+        edges in the change record alone.
 
-        Exact when the cloned graph was valid: removals add no violation,
-        the raw ops set no result, a new parallel pair has an added edge
-        and a new cycle runs through one. False when there is no record to
-        judge from.
+        Exact when the graph the record starts from was valid: a clone of a
+        valid graph, or the empty graph ``insert_entries`` fills from
+        created entries. Removals add no violation, neither the raw ops nor
+        created entries set a result, a new parallel pair has a recorded
+        edge and a new cycle runs through one.
         """
-        if self._touched_edges is None:
-            return False
         added = [self.edges[edge_id] for edge_id in self._touched_edges if edge_id in self.edges]
         for edge in added:
             condition_id = edge.dep_type.condition_id
@@ -422,12 +415,8 @@ class TaskConstellation:
         return kind is DependencyKind.UNCONDITIONAL or _condition_holds(edge, upstream)
 
     def ready_tasks(self) -> List[str]:
-        """PENDING tasks whose incoming edges are all satisfied, id-sorted.
-
-        Read from the kept ready set: a call costs sorting it, plus
-        recounting the tasks the raw ops touched since the last query.
-        """
-        self._recount()
+        """PENDING tasks whose incoming edges are all satisfied, id-sorted:
+        the kept ready set, sorted."""
         return sorted(self._ready)
 
     def is_quiescent(self) -> bool:
@@ -438,19 +427,14 @@ class TaskConstellation:
         or through PENDING upstream tasks, on an edge whose terminal upstream
         can never satisfy it, so no completion can make progress.
         """
-        self._recount()
         return not self._running and not self.ready_tasks()
 
     def _recount(self) -> None:
-        """Bring the readiness counts up to date: count every task if there
-        are none yet, else the tasks the raw ops touched since the last
-        query. A task stays due until its recount succeeds (a dangling edge
-        into a PENDING task raises ``NotFound``)."""
-        if self._waiting is None:
-            self._waiting, self._ready, self._running = {}, set(), set()
-            self._stale = set(self.tasks)
+        """Recount the readiness of the tasks in the change record from
+        their record and incoming edges, whatever status they had before.
+        The graph must be valid, so that every edge has its endpoints."""
         waiting, ready, running = self._waiting, self._ready, self._running
-        for task_id in self._stale:
+        for task_id in self._touched_tasks:
             waiting.pop(task_id, None)
             ready.discard(task_id)
             running.discard(task_id)
@@ -466,27 +450,21 @@ class TaskConstellation:
                     ready.add(task_id)
             elif task.status is TaskStatus.RUNNING:
                 running.add(task_id)
-        self._stale.clear()
 
     # -- copies and equality ---------------------------------------------
 
     def clone(self) -> "TaskConstellation":
         """A new version sharing every (frozen) record and index tuple, with
-        its own copy of the readiness counts and nothing yet recorded as
-        replaced."""
+        its own copy of the readiness counts and an empty change record."""
         other = TaskConstellation(self.request)
         other.version = self.version
         other.tasks = dict(self.tasks)
         other.edges = dict(self.edges)
         other._incoming = dict(self._incoming)
         other._outgoing = dict(self._outgoing)
-        other._touched_tasks = set()
-        other._touched_edges = set()
-        if self._waiting is not None:
-            other._waiting = dict(self._waiting)
-            other._ready = set(self._ready)
-            other._running = set(self._running)
-            other._stale = set(self._stale)
+        other._waiting = dict(self._waiting)
+        other._ready = set(self._ready)
+        other._running = set(self._running)
         return other
 
     def structurally_equal(self, other: "TaskConstellation") -> bool:
@@ -622,11 +600,13 @@ def from_entries(doc: Dict[str, Any], created: bool) -> TaskConstellation:
     Every entry is parsed and inserted first; a malformed one raises at
     once. Repeated ids and all of ``validate``'s violations are then raised
     together as one ``ValidationFailed``, so a build costs one Kahn pass.
+    A valid graph has its readiness counted before it is returned.
     """
     constellation, violations = insert_entries(doc, created)
     violations.extend(constellation.validate())
     if violations:
         raise ValidationFailed(violations)
+    constellation._recount()
     return constellation
 
 
@@ -635,8 +615,9 @@ def insert_entries(
 ) -> Tuple[TaskConstellation, List[Violation]]:
     """Parse and insert every entry of a document or build config, without
     validating the result; a malformed entry raises at once. Returns the
-    graph and a ``DuplicateId`` violation per repeated id (the first entry
-    is kept), which the graph itself no longer shows."""
+    graph, whose change record holds every inserted record, and a
+    ``DuplicateId`` violation per repeated id (the first entry is kept),
+    which the graph itself no longer shows."""
     if not isinstance(doc, dict):
         raise ParseError("a constellation must be a JSON object")
     request = doc.get("request", "")
@@ -658,4 +639,6 @@ def insert_entries(
         else:
             constellation.edges[edge.id] = edge
     constellation._index_edges()
+    constellation._touched_tasks = set(constellation.tasks)
+    constellation._touched_edges = set(constellation.edges)
     return constellation, violations

@@ -24,6 +24,7 @@ class TaskTiming:
     dispatched_at: float
     finished_at: Optional[float] = None
     status: str = "RUNNING"
+    error: Optional[str] = None  # the text a FAILED completion came with
 
     @property
     def duration(self) -> Optional[float]:
@@ -97,6 +98,7 @@ class RunReport:
                     "finished_at": t.finished_at,
                     "duration": t.duration,
                     "status": t.status,
+                    "error": t.error,
                 }
                 for tid, t in sorted(self.timings.items())
             },

@@ -63,12 +63,12 @@ class AipDispatcher:
                 on_done(task_id, TaskStatus.COMPLETED, body.get("result"), None)
             else:
                 reason = FailureReason(body.get("failure_reason", "EXECUTION_ERROR"))
-                on_done(task_id, TaskStatus.FAILED, None, reason)
+                on_done(task_id, TaskStatus.FAILED, body.get("error"), reason)
 
         try:
             self.endpoint.dispatch_task(task.device, task_doc, self.request, callback)
-        except PeerDisconnected:
-            on_done(task.id, TaskStatus.FAILED, None, FailureReason.AGENT_DISCONNECTED)
+        except PeerDisconnected as exc:
+            on_done(task.id, TaskStatus.FAILED, str(exc), FailureReason.AGENT_DISCONNECTED)
 
 
 @dataclass

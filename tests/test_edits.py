@@ -112,25 +112,36 @@ class TestBuildConstellation:
 
     def test_layered_build_runs_one_cycle_check(self, monkeypatch):
         """A bulk build and a delta holding one build op insert everything,
-        then validate once: one Kahn pass, not one per edge. A delta of
-        many edges into a valid graph is checked from the edges it added,
-        with no Kahn pass over the whole graph."""
+        then search for cycles once, not once per edge: the bulk build with
+        ``validate``'s Kahn pass, the build op from its change record. A
+        delta of many edges into a valid graph is searched once from the
+        edges it added, with no Kahn pass over the whole graph."""
         config = layered_config(100, width=10, fan_in=2)
         calls = []
-        find_cycle = TaskConstellation._find_cycle
 
-        def counted(self):
-            calls.append(1)
-            return find_cycle(self)
+        def counted(name):
+            search = getattr(TaskConstellation, name)
 
-        for prepare, edges, passes in ((by_build, 180, 1), (by_build_op, 180, 1), (by_edge_ops, 20, 0)):
+            def wrapper(self, *args):
+                calls.append(name)
+                return search(self, *args)
+
+            return wrapper
+
+        whole, downstream = "_find_cycle", "_cycle_downstream_of"
+        for prepare, edges, searches in (
+            (by_build, 180, [whole]),
+            (by_build_op, 180, [downstream]),
+            (by_edge_ops, 20, [downstream]),
+        ):
             run = prepare(config)
             calls.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(TaskConstellation, "_find_cycle", counted)
+                for name in (whole, downstream):
+                    patch.setattr(TaskConstellation, name, counted(name))
                 built = run()
             assert (len(built.tasks), len(built.edges)) == (100, edges)
-            assert len(calls) == passes, prepare.__name__
+            assert calls == searches, prepare.__name__
 
 
 class TestApplyDelta:

@@ -20,6 +20,7 @@ from constellation import (
     build_constellation,
     deserialize,
     load_script,
+    serialize,
 )
 from conftest import SCENARIOS_DIR, layered_config
 
@@ -181,6 +182,9 @@ class TestHostileDispatchers:
         assert report.assignments_while_held == 0
         started = [e["task_id"] for e in report.events if e["kind"] == "TASK_STARTED"]
         assert started == ["a", "b", "c"]
+        assert report.as_dict()["timings"]["a"]["error"] == "device driver crashed"
+        failed = [e for e in report.events if e["kind"] == "TASK_FAILED"]
+        assert [e["payload"] for e in failed] == [{"failure_reason": "EXECUTION_ERROR"}]
 
     def test_duplicate_completions_are_counted_not_recorded(self):
         class CompletesTwice(ScriptedDispatcher):
@@ -220,6 +224,45 @@ class TestHostileDispatchers:
         assert a_events == ["TASK_STARTED", "TASK_FAILED"]
         by_id = {t["id"]: t for t in report.final_document["tasks"]}
         assert by_id["a"]["failure_reason"] == "TIMEOUT"
+
+
+class TestHostilePlanner:
+    def test_mutating_the_snapshot_leaves_the_run_unchanged(self):
+        """A planner that moves statuses and runs raw ops on its snapshot
+        changes only its own copy: the engine's graph, events and outcome
+        are those of a planner that only reads."""
+
+        class MutatesSnapshot(NoopPlanner):
+            rounds = 0
+
+            def edit(self, planner_input):
+                snapshot = planner_input.snapshot
+                for task_id, task in sorted(snapshot.tasks.items()):
+                    if task.status is TaskStatus.PENDING:
+                        snapshot.transition(
+                            task_id, TaskStatus.FAILED, failure_reason=FailureReason.PLANNER_CANCELLED
+                        )
+                    elif task.status is TaskStatus.RUNNING:
+                        snapshot.transition(task_id, TaskStatus.COMPLETED, result="forged")
+                snapshot._remove_task(sorted(snapshot.tasks)[0])
+                snapshot._add_task({"id": "forged", "device": "dev"})
+                self.rounds += 1
+                return super().edit(planner_input)
+
+        runs = []
+        for planner in (NoopPlanner(), MutatesSnapshot()):
+            clock = VirtualClock()
+            engine = Orchestrator(
+                clock,
+                planner,
+                ScriptedDispatcher(clock, default_duration=10.0),
+                constellation=fig4_constellation(),
+            )
+            report = engine.run()
+            runs.append((serialize(engine.constellation), report.events, report.outcome))
+        assert planner.rounds >= 5
+        assert runs[1] == runs[0]
+        assert runs[0][2] is RunOutcome.SUCCESS
 
 
 class TestOutcomeRule:

@@ -32,7 +32,7 @@ from constellation.errors import ConstellationError, IllegalField, ParseError
 from constellation.serial import from_document, to_document
 from constellation.model import CONDITIONS, DependencyKind, DependencyType
 from conftest import random_dag, scanned_incoming
-from test_edits import hostile_graph, hostile_op
+from test_edits import hostile_graph, hostile_op, reshaping_ops
 
 
 def chain(*ids):
@@ -329,20 +329,6 @@ class TestReadiness:
         fig4.transition("D", TaskStatus.COMPLETED, result="ok")
         assert fig4.is_quiescent()
 
-    def test_recount_reads_whatever_record_the_raw_ops_left(self):
-        """The raw ops may remove or replace a RUNNING task (a delta doing so
-        is refused only after its ops ran); a recount reads the record that
-        is there, whatever status the task had before."""
-        c = chain("A", "B")
-        c.transition("A", TaskStatus.RUNNING)
-        assert c.ready_tasks() == [] and not c.is_quiescent()
-        c._remove_task("A")
-        assert c.ready_tasks() == ["B"]
-        c._remove_task("B")
-        assert c.ready_tasks() == [] and c.is_quiescent()
-        c._add_task({"id": "A", "device": "dev"})
-        assert c.ready_tasks() == ["A"]
-
 
 def oracle_ready_tasks(c):
     """The full scan ``ready_tasks`` used to make over every edge."""
@@ -412,10 +398,10 @@ class TestReadinessOracles:
 
 
     def test_kept_counts_match_the_full_scan_along_random_walks(self):
-        """Legal transitions mixed with hostile deltas. Some steps go
-        unchecked, so transitions also land on counts a commit has not yet
-        refreshed. Where checked, the live graph and a fresh clone read as
-        the full scan does, and moving a clone's statuses never moves the
+        """Legal transitions mixed with hostile deltas, some of which remove
+        a task or an edge and add it back. Some steps go unchecked, so
+        several commits and transitions pass between checks. Where checked, the live graph and a fresh clone read as the
+        full scan does, and moving a clone's statuses never moves the
         pre-state's ready set."""
         moves = {
             TaskStatus.PENDING: [TaskStatus.RUNNING, TaskStatus.FAILED],
@@ -427,7 +413,10 @@ class TestReadinessOracles:
             c = hostile_graph(rng)
             for _ in range(20):
                 if rng.random() < 0.6:
-                    ops = [hostile_op(rng, c) for _ in range(rng.randint(1, 2))]
+                    ops = []
+                    for _ in range(rng.randint(1, 2)):
+                        reshape = c.tasks and rng.random() < 0.4
+                        ops += reshaping_ops(rng, c) if reshape else [hostile_op(rng, c)]
                     try:
                         c, _ = apply_delta(c, EditDelta(ops))
                         commits += 1

@@ -71,6 +71,10 @@ class TestScenario2:
     def test_event_log_matches_golden(self, results):
         assert roundtrip(results[2].report.events) == golden_events(2)
 
+    def test_report_keeps_the_disconnect_text(self, results):
+        timing = results[2].report.as_dict()["timings"]["A"]
+        assert (timing["status"], timing["error"]) == ("FAILED", "agent linux1 disconnected")
+
 
 class TestScenario3:
     """All capable devices down: the run fails without fabricating output."""
