@@ -68,9 +68,11 @@ class VirtualClock:
         for _ in range(max_steps):
             if until is not None and until():
                 return
-            if deadline is not None and self._next_due() is not None and self._next_due() > deadline:
-                self.now = deadline
-                return
+            if deadline is not None:
+                due = self._next_due()
+                if due is not None and due > deadline:
+                    self.now = deadline
+                    return
             if not self.step():
                 return
         raise RuntimeError(f"virtual clock exceeded {max_steps} steps")

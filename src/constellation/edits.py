@@ -16,7 +16,7 @@ listing every violation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Tuple
 
 from .errors import ParseError, ValidationFailed
@@ -86,7 +86,14 @@ class ModificationSummary:
     modified_dependencies: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
+        return {
+            "added_tasks": self.added_tasks,
+            "removed_tasks": self.removed_tasks,
+            "modified_tasks": self.modified_tasks,
+            "added_dependencies": self.added_dependencies,
+            "removed_dependencies": self.removed_dependencies,
+            "modified_dependencies": self.modified_dependencies,
+        }
 
 
 def build_constellation(config: Dict[str, Any]) -> TaskConstellation:
@@ -165,14 +172,16 @@ def edit_locality_violations(
     are compared directly. Outgoing edges of terminal tasks may be rewired,
     since only the (PENDING) downstream endpoint's inputs change.
 
-    Only the tasks in ``post``'s change record are compared, in id order:
-    ``post`` is a clone of ``pre`` changed by the raw ops, or a build op's
-    graph, whose record also holds every task of ``pre``.
+    Only the tasks of ``pre`` in ``post``'s change record are compared, in
+    id order: ``post`` is a clone of ``pre`` changed by the raw ops, or a
+    build op's graph, whose record also holds every task of ``pre``. A task
+    the delta added cannot be non-PENDING before it, so a build of many
+    tasks into a small graph costs the small graph's size.
     """
     violations: List[Violation] = []
-    for task_id in sorted(post._touched_tasks):
-        task = pre.tasks.get(task_id)
-        if task is None or task.status is TaskStatus.PENDING:
+    for task_id in sorted(pre.tasks.keys() & post._touched_tasks):
+        task = pre.tasks[task_id]
+        if task.status is TaskStatus.PENDING:
             continue
         if task_id not in post.tasks:
             violations.append(

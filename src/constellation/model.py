@@ -15,12 +15,15 @@ mutate: they raise ``NotFound``, ``DuplicateId``, ``ParseError`` and
 ``IllegalField``, and leave cycles, dangling or parallel edges and edits of
 non-PENDING tasks to the one check of the result.
 
-Task and dependency records are frozen: ``transition`` and the raw ops store
-a replaced record instead of changing one, so ``clone`` copies only the dicts
-and versions share every record they did not change (path copying). Two
-derived indexes map each task to the ids of its incoming (id-sorted) and
-outgoing edges. They are built with the graph, kept up to date by the raw
-ops, and copied by ``clone`` as dicts sharing their immutable tuples.
+Task and dependency records are frozen and assigned once: each ``__init__``
+writes every field once into the instance dict, and ``transition`` and the
+raw ops store a replaced record instead of changing one, so ``clone`` copies
+only the dicts and versions share every record they did not change (path
+copying). A status's legal targets are a plain tuple on the member, so
+``transition`` checks a move without hashing. Two derived indexes map each
+task to the ids of its incoming (id-sorted) and outgoing edges. They are
+built with the graph, kept up to date by the raw ops, and copied by
+``clone`` as dicts sharing their immutable tuples.
 
 Every graph keeps one change record: the ids of tasks whose record or
 incoming edges the raw ops replaced since ``clone``, and of edges they added
@@ -45,7 +48,7 @@ import heapq
 from bisect import bisect
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NoReturn, Optional, Set, Tuple
 
 from .errors import (
     DuplicateId,
@@ -64,19 +67,19 @@ class TaskStatus(Enum):
     FAILED = "FAILED"
 
     def __init__(self, value: str) -> None:
-        # A plain attribute, not a property: the readiness upkeep reads it
-        # per edge, and a member lookup through the enum class is slow.
+        # Plain attributes, not properties: the readiness upkeep reads
+        # ``terminal`` per edge, and a member lookup through the enum class is
+        # slow. ``targets`` is set below, once every member exists.
         self.terminal = value in ("COMPLETED", "FAILED")
+        self.targets: Tuple[TaskStatus, ...] = ()
 
 
+# Each status's legal targets, a plain attribute that ``transition`` searches
+# by identity: hashing a pair of members goes through ``Enum.__hash__``.
 # PENDING -> FAILED covers planner cancellation and the dependency timeout
 # policy; terminal states have no outgoing transitions.
-_LEGAL_TRANSITIONS = {
-    (TaskStatus.PENDING, TaskStatus.RUNNING),
-    (TaskStatus.RUNNING, TaskStatus.COMPLETED),
-    (TaskStatus.RUNNING, TaskStatus.FAILED),
-    (TaskStatus.PENDING, TaskStatus.FAILED),
-}
+TaskStatus.PENDING.targets = (TaskStatus.RUNNING, TaskStatus.FAILED)
+TaskStatus.RUNNING.targets = (TaskStatus.COMPLETED, TaskStatus.FAILED)
 
 
 class FailureReason(Enum):
@@ -124,7 +127,15 @@ _DOCUMENT_TASK_KEYS = _CREATED_TASK_KEYS.union(_DOCUMENT_TASK_FIELDS)
 _EDGE_KEYS = frozenset(("id", "from_task", "to_task", *EDITABLE_EDGE_FIELDS))
 
 
-@dataclass(frozen=True)
+# The records built per task and per edge are frozen dataclasses with a
+# hand-written ``__init__`` of the generated signature. It writes each field
+# once into the instance's own dict, where the generated one calls
+# ``object.__setattr__`` per field; writing in field order keeps the dict's
+# keys shared between instances. Eq, hash, repr, ``fields`` and ``replace``
+# are still generated.
+
+
+@dataclass(frozen=True, init=False)
 class TaskStar:
     id: str
     device: str
@@ -135,14 +146,50 @@ class TaskStar:
     result: Any = None
     failure_reason: Optional[FailureReason] = None
 
+    def __init__(
+        self,
+        id: str,
+        device: str,
+        name: str = "",
+        description: str = "",
+        tips: Tuple[str, ...] = (),
+        status: TaskStatus = TaskStatus.PENDING,
+        result: Any = None,
+        failure_reason: Optional[FailureReason] = None,
+    ) -> None:
+        values = self.__dict__
+        values["id"] = id
+        values["device"] = device
+        values["name"] = name
+        values["description"] = description
+        values["tips"] = tips
+        values["status"] = status
+        values["result"] = result
+        values["failure_reason"] = failure_reason
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class TaskStarLine:
     id: str
     from_task: str
     to_task: str
     dep_type: DependencyType = UNCONDITIONAL
     description: str = ""
+
+    def __init__(
+        self,
+        id: str,
+        from_task: str,
+        to_task: str,
+        dep_type: DependencyType = UNCONDITIONAL,
+        description: str = "",
+    ) -> None:
+        values = self.__dict__
+        values["id"] = id
+        values["from_task"] = from_task
+        values["to_task"] = to_task
+        values["dep_type"] = dep_type
+        values["description"] = description
 
 
 @dataclass(frozen=True)
@@ -278,21 +325,14 @@ class TaskConstellation:
         failure_reason: Optional[FailureReason] = None,
     ) -> None:
         task = self.task(task_id)
-        if (task.status, new_status) not in _LEGAL_TRANSITIONS:
+        if new_status not in task.status.targets:
             raise IllegalTransition(
                 f"illegal transition {task.status.value}->{new_status.value} on task {task_id!r}"
             )
         if not new_status.terminal:
             result, failure_reason = task.result, task.failure_reason
         self.tasks[task_id] = TaskStar(
-            id=task_id,
-            device=task.device,
-            name=task.name,
-            description=task.description,
-            tips=task.tips,
-            status=new_status,
-            result=result,
-            failure_reason=failure_reason,
+            task_id, task.device, task.name, task.description, task.tips, new_status, result, failure_reason
         )
         self._waiting.pop(task_id, None)
         self._ready.discard(task_id)
@@ -300,10 +340,12 @@ class TaskConstellation:
             self._running.add(task_id)
             return
         self._running.discard(task_id)
+        # The upstream of every edge walked is this task, now terminal, so an
+        # UNCONDITIONAL edge is satisfied without looking it up.
         for edge_id in self._outgoing.get(task_id, ()):
             edge = self.edges[edge_id]
             unsatisfied = self._waiting.get(edge.to_task)
-            if unsatisfied is not None and self.edge_satisfied(edge):
+            if unsatisfied is not None and (edge.dep_type is UNCONDITIONAL or self.edge_satisfied(edge)):
                 self._waiting[edge.to_task] = unsatisfied - 1
                 if unsatisfied == 1:
                     self._ready.add(edge.to_task)
@@ -524,36 +566,31 @@ def task_from_entry(entry: Dict[str, Any], created: bool) -> TaskStar:
     tips = entry.get("tips", [])
     if not isinstance(tips, list) or not all(isinstance(tip, str) for tip in tips):
         raise ParseError(f"task {task_id!r}: tips must be a list of strings, not {tips!r}")
+    name, description, device = entry.get("name", task_id), entry.get("description", ""), entry["device"]
+    if not (isinstance(name, str) and isinstance(description, str) and isinstance(device, str)):
+        _raise_non_text(task_id, name=name, description=description, device=device)
     try:
+        status = TaskStatus(entry["status"]) if "status" in entry else TaskStatus.PENDING
         reason = entry.get("failure_reason")
-        return TaskStar(
-            id=task_id,
-            name=_text(entry, "name", task_id),
-            description=_text(entry, "description"),
-            device=_text(entry, "device"),
-            tips=tuple(tips),
-            status=TaskStatus(entry["status"]) if "status" in entry else TaskStatus.PENDING,
-            result=entry.get("result"),
-            failure_reason=None if reason is None else FailureReason(reason),
-        )
+        failure_reason = None if reason is None else FailureReason(reason)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad task entry {task_id!r}: {exc}") from exc
+    return TaskStar(task_id, device, name, description, tuple(tips), status, entry.get("result"), failure_reason)
 
 
 def edge_from_entry(entry: Dict[str, Any]) -> TaskStarLine:
     """Parse one dependency entry, of a document, a build config or an
     ``AddDependency`` spec alike."""
     edge_id = _entry_id(entry, "dependency", _EDGE_KEYS)
-    for endpoint in ("from_task", "to_task"):
-        if not isinstance(entry.get(endpoint), str) or not entry[endpoint]:
-            raise ParseError(f"dependency {edge_id!r} requires a non-empty {endpoint}")
-    return TaskStarLine(
-        id=edge_id,
-        from_task=entry["from_task"],
-        to_task=entry["to_task"],
-        dep_type=_dep_type(entry.get("dep_type", "UNCONDITIONAL"), entry.get("condition_id")),
-        description=_text(entry, "description"),
-    )
+    from_task, to_task = entry.get("from_task"), entry.get("to_task")
+    if not (isinstance(from_task, str) and from_task and isinstance(to_task, str) and to_task):
+        endpoint = "to_task" if isinstance(from_task, str) and from_task else "from_task"
+        raise ParseError(f"dependency {edge_id!r} requires a non-empty {endpoint}")
+    dep_type = _dep_type(entry.get("dep_type", "UNCONDITIONAL"), entry.get("condition_id"))
+    description = entry.get("description", "")
+    if not isinstance(description, str):
+        _raise_non_text(edge_id, description=description)
+    return TaskStarLine(edge_id, from_task, to_task, dep_type, description)
 
 
 def _entry_id(entry: Any, what: str, allowed: FrozenSet[str]) -> str:
@@ -576,11 +613,10 @@ def _check_patch(patch: Any, editable: Tuple[str, ...], what: str) -> None:
         raise IllegalField(f"cannot patch {', '.join(illegal)} on {what}")
 
 
-def _text(entry: Dict[str, Any], key: str, default: str = "") -> str:
-    value = entry.get(key, default)
-    if not isinstance(value, str):
-        raise ParseError(f"entry {entry['id']!r}: {key} must be a string, not {value!r}")
-    return value
+def _raise_non_text(entry_id: str, **values: Any) -> NoReturn:
+    """Raise ``ParseError`` for the first of ``values`` that is not a string."""
+    key, value = next((key, value) for key, value in values.items() if not isinstance(value, str))
+    raise ParseError(f"entry {entry_id!r}: {key} must be a string, not {value!r}")
 
 
 def _dep_type(kind: Any, condition_id: Any = None) -> DependencyType:

@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import inspect
+import itertools
 import random
 
 import pytest
@@ -29,8 +31,9 @@ from constellation import (
     serialize,
 )
 from constellation.errors import ConstellationError, IllegalField, ParseError
+from constellation.events import EventKind, OrchestratorEvent
 from constellation.serial import from_document, to_document
-from constellation.model import CONDITIONS, DependencyKind, DependencyType
+from constellation.model import CONDITIONS, UNCONDITIONAL, DependencyKind, DependencyType
 from conftest import random_dag, scanned_incoming
 from test_edits import hostile_graph, hostile_op, reshaping_ops
 
@@ -258,6 +261,40 @@ class TestTransitions:
             c.transition("A", TaskStatus.COMPLETED, result="x")
         assert str(err.value) == "illegal transition PENDING->COMPLETED on task 'A'"
         assert c.tasks["A"].status is TaskStatus.PENDING and c.tasks["A"].result is None
+
+    # How to bring task A of a fresh one-task graph to each status.
+    PATHS_TO = {
+        TaskStatus.PENDING: (),
+        TaskStatus.RUNNING: (TaskStatus.RUNNING,),
+        TaskStatus.COMPLETED: (TaskStatus.RUNNING, TaskStatus.COMPLETED),
+        TaskStatus.FAILED: (TaskStatus.FAILED,),
+    }
+    LEGAL = {
+        (TaskStatus.PENDING, TaskStatus.RUNNING),
+        (TaskStatus.PENDING, TaskStatus.FAILED),
+        (TaskStatus.RUNNING, TaskStatus.COMPLETED),
+        (TaskStatus.RUNNING, TaskStatus.FAILED),
+    }
+
+    @pytest.mark.parametrize(
+        "old,new", list(itertools.product(TaskStatus, TaskStatus)), ids=lambda s: s.value
+    )
+    def test_transition_table(self, old, new):
+        """Exactly the four legal pairs of statuses succeed; every other
+        pair raises with the same message and leaves the record as it was."""
+        c = chain("A")
+        for status in self.PATHS_TO[old]:
+            c.transition("A", status)
+        before = c.tasks["A"]
+        assert before.status is old
+        if (old, new) in self.LEGAL:
+            c.transition("A", new)
+            assert c.tasks["A"].status is new
+            return
+        with pytest.raises(IllegalTransition) as err:
+            c.transition("A", new, result="x")
+        assert str(err.value) == f"illegal transition {old.value}->{new.value} on task 'A'"
+        assert c.tasks["A"] is before
 
 
 class TestValidate:
@@ -512,3 +549,94 @@ class TestCopies:
         other = apply_one(fig4, UpdateTask("A", {"description": "different"}))
         other.version = fig4.version
         assert not fig4.structurally_equal(other)
+
+
+class TestRecords:
+    """The per-task records keep the value semantics of a frozen dataclass
+    whatever their ``__init__`` does: the fields, in order, with their
+    defaults, then eq, hash, repr and ``dataclasses.replace``."""
+
+    RECORDS = {
+        TaskStar: (
+            ("A", "dev", "n", "d", ("t",), TaskStatus.COMPLETED, "ok", FailureReason.TIMEOUT),
+            "TaskStar(id='A', device='dev', name='n', description='d', tips=('t',), "
+            "status=<TaskStatus.COMPLETED: 'COMPLETED'>, result='ok', "
+            "failure_reason=<FailureReason.TIMEOUT: 'TIMEOUT'>)",
+        ),
+        TaskStarLine: (
+            ("e", "A", "B", DependencyType(DependencyKind.CONDITIONAL, "always"), "x"),
+            "TaskStarLine(id='e', from_task='A', to_task='B', dep_type=DependencyType("
+            "kind=<DependencyKind.CONDITIONAL: 'CONDITIONAL'>, condition_id='always'), description='x')",
+        ),
+        OrchestratorEvent: (
+            (EventKind.TASK_FAILED, "A", 1.5, {"failure_reason": "TIMEOUT"}),
+            "OrchestratorEvent(kind=<EventKind.TASK_FAILED: 'TASK_FAILED'>, task_id='A', at=1.5, "
+            "payload={'failure_reason': 'TIMEOUT'})",
+        ),
+    }
+
+    @pytest.fixture(params=list(RECORDS), ids=lambda record: record.__name__)
+    def record(self, request):
+        return request.param
+
+    def test_signature_follows_the_fields(self, record):
+        """Field names in order, each with its default; a field with a
+        default factory takes ``None`` for a fresh value."""
+        parameters = list(inspect.signature(record).parameters.values())
+        fields = dataclasses.fields(record)
+        assert [p.name for p in parameters] == [f.name for f in fields]
+        for parameter, field in zip(parameters, fields):
+            assert parameter.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            if field.default is not dataclasses.MISSING:
+                assert parameter.default == field.default
+            elif field.default_factory is not dataclasses.MISSING:
+                assert parameter.default is None
+            else:
+                assert parameter.default is inspect.Parameter.empty
+
+    def test_positional_and_keyword_construction_agree(self, record):
+        values, expected_repr = self.RECORDS[record]
+        positional = record(*values)
+        keyword = record(**{f.name: value for f, value in zip(dataclasses.fields(record), values)})
+        assert positional == keyword and positional is not keyword
+        assert repr(positional) == repr(keyword) == expected_repr
+        # Written in field order, which keeps instance dicts sharing their keys.
+        assert list(vars(positional)) == [f.name for f in dataclasses.fields(record)]
+        if record is OrchestratorEvent:
+            # A dict payload makes an event unhashable, as it always was.
+            with pytest.raises(TypeError):
+                hash(positional)
+        else:
+            assert hash(positional) == hash(keyword)
+
+    def test_frozen(self, record):
+        instance = record(*self.RECORDS[record][0])
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(instance, field.name, "changed")
+        assert instance == record(*self.RECORDS[record][0])
+
+    def test_replace_round_trips(self, record):
+        instance = record(*self.RECORDS[record][0])
+        assert dataclasses.replace(instance) == instance
+        first = dataclasses.fields(record)[0].name
+        for field in dataclasses.fields(record)[1:]:
+            changed = dataclasses.replace(instance, **{field.name: "changed"})
+            assert getattr(changed, field.name) == "changed"
+            assert getattr(changed, first) is getattr(instance, first)
+            assert changed != instance
+            assert dataclasses.replace(changed, **{field.name: getattr(instance, field.name)}) == instance
+
+    def test_defaults_fill_the_record(self):
+        assert TaskStar("A", "dev") == TaskStar(
+            "A", "dev", "", "", (), TaskStatus.PENDING, None, None
+        )
+        assert TaskStarLine("e", "A", "B").dep_type is UNCONDITIONAL
+        assert OrchestratorEvent(EventKind.TASK_STARTED).as_dict() == {"kind": "TASK_STARTED", "at": 0.0}
+
+    def test_events_without_a_payload_get_their_own_dict(self):
+        first, second = OrchestratorEvent(EventKind.TASK_STARTED), OrchestratorEvent(EventKind.TASK_STARTED)
+        assert first.payload == second.payload == {}
+        assert first.payload is not second.payload
+        first.payload["device"] = "dev"
+        assert second.payload == {}
