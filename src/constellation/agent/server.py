@@ -107,9 +107,7 @@ class AgentServer:
                         {"error": str(exc), "failure_reason": "EXECUTION_ERROR"},
                     )
                     return
-                run._timer = self.clock.call_later(
-                    output.duration, lambda: run_strategy(index + 1), label="reasoner"
-                )
+                run._timer = self.clock.call_later(output.duration, lambda: run_strategy(index + 1))
             elif kind is StrategyKind.ACTION_EXECUTION:
                 assert output is not None
                 if output.commands:

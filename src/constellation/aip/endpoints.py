@@ -177,7 +177,6 @@ class ConstellationEndpoint(_Endpoint):
         self._deadline_timers[agent_id] = self.clock.call_at(
             max(deadline, self.clock.now),
             lambda: self._on_deadline(agent_id),
-            label=f"hb-deadline:{agent_id}",
         )
 
     def _on_deadline(self, agent_id: str) -> None:
@@ -233,7 +232,7 @@ class DeviceClientEndpoint(_Endpoint):
                 {"action_results": results, "prev_response_id": msg.body["response_id"]},
                 session_id=msg.session_id,
             )
-            self.clock.call_later(total, lambda: self.send(src, reply), label="command-exec")
+            self.clock.call_later(total, lambda: self.send(src, reply))
         elif msg.msg_type is MessageType.DEVICE_INFO_REQUEST:
             info, _ = self.executor.execute({"function": "SYS_INFO"})
             self.send(
@@ -372,9 +371,7 @@ class DeviceServerEndpoint(_Endpoint):
     def _schedule_beat(self) -> None:
         if self._beat_timer is not None:
             self._beat_timer.cancel()
-        self._beat_timer = self.clock.call_later(
-            HEARTBEAT_INTERVAL, self._beat, label=f"beat:{self.agent_id}"
-        )
+        self._beat_timer = self.clock.call_later(HEARTBEAT_INTERVAL, self._beat)
 
     def _beat(self) -> None:
         if not self.connected:
@@ -395,7 +392,6 @@ class DeviceServerEndpoint(_Endpoint):
         self._ack_deadline_timer = self.clock.call_at(
             max(deadline, self.clock.now),
             self._on_ack_deadline,
-            label=f"ack-deadline:{self.agent_id}",
         )
 
     def _on_ack_deadline(self) -> None:
@@ -442,9 +438,7 @@ class DeviceServerEndpoint(_Endpoint):
             return
         delay = self.backoff.delay(self._reconnect_attempt, self.rng)
         self._reconnect_attempt += 1
-        self._reconnect_timer = self.clock.call_later(
-            delay, self._attempt_reconnect, label=f"reconnect:{self.agent_id}"
-        )
+        self._reconnect_timer = self.clock.call_later(delay, self._attempt_reconnect)
 
     def _attempt_reconnect(self) -> None:
         self._reconnect_timer = None

@@ -18,7 +18,6 @@ class TimerHandle:
     when: float
     seq: int
     callback: Optional[Callable[[], None]]
-    label: str = ""
 
     def cancel(self) -> None:
         self.callback = None
@@ -34,15 +33,15 @@ class VirtualClock:
     _heap: List[Tuple[float, int, TimerHandle]] = field(default_factory=list)
     _seq: "itertools.count[int]" = field(default_factory=itertools.count)
 
-    def call_at(self, when: float, callback: Callable[[], None], label: str = "") -> TimerHandle:
+    def call_at(self, when: float, callback: Callable[[], None]) -> TimerHandle:
         if when < self.now:
             raise ValueError(f"cannot schedule at {when} before now={self.now}")
-        handle = TimerHandle(when, next(self._seq), callback, label)
+        handle = TimerHandle(when, next(self._seq), callback)
         heapq.heappush(self._heap, (handle.when, handle.seq, handle))
         return handle
 
-    def call_later(self, delay: float, callback: Callable[[], None], label: str = "") -> TimerHandle:
-        return self.call_at(self.now + delay, callback, label)
+    def call_later(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
+        return self.call_at(self.now + delay, callback)
 
     def step(self) -> bool:
         """Fire the next live timer; returns False when none remain."""

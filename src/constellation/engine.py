@@ -70,13 +70,11 @@ class ScriptedDispatcher:
             self.clock.call_later(
                 duration,
                 lambda: on_done(task.id, TaskStatus.FAILED, None, reason),
-                label=f"fail:{task.id}",
             )
         else:
             self.clock.call_later(
                 duration,
                 lambda: on_done(task.id, TaskStatus.COMPLETED, f"{task.id} done", None),
-                label=f"complete:{task.id}",
             )
 
 
@@ -151,7 +149,7 @@ class Orchestrator:
             self.report.dropped_completions += 1
             return
         timing.finished_at = self.clock.now
-        timing.status = status.value
+        timing.status = status._value_
         self._cancel_timer(self._execution_timers, task_id)
         kind = EventKind.TASK_COMPLETED if status is TaskStatus.COMPLETED else EventKind.TASK_FAILED
         payload = {}
@@ -160,7 +158,7 @@ class Orchestrator:
         elif result is not None:
             payload["result"] = result
         if failure_reason is not None:
-            payload["failure_reason"] = failure_reason.value
+            payload["failure_reason"] = failure_reason._value_
         self.enqueue(OrchestratorEvent(kind, task_id, self.clock.now, payload))
 
     def _on_availability_change(self) -> None:
@@ -197,7 +195,6 @@ class Orchestrator:
         self.clock.call_later(
             output.duration,
             lambda: self._commit_round(planner_input, output, started_at, represented),
-            label=f"planner-round-{self._round_index}",
         )
 
     def _commit_round(
@@ -257,7 +254,7 @@ class Orchestrator:
                 batch=[e.as_dict() for e in planner_input.batch],
                 observation=output.observation,
                 thought=output.thought,
-                next_state=output.next_state.value,
+                next_state=output.next_state._value_,
                 summary=summary_doc,
                 version_after=self.constellation.version,
                 represented=represented,
@@ -325,7 +322,6 @@ class Orchestrator:
                 self._pending_timers[task_id] = self.clock.call_later(
                     self.config.pending_dispatch_timeout,
                     lambda tid=task_id: self._pending_timeout(tid),
-                    label=f"pending-timeout:{task_id}",
                 )
 
     def _dispatch(self, task: TaskStar) -> None:
@@ -347,7 +343,6 @@ class Orchestrator:
         self._execution_timers[task.id] = self.clock.call_later(
             self.config.execution_timeout,
             lambda tid=task.id: self._execution_timeout(tid),
-            label=f"execution-timeout:{task.id}",
         )
         try:
             self.dispatcher.dispatch(self.constellation.tasks[task.id], self._on_task_done)

@@ -2,16 +2,18 @@
 
 A small abstract model of the orchestrator — three tasks, three devices, a
 two-slot event queue and a single assignment lock — is explored by
-breadth-first search over all interleavings. States violating the queue
-bound are still counted as generated but never enter the frontier, matching
-how an explicit-state checker accounts for constraint-pruned successors.
+breadth-first search over all interleavings. The search expands one level
+at a time against a set of seen states, so a state's depth is the level it
+was found on; the parent map that rebuilds a witness path is kept only when
+a witness is asked for. States violating the queue bound are still counted
+as generated but never enter the frontier, matching how an explicit-state
+checker accounts for constraint-pruned successors.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import BoundExceeded, InvariantViolation
 
@@ -71,13 +73,18 @@ def successors(state: State) -> List[Tuple[str, State]]:
     return out
 
 
+_LOCKS = frozenset(("free", "held"))
+_STATUSES = frozenset(("PENDING", "RUNNING", "COMPLETED", "FAILED"))
+_ASSIGNMENTS = frozenset((NULL, *DEVICES))
+
+
 def check_invariants(state: State) -> None:
     statuses, assignments, lock, queue, devices = state
-    if lock not in ("free", "held"):
-        raise InvariantViolation("TypeOK", state)
-    if any(s not in ("PENDING", "RUNNING", "COMPLETED", "FAILED") for s in statuses):
-        raise InvariantViolation("TypeOK", state)
-    if any(a != NULL and a not in DEVICES for a in assignments):
+    if (
+        lock not in _LOCKS
+        or not _STATUSES.issuperset(statuses)
+        or not _ASSIGNMENTS.issuperset(assignments)
+    ):
         raise InvariantViolation("TypeOK", state)
     for i in range(len(TASKS)):
         if statuses[i] == "RUNNING" and assignments[i] == NULL:
@@ -141,7 +148,7 @@ def explore(
     collect_witness: bool = False,
     initial_state: Optional[State] = None,
 ) -> ExploreStats:
-    """Breadth-first search from the initial state.
+    """Breadth-first search from the initial state, one level at a time.
 
     The queue (element 3 of every state shape used here) is bounded: states
     exceeding ``QUEUE_BOUND`` count as generated but never enter the
@@ -150,47 +157,54 @@ def explore(
     a witness path when requested) if any reached state breaks an invariant.
     """
     start = init_state() if initial_state is None else initial_state
-    stats = ExploreStats(distinct=1, generated=1, depth=1, by_action={"Init": 1})
-    parents: Dict[State, Optional[Tuple[State, str]]] = {start: None}
-    depth_of: Dict[State, int] = {start: 1}
-    frontier: deque[State] = deque([start])
-    _checked(invariant_fn, start, parents, collect_witness)
-    while frontier:
-        state = frontier.popleft()
-        depth = depth_of[state]
-        succs = successors_fn(state)
-        if not succs:
-            stats.deadlocks += 1
-        for action, nxt in succs:
-            stats.generated += 1
-            if len(nxt[3]) > QUEUE_BOUND:
-                continue
-            if nxt in depth_of:
-                continue
-            if depth + 1 > max_depth:
-                raise BoundExceeded(f"depth bound {max_depth} exceeded")
-            depth_of[nxt] = depth + 1
-            parents[nxt] = (state, action)
-            stats.distinct += 1
-            if stats.distinct > max_distinct:
-                raise BoundExceeded(f"state bound {max_distinct} exceeded")
-            stats.depth = max(stats.depth, depth + 1)
-            stats.by_action[action] = stats.by_action.get(action, 0) + 1
-            _checked(invariant_fn, nxt, parents, collect_witness)
-            frontier.append(nxt)
-    return stats
+    # The parent map exists only to rebuild a witness path.
+    parents: Optional[Dict[State, Optional[Tuple[State, str]]]] = (
+        {start: None} if collect_witness else None
+    )
+    _checked(invariant_fn, start, parents)
+    seen = {start}
+    distinct = generated = depth = 1
+    by_action = {"Init": 1}
+    deadlocks = 0
+    level = [start]
+    while level:
+        # Every state in ``level`` lies at ``depth``; new ones at ``depth + 1``.
+        too_deep = depth + 1 > max_depth
+        next_level: List[State] = []
+        for state in level:
+            succs = successors_fn(state)
+            generated += len(succs)
+            if not succs:
+                deadlocks += 1
+            for action, nxt in succs:
+                if len(nxt[3]) > QUEUE_BOUND or nxt in seen:
+                    continue
+                if too_deep:
+                    raise BoundExceeded(f"depth bound {max_depth} exceeded")
+                seen.add(nxt)
+                if parents is not None:
+                    parents[nxt] = (state, action)
+                distinct += 1
+                if distinct > max_distinct:
+                    raise BoundExceeded(f"state bound {max_distinct} exceeded")
+                by_action[action] = by_action.get(action, 0) + 1
+                _checked(invariant_fn, nxt, parents)
+                next_level.append(nxt)
+        if next_level:
+            depth += 1
+        level = next_level
+    return ExploreStats(distinct, generated, depth, by_action, 0, deadlocks)
 
 
 def _checked(
     invariant_fn: Callable[[State], None],
     state: State,
-    parents: Dict[State, Optional[Tuple[State, str]]],
-    collect_witness: bool,
+    parents: Optional[Dict[State, Optional[Tuple[State, str]]]],
 ) -> None:
     try:
         invariant_fn(state)
     except InvariantViolation as violation:
-        if collect_witness and not violation.witness_path:
+        if parents is not None and not violation.witness_path:
             violation.witness_path = witness_path(state, parents)
         raise
 
@@ -246,27 +260,34 @@ def explore_extended(max_distinct: int = 50_000, max_depth: int = 64) -> Explore
     # in the frozen tuple rather than on the task. ``built`` maps each state
     # to the first (graph, assignment) pair frozen into it; successors that
     # change the graph work on a copy, so a stored pair is never mutated.
+    # A successor that keeps its source's pair (Enqueue, Acquire, Release, a
+    # Synchronize of a task no longer RUNNING) reuses the source's task and
+    # edge tuples, so each pair is frozen once, by the step that made it.
     built: Dict[object, Tuple[TaskConstellation, Dict[str, str]]] = {}
+
+    def record(frozen, pair):
+        built.setdefault(frozen, pair)
+        return frozen
 
     def freeze(c: TaskConstellation, assigned: Dict[str, str], lock: str, queue):
         tasks = tuple(
-            (tid, c.tasks[tid].status.value, assigned.get(tid, NULL)) for tid in sorted(c.tasks)
+            (tid, c.tasks[tid].status._value_, assigned.get(tid, NULL)) for tid in sorted(c.tasks)
         )
         edges = tuple((eid, c.edges[eid].from_task, c.edges[eid].to_task) for eid in sorted(c.edges))
-        frozen = (tasks, edges, lock, queue)
-        built.setdefault(frozen, (c, assigned))
-        return frozen
+        return record((tasks, edges, lock, queue), (c, assigned))
 
     def extended_successors(frozen) -> List[Tuple[str, object]]:
         out: List[Tuple[str, object]] = []
-        c, assigned = built[frozen]
-        _, _, lock, queue = frozen
-        running = sorted(tid for tid, t in c.tasks.items() if t.status is TaskStatus.RUNNING)
+        pair = built[frozen]
+        c, assigned = pair
+        tasks, edges, lock, queue = frozen
+        running = [tid for tid, status, _ in tasks if status == "RUNNING"]
         for tid in running:
             for event in EVENTS:
-                out.append(("Enqueue", freeze(c, assigned, lock, queue + (f"{event}:{tid}",))))
+                enqueued = (tasks, edges, lock, queue + (f"{event}:{tid}",))
+                out.append(("Enqueue", record(enqueued, pair)))
         if lock == "free":
-            out.append(("Acquire", freeze(c, assigned, "held", queue)))
+            out.append(("Acquire", record((tasks, edges, "held", queue), pair)))
             for tid in c.ready_tasks():
                 if tid not in assigned:
                     dispatched = c.clone()
@@ -276,7 +297,6 @@ def explore_extended(max_distinct: int = 50_000, max_depth: int = 64) -> Explore
         if lock == "held":
             if queue:
                 event, _, tid = queue[0].partition(":")
-                synced = c
                 if c.tasks[tid].status is TaskStatus.RUNNING:
                     synced = c.clone()
                     if event == "TASK_COMPLETED":
@@ -285,11 +305,13 @@ def explore_extended(max_distinct: int = 50_000, max_depth: int = 64) -> Explore
                         synced.transition(
                             tid, TaskStatus.FAILED, failure_reason=FailureReason.EXECUTION_ERROR
                         )
-                out.append(("Synchronize", freeze(synced, assigned, lock, queue[1:])))
+                    out.append(("Synchronize", freeze(synced, assigned, lock, queue[1:])))
+                else:
+                    out.append(("Synchronize", record((tasks, edges, lock, queue[1:]), pair)))
             if "x" not in c.tasks:
                 edited, _ = apply_delta(c, spawn_delta)
                 out.append(("Edit", freeze(edited, assigned, lock, queue)))
-            out.append(("Release", freeze(c, assigned, "free", queue)))
+            out.append(("Release", record((tasks, edges, "free", queue), pair)))
         return out
 
     def extended_invariants(frozen) -> None:

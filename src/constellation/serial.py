@@ -17,19 +17,21 @@ SCHEMA_VERSION = 1
 
 
 def task_to_doc(task: TaskStar, constellation: TaskConstellation) -> Dict[str, Any]:
+    # Enum values are read through ``_value_``, a plain attribute; the
+    # ``value`` property costs a descriptor call per field.
     doc: Dict[str, Any] = {
         "id": task.id,
         "name": task.name,
         "description": task.description,
         "device": task.device,
         "tips": list(task.tips),
-        "status": task.status.value,
+        "status": task.status._value_,
         "dependencies": constellation.dependencies_of(task.id),
     }
     if task.result is not None:
         doc["result"] = task.result
     if task.failure_reason is not None:
-        doc["failure_reason"] = task.failure_reason.value
+        doc["failure_reason"] = task.failure_reason._value_
     return doc
 
 
@@ -38,7 +40,7 @@ def edge_to_doc(edge: TaskStarLine) -> Dict[str, Any]:
         "id": edge.id,
         "from_task": edge.from_task,
         "to_task": edge.to_task,
-        "dep_type": edge.dep_type.kind.value,
+        "dep_type": edge.dep_type.kind._value_,
         "description": edge.description,
     }
     if edge.dep_type.condition_id is not None:

@@ -75,9 +75,7 @@ class SimNetwork:
                 "deliver_at": now + latency,
             }
         )
-        self.clock.call_later(
-            latency, lambda: self._deliver(src, dst, frame), label=f"frame:{src}->{dst}"
-        )
+        self.clock.call_later(latency, lambda: self._deliver(src, dst, frame))
 
     def _deliver(self, src: str, dst: str, frame: bytes) -> None:
         handler = self._handlers.get(dst)

@@ -157,7 +157,7 @@ class LocalClient:
             result, duration = self.executor.execute(command)
             results.append(result)
             total += duration
-        self.clock.call_later(total, lambda: on_results(results), label="client")
+        self.clock.call_later(total, lambda: on_results(results))
 
 
 def serve(reasoner_entries, executor_table, task=None):
