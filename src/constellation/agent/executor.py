@@ -26,7 +26,7 @@ class ScriptedExecutor:
         self.strict = strict
 
     @classmethod
-    def load(cls, source: Union[str, Path, Dict[str, Any]], strict: bool = True) -> "ScriptedExecutor":
+    def load(cls, source: Union[str, Path, Dict[str, Any]]) -> "ScriptedExecutor":
         if isinstance(source, (str, Path)):
             try:
                 doc = json.loads(Path(source).read_text(encoding="utf-8"))
@@ -34,7 +34,7 @@ class ScriptedExecutor:
                 raise ParseError(f"cannot load executor table {source}: {exc}") from exc
         else:
             doc = source
-        return cls(doc.get("table", []), sys_info=doc.get("sys_info"), strict=strict)
+        return cls(doc.get("table", []), sys_info=doc.get("sys_info"))
 
     def execute(self, action: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
         """Run one action; returns (structured result, virtual duration)."""

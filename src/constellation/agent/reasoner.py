@@ -32,7 +32,7 @@ class ScriptedReasoner:
         self.strict = strict
 
     @classmethod
-    def load(cls, source: Union[str, Path, Dict[str, Any]], strict: bool = True) -> "ScriptedReasoner":
+    def load(cls, source: Union[str, Path, Dict[str, Any]]) -> "ScriptedReasoner":
         if isinstance(source, (str, Path)):
             try:
                 doc = json.loads(Path(source).read_text(encoding="utf-8"))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from ..clock import TimerHandle, VirtualClock
@@ -350,21 +351,21 @@ class DeviceServerEndpoint(_Endpoint):
                 ),
             )
 
-        def on_end(status: str, payload: Dict[str, Any]) -> None:
-            self.active_runs.pop(session_id, None)
-            body = {"status": status}
-            body.update(payload)
-            reply = AipMessage(MessageType.TASK_END, body, session_id=session_id)
-            if self.connected:
-                self.send(self.orchestrator_address, reply)
-            else:
-                self.session(session_id, self.orchestrator_address).record(
-                    "local", reply, self.clock.now, synthetic=True
-                )
+        run = self.agent_server.serve_task(task, send_commands, partial(self._end_task, session_id))
+        if not run.ended:  # a run can end inside serve_task; only live runs are kept
+            self.active_runs[session_id] = run
 
-        self.active_runs[session_id] = self.agent_server.serve_task(
-            task, send_commands, on_end
-        )
+    def _end_task(self, session_id: str, status: str, payload: Dict[str, Any]) -> None:
+        self.active_runs.pop(session_id, None)
+        body = {"status": status}
+        body.update(payload)
+        reply = AipMessage(MessageType.TASK_END, body, session_id=session_id)
+        if self.connected:
+            self.send(self.orchestrator_address, reply)
+        else:
+            self.session(session_id, self.orchestrator_address).record(
+                "local", reply, self.clock.now, synthetic=True
+            )
 
     # -- liveness / reconnection -----------------------------------------
 
@@ -409,28 +410,16 @@ class DeviceServerEndpoint(_Endpoint):
             self._beat_timer.cancel()
             self._beat_timer = None
         # Abort ongoing work: both sides converge on FAILED statuses.
-        for session_id in sorted(self.active_runs):
-            run = self.active_runs[session_id]
+        for session_id, run in sorted(self.active_runs.items()):
             self.agent_server.abort(
                 run,
                 "connection to orchestrator lost",
                 "AGENT_DISCONNECTED",
-                lambda status, payload, sid=session_id: self._record_aborted(sid, status, payload),
+                partial(self._end_task, session_id),
             )
-        self.active_runs.clear()
         self._pending_results.clear()
         self._reconnect_attempt = 0
         self._schedule_reconnect()
-
-    def _record_aborted(self, session_id: str, status: str, payload: Dict[str, Any]) -> None:
-        body = {"status": status}
-        body.update(payload)
-        self.session(session_id, self.orchestrator_address).record(
-            "local",
-            AipMessage(MessageType.TASK_END, body, session_id=session_id),
-            self.clock.now,
-            synthetic=True,
-        )
 
     def _schedule_reconnect(self) -> None:
         if self._reconnect_attempt >= self.backoff.max_attempts:

@@ -6,15 +6,19 @@ queue is non-empty the orchestrator acquires the lock and runs edit cycles
 delta, commit atomically, publish the modification) until the queue is
 empty, then releases the lock and reschedules ready tasks. Dispatching only
 ever happens with the lock free, against the latest committed version.
-A ``dispatch()`` that raises fails its task with EXECUTION_ERROR; a
-completion for a task already finished, or never dispatched, is counted in
+A dispatcher may call back at any time, even inside ``dispatch()``: its
+``on_done``, its availability listener and a raising ``dispatch()`` (its
+task's EXECUTION_ERROR) go to one intake, which the clock drains in arrival
+order at its next step of the same virtual instant. A completion for a task
+already finished, or never dispatched, is counted in
 ``RunReport.dropped_completions`` and otherwise ignored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Set
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Protocol, Set, Tuple
 
 from .clock import TimerHandle, VirtualClock
 from .edits import apply_delta
@@ -31,6 +35,9 @@ DoneCallback = Callable[[str, TaskStatus, Optional[str], Optional[FailureReason]
 
 
 class Dispatcher(Protocol):
+    """``on_done`` and the listener may be called at any time, even inside
+    ``dispatch()``; they act at the clock's next step of the same instant."""
+
     def available_devices(self) -> Set[str]:
         ...
 
@@ -109,7 +116,8 @@ class Orchestrator:
         self._round_index = 0
         self._pending_timers: Dict[str, TimerHandle] = {}
         self._execution_timers: Dict[str, TimerHandle] = {}
-        self.dispatcher.set_availability_listener(self._on_availability_change)
+        self._intake: List[Tuple[Callable[..., None], Tuple[Any, ...]]] = []
+        self.dispatcher.set_availability_listener(partial(self._take, self._on_availability_change))
 
     # -- public driver ---------------------------------------------------
 
@@ -128,9 +136,24 @@ class Orchestrator:
 
     # -- event intake ----------------------------------------------------
 
+    def _take(self, handler: Callable[..., None], *args: Any) -> None:
+        """Queues a dispatcher's call for the drain, scheduled once per burst."""
+        if not self._intake:
+            self.clock.call_later(0.0, self._drain)
+        self._intake.append((handler, args))
+
+    def _report_done(self, *args: Any) -> None:
+        """The on_done of ``dispatch()``: a method, as a stored partial forms a cycle."""
+        self._take(self._on_task_done, *args)
+
+    def _drain(self) -> None:
+        calls, self._intake = self._intake, []
+        for handler, args in calls:
+            if self.done:
+                return
+            handler(*args)
+
     def enqueue(self, event: OrchestratorEvent) -> None:
-        if self.done:
-            return
         self.queue.append(event)
         self.report.record_event(event)
         if not self.lock_held:
@@ -162,14 +185,12 @@ class Orchestrator:
         self.enqueue(OrchestratorEvent(kind, task_id, self.clock.now, payload))
 
     def _on_availability_change(self) -> None:
-        if not self.done and not self.lock_held:
+        if not self.lock_held:
             self._reschedule()
 
     # -- locked edit cycles ----------------------------------------------
 
     def _begin_cycle(self) -> None:
-        if self.lock_held or self.done:
-            return
         self.lock_held = True
         self.report.record_lock("acquire", self.clock.now)
         self._start_round()
@@ -281,7 +302,8 @@ class Orchestrator:
             return
         self._release_lock()
         self._reschedule()
-        self._check_quiescence()
+        if not self._pending_timers and self.constellation.is_quiescent():
+            self._finish(self._outcome_from_statuses())
 
     def _release_lock(self) -> None:
         self.lock_held = False
@@ -307,15 +329,9 @@ class Orchestrator:
     # -- scheduling ------------------------------------------------------
 
     def _reschedule(self) -> None:
-        if self.done:
-            return
         available = self.dispatcher.available_devices()
         for task_id in self.constellation.ready_tasks():
-            if self.lock_held or self.done:
-                break  # a callback inside dispatch() took the lock or ended the run; release reschedules
             task = self.constellation.tasks[task_id]
-            if task.status is not TaskStatus.PENDING:
-                continue  # a dispatcher re-entered _reschedule and sent it already
             if "*" in available or task.device in available:
                 self._dispatch(task)
             elif task_id not in self._pending_timers:
@@ -345,14 +361,14 @@ class Orchestrator:
             lambda tid=task.id: self._execution_timeout(tid),
         )
         try:
-            self.dispatcher.dispatch(self.constellation.tasks[task.id], self._on_task_done)
+            self.dispatcher.dispatch(self.constellation.tasks[task.id], self._report_done)
         except Exception as exc:
-            self._on_task_done(task.id, TaskStatus.FAILED, str(exc), FailureReason.EXECUTION_ERROR)
+            self._report_done(task.id, TaskStatus.FAILED, str(exc), FailureReason.EXECUTION_ERROR)
 
     def _pending_timeout(self, task_id: str) -> None:
         self._pending_timers.pop(task_id, None)
         task = self.constellation.tasks.get(task_id)
-        if self.done or task is None or task.status is not TaskStatus.PENDING:
+        if task is None or task.status is not TaskStatus.PENDING:
             return
         self.enqueue(
             OrchestratorEvent(
@@ -364,19 +380,11 @@ class Orchestrator:
         )
 
     def _execution_timeout(self, task_id: str) -> None:
+        # Only a RUNNING task has this timer: its completion and _finish cancel it.
         self._execution_timers.pop(task_id, None)
-        task = self.constellation.tasks.get(task_id)
-        if self.done or task is None or task.status is not TaskStatus.RUNNING:
-            return
         self._on_task_done(task_id, TaskStatus.FAILED, None, FailureReason.TIMEOUT)
 
     # -- termination -----------------------------------------------------
-
-    def _check_quiescence(self) -> None:
-        if self.done or self.queue or self.lock_held or self._pending_timers:
-            return
-        if self.constellation.is_quiescent():
-            self._finish(self._outcome_from_statuses())
 
     def _outcome_from_statuses(self) -> RunOutcome:
         if not unrecovered_failures(self.constellation):
@@ -387,8 +395,7 @@ class Orchestrator:
 
     def _abort(self, message: str) -> None:
         self.report.error = message
-        if self.lock_held:
-            self._release_lock()
+        self._release_lock()  # every abort comes from a planner round
         self._finish(RunOutcome.FAILED)
 
     def _finish(self, outcome: RunOutcome) -> None:

@@ -258,15 +258,15 @@ def explore_extended(max_distinct: int = 50_000, max_depth: int = 64) -> Explore
     # State: ((task id, status, assigned device) ..., (edge id, from, to) ...,
     # lock, queue). Assignment is orchestrator-side bookkeeping, so it rides
     # in the frozen tuple rather than on the task. ``built`` maps each state
-    # to the first (graph, assignment) pair frozen into it; successors that
-    # change the graph work on a copy, so a stored pair is never mutated.
-    # A successor that keeps its source's pair (Enqueue, Acquire, Release, a
-    # Synchronize of a task no longer RUNNING) reuses the source's task and
-    # edge tuples, so each pair is frozen once, by the step that made it.
-    built: Dict[object, Tuple[TaskConstellation, Dict[str, str]]] = {}
+    # to the first (graph, assignment, I2 violated) entry frozen into it;
+    # successors that change the graph work on a copy, so no stored graph is
+    # mutated. A successor that keeps its source's graph (Enqueue, Acquire,
+    # Release, a Synchronize of a task no longer RUNNING) shares its entry and
+    # tuples, so each graph is frozen and validated once, by its maker.
+    built: Dict[object, Tuple[TaskConstellation, Dict[str, str], bool]] = {}
 
-    def record(frozen, pair):
-        built.setdefault(frozen, pair)
+    def record(frozen, entry):
+        built.setdefault(frozen, entry)
         return frozen
 
     def freeze(c: TaskConstellation, assigned: Dict[str, str], lock: str, queue):
@@ -274,20 +274,23 @@ def explore_extended(max_distinct: int = 50_000, max_depth: int = 64) -> Explore
             (tid, c.tasks[tid].status._value_, assigned.get(tid, NULL)) for tid in sorted(c.tasks)
         )
         edges = tuple((eid, c.edges[eid].from_task, c.edges[eid].to_task) for eid in sorted(c.edges))
-        return record((tasks, edges, lock, queue), (c, assigned))
+        frozen = (tasks, edges, lock, queue)
+        if frozen not in built:
+            built[frozen] = (c, assigned, bool(c.validate()))
+        return frozen
 
     def extended_successors(frozen) -> List[Tuple[str, object]]:
         out: List[Tuple[str, object]] = []
-        pair = built[frozen]
-        c, assigned = pair
+        entry = built[frozen]
+        c, assigned, _ = entry
         tasks, edges, lock, queue = frozen
         running = [tid for tid, status, _ in tasks if status == "RUNNING"]
         for tid in running:
             for event in EVENTS:
                 enqueued = (tasks, edges, lock, queue + (f"{event}:{tid}",))
-                out.append(("Enqueue", record(enqueued, pair)))
+                out.append(("Enqueue", record(enqueued, entry)))
         if lock == "free":
-            out.append(("Acquire", record((tasks, edges, "held", queue), pair)))
+            out.append(("Acquire", record((tasks, edges, "held", queue), entry)))
             for tid in c.ready_tasks():
                 if tid not in assigned:
                     dispatched = c.clone()
@@ -307,19 +310,19 @@ def explore_extended(max_distinct: int = 50_000, max_depth: int = 64) -> Explore
                         )
                     out.append(("Synchronize", freeze(synced, assigned, lock, queue[1:])))
                 else:
-                    out.append(("Synchronize", record((tasks, edges, lock, queue[1:]), pair)))
+                    out.append(("Synchronize", record((tasks, edges, lock, queue[1:]), entry)))
             if "x" not in c.tasks:
                 edited, _ = apply_delta(c, spawn_delta)
                 out.append(("Edit", freeze(edited, assigned, lock, queue)))
-            out.append(("Release", record((tasks, edges, "free", queue), pair)))
+            out.append(("Release", record((tasks, edges, "free", queue), entry)))
         return out
 
     def extended_invariants(frozen) -> None:
-        c, assigned = built[frozen]
+        c, assigned, invalid = built[frozen]
         for tid, task in c.tasks.items():
             if task.status is TaskStatus.RUNNING and tid not in assigned:
                 raise InvariantViolation("I1", frozen)
-        if c.validate():
+        if invalid:
             raise InvariantViolation("I2", frozen)
 
     return explore(

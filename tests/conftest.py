@@ -33,13 +33,14 @@ def fig4() -> TaskConstellation:
 def random_dag(
     rng: random.Random,
     max_nodes: int = 8,
+    min_nodes: int = 1,
     edge_probability: float = 0.4,
     devices: Tuple[str, ...] = ("dev0", "dev1", "dev2"),
     kinds: Tuple[str, ...] = ("UNCONDITIONAL", "SUCCESS_ONLY", "CONDITIONAL"),
 ) -> TaskConstellation:
     """Random DAG over a random topological order, so acyclicity holds by
     construction. CONDITIONAL edges use the built-in "always" predicate."""
-    n = rng.randint(1, max_nodes)
+    n = rng.randint(min_nodes, max_nodes)
     order = [f"t{i}" for i in range(n)]
     tasks = [
         {

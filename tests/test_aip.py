@@ -168,7 +168,7 @@ def build_pair(outages, seed=0, exec_duration=1.0):
     registry = ProfileRegistry()
     orchestrator = ConstellationEndpoint(clock, network, "orchestrator", registry)
     executor = ScriptedExecutor.load(
-        {"table": [{"pattern": "*", "stdout": "ok", "duration": exec_duration}]}, strict=False
+        {"table": [{"pattern": "*", "stdout": "ok", "duration": exec_duration}]}
     )
     reasoner = ScriptedReasoner.load(
         {
@@ -297,6 +297,16 @@ class TestLiveness:
         commands_after = sum(1 for f in network.wire_log if f["summary"] == "COMMAND")
         assert commands_after == commands_before
         assert len(server.active_runs) == 1
+
+    def test_run_ended_inside_serve_task_is_not_kept_active(self):
+        """An empty description fails the task before serve_task returns: its
+        TASK_END is sent and no ended run is left in active_runs."""
+        clock, _, _, _, server = build_pair(outages=[])
+        advance(clock, 1.0)
+        task = {"task": {"id": "T", "description": ""}, "request": "request"}
+        server.handle("orchestrator", AipMessage(MessageType.TASK, task, session_id="s1"))
+        assert server.active_runs == {}
+        assert [e["msg_type"] for e in server.sessions["s1"].log] == ["TASK_END"]
 
     def test_task_completes_end_to_end(self):
         clock, _, _, orchestrator, _ = build_pair(outages=[])

@@ -1,5 +1,8 @@
 """Orchestrator: locked edit cycles, scheduling, outcomes, timeouts."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from constellation import (
@@ -22,7 +25,7 @@ from constellation import (
     load_script,
     serialize,
 )
-from conftest import SCENARIOS_DIR, layered_config
+from conftest import SCENARIOS_DIR, layered_config, random_dag
 
 
 def fig4_constellation():
@@ -69,8 +72,8 @@ class TestHappyPath:
 
     def test_availability_change_inside_dispatch_sends_each_task_once(self):
         """A dispatcher may report an availability change from inside
-        dispatch(); the nested reschedule must not leave the outer loop
-        holding already-dispatched tasks."""
+        dispatch(); the reschedule it asks for runs after the dispatch pass,
+        so no task is sent twice."""
 
         class ReentrantDispatcher(ScriptedDispatcher):
             def set_availability_listener(self, listener):
@@ -89,10 +92,10 @@ class TestHappyPath:
         started = [e["task_id"] for e in report.events if e["kind"] == "TASK_STARTED"]
         assert sorted(started) == ["A", "B", "C", "D", "E"]
 
-    def test_synchronous_failure_inside_dispatch_stops_dispatching(self):
-        """A failure reported from inside dispatch() takes the lock at once;
-        the tasks after it wait for the release instead of being sent under
-        the held lock."""
+    def test_synchronous_failure_inside_dispatch_takes_effect_after_the_pass(self):
+        """A failure reported from inside dispatch() waits in the intake until
+        the clock's next step: the dispatch pass sends every ready task with
+        the lock free, and the failure is recorded after all of them."""
 
         class FailsAInline(ScriptedDispatcher):
             def dispatch(self, task, on_done):
@@ -113,9 +116,13 @@ class TestHappyPath:
         ).run()
         assert report.assignments_while_held == 0
         assert report.outcome is RunOutcome.PARTIAL
-        started = [e["task_id"] for e in report.events if e["kind"] == "TASK_STARTED"]
-        assert started == ["a", "b", "c"]
-
+        kinds = [(e["kind"], e["task_id"]) for e in report.events if e["kind"].startswith("TASK_")]
+        assert kinds[:4] == [
+            ("TASK_STARTED", "a"),
+            ("TASK_STARTED", "b"),
+            ("TASK_STARTED", "c"),
+            ("TASK_FAILED", "a"),
+        ]
 
     def test_large_layered_graph_runs_to_success(self):
         """160 layers of 10 tasks, each task taking 1.0 s: the run must end
@@ -224,6 +231,65 @@ class TestHostileDispatchers:
         assert a_events == ["TASK_STARTED", "TASK_FAILED"]
         by_id = {t["id"]: t for t in report.final_document["tasks"]}
         assert by_id["a"]["failure_reason"] == "TIMEOUT"
+
+    HOSTILE_BEHAVIOURS = ("clock", "complete inline", "fail inline", "twice", "raise", "listener")
+
+    @staticmethod
+    def hostile_run(seed):
+        """One seeded 2-6 task DAG run against a dispatcher that picks, per
+        task, one hostile way to report back."""
+        rng = random.Random(seed)
+        constellation = random_dag(rng, max_nodes=6, min_nodes=2)
+        behaviours = {
+            tid: rng.choice(TestHostileDispatchers.HOSTILE_BEHAVIOURS)
+            for tid in sorted(constellation.tasks)
+        }
+        durations = {tid: rng.choice((0.0, 1.0, 2.0)) for tid in sorted(constellation.tasks)}
+
+        class Hostile(ScriptedDispatcher):
+            def available_devices(self):
+                return {"dev0", "dev1", "dev2"}
+
+            def set_availability_listener(self, listener):
+                self.listener = listener
+
+            def dispatch(self, task, on_done):
+                behaviour = behaviours[task.id]
+                if behaviour == "raise":
+                    raise RuntimeError(f"{task.id} refused")
+                if behaviour == "complete inline":
+                    on_done(task.id, TaskStatus.COMPLETED, "inline", None)
+                elif behaviour == "fail inline":
+                    on_done(task.id, TaskStatus.FAILED, "inline", FailureReason.AGENT_DISCONNECTED)
+                elif behaviour == "twice":
+                    on_done(task.id, TaskStatus.COMPLETED, "inline", None)
+                    super().dispatch(task, on_done)
+                else:
+                    if behaviour == "listener":
+                        self.listener()
+                    super().dispatch(task, on_done)
+
+        clock = VirtualClock()
+        dispatcher = Hostile(clock, durations=durations)
+        return Orchestrator(clock, NoopPlanner(), dispatcher, constellation=constellation).run()
+
+    def test_fuzzed_hostile_dispatchers_keep_the_invariants(self):
+        """Whatever a dispatcher does inside dispatch(), nothing is sent under
+        the held lock, no task starts twice, every start ends exactly once,
+        the run ends with an outcome, and a seed always yields one report."""
+        for seed in range(200):
+            report = self.hostile_run(seed)
+            assert report.outcome is not None, seed
+            assert report.assignments_while_held == 0, seed
+            started = Counter(e["task_id"] for e in report.events if e["kind"] == "TASK_STARTED")
+            ended = Counter(
+                e["task_id"]
+                for e in report.events
+                if e["kind"] in ("TASK_COMPLETED", "TASK_FAILED")
+            )
+            assert max(started.values(), default=1) == 1, (seed, started)
+            assert ended == started, (seed, started, ended)
+            assert self.hostile_run(seed).to_json() == report.to_json(), seed
 
 
 class TestHostilePlanner:

@@ -463,3 +463,19 @@ class TestExtendedMode:
         monkeypatch.setattr(TaskConstellation, "transition", counted_transition)
         explore_extended()
         assert calls == {"apply_delta": 52, "transition": 299}
+
+    def test_each_graph_is_validated_once(self, monkeypatch):
+        """I2 is judged when a graph is first stored, not on every state that
+        shares it: once for each of the 257 stored graphs, plus once by the
+        build of the base graph, against 881 calls when every state was
+        validated. Stored graphs stay alive, so their ids are distinct."""
+        graphs = []
+        validate = TaskConstellation.validate
+
+        def counted_validate(self):
+            graphs.append(id(self))
+            return validate(self)
+
+        monkeypatch.setattr(TaskConstellation, "validate", counted_validate)
+        assert explore_extended().distinct == 880
+        assert (len(graphs), len(set(graphs))) == (258, 257)
