@@ -9,8 +9,9 @@ ever happens with the lock free, against the latest committed version.
 A dispatcher may call back at any time, even inside ``dispatch()``: its
 ``on_done``, its availability listener and a raising ``dispatch()`` (its
 task's EXECUTION_ERROR) go to one intake, which the clock drains in arrival
-order at its next step of the same virtual instant. A completion for a task
-already finished, or never dispatched, is counted in
+order at its next step of the same virtual instant. The engine's own timers
+(commits, timeouts) drain it first, so callbacks fired before them act first.
+A completion for a task already finished, or never dispatched, is counted in
 ``RunReport.dropped_completions`` and otherwise ignored.
 """
 
@@ -71,18 +72,12 @@ class ScriptedDispatcher:
         pass
 
     def dispatch(self, task: TaskStar, on_done: DoneCallback) -> None:
-        duration = self.durations.get(task.id, self.default_duration)
         if task.id in self.failures:
-            reason = FailureReason(self.failures[task.id])
-            self.clock.call_later(
-                duration,
-                lambda: on_done(task.id, TaskStatus.FAILED, None, reason),
-            )
+            report = (task.id, TaskStatus.FAILED, None, FailureReason(self.failures[task.id]))
         else:
-            self.clock.call_later(
-                duration,
-                lambda: on_done(task.id, TaskStatus.COMPLETED, f"{task.id} done", None),
-            )
+            report = (task.id, TaskStatus.COMPLETED, f"{task.id} done", None)
+        duration = self.durations.get(task.id, self.default_duration)
+        self.clock.call_later(duration, partial(on_done, *report))
 
 
 @dataclass
@@ -145,6 +140,11 @@ class Orchestrator:
     def _report_done(self, *args: Any) -> None:
         """The on_done of ``dispatch()``: a method, as a stored partial forms a cycle."""
         self._take(self._on_task_done, *args)
+
+    def _fire(self, handler: Callable[..., None], *args: Any) -> None:
+        """An engine timer: drained at once behind the callbacks that fired before it."""
+        self._intake.append((handler, args))
+        self._drain()
 
     def _drain(self) -> None:
         calls, self._intake = self._intake, []
@@ -215,7 +215,7 @@ class Orchestrator:
             return
         self.clock.call_later(
             output.duration,
-            lambda: self._commit_round(planner_input, output, started_at, represented),
+            partial(self._fire, self._commit_round, planner_input, output, started_at, represented),
         )
 
     def _commit_round(
@@ -337,7 +337,7 @@ class Orchestrator:
             elif task_id not in self._pending_timers:
                 self._pending_timers[task_id] = self.clock.call_later(
                     self.config.pending_dispatch_timeout,
-                    lambda tid=task_id: self._pending_timeout(tid),
+                    partial(self._fire, self._pending_timeout, task_id),
                 )
 
     def _dispatch(self, task: TaskStar) -> None:
@@ -358,7 +358,7 @@ class Orchestrator:
         )
         self._execution_timers[task.id] = self.clock.call_later(
             self.config.execution_timeout,
-            lambda tid=task.id: self._execution_timeout(tid),
+            partial(self._fire, self._execution_timeout, task.id),
         )
         try:
             self.dispatcher.dispatch(self.constellation.tasks[task.id], self._report_done)

@@ -14,6 +14,8 @@ from constellation import (
     NoopPlanner,
     Orchestrator,
     Planner,
+    PlannerOutput,
+    PlannerState,
     RunOutcome,
     ScriptedDispatcher,
     ScriptedPlanner,
@@ -116,6 +118,8 @@ class TestHappyPath:
         ).run()
         assert report.assignments_while_held == 0
         assert report.outcome is RunOutcome.PARTIAL
+        started = [e["task_id"] for e in report.events if e["kind"] == "TASK_STARTED"]
+        assert started == ["a", "b", "c"]
         kinds = [(e["kind"], e["task_id"]) for e in report.events if e["kind"].startswith("TASK_")]
         assert kinds[:4] == [
             ("TASK_STARTED", "a"),
@@ -237,7 +241,7 @@ class TestHostileDispatchers:
     @staticmethod
     def hostile_run(seed):
         """One seeded 2-6 task DAG run against a dispatcher that picks, per
-        task, one hostile way to report back."""
+        task, one hostile way to report back; planner rounds take 0 or 1 s."""
         rng = random.Random(seed)
         constellation = random_dag(rng, max_nodes=6, min_nodes=2)
         behaviours = {
@@ -245,6 +249,7 @@ class TestHostileDispatchers:
             for tid in sorted(constellation.tasks)
         }
         durations = {tid: rng.choice((0.0, 1.0, 2.0)) for tid in sorted(constellation.tasks)}
+        planner = rng.choice((NoopPlanner, SlowNoopPlanner))()
 
         class Hostile(ScriptedDispatcher):
             def available_devices(self):
@@ -271,7 +276,7 @@ class TestHostileDispatchers:
 
         clock = VirtualClock()
         dispatcher = Hostile(clock, durations=durations)
-        return Orchestrator(clock, NoopPlanner(), dispatcher, constellation=constellation).run()
+        return Orchestrator(clock, planner, dispatcher, constellation=constellation).run()
 
     def test_fuzzed_hostile_dispatchers_keep_the_invariants(self):
         """Whatever a dispatcher does inside dispatch(), nothing is sent under
@@ -290,6 +295,108 @@ class TestHostileDispatchers:
             assert max(started.values(), default=1) == 1, (seed, started)
             assert ended == started, (seed, started, ended)
             assert self.hostile_run(seed).to_json() == report.to_json(), seed
+
+
+class SlowNoopPlanner(NoopPlanner):
+    """A NoopPlanner whose every round takes 1 s; it finishes on a batch
+    that reports ``finish_on``."""
+
+    def __init__(self, finish_on=None):
+        self.finish_on = finish_on
+
+    def edit(self, planner_input):
+        output = super().edit(planner_input)
+        finish = any(e.task_id == self.finish_on for e in planner_input.batch)
+        return PlannerOutput(
+            observation=output.observation,
+            thought=output.thought,
+            next_state=PlannerState.FINISH if finish else output.next_state,
+            duration=1.0,
+        )
+
+
+def chain_config(devices, dependencies=()):
+    return {
+        "request": "same-instant order",
+        "tasks": [{"id": tid, "device": device} for tid, device in devices.items()],
+        "dependencies": [
+            {"id": f"{a}>{b}", "from_task": a, "to_task": b} for a, b in dependencies
+        ],
+    }
+
+
+def task_trace(report):
+    return [(e["kind"], e["task_id"], e["at"]) for e in report.events]
+
+
+def lock_trace(report):
+    return [(entry["action"], entry["at"]) for entry in report.lock_trace]
+
+
+class TestSameInstantOrder:
+    """A dispatcher's callback that the clock fires before an engine timer of
+    the same instant acts before that timer, as if it had run directly."""
+
+    def test_completion_due_with_a_commit_joins_the_held_lock_batch(self):
+        clock = VirtualClock()
+        constellation = build_constellation(
+            chain_config({"A": "dev", "B": "dev", "C": "dev"}, [("A", "C")])
+        )
+        report = Orchestrator(
+            clock,
+            SlowNoopPlanner(),
+            ScriptedDispatcher(clock, durations={"A": 1.0, "B": 2.0}),
+            constellation=constellation,
+        ).run()
+        # B completes at 3.0, the instant the round over A's completion
+        # commits: it joins that lock hold, and C is sent only after it.
+        assert lock_trace(report) == [
+            ("acquire", 0.0), ("release", 1.0),
+            ("acquire", 2.0), ("release", 4.0),
+            ("acquire", 5.0), ("release", 6.0),
+        ]
+        assert task_trace(report) == [
+            ("TASK_STARTED", "A", 1.0),
+            ("TASK_STARTED", "B", 1.0),
+            ("TASK_COMPLETED", "A", 2.0),
+            ("TASK_COMPLETED", "B", 3.0),
+            ("TASK_STARTED", "C", 4.0),
+            ("TASK_COMPLETED", "C", 5.0),
+        ]
+
+    def test_completion_due_with_a_finishing_commit_is_recorded(self):
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock,
+            SlowNoopPlanner(finish_on="A"),
+            ScriptedDispatcher(clock, durations={"A": 1.0, "B": 2.0}),
+            constellation=build_constellation(chain_config({"A": "dev", "B": "dev"})),
+        ).run()
+        assert report.finished_at == 3.0
+        assert report.timings["B"].finished_at == 3.0
+        assert task_trace(report)[-1] == ("TASK_COMPLETED", "B", 3.0)
+
+    def test_completion_due_with_a_pending_timeout_comes_first(self):
+        class DevOnly(ScriptedDispatcher):
+            def available_devices(self):
+                return {"dev"}
+
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock,
+            NoopPlanner(),
+            DevOnly(clock, durations={"A": 2.0}),
+            constellation=build_constellation(chain_config({"A": "dev", "X": "off"})),
+            config=EngineConfig(pending_dispatch_timeout=2.0),
+        ).run()
+        assert report.outcome is RunOutcome.PARTIAL
+        assert task_trace(report) == [
+            ("TASK_STARTED", "A", 0.0),
+            ("TASK_COMPLETED", "A", 2.0),
+            ("TASK_FAILED", "X", 2.0),
+        ]
+        batches = [[e["task_id"] for e in cycle.batch] for cycle in report.edit_cycles]
+        assert batches[-2:] == [["A"], ["X"]]
 
 
 class TestHostilePlanner:
