@@ -53,7 +53,7 @@ class _Endpoint:
     def send(self, dst: str, msg: AipMessage) -> None:
         if msg.session_id is not None:
             self.session(msg.session_id, dst).record("sent", msg, self.clock.now)
-        self.network.send(self.address, dst, encode(msg), summary=msg.msg_type.value)
+        self.network.send(self.address, dst, encode(msg), summary=msg.msg_type._value_)
 
     def _on_frame(self, src: str, frame: bytes) -> None:
         msg = decode(frame)
@@ -94,8 +94,7 @@ class ConstellationEndpoint(_Endpoint):
             if not isinstance(agent_id, str) or agent_id not in self.registry.profiles:
                 self._refuse(src, f"NotFound: no registered agent {agent_id!r}")
                 return
-            self.registry.heartbeat(agent_id, self.clock.now)
-            self._arm_deadline(agent_id)
+            self.registry.heartbeat(agent_id, self.clock.now)  # the armed deadline re-checks it
             self.send(
                 src,
                 AipMessage(
@@ -181,6 +180,9 @@ class ConstellationEndpoint(_Endpoint):
         )
 
     def _on_deadline(self, agent_id: str) -> None:
+        """A beat only moves ``last_heartbeat``: the timer armed at REGISTER
+        re-checks it here and is re-armed at the new deadline while beats
+        keep coming, until the agent is marked DISCONNECTED."""
         self._deadline_timers.pop(agent_id, None)
         profile = self.registry.profiles.get(agent_id)
         if profile is None or profile.status is AgentStatus.DISCONNECTED:
@@ -328,7 +330,7 @@ class DeviceServerEndpoint(_Endpoint):
                 self._reconnect_timer.cancel()
                 self._reconnect_timer = None
             self._schedule_beat()
-        self._arm_ack_deadline()
+            self._arm_ack_deadline()  # while connected, the armed timer re-checks last_ack
 
     # -- task execution --------------------------------------------------
 
@@ -396,6 +398,8 @@ class DeviceServerEndpoint(_Endpoint):
         )
 
     def _on_ack_deadline(self) -> None:
+        """An ack only moves ``last_ack``; the armed timer re-checks it here
+        and is re-armed at the new deadline while acks keep coming."""
         self._ack_deadline_timer = None
         if not self.connected:
             return

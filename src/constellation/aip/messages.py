@@ -3,6 +3,9 @@
 Nine message types with per-type schema validation and a length-prefixed
 UTF-8 JSON wire encoding. ``decode(encode(m)) == m`` for every valid
 message; anything failing its schema is rejected before processing.
+Every frame goes through one reused ``JSONEncoder`` and one length
+``Struct``, and message types are looked up by their string value, so the
+codec makes no ``Enum`` call.
 """
 
 from __future__ import annotations
@@ -67,18 +70,22 @@ IDEMPOTENCY: Dict[MessageType, IdempotencyClass] = {
     MessageType.ERROR: IdempotencyClass.IDEMPOTENT,
 }
 
-# Required body fields (name -> expected python type) per message type.
-_BODY_SCHEMAS: Dict[MessageType, Dict[str, type]] = {
-    MessageType.REGISTER: {"client_id": str, "metadata": dict},
-    MessageType.TASK: {"task": dict, "request": str},
-    MessageType.COMMAND: {"actions": list, "response_id": str},
-    MessageType.COMMAND_RESULTS: {"action_results": list, "prev_response_id": str},
-    MessageType.TASK_END: {"status": str},
-    MessageType.HEARTBEAT: {"timestamp": (int, float)},  # type: ignore[dict-item]
-    MessageType.DEVICE_INFO_REQUEST: {"target_id": str, "request_id": str},
-    MessageType.DEVICE_INFO_RESPONSE: {"result": dict, "response_id": str},
-    MessageType.ERROR: {"error": str, "context": dict},
+# Required body fields (name -> expected python type) per message type value.
+_BODY_SCHEMAS: Dict[str, Dict[str, type]] = {
+    "REGISTER": {"client_id": str, "metadata": dict},
+    "TASK": {"task": dict, "request": str},
+    "COMMAND": {"actions": list, "response_id": str},
+    "COMMAND_RESULTS": {"action_results": list, "prev_response_id": str},
+    "TASK_END": {"status": str},
+    "HEARTBEAT": {"timestamp": (int, float)},  # type: ignore[dict-item]
+    "DEVICE_INFO_REQUEST": {"target_id": str, "request_id": str},
+    "DEVICE_INFO_RESPONSE": {"result": dict, "response_id": str},
+    "ERROR": {"error": str, "context": dict},
 }
+
+_MESSAGE_TYPES: Dict[str, MessageType] = {m._value_: m for m in MessageType}
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+_LENGTH = struct.Struct(">I")
 
 _TASK_END_STATUSES = ("COMPLETED", "FAILED")
 
@@ -99,42 +106,43 @@ class AipMessage:
 
 
 def validate(msg: AipMessage) -> None:
-    schema = _BODY_SCHEMAS.get(msg.msg_type)
-    if schema is None:
-        raise SchemaViolation("msg_type", f"unknown message type {msg.msg_type!r}")
+    msg_type = msg.msg_type
+    if type(msg_type) is not MessageType:
+        raise SchemaViolation("msg_type", f"unknown message type {msg_type!r}")
+    schema = _BODY_SCHEMAS[msg_type._value_]
     for name, expected in schema.items():
         if name not in msg.body:
-            raise SchemaViolation(name, f"required by {msg.msg_type.value}")
+            raise SchemaViolation(name, f"required by {msg_type._value_}")
         if not isinstance(msg.body[name], expected):
             raise SchemaViolation(
                 name, f"expected {expected}, got {type(msg.body[name]).__name__}"
             )
         if expected is str and not msg.body[name]:
             raise SchemaViolation(name, "must be non-empty")
-    if msg.msg_type is MessageType.TASK_END:
+    if msg_type is MessageType.TASK_END:
         if msg.body["status"] not in _TASK_END_STATUSES:
             raise SchemaViolation("status", f"must be one of {_TASK_END_STATUSES}")
         if msg.body["status"] == "COMPLETED" and "result" not in msg.body:
             raise SchemaViolation("result", "required for COMPLETED TASK_END")
         if msg.body["status"] == "FAILED" and "error" not in msg.body:
             raise SchemaViolation("error", "required for FAILED TASK_END")
-    if msg.msg_type is MessageType.REGISTER and not msg.body["client_id"].strip():
+    if msg_type is MessageType.REGISTER and not msg.body["client_id"].strip():
         raise SchemaViolation("client_id", "must be non-empty")
 
 
 def encode(msg: AipMessage) -> bytes:
     validate(msg)
-    doc: Dict[str, Any] = {"msg_type": msg.msg_type.value, "body": msg.body}
+    doc: Dict[str, Any] = {"msg_type": msg.msg_type._value_, "body": msg.body}
     if msg.session_id is not None:
         doc["session_id"] = msg.session_id
-    payload = json.dumps(doc, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    return struct.pack(">I", len(payload)) + payload
+    payload = _ENCODER.encode(doc).encode("utf-8")
+    return _LENGTH.pack(len(payload)) + payload
 
 
 def decode(frame: bytes) -> AipMessage:
     if len(frame) < 4:
         raise SchemaViolation("frame", "shorter than the length prefix")
-    (length,) = struct.unpack(">I", frame[:4])
+    (length,) = _LENGTH.unpack_from(frame)
     payload = frame[4:]
     if len(payload) != length:
         raise SchemaViolation("frame", f"length prefix {length} != payload {len(payload)}")
@@ -144,10 +152,14 @@ def decode(frame: bytes) -> AipMessage:
         raise SchemaViolation("frame", f"invalid JSON payload: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaViolation("frame", "payload must be a JSON object")
-    try:
-        msg_type = MessageType(doc["msg_type"])
-    except (KeyError, ValueError) as exc:
-        raise SchemaViolation("msg_type", f"unknown or missing: {exc}") from exc
+    if "msg_type" not in doc:
+        raise SchemaViolation("msg_type", "unknown or missing: 'msg_type'")
+    value = doc["msg_type"]
+    msg_type = _MESSAGE_TYPES.get(value) if type(value) is str else None
+    if msg_type is None:
+        raise SchemaViolation(
+            "msg_type", f"unknown or missing: {value!r} is not a valid MessageType"
+        )
     body = doc.get("body")
     if not isinstance(body, dict):
         raise SchemaViolation("body", "must be a JSON object")

@@ -22,7 +22,7 @@ class SessionState:
         entry: Dict[str, Any] = {
             "at": at,
             "direction": direction,  # "sent" | "received" | "local"
-            "msg_type": msg.msg_type.value,
+            "msg_type": msg.msg_type._value_,
             "body": msg.body,
             "seq": self.next_send_seq if direction == "sent" else None,
         }

@@ -126,7 +126,9 @@ class Orchestrator:
         if not self.done:
             if self.config.deadline is not None and self.clock.now >= self.config.deadline:
                 self.report.deadline_exceeded = True
-            self._finish(self._outcome_from_statuses())
+            if self.lock_held:  # a planner round still in flight
+                self._release_lock()
+            self._finish(self._outcome_from_statuses(stopped=True))
         return self.report
 
     # -- event intake ----------------------------------------------------
@@ -153,7 +155,7 @@ class Orchestrator:
                 return
             handler(*args)
 
-    def enqueue(self, event: OrchestratorEvent) -> None:
+    def _enqueue(self, event: OrchestratorEvent) -> None:
         self.queue.append(event)
         self.report.record_event(event)
         if not self.lock_held:
@@ -182,7 +184,7 @@ class Orchestrator:
             payload["result"] = result
         if failure_reason is not None:
             payload["failure_reason"] = failure_reason._value_
-        self.enqueue(OrchestratorEvent(kind, task_id, self.clock.now, payload))
+        self._enqueue(OrchestratorEvent(kind, task_id, self.clock.now, payload))
 
     def _on_availability_change(self) -> None:
         if not self.lock_held:
@@ -370,7 +372,7 @@ class Orchestrator:
         task = self.constellation.tasks.get(task_id)
         if task is None or task.status is not TaskStatus.PENDING:
             return
-        self.enqueue(
+        self._enqueue(
             OrchestratorEvent(
                 EventKind.TASK_FAILED,
                 task_id,
@@ -386,10 +388,14 @@ class Orchestrator:
 
     # -- termination -----------------------------------------------------
 
-    def _outcome_from_statuses(self) -> RunOutcome:
-        if not unrecovered_failures(self.constellation):
+    def _outcome_from_statuses(self, stopped: bool = False) -> RunOutcome:
+        """A run ``stopped`` before it finished succeeds only if no task is
+        left PENDING or RUNNING."""
+        tasks = self.constellation.tasks.values()
+        unfinished = stopped and any(not t.status.terminal for t in tasks)
+        if not unfinished and not unrecovered_failures(self.constellation):
             return RunOutcome.SUCCESS
-        if any(t.status is TaskStatus.COMPLETED for t in self.constellation.tasks.values()):
+        if any(t.status is TaskStatus.COMPLETED for t in tasks):
             return RunOutcome.PARTIAL
         return RunOutcome.FAILED
 

@@ -31,7 +31,10 @@ class LinkSpec:
         self.outages = intervals
 
     def in_outage(self, now: float) -> bool:
-        return any(down <= now < up for down, up in self.outages)
+        for down, up in self.outages:
+            if down <= now < up:
+                return True
+        return False
 
 
 class SimNetwork:

@@ -1,6 +1,8 @@
 """Protocol layer: message vocabulary, profiles, liveness, backoff."""
 
 import json
+import struct
+from collections import Counter
 
 import jsonschema
 import pytest
@@ -24,7 +26,13 @@ from constellation.aip.messages import (
     encode,
     validate,
 )
-from constellation.aip.profile import AgentStatus, ProfileRegistry, merge_profile
+from constellation.aip.profile import (
+    HEARTBEAT_INTERVAL,
+    MISSED_K,
+    AgentStatus,
+    ProfileRegistry,
+    merge_profile,
+)
 from constellation.agent.executor import ScriptedExecutor
 from constellation.agent.reasoner import ScriptedReasoner
 from constellation.agent.server import AgentServer
@@ -101,6 +109,201 @@ class TestMessages:
     def test_heartbeat_round_trip_fuzzed(self, timestamp, session):
         msg = AipMessage(MessageType.HEARTBEAT, {"timestamp": timestamp}, session_id=session)
         assert decode(encode(msg)) == msg
+
+
+# -- reference codec: the earlier json.dumps / Enum-call implementation ----
+
+_REFERENCE_SCHEMAS = {
+    MessageType.REGISTER: {"client_id": str, "metadata": dict},
+    MessageType.TASK: {"task": dict, "request": str},
+    MessageType.COMMAND: {"actions": list, "response_id": str},
+    MessageType.COMMAND_RESULTS: {"action_results": list, "prev_response_id": str},
+    MessageType.TASK_END: {"status": str},
+    MessageType.HEARTBEAT: {"timestamp": (int, float)},
+    MessageType.DEVICE_INFO_REQUEST: {"target_id": str, "request_id": str},
+    MessageType.DEVICE_INFO_RESPONSE: {"result": dict, "response_id": str},
+    MessageType.ERROR: {"error": str, "context": dict},
+}
+
+
+def reference_validate(msg):
+    schema = _REFERENCE_SCHEMAS.get(msg.msg_type)
+    if schema is None:
+        raise SchemaViolation("msg_type", f"unknown message type {msg.msg_type!r}")
+    for name, expected in schema.items():
+        if name not in msg.body:
+            raise SchemaViolation(name, f"required by {msg.msg_type.value}")
+        if not isinstance(msg.body[name], expected):
+            raise SchemaViolation(
+                name, f"expected {expected}, got {type(msg.body[name]).__name__}"
+            )
+        if expected is str and not msg.body[name]:
+            raise SchemaViolation(name, "must be non-empty")
+    if msg.msg_type is MessageType.TASK_END:
+        statuses = ("COMPLETED", "FAILED")
+        if msg.body["status"] not in statuses:
+            raise SchemaViolation("status", f"must be one of {statuses}")
+        if msg.body["status"] == "COMPLETED" and "result" not in msg.body:
+            raise SchemaViolation("result", "required for COMPLETED TASK_END")
+        if msg.body["status"] == "FAILED" and "error" not in msg.body:
+            raise SchemaViolation("error", "required for FAILED TASK_END")
+    if msg.msg_type is MessageType.REGISTER and not msg.body["client_id"].strip():
+        raise SchemaViolation("client_id", "must be non-empty")
+
+
+def reference_encode(msg):
+    reference_validate(msg)
+    doc = {"msg_type": msg.msg_type.value, "body": msg.body}
+    if msg.session_id is not None:
+        doc["session_id"] = msg.session_id
+    payload = json.dumps(doc, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    return struct.pack(">I", len(payload)) + payload
+
+
+def reference_decode(frame):
+    if len(frame) < 4:
+        raise SchemaViolation("frame", "shorter than the length prefix")
+    (length,) = struct.unpack(">I", frame[:4])
+    payload = frame[4:]
+    if len(payload) != length:
+        raise SchemaViolation("frame", f"length prefix {length} != payload {len(payload)}")
+    try:
+        doc = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaViolation("frame", f"invalid JSON payload: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaViolation("frame", "payload must be a JSON object")
+    try:
+        msg_type = MessageType(doc["msg_type"])
+    except (KeyError, ValueError) as exc:
+        raise SchemaViolation("msg_type", f"unknown or missing: {exc}") from exc
+    body = doc.get("body")
+    if not isinstance(body, dict):
+        raise SchemaViolation("body", "must be a JSON object")
+    msg = AipMessage(msg_type=msg_type, body=body, session_id=doc.get("session_id"))
+    reference_validate(msg)
+    return msg
+
+
+def outcome(codec, arg):
+    """What a codec call gives: its value, or the field and reason it refuses."""
+    try:
+        return ("ok", codec(arg))
+    except SchemaViolation as exc:
+        return ("refused", exc.field, exc.reason)
+
+
+def raw_frame(doc):
+    payload = json.dumps(doc).encode("utf-8")
+    return struct.pack(">I", len(payload)) + payload
+
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**64), 2**64),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=8),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+json_objects = st.dictionaries(st.text(max_size=6), json_values, max_size=3)
+FIELD_VALUES = {
+    str: st.text(min_size=1, max_size=8).filter(str.strip),
+    dict: json_objects,
+    list: st.lists(json_values, max_size=3),
+    (int, float): st.one_of(
+        st.integers(-(2**64), 2**64), st.floats(allow_nan=False, allow_infinity=False)
+    ),
+}
+
+
+@st.composite
+def valid_messages(draw):
+    msg_type = draw(st.sampled_from(list(MessageType)))
+    body = draw(json_objects)  # extra fields ride along untouched
+    for name, expected in _REFERENCE_SCHEMAS[msg_type].items():
+        body[name] = draw(FIELD_VALUES[expected])
+    if msg_type is MessageType.TASK_END:
+        body["status"] = draw(st.sampled_from(["COMPLETED", "FAILED"]))
+        body["result" if body["status"] == "COMPLETED" else "error"] = draw(json_values)
+    session_id = draw(st.one_of(st.none(), st.text(max_size=8)))
+    return AipMessage(msg_type, body, session_id=session_id)
+
+
+MALFORMED_DOCS = {
+    "unknown type": {"msg_type": "NOPE", "body": {}},
+    "type by name case": {"msg_type": "heartbeat", "body": {"timestamp": 1.0}},
+    "missing type": {"body": {"timestamp": 1.0}},
+    "int type": {"msg_type": 5, "body": {}},
+    "null type": {"msg_type": None, "body": {}},
+    "true type": {"msg_type": True, "body": {}},
+    "list type": {"msg_type": ["HEARTBEAT"], "body": {}},
+    "object type": {"msg_type": {"HEARTBEAT": 1}, "body": {}},
+    "list body": {"msg_type": "HEARTBEAT", "body": [1.0]},
+    "missing body": {"msg_type": "HEARTBEAT"},
+    "missing field": {"msg_type": "COMMAND", "body": {"actions": []}},
+    "wrong field type": {"msg_type": "HEARTBEAT", "body": {"timestamp": "now"}},
+    "blank client": {"msg_type": "REGISTER", "body": {"client_id": " ", "metadata": {}}},
+    "bad status": {"msg_type": "TASK_END", "body": {"status": "MAYBE"}},
+}
+
+
+class TestCodecOracle:
+    """``encode``/``decode`` agree byte for byte, and refusal for refusal,
+    with the reference codec above."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(msg=valid_messages())
+    def test_valid_messages_match_the_reference(self, msg):
+        frame = encode(msg)
+        assert frame == reference_encode(msg)
+        assert decode(frame) == msg == reference_decode(frame)
+
+    @pytest.mark.parametrize("doc", list(MALFORMED_DOCS.values()), ids=list(MALFORMED_DOCS))
+    def test_malformed_frames_refused_like_the_reference(self, doc):
+        frame = raw_frame(doc)
+        refusal = outcome(reference_decode, frame)
+        assert refusal[0] == "refused"
+        assert outcome(decode, frame) == refusal
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            b"",
+            b"\x00\x00",
+            b"\x00\x00\x00\x09{}",
+            b"\x00\x00\x00\x02\xff\xfe",
+            raw_frame([1, 2]),
+            raw_frame("HEARTBEAT"),
+            b"\x00\x00\x00\x03{x}",
+        ],
+    )
+    def test_broken_frames_refused_like_the_reference(self, frame):
+        refusal = outcome(reference_decode, frame)
+        assert refusal[0] == "refused"
+        assert outcome(decode, frame) == refusal
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        msg_type=st.one_of(st.sampled_from([m.value for m in MessageType]), json_values),
+        body=st.one_of(json_objects, json_values),
+        session_id=st.one_of(st.none(), json_values),
+    )
+    def test_fuzzed_frames_decode_like_the_reference(self, msg_type, body, session_id):
+        doc = {"msg_type": msg_type, "body": body, "session_id": session_id}
+        frame = raw_frame(doc)
+        assert outcome(decode, frame) == outcome(reference_decode, frame)
+
+    @pytest.mark.parametrize("msg_type", ["TASK", "HEARTBEAT", "NOPE"])
+    def test_validate_refuses_a_plain_string_type(self, msg_type):
+        msg = AipMessage(msg_type, {"timestamp": 1.0})
+        refusal = ("refused", "msg_type", f"unknown message type {msg_type!r}")
+        assert outcome(validate, msg) == refusal == outcome(reference_validate, msg)
 
 
 class TestProfileMerge:
@@ -210,6 +413,30 @@ class TestLiveness:
         advance(clock, 60.0)
         assert registry.profiles["dev"].status is AgentStatus.IDLE
         assert server.connected
+
+    def test_deadline_timers_are_re_armed_on_expiry_not_per_beat(self):
+        """Over 60 s of beats every 5 s, each side schedules its liveness
+        deadline at most once per 15 s (its first arm included), where one
+        per beat would be 13: a beat only moves the time the armed timer
+        re-checks when it expires."""
+        clock, _, registry, _, server = build_pair(outages=[])
+        armed = Counter()
+        schedule = clock.call_at
+
+        def call_at(when, callback):
+            name = getattr(callback, "__qualname__", "")
+            if name.startswith("ConstellationEndpoint._arm_deadline"):
+                armed["orchestrator"] += 1
+            elif name == "DeviceServerEndpoint._on_ack_deadline":
+                armed["device"] += 1
+            return schedule(when, callback)
+
+        clock.call_at = call_at
+        advance(clock, 60.0)
+        assert registry.profiles["dev"].status is AgentStatus.IDLE and server.connected
+        bound = 1 + 60.0 / (HEARTBEAT_INTERVAL * MISSED_K)
+        assert set(armed) == {"orchestrator", "device"}
+        assert all(count <= bound for count in armed.values()), armed
 
     def test_both_sides_detect_after_three_missed_beats(self):
         clock, _, registry, _, server = build_pair(outages=[(5.0, 100000.0)])

@@ -298,11 +298,12 @@ class TestHostileDispatchers:
 
 
 class SlowNoopPlanner(NoopPlanner):
-    """A NoopPlanner whose every round takes 1 s; it finishes on a batch
-    that reports ``finish_on``."""
+    """A NoopPlanner whose every round takes ``duration`` (1 s by default);
+    it finishes on a batch that reports ``finish_on``."""
 
-    def __init__(self, finish_on=None):
+    def __init__(self, finish_on=None, duration=1.0):
         self.finish_on = finish_on
+        self.duration = duration
 
     def edit(self, planner_input):
         output = super().edit(planner_input)
@@ -311,7 +312,7 @@ class SlowNoopPlanner(NoopPlanner):
             observation=output.observation,
             thought=output.thought,
             next_state=PlannerState.FINISH if finish else output.next_state,
-            duration=1.0,
+            duration=self.duration,
         )
 
 
@@ -679,6 +680,33 @@ class TestTimeouts:
             durations={"A": 1000.0}, config=EngineConfig(deadline=5.0)
         )
         assert report.deadline_exceeded
+        # A and B still run and nothing completed: the run did not succeed.
+        assert report.outcome is RunOutcome.FAILED
+
+    def test_deadline_with_some_tasks_completed_is_partial(self):
+        report = run_fig4(durations={"A": 1000.0}, config=EngineConfig(deadline=15.0))
+        assert report.deadline_exceeded
+        final = {t["id"]: t["status"] for t in report.final_document["tasks"]}
+        assert final == {
+            "A": "RUNNING",
+            "B": "COMPLETED",
+            "C": "PENDING",
+            "D": "PENDING",
+            "E": "PENDING",
+        }
+        assert report.outcome is RunOutcome.PARTIAL
+
+    def test_deadline_during_a_planner_round_releases_the_lock(self):
+        """The first planner round takes 50 s and the run stops at 30 s: no
+        task ran, so it failed, and the held lock is released at the deadline."""
+        report = run_fig4(
+            planner=SlowNoopPlanner(duration=50.0), config=EngineConfig(deadline=30.0)
+        )
+        assert report.deadline_exceeded
+        assert report.outcome is RunOutcome.FAILED
+        assert report.timings == {}
+        assert lock_trace(report) == [("acquire", 0.0), ("release", 30.0)]
+        assert report.finished_at == 30.0
 
 
 class TestVersioning:
