@@ -94,6 +94,9 @@ class ConstellationEndpoint(_Endpoint):
             if not isinstance(agent_id, str) or agent_id not in self.registry.profiles:
                 self._refuse(src, f"NotFound: no registered agent {agent_id!r}")
                 return
+            if self.registry.profiles[agent_id].status is AgentStatus.DISCONNECTED:
+                self._refuse(src, f"PeerDisconnected: agent {agent_id!r} must register again")
+                return
             self.registry.heartbeat(agent_id, self.clock.now)  # the armed deadline re-checks it
             self.send(
                 src,

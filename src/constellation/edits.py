@@ -7,11 +7,12 @@ and mutate, so a delta is judged on its result: the post-state is checked
 once, for structure and for edit locality (no non-PENDING task changed),
 together with any id a build op's config repeats. The check reads only
 the post-state's change record, which a build op fills with every record
-it inserts and every task it replaces; a fault found there brings
-``validate`` to list the violations. Either the delta passes, commits with
-its readiness recounted and the version risen by exactly one, or one error
-propagates: the op's parse or lookup error, or one ``ValidationFailed``
-listing every violation.
+it inserts and every task it replaces, so that a build is checked in one
+linear pass over its graph; a fault found there brings ``validate`` to list
+the violations. Either the delta passes, commits with its readiness
+recounted and the version risen by exactly one, or one error propagates:
+the op's parse or lookup error, or one ``ValidationFailed`` listing every
+violation.
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ def apply_delta(
     ``constellation`` must be valid, as every graph made by
     ``model.from_entries`` or committed here is. The check then needs only
     the change record: the edges added or updated (endpoints, condition, no
-    parallel edge, no cycle downstream of their targets) and the locality
-    of the tasks touched. Only a fault found there runs the full
+    parallel edge, no cycle downstream of their targets; the whole graph
+    in one pass when the record holds every task) and the locality of the
+    tasks touched. Only a fault found there runs the full
     ``validate``, so violations are listed the same way whatever the
     delta's size.
 

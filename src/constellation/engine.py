@@ -5,7 +5,9 @@ queue is non-empty the orchestrator acquires the lock and runs edit cycles
 (drain the queue as one batch, synchronize statuses, ask the planner for a
 delta, commit atomically, publish the modification) until the queue is
 empty, then releases the lock and reschedules ready tasks. Dispatching only
-ever happens with the lock free, against the latest committed version.
+ever happens with the lock free, against the latest committed version. As
+nothing writes the graph under the lock, each round lends it to the planner
+(``borrow``) instead of copying it.
 A dispatcher may call back at any time, even inside ``dispatch()``: its
 ``on_done``, its availability listener and a raising ``dispatch()`` (its
 task's EXECUTION_ERROR) go to one intake, which the clock drains in arrival
@@ -202,7 +204,7 @@ class Orchestrator:
         self.queue.clear()
         self._synchronize(batch)
         planner_input = PlannerInput(
-            snapshot=self.constellation.clone(),
+            snapshot=self.constellation.borrow(),
             batch=batch,
             round_index=self._round_index,
         )
@@ -389,10 +391,10 @@ class Orchestrator:
     # -- termination -----------------------------------------------------
 
     def _outcome_from_statuses(self, stopped: bool = False) -> RunOutcome:
-        """A run ``stopped`` before it finished succeeds only if no task is
-        left PENDING or RUNNING."""
+        """A run ``stopped`` before it finished succeeds only if a planner
+        round committed and no task is left PENDING or RUNNING."""
         tasks = self.constellation.tasks.values()
-        unfinished = stopped and any(not t.status.terminal for t in tasks)
+        unfinished = stopped and (not self.report.edit_cycles or any(not t.status.terminal for t in tasks))
         if not unfinished and not unrecovered_failures(self.constellation):
             return RunOutcome.SUCCESS
         if any(t.status is TaskStatus.COMPLETED for t in tasks):

@@ -7,35 +7,37 @@ by id. Task and dependency entries (the format of
 ``ParseError`` and a field the entry may not carry raises ``IllegalField``,
 whichever path reads it. Whole graphs (``serial.from_document`` and
 ``edits.build_constellation``) are made by ``from_entries``: insert every
-entry, then validate once. After that the structure changes only through
-``edits.apply_delta``, which runs the raw ``_...`` ops below on a working
-copy, checks the result once and bumps the version once per commit; the
-engine moves task statuses with ``transition``. The raw ops only parse and
-mutate: they raise ``NotFound``, ``DuplicateId``, ``ParseError`` and
-``IllegalField``, and leave cycles, dangling or parallel edges and edits of
-non-PENDING tasks to the one check of the result.
+entry, then check the whole graph once. After that the structure changes
+only through ``edits.apply_delta``, which runs the raw ``_...`` ops below on
+a working copy, checks the result once and bumps the version once per
+commit; the engine moves task statuses with ``transition``. The raw ops only
+parse and mutate: they raise ``NotFound``, ``DuplicateId``, ``ParseError``
+and ``IllegalField``, and leave cycles, dangling or parallel edges and edits
+of non-PENDING tasks to the one check of the result.
 
 Task and dependency records are frozen and assigned once: each ``__init__``
 writes every field once into the instance dict, and ``transition`` and the
 raw ops store a replaced record instead of changing one, so ``clone`` copies
 only the dicts and versions share every record they did not change (path
-copying). A status's legal targets are a plain tuple on the member, so
-``transition`` checks a move without hashing. Two derived indexes map each
-task to the ids of its incoming (id-sorted) and outgoing edges. They are
-built with the graph, kept up to date by the raw ops, and copied by
-``clone`` as dicts sharing their immutable tuples.
+copying). ``borrow`` copies nothing: the borrowed graph shares every dict
+and set until its first write (``transition`` or a raw op) copies them, so
+a snapshot per planner round costs O(1). A status's legal targets are a
+plain tuple on the member, so ``transition`` checks a move without hashing.
+Two derived indexes map each task to the ids of its incoming (id-sorted) and
+outgoing edges. They are built with the graph, kept up to date by the raw
+ops, and copied by ``clone`` as dicts sharing their immutable tuples.
 
 Every graph keeps one change record: the ids of tasks whose record or
 incoming edges the raw ops replaced since ``clone``, and of edges they added
-or updated. ``clone`` starts it empty; ``insert_entries`` puts every record
-it inserts in it. A commit judges a delta from this record alone (see
-``edits.apply_delta``).
+or updated. ``clone`` and ``borrow`` start it empty; ``insert_entries`` puts
+every record it inserts in it. A commit judges a delta from this record
+alone (see ``edits.apply_delta``).
 
 Readiness is kept, not searched for (Kahn's in-degree counts, applied to
 edge satisfaction): each PENDING task's count of unsatisfied incoming edges,
 the PENDING tasks whose count is zero, and the RUNNING tasks. They are
 settled whenever a graph becomes valid: ``from_entries`` counts every task
-once ``validate`` passes, and a commit recounts the tasks in its record.
+once the check passes, and a commit recounts the tasks in its record.
 After that ``transition`` lowers the counts of a task's downstream tasks
 when it turns terminal (satisfaction only ever goes from false to true,
 since a terminal record never changes), so the queries only read.
@@ -219,6 +221,7 @@ class TaskConstellation:
         self._waiting: Dict[str, int] = {}
         self._ready: Set[str] = set()
         self._running: Set[str] = set()
+        self._borrowed = False  # shares the containers above; see ``borrow``
 
     # -- queries ---------------------------------------------------------
 
@@ -260,6 +263,7 @@ class TaskConstellation:
     # -- raw ops (no version bump, no check of the result; see apply_delta) --
 
     def _add_task(self, spec: Dict[str, Any]) -> None:
+        self._own()
         task = task_from_entry(spec, created=True)
         if task.id in self.tasks:
             raise DuplicateId(f"task id {task.id!r} already present")
@@ -267,6 +271,7 @@ class TaskConstellation:
         self._touch(task.id)
 
     def _remove_task(self, task_id: str) -> None:
+        self._own()
         self.task(task_id)
         incident = (*self._incoming.get(task_id, ()), *self._outgoing.get(task_id, ()))
         for edge_id in dict.fromkeys(incident):
@@ -275,6 +280,7 @@ class TaskConstellation:
         self._touch(task_id)
 
     def _update_task(self, task_id: str, patch: Dict[str, Any]) -> None:
+        self._own()
         task = self.task(task_id)
         _check_patch(patch, EDITABLE_TASK_FIELDS, f"task {task_id!r}")
         parsed = task_from_entry({"device": task.device, **patch, "id": task_id}, created=True)
@@ -282,6 +288,7 @@ class TaskConstellation:
         self._touch(task_id)
 
     def _add_dependency(self, spec: Dict[str, Any]) -> None:
+        self._own()
         edge = edge_from_entry(spec)
         if edge.id in self.edges:
             raise DuplicateId(f"dependency id {edge.id!r} already present")
@@ -293,6 +300,7 @@ class TaskConstellation:
         self._touch(edge.to_task, edge.id)
 
     def _remove_dependency(self, edge_id: str) -> None:
+        self._own()
         edge = self.edges.pop(self.edge(edge_id).id)
         for index, task_id in ((self._incoming, edge.to_task), (self._outgoing, edge.from_task)):
             ids = tuple(other for other in index[task_id] if other != edge_id)
@@ -303,6 +311,7 @@ class TaskConstellation:
         self._touch(edge.to_task)
 
     def _update_dependency(self, edge_id: str, patch: Dict[str, Any]) -> None:
+        self._own()
         edge = self.edge(edge_id)
         _check_patch(patch, EDITABLE_EDGE_FIELDS, f"dependency {edge_id!r}")
         # A patch naming dep_type replaces the whole type, condition included;
@@ -331,6 +340,8 @@ class TaskConstellation:
             )
         if not new_status.terminal:
             result, failure_reason = task.result, task.failure_reason
+        if self._borrowed:  # tested here, not in a call: two transitions per task
+            self._own()
         self.tasks[task_id] = TaskStar(
             task_id, task.device, task.name, task.description, task.tips, new_status, result, failure_reason
         )
@@ -375,7 +386,7 @@ class TaskConstellation:
                 duplicates.append(Violation("DuplicateEdge", f"multiple edges {pair[0]!r}->{pair[1]!r}"))
             seen_pairs.add(pair)
         violations.extend(duplicates)
-        cycle = self._find_cycle()
+        cycle = set(self.tasks).difference(self.topological_order())
         if cycle:
             violations.append(
                 Violation("CycleIntroduced", f"cycle through {{{', '.join(sorted(cycle))}}}")
@@ -389,7 +400,8 @@ class TaskConstellation:
 
     def _changes_valid(self) -> bool:
         """Whether ``validate()`` would return no violation, judged from the
-        edges in the change record alone.
+        edges in the change record alone (from the whole graph when the
+        record holds every task, as after a build).
 
         Exact when the graph the record starts from was valid: a clone of a
         valid graph, or the empty graph ``insert_entries`` fills from
@@ -397,21 +409,50 @@ class TaskConstellation:
         created entries set a result, a new parallel pair has a recorded
         edge and a new cycle runs through one.
         """
+        if self._touched_tasks.issuperset(self.tasks):
+            return self._graph_valid()
         added = [self.edges[edge_id] for edge_id in self._touched_edges if edge_id in self.edges]
-        for edge in added:
-            condition_id = edge.dep_type.condition_id
-            if (
-                edge.from_task not in self.tasks
-                or edge.to_task not in self.tasks
-                or (edge.dep_type.kind is DependencyKind.CONDITIONAL and condition_id not in CONDITIONS)
-            ):
-                return False
+        if not self._edges_resolve(added):
+            return False
         targets = {edge.to_task for edge in added}
         for task_id in targets:
             sources = [self.edges[edge_id].from_task for edge_id in self._incoming[task_id]]
             if len(set(sources)) < len(sources):
                 return False
         return not self._cycle_downstream_of(targets)
+
+    def _graph_valid(self) -> bool:
+        """Whether ``validate()`` would return no violation, in one linear
+        pass: one set of pairs finds a parallel edge, and Kahn's peel with a
+        plain stack, counting only, finds a cycle."""
+        edges = self.edges.values()
+        if not self._edges_resolve(edges) or len({(e.from_task, e.to_task) for e in edges}) < len(edges):
+            return False
+        if any(task.result is not None and not task.status.terminal for task in self.tasks.values()):
+            return False
+        indegree = {task_id: len(ids) for task_id, ids in self._incoming.items()}
+        stack = [task_id for task_id in self.tasks if task_id not in indegree]
+        peeled = 0
+        while stack:
+            peeled += 1
+            for edge_id in self._outgoing.get(stack.pop(), ()):
+                target = self.edges[edge_id].to_task
+                indegree[target] -= 1
+                if not indegree[target]:
+                    stack.append(target)
+        return peeled == len(self.tasks)
+
+    def _edges_resolve(self, edges: Iterable[TaskStarLine]) -> bool:
+        """Whether every edge has both endpoints and, if CONDITIONAL (the
+        only kind with a condition id), a known condition."""
+        tasks = self.tasks
+        for edge in edges:
+            condition_id = edge.dep_type.condition_id
+            if edge.from_task not in tasks or edge.to_task not in tasks:
+                return False
+            if condition_id and condition_id not in CONDITIONS:
+                return False
+        return True
 
     def _cycle_downstream_of(self, starts: Set[str]) -> bool:
         """Whether a cycle runs through the tasks reachable from ``starts``.
@@ -429,10 +470,6 @@ class TaskConstellation:
                 successors[node] = [self.edges[edge_id].to_task for edge_id in self._outgoing.get(node, ())]
                 stack.extend(successors[node])
         return len(_kahn_order(successors, successors)) < len(successors)
-
-    def _find_cycle(self) -> Set[str]:
-        """Kahn peel; returns the node set of the residual cyclic core."""
-        return set(self.tasks).difference(self.topological_order())
 
     def topological_order(self) -> List[str]:
         """Kahn's order, smallest ready id first. Tasks on or behind a cycle
@@ -474,7 +511,8 @@ class TaskConstellation:
     def _recount(self) -> None:
         """Recount the readiness of the tasks in the change record from
         their record and incoming edges, whatever status they had before.
-        The graph must be valid, so that every edge has its endpoints."""
+        The graph must be valid, so that every edge has its endpoints. An
+        edge whose upstream is not terminal is unsatisfied at a glance."""
         waiting, ready, running = self._waiting, self._ready, self._running
         for task_id in self._touched_tasks:
             waiting.pop(task_id, None)
@@ -486,7 +524,9 @@ class TaskConstellation:
             if task.status is TaskStatus.PENDING:
                 unsatisfied = 0
                 for edge_id in self._incoming.get(task_id, ()):
-                    unsatisfied += not self.edge_satisfied(self.edges[edge_id])
+                    edge = self.edges[edge_id]
+                    terminal = self.tasks[edge.from_task].status.terminal
+                    unsatisfied += not (terminal and self.edge_satisfied(edge))
                 waiting[task_id] = unsatisfied
                 if not unsatisfied:
                     ready.add(task_id)
@@ -495,19 +535,33 @@ class TaskConstellation:
 
     # -- copies and equality ---------------------------------------------
 
-    def clone(self) -> "TaskConstellation":
-        """A new version sharing every (frozen) record and index tuple, with
-        its own copy of the readiness counts and an empty change record."""
+    def borrow(self) -> "TaskConstellation":
+        """In O(1), a graph sharing every dict and set of this one, with its
+        own empty change record. Its first write copies what it shares, so
+        its writes never reach this graph; this graph's show through it."""
         other = TaskConstellation(self.request)
         other.version = self.version
-        other.tasks = dict(self.tasks)
-        other.edges = dict(self.edges)
-        other._incoming = dict(self._incoming)
-        other._outgoing = dict(self._outgoing)
-        other._waiting = dict(self._waiting)
-        other._ready = set(self._ready)
-        other._running = set(self._running)
+        other.tasks, other.edges = self.tasks, self.edges
+        other._incoming, other._outgoing = self._incoming, self._outgoing
+        other._waiting, other._ready, other._running = self._waiting, self._ready, self._running
+        other._borrowed = True
         return other
+
+    def clone(self) -> "TaskConstellation":
+        """A new version sharing every (frozen) record and index tuple, with
+        its own copy of the dicts and sets: a borrow that copies at once."""
+        other = self.borrow()
+        other._own()
+        return other
+
+    def _own(self) -> None:
+        """Copy the dicts and sets a borrowed graph shares, before it writes."""
+        if self._borrowed:
+            self._borrowed = False
+            self.tasks, self.edges = dict(self.tasks), dict(self.edges)
+            self._incoming, self._outgoing = dict(self._incoming), dict(self._outgoing)
+            self._waiting, self._ready = dict(self._waiting), set(self._ready)
+            self._running = set(self._running)
 
     def structurally_equal(self, other: "TaskConstellation") -> bool:
         from .serial import serialize
@@ -635,11 +689,13 @@ def from_entries(doc: Dict[str, Any], created: bool) -> TaskConstellation:
 
     Every entry is parsed and inserted first; a malformed one raises at
     once. Repeated ids and all of ``validate``'s violations are then raised
-    together as one ``ValidationFailed``, so a build costs one Kahn pass.
+    together as one ``ValidationFailed``. The graph is checked in one
+    linear pass (``_graph_valid``); ``validate`` runs only to list a fault.
     A valid graph has its readiness counted before it is returned.
     """
     constellation, violations = insert_entries(doc, created)
-    violations.extend(constellation.validate())
+    if violations or not constellation._graph_valid():
+        violations.extend(constellation.validate())
     if violations:
         raise ValidationFailed(violations)
     constellation._recount()

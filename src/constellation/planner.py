@@ -1,7 +1,7 @@
 """Planner finite-state machine and the deterministic scripted planner.
 
 The planner is the single component allowed to edit the constellation. It is
-driven in rounds: each round receives a read-only snapshot plus the batch of
+driven in rounds: each round receives a borrowed snapshot plus the batch of
 events drained under the lock, and answers with an observation, a thought, a
 next FSM state, an optional final result and an edit delta. The orchestrator
 alone tracks the planner's FSM state and checks each requested move with
@@ -49,6 +49,12 @@ def fsm_advance(current: PlannerState, requested: PlannerState) -> PlannerState:
 
 @dataclass(frozen=True)
 class PlannerInput:
+    """One round's input. ``snapshot`` is the committed graph, borrowed
+    (``TaskConstellation.borrow``) for this round, and for its re-presentation
+    after a refused delta. Writes through ``transition`` or the raw ops copy
+    it first and never reach the engine; direct dict writes are not allowed,
+    and after a raw op its ``ready_tasks`` and ``is_quiescent`` are stale."""
+
     snapshot: TaskConstellation
     batch: Tuple[OrchestratorEvent, ...]
     round_index: int

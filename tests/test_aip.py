@@ -462,6 +462,17 @@ class TestLiveness:
         assert deltas == [1.0, 3.0, 7.0, 15.0, 31.0]
         assert server.reconnect_exhausted()
 
+    def test_beat_after_the_orchestrator_gave_up_is_refused_so_the_device_registers(self):
+        """An outage ending just as the orchestrator's deadline expires lets
+        the device's next beat through before its own deadline does: the
+        beat is refused, not acked, so the device times out and registers
+        again, and the agent rejoins the pool."""
+        clock, network, registry, _, server = build_pair(outages=[(5.0, 15.0)])
+        advance(clock, 200.0)
+        registers = [f for f in network.wire_log if f["summary"] == "REGISTER"]
+        assert registry.available() == ["dev"] and server.connected
+        assert len(registers) == 2
+
     def test_outage_recovery_rejoins_pool_via_reregister(self):
         clock, _, registry, _, server = build_pair(outages=[(5.0, 40.0)])
         advance(clock, 45.0)

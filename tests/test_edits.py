@@ -26,6 +26,7 @@ from constellation import (
 )
 from constellation import edits, serial
 from constellation.edits import delta_from_doc, edit_locality_violations, op_from_doc
+from constellation.model import from_entries, insert_entries
 from constellation.errors import ConstellationError, IllegalField, ParseError
 from conftest import layered_config, random_dag, scanned_incoming
 
@@ -112,10 +113,11 @@ class TestBuildConstellation:
 
     def test_layered_build_runs_one_cycle_check(self, monkeypatch):
         """A bulk build and a delta holding one build op insert everything,
-        then search for cycles once, not once per edge: the bulk build with
-        ``validate``'s Kahn pass, the build op from its change record. A
-        delta of many edges into a valid graph is searched once from the
-        edges it added, with no Kahn pass over the whole graph."""
+        then search for cycles once, not once per edge: both with one
+        linear pass over the whole graph, neither with ``validate``'s Kahn
+        pass nor a search from every edge target. A delta of many edges
+        into a valid graph is searched once from the edges it added, with
+        no pass over the whole graph."""
         config = layered_config(100, width=10, fan_in=2)
         calls = []
 
@@ -128,16 +130,16 @@ class TestBuildConstellation:
 
             return wrapper
 
-        whole, downstream = "_find_cycle", "_cycle_downstream_of"
+        kahn, whole, downstream = "topological_order", "_graph_valid", "_cycle_downstream_of"
         for prepare, edges, searches in (
             (by_build, 180, [whole]),
-            (by_build_op, 180, [downstream]),
+            (by_build_op, 180, [whole]),
             (by_edge_ops, 20, [downstream]),
         ):
             run = prepare(config)
             calls.clear()
             with monkeypatch.context() as patch:
-                for name in (whole, downstream):
+                for name in (kahn, whole, downstream):
                     patch.setattr(TaskConstellation, name, counted(name))
                 built = run()
             assert (len(built.tasks), len(built.edges)) == (100, edges)
@@ -683,3 +685,120 @@ class TestIncrementalCheck:
             assert_outgoing_matches_scan(pre)
             outcomes[got[0]] = outcomes.get(got[0], 0) + 1
         assert outcomes["committed"] >= 200 and outcomes["ValidationFailed"] >= 400, outcomes
+
+
+def hostile_config(rng):
+    """A build config, valid about half the time and otherwise wrong in one
+    or more ways: a cycle, a self-loop, a dangling or parallel edge, an
+    unknown condition, or a repeated task or dependency id."""
+    ids = [f"t{i}" for i in range(rng.randint(1, 7))]
+    tasks = [{"id": tid, "device": "dev0"} for tid in ids]
+    if rng.random() < 0.1:
+        tasks.append({"id": rng.choice(ids), "device": "dev1"})
+    dependencies = []
+    for k in range(rng.randint(0, 6)):
+        from_task, to_task = sorted(rng.sample(ids, 2)) if len(ids) > 1 else (ids[0], ids[0])
+        roll = rng.random()
+        if roll < 0.05:
+            to_task = from_task
+        elif roll < 0.15:
+            from_task, to_task = to_task, from_task
+        elif roll < 0.2:
+            to_task = "ghost"
+        spec = {"id": f"e{k}", "from_task": from_task, "to_task": to_task}
+        kind = rng.random()
+        if kind < 0.2:
+            spec["dep_type"] = "SUCCESS_ONLY"
+        elif kind < 0.3:
+            spec.update(dep_type="CONDITIONAL", condition_id=rng.choice(["always", "always", "never"]))
+        if dependencies and rng.random() < 0.05:
+            spec["id"] = rng.choice(dependencies)["id"]
+        dependencies.append(spec)
+    return {"request": "hostile build", "tasks": tasks, "dependencies": dependencies}
+
+
+def recounted(c):
+    """Readiness from scratch: ``edge_satisfied`` on every incoming edge of
+    every PENDING task."""
+    waiting = {
+        task_id: sum(not c.edge_satisfied(edge) for edge in c.incoming(task_id))
+        for task_id, task in c.tasks.items()
+        if task.status is TaskStatus.PENDING
+    }
+    ready = {task_id for task_id, count in waiting.items() if not count}
+    running = {task_id for task_id, task in c.tasks.items() if task.status is TaskStatus.RUNNING}
+    return waiting, ready, running
+
+
+class TestOnePassCheck:
+    """A build, by ``build_constellation`` or by a ``BuildConstellation`` op,
+    is checked in one linear pass over the whole graph; ``validate`` is the
+    oracle it must agree with exactly."""
+
+    def test_build_raises_validates_violations_or_commits_counted(self, monkeypatch):
+        kinds, committed = set(), 0
+        for seed in range(1500):
+            rng = random.Random(seed)
+            config = hostile_config(rng)
+            inserted, repeated = insert_entries(config, created=True)
+            expected = [str(v) for v in repeated + inserted.validate()]
+            try:
+                built = build_constellation(config)
+            except ValidationFailed as exc:
+                assert [str(v) for v in exc.violations] == expected, seed
+                kinds.update(v.kind for v in exc.violations)
+                continue
+            assert expected == [], seed
+            assert (built._waiting, built._ready, built._running) == recounted(built), seed
+            committed += 1
+        assert committed >= 400, committed
+        assert kinds == {"CycleIntroduced", "SelfLoop", "DanglingEdge", "DuplicateEdge",
+                         "UnknownCondition", "DuplicateId"}, kinds
+
+    def test_document_raises_validates_violations_or_loads_counted(self):
+        """A document's tasks carry statuses and results, so readiness is
+        counted over terminal upstreams too, and a result on a task that is
+        not terminal is a violation."""
+        kinds, loaded = set(), 0
+        for seed in range(1500):
+            rng = random.Random(seed)
+            doc = hostile_config(rng)
+            for entry in doc["tasks"]:
+                entry["status"] = rng.choice(["PENDING", "RUNNING", "COMPLETED", "FAILED"])
+                if rng.random() < (0.5 if entry["status"] == "COMPLETED" else 0.05):
+                    entry["result"] = rng.choice(["ok", "done"])
+            inserted, repeated = insert_entries(doc, created=False)
+            expected = [str(v) for v in repeated + inserted.validate()]
+            try:
+                c = from_entries(doc, created=False)
+            except ValidationFailed as exc:
+                assert [str(v) for v in exc.violations] == expected, seed
+                kinds.update(v.kind for v in exc.violations)
+                continue
+            assert expected == [], seed
+            assert (c._waiting, c._ready, c._running) == recounted(c), seed
+            loaded += 1
+        assert loaded >= 300, loaded
+        assert "StatusResult" in kinds, kinds
+
+    def test_build_op_has_the_outcome_of_the_whole_graph_check(self, monkeypatch):
+        """Into the empty graph or into a graph holding RUNNING and terminal
+        tasks, whose edit locality is listed with the structural faults."""
+        kinds, committed = set(), 0
+        for seed in range(1500):
+            rng = random.Random(seed)
+            pre = hostile_graph(rng) if rng.random() < 0.5 else TaskConstellation()
+            ops = [BuildConstellation(hostile_config(rng))]
+            got = outcome(pre, ops)
+            with monkeypatch.context() as patch:
+                patch.setattr(TaskConstellation, "_changes_valid", lambda self: False)
+                expected = outcome(pre, ops)
+            assert got == expected, (seed, ops)
+            if got[0] == "committed":
+                post, _ = apply_delta(pre, EditDelta(ops))
+                assert (post._waiting, post._ready, post._running) == recounted(post), seed
+                committed += 1
+            else:
+                kinds.update(violation.split(":")[0] for violation in got[2])
+        assert committed >= 200, committed
+        assert "ImmutableTask" in kinds and "CycleIntroduced" in kinds, kinds

@@ -1,6 +1,7 @@
 """Orchestrator: locked edit cycles, scheduling, outcomes, timeouts."""
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from constellation import (
     AddDependency,
     AddTask,
+    BuildConstellation,
     EditDelta,
     EngineConfig,
     FailureReason,
@@ -250,6 +252,21 @@ class TestHostileDispatchers:
         }
         durations = {tid: rng.choice((0.0, 1.0, 2.0)) for tid in sorted(constellation.tasks)}
         planner = rng.choice((NoopPlanner, SlowNoopPlanner))()
+        snapshots = []  # each round's snapshot and its document at round start
+
+        class Recording(Planner):
+            def edit(self, planner_input):
+                snapshots.append((planner_input.snapshot, serialize(planner_input.snapshot)))
+                return planner.edit(planner_input)
+
+        class SnapshotChecked(Orchestrator):
+            """Callbacks fired during a round leave its snapshot as it was."""
+
+            def _commit_round(self, planner_input, *args):
+                snapshot, at_start = snapshots[-1]
+                assert snapshot is planner_input.snapshot
+                assert serialize(snapshot) == at_start
+                super()._commit_round(planner_input, *args)
 
         class Hostile(ScriptedDispatcher):
             def available_devices(self):
@@ -276,12 +293,13 @@ class TestHostileDispatchers:
 
         clock = VirtualClock()
         dispatcher = Hostile(clock, durations=durations)
-        return Orchestrator(clock, planner, dispatcher, constellation=constellation).run()
+        return SnapshotChecked(clock, Recording(), dispatcher, constellation=constellation).run()
 
     def test_fuzzed_hostile_dispatchers_keep_the_invariants(self):
         """Whatever a dispatcher does inside dispatch(), nothing is sent under
         the held lock, no task starts twice, every start ends exactly once,
-        the run ends with an outcome, and a seed always yields one report."""
+        each round's snapshot is unchanged at its commit, the run ends with
+        an outcome, and a seed always yields one report."""
         for seed in range(200):
             report = self.hostile_run(seed)
             assert report.outcome is not None, seed
@@ -437,6 +455,98 @@ class TestHostilePlanner:
         assert planner.rounds >= 5
         assert runs[1] == runs[0]
         assert runs[0][2] is RunOutcome.SUCCESS
+
+
+class TestPlannerSnapshot:
+    """Each round borrows the committed graph for the planner: nothing is
+    copied per round, and the first write to a snapshot copies it."""
+
+    def test_only_apply_delta_copies_the_graph(self, monkeypatch):
+        callers = []
+        clone = TaskConstellation.clone
+
+        def counted_clone(self):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return clone(self)
+
+        class BuildsThenAddsOne(Planner):
+            rounds = 0
+
+            def edit(self, planner_input):
+                self.rounds += 1
+                ops = []
+                if planner_input.round_index == 0:
+                    ops = [BuildConstellation(layered_config(100, width=10, fan_in=2))]
+                elif planner_input.round_index == 3:
+                    ops = [AddTask({"id": "late", "device": "dev0"})]
+                return PlannerOutput("", "", PlannerState.CONTINUE, delta=EditDelta(ops))
+
+        monkeypatch.setattr(TaskConstellation, "clone", counted_clone)
+        clock = VirtualClock()
+        planner = BuildsThenAddsOne()
+        report = Orchestrator(clock, planner, ScriptedDispatcher(clock)).run()
+        assert report.outcome is RunOutcome.SUCCESS and len(report.timings) == 101
+        assert planner.rounds >= 20
+        assert callers == ["apply_delta", "apply_delta"]
+
+    def test_writes_to_the_snapshot_stay_in_the_snapshot(self):
+        """Odd rounds move statuses on the snapshot, even rounds run raw ops
+        on it; the engine's graph, and so the next round's snapshot, never
+        shows a write. Checked after the run: the engine turns an exception
+        inside ``edit()`` into an aborted run."""
+
+        class Writes(NoopPlanner):
+            checks = []
+            written = set()
+
+            def edit(self, planner_input):
+                snapshot = planner_input.snapshot
+                committed = serialize(self.engine.constellation)
+                fresh = serialize(snapshot) == committed and "forged" not in snapshot.tasks
+                write = "transition" if planner_input.round_index % 2 else "raw op"
+                if write == "transition":
+                    for task_id, task in sorted(snapshot.tasks.items()):
+                        if not task.status.terminal:
+                            snapshot.transition(
+                                task_id, TaskStatus.FAILED, failure_reason=FailureReason.PLANNER_CANCELLED
+                            )
+                else:
+                    snapshot._add_task({"id": "forged", "device": "dev"})
+                    snapshot._remove_dependency(sorted(snapshot.edges)[0])
+                if serialize(snapshot) != committed:
+                    self.written.add(write)
+                self.checks.append((fresh, serialize(self.engine.constellation) == committed))
+                return super().edit(planner_input)
+
+        clock = VirtualClock()
+        planner = Writes()
+        engine = Orchestrator(
+            clock,
+            planner,
+            ScriptedDispatcher(clock, default_duration=10.0),
+            constellation=fig4_constellation(),
+        )
+        planner.engine = engine
+        assert engine.run().outcome is RunOutcome.SUCCESS
+        assert len(planner.checks) >= 5 and set(planner.checks) == {(True, True)}
+        assert planner.written == {"transition", "raw op"}
+
+    def test_a_represented_round_gets_the_same_snapshot(self):
+        seen = []
+
+        class CyclicOnce(Planner):
+            def edit(self, planner_input):
+                seen.append(planner_input)
+                ops = []
+                if planner_input.round_index == 1 and not planner_input.violations:
+                    ops = [AddDependency({"id": "eDC", "from_task": "D", "to_task": "C"})]
+                return PlannerOutput("", "", PlannerState.CONTINUE, delta=EditDelta(ops))
+
+        report = run_fig4(planner=CyclicOnce())
+        assert report.outcome is RunOutcome.SUCCESS
+        refused, represented = [i for i in seen if i.round_index == 1]
+        assert represented.violations and not refused.violations
+        assert represented.snapshot is refused.snapshot
 
 
 class TestOutcomeRule:
@@ -707,6 +817,20 @@ class TestTimeouts:
         assert report.timings == {}
         assert lock_trace(report) == [("acquire", 0.0), ("release", 30.0)]
         assert report.finished_at == 30.0
+
+    def test_empty_graph_stopped_before_a_commit_is_not_a_success(self):
+        """No task is left PENDING or RUNNING, but the planner never had a
+        round committed, so nothing says the request was served."""
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock,
+            SlowNoopPlanner(duration=50.0),
+            ScriptedDispatcher(clock),
+            constellation=TaskConstellation(),
+            config=EngineConfig(deadline=30.0),
+        ).run()
+        assert report.deadline_exceeded and report.edit_cycles == []
+        assert report.outcome is RunOutcome.FAILED
 
 
 class TestVersioning:
