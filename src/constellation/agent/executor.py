@@ -7,11 +7,11 @@ command batch the server sends and knows nothing about task state.
 from __future__ import annotations
 
 import fnmatch
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..errors import NoScriptEntry, ParseError
+from ..errors import ScriptMiss
+from ..serial import read_object
 
 
 class ScriptedExecutor:
@@ -27,14 +27,8 @@ class ScriptedExecutor:
 
     @classmethod
     def load(cls, source: Union[str, Path, Dict[str, Any]]) -> "ScriptedExecutor":
-        if isinstance(source, (str, Path)):
-            try:
-                doc = json.loads(Path(source).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ParseError(f"cannot load executor table {source}: {exc}") from exc
-        else:
-            doc = source
-        return cls(doc.get("table", []), sys_info=doc.get("sys_info"))
+        doc = read_object(source, "executor table")
+        return cls(doc.get("table", []), sys_info=doc.get("sys_info"), strict=doc.get("strict", True))
 
     def execute(self, action: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
         """Run one action; returns (structured result, virtual duration)."""
@@ -51,7 +45,7 @@ class ScriptedExecutor:
         entry = self._lookup(key)
         if entry is None:
             if self.strict:
-                raise NoScriptEntry(f"no executor entry matches {key!r}")
+                raise ScriptMiss(f"no executor entry matches {key!r}")
             return {"status": 127, "stdout": "", "stderr": f"not scripted: {key}"}, 0.0
         result = {
             "status": entry.get("status", 0),

@@ -7,12 +7,12 @@ strings. Templates may reference ``$task_description`` and ``$last_stdout``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..errors import NoScriptEntry, ParseError
+from ..errors import ScriptMiss
+from ..serial import read_object
 from .fsm import AgentFsmState
 
 
@@ -33,13 +33,7 @@ class ScriptedReasoner:
 
     @classmethod
     def load(cls, source: Union[str, Path, Dict[str, Any]]) -> "ScriptedReasoner":
-        if isinstance(source, (str, Path)):
-            try:
-                doc = json.loads(Path(source).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ParseError(f"cannot load reasoner script {source}: {exc}") from exc
-        else:
-            doc = source
+        doc = read_object(source, "reasoner script")
         return cls(doc.get("entries", []), strict=doc.get("strict", True))
 
     def choose(
@@ -48,7 +42,7 @@ class ScriptedReasoner:
         entry = self._select(step)
         if entry is None:
             if self.strict:
-                raise NoScriptEntry(f"no reasoner entry for step {step}")
+                raise ScriptMiss(f"no reasoner entry for step {step}")
             return ReasonerOutput(next_state=AgentFsmState.FINISH, result="")
         substitutions = {
             "$task_description": task.get("description", ""),

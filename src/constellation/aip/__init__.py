@@ -1,11 +1,9 @@
-from .messages import AipMessage, Direction, IdempotencyClass, MessageType, decode, encode
+from .messages import AipMessage, MessageType, decode, encode
 from .backoff import BackoffPolicy
 from .profile import AgentProfile, AgentStatus, ProfileRegistry, merge_profile
 
 __all__ = [
     "AipMessage",
-    "Direction",
-    "IdempotencyClass",
     "MessageType",
     "decode",
     "encode",

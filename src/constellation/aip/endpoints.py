@@ -29,7 +29,7 @@ from ..simnet.network import SimNetwork
 from ..agent.server import AgentServer, TaskRun
 from .backoff import BackoffPolicy
 from .messages import AipMessage, MessageType, decode, encode
-from .profile import HEARTBEAT_INTERVAL, MISSED_K, AgentStatus, ProfileRegistry, merge_profile
+from .profile import HEARTBEAT_INTERVAL, AgentStatus, ProfileRegistry, Watchdog, merge_profile
 from .session import SessionState
 
 
@@ -78,7 +78,7 @@ class ConstellationEndpoint(_Endpoint):
         self.registry = registry or ProfileRegistry()
         self.user_configs = dict(user_configs or {})
         self.availability_listener: Optional[Callable[[], None]] = None
-        self._deadline_timers: Dict[str, TimerHandle] = {}
+        self._watchdogs: Dict[str, Watchdog] = {}
         self._device_address: Dict[str, str] = {}
         # session_id -> (device_id, task_id, callback)
         self._outstanding: Dict[str, Any] = {}
@@ -97,7 +97,7 @@ class ConstellationEndpoint(_Endpoint):
             if self.registry.profiles[agent_id].status is AgentStatus.DISCONNECTED:
                 self._refuse(src, f"PeerDisconnected: agent {agent_id!r} must register again")
                 return
-            self.registry.heartbeat(agent_id, self.clock.now)  # the armed deadline re-checks it
+            self._watchdogs[agent_id].feed()
             self.send(
                 src,
                 AipMessage(
@@ -128,9 +128,11 @@ class ConstellationEndpoint(_Endpoint):
         except SchemaViolation as exc:
             self._refuse(src, f"SchemaViolation: {exc}")
             return
-        self.registry.register(profile, self.clock.now)
+        self.registry.register(profile)
         self._device_address[client_id] = src
-        self._arm_deadline(client_id)
+        if client_id not in self._watchdogs:
+            self._watchdogs[client_id] = Watchdog(self.clock, partial(self._on_silence, client_id))
+        self._watchdogs[client_id].start()
         self.send(
             src,
             AipMessage(MessageType.HEARTBEAT, {"timestamp": self.clock.now, "status": "OK"}),
@@ -144,7 +146,7 @@ class ConstellationEndpoint(_Endpoint):
     def _on_task_end(self, msg: AipMessage) -> None:
         entry = self._outstanding.pop(msg.session_id, None)
         if entry is None:
-            return  # duplicate TASK_END: idempotent, already resolved
+            return  # a duplicate TASK_END is dropped: the session is already resolved
         _device_id, task_id, callback = entry
         callback(task_id, msg.body["status"], msg.body)
 
@@ -172,27 +174,10 @@ class ConstellationEndpoint(_Endpoint):
 
     # -- liveness --------------------------------------------------------
 
-    def _arm_deadline(self, agent_id: str) -> None:
-        old = self._deadline_timers.pop(agent_id, None)
-        if old is not None:
-            old.cancel()
-        deadline = self.registry.deadline_for(agent_id)
-        self._deadline_timers[agent_id] = self.clock.call_at(
-            max(deadline, self.clock.now),
-            lambda: self._on_deadline(agent_id),
-        )
-
-    def _on_deadline(self, agent_id: str) -> None:
-        """A beat only moves ``last_heartbeat``: the timer armed at REGISTER
-        re-checks it here and is re-armed at the new deadline while beats
-        keep coming, until the agent is marked DISCONNECTED."""
-        self._deadline_timers.pop(agent_id, None)
-        profile = self.registry.profiles.get(agent_id)
-        if profile is None or profile.status is AgentStatus.DISCONNECTED:
-            return
-        if self.clock.now < self.registry.deadline_for(agent_id):
-            self._arm_deadline(agent_id)
-            return
+    def _on_silence(self, agent_id: str) -> None:
+        """The agent's watchdog, started at REGISTER and fed by each
+        accepted HEARTBEAT, saw no beat for ``MISSED_K`` intervals: the agent
+        leaves the pool and each of its outstanding tasks ends FAILED."""
         self.registry.mark_disconnected(agent_id)
         for session_id, (device_id, task_id, callback) in sorted(self._outstanding.items()):
             if device_id != agent_id:
@@ -278,11 +263,9 @@ class DeviceServerEndpoint(_Endpoint):
 
         self.connected = False
         self.permanently_failed = False
-        self.last_ack = 0.0
         self.active_runs: Dict[str, TaskRun] = {}  # session_id -> run
-        self._run_tasks: Dict[str, Dict[str, Any]] = {}
         self._beat_timer: Optional[TimerHandle] = None
-        self._ack_deadline_timer: Optional[TimerHandle] = None
+        self._watchdog = Watchdog(clock, self._local_disconnect)
         self._reconnect_timer: Optional[TimerHandle] = None
         self._reconnect_attempt = 0
         self._cmd_seq = itertools.count(1)
@@ -324,16 +307,17 @@ class DeviceServerEndpoint(_Endpoint):
             self.send(self.orchestrator_address, msg)
 
     def _on_ack(self) -> None:
-        self.last_ack = self.clock.now
-        if not self.connected:
-            self.connected = True
-            self.permanently_failed = False
-            self._reconnect_attempt = 0
-            if self._reconnect_timer is not None:
-                self._reconnect_timer.cancel()
-                self._reconnect_timer = None
-            self._schedule_beat()
-            self._arm_ack_deadline()  # while connected, the armed timer re-checks last_ack
+        if self.connected:
+            self._watchdog.feed()
+            return
+        self.connected = True
+        self.permanently_failed = False
+        self._reconnect_attempt = 0
+        if self._reconnect_timer is not None:
+            self._reconnect_timer.cancel()
+            self._reconnect_timer = None
+        self._schedule_beat()
+        self._watchdog.start()  # on silence it runs _local_disconnect
 
     # -- task execution --------------------------------------------------
 
@@ -341,8 +325,7 @@ class DeviceServerEndpoint(_Endpoint):
         session_id = msg.session_id or ""
         task = msg.body["task"]
         if session_id in self.active_runs:
-            return  # limited idempotency: duplicate TASK is not re-executed
-        self._run_tasks[session_id] = task
+            return  # a duplicate TASK is not re-executed
 
         def send_commands(actions, on_results):
             command_id = f"c{next(self._cmd_seq)}-{self.agent_id}"
@@ -390,26 +373,6 @@ class DeviceServerEndpoint(_Endpoint):
             ),
         )
         self._schedule_beat()
-
-    def _arm_ack_deadline(self) -> None:
-        if self._ack_deadline_timer is not None:
-            self._ack_deadline_timer.cancel()
-        deadline = self.last_ack + HEARTBEAT_INTERVAL * MISSED_K
-        self._ack_deadline_timer = self.clock.call_at(
-            max(deadline, self.clock.now),
-            self._on_ack_deadline,
-        )
-
-    def _on_ack_deadline(self) -> None:
-        """An ack only moves ``last_ack``; the armed timer re-checks it here
-        and is re-armed at the new deadline while acks keep coming."""
-        self._ack_deadline_timer = None
-        if not self.connected:
-            return
-        if self.clock.now < self.last_ack + HEARTBEAT_INTERVAL * MISSED_K:
-            self._arm_ack_deadline()
-            return
-        self._local_disconnect()
 
     def _local_disconnect(self) -> None:
         self.connected = False

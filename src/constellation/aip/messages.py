@@ -31,45 +31,6 @@ class MessageType(Enum):
     ERROR = "ERROR"
 
 
-class Direction(Enum):
-    CLIENT_TO_SERVER = "CLIENT_TO_SERVER"
-    SERVER_TO_CLIENT = "SERVER_TO_CLIENT"
-    BIDIRECTIONAL = "BIDIRECTIONAL"
-
-
-class IdempotencyClass(Enum):
-    IDEMPOTENT = "IDEMPOTENT"
-    LIMITED = "LIMITED"
-    NON_IDEMPOTENT = "NON_IDEMPOTENT"
-
-
-DIRECTIONS: Dict[MessageType, Direction] = {
-    MessageType.REGISTER: Direction.CLIENT_TO_SERVER,
-    MessageType.TASK: Direction.SERVER_TO_CLIENT,
-    MessageType.COMMAND: Direction.SERVER_TO_CLIENT,
-    MessageType.COMMAND_RESULTS: Direction.CLIENT_TO_SERVER,
-    MessageType.TASK_END: Direction.CLIENT_TO_SERVER,
-    MessageType.HEARTBEAT: Direction.BIDIRECTIONAL,
-    MessageType.DEVICE_INFO_REQUEST: Direction.SERVER_TO_CLIENT,
-    MessageType.DEVICE_INFO_RESPONSE: Direction.CLIENT_TO_SERVER,
-    MessageType.ERROR: Direction.BIDIRECTIONAL,
-}
-
-# Duplicate delivery of an IDEMPOTENT message converges to the same state.
-# TASK is LIMITED: a duplicate for an already-active (session, task) pair is
-# acknowledged but not re-executed. COMMAND must never be replayed.
-IDEMPOTENCY: Dict[MessageType, IdempotencyClass] = {
-    MessageType.REGISTER: IdempotencyClass.IDEMPOTENT,
-    MessageType.TASK: IdempotencyClass.LIMITED,
-    MessageType.COMMAND: IdempotencyClass.NON_IDEMPOTENT,
-    MessageType.COMMAND_RESULTS: IdempotencyClass.IDEMPOTENT,
-    MessageType.TASK_END: IdempotencyClass.IDEMPOTENT,
-    MessageType.HEARTBEAT: IdempotencyClass.IDEMPOTENT,
-    MessageType.DEVICE_INFO_REQUEST: IdempotencyClass.IDEMPOTENT,
-    MessageType.DEVICE_INFO_RESPONSE: IdempotencyClass.IDEMPOTENT,
-    MessageType.ERROR: IdempotencyClass.IDEMPOTENT,
-}
-
 # Required body fields (name -> expected python type) per message type value.
 _BODY_SCHEMAS: Dict[str, Dict[str, type]] = {
     "REGISTER": {"client_id": str, "metadata": dict},
@@ -95,14 +56,6 @@ class AipMessage:
     msg_type: MessageType
     body: Dict[str, Any] = field(default_factory=dict)
     session_id: Optional[str] = None
-
-    @property
-    def direction(self) -> Direction:
-        return DIRECTIONS[self.msg_type]
-
-    @property
-    def idempotency(self) -> IdempotencyClass:
-        return IDEMPOTENCY[self.msg_type]
 
 
 def validate(msg: AipMessage) -> None:

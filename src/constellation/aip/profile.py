@@ -1,4 +1,5 @@
-"""Agent profiles and the three-source registration merge.
+"""Agent profiles, the three-source registration merge, and the liveness
+watchdog both ends of an AIP link keep.
 
 A profile is assembled from up to three layers — static user configuration,
 the device's service manifest, and live client telemetry — with later layers
@@ -10,14 +11,53 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
+from ..clock import TimerHandle, VirtualClock
 from ..errors import SchemaViolation
 
 # The liveness policy both sides apply: an agent beats every
 # HEARTBEAT_INTERVAL seconds, and MISSED_K missed beats disconnect it.
 HEARTBEAT_INTERVAL = 5.0
 MISSED_K = 3
+_SILENCE = HEARTBEAT_INTERVAL * MISSED_K
+
+
+class Watchdog:
+    """Timeout failure detector for one end of a link (Chandra & Toueg,
+    "Unreliable failure detectors for reliable distributed systems", JACM
+    1996): a peer silent for ``MISSED_K`` beats since the last ``feed`` is
+    reported once through ``on_silence``.
+
+    ``feed`` only moves the last-seen time. The one armed timer re-checks it
+    when it expires and is re-armed at the new deadline while feeds keep
+    coming, so a beat schedules no timer."""
+
+    def __init__(self, clock: VirtualClock, on_silence: Callable[[], None]) -> None:
+        self.clock = clock
+        self.on_silence = on_silence
+        self.last_seen = 0.0
+        self._timer: Optional[TimerHandle] = None
+
+    def start(self) -> None:
+        """Watch from now on, replacing the armed timer if there is one."""
+        if self._timer is not None:
+            self._timer.cancel()
+        self.last_seen = self.clock.now
+        self._arm()
+
+    def feed(self) -> None:
+        self.last_seen = self.clock.now
+
+    def _arm(self) -> None:
+        self._timer = self.clock.call_at(self.last_seen + _SILENCE, self._expire)
+
+    def _expire(self) -> None:
+        if self.clock.now < self.last_seen + _SILENCE:
+            self._arm()
+        else:
+            self.on_silence()
+
 
 # Field groups a profile layer may carry, with the JSON type of each.
 _LAYER_FIELDS = {
@@ -45,7 +85,6 @@ class AgentProfile:
     performance: Dict[str, Any] = field(default_factory=dict)
     paths: Dict[str, str] = field(default_factory=dict)
     network: Dict[str, str] = field(default_factory=dict)
-    last_heartbeat: float = 0.0
     sources: Dict[str, str] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -58,7 +97,6 @@ class AgentProfile:
             "performance": dict(self.performance),
             "paths": dict(self.paths),
             "network": dict(self.network),
-            "last_heartbeat": self.last_heartbeat,
             "sources": dict(self.sources),
         }
 
@@ -111,29 +149,18 @@ def merge_profile(
 
 
 class ProfileRegistry:
-    """Orchestrator-side registry with heartbeat bookkeeping.
+    """Orchestrator-side registry of agent profiles and their status.
 
-    An agent becomes DISCONNECTED once ``MISSED_K`` expected heartbeat
-    intervals elapse with no beat; it only rejoins the pool after a fresh
-    REGISTER (resumed heartbeats alone are not enough)."""
+    An agent marked DISCONNECTED (by the orchestrator's watchdog) only
+    rejoins the pool after a fresh REGISTER: resumed heartbeats alone are
+    not enough."""
 
     def __init__(self) -> None:
         self.profiles: Dict[str, AgentProfile] = {}
 
-    def register(self, profile: AgentProfile, now: float) -> None:
+    def register(self, profile: AgentProfile) -> None:
         profile.status = AgentStatus.IDLE
-        profile.last_heartbeat = now
         self.profiles[profile.agent_id] = profile
-
-    def heartbeat(self, agent_id: str, now: float) -> None:
-        profile = self.profiles.get(agent_id)
-        if profile is None:
-            return
-        profile.last_heartbeat = max(profile.last_heartbeat, now)
-
-    def deadline_for(self, agent_id: str) -> float:
-        profile = self.profiles[agent_id]
-        return profile.last_heartbeat + HEARTBEAT_INTERVAL * MISSED_K
 
     def mark_disconnected(self, agent_id: str) -> None:
         profile = self.profiles.get(agent_id)

@@ -43,7 +43,8 @@ class IllegalTransition(ConstellationError):
 
 
 class ScriptMiss(ConstellationError):
-    """A strict script has no trigger matching the presented input."""
+    """A strict script (planner, reasoner or executor) has no entry for the
+    presented input."""
 
 
 class SchemaViolation(ConstellationError):
@@ -58,10 +59,6 @@ class PeerDisconnected(ConstellationError):
 
 
 class AttemptsExhausted(ConstellationError):
-    pass
-
-
-class NoScriptEntry(ConstellationError):
     pass
 
 

@@ -11,7 +11,6 @@ alone tracks the planner's FSM state and checks each requested move with
 from __future__ import annotations
 
 import fnmatch
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,6 +21,7 @@ from .edits import EditDelta, delta_from_doc
 from .errors import IllegalTransition, ParseError, ScriptMiss
 from .events import EventKind, OrchestratorEvent
 from .model import TaskConstellation, TaskStar, TaskStatus, unrecovered_failures
+from .serial import read_object
 
 
 class PlannerState(Enum):
@@ -151,13 +151,7 @@ class PlannerScript:
 
 
 def load_script(source: Union[str, Path, Dict[str, Any]]) -> PlannerScript:
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot load planner script {source}: {exc}") from exc
-    else:
-        doc = source
+    doc = read_object(source, "planner script")
     try:
         entries = []
         for entry in doc["entries"]:

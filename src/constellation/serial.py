@@ -8,12 +8,29 @@ JSON Schema ships under ``schemas/constellation.schema.json``.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from pathlib import Path
+from typing import Any, Dict, Union
 
 from .errors import ParseError
 from .model import TaskConstellation, TaskStar, TaskStarLine, from_entries
 
 SCHEMA_VERSION = 1
+
+
+def read_object(source: Union[str, Path, Dict[str, Any]], what: str) -> Dict[str, Any]:
+    """The JSON object ``source`` names: the document in the file at a path,
+    or ``source`` itself. Raises ``ParseError`` for an unreadable file,
+    invalid JSON, or a document that is not an object."""
+    if isinstance(source, (str, Path)):
+        try:
+            doc = json.loads(Path(source).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ParseError(f"cannot load {what} {source}: {exc}") from exc
+    else:
+        doc = source
+    if not isinstance(doc, dict):
+        raise ParseError(f"cannot load {what} {source}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def task_to_doc(task: TaskStar, constellation: TaskConstellation) -> Dict[str, Any]:

@@ -8,7 +8,6 @@ seed) pair fully determines the run report.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set
@@ -25,11 +24,11 @@ from ..aip.endpoints import (
 from ..aip.profile import ProfileRegistry
 from ..clock import VirtualClock
 from ..engine import EngineConfig, Orchestrator
-from ..errors import ParseError, PeerDisconnected, VerdictMismatch
+from ..errors import PeerDisconnected, VerdictMismatch
 from ..model import FailureReason, TaskStar, TaskStatus
 from ..planner import ScriptedPlanner, load_script
 from ..report import RunReport
-from ..serial import deserialize
+from ..serial import deserialize, read_object
 from .mdlog import emit_markdown_log
 from .network import LinkSpec, SimNetwork
 
@@ -91,10 +90,7 @@ def load_scenario(source: Any) -> Dict[str, Any]:
     if isinstance(source, int):
         source = SCENARIOS_DIR / f"scenario{source}.json"
     path = Path(source)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot load scenario {path}: {exc}") from exc
+    doc = read_object(path, "scenario")
     doc["_dir"] = path.parent
     return doc
 

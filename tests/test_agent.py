@@ -11,7 +11,7 @@ from constellation.agent import (
     StrategyKind,
     fsm_step,
 )
-from constellation.errors import IllegalTransition, NoScriptEntry
+from constellation.errors import IllegalTransition, ParseError, ScriptMiss
 
 
 class TestFsm:
@@ -68,7 +68,7 @@ class TestScriptedExecutor:
         assert result["stdout"] == "saved"
 
     def test_strict_unmatched_command_raises(self):
-        with pytest.raises(NoScriptEntry):
+        with pytest.raises(ScriptMiss):
             self.executor().execute(
                 {"function": "EXEC_CLI", "args": {"command_line": "python3 x.py"}}
             )
@@ -87,6 +87,17 @@ class TestScriptedExecutor:
         ex = ScriptedExecutor.load({"table": [{"pattern": "*", "stdout": "ok"}]})
         result, _ = ex.execute({"function": "EXEC_CLI", "args": {"command_line": "x"}})
         assert result["stdout"] == "ok"
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_load_honours_strict(self, strict):
+        assert ScriptedExecutor.load({"table": [], "strict": strict}).strict is strict
+        assert ScriptedExecutor.load({"table": []}).strict is True
+
+    def test_load_refuses_a_document_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "executor.json"
+        path.write_text("[1]")
+        with pytest.raises(ParseError, match="expected a JSON object, got list"):
+            ScriptedExecutor.load(path)
 
 
 class TestScriptedReasoner:
@@ -124,8 +135,14 @@ class TestScriptedReasoner:
         assert reasoner.choose(7, {}, []).next_state is AgentFsmState.FINISH
 
     def test_strict_missing_step_raises(self):
-        with pytest.raises(NoScriptEntry):
+        with pytest.raises(ScriptMiss):
             ScriptedReasoner([]).choose(0, {}, [])
+
+    def test_load_refuses_a_document_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "reasoner.json"
+        path.write_text("[1]")
+        with pytest.raises(ParseError, match="expected a JSON object, got list"):
+            ScriptedReasoner.load(path)
 
     def test_lenient_missing_step_finishes(self):
         out = ScriptedReasoner([], strict=False).choose(0, {}, [])

@@ -17,10 +17,7 @@ from constellation.aip.endpoints import (
     DeviceServerEndpoint,
 )
 from constellation.aip.messages import (
-    DIRECTIONS,
-    IDEMPOTENCY,
     AipMessage,
-    IdempotencyClass,
     MessageType,
     decode,
     encode,
@@ -31,6 +28,7 @@ from constellation.aip.profile import (
     MISSED_K,
     AgentStatus,
     ProfileRegistry,
+    Watchdog,
     merge_profile,
 )
 from constellation.agent.executor import ScriptedExecutor
@@ -92,14 +90,6 @@ class TestMessages:
         frame = encode(AipMessage(MessageType.HEARTBEAT, {"timestamp": 1.0}))
         with pytest.raises(SchemaViolation):
             decode(frame[:-3])
-
-    def test_idempotency_classes(self):
-        assert IDEMPOTENCY[MessageType.COMMAND] is IdempotencyClass.NON_IDEMPOTENT
-        assert IDEMPOTENCY[MessageType.TASK] is IdempotencyClass.LIMITED
-        for msg_type in MessageType:
-            if msg_type not in (MessageType.COMMAND, MessageType.TASK):
-                assert IDEMPOTENCY[msg_type] is IdempotencyClass.IDEMPOTENT
-        assert set(DIRECTIONS) == set(MessageType)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -324,18 +314,10 @@ class TestProfileMerge:
         assert profile.performance["memory_gb"] == 866.1
         assert len(profile.performance["gpus"]) == 4
 
-    def test_registry_heartbeat_is_monotone(self):
-        registry = ProfileRegistry()
-        registry.register(merge_profile("a"), now=10.0)
-        registry.heartbeat("a", 20.0)
-        registry.heartbeat("a", 15.0)  # late frame must not move time backwards
-        assert registry.profiles["a"].last_heartbeat == 20.0
-        assert registry.deadline_for("a") == 35.0
-
     def test_available_excludes_disconnected(self):
         registry = ProfileRegistry()
         for agent in ("a", "b"):
-            registry.register(merge_profile(agent), now=0.0)
+            registry.register(merge_profile(agent))
         registry.mark_disconnected("a")
         assert registry.available() == ["b"]
 
@@ -408,6 +390,21 @@ def advance(clock, until):
 
 
 class TestLiveness:
+    def test_watchdog_reports_silence_once_after_the_last_feed(self):
+        """Started at 10 and fed at 20, the watchdog is silent at 20 + 15:
+        its timer, armed at 25, re-checks the last feed and is re-armed at
+        35, where silence is reported once and nothing is armed again."""
+        clock = VirtualClock(now=10.0)
+        silences = []
+        watchdog = Watchdog(clock, lambda: silences.append(clock.now))
+        watchdog.start()
+        advance(clock, 20.0)
+        watchdog.feed()
+        assert watchdog.last_seen == 20.0
+        clock.run()
+        assert silences == [20.0 + HEARTBEAT_INTERVAL * MISSED_K]
+        assert not clock.step()
+
     def test_heartbeats_keep_agent_idle(self):
         clock, _, registry, _, server = build_pair(outages=[])
         advance(clock, 60.0)
@@ -424,11 +421,8 @@ class TestLiveness:
         schedule = clock.call_at
 
         def call_at(when, callback):
-            name = getattr(callback, "__qualname__", "")
-            if name.startswith("ConstellationEndpoint._arm_deadline"):
-                armed["orchestrator"] += 1
-            elif name == "DeviceServerEndpoint._on_ack_deadline":
-                armed["device"] += 1
+            if getattr(callback, "__qualname__", "") == "Watchdog._expire":
+                armed["device" if callback.__self__ is server._watchdog else "orchestrator"] += 1
             return schedule(when, callback)
 
         clock.call_at = call_at
@@ -546,6 +540,29 @@ class TestLiveness:
         assert server.active_runs == {}
         assert [e["msg_type"] for e in server.sessions["s1"].log] == ["TASK_END"]
 
+    def test_duplicate_task_end_fires_the_callback_once(self):
+        clock, network, _, orchestrator, _ = build_pair(outages=[])
+        outcomes = []
+        advance(clock, 1.0)
+        session_id = orchestrator.dispatch_task(
+            "dev",
+            {"id": "T", "description": "job"},
+            "request",
+            lambda task_id, status, body: outcomes.append((task_id, status)),
+        )
+        advance(clock, 10.0)
+        (body,) = [
+            entry["body"]
+            for entry in orchestrator.sessions[session_id].log
+            if entry["msg_type"] == "TASK_END"
+        ]
+        duplicate = AipMessage(MessageType.TASK_END, body, session_id=session_id)
+        network.send("dev", "orchestrator", encode(duplicate))  # delivered a second time
+        advance(clock, 11.0)
+        received = [e for e in orchestrator.sessions[session_id].log if e["msg_type"] == "TASK_END"]
+        assert len(received) == 2
+        assert outcomes == [("T", "COMPLETED")]
+
     def test_task_completes_end_to_end(self):
         clock, _, _, orchestrator, _ = build_pair(outages=[])
         outcomes = []
@@ -562,7 +579,8 @@ class TestLiveness:
 
 class TestFramesFromOutside:
     """A frame the orchestrator endpoint cannot act on is answered with an
-    ERROR frame; no deadline is armed and the registry is left as it was."""
+    ERROR frame; no watchdog is armed or fed and the registry is left as it
+    was."""
 
     def send_from_rogue(self, msg):
         clock, network, registry, orchestrator, _ = build_pair(outages=[])
@@ -571,11 +589,14 @@ class TestFramesFromOutside:
         network.attach("rogue", lambda src, frame: received.append(decode(frame)))
         network.add_link("rogue", "orchestrator", LinkSpec(latency=0.001))
         profiles = {agent: profile.as_dict() for agent, profile in registry.profiles.items()}
-        timers = dict(orchestrator._deadline_timers)
+        def watchdogs():
+            return {a: (w.last_seen, w._timer) for a, w in orchestrator._watchdogs.items()}
+
+        before = watchdogs()
         network.send("rogue", "orchestrator", encode(msg))
         advance(clock, 2.0)
         assert [m.msg_type for m in received] == [MessageType.ERROR]
-        assert orchestrator._deadline_timers == timers
+        assert watchdogs() == before
         assert {a: p.as_dict() for a, p in registry.profiles.items()} == profiles
         return received[0].body["error"]
 

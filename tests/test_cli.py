@@ -140,6 +140,21 @@ class TestRun:
         assert not lines[-1]["verdict_ok"]
         assert lines[-1]["diffs"]
 
+    def test_scenario_file_that_is_not_an_object_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "scenario.json"
+        bad.write_text("[1]")
+        code, lines = run_cli(capsys, "run", "--scenario", str(bad), "--seed", "0")
+        assert code == 2
+        assert "expected a JSON object" in lines[-1]["error"]
+
+    def test_reasoner_file_that_is_not_an_object_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "scenarios"
+        shutil.copytree(SCENARIOS_DIR, target)
+        (target / "linux_reasoner.json").write_text("[1]")
+        code, lines = run_cli(capsys, "run", "--scenario", str(target / "scenario1.json"), "--seed", "0")
+        assert code == 2
+        assert "reasoner script" in lines[-1]["error"]
+
     def test_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("CONSTELLATION_SEED", "0")
         code, lines = run_cli(capsys, "run", "--constellation", FIG4)

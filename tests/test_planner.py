@@ -179,6 +179,12 @@ class TestScriptedPlanner:
         with pytest.raises(ParseError):
             load_script({"entries": [{"trigger": [{"kind": "NOT_A_KIND"}]}]})
 
+    def test_script_file_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "planner.json"
+        path.write_text("[1]")
+        with pytest.raises(ParseError, match="expected a JSON object, got list"):
+            load_script(path)
+
 
 class TestTemplates:
     def snapshot(self):

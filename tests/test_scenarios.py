@@ -6,7 +6,7 @@ import json
 import jsonschema
 import pytest
 
-from constellation import RunOutcome, VerdictMismatch
+from constellation import ParseError, RunOutcome, VerdictMismatch
 from constellation.simnet.scenarios import (
     load_scenario,
     run_scenario,
@@ -142,6 +142,12 @@ class TestHarness:
         doc["expected"] = dict(doc["expected"], outcome="FAILED")
         with pytest.raises(VerdictMismatch):
             run_scenario_strict(doc, seed=0)
+
+    def test_scenario_file_that_is_not_an_object_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text("[1]")
+        with pytest.raises(ParseError, match="expected a JSON object, got list"):
+            load_scenario(path)
 
     def test_strict_runner_passes_clean_scenarios(self):
         for n in (1, 2, 3):
