@@ -317,7 +317,7 @@ class DeviceServerEndpoint(_Endpoint):
             self._reconnect_timer.cancel()
             self._reconnect_timer = None
         self._schedule_beat()
-        self._watchdog.start()  # on silence it runs _local_disconnect
+        self._watchdog.start()
 
     # -- task execution --------------------------------------------------
 

@@ -405,6 +405,18 @@ class TestLiveness:
         assert silences == [20.0 + HEARTBEAT_INTERVAL * MISSED_K]
         assert not clock.step()
 
+    def test_watchdog_restart_replaces_the_armed_timer(self):
+        """An agent that registers again while still counted alive restarts
+        its watchdog: silence is reported once, 15 s after the restart."""
+        clock = VirtualClock()
+        silences = []
+        watchdog = Watchdog(clock, lambda: silences.append(clock.now))
+        watchdog.start()
+        advance(clock, 4.0)
+        watchdog.start()
+        clock.run()
+        assert silences == [4.0 + HEARTBEAT_INTERVAL * MISSED_K]
+
     def test_heartbeats_keep_agent_idle(self):
         clock, _, registry, _, server = build_pair(outages=[])
         advance(clock, 60.0)
@@ -589,6 +601,7 @@ class TestFramesFromOutside:
         network.attach("rogue", lambda src, frame: received.append(decode(frame)))
         network.add_link("rogue", "orchestrator", LinkSpec(latency=0.001))
         profiles = {agent: profile.as_dict() for agent, profile in registry.profiles.items()}
+
         def watchdogs():
             return {a: (w.last_seen, w._timer) for a, w in orchestrator._watchdogs.items()}
 
