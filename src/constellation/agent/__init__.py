@@ -1,11 +1,9 @@
-from .fsm import AgentFsmState, fsm_step
 from .executor import ScriptedExecutor
-from .reasoner import ReasonerOutput, ScriptedReasoner
+from .reasoner import AgentFsmState, ReasonerOutput, ScriptedReasoner
 from .server import AgentServer, StrategyKind
 
 __all__ = [
     "AgentFsmState",
-    "fsm_step",
     "ScriptedExecutor",
     "ReasonerOutput",
     "ScriptedReasoner",

@@ -1,4 +1,4 @@
-"""Scripted reasoner driving the agent FSM.
+"""Scripted reasoner and the agent FSM states it moves a task run to.
 
 Each entry is keyed by FSM round index (with an optional catch-all) and
 supplies the commands to issue, the next state and the reasoning-trace
@@ -8,12 +8,22 @@ strings. Templates may reference ``$task_description`` and ``$last_stdout``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..errors import ScriptMiss
-from ..serial import read_object
-from .fsm import AgentFsmState
+from ..errors import ParseError, ScriptMiss
+from ..serial import check_duration, read_object
+
+
+class AgentFsmState(Enum):
+    CONTINUE = "CONTINUE"
+    FINISH = "FINISH"
+    FAIL = "FAIL"
+
+    @property
+    def terminal(self) -> bool:
+        return self is not AgentFsmState.CONTINUE
 
 
 @dataclass
@@ -33,8 +43,17 @@ class ScriptedReasoner:
 
     @classmethod
     def load(cls, source: Union[str, Path, Dict[str, Any]]) -> "ScriptedReasoner":
+        """Read a script, refusing an entry whose ``next_state`` is not an
+        agent FSM state or whose ``duration`` is not a number >= 0."""
         doc = read_object(source, "reasoner script")
-        return cls(doc.get("entries", []), strict=doc.get("strict", True))
+        entries = doc.get("entries", [])
+        try:
+            for entry in entries:
+                AgentFsmState(entry.get("next_state", "CONTINUE"))
+                check_duration(entry.get("duration", 0.0))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad reasoner script {source}: {exc}") from exc
+        return cls(entries, strict=doc.get("strict", True))
 
     def choose(
         self, step: int, task: Dict[str, Any], memory: List[Dict[str, Any]]

@@ -340,7 +340,7 @@ class DeviceServerEndpoint(_Endpoint):
             )
 
         run = self.agent_server.serve_task(task, send_commands, partial(self._end_task, session_id))
-        if not run.ended:  # a run can end inside serve_task; only live runs are kept
+        if not run.state.terminal:  # a run can end inside serve_task; only live runs are kept
             self.active_runs[session_id] = run
 
     def _end_task(self, session_id: str, status: str, payload: Dict[str, Any]) -> None:
@@ -380,13 +380,8 @@ class DeviceServerEndpoint(_Endpoint):
             self._beat_timer.cancel()
             self._beat_timer = None
         # Abort ongoing work: both sides converge on FAILED statuses.
-        for session_id, run in sorted(self.active_runs.items()):
-            self.agent_server.abort(
-                run,
-                "connection to orchestrator lost",
-                "AGENT_DISCONNECTED",
-                partial(self._end_task, session_id),
-            )
+        for _, run in sorted(self.active_runs.items()):
+            self.agent_server.abort(run, "connection to orchestrator lost", "AGENT_DISCONNECTED")
         self._pending_results.clear()
         self._reconnect_attempt = 0
         self._schedule_reconnect()
@@ -405,6 +400,3 @@ class DeviceServerEndpoint(_Endpoint):
             return
         self._send_register()
         self._schedule_reconnect()
-
-    def reconnect_exhausted(self) -> bool:
-        return self.permanently_failed

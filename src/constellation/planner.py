@@ -21,7 +21,7 @@ from .edits import EditDelta, delta_from_doc
 from .errors import IllegalTransition, ParseError, ScriptMiss
 from .events import EventKind, OrchestratorEvent
 from .model import TaskConstellation, TaskStar, TaskStatus, unrecovered_failures
-from .serial import read_object
+from .serial import check_duration, read_object
 
 
 class PlannerState(Enum):
@@ -151,6 +151,10 @@ class PlannerScript:
 
 
 def load_script(source: Union[str, Path, Dict[str, Any]]) -> PlannerScript:
+    """Read a script, refusing what ``schemas/planner_script.schema.json``
+    does: an unknown trigger kind, a ``next_state`` other than CONTINUE,
+    FINISH or FAIL, a ``duration`` that is not a number >= 0, and an edit op
+    with an unknown name or field (checked before templates are filled)."""
     doc = read_object(source, "planner script")
     try:
         entries = []
@@ -159,9 +163,14 @@ def load_script(source: Union[str, Path, Dict[str, Any]]) -> PlannerScript:
                 (EventKind(p["kind"]), p.get("task", "*")) for p in entry.get("trigger", [])
             )
             output_doc = {k: v for k, v in entry.items() if k != "trigger"}
+            next_state = output_doc.get("next_state", "CONTINUE")
+            if next_state not in ("CONTINUE", "FINISH", "FAIL"):
+                raise ValueError(f"next_state must be CONTINUE, FINISH or FAIL, got {next_state!r}")
+            check_duration(output_doc.get("duration", 0.0))
+            delta_from_doc(output_doc.get("delta", []))
             entries.append(ScriptEntry(Trigger(patterns), output_doc))
         return PlannerScript(entries, strict=doc.get("strict", True))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad planner script: {exc}") from exc
 
 

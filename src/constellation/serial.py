@@ -33,6 +33,12 @@ def read_object(source: Union[str, Path, Dict[str, Any]], what: str) -> Dict[str
     return doc
 
 
+def check_duration(duration: Any) -> None:
+    """Raise ``ValueError`` unless a script's ``duration`` is a number >= 0."""
+    if isinstance(duration, bool) or not isinstance(duration, (int, float)) or not duration >= 0:
+        raise ValueError(f"duration must be a number >= 0, got {duration!r}")
+
+
 def task_to_doc(task: TaskStar, constellation: TaskConstellation) -> Dict[str, Any]:
     # Enum values are read through ``_value_``, a plain attribute; the
     # ``value`` property costs a descriptor call per field.

@@ -1,4 +1,4 @@
-"""Device agent: FSM, scripted executor/reasoner, server strategy loop."""
+"""Device agent: scripted executor/reasoner, server strategy loop."""
 
 import pytest
 
@@ -9,25 +9,8 @@ from constellation.agent import (
     ScriptedExecutor,
     ScriptedReasoner,
     StrategyKind,
-    fsm_step,
 )
-from constellation.errors import IllegalTransition, ParseError, ScriptMiss
-
-
-class TestFsm:
-    def test_continue_loops(self):
-        state, end = fsm_step(AgentFsmState.CONTINUE, AgentFsmState.CONTINUE)
-        assert state is AgentFsmState.CONTINUE and not end
-
-    @pytest.mark.parametrize("terminal", [AgentFsmState.FINISH, AgentFsmState.FAIL])
-    def test_terminal_request_ends_round(self, terminal):
-        state, end = fsm_step(AgentFsmState.CONTINUE, terminal)
-        assert state is terminal and end
-
-    @pytest.mark.parametrize("terminal", [AgentFsmState.FINISH, AgentFsmState.FAIL])
-    def test_terminal_states_cannot_step(self, terminal):
-        with pytest.raises(IllegalTransition):
-            fsm_step(terminal, AgentFsmState.CONTINUE)
+from constellation.errors import ParseError, ScriptMiss
 
 
 class TestScriptedExecutor:
@@ -144,6 +127,22 @@ class TestScriptedReasoner:
         with pytest.raises(ParseError, match="expected a JSON object, got list"):
             ScriptedReasoner.load(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("next_state", "BOGUS"), ("duration", "soon"), ("duration", -1), ("duration", True)],
+    )
+    def test_load_refuses_a_malformed_entry(self, field, value):
+        with pytest.raises(ParseError, match="bad reasoner script"):
+            ScriptedReasoner.load({"entries": [{"when": {"step": 0}, field: value}]})
+
+    def test_load_accepts_every_state_and_any_duration_from_zero(self):
+        entries = [
+            {"when": {"step": 0}, "next_state": "CONTINUE", "duration": 0},
+            {"when": {"step": 1}, "next_state": "FAIL", "duration": 2.5},
+            {"when": {"step": 2}, "next_state": "FINISH"},
+        ]
+        assert ScriptedReasoner.load({"entries": entries}).entries == entries
+
     def test_lenient_missing_step_finishes(self):
         out = ScriptedReasoner([], strict=False).choose(0, {}, [])
         assert out.next_state is AgentFsmState.FINISH
@@ -166,9 +165,11 @@ class LocalClient:
         self.clock = clock
         self.executor = executor
         self.batches = []
+        self.callbacks = []
 
     def __call__(self, commands, on_results):
         self.batches.append(commands)
+        self.callbacks.append(on_results)
         results, total = [], 0.0
         for command in commands:
             result, duration = self.executor.execute(command)
@@ -214,7 +215,7 @@ class TestAgentServer:
     def test_two_step_completion_result_and_timing(self):
         run, client, ends = serve(self.TWO_STEP, self.TABLE)
         assert ends == [("COMPLETED", {"result": "runtime: 30s"}, 33.0)]
-        assert run.ended and run.state is AgentFsmState.FINISH
+        assert run.state is AgentFsmState.FINISH
         assert client.batches[0][0]["args"]["command_line"] == "bash long_job.sh"
 
     def test_strategy_order_per_round(self):
@@ -279,16 +280,13 @@ class TestAgentServer:
             lambda status, payload: ends.append((status, payload)),
         )
         clock.call_later(
-            5.0,
-            lambda: server.abort(
-                run, "agent disconnected", "AGENT_DISCONNECTED", lambda s, p: ends.append((s, p))
-            ),
+            5.0, lambda: server.abort(run, "agent disconnected", "AGENT_DISCONNECTED")
         )
         clock.run()
         assert ends == [
             ("FAILED", {"error": "agent disconnected", "failure_reason": "AGENT_DISCONNECTED"})
         ]
-        assert run.ended
+        assert run.state is AgentFsmState.FAIL
 
     def test_client_never_decides_state(self):
         # The client result payload cannot flip the FSM: state moves only via
@@ -296,4 +294,59 @@ class TestAgentServer:
         table = [{"pattern": "*", "status": 1, "stderr": "boom"}]
         run, _, ends = serve(self.TWO_STEP, table)
         assert ends[0][0] == "COMPLETED"
+        assert run.state is AgentFsmState.FINISH
+
+
+class TestEndedRun:
+    """An ended run ignores COMMAND_RESULTS that arrive late: they add no
+    strategy_trace or memory entry and fire no second end."""
+
+    COMMAND = {"function": "EXEC_CLI", "args": {"command_line": "bash long_job.sh"}}
+
+    def start(self, entries):
+        clock = VirtualClock()
+        server = AgentServer(clock, ScriptedReasoner(entries))
+        client = LocalClient(clock, ScriptedExecutor(TestAgentServer.TABLE, strict=False))
+        ends = []
+        run = server.serve_task(
+            {"description": "long_job.sh"}, client, lambda status, payload: ends.append(payload)
+        )
+        return clock, server, run, client, ends
+
+    def test_results_of_a_batch_in_flight_at_an_abort(self):
+        clock, server, run, client, ends = self.start(TestAgentServer.TWO_STEP)
+        clock.run(deadline=5.0)  # the batch went out at 2 s; its results are due at 32 s
+        assert len(client.batches) == 1
+        server.abort(run, "agent disconnected", "AGENT_DISCONNECTED")
+        clock.run()
+        assert clock.now == 32.0
+        assert run.strategy_trace == [
+            {"step": 0, "strategy": "LLM_INTERACTION"},
+            {"step": 0, "strategy": "ACTION_EXECUTION"},
+        ]
+        assert run.memory == [] and run.step == 0
+        assert ends == [{"error": "agent disconnected", "failure_reason": "AGENT_DISCONNECTED"}]
+        assert run.state is AgentFsmState.FAIL
+
+    @pytest.mark.parametrize(
+        "next_state, failure_reason, step",
+        [("CONTINUE", "TIMEOUT", 25), ("FAIL", "EXECUTION_ERROR", 1)],
+    )
+    def test_repeated_results_after_the_step_limit_or_fail(self, next_state, failure_reason, step):
+        entries = [{"when": {"always": True}, "commands": [self.COMMAND], "next_state": next_state}]
+        clock, _, run, client, ends = self.start(entries)
+        clock.run()
+        assert [payload["failure_reason"] for payload in ends] == [failure_reason]
+        trace, memory = list(run.strategy_trace), list(run.memory)
+        client.callbacks[-1]([{"status": 0, "stdout": "late", "stderr": ""}])
+        clock.run()
+        assert run.strategy_trace == trace and run.memory == memory
+        assert len(ends) == 1 and run.step == step
+        assert run.state is AgentFsmState.FAIL
+
+    def test_abort_after_the_run_finished_reports_nothing(self):
+        clock, server, run, _, ends = self.start(TestAgentServer.TWO_STEP)
+        clock.run()
+        server.abort(run, "agent disconnected", "AGENT_DISCONNECTED")
+        assert ends == [{"result": "runtime: 30s"}]
         assert run.state is AgentFsmState.FINISH

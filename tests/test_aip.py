@@ -466,7 +466,7 @@ class TestLiveness:
         assert register_times[0] == 0.0
         deltas = [round(t - 15.001, 1) for t in register_times[1:]]
         assert deltas == [1.0, 3.0, 7.0, 15.0, 31.0]
-        assert server.reconnect_exhausted()
+        assert server.permanently_failed
 
     def test_beat_after_the_orchestrator_gave_up_is_refused_so_the_device_registers(self):
         """An outage ending just as the orchestrator's deadline expires lets
@@ -487,7 +487,7 @@ class TestLiveness:
         advance(clock, 50.0)
         assert registry.profiles["dev"].status is AgentStatus.IDLE
         assert server.connected
-        assert not server.reconnect_exhausted()
+        assert not server.permanently_failed
 
     def test_running_task_synthesizes_failed_task_end_on_both_sides(self):
         clock, _, registry, orchestrator, server = build_pair(

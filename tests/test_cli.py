@@ -155,6 +155,30 @@ class TestRun:
         assert code == 2
         assert "reasoner script" in lines[-1]["error"]
 
+    @pytest.mark.parametrize(
+        "script, field, value",
+        [
+            ("linux_reasoner.json", "next_state", "BOGUS"),
+            ("linux_reasoner.json", "duration", "soon"),
+            ("linux_reasoner.json", "duration", -1),
+            ("scenario1_planner.json", "next_state", "BOGUS"),
+            ("scenario1_planner.json", "next_state", "START"),
+            ("scenario1_planner.json", "duration", "soon"),
+            ("scenario1_planner.json", "duration", -1),
+            ("scenario1_planner.json", "delta", [{"op": "explode"}]),
+        ],
+    )
+    def test_malformed_script_entry_exits_two(self, capsys, tmp_path, script, field, value):
+        target = tmp_path / "scenarios"
+        shutil.copytree(SCENARIOS_DIR, target)
+        path = target / script
+        doc = json.loads(path.read_text())
+        doc["entries"][0][field] = value
+        path.write_text(json.dumps(doc))
+        code, lines = run_cli(capsys, "run", "--scenario", str(target / "scenario1.json"), "--seed", "0")
+        assert code == 2
+        assert lines == [{"event": "error", "error": lines[0]["error"]}]
+
     def test_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("CONSTELLATION_SEED", "0")
         code, lines = run_cli(capsys, "run", "--constellation", FIG4)

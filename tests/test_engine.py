@@ -637,13 +637,17 @@ class TestOutcomeRule:
 
 class TestPlannerFsm:
     def test_return_to_start_aborts_the_run(self):
-        script = {
-            "strict": False,
-            "entries": [
-                {"trigger": [{"kind": "TASK_COMPLETED", "task": "*"}], "next_state": "START"}
-            ],
-        }
-        report = run_fig4(planner=ScriptedPlanner(load_script(script)))
+        script = load_script(
+            {
+                "strict": False,
+                "entries": [
+                    {"trigger": [{"kind": "TASK_COMPLETED", "task": "*"}], "next_state": "CONTINUE"}
+                ],
+            }
+        )
+        # load_script refuses START, so a planner asking for it is built here.
+        script.entries[0].output_doc["next_state"] = "START"
+        report = run_fig4(planner=ScriptedPlanner(script))
         assert report.outcome is RunOutcome.FAILED
         assert "planner may not move CONTINUE -> START" in report.error
         assert [cycle.next_state for cycle in report.edit_cycles] == ["CONTINUE"]

@@ -179,6 +179,22 @@ class TestScriptedPlanner:
         with pytest.raises(ParseError):
             load_script({"entries": [{"trigger": [{"kind": "NOT_A_KIND"}]}]})
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("next_state", "BOGUS", "next_state"),
+            ("next_state", "START", "next_state"),
+            ("duration", "soon", "duration"),
+            ("duration", -1, "duration"),
+            ("delta", [{"op": "explode"}], "explode"),
+            ("delta", [{"op": "remove_task", "task_id": "A", "why": "x"}], "unknown field"),
+            ("delta", [{"op": "remove_task"}], "missing field"),
+        ],
+    )
+    def test_malformed_entry_rejected_at_load(self, field, value, match):
+        with pytest.raises(ParseError, match=match):
+            load_script({"entries": [{"trigger": [], field: value}]})
+
     def test_script_file_that_is_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "planner.json"
         path.write_text("[1]")
