@@ -10,8 +10,8 @@ import fnmatch
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..errors import ScriptMiss
-from ..serial import read_object
+from ..errors import ParseError, ScriptMiss
+from ..serial import check_duration, read_object
 
 
 class ScriptedExecutor:
@@ -27,8 +27,23 @@ class ScriptedExecutor:
 
     @classmethod
     def load(cls, source: Union[str, Path, Dict[str, Any]]) -> "ScriptedExecutor":
+        """Read a table, refusing an entry whose ``pattern``, ``stdout`` or
+        ``stderr`` is not a string, whose ``status`` is not an int or whose
+        ``duration`` is not a number >= 0."""
         doc = read_object(source, "executor table")
-        return cls(doc.get("table", []), sys_info=doc.get("sys_info"), strict=doc.get("strict", True))
+        table = doc.get("table", [])
+        try:
+            for entry in table:
+                status = entry.get("status", 0)
+                if isinstance(status, bool) or not isinstance(status, int):
+                    raise ValueError(f"status must be an int, got {status!r}")
+                for key in ("pattern", "stdout", "stderr"):
+                    if not isinstance(entry.get(key, ""), str):
+                        raise ValueError(f"{key} must be a string, got {entry[key]!r}")
+                check_duration(entry.get("duration", 0.0))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad executor table {source}: {exc}") from exc
+        return cls(table, sys_info=doc.get("sys_info"), strict=doc.get("strict", True))
 
     def execute(self, action: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
         """Run one action; returns (structured result, virtual duration)."""

@@ -24,7 +24,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from ..clock import TimerHandle, VirtualClock
-from ..errors import AttemptsExhausted, PeerDisconnected, SchemaViolation
+from ..errors import PeerDisconnected, SchemaViolation
 from ..simnet.network import SimNetwork
 from ..agent.server import AgentServer, TaskRun
 from .backoff import BackoffPolicy

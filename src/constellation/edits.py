@@ -5,14 +5,13 @@ The clone shares the pre-state's frozen records, and an op replaces the
 records it changes, so the pre-state is never touched. The ops only parse
 and mutate, so a delta is judged on its result: the post-state is checked
 once, for structure and for edit locality (no non-PENDING task changed),
-together with any id a build op's config repeats. The check reads only
-the post-state's change record, which a build op fills with every record
-it inserts and every task it replaces, so that a build is checked in one
-linear pass over its graph; a fault found there brings ``validate`` to list
-the violations. Either the delta passes, commits with its readiness
-recounted and the version risen by exactly one, or one error propagates:
-the op's parse or lookup error, or one ``ValidationFailed`` listing every
-violation.
+together with any id a build op's config repeats. The check reads the
+post-state's change record: one holding every task, as a build op's does,
+is judged by one ``validate`` call, a linear pass, and any other by the
+region downstream of its edges, ``validate`` listing a fault found there.
+Either the delta passes, commits with its readiness recounted and the
+version risen by exactly one, or one error propagates: the op's parse or
+lookup error, or one ``ValidationFailed`` listing every violation.
 """
 
 from __future__ import annotations
@@ -112,12 +111,11 @@ def apply_delta(
 
     ``constellation`` must be valid, as every graph made by
     ``model.from_entries`` or committed here is. The check then needs only
-    the change record: the edges added or updated (endpoints, condition, no
-    parallel edge, no cycle downstream of their targets; the whole graph
-    in one pass when the record holds every task) and the locality of the
-    tasks touched. Only a fault found there runs the full
-    ``validate``, so violations are listed the same way whatever the
-    delta's size.
+    the change record, and calls ``validate`` at most once: at once when the
+    record holds every task (a build's), otherwise only to list a fault
+    ``_changes_valid`` found in the edges added or updated (endpoints,
+    condition, no parallel edge, no cycle downstream of their targets). The
+    locality check reads the tasks touched.
 
     Any failure aborts the whole delta and propagates; the caller's
     pre-state object is never mutated.
@@ -154,7 +152,7 @@ def apply_delta(
             summary.added_dependencies += len(working.edges)
         else:
             raise ParseError(f"unknown edit op {op!r}")
-    if not working._changes_valid():
+    if working.tasks.keys() <= working._touched_tasks or not working._changes_valid():
         violations.extend(working.validate())
     violations.extend(edit_locality_violations(constellation, working))
     if violations:

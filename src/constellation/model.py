@@ -7,13 +7,19 @@ by id. Task and dependency entries (the format of
 ``ParseError`` and a field the entry may not carry raises ``IllegalField``,
 whichever path reads it. Whole graphs (``serial.from_document`` and
 ``edits.build_constellation``) are made by ``from_entries``: insert every
-entry, then check the whole graph once. After that the structure changes
-only through ``edits.apply_delta``, which runs the raw ``_...`` ops below on
-a working copy, checks the result once and bumps the version once per
-commit; the engine moves task statuses with ``transition``. The raw ops only
-parse and mutate: they raise ``NotFound``, ``DuplicateId``, ``ParseError``
-and ``IllegalField``, and leave cycles, dangling or parallel edges and edits
-of non-PENDING tasks to the one check of the result.
+entry, then judge the whole graph with one ``validate`` call. After that the
+structure changes only through ``edits.apply_delta``, which runs the raw
+``_...`` ops below on a working copy, checks the result once and bumps the
+version once per commit; the engine moves task statuses with
+``transition``. The raw ops only parse and mutate: they raise ``NotFound``,
+``DuplicateId``, ``ParseError`` and ``IllegalField``, and leave cycles,
+dangling or parallel edges and edits of non-PENDING tasks to the one check
+of the result.
+
+One judge decides a graph's structure: ``validate`` lists every fault in
+one linear pass, and ``_changes_valid`` judges a commit from the region
+downstream of the edges it added. Both find a cycle with one count-only
+Kahn peel (``_unpeeled``); ``topological_order`` only produces an order.
 
 Task and dependency records are frozen and assigned once: each ``__init__``
 writes every field once into the instance dict, and ``transition`` and the
@@ -50,7 +56,8 @@ import heapq
 from bisect import bisect
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NoReturn, Optional, Set, Tuple
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, FrozenSet, List, NoReturn, Optional, Set, Tuple
 
 from .errors import (
     DuplicateId,
@@ -364,123 +371,116 @@ class TaskConstellation:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> List[Violation]:
-        violations: List[Violation] = []
-        duplicates: List[Violation] = []
-        seen_pairs: Set[Tuple[str, str]] = set()
-        for edge_id in sorted(self.edges):
-            edge = self.edges[edge_id]
-            for endpoint in (edge.from_task, edge.to_task):
-                if endpoint not in self.tasks:
-                    violations.append(
-                        Violation("DanglingEdge", f"edge {edge.id!r} references missing task {endpoint!r}")
-                    )
-            if edge.from_task == edge.to_task:
-                violations.append(Violation("SelfLoop", f"edge {edge.id!r} on {edge.from_task!r}"))
-            condition_id = edge.dep_type.condition_id
-            if edge.dep_type.kind is DependencyKind.CONDITIONAL and condition_id not in CONDITIONS:
-                violations.append(
-                    Violation("UnknownCondition", f"edge {edge.id!r} names condition {condition_id!r}")
-                )
-            pair = (edge.from_task, edge.to_task)
-            if pair in seen_pairs:
-                duplicates.append(Violation("DuplicateEdge", f"multiple edges {pair[0]!r}->{pair[1]!r}"))
-            seen_pairs.add(pair)
-        violations.extend(duplicates)
-        cycle = set(self.tasks).difference(self.topological_order())
+        """Every structural fault, found in one linear pass: one walk over
+        ``edges`` checks endpoints, self-loops, conditions and parallel pairs
+        and counts in-degrees, then ``_unpeeled`` leaves the cycle. Only the
+        faults found are sorted: each edge's in edge id order, a
+        ``DuplicateEdge`` per edge of a pair but its smallest id, the cycle,
+        and each task holding a result while not terminal, by id."""
+        tasks = self.tasks
+        faults: List[Tuple[str, Violation]] = []  # (edge id, fault)
+        parallel: List[Tuple[str, Violation]] = []  # (edge id, DuplicateEdge)
+        least: Dict[Tuple[str, str], str] = {}  # (from, to) -> its smallest edge id so far
+        indegree = dict.fromkeys(tasks, 0)
+        for edge_id, edge in self.edges.items():
+            pair = from_task, to_task = edge.from_task, edge.to_task
+            if from_task in tasks and to_task in tasks:
+                indegree[to_task] += 1
+            else:
+                for missing in (task_id for task_id in pair if task_id not in tasks):
+                    detail = f"edge {edge.id!r} references missing task {missing!r}"
+                    faults.append((edge_id, Violation("DanglingEdge", detail)))
+            if from_task == to_task:
+                faults.append((edge_id, Violation("SelfLoop", f"edge {edge.id!r} on {from_task!r}")))
+            condition_id = edge.dep_type.condition_id  # set on CONDITIONAL edges only
+            if condition_id and condition_id not in CONDITIONS:
+                detail = f"edge {edge.id!r} names condition {condition_id!r}"
+                faults.append((edge_id, Violation("UnknownCondition", detail)))
+            first = least.setdefault(pair, edge_id)
+            if first != edge_id:
+                detail = f"multiple edges {from_task!r}->{to_task!r}"
+                parallel.append((max(first, edge_id), Violation("DuplicateEdge", detail)))
+                least[pair] = min(first, edge_id)
+        faults.sort(key=itemgetter(0))  # stable: an edge's faults keep their order
+        violations = [violation for _, violation in faults + sorted(parallel, key=itemgetter(0))]
+        cycle = self._unpeeled(indegree)
         if cycle:
-            violations.append(
-                Violation("CycleIntroduced", f"cycle through {{{', '.join(sorted(cycle))}}}")
-            )
-        for task in sorted(self.tasks.values(), key=lambda t: t.id):
-            if task.result is not None and not task.status.terminal:
-                violations.append(
-                    Violation("StatusResult", f"task {task.id!r} has a result while {task.status.value}")
-                )
+            violations.append(Violation("CycleIntroduced", f"cycle through {{{', '.join(sorted(cycle))}}}"))
+        holding = [task for task in tasks.values() if task.result is not None and not task.status.terminal]
+        for task in sorted(holding, key=attrgetter("id")):
+            violations.append(Violation("StatusResult", f"task {task.id!r} has a result while {task.status.value}"))
         return violations
 
     def _changes_valid(self) -> bool:
         """Whether ``validate()`` would return no violation, judged from the
-        edges in the change record alone (from the whole graph when the
-        record holds every task, as after a build).
-
-        Exact when the graph the record starts from was valid: a clone of a
-        valid graph, or the empty graph ``insert_entries`` fills from
-        created entries. Removals add no violation, neither the raw ops nor
-        created entries set a result, a new parallel pair has a recorded
-        edge and a new cycle runs through one.
-        """
-        if self._touched_tasks.issuperset(self.tasks):
-            return self._graph_valid()
-        added = [self.edges[edge_id] for edge_id in self._touched_edges if edge_id in self.edges]
-        if not self._edges_resolve(added):
-            return False
-        targets = {edge.to_task for edge in added}
+        edges in the change record alone. Exact when the graph the record
+        starts from was valid: a clone of a valid graph, or the empty graph
+        ``insert_entries`` fills from created entries. Removals add no
+        violation, neither the raw ops nor created entries set a result, a
+        new parallel pair has a recorded edge and a new cycle runs through
+        one."""
+        tasks, edges, targets = self.tasks, self.edges, set()
+        for edge in (edges[edge_id] for edge_id in self._touched_edges if edge_id in edges):
+            condition_id = edge.dep_type.condition_id
+            unknown = condition_id and condition_id not in CONDITIONS
+            if unknown or edge.from_task not in tasks or edge.to_task not in tasks:
+                return False
+            targets.add(edge.to_task)
         for task_id in targets:
-            sources = [self.edges[edge_id].from_task for edge_id in self._incoming[task_id]]
+            sources = [edges[edge_id].from_task for edge_id in self._incoming[task_id]]
             if len(set(sources)) < len(sources):
                 return False
         return not self._cycle_downstream_of(targets)
 
-    def _graph_valid(self) -> bool:
-        """Whether ``validate()`` would return no violation, in one linear
-        pass: one set of pairs finds a parallel edge, and Kahn's peel with a
-        plain stack, counting only, finds a cycle."""
-        edges = self.edges.values()
-        if not self._edges_resolve(edges) or len({(e.from_task, e.to_task) for e in edges}) < len(edges):
-            return False
-        if any(task.result is not None and not task.status.terminal for task in self.tasks.values()):
-            return False
-        indegree = {task_id: len(ids) for task_id, ids in self._incoming.items()}
-        stack = [task_id for task_id in self.tasks if task_id not in indegree]
-        peeled = 0
-        while stack:
-            peeled += 1
-            for edge_id in self._outgoing.get(stack.pop(), ()):
-                target = self.edges[edge_id].to_task
-                indegree[target] -= 1
-                if not indegree[target]:
-                    stack.append(target)
-        return peeled == len(self.tasks)
-
-    def _edges_resolve(self, edges: Iterable[TaskStarLine]) -> bool:
-        """Whether every edge has both endpoints and, if CONDITIONAL (the
-        only kind with a condition id), a known condition."""
-        tasks = self.tasks
-        for edge in edges:
-            condition_id = edge.dep_type.condition_id
-            if edge.from_task not in tasks or edge.to_task not in tasks:
-                return False
-            if condition_id and condition_id not in CONDITIONS:
-                return False
-        return True
-
     def _cycle_downstream_of(self, starts: Set[str]) -> bool:
         """Whether a cycle runs through the tasks reachable from ``starts``.
-
-        A forward search over the outgoing index collects them, then Kahn's
-        peel of that region leaves a cycle behind. A cycle through an added
-        edge lies wholly downstream of its target (a self-loop included),
-        so one search from all targets costs what they reach, once.
-        """
-        successors: Dict[str, List[str]] = {}
-        stack = list(starts)
+        A cycle through an added edge lies wholly downstream of its target (a
+        self-loop included), so one search from all targets counts the
+        in-degrees within the region they reach, for ``_unpeeled``."""
+        edges, outgoing = self.edges, self._outgoing
+        indegree, stack = dict.fromkeys(starts, 0), list(starts)
         while stack:
-            node = stack.pop()
-            if node not in successors:
-                successors[node] = [self.edges[edge_id].to_task for edge_id in self._outgoing.get(node, ())]
-                stack.extend(successors[node])
-        return len(_kahn_order(successors, successors)) < len(successors)
+            for edge_id in outgoing.get(stack.pop(), ()):
+                target = edges[edge_id].to_task
+                if target not in indegree:
+                    stack.append(target)
+                indegree[target] = indegree.get(target, 0) + 1
+        return bool(self._unpeeled(indegree))
+
+    def _unpeeled(self, indegree: Dict[str, int]) -> List[str]:
+        """Kahn's peel along the outgoing index, counting only: the tasks of
+        ``indegree`` (their counts of incoming edges from each other, used up
+        here) left on or behind a cycle, the same whatever the pop order."""
+        edges, outgoing = self.edges, self._outgoing
+        stack = [task_id for task_id, count in indegree.items() if not count]
+        while stack:
+            for edge_id in outgoing.get(stack.pop(), ()):
+                target = edges[edge_id].to_task
+                if target in indegree:  # not so for an edge to no task
+                    indegree[target] -= 1
+                    if not indegree[target]:
+                        stack.append(target)
+        return [task_id for task_id, count in indegree.items() if count]
 
     def topological_order(self) -> List[str]:
-        """Kahn's order, smallest ready id first. Tasks on or behind a cycle
-        are left out, so a shorter order than ``tasks`` means a cycle. The
-        adjacency is built here from ``edges``, not from the indexes, so a
-        corrupted dict shows."""
+        """Kahn's order, smallest ready id first, leaving out the tasks on or
+        behind a cycle: for the parallelism metrics, not for any check."""
+        indegree = dict.fromkeys(self.tasks, 0)
         successors: Dict[str, List[str]] = {}
         for edge in self.edges.values():
-            if edge.from_task in self.tasks and edge.to_task in self.tasks:
+            if edge.from_task in indegree and edge.to_task in indegree:
                 successors.setdefault(edge.from_task, []).append(edge.to_task)
-        return _kahn_order(self.tasks, successors)
+                indegree[edge.to_task] += 1
+        ready = [task_id for task_id, count in indegree.items() if not count]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            order.append(heapq.heappop(ready))
+            for successor in successors.get(order[-1], ()):
+                indegree[successor] -= 1
+                if not indegree[successor]:
+                    heapq.heappush(ready, successor)
+        return order
 
     # -- readiness -------------------------------------------------------
 
@@ -567,26 +567,6 @@ class TaskConstellation:
         from .serial import serialize
 
         return serialize(self) == serialize(other)
-
-
-def _kahn_order(nodes: Iterable[str], successors: Dict[str, List[str]]) -> List[str]:
-    """Kahn's order of ``nodes``, smallest ready id first, leaving out the
-    nodes on or behind a cycle. Every successor must be one of ``nodes``."""
-    indegree = dict.fromkeys(nodes, 0)
-    for targets in successors.values():
-        for target in targets:
-            indegree[target] += 1
-    ready = [node for node, degree in indegree.items() if degree == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        node = heapq.heappop(ready)
-        order.append(node)
-        for successor in successors.get(node, ()):
-            indegree[successor] -= 1
-            if indegree[successor] == 0:
-                heapq.heappush(ready, successor)
-    return order
 
 
 def _condition_holds(edge: TaskStarLine, upstream: TaskStar) -> bool:
@@ -688,14 +668,13 @@ def from_entries(doc: Dict[str, Any], created: bool) -> TaskConstellation:
     """Build a graph from a document or build config in one pass.
 
     Every entry is parsed and inserted first; a malformed one raises at
-    once. Repeated ids and all of ``validate``'s violations are then raised
-    together as one ``ValidationFailed``. The graph is checked in one
-    linear pass (``_graph_valid``); ``validate`` runs only to list a fault.
-    A valid graph has its readiness counted before it is returned.
+    once. The graph is then judged by one ``validate`` call, a linear pass,
+    and repeated ids and its violations are raised together as one
+    ``ValidationFailed``. A valid graph has its readiness counted before it
+    is returned.
     """
     constellation, violations = insert_entries(doc, created)
-    if violations or not constellation._graph_valid():
-        violations.extend(constellation.validate())
+    violations.extend(constellation.validate())
     if violations:
         raise ValidationFailed(violations)
     constellation._recount()

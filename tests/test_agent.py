@@ -83,6 +83,33 @@ class TestScriptedExecutor:
             ScriptedExecutor.load(path)
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pattern", 5),
+            ("stdout", ["ok"]),
+            ("stderr", None),
+            ("status", "0"),
+            ("status", 0.5),
+            ("status", True),
+            ("duration", -1),
+            ("duration", "soon"),
+        ],
+    )
+    def test_load_refuses_a_malformed_entry(self, field, value):
+        with pytest.raises(ParseError, match="bad executor table"):
+            ScriptedExecutor.load({"table": [{"pattern": "*"}, {"pattern": "x", field: value}]})
+
+    @pytest.mark.parametrize("table", [5, ["entry"]])
+    def test_load_refuses_a_table_that_is_not_a_list_of_objects(self, table):
+        with pytest.raises(ParseError, match="bad executor table"):
+            ScriptedExecutor.load({"table": table})
+
+    def test_load_accepts_every_field_at_its_edge(self):
+        entry = {"pattern": "", "status": -1, "stdout": "", "stderr": "", "duration": 0}
+        assert ScriptedExecutor.load({"table": [entry, {}]}).table == [entry, {}]
+
+
 class TestScriptedReasoner:
     def test_step_keyed_entries_and_substitution(self):
         reasoner = ScriptedReasoner(

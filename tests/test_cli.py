@@ -166,6 +166,10 @@ class TestRun:
             ("scenario1_planner.json", "duration", "soon"),
             ("scenario1_planner.json", "duration", -1),
             ("scenario1_planner.json", "delta", [{"op": "explode"}]),
+            ("linux_executor.json", "duration", -1),
+            ("linux_executor.json", "duration", "soon"),
+            ("linux_executor.json", "status", "0"),
+            ("linux_executor.json", "stdout", 5),
         ],
     )
     def test_malformed_script_entry_exits_two(self, capsys, tmp_path, script, field, value):
@@ -173,7 +177,7 @@ class TestRun:
         shutil.copytree(SCENARIOS_DIR, target)
         path = target / script
         doc = json.loads(path.read_text())
-        doc["entries"][0][field] = value
+        (doc["table"] if "table" in doc else doc["entries"])[0][field] = value
         path.write_text(json.dumps(doc))
         code, lines = run_cli(capsys, "run", "--scenario", str(target / "scenario1.json"), "--seed", "0")
         assert code == 2

@@ -1,6 +1,7 @@
 """Atomic batched edits: build, apply, rollback, locality, versioning."""
 
 import random
+from typing import List, Set, Tuple
 
 import pytest
 
@@ -26,7 +27,7 @@ from constellation import (
 )
 from constellation import edits, serial
 from constellation.edits import delta_from_doc, edit_locality_violations, op_from_doc
-from constellation.model import from_entries, insert_entries
+from constellation.model import CONDITIONS, DependencyKind, from_entries, insert_entries
 from constellation.errors import ConstellationError, IllegalField, ParseError
 from conftest import layered_config, random_dag, scanned_incoming
 
@@ -113,11 +114,11 @@ class TestBuildConstellation:
 
     def test_layered_build_runs_one_cycle_check(self, monkeypatch):
         """A bulk build and a delta holding one build op insert everything,
-        then search for cycles once, not once per edge: both with one
-        linear pass over the whole graph, neither with ``validate``'s Kahn
-        pass nor a search from every edge target. A delta of many edges
-        into a valid graph is searched once from the edges it added, with
-        no pass over the whole graph."""
+        then judge the graph once, not once per edge: both with one
+        ``validate`` call, a linear pass over the whole graph, neither with
+        the heap Kahn of ``topological_order`` nor a search from every edge
+        target. A delta of many edges into a valid graph is searched once
+        from the edges it added, with no pass over the whole graph."""
         config = layered_config(100, width=10, fan_in=2)
         calls = []
 
@@ -130,7 +131,7 @@ class TestBuildConstellation:
 
             return wrapper
 
-        kahn, whole, downstream = "topological_order", "_graph_valid", "_cycle_downstream_of"
+        kahn, whole, downstream = "topological_order", "validate", "_cycle_downstream_of"
         for prepare, edges, searches in (
             (by_build, 180, [whole]),
             (by_build_op, 180, [whole]),
@@ -730,18 +731,129 @@ def recounted(c):
     return waiting, ready, running
 
 
+def reference_validate(self):
+    """The structure check written plainly: every edge in sorted id order,
+    and the cycle found as the tasks the heap Kahn of ``topological_order``
+    leaves out. The oracle the one-pass ``validate`` must agree with, list
+    and order alike."""
+    violations: List[Violation] = []
+    duplicates: List[Violation] = []
+    seen_pairs: Set[Tuple[str, str]] = set()
+    for edge_id in sorted(self.edges):
+        edge = self.edges[edge_id]
+        for endpoint in (edge.from_task, edge.to_task):
+            if endpoint not in self.tasks:
+                violations.append(
+                    Violation("DanglingEdge", f"edge {edge.id!r} references missing task {endpoint!r}")
+                )
+        if edge.from_task == edge.to_task:
+            violations.append(Violation("SelfLoop", f"edge {edge.id!r} on {edge.from_task!r}"))
+        condition_id = edge.dep_type.condition_id
+        if edge.dep_type.kind is DependencyKind.CONDITIONAL and condition_id not in CONDITIONS:
+            violations.append(
+                Violation("UnknownCondition", f"edge {edge.id!r} names condition {condition_id!r}")
+            )
+        pair = (edge.from_task, edge.to_task)
+        if pair in seen_pairs:
+            duplicates.append(Violation("DuplicateEdge", f"multiple edges {pair[0]!r}->{pair[1]!r}"))
+        seen_pairs.add(pair)
+    violations.extend(duplicates)
+    cycle = set(self.tasks).difference(self.topological_order())
+    if cycle:
+        violations.append(
+            Violation("CycleIntroduced", f"cycle through {{{', '.join(sorted(cycle))}}}")
+        )
+    for task in sorted(self.tasks.values(), key=lambda t: t.id):
+        if task.result is not None and not task.status.terminal:
+            violations.append(
+                Violation("StatusResult", f"task {task.id!r} has a result while {task.status.value}")
+            )
+    return violations
+
+
+def faulty_document(rng):
+    """A document of up to 8 tasks and 14 dependencies, entered in shuffled
+    order under ids whose sorted order is not their numeric one, so the
+    dict order of the graph is not its id order. Any mix of faults: a
+    repeated id, a dangling edge, a self-loop, an unknown condition,
+    parallel edges (often more than two per pair), a cycle, and a result on
+    a task that is not terminal. Half of the documents have every edge run
+    forward along one order of the tasks, so they hold no cycle."""
+    ids = [f"t{n}" for n in rng.sample(range(20), rng.randint(1, 8))]
+    tasks = [{"id": task_id, "device": "d", "status": rng.choice(list(TaskStatus)).value} for task_id in ids]
+    for entry in tasks:
+        if rng.random() < 0.1:
+            entry["result"] = "r"
+    if rng.random() < 0.1:
+        tasks.append(dict(rng.choice(tasks)))
+    rng.shuffle(tasks)
+    forward = rng.random() < 0.5
+    dependencies = []
+    for n in rng.sample(range(40), rng.randint(0, 14)):
+        from_task, to_task = rng.choice(ids), rng.choice(ids)
+        if forward and ids.index(from_task) > ids.index(to_task):
+            from_task, to_task = to_task, from_task
+        roll = rng.random()
+        if roll < 0.05:
+            to_task = "ghost"
+        elif roll < 0.1:
+            from_task = rng.choice(["ghost", "phantom"])
+        spec = {"id": f"e{n}", "from_task": from_task, "to_task": to_task}
+        if rng.random() < 0.2:
+            spec.update(dep_type="CONDITIONAL", condition_id=rng.choice(["always", "never"]))
+        dependencies.append(spec)
+    if dependencies and rng.random() < 0.1:
+        dependencies.append(dict(rng.choice(dependencies)))
+    return {"request": "faulty", "tasks": tasks, "dependencies": dependencies}
+
+
+class TestReferenceValidate:
+    """The one-pass ``validate`` and the region check of a delta against
+    ``reference_validate``."""
+
+    def test_validate_lists_what_the_reference_lists(self):
+        kinds, clean = set(), 0
+        for seed in range(2500):
+            c, _ = insert_entries(faulty_document(random.Random(seed)), created=False)
+            expected = reference_validate(c)
+            assert c.validate() == expected, seed
+            kinds.update(violation.kind for violation in expected)
+            clean += not expected
+        assert clean >= 150, clean
+        assert kinds == {"CycleIntroduced", "SelfLoop", "DanglingEdge", "DuplicateEdge",
+                         "UnknownCondition", "StatusResult"}, kinds
+
+    def test_region_check_of_one_added_edge_agrees(self):
+        """An edge added to a valid graph, between any two of its tasks or
+        to a missing one, with any condition: the region check passes it
+        exactly when the reference finds nothing in the whole graph."""
+        outcomes = {True: 0, False: 0}
+        for seed in range(2000):
+            rng = random.Random(seed)
+            post = random_dag(rng, max_nodes=7).clone()
+            ids = sorted(post.tasks)
+            spec = {"id": "added", "from_task": rng.choice(ids), "to_task": rng.choice(ids + ["ghost"])}
+            if rng.random() < 0.2:
+                spec.update(dep_type="CONDITIONAL", condition_id=rng.choice(["always", "never"]))
+            post._add_dependency(spec)
+            valid = post._changes_valid()
+            assert valid == (reference_validate(post) == []), (seed, spec)
+            outcomes[valid] += 1
+        assert min(outcomes.values()) >= 400, outcomes
+
+
 class TestOnePassCheck:
     """A build, by ``build_constellation`` or by a ``BuildConstellation`` op,
-    is checked in one linear pass over the whole graph; ``validate`` is the
-    oracle it must agree with exactly."""
+    is judged by one ``validate`` call; ``reference_validate`` is the oracle
+    its violations must agree with exactly."""
 
-    def test_build_raises_validates_violations_or_commits_counted(self, monkeypatch):
+    def test_build_raises_validates_violations_or_commits_counted(self):
         kinds, committed = set(), 0
         for seed in range(1500):
             rng = random.Random(seed)
             config = hostile_config(rng)
             inserted, repeated = insert_entries(config, created=True)
-            expected = [str(v) for v in repeated + inserted.validate()]
+            expected = [str(v) for v in repeated + reference_validate(inserted)]
             try:
                 built = build_constellation(config)
             except ValidationFailed as exc:
@@ -768,7 +880,7 @@ class TestOnePassCheck:
                 if rng.random() < (0.5 if entry["status"] == "COMPLETED" else 0.05):
                     entry["result"] = rng.choice(["ok", "done"])
             inserted, repeated = insert_entries(doc, created=False)
-            expected = [str(v) for v in repeated + inserted.validate()]
+            expected = [str(v) for v in repeated + reference_validate(inserted)]
             try:
                 c = from_entries(doc, created=False)
             except ValidationFailed as exc:
@@ -791,7 +903,7 @@ class TestOnePassCheck:
             ops = [BuildConstellation(hostile_config(rng))]
             got = outcome(pre, ops)
             with monkeypatch.context() as patch:
-                patch.setattr(TaskConstellation, "_changes_valid", lambda self: False)
+                patch.setattr(TaskConstellation, "validate", reference_validate)
                 expected = outcome(pre, ops)
             assert got == expected, (seed, ops)
             if got[0] == "committed":
