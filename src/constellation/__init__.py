@@ -32,11 +32,9 @@ from .errors import (
     InvariantViolation,
     NotFound,
     ParseError,
-    PeerDisconnected,
     SchemaViolation,
     ScriptMiss,
     ValidationFailed,
-    VerdictMismatch,
 )
 from .events import EventKind, OrchestratorEvent
 from .explorer import (
@@ -94,7 +92,6 @@ __all__ = [
     "Orchestrator",
     "OrchestratorEvent",
     "ParseError",
-    "PeerDisconnected",
     "Planner",
     "PlannerInput",
     "PlannerOutput",
@@ -115,7 +112,6 @@ __all__ = [
     "UpdateDependency",
     "UpdateTask",
     "ValidationFailed",
-    "VerdictMismatch",
     "Violation",
     "VirtualClock",
     "analytic_distinct_count",

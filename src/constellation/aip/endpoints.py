@@ -2,8 +2,10 @@
 
 Three roles talk over the simulated network:
 
-- ``ConstellationEndpoint`` — the orchestrator side: registry, task
-  dispatch, heartbeat monitoring and disconnect synthesis.
+- ``ConstellationEndpoint`` — the orchestrator side and the engine's
+  dispatcher: registry, task dispatch, heartbeat monitoring and disconnect
+  synthesis. It turns each session's TASK_END, received or synthesised,
+  into the one engine completion of the task the session carried.
 - ``DeviceServerEndpoint`` — the per-device agent server: runs the agent
   FSM, issues command batches to its executor client, reports TASK_END,
   heartbeats, and reconnects with exponential backoff after an outage.
@@ -13,7 +15,8 @@ Three roles talk over the simulated network:
 Both sides keep per-session logs. When either side aborts a task because of
 a disconnect, it records a synthetic TASK_END entry locally so that every
 TASK is matched by exactly one TASK_END in the combined logs even though no
-frame crossed the wire.
+frame crossed the wire. A frame that fails to decode is answered with an
+ERROR frame and otherwise ignored, at every role.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from __future__ import annotations
 import itertools
 import random
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..clock import TimerHandle, VirtualClock
-from ..errors import PeerDisconnected, SchemaViolation
+from ..engine import DoneCallback
+from ..errors import SchemaViolation
+from ..model import FailureReason, TaskStar, TaskStatus
 from ..simnet.network import SimNetwork
 from ..agent.server import AgentServer, TaskRun
 from .backoff import BackoffPolicy
@@ -43,46 +48,85 @@ class _Endpoint:
         self.sessions: Dict[str, SessionState] = {}
         network.attach(address, self._on_frame)
 
-    def session(self, session_id: str, remote: str) -> SessionState:
+    def session(self, session_id: str) -> SessionState:
         if session_id not in self.sessions:
-            self.sessions[session_id] = SessionState(
-                session_id=session_id, local_peer=self.address, remote_peer=remote
-            )
+            self.sessions[session_id] = SessionState(session_id)
         return self.sessions[session_id]
 
     def send(self, dst: str, msg: AipMessage) -> None:
         if msg.session_id is not None:
-            self.session(msg.session_id, dst).record("sent", msg, self.clock.now)
+            self.session(msg.session_id).record("sent", msg, self.clock.now)
         self.network.send(self.address, dst, encode(msg), summary=msg.msg_type._value_)
 
     def _on_frame(self, src: str, frame: bytes) -> None:
-        msg = decode(frame)
+        try:
+            msg = decode(frame)
+        except SchemaViolation as exc:
+            self._refuse(src, f"SchemaViolation: {exc}")
+            return
         if msg.session_id is not None:
-            self.session(msg.session_id, src).record("received", msg, self.clock.now)
+            self.session(msg.session_id).record("received", msg, self.clock.now)
         self.handle(src, msg)
+
+    def _refuse(self, src: str, error: str) -> None:
+        self.send(src, AipMessage(MessageType.ERROR, {"error": error, "context": {}}))
 
     def handle(self, src: str, msg: AipMessage) -> None:
         raise NotImplementedError
 
 
 class ConstellationEndpoint(_Endpoint):
+    """The engine's ``Dispatcher``: each dispatched task goes out as one TASK
+    frame in a new session, whose TASK_END calls the task's ``on_done``."""
+
     def __init__(
         self,
         clock: VirtualClock,
         network: SimNetwork,
+        request: str,
         address: str = "orchestrator",
         registry: Optional[ProfileRegistry] = None,
         user_configs: Optional[Dict[str, Dict[str, Any]]] = None,
     ):
         super().__init__(clock, network, address)
+        self.request = request
         self.registry = registry or ProfileRegistry()
         self.user_configs = dict(user_configs or {})
-        self.availability_listener: Optional[Callable[[], None]] = None
+        self._availability_listener: Callable[[], None] = lambda: None
         self._watchdogs: Dict[str, Watchdog] = {}
         self._device_address: Dict[str, str] = {}
-        # session_id -> (device_id, task_id, callback)
-        self._outstanding: Dict[str, Any] = {}
+        self._outstanding: Dict[str, Tuple[TaskStar, DoneCallback]] = {}  # by session id
         self._seq = itertools.count(1)
+
+    # -- dispatcher port -------------------------------------------------
+
+    def available_devices(self) -> Set[str]:
+        return set(self.registry.available())
+
+    def set_availability_listener(self, listener: Callable[[], None]) -> None:
+        self._availability_listener = listener
+
+    def dispatch(self, task: TaskStar, on_done: DoneCallback) -> None:
+        profile = self.registry.profiles.get(task.device)
+        if profile is None or profile.status is AgentStatus.DISCONNECTED:
+            error = f"device {task.device!r} is not in the scheduling pool"
+            on_done(task.id, TaskStatus.FAILED, error, FailureReason.AGENT_DISCONNECTED)
+            return
+        session_id = f"s{next(self._seq)}-{task.device}-{task.id}"
+        self._outstanding[session_id] = (task, on_done)
+        task_doc = {
+            "id": task.id,
+            "name": task.name,
+            "description": task.description,
+            "device": task.device,
+            "tips": list(task.tips),
+        }
+        self.send(
+            self._device_address[task.device],
+            AipMessage(
+                MessageType.TASK, {"task": task_doc, "request": self.request}, session_id=session_id
+            ),
+        )
 
     # -- inbound ---------------------------------------------------------
 
@@ -106,11 +150,7 @@ class ConstellationEndpoint(_Endpoint):
                 ),
             )
         elif msg.msg_type is MessageType.TASK_END:
-            self._on_task_end(msg)
-        elif msg.msg_type is MessageType.DEVICE_INFO_RESPONSE:
-            pass  # responses surface through session logs only
-        elif msg.msg_type is MessageType.ERROR:
-            pass
+            self._on_task_end(msg.session_id, msg.body)
 
     def _on_register(self, src: str, msg: AipMessage) -> None:
         client_id = msg.body.get("client_id", "")
@@ -137,40 +177,20 @@ class ConstellationEndpoint(_Endpoint):
             src,
             AipMessage(MessageType.HEARTBEAT, {"timestamp": self.clock.now, "status": "OK"}),
         )
-        if self.availability_listener is not None:
-            self.availability_listener()
+        self._availability_listener()
 
-    def _refuse(self, src: str, error: str) -> None:
-        self.send(src, AipMessage(MessageType.ERROR, {"error": error, "context": {}}))
-
-    def _on_task_end(self, msg: AipMessage) -> None:
-        entry = self._outstanding.pop(msg.session_id, None)
+    def _on_task_end(self, session_id: Optional[str], body: Dict[str, Any]) -> None:
+        """A session's first TASK_END is its task's completion; a later one
+        is dropped, as the session is already resolved."""
+        entry = self._outstanding.pop(session_id, None)
         if entry is None:
-            return  # a duplicate TASK_END is dropped: the session is already resolved
-        _device_id, task_id, callback = entry
-        callback(task_id, msg.body["status"], msg.body)
-
-    # -- outbound --------------------------------------------------------
-
-    def dispatch_task(
-        self,
-        device_id: str,
-        task: Dict[str, Any],
-        request: str,
-        callback: Callable[[str, str, Dict[str, Any]], None],
-    ) -> str:
-        profile = self.registry.profiles.get(device_id)
-        if profile is None or profile.status is AgentStatus.DISCONNECTED:
-            raise PeerDisconnected(f"device {device_id!r} is not in the scheduling pool")
-        session_id = f"s{next(self._seq)}-{device_id}-{task['id']}"
-        self._outstanding[session_id] = (device_id, task["id"], callback)
-        self.send(
-            self._device_address[device_id],
-            AipMessage(
-                MessageType.TASK, {"task": task, "request": request}, session_id=session_id
-            ),
-        )
-        return session_id
+            return
+        task, on_done = entry
+        if body["status"] == "COMPLETED":
+            on_done(task.id, TaskStatus.COMPLETED, body["result"], None)
+        else:
+            reason = FailureReason(body.get("failure_reason", "EXECUTION_ERROR"))
+            on_done(task.id, TaskStatus.FAILED, body["error"], reason)
 
     # -- liveness --------------------------------------------------------
 
@@ -179,8 +199,8 @@ class ConstellationEndpoint(_Endpoint):
         accepted HEARTBEAT, saw no beat for ``MISSED_K`` intervals: the agent
         leaves the pool and each of its outstanding tasks ends FAILED."""
         self.registry.mark_disconnected(agent_id)
-        for session_id, (device_id, task_id, callback) in sorted(self._outstanding.items()):
-            if device_id != agent_id:
+        for session_id in sorted(self._outstanding):
+            if self._outstanding[session_id][0].device != agent_id:
                 continue
             synthetic = AipMessage(
                 MessageType.TASK_END,
@@ -191,13 +211,9 @@ class ConstellationEndpoint(_Endpoint):
                 },
                 session_id=session_id,
             )
-            self.session(session_id, self._device_address[agent_id]).record(
-                "local", synthetic, self.clock.now, synthetic=True
-            )
-            del self._outstanding[session_id]
-            callback(task_id, "FAILED", synthetic.body)
-        if self.availability_listener is not None:
-            self.availability_listener()
+            self.session(session_id).record("local", synthetic, self.clock.now, synthetic=True)
+            self._on_task_end(session_id, synthetic.body)
+        self._availability_listener()
 
 
 class DeviceClientEndpoint(_Endpoint):
@@ -351,9 +367,7 @@ class DeviceServerEndpoint(_Endpoint):
         if self.connected:
             self.send(self.orchestrator_address, reply)
         else:
-            self.session(session_id, self.orchestrator_address).record(
-                "local", reply, self.clock.now, synthetic=True
-            )
+            self.session(session_id).record("local", reply, self.clock.now, synthetic=True)
 
     # -- liveness / reconnection -----------------------------------------
 

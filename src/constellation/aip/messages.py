@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Any, Dict, Optional
 
 from ..errors import SchemaViolation
+from ..model import FailureReason
 
 
 class MessageType(Enum):
@@ -49,6 +50,7 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 _LENGTH = struct.Struct(">I")
 
 _TASK_END_STATUSES = ("COMPLETED", "FAILED")
+_FAILURE_REASONS = tuple(reason._value_ for reason in FailureReason)
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ def validate(msg: AipMessage) -> None:
             raise SchemaViolation("result", "required for COMPLETED TASK_END")
         if msg.body["status"] == "FAILED" and "error" not in msg.body:
             raise SchemaViolation("error", "required for FAILED TASK_END")
+        if msg.body.get("failure_reason", "EXECUTION_ERROR") not in _FAILURE_REASONS:
+            raise SchemaViolation("failure_reason", f"must be one of {_FAILURE_REASONS}")
     if msg_type is MessageType.REGISTER and not msg.body["client_id"].strip():
         raise SchemaViolation("client_id", "must be non-empty")
 

@@ -11,8 +11,6 @@ from .messages import AipMessage
 @dataclass
 class SessionState:
     session_id: str
-    local_peer: str
-    remote_peer: str
     next_send_seq: int = 0
     log: List[Dict[str, Any]] = field(default_factory=list)
 

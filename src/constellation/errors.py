@@ -4,7 +4,13 @@ One class per failure kind. Reading an entry, a patch or an edit op raises
 ``ParseError``, ``IllegalField``, ``NotFound`` or ``DuplicateId``; every
 structural or edit-locality fault of a graph, whether it comes from a
 document, a build or a delta, is the one ``ValidationFailed`` that lists
-each violation by kind.
+each violation by kind. A scenario or script file that its schema refuses
+is a ``ParseError``. A protocol frame that its schema refuses is a
+``SchemaViolation``, which the receiving endpoint answers with an ERROR
+frame, so no peer's frame raises out of the clock. What a run reports is
+not an exception: a dispatch to a device outside the pool ends its task
+FAILED (AGENT_DISCONNECTED), and a verdict mismatch is listed in
+``ScenarioResult.diffs``.
 """
 
 from __future__ import annotations
@@ -54,10 +60,6 @@ class SchemaViolation(ConstellationError):
         super().__init__(f"{field}: {reason}")
 
 
-class PeerDisconnected(ConstellationError):
-    pass
-
-
 class AttemptsExhausted(ConstellationError):
     pass
 
@@ -77,8 +79,3 @@ class InvariantViolation(ConstellationError):
         self.witness_path = witness_path or []
         super().__init__(f"invariant {invariant} violated")
 
-
-class VerdictMismatch(ConstellationError):
-    def __init__(self, diffs):
-        self.diffs = list(diffs)
-        super().__init__("; ".join(self.diffs))

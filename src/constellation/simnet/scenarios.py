@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Set
+from typing import Any, Dict, List
 
 from ..agent.reasoner import ScriptedReasoner
 from ..agent.executor import ScriptedExecutor
@@ -21,11 +21,9 @@ from ..aip.endpoints import (
     DeviceClientEndpoint,
     DeviceServerEndpoint,
 )
-from ..aip.profile import ProfileRegistry
 from ..clock import VirtualClock
 from ..engine import EngineConfig, Orchestrator
-from ..errors import PeerDisconnected, VerdictMismatch
-from ..model import FailureReason, TaskStar, TaskStatus
+from ..errors import ParseError
 from ..planner import ScriptedPlanner, load_script
 from ..report import RunReport
 from ..serial import deserialize, read_object
@@ -33,41 +31,6 @@ from .mdlog import emit_markdown_log
 from .network import LinkSpec, SimNetwork
 
 SCENARIOS_DIR = Path(__file__).resolve().parents[3] / "scenarios"
-
-
-class AipDispatcher:
-    """Adapts a ConstellationEndpoint to the orchestrator's dispatcher port."""
-
-    def __init__(self, endpoint: ConstellationEndpoint, request: str):
-        self.endpoint = endpoint
-        self.request = request
-
-    def available_devices(self) -> Set[str]:
-        return set(self.endpoint.registry.available())
-
-    def set_availability_listener(self, listener: Callable[[], None]) -> None:
-        self.endpoint.availability_listener = listener
-
-    def dispatch(self, task: TaskStar, on_done) -> None:
-        task_doc = {
-            "id": task.id,
-            "name": task.name,
-            "description": task.description,
-            "device": task.device,
-            "tips": list(task.tips),
-        }
-
-        def callback(task_id: str, status: str, body: Dict[str, Any]) -> None:
-            if status == "COMPLETED":
-                on_done(task_id, TaskStatus.COMPLETED, body.get("result"), None)
-            else:
-                reason = FailureReason(body.get("failure_reason", "EXECUTION_ERROR"))
-                on_done(task_id, TaskStatus.FAILED, body.get("error"), reason)
-
-        try:
-            self.endpoint.dispatch_task(task.device, task_doc, self.request, callback)
-        except PeerDisconnected as exc:
-            on_done(task.id, TaskStatus.FAILED, str(exc), FailureReason.AGENT_DISCONNECTED)
 
 
 @dataclass
@@ -84,24 +47,86 @@ class ScenarioResult:
 
 
 def load_scenario(source: Any) -> Dict[str, Any]:
+    """Read a scenario, refusing as ``ParseError`` a field that
+    ``run_scenario`` reads and ``schemas/scenario.schema.json`` refuses."""
     if isinstance(source, dict):
-        source.setdefault("_dir", SCENARIOS_DIR)
-        return source
-    if isinstance(source, int):
-        source = SCENARIOS_DIR / f"scenario{source}.json"
-    path = Path(source)
-    doc = read_object(path, "scenario")
-    doc["_dir"] = path.parent
+        doc = source
+        doc.setdefault("_dir", SCENARIOS_DIR)
+    else:
+        if isinstance(source, int):
+            source = SCENARIOS_DIR / f"scenario{source}.json"
+        path = Path(source)
+        doc = read_object(path, "scenario")
+        doc["_dir"] = path.parent
+    try:
+        _check_scenario(doc)
+    except ValueError as exc:
+        raise ParseError(f"bad scenario {'document' if doc is source else source}: {exc}") from exc
     return doc
+
+
+# Optional fields and their JSON types: of a scenario, a device, a verdict.
+_TYPES = {"id": int, "request": str, "devices": dict, "expected": dict}
+_DEVICE_TYPES = {"outages": list, "manifest": dict, "telemetry": dict}
+_EXPECTED_TYPES = {
+    "outcome": str,
+    "task_statuses": dict,
+    "result_timing_count": int,
+    "timing_marker": str,
+    "failure_trace_count": int,
+    "aggregate_task": str,
+    "never_dispatched": list,
+    "no_fabricated_timings": bool,
+}
+
+
+def _check_types(doc: Dict[str, Any], types: Dict[str, type], where: str) -> None:
+    for name, kind in types.items():
+        value = doc.get(name, kind())
+        if not isinstance(value, kind) or isinstance(value, bool) is not (kind is bool):
+            raise ValueError(f"{where}{name} must be a {kind.__name__}, got {value!r}")
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_scenario(doc: Dict[str, Any]) -> None:
+    """Raise ``ValueError`` for a field ``run_scenario`` reads that
+    ``schemas/scenario.schema.json`` refuses, or for overlapping outages."""
+    _check_types(doc, _TYPES, "")
+    for name in ("constellation", "planner_script"):
+        if not isinstance(doc.get(name), str):
+            raise ValueError(f"{name} must name a file, got {doc.get(name)!r}")
+    for name in ("deadline", "pending_dispatch_timeout", "execution_timeout"):
+        if name in doc and not (_is_number(doc[name]) and doc[name] > 0):
+            raise ValueError(f"{name} must be a number > 0, got {doc[name]!r}")
+    for device_id, spec in doc.get("devices", {}).items():
+        where = f"devices.{device_id}."
+        if not isinstance(spec, dict):
+            raise ValueError(f"{where[:-1]} must be a dict, got {spec!r}")
+        for name in ("executor", "reasoner"):
+            if not isinstance(spec.get(name), str):
+                raise ValueError(f"{where}{name} must name a file, got {spec.get(name)!r}")
+        latency = spec.get("latency", 0)
+        if not (_is_number(latency) and latency >= 0):
+            raise ValueError(f"{where}latency must be a number >= 0, got {latency!r}")
+        _check_types(spec, _DEVICE_TYPES, where)
+        for outage in spec.get("outages", []):
+            if not (isinstance(outage, list) and len(outage) == 2 and all(map(_is_number, outage))):
+                raise ValueError(f"{where}outages: {outage!r} is not a [down, up] pair of numbers")
+        LinkSpec(outages=[tuple(o) for o in spec.get("outages", [])])  # refuses an overlap
+    _check_types(doc.get("expected", {}), _EXPECTED_TYPES, "expected.")
 
 
 def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
     doc = load_scenario(scenario)
     base = doc["_dir"]
+    constellation = deserialize((base / doc["constellation"]).read_text(encoding="utf-8"))
+    constellation.request = doc.get("request", constellation.request)
     clock = VirtualClock()
     network = SimNetwork(clock, seed=seed)
-    registry = ProfileRegistry()
-    orchestrator_ep = ConstellationEndpoint(clock, network, "orchestrator", registry)
+    orchestrator_ep = ConstellationEndpoint(clock, network, constellation.request)
 
     device_servers: Dict[str, DeviceServerEndpoint] = {}
     for device_id, spec in sorted(doc.get("devices", {}).items()):
@@ -134,14 +159,11 @@ def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
         network.add_link(device_id, client_address, LinkSpec(latency=0.001))
         server.start()
 
-    constellation = deserialize((base / doc["constellation"]).read_text(encoding="utf-8"))
-    constellation.request = doc.get("request", constellation.request)
     planner = ScriptedPlanner(load_script(base / doc["planner_script"]))
-    dispatcher = AipDispatcher(orchestrator_ep, constellation.request)
     engine = Orchestrator(
         clock,
         planner,
-        dispatcher,
+        orchestrator_ep,
         constellation=constellation,
         config=EngineConfig(
             initial_round=False,
@@ -165,13 +187,6 @@ def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
         session_logs=session_logs,
     )
     result.diffs = _verify(doc, report)
-    return result
-
-
-def run_scenario_strict(scenario: Any, seed: int = 0) -> ScenarioResult:
-    result = run_scenario(scenario, seed)
-    if not result.verdict_ok:
-        raise VerdictMismatch(result.diffs)
     return result
 
 

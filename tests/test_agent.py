@@ -8,7 +8,6 @@ from constellation.agent import (
     AgentServer,
     ScriptedExecutor,
     ScriptedReasoner,
-    StrategyKind,
 )
 from constellation.errors import ParseError, ScriptMiss
 

@@ -35,6 +35,7 @@ from constellation.agent.executor import ScriptedExecutor
 from constellation.agent.reasoner import ScriptedReasoner
 from constellation.agent.server import AgentServer
 from constellation.errors import AttemptsExhausted, SchemaViolation
+from constellation.model import FailureReason, TaskStar, TaskStatus
 from constellation.simnet.network import LinkSpec, SimNetwork
 from conftest import load_schema
 
@@ -78,6 +79,7 @@ class TestMessages:
             (MessageType.TASK_END, {"status": "COMPLETED"}),  # missing result
             (MessageType.TASK_END, {"status": "FAILED"}),  # missing error
             (MessageType.TASK_END, {"status": "MAYBE", "result": "x"}),
+            (MessageType.TASK_END, {"status": "FAILED", "error": "x", "failure_reason": "BOGUS"}),
             (MessageType.HEARTBEAT, {"timestamp": "yesterday"}),
             (MessageType.COMMAND, {"actions": []}),
         ],
@@ -85,6 +87,16 @@ class TestMessages:
     def test_schema_violations_rejected(self, msg_type, body):
         with pytest.raises(SchemaViolation):
             validate(AipMessage(msg_type, body))
+
+    @pytest.mark.parametrize("reason", ["BOGUS", None, ["TIMEOUT"]])
+    def test_schema_refuses_an_unknown_failure_reason(self, reason):
+        payload = {
+            "msg_type": "TASK_END",
+            "session_id": "s1",
+            "body": {"status": "FAILED", "error": "x", "failure_reason": reason},
+        }
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, MESSAGE_SCHEMA)
 
     def test_truncated_frame_rejected(self):
         frame = encode(AipMessage(MessageType.HEARTBEAT, {"timestamp": 1.0}))
@@ -137,6 +149,12 @@ def reference_validate(msg):
             raise SchemaViolation("result", "required for COMPLETED TASK_END")
         if msg.body["status"] == "FAILED" and "error" not in msg.body:
             raise SchemaViolation("error", "required for FAILED TASK_END")
+        if "failure_reason" in msg.body:
+            try:
+                FailureReason(msg.body["failure_reason"])
+            except ValueError:
+                reasons = tuple(reason.value for reason in FailureReason)
+                raise SchemaViolation("failure_reason", f"must be one of {reasons}") from None
     if msg.msg_type is MessageType.REGISTER and not msg.body["client_id"].strip():
         raise SchemaViolation("client_id", "must be non-empty")
 
@@ -221,6 +239,8 @@ def valid_messages(draw):
     if msg_type is MessageType.TASK_END:
         body["status"] = draw(st.sampled_from(["COMPLETED", "FAILED"]))
         body["result" if body["status"] == "COMPLETED" else "error"] = draw(json_values)
+        if draw(st.booleans()):
+            body["failure_reason"] = draw(st.sampled_from([r.value for r in FailureReason]))
     session_id = draw(st.one_of(st.none(), st.text(max_size=8)))
     return AipMessage(msg_type, body, session_id=session_id)
 
@@ -240,6 +260,14 @@ MALFORMED_DOCS = {
     "wrong field type": {"msg_type": "HEARTBEAT", "body": {"timestamp": "now"}},
     "blank client": {"msg_type": "REGISTER", "body": {"client_id": " ", "metadata": {}}},
     "bad status": {"msg_type": "TASK_END", "body": {"status": "MAYBE"}},
+    "bad failure reason": {
+        "msg_type": "TASK_END",
+        "body": {"status": "FAILED", "error": "x", "failure_reason": "BOGUS"},
+    },
+    "null failure reason": {
+        "msg_type": "TASK_END",
+        "body": {"status": "COMPLETED", "result": "x", "failure_reason": None},
+    },
 }
 
 
@@ -351,7 +379,7 @@ def build_pair(outages, seed=0, exec_duration=1.0):
     clock = VirtualClock()
     network = SimNetwork(clock, seed=seed)
     registry = ProfileRegistry()
-    orchestrator = ConstellationEndpoint(clock, network, "orchestrator", registry)
+    orchestrator = ConstellationEndpoint(clock, network, "request", registry=registry)
     executor = ScriptedExecutor.load(
         {"table": [{"pattern": "*", "stdout": "ok", "duration": exec_duration}]}
     )
@@ -495,19 +523,12 @@ class TestLiveness:
         )
         outcomes = []
         advance(clock, 1.0)
-        orchestrator.dispatch_task(
-            "dev",
-            {"id": "T", "description": "long job"},
-            "request",
-            lambda task_id, status, body: outcomes.append((task_id, status, body)),
+        orchestrator.dispatch(
+            TaskStar("T", "dev", description="long job"), lambda *args: outcomes.append(args)
         )
         advance(clock, 30.0)
         assert outcomes == [
-            ("T", "FAILED", {
-                "status": "FAILED",
-                "error": "agent dev disconnected",
-                "failure_reason": "AGENT_DISCONNECTED",
-            })
+            ("T", TaskStatus.FAILED, "agent dev disconnected", FailureReason.AGENT_DISCONNECTED)
         ]
         assert server.active_runs == {}
         # Each side logged a synthetic TASK_END for the orphaned session.
@@ -523,9 +544,7 @@ class TestLiveness:
     def test_duplicate_task_delivery_not_re_executed(self):
         clock, network, _, orchestrator, server = build_pair(outages=[])
         advance(clock, 1.0)
-        orchestrator.dispatch_task(
-            "dev", {"id": "T", "description": "job"}, "request", lambda *a: None
-        )
+        orchestrator.dispatch(TaskStar("T", "dev", description="job"), lambda *a: None)
         advance(clock, 1.1)
         assert len(server.active_runs) == 1
         msg = AipMessage(
@@ -556,13 +575,12 @@ class TestLiveness:
         clock, network, _, orchestrator, _ = build_pair(outages=[])
         outcomes = []
         advance(clock, 1.0)
-        session_id = orchestrator.dispatch_task(
-            "dev",
-            {"id": "T", "description": "job"},
-            "request",
-            lambda task_id, status, body: outcomes.append((task_id, status)),
+        orchestrator.dispatch(
+            TaskStar("T", "dev", description="job"),
+            lambda task_id, status, text, reason: outcomes.append((task_id, status)),
         )
         advance(clock, 10.0)
+        (session_id,) = orchestrator.sessions
         (body,) = [
             entry["body"]
             for entry in orchestrator.sessions[session_id].log
@@ -573,20 +591,15 @@ class TestLiveness:
         advance(clock, 11.0)
         received = [e for e in orchestrator.sessions[session_id].log if e["msg_type"] == "TASK_END"]
         assert len(received) == 2
-        assert outcomes == [("T", "COMPLETED")]
+        assert outcomes == [("T", TaskStatus.COMPLETED)]
 
     def test_task_completes_end_to_end(self):
         clock, _, _, orchestrator, _ = build_pair(outages=[])
         outcomes = []
         advance(clock, 1.0)
-        orchestrator.dispatch_task(
-            "dev",
-            {"id": "T", "description": "job"},
-            "request",
-            lambda task_id, status, body: outcomes.append((task_id, status, body.get("result"))),
-        )
+        orchestrator.dispatch(TaskStar("T", "dev", description="job"), lambda *args: outcomes.append(args))
         advance(clock, 10.0)
-        assert outcomes == [("T", "COMPLETED", "ok")]
+        assert outcomes == [("T", TaskStatus.COMPLETED, "ok", None)]
 
 
 class TestFramesFromOutside:
@@ -633,3 +646,39 @@ class TestFramesFromOutside:
             AipMessage(MessageType.REGISTER, {"client_id": "ghost", "metadata": metadata})
         )
         assert error.startswith("SchemaViolation")
+
+
+class TestFramesTheCodecRefuses:
+    """A frame that fails to decode is answered with an ERROR frame, at
+    either end of a link, and the run goes on."""
+
+    @pytest.mark.parametrize("target", ["orchestrator", "dev"])
+    def test_undecodable_frame_is_answered_with_an_error(self, target):
+        clock, network, registry, _, server = build_pair(outages=[])
+        advance(clock, 1.0)
+        received = []
+        network.attach("rogue", lambda src, frame: received.append(decode(frame)))
+        network.add_link("rogue", target, LinkSpec(latency=0.001))
+        network.send("rogue", target, b"\x00\x00\x00\x02{}")
+        advance(clock, 60.0)
+        error = "SchemaViolation: msg_type: unknown or missing: 'msg_type'"
+        assert [(m.msg_type, m.body["error"]) for m in received] == [(MessageType.ERROR, error)]
+        assert registry.available() == ["dev"] and server.connected
+
+    def test_task_end_with_unknown_failure_reason_leaves_the_session_outstanding(self):
+        clock, network, _, orchestrator, _ = build_pair(outages=[], exec_duration=5.0)
+        outcomes = []
+        advance(clock, 1.0)
+        orchestrator.dispatch(
+            TaskStar("T", "dev", description="job"), lambda *args: outcomes.append(args)
+        )
+        (session_id,) = orchestrator.sessions
+        body = {"status": "FAILED", "error": "boom", "failure_reason": "BOGUS"}
+        frame = raw_frame({"msg_type": "TASK_END", "session_id": session_id, "body": body})
+        network.send("dev", "orchestrator", frame)
+        advance(clock, 2.0)
+        assert outcomes == [] and session_id in orchestrator._outstanding
+        refusals = [(f["src"], f["dst"]) for f in network.wire_log if f["summary"] == "ERROR"]
+        assert refusals == [("orchestrator", "dev")]
+        advance(clock, 10.0)
+        assert outcomes == [("T", TaskStatus.COMPLETED, "ok", None)]

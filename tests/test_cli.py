@@ -183,6 +183,42 @@ class TestRun:
         assert code == 2
         assert lines == [{"event": "error", "error": lines[0]["error"]}]
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("devices", "linux1", "executor"), None),
+            (("devices", "linux1", "latency"), "fast"),
+            (("devices", "linux1", "outages"), [[5.0]]),
+            (("devices", "linux1", "outages"), [[5.0, 40.0], [30.0, 50.0]]),
+            (("deadline",), "soon"),
+            (("devices",), [1]),
+            (("pending_dispatch_timeout",), -5),
+            (("execution_timeout",), 0),
+            (("expected", "result_timing_count"), "3"),
+            (("expected", "no_fabricated_timings"), 1),
+        ],
+        ids=str,
+    )
+    def test_malformed_scenario_field_exits_two(self, capsys, tmp_path, path, value):
+        """None deletes the field."""
+        target = tmp_path / "scenarios"
+        shutil.copytree(SCENARIOS_DIR, target)
+        scenario = target / "scenario1.json"
+        doc = json.loads(scenario.read_text())
+        *parents, name = path
+        owner = doc
+        for key in parents:
+            owner = owner[key]
+        if value is None:
+            del owner[name]
+        else:
+            owner[name] = value
+        scenario.write_text(json.dumps(doc))
+        code, lines = run_cli(capsys, "run", "--scenario", str(scenario), "--seed", "0")
+        assert code == 2
+        assert lines == [{"event": "error", "error": lines[0]["error"]}]
+        assert lines[0]["error"].startswith(f"bad scenario {scenario}: ")
+
     def test_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("CONSTELLATION_SEED", "0")
         code, lines = run_cli(capsys, "run", "--constellation", FIG4)

@@ -4,8 +4,6 @@ import random
 import sys
 from collections import Counter
 
-import pytest
-
 from constellation import (
     AddDependency,
     AddTask,

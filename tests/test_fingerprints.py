@@ -33,7 +33,7 @@ from typing import Any, Dict, List
 
 import pytest
 
-from constellation import explorer
+from constellation import TaskStar, explorer
 from constellation.simnet import scenarios
 from constellation.simnet.network import SimNetwork
 
@@ -99,11 +99,11 @@ def outage_sweep_digest() -> str:
                 )
                 advance(clock, 1.0)
                 callbacks: List[Any] = []
-                orchestrator.dispatch_task(
-                    "dev",
-                    {"id": "T", "description": "job"},
-                    "request",
-                    lambda *args: callbacks.append(args),
+                orchestrator.dispatch(
+                    TaskStar("T", "dev", description="job"),
+                    lambda task_id, status, text, reason: callbacks.append(
+                        (task_id, status._value_, text, reason and reason._value_)
+                    ),
                 )
                 advance(clock, 300.0)
                 logs = {
