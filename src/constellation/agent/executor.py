@@ -15,14 +15,8 @@ from ..serial import check_duration, read_object
 
 
 class ScriptedExecutor:
-    def __init__(
-        self,
-        table: List[Dict[str, Any]],
-        sys_info: Optional[Dict[str, Any]] = None,
-        strict: bool = True,
-    ):
+    def __init__(self, table: List[Dict[str, Any]], strict: bool = True):
         self.table = table
-        self.sys_info = dict(sys_info or {})
         self.strict = strict
 
     @classmethod
@@ -43,14 +37,12 @@ class ScriptedExecutor:
                 check_duration(entry.get("duration", 0.0))
         except (AttributeError, TypeError, ValueError) as exc:
             raise ParseError(f"bad executor table {source}: {exc}") from exc
-        return cls(table, sys_info=doc.get("sys_info"), strict=doc.get("strict", True))
+        return cls(table, strict=doc.get("strict", True))
 
     def execute(self, action: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
         """Run one action; returns (structured result, virtual duration)."""
         function = action.get("function")
         args = action.get("args", {})
-        if function == "SYS_INFO":
-            return {"status": 0, "info": dict(self.sys_info), "stderr": ""}, 0.0
         if function == "EXEC_CLI":
             key = args.get("command_line", "")
         elif function == "NOTEPAD_WRITE":

@@ -5,8 +5,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..errors import AttemptsExhausted
-
 
 @dataclass(frozen=True)
 class BackoffPolicy:
@@ -18,8 +16,6 @@ class BackoffPolicy:
 
     def nominal_delay(self, attempt: int) -> float:
         """Delay before attempt ``attempt`` (0-based), without jitter."""
-        if attempt >= self.max_attempts:
-            raise AttemptsExhausted(f"attempt {attempt} exceeds max {self.max_attempts}")
         return min(self.base * self.multiplier**attempt, self.max_delay)
 
     def delay(self, attempt: int, rng: random.Random) -> float:

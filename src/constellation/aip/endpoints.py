@@ -86,12 +86,10 @@ class ConstellationEndpoint(_Endpoint):
         request: str,
         address: str = "orchestrator",
         registry: Optional[ProfileRegistry] = None,
-        user_configs: Optional[Dict[str, Dict[str, Any]]] = None,
     ):
         super().__init__(clock, network, address)
         self.request = request
         self.registry = registry or ProfileRegistry()
-        self.user_configs = dict(user_configs or {})
         self._availability_listener: Callable[[], None] = lambda: None
         self._watchdogs: Dict[str, Watchdog] = {}
         self._device_address: Dict[str, str] = {}
@@ -142,13 +140,7 @@ class ConstellationEndpoint(_Endpoint):
                 self._refuse(src, f"PeerDisconnected: agent {agent_id!r} must register again")
                 return
             self._watchdogs[agent_id].feed()
-            self.send(
-                src,
-                AipMessage(
-                    MessageType.HEARTBEAT,
-                    {"timestamp": self.clock.now, "status": "OK"},
-                ),
-            )
+            self._ack(src)
         elif msg.msg_type is MessageType.TASK_END:
             self._on_task_end(msg.session_id, msg.body)
 
@@ -161,7 +153,6 @@ class ConstellationEndpoint(_Endpoint):
         try:
             profile = merge_profile(
                 client_id,
-                user_config=self.user_configs.get(client_id),
                 service_manifest=metadata.get("service_manifest"),
                 client_telemetry=metadata.get("client_telemetry"),
             )
@@ -173,11 +164,13 @@ class ConstellationEndpoint(_Endpoint):
         if client_id not in self._watchdogs:
             self._watchdogs[client_id] = Watchdog(self.clock, partial(self._on_silence, client_id))
         self._watchdogs[client_id].start()
-        self.send(
-            src,
-            AipMessage(MessageType.HEARTBEAT, {"timestamp": self.clock.now, "status": "OK"}),
-        )
+        self._ack(src)
         self._availability_listener()
+
+    def _ack(self, src: str) -> None:
+        """Answer an accepted REGISTER or HEARTBEAT."""
+        ack = {"timestamp": self.clock.now, "status": "OK"}
+        self.send(src, AipMessage(MessageType.HEARTBEAT, ack))
 
     def _on_task_end(self, session_id: Optional[str], body: Dict[str, Any]) -> None:
         """A session's first TASK_END is its task's completion; a later one
@@ -240,16 +233,6 @@ class DeviceClientEndpoint(_Endpoint):
                 session_id=msg.session_id,
             )
             self.clock.call_later(total, lambda: self.send(src, reply))
-        elif msg.msg_type is MessageType.DEVICE_INFO_REQUEST:
-            info, _ = self.executor.execute({"function": "SYS_INFO"})
-            self.send(
-                src,
-                AipMessage(
-                    MessageType.DEVICE_INFO_RESPONSE,
-                    {"result": info, "response_id": msg.body["request_id"]},
-                    session_id=msg.session_id,
-                ),
-            )
 
 
 class DeviceServerEndpoint(_Endpoint):
@@ -316,11 +299,6 @@ class DeviceServerEndpoint(_Endpoint):
             callback = self._pending_results.pop(msg.body["prev_response_id"], None)
             if callback is not None:
                 callback(msg.body["action_results"])
-        elif msg.msg_type is MessageType.DEVICE_INFO_REQUEST:
-            # Forward to the executor client, which owns the telemetry.
-            self.send(self.client_address, msg)
-        elif msg.msg_type is MessageType.DEVICE_INFO_RESPONSE:
-            self.send(self.orchestrator_address, msg)
 
     def _on_ack(self) -> None:
         if self.connected:

@@ -1,6 +1,6 @@
 """Typed message vocabulary of the agent-interaction protocol.
 
-Nine message types with per-type schema validation and a length-prefixed
+Seven message types with per-type schema validation and a length-prefixed
 UTF-8 JSON wire encoding. ``decode(encode(m)) == m`` for every valid
 message; anything failing its schema is rejected before processing.
 Every frame goes through one reused ``JSONEncoder`` and one length
@@ -27,8 +27,6 @@ class MessageType(Enum):
     COMMAND_RESULTS = "COMMAND_RESULTS"
     TASK_END = "TASK_END"
     HEARTBEAT = "HEARTBEAT"
-    DEVICE_INFO_REQUEST = "DEVICE_INFO_REQUEST"
-    DEVICE_INFO_RESPONSE = "DEVICE_INFO_RESPONSE"
     ERROR = "ERROR"
 
 
@@ -40,8 +38,6 @@ _BODY_SCHEMAS: Dict[str, Dict[str, type]] = {
     "COMMAND_RESULTS": {"action_results": list, "prev_response_id": str},
     "TASK_END": {"status": str},
     "HEARTBEAT": {"timestamp": (int, float)},  # type: ignore[dict-item]
-    "DEVICE_INFO_REQUEST": {"target_id": str, "request_id": str},
-    "DEVICE_INFO_RESPONSE": {"result": dict, "response_id": str},
     "ERROR": {"error": str, "context": dict},
 }
 

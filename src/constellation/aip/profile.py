@@ -1,8 +1,8 @@
-"""Agent profiles, the three-source registration merge, and the liveness
+"""Agent profiles, the two-layer registration merge, and the liveness
 watchdog both ends of an AIP link keep.
 
-A profile is assembled from up to three layers — static user configuration,
-the device's service manifest, and live client telemetry — with later layers
+A profile is assembled from the two layers a REGISTER frame carries — the
+device's service manifest, then live client telemetry — with telemetry
 winning on overlap and every field group stamped with the source that
 supplied it.
 """
@@ -87,33 +87,18 @@ class AgentProfile:
     network: Dict[str, str] = field(default_factory=dict)
     sources: Dict[str, str] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "agent_id": self.agent_id,
-            "status": self.status.value,
-            "os": self.os,
-            "os_version": self.os_version,
-            "capabilities": list(self.capabilities),
-            "performance": dict(self.performance),
-            "paths": dict(self.paths),
-            "network": dict(self.network),
-            "sources": dict(self.sources),
-        }
-
 
 def merge_profile(
     agent_id: str,
-    user_config: Optional[Dict[str, Any]] = None,
     service_manifest: Optional[Dict[str, Any]] = None,
     client_telemetry: Optional[Dict[str, Any]] = None,
 ) -> AgentProfile:
-    """Layered merge; later stages override earlier ones per field group.
+    """Layered merge; telemetry overrides the manifest per field group.
 
     A layer that is not an object, or a field group of the wrong type,
     raises ``SchemaViolation``."""
     profile = AgentProfile(agent_id=agent_id)
     stages = (
-        ("user-config", user_config),
         ("service-manifest", service_manifest),
         ("client-telemetry", client_telemetry),
     )

@@ -4,13 +4,15 @@ One class per failure kind. Reading an entry, a patch or an edit op raises
 ``ParseError``, ``IllegalField``, ``NotFound`` or ``DuplicateId``; every
 structural or edit-locality fault of a graph, whether it comes from a
 document, a build or a delta, is the one ``ValidationFailed`` that lists
-each violation by kind. A scenario or script file that its schema refuses
-is a ``ParseError``. A protocol frame that its schema refuses is a
-``SchemaViolation``, which the receiving endpoint answers with an ERROR
-frame, so no peer's frame raises out of the clock. What a run reports is
-not an exception: a dispatch to a device outside the pool ends its task
-FAILED (AGENT_DISCONNECTED), and a verdict mismatch is listed in
-``ScenarioResult.diffs``.
+each violation by kind. A scenario or script file that its schema refuses,
+a scenario field the schema does not name included, is a ``ParseError``.
+A protocol frame that its schema refuses, or whose message type is not one
+of the seven, is a ``SchemaViolation``, which the receiving endpoint
+answers with an ERROR frame, so no peer's frame raises out of the clock.
+What a run reports is not an exception: a dispatch to a device outside the
+pool ends its task FAILED (AGENT_DISCONNECTED), a device whose reconnect
+attempts run out is marked ``permanently_failed``, and a verdict mismatch
+is listed in ``ScenarioResult.diffs``.
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ class SchemaViolation(ConstellationError):
         self.field = field
         self.reason = reason
         super().__init__(f"{field}: {reason}")
-
-
-class AttemptsExhausted(ConstellationError):
-    pass
 
 
 class IncompleteRun(ConstellationError):

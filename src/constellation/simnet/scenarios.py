@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from ..agent.reasoner import ScriptedReasoner
 from ..agent.executor import ScriptedExecutor
@@ -48,26 +48,40 @@ class ScenarioResult:
 
 def load_scenario(source: Any) -> Dict[str, Any]:
     """Read a scenario, refusing as ``ParseError`` a field that
-    ``run_scenario`` reads and ``schemas/scenario.schema.json`` refuses."""
+    ``schemas/scenario.schema.json`` refuses: a field of the wrong type, or
+    one the schema does not name."""
+    return _read_scenario(source)[0]
+
+
+def _read_scenario(source: Any) -> Tuple[Dict[str, Any], Path]:
+    """The checked scenario and the directory its file names resolve
+    against: the file's own, or the packaged scenarios for a document."""
     if isinstance(source, dict):
-        doc = source
-        doc.setdefault("_dir", SCENARIOS_DIR)
+        doc, base = source, SCENARIOS_DIR
     else:
         if isinstance(source, int):
             source = SCENARIOS_DIR / f"scenario{source}.json"
         path = Path(source)
-        doc = read_object(path, "scenario")
-        doc["_dir"] = path.parent
+        doc, base = read_object(path, "scenario"), path.parent
     try:
         _check_scenario(doc)
     except ValueError as exc:
         raise ParseError(f"bad scenario {'document' if doc is source else source}: {exc}") from exc
-    return doc
+    return doc, base
 
 
-# Optional fields and their JSON types: of a scenario, a device, a verdict.
+# Optional fields and their JSON types: of a scenario, a device, a verdict;
+# and the fields of each that are checked apart. No other field is allowed.
 _TYPES = {"id": int, "request": str, "devices": dict, "expected": dict}
+_OTHER_FIELDS = (
+    "constellation",
+    "planner_script",
+    "deadline",
+    "pending_dispatch_timeout",
+    "execution_timeout",
+)
 _DEVICE_TYPES = {"outages": list, "manifest": dict, "telemetry": dict}
+_DEVICE_OTHER_FIELDS = ("executor", "reasoner", "latency")
 _EXPECTED_TYPES = {
     "outcome": str,
     "task_statuses": dict,
@@ -80,7 +94,12 @@ _EXPECTED_TYPES = {
 }
 
 
-def _check_types(doc: Dict[str, Any], types: Dict[str, type], where: str) -> None:
+def _check_types(
+    doc: Dict[str, Any], types: Dict[str, type], where: str, others: Tuple[str, ...] = ()
+) -> None:
+    unknown = sorted(set(doc).difference(types, others))
+    if unknown:
+        raise ValueError(f"unknown field(s) {', '.join(where + name for name in unknown)}")
     for name, kind in types.items():
         value = doc.get(name, kind())
         if not isinstance(value, kind) or isinstance(value, bool) is not (kind is bool):
@@ -92,9 +111,9 @@ def _is_number(value: Any) -> bool:
 
 
 def _check_scenario(doc: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` for a field ``run_scenario`` reads that
-    ``schemas/scenario.schema.json`` refuses, or for overlapping outages."""
-    _check_types(doc, _TYPES, "")
+    """Raise ``ValueError`` for a field that ``schemas/scenario.schema.json``
+    refuses, or for overlapping outages."""
+    _check_types(doc, _TYPES, "", _OTHER_FIELDS)
     for name in ("constellation", "planner_script"):
         if not isinstance(doc.get(name), str):
             raise ValueError(f"{name} must name a file, got {doc.get(name)!r}")
@@ -111,7 +130,7 @@ def _check_scenario(doc: Dict[str, Any]) -> None:
         latency = spec.get("latency", 0)
         if not (_is_number(latency) and latency >= 0):
             raise ValueError(f"{where}latency must be a number >= 0, got {latency!r}")
-        _check_types(spec, _DEVICE_TYPES, where)
+        _check_types(spec, _DEVICE_TYPES, where, _DEVICE_OTHER_FIELDS)
         for outage in spec.get("outages", []):
             if not (isinstance(outage, list) and len(outage) == 2 and all(map(_is_number, outage))):
                 raise ValueError(f"{where}outages: {outage!r} is not a [down, up] pair of numbers")
@@ -120,8 +139,7 @@ def _check_scenario(doc: Dict[str, Any]) -> None:
 
 
 def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
-    doc = load_scenario(scenario)
-    base = doc["_dir"]
+    doc, base = _read_scenario(scenario)
     constellation = deserialize((base / doc["constellation"]).read_text(encoding="utf-8"))
     constellation.request = doc.get("request", constellation.request)
     clock = VirtualClock()

@@ -20,7 +20,6 @@ class TestScriptedExecutor:
                 {"pattern": "bash *", "status": 2, "stderr": "script not found"},
                 {"pattern": "NOTEPAD_WRITE *", "stdout": "saved"},
             ],
-            sys_info={"cores": 96},
             strict=strict,
         )
 
@@ -36,11 +35,6 @@ class TestScriptedExecutor:
             {"function": "EXEC_CLI", "args": {"command_line": "bash other.sh"}}
         )
         assert result["status"] == 2 and result["stderr"] == "script not found"
-
-    def test_sys_info_returns_configured_profile(self):
-        result, duration = self.executor().execute({"function": "SYS_INFO"})
-        assert result == {"status": 0, "info": {"cores": 96}, "stderr": ""}
-        assert duration == 0.0
 
     def test_notepad_write_echoes_written_content(self):
         result, _ = self.executor().execute(

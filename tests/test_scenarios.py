@@ -1,6 +1,7 @@
 """Fault-injection scenarios: verdicts, golden event logs, session hygiene,
 and schema conformance of the shipped scenario files."""
 
+import copy
 import json
 
 import jsonschema
@@ -137,6 +138,27 @@ class TestHarness:
         doc = load_scenario(1)
         doc["expected"] = dict(doc["expected"], outcome="FAILED")
         assert run_scenario(doc, seed=0).diffs == ["outcome: expected FAILED, got SUCCESS"]
+
+    @pytest.mark.parametrize(
+        "path, name",
+        [((), "deadlin"), (("devices", "linux1"), "latncy"), (("expected",), "outcom")],
+        ids=["scenario", "device", "expected"],
+    )
+    def test_unknown_field_is_a_parse_error(self, path, name):
+        doc = load_scenario(1)
+        owner = doc
+        for key in path:
+            owner = owner[key]
+        owner[name] = 5.0
+        field = ".".join((*path, name))
+        with pytest.raises(ParseError, match=rf"bad scenario document: unknown field\(s\) {field}$"):
+            run_scenario(doc, seed=0)
+
+    def test_run_leaves_the_callers_document_unchanged(self):
+        doc = load_json(SCENARIOS_DIR / "scenario1.json")
+        before = copy.deepcopy(doc)
+        assert run_scenario(doc, seed=0).diffs == []
+        assert doc == before
 
     def test_scenario_file_that_is_not_an_object_is_a_parse_error(self, tmp_path):
         path = tmp_path / "scenario.json"
