@@ -3,6 +3,10 @@
 Callbacks are ordered by (due time, schedule sequence number), so two timers
 due at the same instant always fire in the order they were scheduled. All
 time is virtual; nothing here touches wall-clock time.
+
+A ``TimerHandle`` is a plain ``__slots__`` class, built once per timer: its
+callback is ``None`` once it is cancelled or has fired, and ``step`` tests
+the popped handle's callback directly. Handles compare by identity.
 """
 
 from __future__ import annotations
@@ -13,11 +17,13 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 
-@dataclass
 class TimerHandle:
-    when: float
-    seq: int
-    callback: Optional[Callable[[], None]]
+    __slots__ = ("when", "seq", "callback")
+
+    def __init__(self, when: float, seq: int, callback: Optional[Callable[[], None]]) -> None:
+        self.when = when
+        self.seq = seq
+        self.callback = callback
 
     def cancel(self) -> None:
         self.callback = None
@@ -36,8 +42,9 @@ class VirtualClock:
     def call_at(self, when: float, callback: Callable[[], None]) -> TimerHandle:
         if when < self.now:
             raise ValueError(f"cannot schedule at {when} before now={self.now}")
-        handle = TimerHandle(when, next(self._seq), callback)
-        heapq.heappush(self._heap, (handle.when, handle.seq, handle))
+        seq = next(self._seq)
+        handle = TimerHandle(when, seq, callback)
+        heapq.heappush(self._heap, (when, seq, handle))
         return handle
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
@@ -45,14 +52,15 @@ class VirtualClock:
 
     def step(self) -> bool:
         """Fire the next live timer; returns False when none remain."""
-        while self._heap:
-            when, _, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
+        heap = self._heap
+        while heap:
+            when, _, handle = heapq.heappop(heap)
+            callback = handle.callback
+            if callback is None:
                 continue
             self.now = when
-            callback = handle.callback
             handle.callback = None
-            callback()  # type: ignore[misc]
+            callback()
             return True
         return False
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, List, Tuple, Union
 
 from ..clock import VirtualClock
 
@@ -54,20 +55,20 @@ class SimNetwork:
         self._links[key] = spec
         self._rngs[key] = random.Random(f"{self.seed}:{key[0]}:{key[1]}")
 
-    def link_between(self, a: str, b: str) -> Optional[LinkSpec]:
-        return self._links.get(self._key(a, b))
-
     def send(self, src: str, dst: str, frame: bytes, summary: str = "") -> None:
-        link = self.link_between(src, dst)
+        link = self._links.get((src, dst) if src <= dst else (dst, src))
         if link is None:
             raise KeyError(f"no link between {src!r} and {dst!r}")
         now = self.clock.now
-        if link.in_outage(now):
+        if link.outages and link.in_outage(now):
             self.wire_log.append(
                 {"at": now, "src": src, "dst": dst, "summary": summary, "dropped": True}
             )
             return
-        latency = self._latency(src, dst, link)
+        latency = link.latency
+        if type(latency) is not float:
+            latency = self._latency(src, dst, link)
+        deliver_at = now + latency
         self.wire_log.append(
             {
                 "at": now,
@@ -75,10 +76,10 @@ class SimNetwork:
                 "dst": dst,
                 "summary": summary,
                 "dropped": False,
-                "deliver_at": now + latency,
+                "deliver_at": deliver_at,
             }
         )
-        self.clock.call_later(latency, lambda: self._deliver(src, dst, frame))
+        self.clock.call_at(deliver_at, partial(self._deliver, src, dst, frame))
 
     def _deliver(self, src: str, dst: str, frame: bytes) -> None:
         handler = self._handlers.get(dst)

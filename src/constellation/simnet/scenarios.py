@@ -147,9 +147,17 @@ def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
     orchestrator_ep = ConstellationEndpoint(clock, network, constellation.request)
 
     device_servers: Dict[str, DeviceServerEndpoint] = {}
+    # Executors and reasoners only read their tables, so the devices of a
+    # run that name one file share the one object loaded from it.
+    executors: Dict[str, ScriptedExecutor] = {}
+    reasoners: Dict[str, ScriptedReasoner] = {}
     for device_id, spec in sorted(doc.get("devices", {}).items()):
-        executor = ScriptedExecutor.load(base / spec["executor"])
-        reasoner = ScriptedReasoner.load(base / spec["reasoner"])
+        if spec["executor"] not in executors:
+            executors[spec["executor"]] = ScriptedExecutor.load(base / spec["executor"])
+        if spec["reasoner"] not in reasoners:
+            reasoners[spec["reasoner"]] = ScriptedReasoner.load(base / spec["reasoner"])
+        executor = executors[spec["executor"]]
+        reasoner = reasoners[spec["reasoner"]]
         client_address = f"{device_id}-client"
         DeviceClientEndpoint(clock, network, client_address, executor)
         server = DeviceServerEndpoint(

@@ -185,6 +185,8 @@ def reference_decode(frame):
     body = doc.get("body")
     if not isinstance(body, dict):
         raise SchemaViolation("body", "must be a JSON object")
+    if "session_id" in doc and not isinstance(doc["session_id"], str):
+        raise SchemaViolation("session_id", f"must be a string, got {doc['session_id']!r}")
     msg = AipMessage(msg_type=msg_type, body=body, session_id=doc.get("session_id"))
     reference_validate(msg)
     return msg
@@ -265,6 +267,10 @@ MALFORMED_DOCS = {
         "msg_type": "TASK_END",
         "body": {"status": "COMPLETED", "result": "x", "failure_reason": None},
     },
+    "list session": {"msg_type": "HEARTBEAT", "session_id": [1], "body": {"timestamp": 1.0}},
+    "object session": {"msg_type": "TASK", "session_id": {"a": 1}, "body": {}},
+    "int session": {"msg_type": "HEARTBEAT", "session_id": 7, "body": {"timestamp": 1.0}},
+    "null session": {"msg_type": "HEARTBEAT", "session_id": None, "body": {"timestamp": 1.0}},
 }
 
 
@@ -278,6 +284,17 @@ class TestCodecOracle:
         frame = encode(msg)
         assert frame == reference_encode(msg)
         assert decode(frame) == msg == reference_decode(frame)
+
+    @settings(max_examples=50, deadline=None)
+    @given(msg=valid_messages())
+    def test_encoder_without_the_c_accelerator_matches_the_reference(self, msg):
+        from constellation.aip import messages
+
+        c_encode, messages._C_ENCODE = messages._C_ENCODE, None
+        try:
+            assert encode(msg) == reference_encode(msg)
+        finally:
+            messages._C_ENCODE = c_encode
 
     @pytest.mark.parametrize("doc", list(MALFORMED_DOCS.values()), ids=list(MALFORMED_DOCS))
     def test_malformed_frames_refused_like_the_reference(self, doc):
@@ -296,6 +313,8 @@ class TestCodecOracle:
             raw_frame([1, 2]),
             raw_frame("HEARTBEAT"),
             b"\x00\x00\x00\x03{x}",
+            b"\x00\x00\x00\x05\xef\xbb\xbf{}",
+            b"\x00\x00\x00\x05\xef\xbb\xbf{\xff",
         ],
     )
     def test_broken_frames_refused_like_the_reference(self, frame):
@@ -680,6 +699,15 @@ class TestFramesTheCodecRefuses:
         )
         assert self.refused_by(target, frame) == [error]
 
+    @pytest.mark.parametrize("target", ["orchestrator", "dev", "dev-client"])
+    @pytest.mark.parametrize("session_id", [[1], {"a": 1}, 7], ids=["list", "object", "int"])
+    def test_session_id_that_is_not_a_string_is_answered_with_an_error(self, target, session_id):
+        frame = raw_frame(
+            {"msg_type": "HEARTBEAT", "session_id": session_id, "body": {"timestamp": 1.0}}
+        )
+        error = f"SchemaViolation: session_id: must be a string, got {session_id!r}"
+        assert self.refused_by(target, frame) == [error]
+
     def test_task_end_with_unknown_failure_reason_leaves_the_session_outstanding(self):
         clock, network, _, orchestrator, _ = build_pair(outages=[], exec_duration=5.0)
         outcomes = []
@@ -697,3 +725,69 @@ class TestFramesTheCodecRefuses:
         assert refusals == [("orchestrator", "dev")]
         advance(clock, 10.0)
         assert outcomes == [("T", TaskStatus.COMPLETED, "ok", None)]
+
+
+class TestFramesTheEndpointsSend:
+    """``encode`` checks nothing, as ``decode`` is the one check of a frame.
+    The sender-side check it made moves here: every frame the endpoints send
+    in scenarios 1-3 and in the fingerprint's outage sweep passes
+    ``validate`` and the packaged schema."""
+
+    def frames_sent(self, monkeypatch, runs):
+        from constellation.aip import endpoints
+
+        sent = []
+
+        def recording_encode(msg):
+            frame = encode(msg)
+            sent.append((msg, frame))
+            return frame
+
+        monkeypatch.setattr(endpoints, "encode", recording_encode)
+        for _ in runs():
+            pass
+        return sent
+
+    def check(self, sent):
+        """Validates every message and puts each distinct frame through the
+        schema once; counts the frames by type."""
+        for msg, _ in sent:
+            validate(msg)
+        schema = jsonschema.Draft202012Validator(MESSAGE_SCHEMA)
+        for frame in {frame for _, frame in sent}:
+            schema.validate(json.loads(frame[4:].decode("utf-8")))
+        return Counter(msg.msg_type for msg, _ in sent)
+
+    def test_validate_runs_once_per_delivered_frame_at_decode(self, monkeypatch):
+        from constellation.aip import endpoints, messages
+        from constellation.simnet.scenarios import run_scenario
+
+        calls = Counter()
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(messages, "validate", counting("validate", messages.validate))
+        monkeypatch.setattr(endpoints, "decode", counting("decode", decode))
+        monkeypatch.setattr(endpoints, "encode", counting("encode", encode))
+        run_scenario(1, 0)
+        assert calls["validate"] == calls["decode"] > 0 and calls["encode"] > calls["decode"]
+
+    def test_scenario_frames(self, monkeypatch):
+        from constellation.simnet.scenarios import run_scenario
+
+        sent = self.frames_sent(monkeypatch, lambda: [run_scenario(s, 0) for s in (1, 2, 3)])
+        kinds = self.check(sent)
+        assert len(sent) == 323 and kinds[MessageType.HEARTBEAT] == 243
+        assert kinds[MessageType.REGISTER] == 37
+
+    def test_outage_sweep_frames(self, monkeypatch):
+        from test_fingerprints import outage_sweep
+
+        sent = self.frames_sent(monkeypatch, outage_sweep)
+        kinds = self.check(sent)
+        assert set(kinds) == set(MessageType)

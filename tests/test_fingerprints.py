@@ -29,7 +29,7 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List
 
 import pytest
 
@@ -87,10 +87,11 @@ def scenario_digest(scenario: int, seed: int) -> str:
     return digest.hexdigest()
 
 
-def outage_sweep_digest() -> str:
+def outage_sweep() -> Iterator[List[Any]]:
+    """Each run of the sweep, in order: its wire log, session logs,
+    callbacks, pool and the device's connection flag."""
     from test_aip import advance, build_pair
 
-    digest = hashlib.sha256()
     for exec_duration in SWEEP_EXEC_DURATIONS:
         for length in SWEEP_LENGTHS:
             for start in SWEEP_STARTS:
@@ -111,17 +112,13 @@ def outage_sweep_digest() -> str:
                     for endpoint in (orchestrator, server)
                     for sid, session in sorted(endpoint.sessions.items())
                 }
-                digest.update(
-                    _canonical(
-                        [
-                            network.wire_log,
-                            logs,
-                            callbacks,
-                            registry.available(),
-                            server.connected,
-                        ]
-                    )
-                )
+                yield [network.wire_log, logs, callbacks, registry.available(), server.connected]
+
+
+def outage_sweep_digest() -> str:
+    digest = hashlib.sha256()
+    for run in outage_sweep():
+        digest.update(_canonical(run))
     return digest.hexdigest()
 
 

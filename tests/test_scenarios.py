@@ -3,6 +3,7 @@ and schema conformance of the shipped scenario files."""
 
 import copy
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -194,3 +195,20 @@ class TestShippedFixtures:
     @pytest.mark.parametrize("path", sorted(SCENARIOS_DIR.glob("scenario?.json")), ids=lambda p: p.name)
     def test_scenarios_conform(self, path):
         jsonschema.validate(load_json(path), load_schema("scenario.schema.json"))
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_a_run_reads_each_named_file_once(scenario, monkeypatch):
+    """Devices naming one executor or reasoner file share the one object
+    loaded from it: the scenario, its constellation, its planner script and
+    four scripts are seven reads."""
+    reads = []
+    read_text = Path.read_text
+
+    def counting_read_text(path, *args, **kwargs):
+        reads.append(path.name)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    run_scenario(scenario, seed=0)
+    assert len(reads) == len(set(reads)) == 7
