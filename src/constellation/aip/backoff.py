@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -18,7 +19,9 @@ class BackoffPolicy:
         """Delay before attempt ``attempt`` (0-based), without jitter."""
         return min(self.base * self.multiplier**attempt, self.max_delay)
 
-    def delay(self, attempt: int, rng: random.Random) -> float:
+    def delay(self, attempt: int, rng: Optional[random.Random]) -> float:
+        """Delay before attempt ``attempt``; ``rng`` is drawn from, and so
+        needed, only when ``jitter`` is not zero."""
         nominal = self.nominal_delay(attempt)
         if self.jitter == 0:
             return nominal

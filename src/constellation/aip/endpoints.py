@@ -266,7 +266,8 @@ class DeviceServerEndpoint(_Endpoint):
         self.manifest = dict(manifest or {})
         self.telemetry = dict(telemetry or {})
         self.backoff = backoff or BackoffPolicy()
-        self.rng = random.Random(f"{seed}:{agent_id}")
+        self._seed = seed
+        self._rng: Optional[random.Random] = None  # built at the first jittered backoff delay
 
         self.connected = False
         self.permanently_failed = False
@@ -390,7 +391,9 @@ class DeviceServerEndpoint(_Endpoint):
         if self._reconnect_attempt >= self.backoff.max_attempts:
             self.permanently_failed = True
             return
-        delay = self.backoff.delay(self._reconnect_attempt, self.rng)
+        if self.backoff.jitter and self._rng is None:
+            self._rng = random.Random(f"{self._seed}:{self.agent_id}")
+        delay = self.backoff.delay(self._reconnect_attempt, self._rng)
         self._reconnect_attempt += 1
         self._reconnect_timer = self.clock.call_later(delay, self._attempt_reconnect)
 

@@ -7,7 +7,10 @@ endpoint: anything failing its schema is refused there, before processing.
 ``encode`` checks nothing, as it only writes frames the endpoints build.
 Every frame goes through one encoder and one decoder built at import and
 one length ``Struct``, and message types are looked up by their string
-value, so the codec makes no ``Enum`` call.
+value, so the codec makes no ``Enum`` call. ``decode`` parses a payload with
+one call of the decoder's scanner; only a payload that scan does not read
+whole (leading or trailing whitespace, trailing data, no value at all) goes
+through ``JSONDecoder.decode``, which accepts or refuses it in its own words.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ _C_ENCODE = c_make_encoder and c_make_encoder(
     None, _ENCODER.default, encode_basestring, _ENCODER.indent, _ENCODER.key_separator,
     _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
 )
-_DECODE = json.JSONDecoder().decode
+_DECODER = json.JSONDecoder()
+_SCAN = _DECODER.scan_once
 _LENGTH = struct.Struct(">I")
 
 _TASK_END_STATUSES = ("COMPLETED", "FAILED")
@@ -129,7 +133,13 @@ def decode(frame: bytes) -> AipMessage:
     if len(payload) != length:
         raise SchemaViolation("frame", f"length prefix {length} != payload {len(payload)}")
     try:
-        doc = _DECODE(payload.decode("utf-8"))
+        text = payload.decode("utf-8")
+        try:
+            doc, end = _SCAN(text, 0)
+        except StopIteration:
+            end = -1
+        if end != len(text):
+            doc = _DECODER.decode(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         if type(exc) is json.JSONDecodeError and payload.startswith(codecs.BOM_UTF8):
             # refused in the words of ``json.loads``

@@ -7,6 +7,10 @@ time is virtual; nothing here touches wall-clock time.
 A ``TimerHandle`` is a plain ``__slots__`` class, built once per timer: its
 callback is ``None`` once it is cancelled or has fired, and ``step`` tests
 the popped handle's callback directly. Handles compare by identity.
+
+``run`` with a deadline drops cancelled timers from the head of the heap and
+compares the first live one's due time with the deadline inside its own
+loop; every timer still fires through ``step``.
 """
 
 from __future__ import annotations
@@ -27,10 +31,6 @@ class TimerHandle:
 
     def cancel(self) -> None:
         self.callback = None
-
-    @property
-    def cancelled(self) -> bool:
-        return self.callback is None
 
 
 @dataclass
@@ -71,20 +71,18 @@ class VirtualClock:
         max_steps: int = 1_000_000,
     ) -> None:
         """Drain timers until the predicate holds, the deadline passes or the
-        queue empties."""
+        queue empties. A timer due exactly at the deadline fires; when the
+        next live timer is later, ``now`` becomes the deadline."""
+        heap = self._heap
         for _ in range(max_steps):
             if until is not None and until():
                 return
             if deadline is not None:
-                due = self._next_due()
-                if due is not None and due > deadline:
+                while heap and heap[0][2].callback is None:
+                    heapq.heappop(heap)
+                if heap and heap[0][0] > deadline:
                     self.now = deadline
                     return
             if not self.step():
                 return
         raise RuntimeError(f"virtual clock exceeded {max_steps} steps")
-
-    def _next_due(self) -> Optional[float]:
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None

@@ -17,8 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .edits import EditDelta, delta_from_doc
-from .errors import IllegalTransition, ScriptMiss
+from .edits import EditDelta, delta_from_doc, op_from_doc
+from .errors import IllegalTransition, ParseError, ScriptMiss
 from .events import EventKind, OrchestratorEvent
 from .model import TaskConstellation, TaskStar, TaskStatus, unrecovered_failures
 from .schema import read_document
@@ -152,14 +152,20 @@ class PlannerScript:
 
 def load_script(source: Union[str, Path, Dict[str, Any]]) -> PlannerScript:
     """Read a script that ``schemas/planner_script.schema.json`` accepts and
-    whose edit ops ``delta_from_doc`` accepts (checked before templates are
-    filled); anything else is a ``ParseError``."""
+    whose edit ops ``op_from_doc`` accepts (checked before templates are
+    filled); anything else is a ``ParseError`` naming the file, or
+    ``document``, and the JSON path of the refused entry."""
     doc = read_document(source, "planner_script")
     entries = []
-    for entry in doc["entries"]:
+    for index, entry in enumerate(doc["entries"]):
         patterns = tuple((EventKind(p["kind"]), p.get("task", "*")) for p in entry.get("trigger", []))
         output_doc = {k: v for k, v in entry.items() if k != "trigger"}
-        delta_from_doc(output_doc.get("delta", []))
+        for position, op_doc in enumerate(output_doc.get("delta", [])):
+            try:
+                op_from_doc(op_doc)
+            except ParseError as exc:
+                where = "document" if doc is source else source
+                raise ParseError(f"bad planner script {where}: entries.{index}.delta.{position}: {exc}") from exc
         entries.append(ScriptEntry(Trigger(patterns), output_doc))
     return PlannerScript(entries, strict=doc.get("strict", True))
 
@@ -221,6 +227,8 @@ _TASK_RESULT_RE = re.compile(r"\$task_result:([A-Za-z0-9_\-]+)")
 
 
 def _fill_text(text: str, snapshot: TaskConstellation) -> str:
+    if "$" not in text:  # every placeholder starts with "$"
+        return text
     if "$completed_results" in text:
         completed = "; ".join(
             f"{tid}: {task.result}"

@@ -4,6 +4,11 @@ Frames are opaque byte strings; delivery order between two endpoints follows
 (send time, sequence) ordering on the shared virtual clock. A frame sent
 while its link is inside an outage interval is dropped at send time — the
 endpoints only learn about it through their own liveness detection.
+
+A link with a ``(lo, hi)`` latency draws each frame's latency from its own
+``random.Random``, seeded from the network seed and the link's two
+addresses. That RNG is built at the link's first draw, so a link with a
+fixed latency seeds none.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ class SimNetwork:
     def add_link(self, a: str, b: str, spec: LinkSpec) -> None:
         key = self._key(a, b)
         self._links[key] = spec
-        self._rngs[key] = random.Random(f"{self.seed}:{key[0]}:{key[1]}")
+        self._rngs.pop(key, None)
 
     def send(self, src: str, dst: str, frame: bytes, summary: str = "") -> None:
         link = self._links.get((src, dst) if src <= dst else (dst, src))
@@ -90,7 +95,11 @@ class SimNetwork:
         if isinstance(link.latency, (int, float)):
             return float(link.latency)
         lo, hi = link.latency
-        return self._rngs[self._key(src, dst)].uniform(lo, hi)
+        key = self._key(src, dst)
+        rng = self._rngs.get(key)
+        if rng is None:
+            rng = self._rngs[key] = random.Random(f"{self.seed}:{key[0]}:{key[1]}")
+        return rng.uniform(lo, hi)
 
     @staticmethod
     def _key(a: str, b: str) -> Tuple[str, str]:

@@ -31,7 +31,7 @@ from ..serial import deserialize
 from .mdlog import emit_markdown_log
 from .network import LinkSpec, SimNetwork
 
-SCENARIOS_DIR = Path(__file__).resolve().parents[3] / "scenarios"
+SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @dataclass

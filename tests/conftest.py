@@ -13,7 +13,7 @@ import pytest
 from constellation import TaskConstellation, TaskStarLine, build_constellation, deserialize
 
 ROOT = Path(__file__).resolve().parents[1]
-SCENARIOS_DIR = ROOT / "scenarios"
+SCENARIOS_DIR = ROOT / "src" / "constellation" / "scenarios"
 SCHEMAS_DIR = ROOT / "src" / "constellation" / "schemas"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 

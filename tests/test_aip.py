@@ -347,6 +347,120 @@ class TestCodecOracle:
         assert outcome(validate, msg) == refusal == outcome(reference_validate, msg)
 
 
+def payload_frame(payload):
+    return struct.pack(">I", len(payload)) + payload
+
+
+_BEAT = b'{"msg_type":"HEARTBEAT","body":{"timestamp":%s}}'
+_NESTED = b"[" * 40 + b"1" + b"]" * 40
+_VALID_PAYLOADS = {
+    t.value.lower(): json.dumps({"msg_type": t.value, "body": body}, separators=(",", ":")).encode()
+    for t, body in VALID_BODIES.items()
+}
+_VALID_PAYLOADS["session"] = b'{"session_id":"s1","body":{"status":"FAILED","error":"x"},"msg_type":"TASK_END"}'
+_VALID_PAYLOADS["spaced"] = b'{ "msg_type" : "HEARTBEAT" , "body" : { "timestamp" : 1 } }'
+# Payloads whose parse, or refusal, the one-scan decode must match.
+DECODE_CORPUS = {
+    **{f"bare {name}": payload for name, payload in _VALID_PAYLOADS.items()},
+    **{f"leading space {name}": b" \n\t" + payload for name, payload in _VALID_PAYLOADS.items()},
+    **{f"trailing space {name}": payload + b"\r\n " for name, payload in _VALID_PAYLOADS.items()},
+    "padded both sides": b"  " + _VALID_PAYLOADS["heartbeat"] + b"  ",
+    "trailing data": _VALID_PAYLOADS["heartbeat"] + b"x",
+    "trailing object": _VALID_PAYLOADS["heartbeat"] + b"{}",
+    "trailing value after space": _VALID_PAYLOADS["heartbeat"] + b" 1",
+    "trailing comma": _VALID_PAYLOADS["heartbeat"] + b",",
+    "two objects": b"{}{}",
+    "utf-8 bom": b"\xef\xbb\xbf" + _VALID_PAYLOADS["heartbeat"],
+    "utf-8 bom alone": b"\xef\xbb\xbf",
+    "invalid utf-8 in a string": b'{"msg_type":"HEARTBEAT","body":{"timestamp":1,"x":"\xff"}}',
+    "truncated utf-8": _VALID_PAYLOADS["heartbeat"][:-2] + b"\xe2\x82",
+    "non-ascii text": '{"msg_type":"ERROR","body":{"error":"d\u00e9j\u00e0 \u2603","context":{}}}'.encode(),
+    "escaped lone surrogate": b'{"msg_type":"ERROR","body":{"error":"\\ud800","context":{}}}',
+    "nan timestamp": _BEAT % b"NaN",
+    "infinite timestamp": _BEAT % b"Infinity",
+    "negative infinite timestamp": _BEAT % b"-Infinity",
+    "overflowing timestamp": _BEAT % b"1e400",
+    "nan top level": b"NaN",
+    "duplicate msg_type": b'{"msg_type":"NOPE","msg_type":"HEARTBEAT","body":{"timestamp":1}}',
+    "duplicate body field": b'{"msg_type":"HEARTBEAT","body":{"timestamp":"now","timestamp":2}}',
+    "duplicate session": b'{"msg_type":"TASK","session_id":"a","session_id":7,"body":{"task":{},"request":"r"}}',
+    "array top level": b"[]",
+    "string top level": b'"HEARTBEAT"',
+    "number top level": b"12",
+    "null top level": b"null",
+    "true top level": b"true",
+    "nested body": _BEAT % (b"1," + b'"deep":' + _NESTED),
+    "nested top level": _NESTED,
+    "too deep to parse": b"[" * 100_000 + b"]" * 100_000,
+    "too deep, unclosed": _BEAT % (b"1," + b'"deep":' + b"[" * 100_000),
+    "empty payload": b"",
+    "whitespace only": b" \n ",
+    "truncated object": b'{"msg_type":',
+    "unterminated string": b'{"msg_type":"HEART',
+    "single quotes": b"{'msg_type':'HEARTBEAT'}",
+    "missing comma": b'{"msg_type":"HEARTBEAT" "body":{}}',
+}
+
+
+def settled(codec, frame):
+    """A codec call's message (as its repr, so NaN compares), or what it
+    refuses with; a payload nested past the recursion limit is refused with
+    a ``RecursionError`` whose text depends on where the limit is met."""
+    try:
+        return ("ok", repr(codec(frame)))
+    except SchemaViolation as exc:
+        return ("refused", str(exc))
+    except RecursionError:
+        return ("RecursionError",)
+
+
+class TestOneScanDecode:
+    """``decode`` scans a payload once and falls back to
+    ``JSONDecoder.decode`` for what that scan does not read whole; it gives
+    what ``reference_decode``, built on ``json.loads``, gives, with the C
+    scanner and with json's pure-Python one."""
+
+    @pytest.mark.parametrize("scanner", ["default", "python"])
+    @pytest.mark.parametrize("payload", list(DECODE_CORPUS.values()), ids=list(DECODE_CORPUS))
+    def test_decode_matches_json_loads(self, monkeypatch, scanner, payload):
+        from json.scanner import py_make_scanner
+
+        from constellation.aip import messages
+
+        if scanner == "python":
+            monkeypatch.setattr(messages, "_SCAN", py_make_scanner(messages._DECODER))
+        frame = payload_frame(payload)
+        assert settled(decode, frame) == settled(reference_decode, frame)
+
+    def test_corpus_holds_accepted_and_refused_payloads(self):
+        kinds = Counter(settled(reference_decode, payload_frame(p))[0] for p in DECODE_CORPUS.values())
+        assert kinds.keys() == {"ok", "refused", "RecursionError"}, kinds
+
+    @pytest.mark.parametrize(
+        "payload, fallbacks",
+        [
+            (_VALID_PAYLOADS["heartbeat"], 0),
+            (_VALID_PAYLOADS["spaced"], 0),
+            (b" " + _VALID_PAYLOADS["heartbeat"], 1),
+            (_VALID_PAYLOADS["heartbeat"] + b" ", 1),
+            (_VALID_PAYLOADS["heartbeat"] + b"x", 1),
+            (b"", 1),
+        ],
+        ids=["bare", "spaced inside", "leading space", "trailing space", "trailing data", "empty"],
+    )
+    def test_only_a_payload_the_scan_does_not_read_whole_is_decoded_again(self, monkeypatch, payload, fallbacks):
+        from constellation.aip import messages
+
+        calls = []
+        fallback = messages._DECODER.decode
+        monkeypatch.setattr(messages._DECODER, "decode", lambda text: calls.append(text) or fallback(text))
+        try:
+            decode(payload_frame(payload))
+        except SchemaViolation:
+            pass
+        assert len(calls) == fallbacks
+
+
 # Valid frame documents to mutate, and the rules ``decode`` holds that the
 # packaged schema does not state, by name: each says whether it explains a
 # refusal (the frame document, the violation).
@@ -445,8 +559,9 @@ class TestBackoff:
                 assert abs(policy.delay(n, rng) - nominal) <= 0.1 * nominal + 1e-12
 
 
-def build_pair(outages, seed=0, exec_duration=1.0):
-    """One orchestrator endpoint plus one device server/client pair."""
+def build_pair(outages, seed=0, exec_duration=1.0, backoff=None):
+    """One orchestrator endpoint plus one device server/client pair; the
+    device's backoff has no jitter unless ``backoff`` says otherwise."""
     clock = VirtualClock()
     network = SimNetwork(clock, seed=seed)
     registry = ProfileRegistry()
@@ -475,7 +590,7 @@ def build_pair(outages, seed=0, exec_duration=1.0):
         agent_server=AgentServer(clock, reasoner),
         orchestrator_address="orchestrator",
         client_address="dev-client",
-        backoff=BackoffPolicy(jitter=0.0),
+        backoff=backoff or BackoffPolicy(jitter=0.0),
         seed=seed,
     )
     network.add_link("orchestrator", "dev", LinkSpec(latency=0.001, outages=outages))
@@ -566,6 +681,29 @@ class TestLiveness:
         deltas = [round(t - 15.001, 1) for t in register_times[1:]]
         assert deltas == [1.0, 3.0, 7.0, 15.0, 31.0]
         assert server.permanently_failed
+
+    def test_jittered_device_reconnects_after_the_delays_its_seed_draws(self, monkeypatch):
+        disconnects = []
+        local_disconnect = DeviceServerEndpoint._local_disconnect
+
+        def recorded(self):
+            disconnects.append(self.clock.now)
+            local_disconnect(self)
+
+        monkeypatch.setattr(DeviceServerEndpoint, "_local_disconnect", recorded)
+        policy = BackoffPolicy(jitter=0.1)
+        clock, network, _, _, server = build_pair(outages=[(5.0, 100000.0)], seed=3, backoff=policy)
+        advance(clock, 100.0)
+        assert server.permanently_failed and len(disconnects) == 1
+        rng = random.Random("3:dev")
+        delays = [policy.delay(n, rng) for n in range(policy.max_attempts)]
+        assert all(delay != policy.nominal_delay(n) for n, delay in enumerate(delays))
+        expected, at = [0.0], disconnects[0]
+        for delay in delays:
+            at += delay
+            expected.append(at)
+        registers = [f["at"] for f in network.wire_log if f["src"] == "dev" and f["summary"] == "REGISTER"]
+        assert registers == expected
 
     def test_beat_after_the_orchestrator_gave_up_is_refused_so_the_device_registers(self):
         """An outage ending just as the orchestrator's deadline expires lets

@@ -183,6 +183,18 @@ class TestRun:
         assert code == 2
         assert lines == [{"event": "error", "error": lines[0]["error"]}]
 
+    def test_refused_planner_edit_op_exits_two_naming_the_script_and_the_entry(self, capsys, tmp_path):
+        target = tmp_path / "scenarios"
+        shutil.copytree(SCENARIOS_DIR, target)
+        path = target / "scenario1_planner.json"
+        doc = json.loads(path.read_text())
+        del doc["entries"][2]["delta"][0]["task_id"]
+        path.write_text(json.dumps(doc))
+        code, lines = run_cli(capsys, "run", "--scenario", str(target / "scenario1.json"), "--seed", "0")
+        assert code == 2
+        assert lines == [{"event": "error", "error": (
+            f"bad planner script {path}: entries.2.delta.0: edit op 'update_task' missing field 'task_id'")}]
+
     @pytest.mark.parametrize(
         "script, old, new, field",
         [

@@ -1,6 +1,7 @@
 """Planner FSM, scripted trigger matching, template substitution."""
 
 import fnmatch
+import json
 import random
 
 import pytest
@@ -194,6 +195,22 @@ class TestScriptedPlanner:
     def test_malformed_entry_rejected_at_load(self, field, value, match):
         with pytest.raises(ParseError, match=match):
             load_script({"entries": [{"trigger": [], field: value}]})
+
+    def test_refused_edit_op_names_the_script_and_the_entry(self, tmp_path):
+        entries = [{"trigger": []}, {"trigger": [], "delta": []}, {"trigger": [], "delta": [
+            {"op": "remove_task", "task_id": "A"}, {"op": "remove_task"}]}]
+        path = tmp_path / "planner.json"
+        path.write_text(json.dumps({"entries": entries}))
+        refusal = "entries.2.delta.1: edit op 'remove_task' missing field 'task_id'"
+        with pytest.raises(ParseError) as raised:
+            load_script(path)
+        assert str(raised.value) == f"bad planner script {path}: {refusal}"
+        with pytest.raises(ParseError) as raised:
+            load_script(str(path))
+        assert str(raised.value) == f"bad planner script {path}: {refusal}"
+        with pytest.raises(ParseError) as raised:
+            load_script({"entries": entries})
+        assert str(raised.value) == f"bad planner script document: {refusal}"
 
     def test_script_file_that_is_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "planner.json"

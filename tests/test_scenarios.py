@@ -2,8 +2,11 @@
 and schema conformance of the shipped scenario files."""
 
 import copy
+import importlib.resources
 import json
+import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -192,6 +195,18 @@ class TestShippedFixtures:
                     for spec in op["config"].get("dependencies", []):
                         jsonschema.validate(spec, dependency)
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS_DIR.glob("scenario?.json")))
+    def test_every_file_a_scenario_names_is_packaged(self, name):
+        """An installed package runs ``--scenario N``: the scenario and each
+        file it names are resources of the package."""
+        packaged = importlib.resources.files("constellation") / "scenarios"
+        doc = json.loads((packaged / name).read_text(encoding="utf-8"))
+        named = {doc["constellation"], doc["planner_script"]}
+        for device in doc["devices"].values():
+            named |= {device["executor"], device["reasoner"]}
+        assert len(named) >= 6
+        assert all((packaged / file).is_file() for file in named), named
+
     @pytest.mark.parametrize("path", sorted(SCENARIOS_DIR.glob("scenario?.json")), ids=lambda p: p.name)
     def test_scenarios_conform(self, path):
         jsonschema.validate(load_json(path), load_schema("scenario.schema.json"))
@@ -203,6 +218,25 @@ class TestShippedFixtures:
     @pytest.mark.parametrize("path", sorted(SCENARIOS_DIR.glob("*_executor.json")), ids=lambda p: p.name)
     def test_executor_tables_conform(self, path):
         jsonschema.validate(load_json(path), load_schema("executor_table.schema.json"))
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_a_run_seeds_no_rng(scenario, monkeypatch):
+    """The packaged scenarios set fixed latencies and no backoff jitter, so
+    neither the network nor a device builds a ``random.Random``."""
+    from constellation.aip import endpoints
+    from constellation.simnet import network
+
+    built = []
+
+    def counting_random(*args):
+        built.append(args)
+        return random.Random(*args)
+
+    for module in (network, endpoints):
+        monkeypatch.setattr(module, "random", SimpleNamespace(Random=counting_random))
+    assert run_scenario(scenario, seed=0).verdict_ok
+    assert built == []
 
 
 @pytest.mark.parametrize("scenario", [1, 2, 3])

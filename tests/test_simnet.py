@@ -58,6 +58,63 @@ class TestVirtualClock:
         clock.run()
         assert fired == ["late"]
 
+    @staticmethod
+    def counted(monkeypatch):
+        """A clock whose ``step`` calls are listed (with ``now`` at each), as
+        a wrapper on ``VirtualClock.step`` sees them."""
+        steps = []
+        step = VirtualClock.step
+
+        def counting_step(self):
+            steps.append(self.now)
+            return step(self)
+
+        monkeypatch.setattr(VirtualClock, "step", counting_step)
+        return VirtualClock(), steps
+
+    def test_run_deadline_drops_cancelled_heads_before_and_after_it(self, monkeypatch):
+        clock, steps = self.counted(monkeypatch)
+        fired = []
+        clock.call_at(1.0, lambda: fired.append(1.0)).cancel()
+        clock.call_at(2.0, lambda: fired.append(2.0))
+        clock.call_at(3.0, lambda: fired.append(3.0)).cancel()
+        clock.call_at(5.0, lambda: fired.append(5.0)).cancel()
+        clock.call_at(6.0, lambda: fired.append(6.0)).cancel()
+        clock.call_at(7.0, lambda: fired.append(7.0))
+        clock.run(deadline=4.0)
+        assert fired == [2.0] and clock.now == 4.0
+        assert steps == [0.0]
+        clock.run()
+        assert fired == [2.0, 7.0] and clock.now == 7.0
+
+    def test_run_deadline_with_only_cancelled_timers_beyond_it_stops_where_the_last_fired(self, monkeypatch):
+        clock, steps = self.counted(monkeypatch)
+        clock.call_at(1.0, lambda: None)
+        clock.call_at(5.0, lambda: None).cancel()
+        clock.run(deadline=4.0)
+        assert clock.now == 1.0 and not clock._heap
+        assert steps == [0.0, 1.0]  # the second finds no live timer
+
+    def test_run_deadline_fires_a_timer_due_exactly_at_it(self, monkeypatch):
+        clock, steps = self.counted(monkeypatch)
+        fired = []
+        clock.call_at(4.0, lambda: fired.append("at"))
+        clock.call_at(4.5, lambda: fired.append("after"))
+        clock.run(until=lambda: False, deadline=4.0)
+        assert fired == ["at"] and clock.now == 4.0
+        assert steps == [0.0]
+
+    def test_run_deadline_steps_once_per_fired_timer(self, monkeypatch):
+        clock, steps = self.counted(monkeypatch)
+        fired = []
+        for t in (0.5, 1.0, 1.0, 2.5, 3.0):
+            clock.call_at(t, lambda t=t: fired.append(t))
+        clock.call_at(1.5, lambda: fired.append(1.5)).cancel()
+        clock.call_at(3.5, lambda: fired.append(3.5))
+        clock.run(deadline=3.25)
+        assert fired == [0.5, 1.0, 1.0, 2.5, 3.0] and clock.now == 3.25
+        assert steps == [0.0, 0.5, 1.0, 1.0, 2.5]
+
     def test_run_until_predicate(self):
         clock = VirtualClock()
         fired = []
@@ -77,6 +134,24 @@ class TestVirtualClock:
 # ---------------------------------------------------------------------------
 # Simulated network
 # ---------------------------------------------------------------------------
+
+
+# Delivery times of twenty frames sent at 0 over a (0.01, 0.05) link, in
+# delivery order: the draws of ``random.Random("7:a:b")`` and ``"8:a:b"``.
+SEED_7_DELIVERIES = [
+    0.012332204324521995, 0.017314053902710687, 0.01786060181831061, 0.018572677281537945,
+    0.02106041273266081, 0.024723702198126665, 0.026986582633823954, 0.028200640614282797,
+    0.028372298495207907, 0.029140162906308588, 0.03652545919969433, 0.03728742134445602,
+    0.03755052601192886, 0.03796623998222338, 0.04458379459588986, 0.04474974291113243,
+    0.04614922046450149, 0.04843358462219068, 0.04908815425551197, 0.04966090096373444,
+]
+SEED_8_DELIVERIES = [
+    0.011036699840670053, 0.01200031767189819, 0.012374221280194782, 0.013097420493747024,
+    0.014006140578904192, 0.014866326783678434, 0.01503950979576623, 0.016836977008748182,
+    0.01859058781463783, 0.021392488982138178, 0.021916344212064252, 0.02266706909960313,
+    0.02441452430050608, 0.026008487672127413, 0.028103777437215982, 0.028306817385463978,
+    0.029909311988988524, 0.03925959710396499, 0.04053053760434662, 0.048818188776350364,
+]
 
 
 def make_net(seed=0, latency=0.005, outages=()):
@@ -109,6 +184,18 @@ class TestSimNetwork:
         assert first == second
         assert draws(8) != first
         assert all(0.01 <= at <= 0.05 for at in first)
+        assert first == SEED_7_DELIVERIES
+        assert draws(8) == SEED_8_DELIVERIES
+
+    def test_a_link_added_again_draws_from_its_seed_again(self):
+        clock, net, _ = make_net(seed=7, latency=(0.01, 0.05))
+        for _ in range(3):
+            net.send("a", "b", b"x")
+        net.add_link("b", "a", LinkSpec(latency=(0.01, 0.05)))
+        for _ in range(3):
+            net.send("a", "b", b"x")
+        latencies = [record["deliver_at"] - record["at"] for record in net.wire_log]
+        assert latencies[:3] == latencies[3:]
 
     def test_outage_interval_is_half_open(self):
         clock, net, inbox = make_net(outages=[(5.0, 10.0)])
