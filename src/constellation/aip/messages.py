@@ -11,6 +11,8 @@ value, so the codec makes no ``Enum`` call. ``decode`` parses a payload with
 one call of the decoder's scanner; only a payload that scan does not read
 whole (leading or trailing whitespace, trailing data, no value at all) goes
 through ``JSONDecoder.decode``, which accepts or refuses it in its own words.
+A payload nested past the recursion limit is refused too, so ``decode``
+raises nothing but ``SchemaViolation``.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from __future__ import annotations
 import codecs
 import json
 import struct
-from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import c_make_encoder, encode_basestring
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 from ..errors import SchemaViolation
 from ..model import FailureReason
@@ -67,26 +68,25 @@ _TASK_END_STATUSES = ("COMPLETED", "FAILED")
 _FAILURE_REASONS = tuple(reason._value_ for reason in FailureReason)
 
 
-@dataclass(frozen=True, init=False)
-class AipMessage:
-    """A message. Frozen, with a hand-written ``__init__`` that writes each
-    field once into the instance dict, as ``model.TaskStar`` does; a
-    missing ``body`` is a fresh dict per message."""
-
+class _MessageFields(NamedTuple):
     msg_type: MessageType
-    body: Dict[str, Any] = field(default_factory=dict)
+    body: Optional[Dict[str, Any]] = None
     session_id: Optional[str] = None
 
-    def __init__(
-        self,
+
+class AipMessage(_MessageFields):
+    """A message: a named tuple whose missing ``body`` is a fresh dict per
+    message, not one default shared by every message."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
         msg_type: MessageType,
         body: Optional[Dict[str, Any]] = None,
         session_id: Optional[str] = None,
-    ) -> None:
-        values = self.__dict__
-        values["msg_type"] = msg_type
-        values["body"] = {} if body is None else body
-        values["session_id"] = session_id
+    ) -> "AipMessage":
+        return tuple.__new__(cls, (msg_type, {} if body is None else body, session_id))
 
 
 def validate(msg: AipMessage) -> None:
@@ -145,6 +145,8 @@ def decode(frame: bytes) -> AipMessage:
             # refused in the words of ``json.loads``
             exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", "", 0)
         raise SchemaViolation("frame", f"invalid JSON payload: {exc}") from exc
+    except RecursionError:  # its text depends on where the limit is met
+        raise SchemaViolation("frame", "invalid JSON payload: nested too deep") from None
     if not isinstance(doc, dict):
         raise SchemaViolation("frame", "payload must be a JSON object")
     if "msg_type" not in doc:

@@ -1,7 +1,7 @@
 """Batched, atomic constellation edits.
 
 A delta is an ordered list of edit ops applied to a clone of the pre-state.
-The clone shares the pre-state's frozen records, and an op replaces the
+The clone shares the pre-state's immutable records, and an op replaces the
 records it changes, so the pre-state is never touched. The ops only parse
 and mutate, so a delta is judged on its result: the post-state is checked
 once, for structure and for edit locality (no non-PENDING task changed),
@@ -168,8 +168,9 @@ def edit_locality_violations(
     """Diff-based check that no edit touched a non-PENDING task.
 
     Non-PENDING tasks must keep their record (fields, status, result) and
-    their incoming edge records equal across the edit; the frozen records
-    are compared directly. Outgoing edges of terminal tasks may be rewired,
+    their incoming edge records equal across the edit; the records are
+    compared directly, always with records, as a record also equals a plain
+    tuple of its values. Outgoing edges of terminal tasks may be rewired,
     since only the (PENDING) downstream endpoint's inputs change.
 
     Only the tasks of ``pre`` in ``post``'s change record are compared, in

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 
 class EventKind(Enum):
@@ -14,29 +13,27 @@ class EventKind(Enum):
     CONSTELLATION_MODIFIED = "CONSTELLATION_MODIFIED"
 
 
-@dataclass(frozen=True, init=False)
-class OrchestratorEvent:
-    """An event of a run. Frozen, with a hand-written ``__init__`` that
-    writes each field once into the instance dict, as ``model.TaskStar``
-    does; a missing ``payload`` is a fresh dict per event."""
-
+class _EventFields(NamedTuple):
     kind: EventKind
     task_id: str = ""
     at: float = 0.0
-    payload: Dict[str, Any] = field(default_factory=dict)
+    payload: Optional[Dict[str, Any]] = None
 
-    def __init__(
-        self,
+
+class OrchestratorEvent(_EventFields):
+    """An event of a run: a named tuple whose missing ``payload`` is a fresh
+    dict per event, not one default shared by every event."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
         kind: EventKind,
         task_id: str = "",
         at: float = 0.0,
         payload: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        values = self.__dict__
-        values["kind"] = kind
-        values["task_id"] = task_id
-        values["at"] = at
-        values["payload"] = {} if payload is None else payload
+    ) -> "OrchestratorEvent":
+        return tuple.__new__(cls, (kind, task_id, at, {} if payload is None else payload))
 
     def as_dict(self) -> Dict[str, Any]:
         # ``_value_`` is the member's value as a plain attribute; the

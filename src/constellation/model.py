@@ -21,14 +21,16 @@ one linear pass, and ``_changes_valid`` judges a commit from the region
 downstream of the edges it added. Both find a cycle with one count-only
 Kahn peel (``_unpeeled``); ``topological_order`` only produces an order.
 
-Task and dependency records are frozen and assigned once: each ``__init__``
-writes every field once into the instance dict, and ``transition`` and the
-raw ops store a replaced record instead of changing one, so ``clone`` copies
+Task and dependency records are named tuples: ``transition`` and the raw
+ops store a replaced record instead of changing one, so ``clone`` copies
 only the dicts and versions share every record they did not change (path
-copying). ``borrow`` copies nothing: the borrowed graph shares every dict
-and set until its first write (``transition`` or a raw op) copies them, so
-a snapshot per planner round costs O(1). A status's legal targets are a
-plain tuple on the member, so ``transition`` checks a move without hashing.
+copying). A record equals a plain tuple of the same values and ``json``
+writes one as a list, so records are compared only with records, and
+``serial`` turns them into JSON objects before anything is written.
+``borrow`` copies nothing: the borrowed graph shares every dict and set
+until its first write (``transition`` or a raw op) copies them, so a
+snapshot per planner round costs O(1). A status's legal targets are a plain
+tuple on the member, so ``transition`` checks a move without hashing.
 Two derived indexes map each task to the ids of its incoming (id-sorted) and
 outgoing edges. They are built with the graph, kept up to date by the raw
 ops, and copied by ``clone`` as dicts sharing their immutable tuples.
@@ -54,10 +56,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, FrozenSet, List, NoReturn, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, NoReturn, Optional, Set, Tuple
 
 from .errors import (
     DuplicateId,
@@ -136,16 +138,7 @@ _DOCUMENT_TASK_KEYS = _CREATED_TASK_KEYS.union(_DOCUMENT_TASK_FIELDS)
 _EDGE_KEYS = frozenset(("id", "from_task", "to_task", *EDITABLE_EDGE_FIELDS))
 
 
-# The records built per task and per edge are frozen dataclasses with a
-# hand-written ``__init__`` of the generated signature. It writes each field
-# once into the instance's own dict, where the generated one calls
-# ``object.__setattr__`` per field; writing in field order keeps the dict's
-# keys shared between instances. Eq, hash, repr, ``fields`` and ``replace``
-# are still generated.
-
-
-@dataclass(frozen=True, init=False)
-class TaskStar:
+class TaskStar(NamedTuple):
     id: str
     device: str
     name: str = ""
@@ -155,50 +148,13 @@ class TaskStar:
     result: Any = None
     failure_reason: Optional[FailureReason] = None
 
-    def __init__(
-        self,
-        id: str,
-        device: str,
-        name: str = "",
-        description: str = "",
-        tips: Tuple[str, ...] = (),
-        status: TaskStatus = TaskStatus.PENDING,
-        result: Any = None,
-        failure_reason: Optional[FailureReason] = None,
-    ) -> None:
-        values = self.__dict__
-        values["id"] = id
-        values["device"] = device
-        values["name"] = name
-        values["description"] = description
-        values["tips"] = tips
-        values["status"] = status
-        values["result"] = result
-        values["failure_reason"] = failure_reason
 
-
-@dataclass(frozen=True, init=False)
-class TaskStarLine:
+class TaskStarLine(NamedTuple):
     id: str
     from_task: str
     to_task: str
     dep_type: DependencyType = UNCONDITIONAL
     description: str = ""
-
-    def __init__(
-        self,
-        id: str,
-        from_task: str,
-        to_task: str,
-        dep_type: DependencyType = UNCONDITIONAL,
-        description: str = "",
-    ) -> None:
-        values = self.__dict__
-        values["id"] = id
-        values["from_task"] = from_task
-        values["to_task"] = to_task
-        values["dep_type"] = dep_type
-        values["description"] = description
 
 
 @dataclass(frozen=True)
@@ -291,7 +247,7 @@ class TaskConstellation:
         task = self.task(task_id)
         _check_patch(patch, EDITABLE_TASK_FIELDS, f"task {task_id!r}")
         parsed = task_from_entry({"device": task.device, **patch, "id": task_id}, created=True)
-        self.tasks[task_id] = replace(task, **{key: getattr(parsed, key) for key in patch})
+        self.tasks[task_id] = task._replace(**{key: getattr(parsed, key) for key in patch})
         self._touch(task_id)
 
     def _add_dependency(self, spec: Dict[str, Any]) -> None:
@@ -506,7 +462,7 @@ class TaskConstellation:
         or through PENDING upstream tasks, on an edge whose terminal upstream
         can never satisfy it, so no completion can make progress.
         """
-        return not self._running and not self.ready_tasks()
+        return not self._running and not self._ready
 
     def _recount(self) -> None:
         """Recount the readiness of the tasks in the change record from

@@ -1,7 +1,6 @@
 """Core graph model: edit preconditions, validation, readiness."""
 
 import copy
-import dataclasses
 import inspect
 import itertools
 import random
@@ -31,6 +30,7 @@ from constellation import (
     serialize,
 )
 from constellation.errors import ConstellationError, IllegalField, ParseError
+from constellation.aip.messages import AipMessage, MessageType
 from constellation.events import EventKind, OrchestratorEvent
 from constellation.serial import from_document, to_document
 from constellation.model import CONDITIONS, UNCONDITIONAL, DependencyKind, DependencyType
@@ -316,7 +316,7 @@ class TestValidate:
 
     def test_result_on_non_terminal_task_detected(self):
         c = chain("A")
-        c.tasks["A"] = dataclasses.replace(c.tasks["A"], result="phantom")
+        c.tasks["A"] = c.tasks["A"]._replace(result="phantom")
         assert any(v.kind == "StatusResult" for v in c.validate())
 
 
@@ -483,9 +483,9 @@ class TestReadinessOracles:
 class TestCopies:
     def test_clone_is_independent(self, fig4):
         twin = fig4.clone()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             twin.tasks["A"].description = "changed"
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             twin.edges["eAC"].to_task = "B"
         before = serialize(fig4)
         twin.transition("A", TaskStatus.RUNNING)
@@ -496,15 +496,15 @@ class TestCopies:
     def test_clone_constructs_no_record(self, fig4, monkeypatch):
         built = []
 
-        def counted(init):
-            def wrapper(self, *args, **kwargs):
-                built.append(type(self).__name__)
-                init(self, *args, **kwargs)
+        def counted(new):
+            def wrapper(cls, *args, **kwargs):
+                built.append(cls.__name__)
+                return new(cls, *args, **kwargs)
 
             return wrapper
 
         for record in (TaskStar, TaskStarLine):
-            monkeypatch.setattr(record, "__init__", counted(record.__init__))
+            monkeypatch.setattr(record, "__new__", counted(record.__new__))
         twin = fig4.clone()
         assert built == []
         twin.transition("A", TaskStatus.RUNNING)
@@ -552,9 +552,10 @@ class TestCopies:
 
 
 class TestRecords:
-    """The per-task records keep the value semantics of a frozen dataclass
-    whatever their ``__init__`` does: the fields, in order, with their
-    defaults, then eq, hash, repr and ``dataclasses.replace``."""
+    """The records are named tuples with the value semantics they had as
+    frozen dataclasses: the fields, in order, with their defaults, then eq,
+    hash, repr, immutability and ``_replace``. A missing event payload or
+    message body is a fresh dict per record."""
 
     RECORDS = {
         TaskStar: (
@@ -573,59 +574,68 @@ class TestRecords:
             "OrchestratorEvent(kind=<EventKind.TASK_FAILED: 'TASK_FAILED'>, task_id='A', at=1.5, "
             "payload={'failure_reason': 'TIMEOUT'})",
         ),
+        AipMessage: (
+            (MessageType.TASK_END, {"status": "COMPLETED", "result": "ok"}, "s1"),
+            "AipMessage(msg_type=<MessageType.TASK_END: 'TASK_END'>, "
+            "body={'status': 'COMPLETED', 'result': 'ok'}, session_id='s1')",
+        ),
     }
+    # The field whose missing value is a fresh dict, not a shared default.
+    FRESH_DICT = {OrchestratorEvent: "payload", AipMessage: "body"}
 
     @pytest.fixture(params=list(RECORDS), ids=lambda record: record.__name__)
     def record(self, request):
         return request.param
 
     def test_signature_follows_the_fields(self, record):
-        """Field names in order, each with its default; a field with a
-        default factory takes ``None`` for a fresh value."""
+        """Field names in order, each with its default; a field whose
+        missing value is a fresh dict takes ``None`` for it."""
         parameters = list(inspect.signature(record).parameters.values())
-        fields = dataclasses.fields(record)
-        assert [p.name for p in parameters] == [f.name for f in fields]
-        for parameter, field in zip(parameters, fields):
+        assert tuple(p.name for p in parameters) == record._fields
+        assert len(record._fields) == len(self.RECORDS[record][0])
+        for parameter in parameters:
             assert parameter.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
-            if field.default is not dataclasses.MISSING:
-                assert parameter.default == field.default
-            elif field.default_factory is not dataclasses.MISSING:
-                assert parameter.default is None
+            if parameter.name in record._field_defaults:
+                assert parameter.default == record._field_defaults[parameter.name]
             else:
                 assert parameter.default is inspect.Parameter.empty
+        fresh = self.FRESH_DICT.get(record)
+        assert fresh is None or record._field_defaults[fresh] is None
 
     def test_positional_and_keyword_construction_agree(self, record):
         values, expected_repr = self.RECORDS[record]
         positional = record(*values)
-        keyword = record(**{f.name: value for f, value in zip(dataclasses.fields(record), values)})
+        keyword = record(**dict(zip(record._fields, values)))
         assert positional == keyword and positional is not keyword
+        assert type(positional) is type(keyword) is record
         assert repr(positional) == repr(keyword) == expected_repr
-        # Written in field order, which keeps instance dicts sharing their keys.
-        assert list(vars(positional)) == [f.name for f in dataclasses.fields(record)]
-        if record is OrchestratorEvent:
-            # A dict payload makes an event unhashable, as it always was.
+        if record in self.FRESH_DICT:
+            # A dict payload or body makes a record unhashable, as it always was.
             with pytest.raises(TypeError):
                 hash(positional)
         else:
             assert hash(positional) == hash(keyword)
 
-    def test_frozen(self, record):
+    def test_immutable(self, record):
         instance = record(*self.RECORDS[record][0])
-        for field in dataclasses.fields(record):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(instance, field.name, "changed")
+        assert not hasattr(instance, "__dict__")
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(instance, name, "changed")
         assert instance == record(*self.RECORDS[record][0])
 
     def test_replace_round_trips(self, record):
         instance = record(*self.RECORDS[record][0])
-        assert dataclasses.replace(instance) == instance
-        first = dataclasses.fields(record)[0].name
-        for field in dataclasses.fields(record)[1:]:
-            changed = dataclasses.replace(instance, **{field.name: "changed"})
-            assert getattr(changed, field.name) == "changed"
+        assert instance._replace() == instance
+        assert type(instance._replace()) is record
+        first = record._fields[0]
+        for name in record._fields[1:]:
+            changed = instance._replace(**{name: "changed"})
+            assert type(changed) is record
+            assert getattr(changed, name) == "changed"
             assert getattr(changed, first) is getattr(instance, first)
             assert changed != instance
-            assert dataclasses.replace(changed, **{field.name: getattr(instance, field.name)}) == instance
+            assert changed._replace(**{name: getattr(instance, name)}) == instance
 
     def test_defaults_fill_the_record(self):
         assert TaskStar("A", "dev") == TaskStar(
@@ -633,6 +643,7 @@ class TestRecords:
         )
         assert TaskStarLine("e", "A", "B").dep_type is UNCONDITIONAL
         assert OrchestratorEvent(EventKind.TASK_STARTED).as_dict() == {"kind": "TASK_STARTED", "at": 0.0}
+        assert AipMessage(MessageType.HEARTBEAT).session_id is None
 
     def test_events_without_a_payload_get_their_own_dict(self):
         first, second = OrchestratorEvent(EventKind.TASK_STARTED), OrchestratorEvent(EventKind.TASK_STARTED)
@@ -640,3 +651,10 @@ class TestRecords:
         assert first.payload is not second.payload
         first.payload["device"] = "dev"
         assert second.payload == {}
+
+    def test_messages_without_a_body_get_their_own_dict(self):
+        first, second = AipMessage(MessageType.HEARTBEAT), AipMessage(MessageType.HEARTBEAT)
+        assert first.body == second.body == {}
+        assert first.body is not second.body
+        first.body["timestamp"] = 1.0
+        assert second.body == {}

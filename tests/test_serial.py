@@ -7,14 +7,23 @@ import jsonschema
 import pytest
 
 from constellation import (
+    EventKind,
+    Orchestrator,
+    OrchestratorEvent,
     ParseError,
+    ScriptedDispatcher,
+    TaskStar,
+    TaskStarLine,
     TaskStatus,
     ValidationFailed,
+    VirtualClock,
     deserialize,
     from_document,
     serialize,
     to_document,
 )
+from constellation.aip.messages import AipMessage
+from constellation.simnet.scenarios import run_scenario
 from conftest import SCENARIOS_DIR, load_schema, random_dag
 
 CONSTELLATION_SCHEMA = load_schema("constellation.schema.json")
@@ -119,3 +128,50 @@ class TestRejection:
         doc = {"tasks": [{"id": "A", "device": "d"}, {"id": "A", "device": "d"}]}
         with pytest.raises(ValidationFailed):
             from_document(doc)
+
+
+RECORD_TYPES = (TaskStar, TaskStarLine, OrchestratorEvent, AipMessage)
+
+
+def records_in(value, path="$"):
+    """The paths of every record in a JSON-bound value: ``json`` would write
+    a record, a named tuple, as a list."""
+    if isinstance(value, RECORD_TYPES):
+        return [path]
+    if isinstance(value, dict):
+        return [p for key, item in value.items() for p in records_in(item, f"{path}.{key}")]
+    if isinstance(value, (list, tuple)):
+        return [p for index, item in enumerate(value) for p in records_in(item, f"{path}[{index}]")]
+    return []
+
+
+class TestNoRecordReachesJson:
+    """Records are named tuples, so each must become a JSON object before it
+    reaches ``json``: no report, document or session log holds one."""
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3])
+    def test_scenario_outputs_hold_no_record(self, scenario):
+        result = run_scenario(scenario, 0)
+        assert records_in(result.report.as_dict()) == []
+        assert records_in(result.session_logs) == []
+        assert result.session_logs and all(result.session_logs.values())
+
+    def test_layered_bulk_run_holds_no_record(self):
+        from test_fingerprints import _workloads_module
+
+        workloads = _workloads_module()
+        layered = workloads.layered_dag(100, random.Random(1))
+        clock = VirtualClock()
+        dispatcher = ScriptedDispatcher(clock, default_duration=workloads.TASK_SECONDS)
+        orchestrator = Orchestrator(clock, workloads.BulkPlanner(layered.config), dispatcher)
+        report = orchestrator.run()
+        assert len(report.final_document["tasks"]) == 100
+        assert records_in(report.as_dict()) == []
+        assert records_in(to_document(orchestrator.constellation)) == []
+
+    def test_the_walk_finds_a_record(self):
+        event = OrchestratorEvent(EventKind.TASK_STARTED, "A")
+        assert records_in({"events": [{"x": event}], "task": TaskStar("A", "d")}) == [
+            "$.events[0].x",
+            "$.task",
+        ]
