@@ -22,7 +22,6 @@ ERROR frame and otherwise ignored, at every role.
 from __future__ import annotations
 
 import itertools
-import random
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -149,11 +148,8 @@ class ConstellationEndpoint(_Endpoint):
             self._on_task_end(msg.session_id, msg.body)
 
     def _on_register(self, src: str, msg: AipMessage) -> None:
-        client_id = msg.body.get("client_id", "")
-        if not isinstance(client_id, str) or not client_id.strip():
-            self._refuse(src, "SchemaViolation: client_id must be non-empty")
-            return
-        metadata = msg.body.get("metadata", {})
+        client_id = msg.body["client_id"]
+        metadata = msg.body["metadata"]
         try:
             profile = merge_profile(
                 client_id,
@@ -243,6 +239,7 @@ class DeviceClientEndpoint(_Endpoint):
 
 class DeviceServerEndpoint(_Endpoint):
     opened_by = MessageType.TASK
+    backoff = BackoffPolicy()
 
     def __init__(
         self,
@@ -255,8 +252,6 @@ class DeviceServerEndpoint(_Endpoint):
         client_address: str,
         manifest: Optional[Dict[str, Any]] = None,
         telemetry: Optional[Dict[str, Any]] = None,
-        backoff: Optional[BackoffPolicy] = None,
-        seed: int = 0,
     ):
         super().__init__(clock, network, address)
         self.agent_id = agent_id
@@ -265,9 +260,6 @@ class DeviceServerEndpoint(_Endpoint):
         self.client_address = client_address
         self.manifest = dict(manifest or {})
         self.telemetry = dict(telemetry or {})
-        self.backoff = backoff or BackoffPolicy()
-        self._seed = seed
-        self._rng: Optional[random.Random] = None  # built at the first jittered backoff delay
 
         self.connected = False
         self.permanently_failed = False
@@ -391,9 +383,7 @@ class DeviceServerEndpoint(_Endpoint):
         if self._reconnect_attempt >= self.backoff.max_attempts:
             self.permanently_failed = True
             return
-        if self.backoff.jitter and self._rng is None:
-            self._rng = random.Random(f"{self._seed}:{self.agent_id}")
-        delay = self.backoff.delay(self._reconnect_attempt, self._rng)
+        delay = self.backoff.nominal_delay(self._reconnect_attempt)
         self._reconnect_attempt += 1
         self._reconnect_timer = self.clock.call_later(delay, self._attempt_reconnect)
 

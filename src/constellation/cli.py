@@ -3,7 +3,8 @@
 Machine-readable output goes to stdout as JSON lines; human-readable run
 logs (Markdown) and full reports are written to files under ``--out``.
 Every flag can also be supplied through an environment variable with the
-``CONSTELLATION_`` prefix (e.g. ``CONSTELLATION_SEED=0``).
+``CONSTELLATION_`` prefix (e.g. ``CONSTELLATION_SEED=0``); a malformed value
+is a usage error (exit 2) in the subcommand that has the flag.
 
 Exit codes:
     validate  0 valid, 1 violations found, 2 unreadable/malformed input
@@ -212,25 +213,20 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(handler=cmd_validate)
 
     run = sub.add_parser("run", help="run a scenario or an ad-hoc constellation")
-    scenario_env = _env("SCENARIO")
-    run.add_argument(
-        "--scenario",
-        type=_scenario_ref,
-        default=_scenario_ref(scenario_env) if scenario_env is not None else None,
-    )
+    run.add_argument("--scenario", type=_scenario_ref, default=_env("SCENARIO"))
     run.add_argument("--constellation", default=_env("CONSTELLATION"))
     run.add_argument("--planner-script", default=_env("PLANNER_SCRIPT"))
-    run.add_argument("--seed", type=int, default=_int_env("SEED"))
+    run.add_argument("--seed", type=int, default=_env("SEED"))
     run.add_argument("--out", default=_env("OUT"))
-    run.add_argument("--deadline", type=float, default=_float_env("DEADLINE"))
-    run.add_argument("--task-duration", type=float, default=_float_env("TASK_DURATION") or 10.0)
+    run.add_argument("--deadline", type=float, default=_env("DEADLINE"))
+    run.add_argument("--task-duration", type=float, default=_env("TASK_DURATION") or "10.0")
     run.set_defaults(handler=cmd_run)
 
     explore_p = sub.add_parser("explore", help="bounded explicit-state exploration")
     explore_p.add_argument(
         "--mode", choices=("tla-mirror", "extended"), default=_env("MODE") or "tla-mirror"
     )
-    explore_p.add_argument("--max-states", type=int, default=_int_env("MAX_STATES") or 1_000_000)
+    explore_p.add_argument("--max-states", type=int, default=_env("MAX_STATES") or "1000000")
     explore_p.add_argument("--check-golden", action="store_true")
     explore_p.add_argument("--report", default=_env("REPORT"))
     explore_p.set_defaults(handler=cmd_explore)
@@ -240,16 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _scenario_ref(raw: str) -> Any:
     """Scenario id (small integer) or a path to a scenario file."""
     return int(raw) if raw.isdigit() else raw
-
-
-def _int_env(name: str) -> Optional[int]:
-    raw = _env(name)
-    return int(raw) if raw is not None else None
-
-
-def _float_env(name: str) -> Optional[float]:
-    raw = _env(name)
-    return float(raw) if raw is not None else None
 
 
 def main(argv: Optional[List[str]] = None) -> int:

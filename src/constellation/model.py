@@ -519,11 +519,6 @@ class TaskConstellation:
             self._waiting, self._ready = dict(self._waiting), set(self._ready)
             self._running = set(self._running)
 
-    def structurally_equal(self, other: "TaskConstellation") -> bool:
-        from .serial import serialize
-
-        return serialize(self) == serialize(other)
-
 
 def _condition_holds(edge: TaskStarLine, upstream: TaskStar) -> bool:
     return bool(CONDITIONS[edge.dep_type.condition_id](upstream.result))

@@ -2,8 +2,9 @@
 
 A scenario file wires together a constellation fixture, a planner script,
 per-device executors/reasoners, link latencies and scripted outages, and an
-expected verdict. Everything runs on one virtual clock, so a (scenario,
-seed) pair fully determines the run report.
+expected verdict. Everything runs on one virtual clock and nothing draws a
+random number, so the scenario alone determines the run report. A run takes a
+seed, but no run draws from it yet.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Any, Dict, List, Tuple
 from ..agent.reasoner import ScriptedReasoner
 from ..agent.executor import ScriptedExecutor
 from ..agent.server import AgentServer
-from ..aip.backoff import BackoffPolicy
 from ..aip.endpoints import (
     ConstellationEndpoint,
     DeviceClientEndpoint,
@@ -69,11 +69,14 @@ def _read_scenario(source: Any) -> Tuple[Dict[str, Any], Path]:
 
 
 def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
+    """Run a scenario (packaged id, path or document) to its report and
+    verdict. ``seed`` is accepted and echoed by callers, but no run draws
+    from it yet: every seed gives the same run."""
     doc, base = _read_scenario(scenario)
     constellation = deserialize((base / doc["constellation"]).read_text(encoding="utf-8"))
     constellation.request = doc["request"]
     clock = VirtualClock()
-    network = SimNetwork(clock, seed=seed)
+    network = SimNetwork(clock)
     orchestrator_ep = ConstellationEndpoint(clock, network, constellation.request)
 
     device_servers: Dict[str, DeviceServerEndpoint] = {}
@@ -100,8 +103,6 @@ def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
             client_address=client_address,
             manifest=spec.get("manifest", {}),
             telemetry=spec.get("telemetry", {}),
-            backoff=BackoffPolicy(jitter=0.0),
-            seed=seed,
         )
         device_servers[device_id] = server
         network.add_link(

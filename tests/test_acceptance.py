@@ -463,7 +463,7 @@ def test_criterion_8_aip_conformance(passed, scenario_results):
     advance(clock, 1.2)
     assert sum(1 for f in network.wire_log if f["summary"] == "COMMAND") == before
     # Reconnect backoff follows base * 2^n, capped, summing to base*(2^5-1).
-    policy = BackoffPolicy(jitter=0.0)
+    policy = BackoffPolicy()
     delays = [policy.nominal_delay(n) for n in range(5)]
     assert delays == [min(policy.base * 2**n, policy.max_delay) for n in range(5)]
     assert sum(delays) == policy.base * (2**5 - 1) == 31

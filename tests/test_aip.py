@@ -540,29 +540,20 @@ class TestProfileMerge:
 
 class TestBackoff:
     def test_nominal_schedule(self):
-        policy = BackoffPolicy(jitter=0.0)
+        policy = BackoffPolicy()
         assert [policy.nominal_delay(n) for n in range(5)] == [1, 2, 4, 8, 16]
         # Cumulative wait from disconnect detection to the final attempt.
         assert sum(policy.nominal_delay(n) for n in range(5)) == policy.base * (2**5 - 1)
 
     def test_cap_applies(self):
-        policy = BackoffPolicy(max_attempts=8, jitter=0.0)
+        policy = BackoffPolicy(max_attempts=8)
         assert policy.nominal_delay(7) == 30.0
 
-    def test_jitter_stays_within_band(self):
-        policy = BackoffPolicy(jitter=0.1)
-        rng = random.Random(3)
-        for n in range(5):
-            nominal = policy.nominal_delay(n)
-            for _ in range(50):
-                assert abs(policy.delay(n, rng) - nominal) <= 0.1 * nominal + 1e-12
 
-
-def build_pair(outages, seed=0, exec_duration=1.0, backoff=None):
-    """One orchestrator endpoint plus one device server/client pair; the
-    device's backoff has no jitter unless ``backoff`` says otherwise."""
+def build_pair(outages, exec_duration=1.0):
+    """One orchestrator endpoint plus one device server/client pair."""
     clock = VirtualClock()
-    network = SimNetwork(clock, seed=seed)
+    network = SimNetwork(clock)
     registry = ProfileRegistry()
     orchestrator = ConstellationEndpoint(clock, network, "request", registry=registry)
     executor = ScriptedExecutor.load(
@@ -589,8 +580,6 @@ def build_pair(outages, seed=0, exec_duration=1.0, backoff=None):
         agent_server=AgentServer(clock, reasoner),
         orchestrator_address="orchestrator",
         client_address="dev-client",
-        backoff=backoff or BackoffPolicy(jitter=0.0),
-        seed=seed,
     )
     network.add_link("orchestrator", "dev", LinkSpec(latency=0.001, outages=outages))
     network.add_link("dev", "dev-client", LinkSpec(latency=0.001))
@@ -680,29 +669,6 @@ class TestLiveness:
         deltas = [round(t - 15.001, 1) for t in register_times[1:]]
         assert deltas == [1.0, 3.0, 7.0, 15.0, 31.0]
         assert server.permanently_failed
-
-    def test_jittered_device_reconnects_after_the_delays_its_seed_draws(self, monkeypatch):
-        disconnects = []
-        local_disconnect = DeviceServerEndpoint._local_disconnect
-
-        def recorded(self):
-            disconnects.append(self.clock.now)
-            local_disconnect(self)
-
-        monkeypatch.setattr(DeviceServerEndpoint, "_local_disconnect", recorded)
-        policy = BackoffPolicy(jitter=0.1)
-        clock, network, _, _, server = build_pair(outages=[(5.0, 100000.0)], seed=3, backoff=policy)
-        advance(clock, 100.0)
-        assert server.permanently_failed and len(disconnects) == 1
-        rng = random.Random("3:dev")
-        delays = [policy.delay(n, rng) for n in range(policy.max_attempts)]
-        assert all(delay != policy.nominal_delay(n) for n, delay in enumerate(delays))
-        expected, at = [0.0], disconnects[0]
-        for delay in delays:
-            at += delay
-            expected.append(at)
-        registers = [f["at"] for f in network.wire_log if f["src"] == "dev" and f["summary"] == "REGISTER"]
-        assert registers == expected
 
     def test_beat_after_the_orchestrator_gave_up_is_refused_so_the_device_registers(self):
         """An outage ending just as the orchestrator's deadline expires lets
@@ -855,6 +821,14 @@ class TestFramesFromOutside:
         )
         assert error.startswith("SchemaViolation")
 
+    @pytest.mark.parametrize("client_id", ["", " ", 5])
+    def test_register_without_a_client_id(self, client_id):
+        """The codec refuses a REGISTER whose client_id is not a non-blank
+        string, before the orchestrator's handler sees it."""
+        error = self.send_from_rogue(
+            AipMessage(MessageType.REGISTER, {"client_id": client_id, "metadata": {}})
+        )
+        assert error.startswith("SchemaViolation") and "client_id" in error
 
     def test_refused_frames_leave_no_session_behind(self):
         """Only a frame sent, or a received frame that starts a session at its

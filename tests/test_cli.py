@@ -10,7 +10,11 @@ from conftest import SCENARIOS_DIR
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit code and stdout records; a usage error's code is argparse's."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     return code, lines
 
@@ -251,11 +255,33 @@ class TestRun:
         assert lines == [{"event": "error", "error": lines[0]["error"]}]
         assert lines[0]["error"].startswith(f"bad scenario {scenario}: ")
 
-    def test_seed_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONSTELLATION_SEED", "0")
-        code, lines = run_cli(capsys, "run", "--constellation", FIG4)
+    @pytest.mark.parametrize(
+        "value, argv, code",
+        [
+            ("0", ("run", "--constellation", FIG4), 0),
+            ("abc", ("run", "--constellation", FIG4), 2),
+            ("abc", ("run", "--constellation", FIG4, "--seed", "0"), 0),
+            ("abc", ("validate", "--constellation", FIG4), 0),
+            ("abc", ("explore", "--max-states", "100"), 7),
+        ],
+    )
+    def test_seed_from_environment(self, capsys, monkeypatch, value, argv, code):
+        """The variable is ``--seed``'s default: a malformed one is a usage
+        error of ``run`` only, and a flag given on the command line wins."""
+        monkeypatch.setenv("CONSTELLATION_SEED", value)
+        got, lines = run_cli(capsys, *argv)
+        assert got == code
+        if argv[0] == "run" and code == 0:
+            assert lines[-1]["seed"] == 0
+
+    @pytest.mark.parametrize("value, finished_at", [("0", 0.0), ("2.5", 10.0), ("", 40.0)])
+    def test_task_duration_from_environment(self, capsys, monkeypatch, value, finished_at):
+        """Fig. 4 runs four tasks in sequence; a zero duration is zero, not
+        the 10 s default, and an empty variable is unset."""
+        monkeypatch.setenv("CONSTELLATION_TASK_DURATION", value)
+        code, lines = run_cli(capsys, "run", "--constellation", FIG4, "--seed", "0")
         assert code == 0
-        assert lines[-1]["seed"] == 0
+        assert lines[-1]["finished_at"] == finished_at
 
 
 class TestExplore:
@@ -288,7 +314,9 @@ class TestExplore:
         assert doc["schema_version"] == 1
         assert doc["by_action"]["UpdateDevices"] == 6272
 
-    def test_max_states_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONSTELLATION_MAX_STATES", "100")
-        code, _ = run_cli(capsys, "explore")
-        assert code == 7
+    @pytest.mark.parametrize("value, code", [("100", 7), ("0", 7), ("abc", 2)])
+    def test_max_states_from_environment(self, capsys, monkeypatch, value, code):
+        """A bound of 0 is a bound, not the million-state default."""
+        monkeypatch.setenv("CONSTELLATION_MAX_STATES", value)
+        got, _ = run_cli(capsys, "explore")
+        assert got == code

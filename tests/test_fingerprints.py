@@ -9,7 +9,8 @@ that moved, with the reason:
 
 Digested outputs:
 
-- each packaged scenario 1-3 x network seed 0-49: the report JSON, the
+- each packaged scenario 1-3 x run seed 0-49 (no run draws from its seed
+  yet, so the 50 digests of a scenario agree): the report JSON, the
   Markdown log, the session logs and the full wire log (each frame's entry
   and its bytes)
 - an outage sweep over ``test_aip.build_pair``: one task dispatched at

@@ -544,12 +544,6 @@ class TestCopies:
                 assert version.tasks[task_id].result is result
                 assert result == copies[task_id]
 
-    def test_structural_equality(self, fig4):
-        assert fig4.structurally_equal(fig4.clone())
-        other = apply_one(fig4, UpdateTask("A", {"description": "different"}))
-        other.version = fig4.version
-        assert not fig4.structurally_equal(other)
-
 
 class TestRecords:
     """The records are named tuples with the value semantics they had as

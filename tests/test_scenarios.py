@@ -1,16 +1,16 @@
 """Fault-injection scenarios: verdicts, golden event logs, session hygiene,
 and schema conformance of the shipped scenario files."""
 
+import ast
 import copy
 import importlib.resources
 import json
-import random
 from pathlib import Path
-from types import SimpleNamespace
 
 import jsonschema
 import pytest
 
+import constellation
 from constellation import ParseError, RunOutcome
 from constellation.simnet.scenarios import load_scenario, run_scenario
 from conftest import GOLDEN_DIR, SCENARIOS_DIR, load_json, load_schema
@@ -220,23 +220,20 @@ class TestShippedFixtures:
         jsonschema.validate(load_json(path), load_schema("executor_table.schema.json"))
 
 
-@pytest.mark.parametrize("scenario", [1, 2, 3])
-def test_a_run_seeds_no_rng(scenario, monkeypatch):
-    """The packaged scenarios set fixed latencies and no backoff jitter, so
-    neither the network nor a device builds a ``random.Random``."""
-    from constellation.aip import endpoints
-    from constellation.simnet import network
+PACKAGE_DIR = Path(constellation.__file__).parent
 
-    built = []
 
-    def counting_random(*args):
-        built.append(args)
-        return random.Random(*args)
-
-    for module in (network, endpoints):
-        monkeypatch.setattr(module, "random", SimpleNamespace(Random=counting_random))
-    assert run_scenario(scenario, seed=0).verdict_ok
-    assert built == []
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE_DIR.rglob("*.py")), ids=lambda p: p.relative_to(PACKAGE_DIR).as_posix()
+)
+def test_no_module_imports_random(path):
+    """Nothing in a run draws a random number: no module of the package
+    imports ``random``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "random" for alias in node.names), path
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level or (node.module or "").split(".")[0] != "random", path
 
 
 @pytest.mark.parametrize("scenario", [1, 2, 3])
