@@ -1,6 +1,5 @@
 from .messages import AipMessage, MessageType, decode, encode
 from .backoff import BackoffPolicy
-from .profile import AgentProfile, AgentStatus, ProfileRegistry, merge_profile
 
 __all__ = [
     "AipMessage",
@@ -8,8 +7,4 @@ __all__ = [
     "decode",
     "encode",
     "BackoffPolicy",
-    "AgentProfile",
-    "AgentStatus",
-    "ProfileRegistry",
-    "merge_profile",
 ]

@@ -3,9 +3,12 @@
 Three roles talk over the simulated network:
 
 - ``ConstellationEndpoint`` — the orchestrator side and the engine's
-  dispatcher: registry, task dispatch, heartbeat monitoring and disconnect
-  synthesis. It turns each session's TASK_END, received or synthesised,
-  into the one engine completion of the task the session carried.
+  dispatcher: the device pool, task dispatch, heartbeat monitoring and
+  disconnect synthesis. The pool is every agent that registered, less those
+  its watchdog disconnected since; a REGISTER's metadata is typed at
+  ``decode`` and read by no one. The endpoint turns each session's
+  TASK_END, received or synthesised, into the one engine completion of the
+  task the session carried.
 - ``DeviceServerEndpoint`` — the per-device agent server: runs the agent
   FSM, issues command batches to its executor client, reports TASK_END,
   heartbeats, and reconnects with exponential backoff after an outage.
@@ -33,7 +36,7 @@ from ..simnet.network import SimNetwork
 from ..agent.server import AgentServer, TaskRun
 from .backoff import BackoffPolicy
 from .messages import AipMessage, MessageType, decode, encode
-from .profile import HEARTBEAT_INTERVAL, AgentStatus, ProfileRegistry, Watchdog, merge_profile
+from .liveness import HEARTBEAT_INTERVAL, Watchdog
 from .session import SessionState
 
 
@@ -88,28 +91,28 @@ class ConstellationEndpoint(_Endpoint):
         network: SimNetwork,
         request: str,
         address: str = "orchestrator",
-        registry: Optional[ProfileRegistry] = None,
     ):
         super().__init__(clock, network, address)
         self.request = request
-        self.registry = registry or ProfileRegistry()
         self._availability_listener: Callable[[], None] = lambda: None
         self._watchdogs: Dict[str, Watchdog] = {}
-        self._device_address: Dict[str, str] = {}
+        self._device_address: Dict[str, str] = {}  # every agent that registered
+        # Agents whose watchdog fired: only a fresh REGISTER brings one back.
+        self._disconnected: Set[str] = set()
         self._outstanding: Dict[str, Tuple[TaskStar, DoneCallback]] = {}  # by session id
         self._seq = itertools.count(1)
 
     # -- dispatcher port -------------------------------------------------
 
     def available_devices(self) -> Set[str]:
-        return set(self.registry.available())
+        return self._device_address.keys() - self._disconnected
 
     def set_availability_listener(self, listener: Callable[[], None]) -> None:
         self._availability_listener = listener
 
     def dispatch(self, task: TaskStar, on_done: DoneCallback) -> None:
-        profile = self.registry.profiles.get(task.device)
-        if profile is None or profile.status is AgentStatus.DISCONNECTED:
+        address = self._device_address.get(task.device)
+        if address is None or task.device in self._disconnected:
             error = f"device {task.device!r} is not in the scheduling pool"
             on_done(task.id, TaskStatus.FAILED, error, FailureReason.AGENT_DISCONNECTED)
             return
@@ -123,7 +126,7 @@ class ConstellationEndpoint(_Endpoint):
             "tips": list(task.tips),
         }
         self.send(
-            self._device_address[task.device],
+            address,
             AipMessage(
                 MessageType.TASK, {"task": task_doc, "request": self.request}, session_id=session_id
             ),
@@ -136,10 +139,10 @@ class ConstellationEndpoint(_Endpoint):
             self._on_register(src, msg)
         elif msg.msg_type is MessageType.HEARTBEAT:
             agent_id = msg.body.get("agent_id", src)
-            if not isinstance(agent_id, str) or agent_id not in self.registry.profiles:
+            if not isinstance(agent_id, str) or agent_id not in self._device_address:
                 self._refuse(src, f"NotFound: no registered agent {agent_id!r}")
                 return
-            if self.registry.profiles[agent_id].status is AgentStatus.DISCONNECTED:
+            if agent_id in self._disconnected:
                 self._refuse(src, f"PeerDisconnected: agent {agent_id!r} must register again")
                 return
             self._watchdogs[agent_id].feed()
@@ -149,17 +152,7 @@ class ConstellationEndpoint(_Endpoint):
 
     def _on_register(self, src: str, msg: AipMessage) -> None:
         client_id = msg.body["client_id"]
-        metadata = msg.body["metadata"]
-        try:
-            profile = merge_profile(
-                client_id,
-                service_manifest=metadata.get("service_manifest"),
-                client_telemetry=metadata.get("client_telemetry"),
-            )
-        except SchemaViolation as exc:
-            self._refuse(src, f"SchemaViolation: {exc}")
-            return
-        self.registry.register(profile)
+        self._disconnected.discard(client_id)
         self._device_address[client_id] = src
         if client_id not in self._watchdogs:
             self._watchdogs[client_id] = Watchdog(self.clock, partial(self._on_silence, client_id))
@@ -191,7 +184,7 @@ class ConstellationEndpoint(_Endpoint):
         """The agent's watchdog, started at REGISTER and fed by each
         accepted HEARTBEAT, saw no beat for ``MISSED_K`` intervals: the agent
         leaves the pool and each of its outstanding tasks ends FAILED."""
-        self.registry.mark_disconnected(agent_id)
+        self._disconnected.add(agent_id)
         for session_id in sorted(self._outstanding):
             if self._outstanding[session_id][0].device != agent_id:
                 continue
@@ -310,7 +303,6 @@ class DeviceServerEndpoint(_Endpoint):
         self._reconnect_attempt = 0
         if self._reconnect_timer is not None:
             self._reconnect_timer.cancel()
-            self._reconnect_timer = None
         self._schedule_beat()
         self._watchdog.start()
 
@@ -350,14 +342,14 @@ class DeviceServerEndpoint(_Endpoint):
 
     # -- liveness / reconnection -----------------------------------------
 
+    # The beat timer is live only while connected and the reconnect timer only
+    # while not: ``_local_disconnect`` cancels the one, the accepting ack the
+    # other.
+
     def _schedule_beat(self) -> None:
-        if self._beat_timer is not None:
-            self._beat_timer.cancel()
         self._beat_timer = self.clock.call_later(HEARTBEAT_INTERVAL, self._beat)
 
     def _beat(self) -> None:
-        if not self.connected:
-            return
         self.send(
             self.orchestrator_address,
             AipMessage(
@@ -371,7 +363,6 @@ class DeviceServerEndpoint(_Endpoint):
         self.connected = False
         if self._beat_timer is not None:
             self._beat_timer.cancel()
-            self._beat_timer = None
         # Abort ongoing work: both sides converge on FAILED statuses.
         for _, run in sorted(self.active_runs.items()):
             self.agent_server.abort(run, "connection to orchestrator lost", "AGENT_DISCONNECTED")
@@ -388,8 +379,5 @@ class DeviceServerEndpoint(_Endpoint):
         self._reconnect_timer = self.clock.call_later(delay, self._attempt_reconnect)
 
     def _attempt_reconnect(self) -> None:
-        self._reconnect_timer = None
-        if self.connected:
-            return
         self._send_register()
         self._schedule_reconnect()

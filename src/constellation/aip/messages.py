@@ -66,6 +66,17 @@ _LENGTH = struct.Struct(">I")
 
 _TASK_END_STATUSES = ("COMPLETED", "FAILED")
 _FAILURE_REASONS = tuple(reason._value_ for reason in FailureReason)
+# The layers a REGISTER's metadata may carry, each an object or null, and the
+# JSON type of each field group a layer may hold.
+_PROFILE_LAYERS = ("service_manifest", "client_telemetry")
+_LAYER_FIELDS = {
+    "os": str,
+    "os_version": str,
+    "capabilities": list,
+    "performance": dict,
+    "paths": dict,
+    "network": dict,
+}
 
 
 class _MessageFields(NamedTuple):
@@ -112,8 +123,19 @@ def validate(msg: AipMessage) -> None:
             raise SchemaViolation("error", "required for FAILED TASK_END")
         if msg.body.get("failure_reason", "EXECUTION_ERROR") not in _FAILURE_REASONS:
             raise SchemaViolation("failure_reason", f"must be one of {_FAILURE_REASONS}")
-    if msg_type is MessageType.REGISTER and not msg.body["client_id"].strip():
-        raise SchemaViolation("client_id", "must be non-empty")
+    if msg_type is MessageType.REGISTER:
+        if not msg.body["client_id"].strip():
+            raise SchemaViolation("client_id", "must be non-empty")
+        for layer in _PROFILE_LAYERS:
+            data = msg.body["metadata"].get(layer)
+            if data is not None and not isinstance(data, dict):
+                raise SchemaViolation(f"metadata.{layer}", f"expected an object, got {type(data).__name__}")
+            for name, expected in _LAYER_FIELDS.items():
+                if data and name in data and not isinstance(data[name], expected):
+                    raise SchemaViolation(
+                        f"metadata.{layer}.{name}",
+                        f"expected {expected.__name__}, got {type(data[name]).__name__}",
+                    )
 
 
 def encode(msg: AipMessage) -> bytes:

@@ -224,13 +224,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     explore_p = sub.add_parser("explore", help="bounded explicit-state exploration")
     explore_p.add_argument(
-        "--mode", choices=("tla-mirror", "extended"), default=_env("MODE") or "tla-mirror"
+        "--mode", type=_mode, choices=_MODES, default=_env("MODE") or "tla-mirror"
     )
     explore_p.add_argument("--max-states", type=int, default=_env("MAX_STATES") or "1000000")
     explore_p.add_argument("--check-golden", action="store_true")
     explore_p.add_argument("--report", default=_env("REPORT"))
     explore_p.set_defaults(handler=cmd_explore)
     return parser
+
+
+_MODES = ("tla-mirror", "extended")
+
+
+def _mode(raw: str) -> str:
+    """``--mode``'s type: argparse checks ``choices`` only on a value given
+    on the command line, so a default from the environment is checked here."""
+    if raw not in _MODES:
+        choices = ", ".join(map(repr, _MODES))
+        raise argparse.ArgumentTypeError(f"invalid choice: {raw!r} (choose from {choices})")
+    return raw
 
 
 def _scenario_ref(raw: str) -> Any:

@@ -449,7 +449,7 @@ def test_criterion_8_aip_conformance(passed, scenario_results):
             sent = [entry["seq"] for entry in log if entry["direction"] == "sent"]
             assert sent == sorted(sent) and len(sent) == len(set(sent)), name
     # Duplicate TASK delivery issues no second command batch.
-    clock, network, _, orchestrator, server = build_pair(outages=[])
+    clock, network, orchestrator, server = build_pair(outages=[])
     advance(clock, 1.0)
     orchestrator.dispatch(TaskStar("T", "dev", description="job"), lambda *a: None)
     advance(clock, 1.1)

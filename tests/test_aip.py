@@ -1,4 +1,4 @@
-"""Protocol layer: message vocabulary, profiles, liveness, backoff."""
+"""Protocol layer: message vocabulary, the device pool, liveness, backoff."""
 
 import copy
 import json
@@ -24,14 +24,7 @@ from constellation.aip.messages import (
     encode,
     validate,
 )
-from constellation.aip.profile import (
-    HEARTBEAT_INTERVAL,
-    MISSED_K,
-    AgentStatus,
-    ProfileRegistry,
-    Watchdog,
-    merge_profile,
-)
+from constellation.aip.liveness import HEARTBEAT_INTERVAL, MISSED_K, Watchdog
 from constellation.agent.executor import ScriptedExecutor
 from constellation.agent.reasoner import ScriptedReasoner
 from constellation.agent.server import AgentServer
@@ -124,6 +117,15 @@ _REFERENCE_SCHEMAS = {
     MessageType.ERROR: {"error": str, "context": dict},
 }
 
+_REFERENCE_LAYER_FIELDS = (
+    ("os", str),
+    ("os_version", str),
+    ("capabilities", list),
+    ("performance", dict),
+    ("paths", dict),
+    ("network", dict),
+)
+
 
 def reference_validate(msg):
     schema = _REFERENCE_SCHEMAS.get(msg.msg_type)
@@ -154,6 +156,17 @@ def reference_validate(msg):
                 raise SchemaViolation("failure_reason", f"must be one of {reasons}") from None
     if msg.msg_type is MessageType.REGISTER and not msg.body["client_id"].strip():
         raise SchemaViolation("client_id", "must be non-empty")
+    if msg.msg_type is MessageType.REGISTER:
+        for layer in ("service_manifest", "client_telemetry"):
+            data = msg.body["metadata"].get(layer)
+            if data is not None and not isinstance(data, dict):
+                raise SchemaViolation(f"metadata.{layer}", f"expected an object, got {type(data).__name__}")
+            for name, expected in _REFERENCE_LAYER_FIELDS:
+                if data and name in data and not isinstance(data[name], expected):
+                    raise SchemaViolation(
+                        f"metadata.{layer}.{name}",
+                        f"expected {expected.__name__}, got {type(data[name]).__name__}",
+                    )
 
 
 def reference_encode(msg):
@@ -249,6 +262,18 @@ def valid_messages(draw):
     return AipMessage(msg_type, body, session_id=session_id)
 
 
+# REGISTER metadata whose service manifest or client telemetry is not an
+# object, or holds a field group of the wrong JSON type.
+ILL_TYPED_LAYERS = {
+    "string manifest": {"service_manifest": "hosts"},
+    "list telemetry": {"client_telemetry": [{"os": "Linux"}]},
+    "int capabilities": {"client_telemetry": {"capabilities": 5}},
+    "list paths": {"service_manifest": {"paths": ["ab"]}},
+    "null os": {"service_manifest": {"os": None}},
+    "boolean os_version": {"client_telemetry": {"os_version": True}},
+    "string performance": {"service_manifest": {"performance": "fast"}},
+    "list network": {"client_telemetry": {"os": "Linux", "network": []}},
+}
 MALFORMED_DOCS = {
     "unknown type": {"msg_type": "NOPE", "body": {}},
     "type by name case": {"msg_type": "heartbeat", "body": {"timestamp": 1.0}},
@@ -280,6 +305,10 @@ MALFORMED_DOCS = {
     "false timestamp": {"msg_type": "HEARTBEAT", "body": {"timestamp": False}},
     "extra frame field": {"msg_type": "HEARTBEAT", "body": {"timestamp": 1.0}, "extra": 1},
     "misspelt session": {"msg_type": "TASK_END", "sesion_id": "s1", "body": {"status": "FAILED", "error": "x"}},
+    **{
+        f"ill-typed layer {name}": {"msg_type": "REGISTER", "body": {"client_id": "g", "metadata": metadata}}
+        for name, metadata in ILL_TYPED_LAYERS.items()
+    },
 }
 
 
@@ -467,6 +496,23 @@ VALID_FRAME_DOCS = [
     *({"msg_type": t.value, "body": body} for t, body in VALID_BODIES.items()),
     *({"msg_type": t.value, "body": body, "session_id": "s1"} for t, body in VALID_BODIES.items()),
     {"msg_type": "TASK_END", "body": {"status": "FAILED", "error": "x", "failure_reason": "TIMEOUT"}},
+    {
+        "msg_type": "REGISTER",
+        "body": {
+            "client_id": "linux1",
+            "metadata": {
+                "service_manifest": {
+                    "os": "Ubuntu",
+                    "os_version": "22.04",
+                    "capabilities": ["cli"],
+                    "performance": {"cpu_cores": 8},
+                    "paths": {"home": "~"},
+                    "network": {"host": "linux1"},
+                },
+                "client_telemetry": {"performance": {"memory_gb": 16.0}},
+            },
+        },
+    },
 ]
 FRAME_VALUES = (*MUTANT_VALUES, "COMPLETED", "FAILED", "TIMEOUT", "TASK", "HEARTBEAT")
 DECODE_ONLY_RULES = {
@@ -486,7 +532,7 @@ class TestCodecAgainstTheSchema:
         one of ``DECODE_ONLY_RULES``."""
         validator = jsonschema.Draft202012Validator(MESSAGE_SCHEMA)
         rng = random.Random("aip")
-        seen = Counter()
+        seen, layers = Counter(), Counter()
         for _ in range(3000):
             doc = rng.choice(VALID_FRAME_DOCS)
             for _ in range(rng.randint(1, 2)):
@@ -500,42 +546,20 @@ class TestCodecAgainstTheSchema:
                     seen.update(rules)
                 else:
                     seen["refused by both"] += 1
+                    layers[exc.field.startswith("metadata.")] += 1
             else:
                 assert validator.is_valid(doc), doc
                 seen["accepted by both"] += 1
         assert set(seen) == {*DECODE_ONLY_RULES, "refused by both", "accepted by both"}, seen
+        assert layers[True] > 0, "no ill-typed profile layer was refused"
 
-
-class TestProfileMerge:
-    def test_later_stages_win_with_source_stamps(self):
-        profile = merge_profile(
-            "gpu1",
-            service_manifest={
-                "capabilities": ["cli", "file_system"],
-                "os": "Ubuntu 20.04",
-                "paths": {"home": "/home/u"},
-            },
-            client_telemetry={
-                "os": "Ubuntu 22.04",
-                "performance": {"cpu_cores": 96, "memory_gb": 866.1, "gpus": ["A100"] * 4},
-            },
-        )
-        assert profile.os == "Ubuntu 22.04"
-        assert profile.sources["os"] == "client-telemetry"
-        assert profile.paths == {"home": "/home/u"}
-        assert profile.sources["paths"] == "service-manifest"
-        assert profile.sources["capabilities"] == "service-manifest"
-        assert profile.sources["performance"] == "client-telemetry"
-        assert profile.performance["cpu_cores"] == 96
-        assert profile.performance["memory_gb"] == 866.1
-        assert len(profile.performance["gpus"]) == 4
-
-    def test_available_excludes_disconnected(self):
-        registry = ProfileRegistry()
-        for agent in ("a", "b"):
-            registry.register(merge_profile(agent))
-        registry.mark_disconnected("a")
-        assert registry.available() == ["b"]
+    @pytest.mark.parametrize("metadata", list(ILL_TYPED_LAYERS.values()), ids=list(ILL_TYPED_LAYERS))
+    def test_an_ill_typed_profile_layer_is_refused_by_both(self, metadata):
+        (layer,) = metadata
+        doc = {"msg_type": "REGISTER", "body": {"client_id": "g", "metadata": metadata}}
+        refusal = outcome(decode, raw_frame(doc))
+        assert refusal[0] == "refused" and refusal[1].startswith(f"metadata.{layer}")
+        assert not jsonschema.Draft202012Validator(MESSAGE_SCHEMA).is_valid(doc)
 
 
 class TestBackoff:
@@ -554,8 +578,7 @@ def build_pair(outages, exec_duration=1.0):
     """One orchestrator endpoint plus one device server/client pair."""
     clock = VirtualClock()
     network = SimNetwork(clock)
-    registry = ProfileRegistry()
-    orchestrator = ConstellationEndpoint(clock, network, "request", registry=registry)
+    orchestrator = ConstellationEndpoint(clock, network, "request")
     executor = ScriptedExecutor.load(
         {"table": [{"pattern": "*", "stdout": "ok", "duration": exec_duration}]}
     )
@@ -584,7 +607,7 @@ def build_pair(outages, exec_duration=1.0):
     network.add_link("orchestrator", "dev", LinkSpec(latency=0.001, outages=outages))
     network.add_link("dev", "dev-client", LinkSpec(latency=0.001))
     server.start()
-    return clock, network, registry, orchestrator, server
+    return clock, network, orchestrator, server
 
 
 def advance(clock, until):
@@ -620,9 +643,9 @@ class TestLiveness:
         assert silences == [4.0 + HEARTBEAT_INTERVAL * MISSED_K]
 
     def test_heartbeats_keep_agent_idle(self):
-        clock, _, registry, _, server = build_pair(outages=[])
+        clock, _, orchestrator, server = build_pair(outages=[])
         advance(clock, 60.0)
-        assert registry.profiles["dev"].status is AgentStatus.IDLE
+        assert orchestrator.available_devices() == {"dev"}
         assert server.connected
 
     def test_deadline_timers_are_re_armed_on_expiry_not_per_beat(self):
@@ -630,7 +653,7 @@ class TestLiveness:
         deadline at most once per 15 s (its first arm included), where one
         per beat would be 13: a beat only moves the time the armed timer
         re-checks when it expires."""
-        clock, _, registry, _, server = build_pair(outages=[])
+        clock, _, orchestrator, server = build_pair(outages=[])
         armed = Counter()
         schedule = clock.call_at
 
@@ -641,23 +664,22 @@ class TestLiveness:
 
         clock.call_at = call_at
         advance(clock, 60.0)
-        assert registry.profiles["dev"].status is AgentStatus.IDLE and server.connected
+        assert orchestrator.available_devices() == {"dev"} and server.connected
         bound = 1 + 60.0 / (HEARTBEAT_INTERVAL * MISSED_K)
         assert set(armed) == {"orchestrator", "device"}
         assert all(count <= bound for count in armed.values()), armed
 
     def test_both_sides_detect_after_three_missed_beats(self):
-        clock, _, registry, _, server = build_pair(outages=[(5.0, 100000.0)])
+        clock, _, orchestrator, server = build_pair(outages=[(5.0, 100000.0)])
         advance(clock, 14.9)
-        assert registry.profiles["dev"].status is AgentStatus.IDLE
+        assert orchestrator.available_devices() == {"dev"}
         assert server.connected
         advance(clock, 15.1)
-        assert registry.profiles["dev"].status is AgentStatus.DISCONNECTED
+        assert orchestrator.available_devices() == set()
         assert not server.connected
-        assert registry.available() == []
 
     def test_reconnect_schedule_is_cumulative_and_exhausts(self):
-        clock, network, _, _, server = build_pair(outages=[(5.0, 100000.0)])
+        clock, network, _, server = build_pair(outages=[(5.0, 100000.0)])
         advance(clock, 100.0)
         register_times = [
             round(f["at"], 3)
@@ -675,24 +697,39 @@ class TestLiveness:
         the device's next beat through before its own deadline does: the
         beat is refused, not acked, so the device times out and registers
         again, and the agent rejoins the pool."""
-        clock, network, registry, _, server = build_pair(outages=[(5.0, 15.0)])
+        clock, network, orchestrator, server = build_pair(outages=[(5.0, 15.0)])
         advance(clock, 200.0)
         registers = [f for f in network.wire_log if f["summary"] == "REGISTER"]
-        assert registry.available() == ["dev"] and server.connected
+        assert orchestrator.available_devices() == {"dev"} and server.connected
         assert len(registers) == 2
 
     def test_outage_recovery_rejoins_pool_via_reregister(self):
-        clock, _, registry, _, server = build_pair(outages=[(5.0, 40.0)])
+        clock, _, orchestrator, server = build_pair(outages=[(5.0, 40.0)])
         advance(clock, 45.0)
         # 15 detection + 31 cumulative backoff lands the winning attempt ~46.
-        assert registry.profiles["dev"].status is AgentStatus.DISCONNECTED
+        assert orchestrator.available_devices() == set()
         advance(clock, 50.0)
-        assert registry.profiles["dev"].status is AgentStatus.IDLE
+        assert orchestrator.available_devices() == {"dev"}
         assert server.connected
         assert not server.permanently_failed
 
+    def test_after_a_re_register_the_device_beats_once_per_interval_and_registers_no_more(self):
+        """An outage from 5 to 25 s makes the device register again, and its
+        attempt at 30 s is accepted. From that ack on it sends one HEARTBEAT
+        per HEARTBEAT_INTERVAL and no REGISTER: the ack cancelled the attempt
+        due 16 s later, and the beats of its first connection were cancelled
+        when it timed out."""
+        clock, network, orchestrator, server = build_pair(outages=[(5.0, 25.0)])
+        advance(clock, 120.0)
+        ack = next(f["at"] for f in network.wire_log if f["src"] == "orchestrator" and f["at"] > 25.0)
+        assert ack == pytest.approx(30.003)
+        sent = [(f["at"], f["summary"]) for f in network.wire_log if f["src"] == "dev" and f["at"] > ack]
+        beats = [(pytest.approx(ack + 0.001 + HEARTBEAT_INTERVAL * k), "HEARTBEAT") for k in range(1, 18)]
+        assert sent == beats
+        assert orchestrator.available_devices() == {"dev"} and server.connected
+
     def test_running_task_synthesizes_failed_task_end_on_both_sides(self):
-        clock, _, registry, orchestrator, server = build_pair(
+        clock, _, orchestrator, server = build_pair(
             outages=[(5.0, 100000.0)], exec_duration=30.0
         )
         outcomes = []
@@ -716,7 +753,7 @@ class TestLiveness:
             assert len(synthetic) == 1
 
     def test_duplicate_task_delivery_not_re_executed(self):
-        clock, network, _, orchestrator, server = build_pair(outages=[])
+        clock, network, orchestrator, server = build_pair(outages=[])
         advance(clock, 1.0)
         orchestrator.dispatch(TaskStar("T", "dev", description="job"), lambda *a: None)
         advance(clock, 1.1)
@@ -738,7 +775,7 @@ class TestLiveness:
     def test_run_ended_inside_serve_task_is_not_kept_active(self):
         """An empty description fails the task before serve_task returns: its
         TASK_END is sent and no ended run is left in active_runs."""
-        clock, _, _, _, server = build_pair(outages=[])
+        clock, _, _, server = build_pair(outages=[])
         advance(clock, 1.0)
         task = {"task": {"id": "T", "description": ""}, "request": "request"}
         server.handle("orchestrator", AipMessage(MessageType.TASK, task, session_id="s1"))
@@ -746,7 +783,7 @@ class TestLiveness:
         assert [e["msg_type"] for e in server.sessions["s1"].log] == ["TASK_END"]
 
     def test_duplicate_task_end_fires_the_callback_once(self):
-        clock, network, _, orchestrator, _ = build_pair(outages=[])
+        clock, network, orchestrator, _ = build_pair(outages=[])
         outcomes = []
         advance(clock, 1.0)
         orchestrator.dispatch(
@@ -768,7 +805,7 @@ class TestLiveness:
         assert outcomes == [("T", TaskStatus.COMPLETED)]
 
     def test_task_completes_end_to_end(self):
-        clock, _, _, orchestrator, _ = build_pair(outages=[])
+        clock, _, orchestrator, _ = build_pair(outages=[])
         outcomes = []
         advance(clock, 1.0)
         orchestrator.dispatch(TaskStar("T", "dev", description="job"), lambda *args: outcomes.append(args))
@@ -776,18 +813,47 @@ class TestLiveness:
         assert outcomes == [("T", TaskStatus.COMPLETED, "ok", None)]
 
 
+class TestDispatchOutsideThePool:
+    """A task dispatched to a device outside the pool, one that never
+    registered or one its watchdog disconnected, fails at once: one
+    AGENT_DISCONNECTED completion, no TASK frame and no outstanding session."""
+
+    def refused(self, clock, network, orchestrator, device):
+        outcomes = []
+        frames = len(network.wire_log)
+        orchestrator.dispatch(
+            TaskStar("T", device, description="job"), lambda *args: outcomes.append(args)
+        )
+        advance(clock, clock.now + 30.0)
+        error = f"device {device!r} is not in the scheduling pool"
+        assert outcomes == [("T", TaskStatus.FAILED, error, FailureReason.AGENT_DISCONNECTED)]
+        assert "TASK" not in [f["summary"] for f in network.wire_log[frames:]]
+        assert orchestrator._outstanding == {}
+
+    def test_a_device_that_never_registered(self):
+        clock, network, orchestrator, _ = build_pair(outages=[])
+        advance(clock, 1.0)
+        self.refused(clock, network, orchestrator, "ghost")
+
+    def test_a_device_after_its_watchdog_fired(self):
+        clock, network, orchestrator, _ = build_pair(outages=[(5.0, 100000.0)])
+        advance(clock, 20.0)
+        assert orchestrator.available_devices() == set()
+        self.refused(clock, network, orchestrator, "dev")
+
+
 class TestFramesFromOutside:
     """A frame the orchestrator endpoint cannot act on is answered with an
-    ERROR frame; no watchdog is armed or fed and the registry is left as it
+    ERROR frame; no watchdog is armed or fed and the pool is left as it
     was."""
 
     def send_from_rogue(self, msg):
-        clock, network, registry, orchestrator, _ = build_pair(outages=[])
+        clock, network, orchestrator, _ = build_pair(outages=[])
         advance(clock, 1.0)
         received = []
         network.attach("rogue", lambda src, frame: received.append(decode(frame)))
         network.add_link("rogue", "orchestrator", LinkSpec(latency=0.001))
-        profiles = copy.deepcopy(registry.profiles)
+        pool = (dict(orchestrator._device_address), set(orchestrator._disconnected))
 
         def watchdogs():
             return {a: (w.last_seen, w._timer) for a, w in orchestrator._watchdogs.items()}
@@ -797,7 +863,7 @@ class TestFramesFromOutside:
         advance(clock, 2.0)
         assert [m.msg_type for m in received] == [MessageType.ERROR]
         assert watchdogs() == before
-        assert registry.profiles == profiles
+        assert (orchestrator._device_address, orchestrator._disconnected) == pool
         return received[0].body["error"]
 
     @pytest.mark.parametrize("agent_id", ["ghost", ["ghost"]])
@@ -834,7 +900,7 @@ class TestFramesFromOutside:
         """Only a frame sent, or a received frame that starts a session at its
         role (TASK at a device server, COMMAND at an executor client), opens
         one: rogue frames naming unknown sessions leave none behind."""
-        clock, network, _, orchestrator, server = build_pair(outages=[])
+        clock, network, orchestrator, server = build_pair(outages=[])
         advance(clock, 1.0)
         network.attach("rogue", lambda src, frame: None)
         for target in ("orchestrator", "dev"):
@@ -859,14 +925,14 @@ class TestFramesTheCodecRefuses:
     def refused_by(self, target, frame):
         """The ERROR bodies ``target`` answers ``frame`` with; the device
         stays registered and connected."""
-        clock, network, registry, _, server = build_pair(outages=[])
+        clock, network, orchestrator, server = build_pair(outages=[])
         advance(clock, 1.0)
         received = []
         network.attach("rogue", lambda src, reply: received.append(decode(reply)))
         network.add_link("rogue", target, LinkSpec(latency=0.001))
         network.send("rogue", target, frame)
         advance(clock, 60.0)
-        assert registry.available() == ["dev"] and server.connected
+        assert orchestrator.available_devices() == {"dev"} and server.connected
         assert {m.msg_type for m in received} == {MessageType.ERROR}
         return [m.body["error"] for m in received]
 
@@ -902,7 +968,7 @@ class TestFramesTheCodecRefuses:
     def test_frame_nested_past_the_recursion_limit_leaves_the_clock_running(self):
         """The refusal is the only effect: the run reaches its deadline,
         and the orchestrator opens no session."""
-        clock, network, _, orchestrator, _ = build_pair(outages=[])
+        clock, network, orchestrator, _ = build_pair(outages=[])
         advance(clock, 1.0)
         received = []
         network.attach("rogue", lambda src, reply: received.append(decode(reply)))
@@ -914,7 +980,7 @@ class TestFramesTheCodecRefuses:
         assert orchestrator.sessions == {}
 
     def test_task_end_with_unknown_failure_reason_leaves_the_session_outstanding(self):
-        clock, network, _, orchestrator, _ = build_pair(outages=[], exec_duration=5.0)
+        clock, network, orchestrator, _ = build_pair(outages=[], exec_duration=5.0)
         outcomes = []
         advance(clock, 1.0)
         orchestrator.dispatch(

@@ -314,6 +314,26 @@ class TestExplore:
         assert doc["schema_version"] == 1
         assert doc["by_action"]["UpdateDevices"] == 6272
 
+    @pytest.mark.parametrize(
+        "value, argv, code",
+        [
+            ("extended", ("explore",), 0),
+            ("bogus", ("explore",), 2),
+            ("bogus", ("explore", "--mode", "extended"), 0),
+            ("extended", ("explore", "--mode", "bogus"), 2),
+            ("bogus", ("validate", "--constellation", FIG4), 0),
+        ],
+    )
+    def test_mode_from_environment(self, capsys, monkeypatch, value, argv, code):
+        """A mode outside ``--mode``'s choices is a usage error of
+        ``explore`` whether it comes from the variable or the flag; a flag
+        given on the command line wins."""
+        monkeypatch.setenv("CONSTELLATION_MODE", value)
+        got, lines = run_cli(capsys, *argv)
+        assert got == code
+        if argv[0] == "explore" and code == 0:
+            assert lines[0]["mode"] == "extended"
+
     @pytest.mark.parametrize("value, code", [("100", 7), ("0", 7), ("abc", 2)])
     def test_max_states_from_environment(self, capsys, monkeypatch, value, code):
         """A bound of 0 is a bound, not the million-state default."""

@@ -96,7 +96,7 @@ def outage_sweep() -> Iterator[List[Any]]:
     for exec_duration in SWEEP_EXEC_DURATIONS:
         for length in SWEEP_LENGTHS:
             for start in SWEEP_STARTS:
-                clock, network, registry, orchestrator, server = build_pair(
+                clock, network, orchestrator, server = build_pair(
                     outages=[(start, start + length)], exec_duration=exec_duration
                 )
                 advance(clock, 1.0)
@@ -113,7 +113,7 @@ def outage_sweep() -> Iterator[List[Any]]:
                     for endpoint in (orchestrator, server)
                     for sid, session in sorted(endpoint.sessions.items())
                 }
-                yield [network.wire_log, logs, callbacks, registry.available(), server.connected]
+                yield [network.wire_log, logs, callbacks, sorted(orchestrator.available_devices()), server.connected]
 
 
 def outage_sweep_digest() -> str:
