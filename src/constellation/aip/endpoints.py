@@ -11,7 +11,8 @@ Three roles talk over the simulated network:
   task the session carried.
 - ``DeviceServerEndpoint`` — the per-device agent server: runs the agent
   FSM, issues command batches to its executor client, reports TASK_END,
-  heartbeats, and reconnects with exponential backoff after an outage.
+  heartbeats, and registers with exponential backoff, at start and after an
+  outage, until the orchestrator accepts.
 - ``DeviceClientEndpoint`` — the executor: runs command batches and
   returns results; it never originates a state transition.
 
@@ -34,9 +35,8 @@ from ..errors import SchemaViolation
 from ..model import FailureReason, TaskStar, TaskStatus
 from ..simnet.network import SimNetwork
 from ..agent.server import AgentServer, TaskRun
-from .backoff import BackoffPolicy
 from .messages import AipMessage, MessageType, decode, encode
-from .liveness import HEARTBEAT_INTERVAL, Watchdog
+from .liveness import HEARTBEAT_INTERVAL, RECONNECT_ATTEMPTS, Watchdog, reconnect_delay
 from .session import SessionState
 
 
@@ -183,7 +183,9 @@ class ConstellationEndpoint(_Endpoint):
     def _on_silence(self, agent_id: str) -> None:
         """The agent's watchdog, started at REGISTER and fed by each
         accepted HEARTBEAT, saw no beat for ``MISSED_K`` intervals: the agent
-        leaves the pool and each of its outstanding tasks ends FAILED."""
+        leaves the pool and each of its outstanding tasks ends FAILED. The
+        availability listener is not told: the engine reads the pool afresh
+        whenever it next schedules."""
         self._disconnected.add(agent_id)
         for session_id in sorted(self._outstanding):
             if self._outstanding[session_id][0].device != agent_id:
@@ -199,7 +201,6 @@ class ConstellationEndpoint(_Endpoint):
             )
             self.session(session_id).record("local", synthetic, self.clock.now, synthetic=True)
             self._on_task_end(session_id, synthetic.body)
-        self._availability_listener()
 
 
 class DeviceClientEndpoint(_Endpoint):
@@ -232,7 +233,6 @@ class DeviceClientEndpoint(_Endpoint):
 
 class DeviceServerEndpoint(_Endpoint):
     opened_by = MessageType.TASK
-    backoff = BackoffPolicy()
 
     def __init__(
         self,
@@ -267,22 +267,9 @@ class DeviceServerEndpoint(_Endpoint):
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        self._send_register()
-
-    def _send_register(self) -> None:
-        self.send(
-            self.orchestrator_address,
-            AipMessage(
-                MessageType.REGISTER,
-                {
-                    "client_id": self.agent_id,
-                    "metadata": {
-                        "service_manifest": self.manifest,
-                        "client_telemetry": self.telemetry,
-                    },
-                },
-            ),
-        )
+        """Register, and keep registering on the backoff schedule until the
+        orchestrator accepts, so a lost first REGISTER is sent again."""
+        self._register()
 
     def handle(self, src: str, msg: AipMessage) -> None:
         if msg.msg_type is MessageType.HEARTBEAT:
@@ -300,7 +287,6 @@ class DeviceServerEndpoint(_Endpoint):
             return
         self.connected = True
         self.permanently_failed = False
-        self._reconnect_attempt = 0
         if self._reconnect_timer is not None:
             self._reconnect_timer.cancel()
         self._schedule_beat()
@@ -366,18 +352,20 @@ class DeviceServerEndpoint(_Endpoint):
         # Abort ongoing work: both sides converge on FAILED statuses.
         for _, run in sorted(self.active_runs.items()):
             self.agent_server.abort(run, "connection to orchestrator lost", "AGENT_DISCONNECTED")
-        self._pending_results.clear()
         self._reconnect_attempt = 0
         self._schedule_reconnect()
 
     def _schedule_reconnect(self) -> None:
-        if self._reconnect_attempt >= self.backoff.max_attempts:
+        if self._reconnect_attempt >= RECONNECT_ATTEMPTS:
             self.permanently_failed = True
             return
-        delay = self.backoff.nominal_delay(self._reconnect_attempt)
+        delay = reconnect_delay(self._reconnect_attempt)
         self._reconnect_attempt += 1
-        self._reconnect_timer = self.clock.call_later(delay, self._attempt_reconnect)
+        self._reconnect_timer = self.clock.call_later(delay, self._register)
 
-    def _attempt_reconnect(self) -> None:
-        self._send_register()
+    def _register(self) -> None:
+        """Send REGISTER, and arm the next attempt."""
+        layers = {"service_manifest": self.manifest, "client_telemetry": self.telemetry}
+        body = {"client_id": self.agent_id, "metadata": layers}
+        self.send(self.orchestrator_address, AipMessage(MessageType.REGISTER, body))
         self._schedule_reconnect()

@@ -1,4 +1,5 @@
-"""The liveness policy and the watchdog both ends of an AIP link keep."""
+"""The liveness policy and the watchdog both ends of an AIP link keep, and
+the backoff of a device server's reconnect attempts."""
 
 from __future__ import annotations
 
@@ -11,6 +12,18 @@ from ..clock import TimerHandle, VirtualClock
 HEARTBEAT_INTERVAL = 5.0
 MISSED_K = 3
 _SILENCE = HEARTBEAT_INTERVAL * MISSED_K
+
+# A device server sends REGISTER until one is accepted: at start at once, and
+# after a disconnect first after RECONNECT_BASE seconds; each delay doubles, up
+# to RECONNECT_MAX_DELAY, and after RECONNECT_ATTEMPTS delays it gives up.
+RECONNECT_BASE = 1.0
+RECONNECT_MAX_DELAY = 30.0
+RECONNECT_ATTEMPTS = 5
+
+
+def reconnect_delay(attempt: int) -> float:
+    """The delay before reconnect attempt ``attempt`` (0-based)."""
+    return min(RECONNECT_BASE * 2.0**attempt, RECONNECT_MAX_DELAY)
 
 
 class Watchdog:

@@ -4,11 +4,11 @@ One class per failure kind. Reading an entry, a patch or an edit op raises
 ``ParseError``, ``IllegalField``, ``NotFound`` or ``DuplicateId``; every
 structural or edit-locality fault of a graph, whether it comes from a
 document, a build or a delta, is the one ``ValidationFailed`` that lists
-each violation by kind. A scenario or script file that its packaged schema
-refuses (``schema.read_document``) is a ``ParseError`` naming the JSON path.
-A protocol frame that its schema refuses, or whose message type is not one
-of the seven, is a ``SchemaViolation``, which the receiving endpoint
-answers with an ERROR frame, so no peer's frame raises out of the clock.
+each violation by kind. Every document is judged by the check compiled from
+its packaged schema (``schema.py``): a scenario or script file it refuses is
+a ``ParseError`` naming the JSON path, and a protocol frame it refuses is a
+``SchemaViolation`` naming the field, which the receiving endpoint answers
+with an ERROR frame, so no peer's frame raises out of the clock.
 What a run reports is not an exception: a dispatch to a device outside the
 pool ends its task FAILED (AGENT_DISCONNECTED), a device whose reconnect
 attempts run out is marked ``permanently_failed``, and a verdict mismatch

@@ -1,32 +1,42 @@
-"""The one reader and judge of the scenario and script files a run reads.
+"""The one judge of each kind of document the program reads: the scenario and
+script files, and every AIP frame.
 
-Their JSON Schemas, packaged under ``constellation/schemas/``, are compiled
-once, at import, into nested checks. Only the keywords these schemas use
-compile, so no schema says more than is checked. As in JSON Schema 2020-12,
-a keyword applies only to values of its own kind, booleans are not numbers
-and an integral float such as ``1.0`` is an integer.
+Each JSON Schema packaged under ``constellation/schemas/`` is compiled on
+first use, as fastjsonschema does, into the straight-line Python source of one
+check, ``exec``-ed once: no call per value visited. Only the keywords those
+schemas use compile, so no schema says more than is checked: ``type`` (a name
+or a list), ``enum`` and ``const`` (of strings), ``minLength``, ``pattern``,
+``minimum``, ``exclusiveMinimum``, ``properties``, ``required``,
+``additionalProperties``, ``items``, ``minItems``, ``maxItems``, ``allOf``,
+``if``/``then`` and ``$ref`` into ``$defs``. As in JSON Schema 2020-12, a
+keyword applies only to values of its own kind, booleans are not numbers and
+an integral float such as ``1.0`` is an integer. A check refuses at the first
+fault: of an object, its fields in the schema's order, then unknown fields,
+then what ``$ref``, ``allOf`` and ``if``/``then`` add.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Dict, Tuple, Union
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 from .errors import ParseError
 
 SCHEMAS_DIR = Path(__file__).resolve().parent / "schemas"
 
-# A check raises ``ValueError``, naming the JSON path, for a value its schema refuses.
-Check = Callable[[Any, Tuple[Union[str, int], ...]], None]
-_KEYWORDS = {"$schema", "$id", "title", "type", "enum", "minimum", "exclusiveMinimum", "properties",
-             "required", "additionalProperties", "items", "minItems", "maxItems"}
-
-
-# The Python types of each JSON type's values; a number or integer is never a
+_KEYWORDS = {"$schema", "$id", "$defs", "$ref", "title", "type", "enum", "const", "minLength", "pattern",
+             "minimum", "exclusiveMinimum", "properties", "required", "additionalProperties", "items",
+             "minItems", "maxItems", "allOf", "if", "then"}
+# Each JSON type's test of a value ``{v}``: a number or integer is never a
 # ``bool``, and an integer that is a float is integral.
-_JSON_TYPES: Dict[str, Union[type, Tuple[type, ...]]] = {
-    "object": dict, "array": list, "string": str, "boolean": bool, "number": (int, float), "integer": (int, float),
+_TESTS = {
+    "object": "isinstance({v}, dict)", "array": "isinstance({v}, list)", "string": "isinstance({v}, str)",
+    "boolean": "isinstance({v}, bool)", "null": "{v} is None",
+    "number": "isinstance({v}, (int, float)) and {v}.__class__ is not bool",
+    "integer": "(isinstance({v}, int) and {v}.__class__ is not bool or isinstance({v}, float) and {v}.is_integer())",
 }
 
 
@@ -34,68 +44,159 @@ def _where(path: Tuple[Union[str, int], ...]) -> str:
     return ".".join(map(str, path)) or "the document"
 
 
-def compile_schema(schema: Dict[str, Any]) -> Check:
-    """One check that refuses what ``schema`` refuses. Raises ``ValueError``
-    for a keyword this module does not know."""
-    unknown = schema.keys() - _KEYWORDS
-    if unknown:
-        raise ValueError(f"unknown schema keyword(s) {', '.join(sorted(unknown))}")
-    kind = schema.get("type")
-    types = _JSON_TYPES[kind] if kind is not None else object
-    numeric, integral = kind in ("number", "integer"), kind == "integer"
-    article = "an" if kind in ("object", "array", "integer") else "a"
-    enum = schema.get("enum")
-    if enum is not None and not all(isinstance(option, str) for option in enum):
-        raise ValueError("enum values must be strings")  # ``==`` would match true to 1
-    minimum, above = schema.get("minimum"), schema.get("exclusiveMinimum")
-    bounded = minimum is not None or above is not None
-    properties = {name: compile_schema(sub) for name, sub in schema.get("properties", {}).items()}
-    required = schema.get("required", ())
-    additional = schema.get("additionalProperties", True)
-    others = None if isinstance(additional, bool) else compile_schema(additional)
-    is_object = bool(schema.keys() & {"properties", "required", "additionalProperties"})
-    items = compile_schema(schema["items"]) if "items" in schema else None
-    fewest, most = schema.get("minItems", 0), schema.get("maxItems")
-    is_array = bool(schema.keys() & {"items", "minItems", "maxItems"})
-    span = f"at least {fewest}" if most is None else f"{fewest} to {most}"
+class Refusal(ValueError):
+    """What a check raises: the JSON ``path`` of the value its schema refuses,
+    and the ``reason``. Its text names the path."""
 
-    def check(value: Any, path: Tuple[Union[str, int], ...]) -> None:
-        if not isinstance(value, types) or numeric and (
-            value.__class__ is bool or integral and isinstance(value, float) and not value.is_integer()
-        ):
-            raise ValueError(f"{_where(path)} must be {article} {kind}, got {value!r}")
-        if enum is not None and value not in enum:
-            raise ValueError(f"{_where(path)} must be one of {', '.join(enum)}, got {value!r}")
-        if bounded and isinstance(value, (int, float)) and value.__class__ is not bool:
-            if minimum is not None and value < minimum:
-                raise ValueError(f"{_where(path)} must be >= {minimum}, got {value!r}")
-            if above is not None and value <= above:
-                raise ValueError(f"{_where(path)} must be > {above}, got {value!r}")
-        if is_object and isinstance(value, dict):
-            for name in required:
-                if name not in value:
-                    raise ValueError(f"{_where(path + (name,))} is required")
-            if additional is False and not value.keys() <= properties.keys():
-                unknown = sorted(value.keys() - properties.keys())
-                raise ValueError(f"unknown field(s) {', '.join(_where(path + (n,)) for n in unknown)}")
-            for name, item in value.items():
-                check_item = properties.get(name, others)
-                if check_item is not None:
-                    check_item(item, path + (name,))
-        elif is_array and isinstance(value, list):
-            if len(value) < fewest or most is not None and len(value) > most:
-                raise ValueError(f"{_where(path)} must have {span} items, got {len(value)}")
-            if items is not None:
-                for index, item in enumerate(value):
-                    items(item, path + (index,))
-
-    return check
+    def __init__(self, path: Tuple[Union[str, int], ...], reason: str, *got: Any, text: str = ""):
+        reason += "".join(f", got {value!r}" for value in got)
+        super().__init__(text or f"{_where(path)} {reason}")
+        self.path, self.reason = path, reason
 
 
-_CHECKS: Dict[str, Check] = {
-    kind: compile_schema(json.loads((SCHEMAS_DIR / f"{kind}.schema.json").read_text(encoding="utf-8")))
-    for kind in ("scenario", "planner_script", "reasoner_script", "executor_table")
-}
+def _unknown(path: Tuple[Union[str, int], ...], value: Dict[str, Any], known: frozenset) -> Refusal:
+    fields = f"unknown field(s) {', '.join(_where(path + (name,)) for name in sorted(value.keys() - known))}"
+    return Refusal(path, fields, text=fields)
+
+
+def _checked(keys: Any, known: Any, where: str = "") -> None:
+    if keys - known:
+        raise ValueError(f"unknown schema keyword(s) {', '.join(sorted(keys - known))}{where}")
+
+
+def _strings(values: List[Any], keyword: str) -> List[str]:
+    if all(isinstance(value, str) for value in values):
+        return values
+    raise ValueError(f"{keyword} values must be strings")  # ``==`` would match true to 1
+
+
+class _Source:
+    """The statements of one schema's check, and the values they name. A
+    check of an object reads each of its fields into a variable; a field that
+    is required and checked is ``bound``, name to variable and JSON types, for
+    the keywords that judge the object again (``$ref``, ``allOf``, ``if``)."""
+
+    def __init__(self, root: Dict[str, Any]):
+        self.root, self.names = root, {"Refusal": Refusal, "_unknown": _unknown}
+
+    def name(self, prefix: str, value: Any = None) -> str:  # of ``value``, or of a variable
+        name = f"{prefix}{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def block(self, schema: Dict[str, Any], v: str, path: Tuple[str, ...], known=(), bound=None) -> List[str]:
+        """What raises ``Refusal`` if ``schema`` refuses the value ``v``,
+        known to be of the JSON types ``known``, at ``path`` (source terms)."""
+        _checked(schema.keys(), _KEYWORDS)
+        kinds = schema.get("type", known)
+        kinds, bound, lines = [kinds] if isinstance(kinds, str) else list(kinds), dict(bound or {}), []
+
+        def fail(reason: str, got: str = "", at: Tuple[str, ...] = path) -> str:
+            return f"    raise Refusal(({''.join(term + ', ' for term in at)}), {reason!r}{', ' + got if got else ''})"
+
+        def of_kind(kind: str, body: List[str]) -> List[str]:
+            """``body``, run for a value of the JSON type ``kind`` only."""
+            if not body or kinds and set(kinds) <= {kind, "integer" if kind == "number" else kind}:
+                return body
+            return [f"if {_TESTS[kind].format(v=v)}:", *("    " + line for line in body)]
+
+        if "type" in schema:
+            said = " or ".join(f"{'an' if kind in ('object', 'array', 'integer') else 'a'} {kind}" for kind in kinds)
+            lines += [f"if not ({' or '.join(_TESTS[kind].format(v=v) for kind in kinds)}):", fail(f"must be {said}", v)]
+        for keyword, options in (("const", [schema.get("const")]), ("enum", schema.get("enum"))):
+            if keyword in schema:
+                said = ", ".join(_strings(options, keyword))
+                said = f"one of {said}" if keyword == "enum" else said
+                allowed = self.name("options", frozenset(options))
+                lines += [f"if not (isinstance({v}, str) and {v} in {allowed}):", fail(f"must be {said}", v)]
+        text = []
+        if "minLength" in schema:
+            text += [f"if len({v}) < {schema['minLength']}:", fail(f"must have at least {schema['minLength']} character(s)", v)]
+        if "pattern" in schema:
+            regex = self.name("pattern", re.compile(schema["pattern"]))
+            text += [f"if {regex}.search({v}) is None:", fail(f"must match {schema['pattern']!r}", v)]
+        lines += of_kind("string", text)
+        numeric = []
+        for keyword, op, said in (("minimum", "<", ">="), ("exclusiveMinimum", "<=", ">")):
+            if keyword in schema:
+                numeric += [f"if {v} {op} {schema[keyword]!r}:", fail(f"must be {said} {schema[keyword]}", v)]
+        lines += of_kind("number", numeric)
+
+        fields, properties, required = [], schema.get("properties", {}), schema.get("required", ())
+        for name in [*properties, *(name for name in required if name not in properties)]:
+            sub, at = properties.get(name, {}), path + (repr(name),)
+            if name in bound:
+                fields += self.block(sub, bound[name][0], at, bound[name][1])
+                continue
+            item = self.name("v")
+            check = self.block(sub, item, at)
+            fields += [f"if {name!r} in {v}:", f"    {item} = {v}[{name!r}]", *("    " + line for line in check)] if check else []
+            if name in required:
+                fields += ["else:" if check else f"if {name!r} not in {v}:", fail("is required", at=at)]
+                if check and kinds == ["object"]:
+                    bound[name] = (item, sub.get("type", ()))
+        additional = schema.get("additionalProperties", True)
+        names = self.name("names", frozenset(properties))
+        if additional is False:
+            fields += [f"if not {v}.keys() <= {names}:", f"    raise _unknown(({''.join(t + ', ' for t in path)}), {v}, {names})"]
+        elif additional is not True:
+            key, item = self.name("k"), self.name("v")
+            check = self.block(additional, item, path + (key,))
+            fields += [f"for {key}, {item} in {v}.items():", f"    if {key} not in {names}:", *("        " + line for line in check)]
+        lines += of_kind("object", fields)
+
+        items = []
+        if schema.keys() & {"minItems", "maxItems"}:
+            fewest, most = schema.get("minItems", 0), schema.get("maxItems")
+            span, too_many = (f"at least {fewest}", "") if most is None else (f"{fewest} to {most}", f" or len({v}) > {most}")
+            items += [f"if len({v}) < {fewest}{too_many}:", fail(f"must have {span} items", f"len({v})")]
+        if "items" in schema:
+            index, item = self.name("i"), self.name("v")
+            check = self.block(schema["items"], item, path + (index,))
+            items += [f"for {index}, {item} in enumerate({v}):", *("    " + line for line in check)] if check else []
+        lines += of_kind("array", items)
+
+        # What follows judges the same value again, of the types now known.
+        if "$ref" in schema:
+            if not schema["$ref"].startswith("#/$defs/"):
+                raise ValueError(f"$ref {schema['$ref']} does not point into $defs")
+            lines += self.block(self.root["$defs"][schema["$ref"][len("#/$defs/"):]], v, path, kinds, bound)
+        for sub in schema.get("allOf", ()):
+            lines += self.block(sub, v, path, kinds, bound)
+        if "if" in schema:
+            test, then = self.test(schema["if"], v, kinds, bound), self.block(schema.get("then", {}), v, path, kinds, bound)
+            lines += [f"if {test}:", *("    " + line for line in then)] if then else []
+        return lines
+
+    def test(self, schema: Dict[str, Any], v: str, kinds: List[str], bound: Dict[str, Any]) -> str:
+        """An expression, true where the ``if`` schema ``schema`` accepts the
+        value ``v``: an ``if`` may only test properties against a ``const``."""
+        _checked(schema.keys(), {"properties"}, " in an if")
+        terms = []
+        for name, sub in schema["properties"].items():
+            _checked(sub.keys(), {"const"}, " in an if")
+            const = _strings([sub["const"]], "const")[0]
+            if name in bound:
+                terms.append(f"{bound[name][0]} == {const!r}")
+            else:  # true, as the keyword is, where ``v`` is not an object or lacks the field
+                term = f"{v}.get({name!r}, {const!r}) == {const!r}"
+                terms.append(term if kinds == ["object"] else f"(not isinstance({v}, dict) or {term})")
+        return " and ".join(terms) or "True"
+
+
+def compile_schema(schema: Dict[str, Any]) -> Callable[[Any], None]:
+    """One check that refuses what ``schema`` refuses, raising ``Refusal``.
+    Raises ``ValueError`` for a keyword this module does not know."""
+    source = _Source(schema)
+    body = source.block(schema, "v", ())
+    exec("\n".join(["def check(v):", *("    " + line for line in body), "    pass"]), source.names)
+    return source.names["check"]
+
+
+@lru_cache(maxsize=None)
+def check_of(kind: str) -> Callable[[Any], None]:
+    """The check of ``schemas/<kind>.schema.json``, compiled at first use."""
+    return compile_schema(json.loads((SCHEMAS_DIR / f"{kind}.schema.json").read_text(encoding="utf-8")))
 
 
 def read_document(source: Union[str, Path, Dict[str, Any]], kind: str) -> Dict[str, Any]:
@@ -113,7 +214,7 @@ def read_document(source: Union[str, Path, Dict[str, Any]], kind: str) -> Dict[s
     if not isinstance(doc, dict):
         raise ParseError(f"cannot load {what} {source}: expected a JSON object, got {type(doc).__name__}")
     try:
-        _CHECKS[kind](doc, ())
-    except ValueError as exc:
+        check_of(kind)(doc)
+    except Refusal as exc:
         raise ParseError(f"bad {what} {'document' if doc is source else source}: {exc}") from exc
     return doc

@@ -652,6 +652,38 @@ class TestPlannerFsm:
         assert report.lock_trace[-1]["action"] == "release"
 
 
+class TestPlannerFailures:
+    """A planner that raises, or a delta whose commit raises other than a
+    ``ConstellationError``, aborts the run FAILED with the error reported,
+    and the lock is released."""
+
+    def assert_aborted(self, report, error):
+        assert report.outcome is RunOutcome.FAILED
+        assert report.error == error
+        assert report.lock_trace[-1]["action"] == "release"
+
+    def test_a_planner_that_raises_aborts_the_run(self):
+        class Raises(NoopPlanner):
+            def edit(self, planner_input):
+                raise RuntimeError("model unreachable")
+
+        self.assert_aborted(run_fig4(planner=Raises()), "planner error: model unreachable")
+
+    def test_a_delta_whose_commit_raises_aborts_the_run(self, monkeypatch):
+        import constellation.engine
+
+        class AddsOne(Planner):
+            def edit(self, planner_input):
+                delta = EditDelta([AddTask({"id": "F", "device": "d"})])
+                return PlannerOutput(observation="", thought="", next_state=PlannerState.CONTINUE, delta=delta)
+
+        def apply_delta(constellation, delta):
+            raise RuntimeError("store full")
+
+        monkeypatch.setattr(constellation.engine, "apply_delta", apply_delta)
+        self.assert_aborted(run_fig4(planner=AddsOne()), "planner delta failed: store full")
+
+
 class TestRejectedDelta:
     def script_with_cycle_then(self, second_entry):
         return {

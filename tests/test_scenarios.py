@@ -5,6 +5,7 @@ import ast
 import copy
 import importlib.resources
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -156,6 +157,24 @@ class TestHarness:
         owner[name] = 5.0
         field = ".".join((*path, name))
         with pytest.raises(ParseError, match=rf"bad scenario document: unknown field\(s\) {field}$"):
+            run_scenario(doc, seed=0)
+
+    @pytest.mark.parametrize(
+        "layer, value, message",
+        [
+            ("manifest", {"os": 3}, "devices.linux2.manifest.os must be a string, got 3"),
+            ("telemetry", {"capabilities": "cli"}, "devices.linux2.telemetry.capabilities must be an array, got 'cli'"),
+            ("manifest", ["Ubuntu"], "devices.linux2.manifest must be an object or a null, got ['Ubuntu']"),
+        ],
+        ids=["manifest os", "telemetry capabilities", "manifest list"],
+    )
+    def test_an_ill_typed_profile_layer_is_a_parse_error(self, layer, value, message):
+        """A device's manifest and telemetry have the shape a REGISTER's
+        profile layers have, so the device they would keep out of the pool
+        is refused when the scenario is loaded."""
+        doc = load_scenario(1)
+        doc["devices"]["linux2"][layer] = value
+        with pytest.raises(ParseError, match=f"bad scenario document: {re.escape(message)}$"):
             run_scenario(doc, seed=0)
 
     def test_run_leaves_the_callers_document_unchanged(self):

@@ -55,16 +55,32 @@ def test_compiled_schema_agrees_with_jsonschema(kind):
 @pytest.mark.parametrize(
     "schema",
     [
-        {"type": "string", "minLength": 1},
+        {"type": "string", "maxLength": 1},
         {"type": "object", "propertyNames": {"enum": ["a"]}},
         {"type": "array", "prefixItems": [{"type": "number"}]},
-        {"properties": {"a": {"const": 1}}},
-        {"items": {"allOf": []}},
-        {"additionalProperties": {"$ref": "#/$defs/a"}},
+        {"properties": {"a": {"not": {"const": "b"}}}},
+        {"items": {"anyOf": []}},
+        {"additionalProperties": {"$dynamicRef": "#a"}},
+        {"allOf": [{"if": {"required": ["a"]}, "then": {}}]},
+        {"if": {"properties": {"a": {"type": "string"}}}, "then": {"required": ["a"]}},
+        {"if": {"const": "a"}, "then": {"required": ["b"]}, "else": {}},
     ],
 )
 def test_compiler_refuses_a_keyword_it_does_not_know(schema):
     with pytest.raises(ValueError, match="unknown schema keyword"):
+        compile_schema(schema)
+
+
+@pytest.mark.parametrize(
+    "schema, message",
+    [
+        ({"properties": {"a": {"const": 1}}}, "const values must be strings"),
+        ({"enum": ["a", True]}, "enum values must be strings"),
+        ({"$ref": "other.schema.json#/$defs/a"}, "does not point into \\$defs"),
+    ],
+)
+def test_compiler_refuses_what_it_cannot_check(schema, message):
+    with pytest.raises(ValueError, match=message):
         compile_schema(schema)
 
 
