@@ -2,15 +2,16 @@
 
 A delta is an ordered list of edit ops applied to a clone of the pre-state.
 The clone shares the pre-state's immutable records, and an op replaces the
-records it changes, so the pre-state is never touched. The ops only parse
-and mutate, so a delta is judged on its result: the post-state is checked
+records it changes, so the pre-state is never touched. An op only has its
+spec, patch or config judged by the check of the constellation schema, and
+mutates, so a delta is judged on its result: the post-state is checked
 once, for structure and for edit locality (no non-PENDING task changed),
 together with any id a build op's config repeats. The check reads the
 post-state's change record: one holding every task, as a build op's does,
 is judged by one ``validate`` call, a linear pass, and any other by the
 region downstream of its edges, ``validate`` listing a fault found there.
 Either the delta passes, commits with its readiness recounted and the
-version risen by exactly one, or one error propagates: the op's parse or
+version risen by exactly one, or one error propagates: the op's refusal or
 lookup error, or one ``ValidationFailed`` listing every violation.
 """
 
@@ -68,7 +69,6 @@ EditOp = Any  # one of the dataclasses above
 @dataclass
 class EditDelta:
     ops: List[EditOp] = field(default_factory=list)
-    provenance: str = ""
 
     def __bool__(self) -> bool:
         return bool(self.ops)
@@ -216,20 +216,11 @@ _OPS = {
 
 
 def op_from_doc(doc: Dict[str, Any]) -> EditOp:
-    try:
-        name = doc["op"]
-        op = _OPS[name]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad edit op document: {doc!r}") from exc
-    names = [f.name for f in fields(op)]
-    unknown = sorted(set(doc) - {"op", *names})
-    if unknown:
-        raise ParseError(f"edit op {name!r} has unknown field(s) {', '.join(unknown)}")
-    try:
-        return op(*(doc[n] for n in names))
-    except KeyError as exc:
-        raise ParseError(f"edit op {name!r} missing field {exc}") from exc
+    """The op of an op document that ``schemas/planner_script.schema.json``
+    accepts: its ``op`` names the op, and it carries that op's fields."""
+    op = _OPS[doc["op"]]
+    return op(*(doc[f.name] for f in fields(op)))
 
 
-def delta_from_doc(docs: List[Dict[str, Any]], provenance: str = "") -> EditDelta:
-    return EditDelta([op_from_doc(d) for d in docs], provenance=provenance)
+def delta_from_doc(docs: List[Dict[str, Any]]) -> EditDelta:
+    return EditDelta([op_from_doc(d) for d in docs])

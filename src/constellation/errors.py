@@ -6,7 +6,9 @@ structural or edit-locality fault of a graph, whether it comes from a
 document, a build or a delta, is the one ``ValidationFailed`` that lists
 each violation by kind. Every document is judged by the check compiled from
 its packaged schema (``schema.py``): a scenario or script file it refuses is
-a ``ParseError`` naming the JSON path, and a protocol frame it refuses is a
+a ``ParseError`` naming the JSON path; so is a constellation document, build
+config, entry or patch, except that a field an entry or a patch may not
+carry is an ``IllegalField``; and a protocol frame it refuses is a
 ``SchemaViolation`` naming the field, which the receiving endpoint answers
 with an ERROR frame, so no peer's frame raises out of the clock.
 What a run reports is not an exception: a dispatch to a device outside the
@@ -31,7 +33,8 @@ class NotFound(ConstellationError):
 
 
 class IllegalField(ConstellationError):
-    """Raised when a patch touches a field the editor may not change."""
+    """A field that an entry or a patch may not carry, such as an
+    engine-owned ``status`` on a created task or an ``id`` in a patch."""
 
 
 class ValidationFailed(ConstellationError):

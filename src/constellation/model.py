@@ -1,17 +1,20 @@
 """Mutable dependency-DAG of tasks: the data model the whole engine runs on.
 
 A constellation holds tasks keyed by id and directed dependency edges keyed
-by id. Task and dependency entries (the format of
-``schemas/constellation.schema.json``) are read by one parser each,
-``task_from_entry`` and ``edge_from_entry``; a malformed entry raises
-``ParseError`` and a field the entry may not carry raises ``IllegalField``,
-whichever path reads it. Whole graphs (``serial.from_document`` and
-``edits.build_constellation``) are made by ``from_entries``: insert every
-entry, then judge the whole graph with one ``validate`` call. After that the
-structure changes only through ``edits.apply_delta``, which runs the raw
-``_...`` ops below on a working copy, checks the result once and bumps the
-version once per commit; the engine moves task statuses with
-``transition``. The raw ops only parse and mutate: they raise ``NotFound``,
+by id. One judge decides the shape of every document, build config, entry
+and patch: the check compiled from ``schemas/constellation.schema.json``, of
+the whole document or of one of its ``$defs``. A field that an entry or a
+patch may not carry raises ``IllegalField``, and any other refusal
+``ParseError``, naming the JSON path, whichever path reads it. Judged
+entries become records through ``task_from_entry`` and ``edge_from_entry``,
+which only construct and fill the defaults. Whole graphs
+(``serial.from_document`` and ``edits.build_constellation``) are made by
+``from_entries``: judge the document, insert every entry, then judge the
+whole graph with one ``validate`` call. After that the structure changes
+only through ``edits.apply_delta``, which runs the raw ``_...`` ops below on
+a working copy, checks the result once and bumps the version once per
+commit; the engine moves task statuses with ``transition``. The raw ops only
+judge their spec or patch and mutate: they raise ``NotFound``,
 ``DuplicateId``, ``ParseError`` and ``IllegalField``, and leave cycles,
 dangling or parallel edges and edits of non-PENDING tasks to the one check
 of the result.
@@ -59,7 +62,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, NoReturn, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import (
     DuplicateId,
@@ -69,6 +72,7 @@ from .errors import (
     ParseError,
     ValidationFailed,
 )
+from .schema import Refusal, UnknownFields, check_of
 
 
 class TaskStatus(Enum):
@@ -109,14 +113,11 @@ class DependencyKind(Enum):
 
 @dataclass(frozen=True)
 class DependencyType:
+    """An edge's kind, and the condition a CONDITIONAL edge names; the schema
+    refuses any other pairing."""
+
     kind: DependencyKind
     condition_id: Optional[str] = None
-
-    def __post_init__(self):
-        if self.kind is DependencyKind.CONDITIONAL and not self.condition_id:
-            raise ValueError("CONDITIONAL dependency requires a condition_id")
-        if self.kind is not DependencyKind.CONDITIONAL and self.condition_id:
-            raise ValueError("condition_id only valid on CONDITIONAL dependencies")
 
 
 # The type of every UNCONDITIONAL edge: records are frozen, so one is shared.
@@ -125,17 +126,6 @@ UNCONDITIONAL = DependencyType(DependencyKind.UNCONDITIONAL)
 # Named predicates a CONDITIONAL edge may use, evaluated over the upstream
 # task's result; an edge naming any other is a validation violation.
 CONDITIONS: Dict[str, Callable[[Any], bool]] = {"always": lambda _result: True}
-
-# Fields an editor may patch on a task; status/result are engine-owned.
-EDITABLE_TASK_FIELDS = ("name", "description", "device", "tips")
-EDITABLE_EDGE_FIELDS = ("dep_type", "condition_id", "description")
-# Task fields only a document may carry: the engine-owned ones, and the
-# `dependencies` list derived from the edges (read back, never trusted).
-_DOCUMENT_TASK_FIELDS = ("status", "result", "failure_reason", "dependencies")
-# The keys each kind of entry may carry.
-_CREATED_TASK_KEYS = frozenset(("id", *EDITABLE_TASK_FIELDS))
-_DOCUMENT_TASK_KEYS = _CREATED_TASK_KEYS.union(_DOCUMENT_TASK_FIELDS)
-_EDGE_KEYS = frozenset(("id", "from_task", "to_task", *EDITABLE_EDGE_FIELDS))
 
 
 class TaskStar(NamedTuple):
@@ -227,7 +217,8 @@ class TaskConstellation:
 
     def _add_task(self, spec: Dict[str, Any]) -> None:
         self._own()
-        task = task_from_entry(spec, created=True)
+        _judge(spec, "created_task", "task spec")
+        task = task_from_entry(spec)
         if task.id in self.tasks:
             raise DuplicateId(f"task id {task.id!r} already present")
         self.tasks[task.id] = task
@@ -245,13 +236,14 @@ class TaskConstellation:
     def _update_task(self, task_id: str, patch: Dict[str, Any]) -> None:
         self._own()
         task = self.task(task_id)
-        _check_patch(patch, EDITABLE_TASK_FIELDS, f"task {task_id!r}")
-        parsed = task_from_entry({"device": task.device, **patch, "id": task_id}, created=True)
+        _judge(patch, "task_patch", f"patch of task {task_id!r}")
+        parsed = task_from_entry({"device": task.device, **patch, "id": task_id})
         self.tasks[task_id] = task._replace(**{key: getattr(parsed, key) for key in patch})
         self._touch(task_id)
 
     def _add_dependency(self, spec: Dict[str, Any]) -> None:
         self._own()
+        _judge(spec, "dependency", "dependency spec")
         edge = edge_from_entry(spec)
         if edge.id in self.edges:
             raise DuplicateId(f"dependency id {edge.id!r} already present")
@@ -276,15 +268,19 @@ class TaskConstellation:
     def _update_dependency(self, edge_id: str, patch: Dict[str, Any]) -> None:
         self._own()
         edge = self.edge(edge_id)
-        _check_patch(patch, EDITABLE_EDGE_FIELDS, f"dependency {edge_id!r}")
+        what = f"patch of dependency {edge_id!r}"
+        _judge(patch, "dependency_patch", what)
         # A patch naming dep_type replaces the whole type, condition included;
         # one naming condition_id alone changes the current type's condition.
-        current = {"description": edge.description}
+        # The patched entry is judged as a dependency.
+        entry = {"id": edge_id, "from_task": edge.from_task, "to_task": edge.to_task, "description": edge.description}
         if "dep_type" not in patch:
-            current.update(dep_type=edge.dep_type.kind.value, condition_id=edge.dep_type.condition_id)
-        self.edges[edge_id] = edge_from_entry(
-            {**current, **patch, "id": edge_id, "from_task": edge.from_task, "to_task": edge.to_task}
-        )
+            entry["dep_type"] = edge.dep_type.kind.value
+            if edge.dep_type.condition_id is not None:
+                entry["condition_id"] = edge.dep_type.condition_id
+        entry.update(patch)
+        _judge(entry, "dependency", what)
+        self.edges[edge_id] = edge_from_entry(entry)
         self._touch(edge.to_task, edge_id)
 
     # -- engine-owned status transitions ---------------------------------
@@ -542,86 +538,46 @@ def unrecovered_failures(constellation: TaskConstellation) -> List[TaskStar]:
     ]
 
 
-def task_from_entry(entry: Dict[str, Any], created: bool) -> TaskStar:
-    """Parse one task entry: a document's, or with ``created`` an ``AddTask``
-    spec or build-config entry, which may not carry _DOCUMENT_TASK_FIELDS."""
-    task_id = _entry_id(entry, "task", _CREATED_TASK_KEYS if created else _DOCUMENT_TASK_KEYS)
-    if "device" not in entry:
-        raise ParseError(f"task {task_id!r} requires a device")
-    tips = entry.get("tips", [])
-    if not isinstance(tips, list) or not all(isinstance(tip, str) for tip in tips):
-        raise ParseError(f"task {task_id!r}: tips must be a list of strings, not {tips!r}")
-    name, description, device = entry.get("name", task_id), entry.get("description", ""), entry["device"]
-    if not (isinstance(name, str) and isinstance(description, str) and isinstance(device, str)):
-        _raise_non_text(task_id, name=name, description=description, device=device)
+def _judge(value: Any, shape: str, what: str) -> None:
+    """Refuse ``value`` unless the check of ``shape``, a ``$defs`` entry of
+    ``schemas/constellation.schema.json`` or its root (a document) where
+    ``shape`` is empty, accepts it: with ``IllegalField`` for a field that an
+    entry or a patch may not carry, else with ``ParseError``, whose text
+    names the JSON path. A document's or a build config's own unknown field
+    is not an entry's."""
     try:
-        status = TaskStatus(entry["status"]) if "status" in entry else TaskStatus.PENDING
-        reason = entry.get("failure_reason")
-        failure_reason = None if reason is None else FailureReason(reason)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad task entry {task_id!r}: {exc}") from exc
-    return TaskStar(task_id, device, name, description, tuple(tips), status, entry.get("result"), failure_reason)
+        check_of("constellation", shape)(value)
+    except Refusal as exc:
+        illegal = isinstance(exc, UnknownFields) and (exc.path or shape not in ("", "build_config"))
+        raise (IllegalField if illegal else ParseError)(f"bad {what}: {exc}") from None
+
+
+def task_from_entry(entry: Dict[str, Any]) -> TaskStar:
+    """The record of a judged task entry: a document's, an ``AddTask`` spec
+    or a build-config entry. Its name defaults to its id."""
+    task_id, status, reason = entry["id"], entry.get("status"), entry.get("failure_reason")
+    return TaskStar(
+        task_id, entry["device"], entry.get("name", task_id), entry.get("description", ""),
+        tuple(entry.get("tips", ())), TaskStatus.PENDING if status is None else TaskStatus(status),
+        entry.get("result"), None if reason is None else FailureReason(reason),
+    )
 
 
 def edge_from_entry(entry: Dict[str, Any]) -> TaskStarLine:
-    """Parse one dependency entry, of a document, a build config or an
-    ``AddDependency`` spec alike."""
-    edge_id = _entry_id(entry, "dependency", _EDGE_KEYS)
-    from_task, to_task = entry.get("from_task"), entry.get("to_task")
-    if not (isinstance(from_task, str) and from_task and isinstance(to_task, str) and to_task):
-        endpoint = "to_task" if isinstance(from_task, str) and from_task else "from_task"
-        raise ParseError(f"dependency {edge_id!r} requires a non-empty {endpoint}")
-    dep_type = _dep_type(entry.get("dep_type", "UNCONDITIONAL"), entry.get("condition_id"))
-    description = entry.get("description", "")
-    if not isinstance(description, str):
-        _raise_non_text(edge_id, description=description)
-    return TaskStarLine(edge_id, from_task, to_task, dep_type, description)
-
-
-def _entry_id(entry: Any, what: str, allowed: FrozenSet[str]) -> str:
-    """Check an entry's shape and field names; return its id."""
-    if not isinstance(entry, dict):
-        raise ParseError(f"{what} entry must be an object, not {entry!r}")
-    if not allowed.issuperset(entry):
-        illegal = sorted(map(str, set(entry) - allowed))
-        raise IllegalField(f"{what} entry cannot carry {', '.join(illegal)}")
-    if not isinstance(entry.get("id"), str) or not entry["id"]:
-        raise ParseError(f"{what} entry requires a non-empty id")
-    return entry["id"]
-
-
-def _check_patch(patch: Any, editable: Tuple[str, ...], what: str) -> None:
-    if not isinstance(patch, dict):
-        raise ParseError(f"patch of {what} must be an object, not {patch!r}")
-    illegal = sorted(map(str, set(patch) - set(editable)))
-    if illegal:
-        raise IllegalField(f"cannot patch {', '.join(illegal)} on {what}")
-
-
-def _raise_non_text(entry_id: str, **values: Any) -> NoReturn:
-    """Raise ``ParseError`` for the first of ``values`` that is not a string."""
-    key, value = next((key, value) for key, value in values.items() if not isinstance(value, str))
-    raise ParseError(f"entry {entry_id!r}: {key} must be a string, not {value!r}")
-
-
-def _dep_type(kind: Any, condition_id: Any = None) -> DependencyType:
-    if kind == "UNCONDITIONAL" and condition_id is None:
-        return UNCONDITIONAL
-    if condition_id is not None and not isinstance(condition_id, str):
-        raise ParseError(f"condition_id must be a string, not {condition_id!r}")
-    try:
-        return DependencyType(DependencyKind(kind), condition_id)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad dep_type {kind!r}: {exc}") from exc
+    """The record of a judged dependency entry, of a document, a build config
+    or an ``AddDependency`` spec alike. Its type defaults to UNCONDITIONAL."""
+    kind = entry.get("dep_type", "UNCONDITIONAL")
+    dep_type = UNCONDITIONAL if kind == "UNCONDITIONAL" else DependencyType(DependencyKind(kind), entry.get("condition_id"))
+    return TaskStarLine(entry["id"], entry["from_task"], entry["to_task"], dep_type, entry.get("description", ""))
 
 
 def from_entries(doc: Dict[str, Any], created: bool) -> TaskConstellation:
     """Build a graph from a document or build config in one pass.
 
-    Every entry is parsed and inserted first; a malformed one raises at
-    once. The graph is then judged by one ``validate`` call, a linear pass,
-    and repeated ids and its violations are raised together as one
-    ``ValidationFailed``. A valid graph has its readiness counted before it
+    The document is judged and every entry inserted first; a malformed
+    document raises at once. The graph is then judged by one ``validate``
+    call, a linear pass, and repeated ids and its violations are raised
+    together as one ``ValidationFailed``. A valid graph has its readiness counted before it
     is returned.
     """
     constellation, violations = insert_entries(doc, created)
@@ -635,26 +591,21 @@ def from_entries(doc: Dict[str, Any], created: bool) -> TaskConstellation:
 def insert_entries(
     doc: Dict[str, Any], created: bool
 ) -> Tuple[TaskConstellation, List[Violation]]:
-    """Parse and insert every entry of a document or build config, without
-    validating the result; a malformed entry raises at once. Returns the
-    graph, whose change record holds every inserted record, and a
-    ``DuplicateId`` violation per repeated id (the first entry is kept),
-    which the graph itself no longer shows."""
-    if not isinstance(doc, dict):
-        raise ParseError("a constellation must be a JSON object")
-    request = doc.get("request", "")
-    tasks, edges = doc.get("tasks", []), doc.get("dependencies", [])
-    if not isinstance(request, str) or not isinstance(tasks, list) or not isinstance(edges, list):
-        raise ParseError("a constellation needs a string request and lists of tasks and dependencies")
-    constellation = TaskConstellation(request)
+    """Judge a document, or with ``created`` a build config, and insert every
+    entry, without validating the result. Returns the graph, whose change
+    record holds every inserted record, and a ``DuplicateId`` violation per
+    repeated id (the first entry is kept), which the graph itself no longer
+    shows."""
+    _judge(doc, "build_config" if created else "", "build config" if created else "constellation document")
+    constellation = TaskConstellation(doc.get("request", ""))
     violations: List[Violation] = []
-    for entry in tasks:
-        task = task_from_entry(entry, created)
+    for entry in doc.get("tasks", ()):
+        task = task_from_entry(entry)
         if task.id in constellation.tasks:
             violations.append(Violation("DuplicateId", f"task id {task.id!r} appears twice"))
         else:
             constellation.tasks[task.id] = task
-    for entry in edges:
+    for entry in doc.get("dependencies", ()):
         edge = edge_from_entry(entry)
         if edge.id in constellation.edges:
             violations.append(Violation("DuplicateId", f"dependency id {edge.id!r} appears twice"))

@@ -17,8 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .edits import EditDelta, delta_from_doc, op_from_doc
-from .errors import IllegalTransition, ParseError, ScriptMiss
+from .edits import EditDelta, delta_from_doc
+from .errors import IllegalTransition, ScriptMiss
 from .events import EventKind, OrchestratorEvent
 from .model import TaskConstellation, TaskStar, TaskStatus, unrecovered_failures
 from .schema import read_document
@@ -151,22 +151,16 @@ class PlannerScript:
 
 
 def load_script(source: Union[str, Path, Dict[str, Any]]) -> PlannerScript:
-    """Read a script that ``schemas/planner_script.schema.json`` accepts and
-    whose edit ops ``op_from_doc`` accepts (checked before templates are
-    filled); anything else is a ``ParseError`` naming the file, or
-    ``document``, and the JSON path of the refused entry."""
+    """Read a script that ``schemas/planner_script.schema.json`` accepts,
+    each edit op carrying the fields of its ``op``; anything else is a
+    ``ParseError`` naming the file, or ``document``, and the JSON path of the
+    refused value. The ops' specs, patches and configs are judged when a
+    round's delta is applied, once their templates are filled."""
     doc = read_document(source, "planner_script")
     entries = []
-    for index, entry in enumerate(doc["entries"]):
+    for entry in doc["entries"]:
         patterns = tuple((EventKind(p["kind"]), p.get("task", "*")) for p in entry.get("trigger", []))
-        output_doc = {k: v for k, v in entry.items() if k != "trigger"}
-        for position, op_doc in enumerate(output_doc.get("delta", [])):
-            try:
-                op_from_doc(op_doc)
-            except ParseError as exc:
-                where = "document" if doc is source else source
-                raise ParseError(f"bad planner script {where}: entries.{index}.delta.{position}: {exc}") from exc
-        entries.append(ScriptEntry(Trigger(patterns), output_doc))
+        entries.append(ScriptEntry(Trigger(patterns), {k: v for k, v in entry.items() if k != "trigger"}))
     return PlannerScript(entries, strict=doc.get("strict", True))
 
 
@@ -201,7 +195,7 @@ class ScriptedPlanner(Planner):
     @staticmethod
     def _instantiate(doc: Dict[str, Any], planner_input: PlannerInput) -> PlannerOutput:
         filled = _deep_fill(doc, planner_input)
-        delta = delta_from_doc(filled.get("delta", []), provenance="planner-script")
+        delta = delta_from_doc(filled.get("delta", []))
         return PlannerOutput(
             observation=filled.get(
                 "observation", f"{len(planner_input.batch)} event(s) observed"

@@ -1,16 +1,19 @@
 """The one judge of each kind of document the program reads: the scenario and
-script files, and every AIP frame.
+script files, every constellation document, build config, entry and patch,
+and every AIP frame.
 
 Each JSON Schema packaged under ``constellation/schemas/`` is compiled on
 first use, as fastjsonschema does, into the straight-line Python source of one
-check, ``exec``-ed once: no call per value visited. Only the keywords those
-schemas use compile, so no schema says more than is checked: ``type`` (a name
-or a list), ``enum`` and ``const`` (of strings), ``minLength``, ``pattern``,
-``minimum``, ``exclusiveMinimum``, ``properties``, ``required``,
+check, ``exec``-ed once: no call per value visited. A check may judge the
+whole document or one of its ``$defs``. Only the keywords those schemas use
+compile, so no schema says more than is checked: ``type`` (a name or a list),
+``enum`` and ``const`` (of strings), ``minLength``, ``pattern``, ``minimum``,
+``maximum``, ``exclusiveMinimum``, ``properties``, ``required``,
 ``additionalProperties``, ``items``, ``minItems``, ``maxItems``, ``allOf``,
-``if``/``then`` and ``$ref`` into ``$defs``. As in JSON Schema 2020-12, a
-keyword applies only to values of its own kind, booleans are not numbers and
-an integral float such as ``1.0`` is an integer. A check refuses at the first
+``if``/``then`` (an ``if`` may only test ``required`` and properties against a
+``const``) and ``$ref`` into ``$defs``. As in JSON Schema 2020-12, a keyword
+applies only to values of its own kind, booleans are not numbers and an
+integral float such as ``1.0`` is an integer. A check refuses at the first
 fault: of an object, its fields in the schema's order, then unknown fields,
 then what ``$ref``, ``allOf`` and ``if``/``then`` add.
 """
@@ -28,7 +31,7 @@ from .errors import ParseError
 SCHEMAS_DIR = Path(__file__).resolve().parent / "schemas"
 
 _KEYWORDS = {"$schema", "$id", "$defs", "$ref", "title", "type", "enum", "const", "minLength", "pattern",
-             "minimum", "exclusiveMinimum", "properties", "required", "additionalProperties", "items",
+             "minimum", "maximum", "exclusiveMinimum", "properties", "required", "additionalProperties", "items",
              "minItems", "maxItems", "allOf", "if", "then"}
 # Each JSON type's test of a value ``{v}``: a number or integer is never a
 # ``bool``, and an integer that is a float is integral.
@@ -54,9 +57,15 @@ class Refusal(ValueError):
         self.path, self.reason = path, reason
 
 
-def _unknown(path: Tuple[Union[str, int], ...], value: Dict[str, Any], known: frozenset) -> Refusal:
-    fields = f"unknown field(s) {', '.join(_where(path + (name,)) for name in sorted(value.keys() - known))}"
-    return Refusal(path, fields, text=fields)
+class UnknownFields(Refusal):
+    """The refusal of an object's fields that its schema does not name."""
+
+
+def _unknown(path: Tuple[Union[str, int], ...], value: Dict[Any, Any], known: frozenset) -> Refusal:
+    # A dict built in Python may have keys of mixed types, which do not sort.
+    names = sorted(map(str, value.keys() - known))
+    fields = f"unknown field(s) {', '.join(_where(path + (name,)) for name in names)}"
+    return UnknownFields(path, fields, text=fields)
 
 
 def _checked(keys: Any, known: Any, where: str = "") -> None:
@@ -117,7 +126,7 @@ class _Source:
             text += [f"if {regex}.search({v}) is None:", fail(f"must match {schema['pattern']!r}", v)]
         lines += of_kind("string", text)
         numeric = []
-        for keyword, op, said in (("minimum", "<", ">="), ("exclusiveMinimum", "<=", ">")):
+        for keyword, op, said in (("minimum", "<", ">="), ("maximum", ">", "<="), ("exclusiveMinimum", "<=", ">")):
             if keyword in schema:
                 numeric += [f"if {v} {op} {schema[keyword]!r}:", fail(f"must be {said} {schema[keyword]}", v)]
         lines += of_kind("number", numeric)
@@ -138,7 +147,7 @@ class _Source:
         additional = schema.get("additionalProperties", True)
         names = self.name("names", frozenset(properties))
         if additional is False:
-            fields += [f"if not {v}.keys() <= {names}:", f"    raise _unknown(({''.join(t + ', ' for t in path)}), {v}, {names})"]
+            fields += [f"if not {names}.issuperset({v}):", f"    raise _unknown(({''.join(t + ', ' for t in path)}), {v}, {names})"]
         elif additional is not True:
             key, item = self.name("k"), self.name("v")
             check = self.block(additional, item, path + (key,))
@@ -170,33 +179,38 @@ class _Source:
 
     def test(self, schema: Dict[str, Any], v: str, kinds: List[str], bound: Dict[str, Any]) -> str:
         """An expression, true where the ``if`` schema ``schema`` accepts the
-        value ``v``: an ``if`` may only test properties against a ``const``."""
-        _checked(schema.keys(), {"properties"}, " in an if")
-        terms = []
-        for name, sub in schema["properties"].items():
+        value ``v``: an ``if`` may only test that properties are present
+        (``required``) and properties against a ``const``."""
+        _checked(schema.keys(), {"properties", "required"}, " in an if")
+        required, properties = schema.get("required", ()), schema.get("properties", {})
+        terms = [f"{name!r} in {v}" for name in required if name not in bound and name not in properties]
+        for name, sub in properties.items():
             _checked(sub.keys(), {"const"}, " in an if")
             const = _strings([sub["const"]], "const")[0]
-            if name in bound:
-                terms.append(f"{bound[name][0]} == {const!r}")
-            else:  # true, as the keyword is, where ``v`` is not an object or lacks the field
-                term = f"{v}.get({name!r}, {const!r}) == {const!r}"
-                terms.append(term if kinds == ["object"] else f"(not isinstance({v}, dict) or {term})")
-        return " and ".join(terms) or "True"
+            absent = "" if name in required else f", {const!r}"  # an optional field's test is true where it is absent
+            value = bound[name][0] if name in bound else f"{v}.get({name!r}{absent})"
+            terms.append(f"{value} == {const!r}")
+        if not terms:
+            return "True"
+        # true, as every keyword of an ``if`` is, where ``v`` is not an object
+        return " and ".join(terms) if kinds == ["object"] else f"(not isinstance({v}, dict) or {' and '.join(terms)})"
 
 
-def compile_schema(schema: Dict[str, Any]) -> Callable[[Any], None]:
-    """One check that refuses what ``schema`` refuses, raising ``Refusal``.
-    Raises ``ValueError`` for a keyword this module does not know."""
+def compile_schema(schema: Dict[str, Any], definition: str = "") -> Callable[[Any], None]:
+    """One check that refuses what ``schema``, or its ``$defs`` entry
+    ``definition``, refuses, raising ``Refusal``. Raises ``ValueError`` for a
+    keyword this module does not know."""
     source = _Source(schema)
-    body = source.block(schema, "v", ())
+    body = source.block(schema["$defs"][definition] if definition else schema, "v", ())
     exec("\n".join(["def check(v):", *("    " + line for line in body), "    pass"]), source.names)
     return source.names["check"]
 
 
 @lru_cache(maxsize=None)
-def check_of(kind: str) -> Callable[[Any], None]:
-    """The check of ``schemas/<kind>.schema.json``, compiled at first use."""
-    return compile_schema(json.loads((SCHEMAS_DIR / f"{kind}.schema.json").read_text(encoding="utf-8")))
+def check_of(kind: str, definition: str = "") -> Callable[[Any], None]:
+    """The check of ``schemas/<kind>.schema.json``, or of its ``$defs`` entry
+    ``definition``, compiled at first use."""
+    return compile_schema(json.loads((SCHEMAS_DIR / f"{kind}.schema.json").read_text(encoding="utf-8")), definition)
 
 
 def read_document(source: Union[str, Path, Dict[str, Any]], kind: str) -> Dict[str, Any]:

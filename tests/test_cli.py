@@ -197,7 +197,7 @@ class TestRun:
         code, lines = run_cli(capsys, "run", "--scenario", str(target / "scenario1.json"), "--seed", "0")
         assert code == 2
         assert lines == [{"event": "error", "error": (
-            f"bad planner script {path}: entries.2.delta.0: edit op 'update_task' missing field 'task_id'")}]
+            f"bad planner script {path}: entries.2.delta.0.task_id is required")}]
 
     @pytest.mark.parametrize(
         "script, old, new, field",

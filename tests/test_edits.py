@@ -26,9 +26,10 @@ from constellation import (
     serialize,
 )
 from constellation import edits, serial
-from constellation.edits import delta_from_doc, edit_locality_violations, op_from_doc
+from constellation.edits import delta_from_doc, edit_locality_violations
 from constellation.model import CONDITIONS, DependencyKind, from_entries, insert_entries
 from constellation.errors import ConstellationError, IllegalField, ParseError
+from constellation.planner import load_script
 from conftest import layered_config, random_dag, scanned_incoming
 
 FIG4_CONFIG = {
@@ -286,9 +287,8 @@ class TestDocumentForm:
             {"op": "update_dependency", "edge_id": "e", "patch": {"description": "x"}},
             {"op": "build_constellation", "config": {"tasks": []}},
         ]
-        delta = delta_from_doc(docs, provenance="test")
+        delta = delta_from_doc(docs)
         assert len(delta.ops) == 7
-        assert delta.provenance == "test"
 
     @pytest.mark.parametrize(
         "doc",
@@ -302,7 +302,7 @@ class TestDocumentForm:
     )
     def test_malformed_op_documents_rejected(self, doc):
         with pytest.raises(ParseError):
-            op_from_doc(doc)
+            load_script({"entries": [{"delta": [doc]}]})
 
 
 def assert_locality_refused(c, op):

@@ -785,7 +785,7 @@ class TestRejectedDelta:
         report = run_fig4(planner=NoDevice())
         assert report.error is None
         assert report.outcome is RunOutcome.SUCCESS
-        assert seen[0] == () and seen[1] == ("task 'F' requires a device",)
+        assert seen[0] == () and seen[1] == ("bad task spec: device is required",)
         assert report.edit_cycles[0].represented
 
 

@@ -107,7 +107,7 @@ class TestTaskOps:
         assert_invalid(c, [UpdateTask("A", {"description": "too late"})], "ImmutableTask")
 
     def test_task_needs_a_device(self):
-        with pytest.raises(ParseError, match="requires a device"):
+        with pytest.raises(ParseError, match="tasks.0.device is required"):
             from_document({"tasks": [{"id": "A"}]})
         assert_rejected(chain("A"), AddTask({"id": "B"}), ParseError)
 

@@ -189,7 +189,7 @@ class TestScriptedPlanner:
             ("duration", -1, "duration"),
             ("delta", [{"op": "explode"}], "explode"),
             ("delta", [{"op": "remove_task", "task_id": "A", "why": "x"}], "unknown field"),
-            ("delta", [{"op": "remove_task"}], "missing field"),
+            ("delta", [{"op": "remove_task"}], "task_id is required"),
         ],
     )
     def test_malformed_entry_rejected_at_load(self, field, value, match):
@@ -201,7 +201,7 @@ class TestScriptedPlanner:
             {"op": "remove_task", "task_id": "A"}, {"op": "remove_task"}]}]
         path = tmp_path / "planner.json"
         path.write_text(json.dumps({"entries": entries}))
-        refusal = "entries.2.delta.1: edit op 'remove_task' missing field 'task_id'"
+        refusal = "entries.2.delta.1.task_id is required"
         with pytest.raises(ParseError) as raised:
             load_script(path)
         assert str(raised.value) == f"bad planner script {path}: {refusal}"

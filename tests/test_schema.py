@@ -1,6 +1,10 @@
 """The schema judge: the compiled runtime schemas accept and refuse exactly
-what ``jsonschema`` does, and every loader is judged by its schema."""
+what ``jsonschema`` does, and every loader, constellation documents, build
+configs, entries and patches included, is judged by its schema."""
 
+import copy
+import functools
+import operator
 import random
 import re
 from collections import Counter
@@ -8,13 +12,14 @@ from collections import Counter
 import jsonschema
 import pytest
 
+from constellation import AddDependency, AddTask, EditDelta, UpdateTask, apply_delta, build_constellation, from_document
 from constellation.agent.executor import ScriptedExecutor
 from constellation.agent.reasoner import ScriptedReasoner
-from constellation.errors import ParseError
+from constellation.errors import ConstellationError, IllegalField, ParseError
 from constellation.planner import load_script
-from constellation.schema import compile_schema, read_document
+from constellation.schema import Refusal, check_of, compile_schema, read_document
 from constellation.simnet.scenarios import load_scenario
-from conftest import SCENARIOS_DIR, load_json, load_schema, mutated
+from conftest import MUTANT_VALUES, SCENARIOS_DIR, load_json, load_schema, mutated
 
 # Each runtime schema and the packaged files it judges.
 PACKAGED = {
@@ -61,7 +66,7 @@ def test_compiled_schema_agrees_with_jsonschema(kind):
         {"properties": {"a": {"not": {"const": "b"}}}},
         {"items": {"anyOf": []}},
         {"additionalProperties": {"$dynamicRef": "#a"}},
-        {"allOf": [{"if": {"required": ["a"]}, "then": {}}]},
+        {"allOf": [{"if": {"minProperties": 1}, "then": {}}]},
         {"if": {"properties": {"a": {"type": "string"}}}, "then": {"required": ["a"]}},
         {"if": {"const": "a"}, "then": {"required": ["b"]}, "else": {}},
     ],
@@ -117,3 +122,177 @@ def test_an_integral_float_is_an_integer():
     scenario = load_scenario(1)
     scenario["id"] = 1.0
     assert load_scenario(scenario) is scenario
+
+
+# -- constellation documents, build configs, entries and patches -----------
+
+CONSTELLATION = load_schema("constellation.schema.json")
+FIG4 = load_json(SCENARIOS_DIR / "fig4.json")
+CONDITIONAL_EDGE = {"id": "eAB", "from_task": "A", "to_task": "B", "dep_type": "CONDITIONAL", "condition_id": "always"}
+EDITABLE = ("name", "description", "device", "tips")
+CREATED_TASKS = [{key: task[key] for key in ("id", *EDITABLE)} for task in FIG4["tasks"]]
+# Each shape of constellation.schema.json, "" for its root (a document), and
+# values of it drawn from fig4.json.
+SHAPES = {
+    "": [FIG4, {**FIG4, "dependencies": FIG4["dependencies"] + [CONDITIONAL_EDGE]}],
+    "build_config": [{"request": FIG4["request"], "tasks": CREATED_TASKS, "dependencies": FIG4["dependencies"]}],
+    "task": FIG4["tasks"],
+    "created_task": CREATED_TASKS,
+    "dependency": FIG4["dependencies"] + [CONDITIONAL_EDGE],
+    "task_patch": [{key: task[key] for key in EDITABLE} for task in FIG4["tasks"]],
+    "dependency_patch": [{"dep_type": "CONDITIONAL", "condition_id": "always", "description": "if A"},
+                         {"dep_type": "SUCCESS_ONLY"}],
+}
+SHAPE_VALUES = (*MUTANT_VALUES, "UNCONDITIONAL", "CONDITIONAL", "always", "COMPLETED", "TIMEOUT")
+
+
+def shape_validator(shape):
+    schema = {"$defs": CONSTELLATION["$defs"], "$ref": f"#/$defs/{shape}"} if shape else CONSTELLATION
+    return jsonschema.Draft202012Validator(schema)
+
+
+def refused_by_check(shape, value):
+    try:
+        check_of("constellation", shape)(value)
+    except Refusal:
+        return True
+    return False
+
+
+def refused_by_reader(shape, value):
+    """Whether the program's path for a ``shape`` refuses ``value`` as
+    malformed: a graph fault or a lookup error is not a refusal."""
+    base = build_constellation({"tasks": CREATED_TASKS})
+    read = {
+        "": lambda: from_document(value),
+        "build_config": lambda: build_constellation(value),
+        "created_task": lambda: apply_delta(base, EditDelta([AddTask(value)])),
+        "dependency": lambda: apply_delta(base, EditDelta([AddDependency(value)])),
+        "task_patch": lambda: apply_delta(base, EditDelta([UpdateTask("A", value)])),
+    }[shape]
+    try:
+        read()
+    except (ParseError, IllegalField):
+        return True
+    except ConstellationError:
+        pass
+    return False
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_constellation_shapes_agree_with_jsonschema(shape):
+    """A thousand values mutated from fig4.json, one or two changes each: the
+    generated check and ``jsonschema`` accept and refuse the same ones, and so
+    does the program's path for the shape, which judges by the check alone."""
+    validator = shape_validator(shape)
+    assert all(map(validator.is_valid, SHAPES[shape]))
+    rng = random.Random(f"constellation:{shape}")
+    verdicts = Counter()
+    for _ in range(1000):
+        value = rng.choice(SHAPES[shape])
+        for _ in range(rng.randint(1, 2)):
+            value = mutated(value, rng, SHAPE_VALUES)
+        verdict = validator.is_valid(value)
+        assert refused_by_check(shape, value) is not verdict, value
+        # A task is read only within a document, and a patched dependency
+        # is judged again as a dependency.
+        if shape not in ("task", "dependency_patch"):
+            assert refused_by_reader(shape, value) is not verdict, value
+        verdicts[verdict] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
+
+
+def fig4_variants():
+    """fig4.json with each of its fields dropped, retyped to every other JSON
+    type, or misspelt, one field at a time."""
+    places = []
+
+    def walk(node, path):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            places.append(path + (key,))
+            if isinstance(child, (dict, list)):
+                walk(child, path + (key,))
+
+    walk(FIG4, ())
+    for path in places:
+        *parents, key = path
+        for change in ("drop", "misspell", None, True, 2, 1.5, "x", [], {}):
+            doc = copy.deepcopy(FIG4)
+            parent = functools.reduce(operator.getitem, parents, doc)
+            if change == "drop":
+                del parent[key]
+            elif change == "misspell" and isinstance(key, str):
+                parent[key[1:] + key[0] + "x"] = parent.pop(key)
+            elif change != "misspell":
+                parent[key] = change
+            else:
+                continue
+            yield path, change, doc
+
+
+def test_every_fig4_field_dropped_retyped_or_misspelt():
+    validator, verdicts = shape_validator(""), Counter()
+    for path, change, doc in fig4_variants():
+        verdict = validator.is_valid(doc)
+        assert refused_by_check("", doc) is not verdict, (path, change)
+        assert refused_by_reader("", doc) is not verdict, (path, change)
+        verdicts[verdict] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 300, verdicts
+
+
+@pytest.mark.parametrize(
+    "read, value, error",
+    [
+        (from_document, {"tasks": [{"id": "A", "device": "d"}], "depedencies": []}, ParseError),
+        (from_document, {"tasks": [{"id": "A", "device": "d", "dependencies": "not a list"}]}, ParseError),
+        (from_document, {"tasks": [{"id": "A", "device": "d", "dependencies": [1, 2]}]}, ParseError),
+        (build_constellation, {"schema_version": 42, "tasks": []}, ParseError),
+        (build_constellation, {"tasks": [{"id": "A", "device": "d", "status": "PENDING"}]}, IllegalField),
+        (from_document, {"dependencies": [{"id": "e", "from_task": "A", "to_task": "B",
+                                           "dep_type": "UNCONDITIONAL", "condition_id": "always"}]}, ParseError),
+        (from_document, {"dependencies": [{"id": "e", "from_task": "A", "to_task": "B",
+                                           "condition_id": "always"}]}, ParseError),
+        (from_document, {"version": 1.0}, None),
+        (from_document, {"schema_version": 1}, None),
+        (from_document, {"tasks": [{"id": "A", "device": "d"}], "dependencies": []}, None),
+    ],
+    ids=["misspelt-dependencies", "dependencies-not-a-list", "dependencies-not-strings",
+         "config-schema_version", "config-status", "condition-on-unconditional", "condition-without-dep_type",
+         "integral-float-version", "schema_version-one", "request-and-versions-omitted"],
+)
+def test_former_disagreements_have_one_verdict(read, value, error):
+    """Where the reader and the schema disagreed, both now give one verdict."""
+    shape = "" if read is from_document else "build_config"
+    assert shape_validator(shape).is_valid(value) is (error is None)
+    if error is None:  # an integral float version is read as an integer
+        version = read(value).version
+        assert version == value.get("version", 0) and type(version) is int
+        return
+    with pytest.raises(error):
+        read(value)
+
+
+def test_unknown_fields_of_mixed_key_types_are_named():
+    check = compile_schema({"type": "object", "additionalProperties": False, "properties": {"id": {}}})
+    with pytest.raises(Refusal, match=r"^unknown field\(s\) 5, colour$"):
+        check({"id": "C", 5: "x", "colour": "red"})
+
+
+@pytest.mark.parametrize(
+    "value", [{}, {"a": "x"}, {"a": "x", "b": 1}, {"a": "y"}, {"b": 1}, [], "a"],
+)
+def test_an_if_may_test_that_a_field_is_present(value):
+    """Without ``required`` in the ``if``, a missing optional field would pass
+    its ``const`` test, and the ``then`` would demand ``b`` of ``{}``."""
+    schema = {
+        "properties": {"a": {"enum": ["x", "y"]}},
+        "if": {"required": ["a"], "properties": {"a": {"const": "x"}}},
+        "then": {"required": ["b"]},
+    }
+    try:
+        compile_schema(schema)(value)
+    except Refusal:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted is jsonschema.Draft202012Validator(schema).is_valid(value)
