@@ -1,7 +1,9 @@
 """Scripted command executor: a glob table from command line to result.
 
 The executor is the device-client side of the agent: it runs whatever
-command batch the server sends and knows nothing about task state.
+command batch the server sends and knows nothing about task state. A command
+no entry matches is a ``ScriptMiss``; a table that answers every command ends
+in a catch-all entry (``"pattern": "*"``).
 """
 
 from __future__ import annotations
@@ -15,16 +17,15 @@ from ..schema import read_document
 
 
 class ScriptedExecutor:
-    def __init__(self, table: List[Dict[str, Any]], strict: bool = True):
+    def __init__(self, table: List[Dict[str, Any]]):
         self.table = table
-        self.strict = strict
 
     @classmethod
     def load(cls, source: Union[str, Path, Dict[str, Any]]) -> "ScriptedExecutor":
         """Read a table that ``schemas/executor_table.schema.json`` accepts;
         anything else is a ``ParseError``."""
         doc = read_document(source, "executor_table")
-        return cls(doc.get("table", []), strict=doc.get("strict", True))
+        return cls(doc.get("table", []))
 
     def execute(self, action: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
         """Run one action; returns (structured result, virtual duration)."""
@@ -38,9 +39,7 @@ class ScriptedExecutor:
             return {"status": 1, "stdout": "", "stderr": f"unknown function {function!r}"}, 0.0
         entry = self._lookup(key)
         if entry is None:
-            if self.strict:
-                raise ScriptMiss(f"no executor entry matches {key!r}")
-            return {"status": 127, "stdout": "", "stderr": f"not scripted: {key}"}, 0.0
+            raise ScriptMiss(f"no executor entry matches {key!r}")
         result = {
             "status": entry.get("status", 0),
             "stdout": entry.get("stdout", ""),

@@ -1,8 +1,10 @@
 """Scripted reasoner and the agent FSM states it moves a task run to.
 
-Each entry is keyed by FSM round index (with an optional catch-all) and
-supplies the commands to issue, the next state and the reasoning-trace
-strings. Templates may reference ``$task_description`` and ``$last_stdout``.
+Each entry is keyed by FSM round index (with an optional catch-all,
+``"when": {"always": true}``) and supplies the commands to issue, the next
+state and the reasoning-trace strings; a step no entry answers is a
+``ScriptMiss``. Templates may reference ``$task_description`` and
+``$last_stdout``.
 """
 
 from __future__ import annotations
@@ -37,25 +39,22 @@ class ReasonerOutput:
 
 
 class ScriptedReasoner:
-    def __init__(self, entries: List[Dict[str, Any]], strict: bool = True):
+    def __init__(self, entries: List[Dict[str, Any]]):
         self.entries = entries
-        self.strict = strict
 
     @classmethod
     def load(cls, source: Union[str, Path, Dict[str, Any]]) -> "ScriptedReasoner":
         """Read a script that ``schemas/reasoner_script.schema.json`` accepts;
         anything else is a ``ParseError``."""
         doc = read_document(source, "reasoner_script")
-        return cls(doc.get("entries", []), strict=doc.get("strict", True))
+        return cls(doc.get("entries", []))
 
     def choose(
         self, step: int, task: Dict[str, Any], memory: List[Dict[str, Any]]
     ) -> ReasonerOutput:
         entry = self._select(step)
         if entry is None:
-            if self.strict:
-                raise ScriptMiss(f"no reasoner entry for step {step}")
-            return ReasonerOutput(next_state=AgentFsmState.FINISH, result="")
+            raise ScriptMiss(f"no reasoner entry for step {step}")
         substitutions = {
             "$task_description": task.get("description", ""),
             "$last_stdout": _last_stdout(memory),

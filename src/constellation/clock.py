@@ -4,9 +4,11 @@ Callbacks are ordered by (due time, schedule sequence number), so two timers
 due at the same instant always fire in the order they were scheduled. All
 time is virtual; nothing here touches wall-clock time.
 
-A ``TimerHandle`` is a plain ``__slots__`` class, built once per timer: its
-callback is ``None`` once it is cancelled or has fired, and ``step`` tests
-the popped handle's callback directly. Handles compare by identity.
+A ``TimerHandle`` is a plain ``__slots__`` class holding only its callback,
+built once per timer: the heap entry carries the due time and sequence
+number. Its callback is ``None`` once it is cancelled or has fired, and
+``step`` tests the popped handle's callback directly. Handles compare by
+identity.
 
 ``run`` with a deadline drops cancelled timers from the head of the heap and
 compares the first live one's due time with the deadline inside its own
@@ -22,11 +24,9 @@ from typing import Callable, List, Optional, Tuple
 
 
 class TimerHandle:
-    __slots__ = ("when", "seq", "callback")
+    __slots__ = ("callback",)
 
-    def __init__(self, when: float, seq: int, callback: Optional[Callable[[], None]]) -> None:
-        self.when = when
-        self.seq = seq
+    def __init__(self, callback: Optional[Callable[[], None]]) -> None:
         self.callback = callback
 
     def cancel(self) -> None:
@@ -42,9 +42,8 @@ class VirtualClock:
     def call_at(self, when: float, callback: Callable[[], None]) -> TimerHandle:
         if when < self.now:
             raise ValueError(f"cannot schedule at {when} before now={self.now}")
-        seq = next(self._seq)
-        handle = TimerHandle(when, seq, callback)
-        heapq.heappush(self._heap, (when, seq, handle))
+        handle = TimerHandle(callback)
+        heapq.heappush(self._heap, (when, next(self._seq), handle))
         return handle
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> TimerHandle:

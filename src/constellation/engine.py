@@ -28,7 +28,7 @@ from .edits import apply_delta
 from .errors import ConstellationError, ValidationFailed
 from .events import EventKind, OrchestratorEvent
 from .model import FailureReason, TaskConstellation, TaskStar, TaskStatus, unrecovered_failures
-from .planner import Planner, PlannerInput, PlannerOutput, PlannerState, fsm_advance
+from .planner import Planner, PlannerInput, PlannerOutput, PlannerState
 from .report import EditCycleRecord, RunOutcome, RunReport, TaskTiming
 from .serial import to_document
 
@@ -108,7 +108,6 @@ class Orchestrator:
 
         self.lock_held = False
         self.queue: List[OrchestratorEvent] = []
-        self.planner_state = PlannerState.START
         self.done = False
         self._round_index = 0
         self._pending_timers: Dict[str, TimerHandle] = {}
@@ -266,10 +265,11 @@ class Orchestrator:
                     {"summary": summary_doc, "version": self.constellation.version},
                 )
             )
-        try:
-            self.planner_state = fsm_advance(self.planner_state, output.next_state)
-        except Exception as exc:
-            self._abort(str(exc))
+        if output.next_state is PlannerState.START:
+            # The one move a planner may not make: FINISH and FAIL end the
+            # run below, and a planner is in START until a round commits.
+            current = "CONTINUE" if self._round_index else "START"
+            self._abort(f"planner may not move {current} -> START")
             return
         self.report.edit_cycles.append(
             EditCycleRecord(
@@ -286,7 +286,7 @@ class Orchestrator:
             )
         )
         self._round_index += 1
-        if self.planner_state is PlannerState.FINISH:
+        if output.next_state is PlannerState.FINISH:
             self._release_lock()
             self.report.result = output.result
             outcome = self._outcome_from_statuses()
@@ -296,7 +296,7 @@ class Orchestrator:
                 outcome = RunOutcome.PARTIAL
             self._finish(outcome)
             return
-        if self.planner_state is PlannerState.FAIL:
+        if output.next_state is PlannerState.FAIL:
             self._release_lock()
             self.report.result = output.result
             self._finish(RunOutcome.FAILED)

@@ -54,8 +54,8 @@ class IllegalTransition(ConstellationError):
 
 
 class ScriptMiss(ConstellationError):
-    """A strict script (planner, reasoner or executor) has no entry for the
-    presented input."""
+    """A script has no entry for the presented input: a reasoner or executor
+    table always, a planner script unless it is not ``strict``."""
 
 
 class SchemaViolation(ConstellationError):

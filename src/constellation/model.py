@@ -10,19 +10,21 @@ entries become records through ``task_from_entry`` and ``edge_from_entry``,
 which only construct and fill the defaults. Whole graphs
 (``serial.from_document`` and ``edits.build_constellation``) are made by
 ``from_entries``: judge the document, insert every entry, then judge the
-whole graph with one ``validate`` call. After that the structure changes
-only through ``edits.apply_delta``, which runs the raw ``_...`` ops below on
-a working copy, checks the result once and bumps the version once per
-commit; the engine moves task statuses with ``transition``. The raw ops only
-judge their spec or patch and mutate: they raise ``NotFound``,
+whole graph with one ``validate`` call; a document task's derived
+``dependencies`` list must name its incoming edges. After that the structure
+changes only through ``edits.apply_delta``, which runs the raw ``_...`` ops
+below on a working copy, checks the result once and bumps the version once
+per commit; the engine moves task statuses with ``transition``. The raw ops
+only judge their spec or patch and mutate: they raise ``NotFound``,
 ``DuplicateId``, ``ParseError`` and ``IllegalField``, and leave cycles,
 dangling or parallel edges and edits of non-PENDING tasks to the one check
 of the result.
 
 One judge decides a graph's structure: ``validate`` lists every fault in
 one linear pass, and ``_changes_valid`` judges a commit from the region
-downstream of the edges it added. Both find a cycle with one count-only
-Kahn peel (``_unpeeled``); ``topological_order`` only produces an order.
+downstream of the edges it added. Both find a cycle with one Kahn peel
+(``_peel``), as the tasks it leaves out; ``topological_order`` is the same
+peel over every task.
 
 Task and dependency records are named tuples: ``transition`` and the raw
 ops store a replaced record instead of changing one, so ``clone`` copies
@@ -57,7 +59,6 @@ since a terminal record never changes), so the queries only read.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
@@ -325,7 +326,7 @@ class TaskConstellation:
     def validate(self) -> List[Violation]:
         """Every structural fault, found in one linear pass: one walk over
         ``edges`` checks endpoints, self-loops, conditions and parallel pairs
-        and counts in-degrees, then ``_unpeeled`` leaves the cycle. Only the
+        and counts in-degrees, then ``_peel`` leaves the cycle. Only the
         faults found are sorted: each edge's in edge id order, a
         ``DuplicateEdge`` per edge of a pair but its smallest id, the cycle,
         and each task holding a result while not terminal, by id."""
@@ -355,7 +356,8 @@ class TaskConstellation:
                 least[pair] = min(first, edge_id)
         faults.sort(key=itemgetter(0))  # stable: an edge's faults keep their order
         violations = [violation for _, violation in faults + sorted(parallel, key=itemgetter(0))]
-        cycle = self._unpeeled(indegree)
+        self._peel(indegree)
+        cycle = [task_id for task_id, count in indegree.items() if count]
         if cycle:
             violations.append(Violation("CycleIntroduced", f"cycle through {{{', '.join(sorted(cycle))}}}"))
         holding = [task for task in tasks.values() if task.result is not None and not task.status.terminal]
@@ -388,7 +390,7 @@ class TaskConstellation:
         """Whether a cycle runs through the tasks reachable from ``starts``.
         A cycle through an added edge lies wholly downstream of its target (a
         self-loop included), so one search from all targets counts the
-        in-degrees within the region they reach, for ``_unpeeled``."""
+        in-degrees within the region they reach, for ``_peel``."""
         edges, outgoing = self.edges, self._outgoing
         indegree, stack = dict.fromkeys(starts, 0), list(starts)
         while stack:
@@ -397,42 +399,35 @@ class TaskConstellation:
                 if target not in indegree:
                     stack.append(target)
                 indegree[target] = indegree.get(target, 0) + 1
-        return bool(self._unpeeled(indegree))
+        return len(self._peel(indegree)) < len(indegree)
 
-    def _unpeeled(self, indegree: Dict[str, int]) -> List[str]:
-        """Kahn's peel along the outgoing index, counting only: the tasks of
-        ``indegree`` (their counts of incoming edges from each other, used up
-        here) left on or behind a cycle, the same whatever the pop order."""
+    def _peel(self, indegree: Dict[str, int]) -> List[str]:
+        """Kahn's peel along the outgoing index: the tasks of ``indegree``
+        (their counts of incoming edges from each other, used up here) in a
+        topological order. The tasks on or behind a cycle are left out and
+        keep a non-zero count, the same ones whatever the pop order."""
         edges, outgoing = self.edges, self._outgoing
         stack = [task_id for task_id, count in indegree.items() if not count]
+        order = []
         while stack:
-            for edge_id in outgoing.get(stack.pop(), ()):
+            task_id = stack.pop()
+            order.append(task_id)
+            for edge_id in outgoing.get(task_id, ()):
                 target = edges[edge_id].to_task
                 if target in indegree:  # not so for an edge to no task
                     indegree[target] -= 1
                     if not indegree[target]:
                         stack.append(target)
-        return [task_id for task_id, count in indegree.items() if count]
+        return order
 
     def topological_order(self) -> List[str]:
-        """Kahn's order, smallest ready id first, leaving out the tasks on or
-        behind a cycle: for the parallelism metrics, not for any check."""
+        """The peel over every task: a topological order, leaving out the
+        tasks on or behind a cycle."""
         indegree = dict.fromkeys(self.tasks, 0)
-        successors: Dict[str, List[str]] = {}
         for edge in self.edges.values():
             if edge.from_task in indegree and edge.to_task in indegree:
-                successors.setdefault(edge.from_task, []).append(edge.to_task)
                 indegree[edge.to_task] += 1
-        ready = [task_id for task_id, count in indegree.items() if not count]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            order.append(heapq.heappop(ready))
-            for successor in successors.get(order[-1], ()):
-                indegree[successor] -= 1
-                if not indegree[successor]:
-                    heapq.heappush(ready, successor)
-        return order
+        return self._peel(indegree)
 
     # -- readiness -------------------------------------------------------
 
@@ -576,9 +571,9 @@ def from_entries(doc: Dict[str, Any], created: bool) -> TaskConstellation:
 
     The document is judged and every entry inserted first; a malformed
     document raises at once. The graph is then judged by one ``validate``
-    call, a linear pass, and repeated ids and its violations are raised
-    together as one ``ValidationFailed``. A valid graph has its readiness counted before it
-    is returned.
+    call, a linear pass, and repeated ids, mismatched ``dependencies`` lists
+    and its violations are raised together as one ``ValidationFailed``. A
+    valid graph has its readiness counted before it is returned.
     """
     constellation, violations = insert_entries(doc, created)
     violations.extend(constellation.validate())
@@ -593,18 +588,23 @@ def insert_entries(
 ) -> Tuple[TaskConstellation, List[Violation]]:
     """Judge a document, or with ``created`` a build config, and insert every
     entry, without validating the result. Returns the graph, whose change
-    record holds every inserted record, and a ``DuplicateId`` violation per
-    repeated id (the first entry is kept), which the graph itself no longer
-    shows."""
+    record holds every inserted record, and the violations the graph itself
+    no longer shows: a ``DuplicateId`` per repeated id (the first entry is
+    kept), then a ``DependencyMismatch`` per inserted document task whose
+    derived ``dependencies`` list, taken as a set, is not the set of its
+    incoming edge ids."""
     _judge(doc, "build_config" if created else "", "build config" if created else "constellation document")
     constellation = TaskConstellation(doc.get("request", ""))
     violations: List[Violation] = []
+    listed: List[Tuple[str, List[str]]] = []  # (task id, its dependencies entry)
     for entry in doc.get("tasks", ()):
         task = task_from_entry(entry)
         if task.id in constellation.tasks:
             violations.append(Violation("DuplicateId", f"task id {task.id!r} appears twice"))
         else:
             constellation.tasks[task.id] = task
+            if "dependencies" in entry:
+                listed.append((task.id, entry["dependencies"]))
     for entry in doc.get("dependencies", ()):
         edge = edge_from_entry(entry)
         if edge.id in constellation.edges:
@@ -612,6 +612,11 @@ def insert_entries(
         else:
             constellation.edges[edge.id] = edge
     constellation._index_edges()
+    for task_id, dependencies in listed:
+        incoming = constellation._incoming.get(task_id, ())
+        if set(dependencies) != set(incoming):
+            detail = f"task {task_id!r} lists {sorted(set(dependencies))}, its incoming edges are {list(incoming)}"
+            violations.append(Violation("DependencyMismatch", detail))
     constellation._touched_tasks = set(constellation.tasks)
     constellation._touched_edges = set(constellation.edges)
     return constellation, violations

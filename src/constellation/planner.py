@@ -3,9 +3,10 @@
 The planner is the single component allowed to edit the constellation. It is
 driven in rounds: each round receives a borrowed snapshot plus the batch of
 events drained under the lock, and answers with an observation, a thought, a
-next FSM state, an optional final result and an edit delta. The orchestrator
-alone tracks the planner's FSM state and checks each requested move with
-``fsm_advance``.
+next FSM state, an optional final result and an edit delta. FINISH and FAIL
+end the run, so the orchestrator refuses only a move to START, and needs no
+state of its own for that: the planner is in START until its first round
+commits, and in CONTINUE after.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .edits import EditDelta, delta_from_doc
-from .errors import IllegalTransition, ScriptMiss
+from .errors import ScriptMiss
 from .events import EventKind, OrchestratorEvent
 from .model import TaskConstellation, TaskStar, TaskStatus, unrecovered_failures
 from .schema import read_document
@@ -29,22 +30,6 @@ class PlannerState(Enum):
     CONTINUE = "CONTINUE"
     FINISH = "FINISH"
     FAIL = "FAIL"
-
-
-_LEGAL_PLANNER_TRANSITIONS = {
-    PlannerState.START: {PlannerState.CONTINUE, PlannerState.FINISH, PlannerState.FAIL},
-    PlannerState.CONTINUE: {PlannerState.CONTINUE, PlannerState.FINISH, PlannerState.FAIL},
-    PlannerState.FINISH: set(),
-    PlannerState.FAIL: set(),
-}
-
-
-def fsm_advance(current: PlannerState, requested: PlannerState) -> PlannerState:
-    if requested not in _LEGAL_PLANNER_TRANSITIONS[current]:
-        raise IllegalTransition(
-            f"planner may not move {current.value} -> {requested.value}"
-        )
-    return requested
 
 
 @dataclass(frozen=True)
@@ -69,6 +54,11 @@ class PlannerOutput:
     result: Optional[str] = None
     delta: EditDelta = field(default_factory=EditDelta)
     duration: float = 0.0
+
+    def __post_init__(self) -> None:
+        # Raised inside the planner's round, so that the engine aborts the run.
+        if not isinstance(self.next_state, PlannerState):
+            raise TypeError(f"next_state must be a PlannerState, got {self.next_state!r}")
 
 
 class Planner:

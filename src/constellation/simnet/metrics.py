@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import IncompleteRun
 from ..model import TaskConstellation
-from ..report import RunReport
 
 
 @dataclass(frozen=True)
@@ -16,41 +15,12 @@ class ParallelismMetrics:
     critical_path: float  # L: longest duration-weighted path
     max_parallel_width: int  # peak concurrency, infinite-device replay
     parallelism_ratio: float  # P = W / L
-    actual_peak_running: Optional[int] = None  # peak from the real timeline
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "total_work": self.total_work,
-            "critical_path": self.critical_path,
-            "max_parallel_width": self.max_parallel_width,
-            "parallelism_ratio": self.parallelism_ratio,
-            "actual_peak_running": self.actual_peak_running,
-        }
-
-
-def compute_metrics(report: RunReport, constellation: TaskConstellation) -> ParallelismMetrics:
-    durations: Dict[str, float] = {}
-    for task_id in constellation.tasks:
-        timing = report.timings.get(task_id)
-        if timing is None or timing.duration is None:
-            raise IncompleteRun(f"no recorded duration for task {task_id!r}")
-        durations[task_id] = timing.duration
-    base = metrics_from_durations(constellation, durations)
-    return ParallelismMetrics(
-        total_work=base.total_work,
-        critical_path=base.critical_path,
-        max_parallel_width=base.max_parallel_width,
-        parallelism_ratio=base.parallelism_ratio,
-        actual_peak_running=_peak_overlap(
-            [(t.dispatched_at, t.finished_at) for t in report.timings.values() if t.finished_at is not None]
-        ),
-    )
 
 
 def metrics_from_durations(
     constellation: TaskConstellation, durations: Dict[str, float]
 ) -> ParallelismMetrics:
-    """Structural metrics from a duration map (no run report required)."""
+    """Structural metrics from a duration map, one duration per task."""
     if not constellation.tasks:
         return ParallelismMetrics(0.0, 0.0, 0, 1.0)
     starts, finishes = _infinite_device_schedule(constellation, durations)
@@ -67,7 +37,8 @@ def _infinite_device_schedule(
     """Earliest-start schedule with unlimited devices, in one walk over the
     model's topological order. Each task starts the instant all of its
     upstream tasks finish; finish times therefore equal the longest
-    duration-weighted path ending at each task."""
+    duration-weighted path ending at each task, whichever topological order
+    the walk takes."""
     order = constellation.topological_order()
     if len(order) < len(constellation.tasks):
         raise IncompleteRun("dependency graph contains a cycle")

@@ -4,14 +4,16 @@ A scenario file wires together a constellation fixture, a planner script,
 per-device executors/reasoners, link latencies and scripted outages, and an
 expected verdict. Everything runs on one virtual clock and nothing draws a
 random number, so the scenario alone determines the run report. A run takes a
-seed, but no run draws from it yet.
+seed, but no run draws from it yet. ``load_scenario`` is the one reader of a
+scenario, ``run_scenario``'s included; a result renders its Markdown run log
+only when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from ..agent.reasoner import ScriptedReasoner
 from ..agent.executor import ScriptedExecutor
@@ -38,7 +40,6 @@ SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 class ScenarioResult:
     scenario_id: int
     report: RunReport
-    markdown: str
     session_logs: Dict[str, List[Dict[str, Any]]]
     diffs: List[str] = field(default_factory=list)
 
@@ -46,16 +47,16 @@ class ScenarioResult:
     def verdict_ok(self) -> bool:
         return not self.diffs
 
+    @property
+    def markdown(self) -> str:
+        """The report's Markdown run log, rendered when read."""
+        return emit_markdown_log(self.report)
+
 
 def load_scenario(source: Any) -> Dict[str, Any]:
-    """Read a scenario that ``schemas/scenario.schema.json`` accepts and whose
-    devices' outages do not overlap; anything else is a ``ParseError``."""
-    return _read_scenario(source)[0]
-
-
-def _read_scenario(source: Any) -> Tuple[Dict[str, Any], Path]:
-    """The checked scenario and the directory its file names resolve
-    against: the file's own, or the packaged scenarios for a document."""
+    """Read a scenario (packaged id, path or document) that
+    ``schemas/scenario.schema.json`` accepts and whose devices' outages do
+    not overlap; anything else is a ``ParseError``."""
     if isinstance(source, int):
         source = SCENARIOS_DIR / f"scenario{source}.json"
     doc = read_document(source, "scenario")
@@ -65,14 +66,17 @@ def _read_scenario(source: Any) -> Tuple[Dict[str, Any], Path]:
         except ValueError as exc:
             where = "document" if doc is source else source
             raise ParseError(f"bad scenario {where}: devices.{device_id}.outages: {exc}") from exc
-    return doc, SCENARIOS_DIR if doc is source else Path(source).parent
+    return doc
 
 
 def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
     """Run a scenario (packaged id, path or document) to its report and
     verdict. ``seed`` is accepted and echoed by callers, but no run draws
-    from it yet: every seed gives the same run."""
-    doc, base = _read_scenario(scenario)
+    from it yet: every seed gives the same run. A scenario file names its
+    other files relative to its own directory, a document relative to the
+    packaged scenarios."""
+    doc = load_scenario(scenario)
+    base = Path(scenario).parent if isinstance(scenario, (str, Path)) else SCENARIOS_DIR
     constellation = deserialize((base / doc["constellation"]).read_text(encoding="utf-8"))
     constellation.request = doc["request"]
     clock = VirtualClock()
@@ -140,7 +144,6 @@ def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
     result = ScenarioResult(
         scenario_id=int(doc["id"]),
         report=report,
-        markdown=emit_markdown_log(report),
         session_logs=session_logs,
     )
     result.diffs = _verify(doc, report)

@@ -11,17 +11,19 @@ from constellation.agent import (
 )
 from constellation.errors import ParseError, ScriptMiss
 
+# A table's last entry, answering every command no earlier entry matches.
+NOT_SCRIPTED = {"pattern": "*", "status": 127, "stderr": "not scripted"}
+
 
 class TestScriptedExecutor:
-    def executor(self, strict=True):
-        return ScriptedExecutor(
-            table=[
-                {"pattern": "bash long_job.sh", "stdout": "runtime: 30s", "duration": 30.0},
-                {"pattern": "bash *", "status": 2, "stderr": "script not found"},
-                {"pattern": "NOTEPAD_WRITE *", "stdout": "saved"},
-            ],
-            strict=strict,
-        )
+    TABLE = [
+        {"pattern": "bash long_job.sh", "stdout": "runtime: 30s", "duration": 30.0},
+        {"pattern": "bash *", "status": 2, "stderr": "script not found"},
+        {"pattern": "NOTEPAD_WRITE *", "stdout": "saved"},
+    ]
+
+    def executor(self, *tail):
+        return ScriptedExecutor(table=[*self.TABLE, *tail])
 
     def test_exec_cli_exact_match_wins_over_glob(self):
         result, duration = self.executor().execute(
@@ -43,17 +45,18 @@ class TestScriptedExecutor:
         assert result["written"] == "times: 30s"
         assert result["stdout"] == "saved"
 
-    def test_strict_unmatched_command_raises(self):
-        with pytest.raises(ScriptMiss):
+    def test_unmatched_command_raises(self):
+        with pytest.raises(ScriptMiss, match="no executor entry matches 'python3 x.py'"):
             self.executor().execute(
                 {"function": "EXEC_CLI", "args": {"command_line": "python3 x.py"}}
             )
 
-    def test_lenient_unmatched_command_returns_127(self):
-        result, _ = self.executor(strict=False).execute(
+    def test_catch_all_entry_answers_an_unmatched_command(self):
+        result, duration = self.executor(NOT_SCRIPTED).execute(
             {"function": "EXEC_CLI", "args": {"command_line": "python3 x.py"}}
         )
-        assert result["status"] == 127
+        assert result == {"status": 127, "stdout": "", "stderr": "not scripted"}
+        assert duration == 0.0
 
     def test_unknown_function_is_an_error_result(self):
         result, _ = self.executor().execute({"function": "REBOOT"})
@@ -64,10 +67,10 @@ class TestScriptedExecutor:
         result, _ = ex.execute({"function": "EXEC_CLI", "args": {"command_line": "x"}})
         assert result["stdout"] == "ok"
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_load_honours_strict(self, strict):
-        assert ScriptedExecutor.load({"table": [], "strict": strict}).strict is strict
-        assert ScriptedExecutor.load({"table": []}).strict is True
+    @pytest.mark.parametrize("load", [ScriptedExecutor.load, ScriptedReasoner.load], ids=["executor", "reasoner"])
+    def test_load_refuses_a_strict_flag(self, load):
+        with pytest.raises(ParseError, match="unknown field"):
+            load({"strict": False})
 
     def test_load_refuses_a_document_that_is_not_an_object(self, tmp_path):
         path = tmp_path / "executor.json"
@@ -137,8 +140,8 @@ class TestScriptedReasoner:
         reasoner = ScriptedReasoner([{"when": {"always": True}, "next_state": "FINISH"}])
         assert reasoner.choose(7, {}, []).next_state is AgentFsmState.FINISH
 
-    def test_strict_missing_step_raises(self):
-        with pytest.raises(ScriptMiss):
+    def test_missing_step_raises(self):
+        with pytest.raises(ScriptMiss, match="no reasoner entry for step 0"):
             ScriptedReasoner([]).choose(0, {}, [])
 
     def test_load_refuses_a_document_that_is_not_an_object(self, tmp_path):
@@ -163,9 +166,16 @@ class TestScriptedReasoner:
         ]
         assert ScriptedReasoner.load({"entries": entries}).entries == entries
 
-    def test_lenient_missing_step_finishes(self):
-        out = ScriptedReasoner([], strict=False).choose(0, {}, [])
-        assert out.next_state is AgentFsmState.FINISH
+    def test_catch_all_entry_answers_a_missing_step(self):
+        reasoner = ScriptedReasoner(
+            [
+                {"when": {"step": 0}, "next_state": "CONTINUE"},
+                {"when": {"always": True}, "next_state": "FINISH"},
+            ]
+        )
+        assert reasoner.choose(0, {}, []).next_state is AgentFsmState.CONTINUE
+        out = reasoner.choose(3, {}, [])
+        assert out.next_state is AgentFsmState.FINISH and out.result == ""
 
     def test_last_stdout_scans_memory_backwards(self):
         reasoner = ScriptedReasoner(
@@ -201,7 +211,7 @@ class LocalClient:
 def serve(reasoner_entries, executor_table, task=None):
     clock = VirtualClock()
     server = AgentServer(clock, ScriptedReasoner(reasoner_entries))
-    client = LocalClient(clock, ScriptedExecutor(executor_table, strict=False))
+    client = LocalClient(clock, ScriptedExecutor([*executor_table, NOT_SCRIPTED]))
     ends = []
     run = server.serve_task(
         task if task is not None else {"description": "long_job.sh"},
@@ -283,7 +293,7 @@ class TestAgentServer:
         assert at == 0.0 and run.strategy_trace == [] and client.batches == []
 
     def test_reasoner_exception_fails_execution_error(self):
-        run, _, ends = serve([], [])  # strict reasoner with no entries
+        run, _, ends = serve([], [])  # a reasoner with no entries
         status, payload, _ = ends[0]
         assert status == "FAILED"
         assert payload["failure_reason"] == "EXECUTION_ERROR"
@@ -292,7 +302,7 @@ class TestAgentServer:
     def test_abort_mid_run_emits_single_failed_end(self):
         clock = VirtualClock()
         server = AgentServer(clock, ScriptedReasoner(self.TWO_STEP))
-        client = LocalClient(clock, ScriptedExecutor(self.TABLE, strict=False))
+        client = LocalClient(clock, ScriptedExecutor([*self.TABLE, NOT_SCRIPTED]))
         ends = []
         run = server.serve_task(
             {"description": "long_job.sh"},
@@ -326,7 +336,7 @@ class TestEndedRun:
     def start(self, entries):
         clock = VirtualClock()
         server = AgentServer(clock, ScriptedReasoner(entries))
-        client = LocalClient(clock, ScriptedExecutor(TestAgentServer.TABLE, strict=False))
+        client = LocalClient(clock, ScriptedExecutor([*TestAgentServer.TABLE, NOT_SCRIPTED]))
         ends = []
         run = server.serve_task(
             {"description": "long_job.sh"}, client, lambda status, payload: ends.append(payload)

@@ -3,10 +3,11 @@
 import json
 import shutil
 
+import jsonschema
 import pytest
 
 from constellation.cli import main
-from conftest import SCENARIOS_DIR
+from conftest import SCENARIOS_DIR, load_schema
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +53,21 @@ class TestValidate:
         assert [line["kind"] for line in lines if line["event"] == "violation"] == [
             "UnknownCondition"
         ]
+
+    def test_failure_reason_on_a_pending_task_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        task = {"id": "A", "device": "d", "status": "PENDING", "failure_reason": "TIMEOUT"}
+        bad.write_text(json.dumps({"tasks": [task]}))
+        code, lines = run_cli(capsys, "validate", "--constellation", str(bad))
+        assert code == 2
+        assert "tasks.0.status must be FAILED" in lines[-1]["error"]
+
+    def test_dependencies_naming_no_edge_exit_one(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"tasks": [{"id": "A", "device": "d", "dependencies": ["ghost"]}]}))
+        code, lines = run_cli(capsys, "validate", "--constellation", str(bad))
+        assert code == 1
+        assert [line["kind"] for line in lines if line["event"] == "violation"] == ["DependencyMismatch"]
 
     def test_task_without_device_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -313,6 +329,15 @@ class TestExplore:
         doc = json.loads(report.read_text())
         assert doc["schema_version"] == 1
         assert doc["by_action"]["UpdateDevices"] == 6272
+
+    @pytest.mark.parametrize("mode", ["tla-mirror", "extended"])
+    def test_report_file_conforms_to_its_schema(self, capsys, tmp_path, mode):
+        report = tmp_path / "stats.json"
+        code, _ = run_cli(capsys, "explore", "--mode", mode, "--report", str(report))
+        assert code == 0
+        doc = json.loads(report.read_text())
+        jsonschema.validate(doc, load_schema("explore_stats.schema.json"))
+        assert doc["mode"] == mode
 
     @pytest.mark.parametrize(
         "value, argv, code",

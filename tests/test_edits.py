@@ -1,7 +1,8 @@
 """Atomic batched edits: build, apply, rollback, locality, versioning."""
 
+import heapq
 import random
-from typing import List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import pytest
 
@@ -116,10 +117,11 @@ class TestBuildConstellation:
     def test_layered_build_runs_one_cycle_check(self, monkeypatch):
         """A bulk build and a delta holding one build op insert everything,
         then judge the graph once, not once per edge: both with one
-        ``validate`` call, a linear pass over the whole graph, neither with
-        the heap Kahn of ``topological_order`` nor a search from every edge
-        target. A delta of many edges into a valid graph is searched once
-        from the edges it added, with no pass over the whole graph."""
+        ``validate`` call, a linear pass over the whole graph that peels it
+        once, with neither ``topological_order`` nor a search from every
+        edge target. A delta of many edges into a valid graph is searched
+        once from the edges it added, and that region peeled once, with no
+        pass over the whole graph."""
         config = layered_config(100, width=10, fan_in=2)
         calls = []
 
@@ -132,16 +134,17 @@ class TestBuildConstellation:
 
             return wrapper
 
-        kahn, whole, downstream = "topological_order", "validate", "_cycle_downstream_of"
+        order, whole, peel = "topological_order", "validate", "_peel"
+        downstream = "_cycle_downstream_of"
         for prepare, edges, searches in (
-            (by_build, 180, [whole]),
-            (by_build_op, 180, [whole]),
-            (by_edge_ops, 20, [downstream]),
+            (by_build, 180, [whole, peel]),
+            (by_build_op, 180, [whole, peel]),
+            (by_edge_ops, 20, [downstream, peel]),
         ):
             run = prepare(config)
             calls.clear()
             with monkeypatch.context() as patch:
-                for name in (kahn, whole, downstream):
+                for name in (order, whole, downstream, peel):
                     patch.setattr(TaskConstellation, name, counted(name))
                 built = run()
             assert (len(built.tasks), len(built.edges)) == (100, edges)
@@ -731,11 +734,31 @@ def recounted(c):
     return waiting, ready, running
 
 
+def heap_kahn(c):
+    """Kahn's order, smallest ready id first, over the edges between tasks:
+    the oracle's own, so that it shares no code with the peel it checks."""
+    indegree = dict.fromkeys(c.tasks, 0)
+    successors: Dict[str, List[str]] = {}
+    for edge in c.edges.values():
+        if edge.from_task in indegree and edge.to_task in indegree:
+            successors.setdefault(edge.from_task, []).append(edge.to_task)
+            indegree[edge.to_task] += 1
+    ready = [task_id for task_id, count in indegree.items() if not count]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        order.append(heapq.heappop(ready))
+        for successor in successors.get(order[-1], ()):
+            indegree[successor] -= 1
+            if not indegree[successor]:
+                heapq.heappush(ready, successor)
+    return order
+
+
 def reference_validate(self):
     """The structure check written plainly: every edge in sorted id order,
-    and the cycle found as the tasks the heap Kahn of ``topological_order``
-    leaves out. The oracle the one-pass ``validate`` must agree with, list
-    and order alike."""
+    and the cycle found as the tasks ``heap_kahn`` leaves out. The oracle
+    the one-pass ``validate`` must agree with, list and order alike."""
     violations: List[Violation] = []
     duplicates: List[Violation] = []
     seen_pairs: Set[Tuple[str, str]] = set()
@@ -758,7 +781,7 @@ def reference_validate(self):
             duplicates.append(Violation("DuplicateEdge", f"multiple edges {pair[0]!r}->{pair[1]!r}"))
         seen_pairs.add(pair)
     violations.extend(duplicates)
-    cycle = set(self.tasks).difference(self.topological_order())
+    cycle = set(self.tasks).difference(heap_kahn(self))
     if cycle:
         violations.append(
             Violation("CycleIntroduced", f"cycle through {{{', '.join(sorted(cycle))}}}")

@@ -651,11 +651,21 @@ class TestPlannerFsm:
         assert [cycle.next_state for cycle in report.edit_cycles] == ["CONTINUE"]
         assert report.lock_trace[-1]["action"] == "release"
 
+    def test_start_in_the_first_round_aborts_the_run(self):
+        script = load_script({"entries": [{"trigger": [], "next_state": "CONTINUE"}]})
+        # load_script refuses START, so a planner asking for it is built here.
+        script.entries[0].output_doc["next_state"] = "START"
+        report = run_fig4(planner=ScriptedPlanner(script))
+        assert report.outcome is RunOutcome.FAILED
+        assert report.error == "planner may not move START -> START"
+        assert report.edit_cycles == [] and report.timings == {}
+        assert [entry["action"] for entry in report.lock_trace] == ["acquire", "release"]
+
 
 class TestPlannerFailures:
-    """A planner that raises, or a delta whose commit raises other than a
-    ``ConstellationError``, aborts the run FAILED with the error reported,
-    and the lock is released."""
+    """A planner that raises or answers no state, or a delta whose commit
+    raises other than a ``ConstellationError``, aborts the run FAILED with
+    the error reported, and the lock is released."""
 
     def assert_aborted(self, report, error):
         assert report.outcome is RunOutcome.FAILED
@@ -668,6 +678,14 @@ class TestPlannerFailures:
                 raise RuntimeError("model unreachable")
 
         self.assert_aborted(run_fig4(planner=Raises()), "planner error: model unreachable")
+
+    def test_a_planner_that_answers_no_state_aborts_the_run(self):
+        class NoState(NoopPlanner):
+            def edit(self, planner_input):
+                return PlannerOutput(observation="", thought="", next_state="FINISH")
+
+        error = "planner error: next_state must be a PlannerState, got 'FINISH'"
+        self.assert_aborted(run_fig4(planner=NoState()), error)
 
     def test_a_delta_whose_commit_raises_aborts_the_run(self, monkeypatch):
         import constellation.engine

@@ -1,4 +1,4 @@
-"""Planner FSM, scripted trigger matching, template substitution."""
+"""Scripted trigger matching, template substitution."""
 
 import fnmatch
 import json
@@ -19,9 +19,9 @@ from constellation import (
     build_constellation,
     load_script,
 )
-from constellation.errors import IllegalTransition, ParseError, ScriptMiss
+from constellation.errors import ParseError, ScriptMiss
 from constellation.events import EventKind, OrchestratorEvent
-from constellation.planner import Trigger, fsm_advance
+from constellation.planner import Trigger
 
 
 def event(kind, task_id, **payload):
@@ -32,23 +32,6 @@ def pinput(snapshot=None, batch=()):
     return PlannerInput(
         snapshot=snapshot or TaskConstellation(), batch=tuple(batch), round_index=0
     )
-
-
-class TestFsm:
-    def test_legal_paths(self):
-        state = PlannerState.START
-        state = fsm_advance(state, PlannerState.CONTINUE)
-        state = fsm_advance(state, PlannerState.CONTINUE)
-        assert fsm_advance(state, PlannerState.FINISH) is PlannerState.FINISH
-
-    @pytest.mark.parametrize("terminal", [PlannerState.FINISH, PlannerState.FAIL])
-    def test_terminal_states_have_no_exits(self, terminal):
-        with pytest.raises(IllegalTransition):
-            fsm_advance(terminal, PlannerState.CONTINUE)
-
-    def test_start_is_not_reenterable(self):
-        with pytest.raises(IllegalTransition):
-            fsm_advance(PlannerState.CONTINUE, PlannerState.START)
 
 
 class TestTrigger:

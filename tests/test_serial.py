@@ -8,6 +8,7 @@ import pytest
 
 from constellation import (
     EventKind,
+    FailureReason,
     Orchestrator,
     OrchestratorEvent,
     ParseError,
@@ -128,6 +129,48 @@ class TestRejection:
         doc = {"tasks": [{"id": "A", "device": "d"}, {"id": "A", "device": "d"}]}
         with pytest.raises(ValidationFailed):
             from_document(doc)
+
+    @pytest.mark.parametrize("status", ["PENDING", "RUNNING", "COMPLETED", None])
+    def test_failure_reason_needs_a_failed_task(self, status):
+        task = {"id": "B", "device": "d", "failure_reason": "TIMEOUT"}
+        if status is not None:
+            task["status"] = status
+        with pytest.raises(ParseError, match="tasks.0.status"):
+            from_document({"tasks": [task]})
+        assert not jsonschema.Draft202012Validator(CONSTELLATION_SCHEMA).is_valid({"tasks": [task]})
+
+    def test_failure_reason_on_a_failed_task_accepted(self):
+        task = {"id": "B", "device": "d", "status": "FAILED", "failure_reason": "TIMEOUT"}
+        assert from_document({"tasks": [task]}).tasks["B"].failure_reason is FailureReason.TIMEOUT
+
+    @pytest.mark.parametrize(
+        "listed, mismatched",
+        [
+            (["eAB"], False),
+            (["eAB", "eAB"], False),
+            ([], True),
+            (["ghost"], True),
+            (["eAB", "ghost"], True),
+        ],
+    )
+    def test_dependencies_list_must_name_the_incoming_edges(self, listed, mismatched):
+        """A task's derived ``dependencies``, taken as a set, must be its
+        incoming edge ids; a task that omits the list is not checked."""
+        doc = {
+            "tasks": [
+                {"id": "A", "device": "d", "dependencies": []},
+                {"id": "B", "device": "d", "dependencies": listed},
+            ],
+            "dependencies": [{"id": "eAB", "from_task": "A", "to_task": "B"}],
+        }
+        if not mismatched:
+            assert from_document(doc).dependencies_of("B") == ["eAB"]
+            return
+        with pytest.raises(ValidationFailed) as err:
+            from_document(doc)
+        [violation] = err.value.violations
+        assert violation.kind == "DependencyMismatch"
+        assert violation.detail == f"task 'B' lists {sorted(set(listed))}, its incoming edges are ['eAB']"
 
 
 RECORD_TYPES = (TaskStar, TaskStarLine, OrchestratorEvent, AipMessage)

@@ -14,11 +14,7 @@ from constellation import (
     build_constellation,
 )
 from constellation.errors import IncompleteRun
-from constellation.simnet.metrics import (
-    _peak_overlap,
-    compute_metrics,
-    metrics_from_durations,
-)
+from constellation.simnet.metrics import _peak_overlap, metrics_from_durations
 from constellation.simnet.mdlog import emit_markdown_log, mermaid_block
 from constellation.simnet.network import LinkSpec, SimNetwork
 from conftest import random_dag
@@ -325,21 +321,6 @@ class TestMetrics:
         c._add_dependency({"id": "eQP", "from_task": "Q", "to_task": "P"})
         with pytest.raises(IncompleteRun, match="dependency graph contains a cycle"):
             metrics_from_durations(c, {tid: 1.0 for tid in "PQR"})
-
-    def test_compute_metrics_reports_actual_peak(self):
-        c, _ = fig4_with_uniform_durations()
-        clock = VirtualClock()
-        engine = Orchestrator(
-            clock,
-            NoopPlanner(),
-            ScriptedDispatcher(clock, default_duration=10.0),
-            constellation=c.clone(),
-            config=EngineConfig(),
-        )
-        report = engine.run()
-        m = compute_metrics(report, c)
-        assert m.total_work == 50.0 and m.critical_path == 40.0
-        assert m.actual_peak_running == 2
 
 
 class TestPeakOverlap:
