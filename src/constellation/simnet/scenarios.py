@@ -7,13 +7,20 @@ random number, so the scenario alone determines the run report. A run takes a
 seed, but no run draws from it yet. ``load_scenario`` is the one reader of a
 scenario, ``run_scenario``'s included; a result renders its Markdown run log
 only when it is read.
+
+A process reads and judges a scenario file and the files it names once, and
+again only when one of them changes: each file read is stamped with its
+``st_mtime_ns`` and ``st_size``, and a run whose stamps all still match
+reuses what was loaded. Runs only read what is loaded. A scenario document
+(a dict) is judged on every run, since its caller may change it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..agent.reasoner import ScriptedReasoner
 from ..agent.executor import ScriptedExecutor
@@ -26,10 +33,11 @@ from ..aip.endpoints import (
 from ..clock import VirtualClock
 from ..engine import EngineConfig, Orchestrator
 from ..errors import ParseError
-from ..planner import ScriptedPlanner, load_script
+from ..model import TaskConstellation
+from ..planner import PlannerScript, ScriptedPlanner, load_script
 from ..report import RunReport
 from ..schema import read_document
-from ..serial import deserialize
+from ..serial import from_document
 from .mdlog import emit_markdown_log
 from .network import LinkSpec, SimNetwork
 
@@ -69,40 +77,94 @@ def load_scenario(source: Any) -> Dict[str, Any]:
     return doc
 
 
+@dataclass(frozen=True)
+class _Loaded:
+    """What a scenario names, read and judged: runs only read it."""
+
+    doc: Dict[str, Any]
+    template: TaskConstellation  # with the scenario's request; each run clones it
+    executors: Dict[str, ScriptedExecutor]  # by file name, as the devices name them
+    reasoners: Dict[str, ScriptedReasoner]
+    script: PlannerScript
+    stamps: Dict[str, Optional[Tuple[int, int]]]  # absolute path of each file read -> its stamp
+
+
+_LOADED: Dict[str, _Loaded] = {}  # by the scenario file's real path
+
+
+def _stamp(path: str) -> Optional[Tuple[int, int]]:
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_mtime_ns, stat.st_size
+
+
+def _load(source: Any, base: str) -> _Loaded:
+    """Read and judge a scenario (a path or a document) and each file it
+    names relative to ``base``, each file once. A file is stamped before it
+    is read, so that a change made while it is read shows at the next run."""
+    stamps: Dict[str, Optional[Tuple[int, int]]] = {}
+
+    def named(name: str) -> str:
+        path = os.path.join(base, name)
+        stamps.setdefault(path, _stamp(path))
+        return path
+
+    doc = load_scenario(named(source) if isinstance(source, str) else source)
+    template = from_document(read_document(named(doc["constellation"]), "constellation"))
+    template.request = doc["request"]
+    executors: Dict[str, ScriptedExecutor] = {}
+    reasoners: Dict[str, ScriptedReasoner] = {}
+    for _, spec in sorted(doc["devices"].items()):
+        if spec["executor"] not in executors:
+            executors[spec["executor"]] = ScriptedExecutor.load(named(spec["executor"]))
+        if spec["reasoner"] not in reasoners:
+            reasoners[spec["reasoner"]] = ScriptedReasoner.load(named(spec["reasoner"]))
+    script = load_script(named(doc["planner_script"]))
+    return _Loaded(doc, template, executors, reasoners, script, stamps)
+
+
+def _loaded(scenario: Any) -> _Loaded:
+    """The loaded scenario: a file's from the memo while every file it read
+    keeps its stamp, else read and judged again."""
+    if isinstance(scenario, int):
+        scenario = SCENARIOS_DIR / f"scenario{scenario}.json"
+    if not isinstance(scenario, (str, Path)):
+        return _load(scenario, str(SCENARIOS_DIR))
+    path = os.path.realpath(scenario)
+    loaded = _LOADED.pop(path, None)
+    if loaded is None or any(_stamp(name) != stamp for name, stamp in loaded.stamps.items()):
+        loaded = _load(path, os.path.dirname(path))
+    _LOADED[path] = loaded
+    return loaded
+
+
 def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
     """Run a scenario (packaged id, path or document) to its report and
     verdict. ``seed`` is accepted and echoed by callers, but no run draws
     from it yet: every seed gives the same run. A scenario file names its
-    other files relative to its own directory, a document relative to the
-    packaged scenarios."""
-    doc = load_scenario(scenario)
-    base = Path(scenario).parent if isinstance(scenario, (str, Path)) else SCENARIOS_DIR
-    constellation = deserialize((base / doc["constellation"]).read_text(encoding="utf-8"))
-    constellation.request = doc["request"]
+    other files relative to its own directory, links followed, a document
+    relative to the packaged scenarios."""
+    loaded = _loaded(scenario)
+    doc = loaded.doc
+    constellation = loaded.template.clone()
     clock = VirtualClock()
     network = SimNetwork(clock)
     orchestrator_ep = ConstellationEndpoint(clock, network, constellation.request)
 
     device_servers: Dict[str, DeviceServerEndpoint] = {}
-    # Executors and reasoners only read their tables, so the devices of a
-    # run that name one file share the one object loaded from it.
-    executors: Dict[str, ScriptedExecutor] = {}
-    reasoners: Dict[str, ScriptedReasoner] = {}
+    # Executors and reasoners only read their tables, so the devices that
+    # name one file share the one object loaded from it, run after run.
     for device_id, spec in sorted(doc["devices"].items()):
-        if spec["executor"] not in executors:
-            executors[spec["executor"]] = ScriptedExecutor.load(base / spec["executor"])
-        if spec["reasoner"] not in reasoners:
-            reasoners[spec["reasoner"]] = ScriptedReasoner.load(base / spec["reasoner"])
-        executor = executors[spec["executor"]]
-        reasoner = reasoners[spec["reasoner"]]
         client_address = f"{device_id}-client"
-        DeviceClientEndpoint(clock, network, client_address, executor)
+        DeviceClientEndpoint(clock, network, client_address, loaded.executors[spec["executor"]])
         server = DeviceServerEndpoint(
             clock,
             network,
             device_id,
             agent_id=device_id,
-            agent_server=AgentServer(clock, reasoner),
+            agent_server=AgentServer(clock, loaded.reasoners[spec["reasoner"]]),
             orchestrator_address="orchestrator",
             client_address=client_address,
             manifest=spec.get("manifest", {}),
@@ -120,7 +182,7 @@ def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
         network.add_link(device_id, client_address, LinkSpec(latency=0.001))
         server.start()
 
-    planner = ScriptedPlanner(load_script(base / doc["planner_script"]))
+    planner = ScriptedPlanner(loaded.script)
     engine = Orchestrator(
         clock,
         planner,

@@ -5,7 +5,9 @@ import ast
 import copy
 import importlib.resources
 import json
+import os
 import re
+import shutil
 from pathlib import Path
 
 import jsonschema
@@ -13,6 +15,8 @@ import pytest
 
 import constellation
 from constellation import ParseError, RunOutcome
+from constellation.serial import serialize
+from constellation.simnet import scenarios
 from constellation.simnet.scenarios import load_scenario, run_scenario
 from conftest import GOLDEN_DIR, SCENARIOS_DIR, load_json, load_schema
 
@@ -189,6 +193,29 @@ class TestHarness:
         with pytest.raises(ParseError, match="expected a JSON object, got list"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (None, "[Errno 2] No such file or directory: '{path}'"),
+            ("{\n", "Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"),
+        ],
+        ids=["missing", "not JSON"],
+    )
+    def test_an_unreadable_constellation_file_is_a_parse_error(self, tmp_path, text, error):
+        """The constellation file is read as every file a scenario names is:
+        its fault is a ``ParseError`` that names the file."""
+        target = tmp_path / "scenarios"
+        shutil.copytree(SCENARIOS_DIR, target)
+        path = target / "fault_constellation.json"
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
+        real = os.path.realpath(path)
+        message = f"cannot load constellation {real}: {error.format(path=real)}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            run_scenario(target / "scenario1.json", seed=0)
+
 
 def entry_schema(name):
     """The constellation schema's definition of one task or dependency entry."""
@@ -255,11 +282,8 @@ def test_no_module_imports_random(path):
             assert node.level or (node.module or "").split(".")[0] != "random", path
 
 
-@pytest.mark.parametrize("scenario", [1, 2, 3])
-def test_a_run_reads_each_named_file_once(scenario, monkeypatch):
-    """Devices naming one executor or reasoner file share the one object
-    loaded from it: the scenario, its constellation, its planner script and
-    four scripts are seven reads."""
+def count_reads(monkeypatch):
+    """The names of the files ``Path.read_text`` reads from now on."""
     reads = []
     read_text = Path.read_text
 
@@ -268,5 +292,91 @@ def test_a_run_reads_each_named_file_once(scenario, monkeypatch):
         return read_text(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "read_text", counting_read_text)
+    return reads
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_a_process_reads_each_named_file_once(scenario, monkeypatch):
+    """Devices naming one executor or reasoner file share the one object
+    loaded from it: the scenario, its constellation, its planner script and
+    four scripts are seven reads, made by the first run of a process only."""
+    run_scenario(scenario, seed=0)  # compiles the schemas the files are judged by
+    monkeypatch.setattr(scenarios, "_LOADED", {})
+    reads = count_reads(monkeypatch)
     run_scenario(scenario, seed=0)
     assert len(reads) == len(set(reads)) == 7
+    reads.clear()
+    run_scenario(scenario, seed=0)
+    assert reads == []
+
+
+def loaded_record(loaded):
+    """Everything a loaded scenario holds, as plain values."""
+    return copy.deepcopy(
+        (
+            loaded.doc,
+            serialize(loaded.template),
+            {name: executor.table for name, executor in loaded.executors.items()},
+            {name: reasoner.entries for name, reasoner in loaded.reasoners.items()},
+            loaded.script,
+        )
+    )
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_a_run_never_writes_the_loaded_scenario(scenario, monkeypatch):
+    """Runs share what a scenario loads and only read it: two runs from one
+    memo entry give byte-identical output and leave the entry as it was."""
+    monkeypatch.setattr(scenarios, "_LOADED", {})
+    loaded = scenarios._loaded(scenario)
+    before = loaded_record(loaded)
+    first, second = run_scenario(scenario, seed=0), run_scenario(scenario, seed=0)
+    assert scenarios._loaded(scenario) is loaded
+    assert first.report.to_json() == second.report.to_json()
+    assert first.markdown == second.markdown
+    assert json.dumps(first.session_logs) == json.dumps(second.session_logs)
+    assert loaded_record(loaded) == before
+
+
+class TestStaleMemo:
+    """A memo entry is reused only while every file it read keeps its
+    ``st_mtime_ns`` and ``st_size``; a miss reads and judges them again."""
+
+    @pytest.fixture
+    def scenario(self, tmp_path):
+        target = tmp_path / "scenarios"
+        shutil.copytree(SCENARIOS_DIR, target)
+        path = target / "scenario1.json"
+        assert run_scenario(path, seed=0).verdict_ok
+        return path
+
+    def test_a_rewritten_file_is_judged_again(self, scenario):
+        executor = scenario.parent / "linux_executor.json"
+        text = executor.read_text()
+        executor.write_text(text.replace('"duration": 30', '"duration": -1'))  # the same size
+        stat = executor.stat()
+        # A filesystem with coarse timestamps may keep the mtime of a quick rewrite.
+        os.utime(executor, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        with pytest.raises(ParseError, match=r"bad executor table .*linux_executor\.json: table\.0\.duration"):
+            run_scenario(scenario, seed=0)
+        executor.write_text(text)
+        assert run_scenario(scenario, seed=0).verdict_ok
+
+    def test_a_deleted_file_is_a_parse_error(self, scenario):
+        (scenario.parent / "linux_reasoner.json").unlink()
+        with pytest.raises(ParseError, match=r"cannot load reasoner script .*linux_reasoner\.json"):
+            run_scenario(scenario, seed=0)
+
+    def test_a_relative_path_names_the_file_it_resolves_to(self, scenario, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        reads = count_reads(monkeypatch)
+        assert run_scenario("scenarios/scenario1.json", seed=0).verdict_ok
+        assert reads == []
+        # The same relative path from another directory is another file.
+        other = tmp_path / "other"
+        shutil.copytree(scenario.parent, other / "scenarios")
+        doc = json.loads((other / "scenarios" / "scenario1.json").read_text())
+        doc["expected"]["outcome"] = "FAILED"
+        (other / "scenarios" / "scenario1.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(other)
+        assert run_scenario("scenarios/scenario1.json", seed=0).diffs == ["outcome: expected FAILED, got SUCCESS"]
