@@ -3,12 +3,12 @@
 Seven message types and a length-prefixed UTF-8 JSON wire encoding;
 ``decode(encode(m)) == m`` for every valid message. A frame is judged once,
 where it enters an endpoint, at ``decode``, by the check generated from
-``schemas/aip_message.schema.json``: a ``SchemaViolation`` names the field it
-refuses, a body field without its ``body.`` prefix. ``encode`` checks
-nothing, as it only writes frames the endpoints build. Every frame goes
-through one encoder and one decoder built at import and one length
-``Struct``, and message types are looked up by their string value, so the
-codec makes no ``Enum`` call. ``decode`` parses a payload with one call of
+``schemas/aip_message.schema.json``, which also returns its ``AipMessage``: a
+``SchemaViolation`` names the field it refuses, a body field without its
+``body.`` prefix. ``encode`` checks nothing, as it only writes frames the
+endpoints build. Every frame goes through one encoder and one decoder built
+at import and one length ``Struct``, and message types are looked up by
+their string value, so the codec makes no ``Enum`` call. ``decode`` parses a payload with one call of
 the decoder's scanner; only a payload that scan does not read whole goes
 through ``JSONDecoder.decode``, which accepts or refuses it in its own words.
 A payload nested past the recursion limit is refused too, so ``decode``
@@ -25,7 +25,7 @@ from json.encoder import c_make_encoder, encode_basestring
 from typing import Any, Dict, NamedTuple, Optional
 
 from ..errors import SchemaViolation
-from ..schema import Refusal, check_of
+from ..schema import RECORDS, Refusal, check_of
 
 
 class MessageType(Enum):
@@ -74,6 +74,14 @@ class AipMessage(_MessageFields):
         return tuple.__new__(cls, (msg_type, {} if body is None else body, session_id))
 
 
+def _message(msg_type: str, body: Dict[str, Any], session_id: Optional[str]) -> AipMessage:
+    """The record the check of a frame returns: its type looked up by value."""
+    return tuple.__new__(AipMessage, (_MESSAGE_TYPES[msg_type], body, session_id))
+
+
+RECORDS["AipMessage"] = _message
+
+
 def encode(msg: AipMessage) -> bytes:
     doc: Dict[str, Any] = {"msg_type": msg.msg_type._value_, "body": msg.body}
     if msg.session_id is not None:
@@ -106,7 +114,6 @@ def decode(frame: bytes) -> AipMessage:
     except RecursionError:  # its text depends on where the limit is met
         raise SchemaViolation("frame", "invalid JSON payload: nested too deep") from None
     try:
-        check_of("aip_message")(doc)
+        return check_of("aip_message")(doc)
     except Refusal as exc:
         raise SchemaViolation(".".join(map(str, exc.path[1:] or exc.path)) or "frame", exc.reason) from exc
-    return AipMessage(_MESSAGE_TYPES[doc["msg_type"]], doc["body"], doc.get("session_id"))

@@ -123,7 +123,9 @@ def apply_delta(
     working = constellation.clone()
     summary = ModificationSummary()
     violations: List[Violation] = []
+    counted = False  # whether the last op was a build, whose readiness is counted
     for op in delta.ops:
+        counted = isinstance(op, BuildConstellation)
         if isinstance(op, AddTask):
             working._add_task(op.spec)
             summary.added_tasks += 1
@@ -157,7 +159,8 @@ def apply_delta(
     violations.extend(edit_locality_violations(constellation, working))
     if violations:
         raise ValidationFailed(violations)
-    working._recount()
+    if not counted:
+        working._recount()
     working.version = constellation.version + 1
     return working, summary
 

@@ -108,6 +108,10 @@ class Orchestrator:
 
         self.lock_held = False
         self.queue: List[OrchestratorEvent] = []
+        # The report's dict of each event in ``queue``, and of each event in
+        # the round's batch: the round's record lists them again.
+        self._queued: List[Dict[str, Any]] = []
+        self._batch_docs: List[Dict[str, Any]] = []
         self.done = False
         self._round_index = 0
         self._pending_timers: Dict[str, TimerHandle] = {}
@@ -158,7 +162,7 @@ class Orchestrator:
 
     def _enqueue(self, event: OrchestratorEvent) -> None:
         self.queue.append(event)
-        self.report.record_event(event)
+        self._queued.append(self.report.record_event(event))
         if not self.lock_held:
             self._begin_cycle()
 
@@ -201,6 +205,7 @@ class Orchestrator:
     def _start_round(self) -> None:
         batch = tuple(self.queue)
         self.queue.clear()
+        self._batch_docs, self._queued = self._queued, []
         self._synchronize(batch)
         planner_input = PlannerInput(
             snapshot=self.constellation.borrow(),
@@ -276,7 +281,7 @@ class Orchestrator:
                 round_index=self._round_index,
                 started_at=started_at,
                 committed_at=self.clock.now,
-                batch=[e.as_dict() for e in planner_input.batch],
+                batch=self._batch_docs,
                 observation=output.observation,
                 thought=output.thought,
                 next_state=output.next_state._value_,
@@ -352,14 +357,10 @@ class Orchestrator:
         self.report.timings[task.id] = TaskTiming(
             task_id=task.id, device=task.device, dispatched_at=self.clock.now
         )
-        self.report.record_event(
-            OrchestratorEvent(
-                EventKind.TASK_STARTED,
-                task.id,
-                self.clock.now,
-                {"device": task.device, "version": self.constellation.version},
-            )
-        )
+        # ``OrchestratorEvent.as_dict`` of the TASK_STARTED event, built
+        # directly: no event object is made, as no round's batch holds one.
+        payload = {"device": task.device, "version": self.constellation.version}
+        self.report.events.append({"kind": "TASK_STARTED", "at": self.clock.now, "task_id": task.id, "payload": payload})
         self._execution_timers[task.id] = self.clock.call_later(
             self.config.execution_timeout,
             partial(self._fire, self._execution_timeout, task.id),

@@ -2,14 +2,15 @@
 
 A constellation holds tasks keyed by id and directed dependency edges keyed
 by id. One judge decides the shape of every document, build config, entry
-and patch: the check compiled from ``schemas/constellation.schema.json``, of
-the whole document or of one of its ``$defs``. A field that an entry or a
-patch may not carry raises ``IllegalField``, and any other refusal
-``ParseError``, naming the JSON path, whichever path reads it. Judged
-entries become records through ``task_from_entry`` and ``edge_from_entry``,
-which only construct and fill the defaults. Whole graphs
+and patch, and makes its records: the check compiled from
+``schemas/constellation.schema.json``, of the whole document or of one of
+its ``$defs``, returns a task entry's ``TaskStar`` and a dependency entry's
+``TaskStarLine`` (built by ``_task_star`` and ``_task_star_line``, the one
+place for the conversions JSON Schema cannot state). A field that an entry
+or a patch may not carry raises ``IllegalField``, and any other refusal
+``ParseError``, naming the JSON path. Whole graphs
 (``serial.from_document`` and ``edits.build_constellation``) are made by
-``from_entries``: judge the document, insert every entry, then judge the
+``from_entries``: insert the records the check returns, then judge the
 whole graph with one ``validate`` call; a document task's derived
 ``dependencies`` list must name its incoming edges. After that the structure
 changes only through ``edits.apply_delta``, which runs the raw ``_...`` ops
@@ -36,9 +37,10 @@ writes one as a list, so records are compared only with records, and
 until its first write (``transition`` or a raw op) copies them, so a
 snapshot per planner round costs O(1). A status's legal targets are a plain
 tuple on the member, so ``transition`` checks a move without hashing.
-Two derived indexes map each task to the ids of its incoming (id-sorted) and
-outgoing edges. They are built with the graph, kept up to date by the raw
-ops, and copied by ``clone`` as dicts sharing their immutable tuples.
+Two derived indexes map each task to the ids of its incoming and outgoing
+edges, id-sorted. They are filled as a graph's edges are inserted, kept up
+to date by the raw ops, and copied by ``clone`` as dicts sharing their
+immutable tuples.
 
 Every graph keeps one change record: the ids of tasks whose record or
 incoming edges the raw ops replaced since ``clone``, and of edges they added
@@ -49,17 +51,19 @@ alone (see ``edits.apply_delta``).
 Readiness is kept, not searched for (Kahn's in-degree counts, applied to
 edge satisfaction): each PENDING task's count of unsatisfied incoming edges,
 the PENDING tasks whose count is zero, and the RUNNING tasks. They are
-settled whenever a graph becomes valid: ``from_entries`` counts every task
-once the check passes, and a commit recounts the tasks in its record.
-After that ``transition`` lowers the counts of a task's downstream tasks
-when it turns terminal (satisfaction only ever goes from false to true,
-since a terminal record never changes), so the queries only read.
-``clone`` copies the counts and sets.
+settled whenever a graph becomes valid: a graph of created entries has
+them counted as its edges are inserted, a document's are counted once its
+check passes, and a commit recounts the tasks in its record. After that
+``transition`` lowers the counts of a task's downstream tasks when it turns
+terminal (satisfaction only ever goes from false to true, since a terminal
+record never changes), so the queries only read. ``clone`` copies the
+counts and sets.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, insort
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, itemgetter
@@ -73,7 +77,7 @@ from .errors import (
     ParseError,
     ValidationFailed,
 )
-from .schema import Refusal, UnknownFields, check_of
+from .schema import RECORDS, Refusal, UnknownFields, check_of
 
 
 class TaskStatus(Enum):
@@ -198,17 +202,6 @@ class TaskConstellation:
         """Incoming edge ids of a task, the derived `dependencies` field."""
         return list(self._incoming.get(task_id, ()))
 
-    def _index_edges(self) -> None:
-        """Build both indexes from ``edges``."""
-        incoming: Dict[str, List[str]] = {}
-        outgoing: Dict[str, List[str]] = {}
-        for edge_id in sorted(self.edges):
-            edge = self.edges[edge_id]
-            incoming.setdefault(edge.to_task, []).append(edge_id)
-            outgoing.setdefault(edge.from_task, []).append(edge_id)
-        self._incoming = {task: tuple(ids) for task, ids in incoming.items()}
-        self._outgoing = {task: tuple(ids) for task, ids in outgoing.items()}
-
     def _touch(self, task_id: str, edge_id: Optional[str] = None) -> None:
         self._touched_tasks.add(task_id)
         if edge_id is not None:
@@ -218,8 +211,7 @@ class TaskConstellation:
 
     def _add_task(self, spec: Dict[str, Any]) -> None:
         self._own()
-        _judge(spec, "created_task", "task spec")
-        task = task_from_entry(spec)
+        task = _judge(spec, "created_task", "task spec")
         if task.id in self.tasks:
             raise DuplicateId(f"task id {task.id!r} already present")
         self.tasks[task.id] = task
@@ -237,15 +229,15 @@ class TaskConstellation:
     def _update_task(self, task_id: str, patch: Dict[str, Any]) -> None:
         self._own()
         task = self.task(task_id)
-        _judge(patch, "task_patch", f"patch of task {task_id!r}")
-        parsed = task_from_entry({"device": task.device, **patch, "id": task_id})
+        what = f"patch of task {task_id!r}"
+        _judge(patch, "task_patch", what)
+        parsed = _judge({"id": task_id, "device": task.device, **patch}, "created_task", what)
         self.tasks[task_id] = task._replace(**{key: getattr(parsed, key) for key in patch})
         self._touch(task_id)
 
     def _add_dependency(self, spec: Dict[str, Any]) -> None:
         self._own()
-        _judge(spec, "dependency", "dependency spec")
-        edge = edge_from_entry(spec)
+        edge = _judge(spec, "dependency", "dependency spec")
         if edge.id in self.edges:
             raise DuplicateId(f"dependency id {edge.id!r} already present")
         self.edges[edge.id] = edge
@@ -280,8 +272,7 @@ class TaskConstellation:
             if edge.dep_type.condition_id is not None:
                 entry["condition_id"] = edge.dep_type.condition_id
         entry.update(patch)
-        _judge(entry, "dependency", what)
-        self.edges[edge_id] = edge_from_entry(entry)
+        self.edges[edge_id] = _judge(entry, "dependency", what)
         self._touch(edge.to_task, edge_id)
 
     # -- engine-owned status transitions ---------------------------------
@@ -533,37 +524,48 @@ def unrecovered_failures(constellation: TaskConstellation) -> List[TaskStar]:
     ]
 
 
-def _judge(value: Any, shape: str, what: str) -> None:
-    """Refuse ``value`` unless the check of ``shape``, a ``$defs`` entry of
+def _judge(value: Any, shape: str, what: str) -> Any:
+    """``value`` parsed by the check of ``shape``, a ``$defs`` entry of
     ``schemas/constellation.schema.json`` or its root (a document) where
-    ``shape`` is empty, accepts it: with ``IllegalField`` for a field that an
-    entry or a patch may not carry, else with ``ParseError``, whose text
+    ``shape`` is empty: a task or dependency entry as its record, and a
+    document or build config as a copy whose ``tasks`` and ``dependencies``
+    are lists of records. A refusal is an ``IllegalField`` for a field that
+    an entry or a patch may not carry, else a ``ParseError``, whose text
     names the JSON path. A document's or a build config's own unknown field
     is not an entry's."""
     try:
-        check_of("constellation", shape)(value)
+        return check_of("constellation", shape)(value)
     except Refusal as exc:
         illegal = isinstance(exc, UnknownFields) and (exc.path or shape not in ("", "build_config"))
         raise (IllegalField if illegal else ParseError)(f"bad {what}: {exc}") from None
 
 
-def task_from_entry(entry: Dict[str, Any]) -> TaskStar:
-    """The record of a judged task entry: a document's, an ``AddTask`` spec
-    or a build-config entry. Its name defaults to its id."""
-    task_id, status, reason = entry["id"], entry.get("status"), entry.get("failure_reason")
-    return TaskStar(
-        task_id, entry["device"], entry.get("name", task_id), entry.get("description", ""),
-        tuple(entry.get("tips", ())), TaskStatus.PENDING if status is None else TaskStatus(status),
-        entry.get("result"), None if reason is None else FailureReason(reason),
-    )
+# The builders of the records the schema's checks return, with the
+# conversions that JSON Schema cannot state: a task's name defaults to its
+# id, enum strings become members and ``tips`` a tuple. A field the entry
+# omits arrives with its schema ``default``, or as None where it states none.
+_STATUSES = {status._value_: status for status in TaskStatus}
+_REASONS = {reason._value_: reason for reason in FailureReason}
+_KINDS = {kind._value_: kind for kind in DependencyKind}
+_new = tuple.__new__  # a record's fields, as ``TaskStar(...)`` stores them, without its ``__new__``
 
 
-def edge_from_entry(entry: Dict[str, Any]) -> TaskStarLine:
-    """The record of a judged dependency entry, of a document, a build config
-    or an ``AddDependency`` spec alike. Its type defaults to UNCONDITIONAL."""
-    kind = entry.get("dep_type", "UNCONDITIONAL")
-    dep_type = UNCONDITIONAL if kind == "UNCONDITIONAL" else DependencyType(DependencyKind(kind), entry.get("condition_id"))
-    return TaskStarLine(entry["id"], entry["from_task"], entry["to_task"], dep_type, entry.get("description", ""))
+def _task_star(id, name, description, device, tips, status="PENDING", dependencies=None, result=None,
+               failure_reason=None) -> TaskStar:
+    """The record of a task entry: a document's, an ``AddTask`` spec or a
+    build-config entry, the last two PENDING with no result. A document
+    task's derived ``dependencies`` are judged by ``insert_entries``."""
+    return _new(TaskStar, (id, device, id if name is None else name, description, tuple(tips), _STATUSES[status],
+                           result, None if failure_reason is None else _REASONS[failure_reason]))
+
+
+def _task_star_line(id, from_task, to_task, dep_type, description, condition_id) -> TaskStarLine:
+    """The record of a dependency entry; every UNCONDITIONAL edge shares one type."""
+    kind = UNCONDITIONAL if dep_type == "UNCONDITIONAL" else DependencyType(_KINDS[dep_type], condition_id)
+    return _new(TaskStarLine, (id, from_task, to_task, kind, description))
+
+
+RECORDS.update(TaskStar=_task_star, TaskStarLine=_task_star_line)
 
 
 def from_entries(doc: Dict[str, Any], created: bool) -> TaskConstellation:
@@ -573,13 +575,15 @@ def from_entries(doc: Dict[str, Any], created: bool) -> TaskConstellation:
     document raises at once. The graph is then judged by one ``validate``
     call, a linear pass, and repeated ids, mismatched ``dependencies`` lists
     and its violations are raised together as one ``ValidationFailed``. A
-    valid graph has its readiness counted before it is returned.
+    valid graph has its readiness settled before it is returned: counted as
+    the edges went in, for created entries, else recounted.
     """
     constellation, violations = insert_entries(doc, created)
     violations.extend(constellation.validate())
     if violations:
         raise ValidationFailed(violations)
-    constellation._recount()
+    if not created:
+        constellation._recount()
     return constellation
 
 
@@ -587,36 +591,52 @@ def insert_entries(
     doc: Dict[str, Any], created: bool
 ) -> Tuple[TaskConstellation, List[Violation]]:
     """Judge a document, or with ``created`` a build config, and insert every
-    entry, without validating the result. Returns the graph, whose change
-    record holds every inserted record, and the violations the graph itself
-    no longer shows: a ``DuplicateId`` per repeated id (the first entry is
-    kept), then a ``DependencyMismatch`` per inserted document task whose
-    derived ``dependencies`` list, taken as a set, is not the set of its
-    incoming edge ids."""
-    _judge(doc, "build_config" if created else "", "build config" if created else "constellation document")
+    record its check returns, without validating the result. Returns the
+    graph, whose change record holds every inserted record, and the
+    violations the graph itself no longer shows: a ``DuplicateId`` per
+    repeated id (the first entry is kept), then a ``DependencyMismatch`` per
+    inserted document task whose derived ``dependencies`` list, taken as a
+    set, is not the set of its incoming edge ids.
+
+    The edge indexes are filled as the edges go in, by ``insort``, which
+    appends an id that arrives in order, so no global sort runs. Created
+    tasks are PENDING with no result, so each one's count of unsatisfied
+    edges is its in-degree, counted here too: a valid graph of created
+    entries needs no ``_recount``."""
+    parsed = _judge(doc, "build_config" if created else "", "build config" if created else "constellation document")
     constellation = TaskConstellation(doc.get("request", ""))
+    tasks, edges = constellation.tasks, constellation.edges
     violations: List[Violation] = []
-    listed: List[Tuple[str, List[str]]] = []  # (task id, its dependencies entry)
-    for entry in doc.get("tasks", ()):
-        task = task_from_entry(entry)
-        if task.id in constellation.tasks:
+    for task in parsed.get("tasks", ()):
+        if task.id in tasks:
             violations.append(Violation("DuplicateId", f"task id {task.id!r} appears twice"))
         else:
-            constellation.tasks[task.id] = task
-            if "dependencies" in entry:
-                listed.append((task.id, entry["dependencies"]))
-    for entry in doc.get("dependencies", ()):
-        edge = edge_from_entry(entry)
-        if edge.id in constellation.edges:
-            violations.append(Violation("DuplicateId", f"dependency id {edge.id!r} appears twice"))
-        else:
-            constellation.edges[edge.id] = edge
-    constellation._index_edges()
-    for task_id, dependencies in listed:
-        incoming = constellation._incoming.get(task_id, ())
-        if set(dependencies) != set(incoming):
-            detail = f"task {task_id!r} lists {sorted(set(dependencies))}, its incoming edges are {list(incoming)}"
-            violations.append(Violation("DependencyMismatch", detail))
-    constellation._touched_tasks = set(constellation.tasks)
-    constellation._touched_edges = set(constellation.edges)
+            tasks[task.id] = task
+    incoming: Dict[str, List[str]] = defaultdict(list)
+    outgoing: Dict[str, List[str]] = defaultdict(list)
+    indegree = dict.fromkeys(tasks, 0)  # of edges between tasks
+    for edge in parsed.get("dependencies", ()):
+        edge_id, from_task, to_task = edge.id, edge.from_task, edge.to_task
+        if edge_id in edges:
+            violations.append(Violation("DuplicateId", f"dependency id {edge_id!r} appears twice"))
+            continue
+        edges[edge_id] = edge
+        insort(incoming[to_task], edge_id)
+        insort(outgoing[from_task], edge_id)
+        if to_task in indegree and from_task in indegree:
+            indegree[to_task] += 1
+    constellation._incoming = {task_id: tuple(ids) for task_id, ids in incoming.items()}
+    constellation._outgoing = {task_id: tuple(ids) for task_id, ids in outgoing.items()}
+    if created:
+        constellation._waiting = indegree
+        constellation._ready = {task_id for task_id, count in indegree.items() if not count}
+    else:
+        for entry, task in zip(doc.get("tasks", ()), parsed.get("tasks", ())):
+            if "dependencies" in entry and tasks[task.id] is task:
+                dependencies, ids = entry["dependencies"], constellation._incoming.get(task.id, ())
+                if set(dependencies) != set(ids):
+                    detail = f"task {task.id!r} lists {sorted(set(dependencies))}, its incoming edges are {list(ids)}"
+                    violations.append(Violation("DependencyMismatch", detail))
+    constellation._touched_tasks = set(tasks)
+    constellation._touched_edges = set(edges)
     return constellation, violations

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .edits import EditDelta, delta_from_doc
 from .errors import ScriptMiss
@@ -97,35 +97,75 @@ class Trigger:
     def matches(self, batch: Sequence[OrchestratorEvent]) -> bool:
         if len(self.patterns) != len(batch):
             return False
+        if len(batch) == 1:  # one glob test: most rounds drain one event
+            (kind, glob), event = self.patterns[0], batch[0]
+            return event.kind is kind and fnmatch.fnmatchcase(event.task_id, glob)
         return self._match(self.patterns, batch)
 
     @staticmethod
-    def _match(
-        patterns: Sequence[Tuple[EventKind, str]], events: Sequence[OrchestratorEvent]
-    ) -> bool:
-        """Whether every pattern can take an event of its own: a perfect
-        bipartite matching, grown one pattern at a time along augmenting
-        paths (Kuhn's method), after one glob test per pattern and event."""
-        compatible = [
-            [
-                index
-                for index, event in enumerate(events)
-                if event.kind is kind and fnmatch.fnmatchcase(event.task_id, glob)
-            ]
-            for kind, glob in patterns
+    def _match(patterns: Sequence[Tuple[EventKind, str]], events: Sequence[OrchestratorEvent]) -> bool:
+        """Whether every event can take a pattern of its own, of as many
+        patterns: a bipartite matching. Patterns of one (kind, glob) are
+        interchangeable, so they form one group, whose glob is tested once
+        per event and which takes as many events (``members``) as it has
+        patterns. Events take groups along shortest augmenting paths, all
+        those of one length in one phase (Hopcroft & Karp, SIAM J. Comput.
+        1973), the first phase greedily, with no recursion: O(E sqrt(V)) for
+        E compatible pairs of group and event."""
+        room: Dict[Tuple[EventKind, str], int] = {}
+        for pattern in patterns:
+            room[pattern] = room.get(pattern, 0) + 1
+        capacity, members, free = list(room.values()), [set() for _ in room], list(range(len(events)))
+        adjacent = [
+            [g for g, (kind, glob) in enumerate(room) if event.kind is kind and fnmatch.fnmatchcase(event.task_id, glob)]
+            for event in events
         ]
-        owner: Dict[int, int] = {}  # event index -> pattern index
-
-        def augment(pattern: int, visited: Set[int]) -> bool:
-            for index in compatible[pattern]:
-                if index not in visited:
-                    visited.add(index)
-                    if index not in owner or augment(owner[index], visited):
-                        owner[index] = pattern
-                        return True
-            return False
-
-        return all(augment(pattern, set()) for pattern in range(len(patterns)))
+        while free:
+            # Layer the events by alternating distance from the free ones: a
+            # full group leads to its events, one layer down.
+            depth, below, shortest = dict.fromkeys(free, 0), {}, None  # below: group -> (layer above, its events)
+            for index in (queue := list(free)):  # grows as events are layered
+                if shortest is not None and depth[index] >= shortest:
+                    break
+                for g in adjacent[index]:
+                    if len(members[g]) < capacity[g]:
+                        shortest = shortest or depth[index] + 1
+                    elif g not in below:
+                        below[g] = (depth[index], [other for other in members[g] if other not in depth])
+                        depth.update(dict.fromkeys(below[g][1], depth[index] + 1))
+                        queue += below[g][1]
+            # One walk down the layers per free event: a group's events and an
+            # event's groups are each tried once per phase.
+            next_group, next_event, unmatched = dict.fromkeys(depth, 0), dict.fromkeys(below, 0), []
+            for start in free:
+                path, links = [start], []  # path[i + 1] is an event of the group links[i]
+                while path:
+                    index, groups = path[-1], adjacent[path[-1]]
+                    while next_group[index] < len(groups):
+                        g = groups[next_group[index]]
+                        layer, others = below.get(g, (None, ()))
+                        if len(members[g]) < capacity[g] or layer == depth[index] and next_event[g] < len(others):
+                            break
+                        next_group[index] += 1
+                    else:  # a dead end: back one event
+                        path.pop()
+                        del links[-1:]
+                        continue
+                    if len(members[g]) < capacity[g]:  # room: each event on the path takes the next group
+                        members[g].add(index)
+                        for link, taker, leaver in zip(links, path, path[1:]):
+                            members[link].discard(leaver)
+                            members[link].add(taker)
+                        break
+                    path.append(others[next_event[g]])
+                    links.append(g)
+                    next_event[g] += 1
+                else:
+                    unmatched.append(start)
+            if len(unmatched) == len(free):  # no augmenting path: the matching is maximum
+                break
+            free = unmatched
+        return not free
 
 
 @dataclass

@@ -65,8 +65,11 @@ class RunReport:
     error: Optional[str] = None
     finished_at: Optional[float] = None
 
-    def record_event(self, event: OrchestratorEvent) -> None:
-        self.events.append(event.as_dict())
+    def record_event(self, event: OrchestratorEvent) -> Dict[str, Any]:
+        """Appends the event's dict to ``events`` and returns it."""
+        doc = event.as_dict()
+        self.events.append(doc)
+        return doc
 
     def record_lock(self, action: str, at: float) -> None:
         self.lock_trace.append({"action": action, "at": at})

@@ -16,6 +16,19 @@ applies only to values of its own kind, booleans are not numbers and an
 integral float such as ``1.0`` is an integer. A check refuses at the first
 fault: of an object, its fields in the schema's order, then unknown fields,
 then what ``$ref``, ``allOf`` and ``if``/``then`` add.
+
+A check also parses what it accepts (parse, don't validate) and returns it.
+An object schema naming a ``record`` (``TaskStar``, ``TaskStarLine`` or
+``AipMessage``) returns that record, built by the function ``RECORDS`` holds
+under its name from the object's fields, passed by name, a field it omits
+as its property's ``default``, or None where that states none; ``default``
+may appear only there. An array of records is returned as a list of them,
+and an object holding records as a copy with those fields replaced; any
+other value is returned as it is. A record may be reached through
+``properties``, ``items`` and ``$ref`` only. ``jsonschema`` ignores both
+keywords, so they change no verdict. What JSON Schema cannot state stays in
+the builder: a task's name defaulting to its id, enum strings becoming
+members, ``tips`` becoming a tuple.
 """
 
 from __future__ import annotations
@@ -30,9 +43,14 @@ from .errors import ParseError
 
 SCHEMAS_DIR = Path(__file__).resolve().parent / "schemas"
 
+# The builder of each record a schema may name (``record``), by name: it takes
+# an object's fields as keywords and makes the conversions JSON Schema cannot
+# state. The modules that own the records fill it as they are imported.
+RECORDS: Dict[str, Callable[..., Any]] = {}
+
 _KEYWORDS = {"$schema", "$id", "$defs", "$ref", "title", "type", "enum", "const", "minLength", "pattern",
              "minimum", "maximum", "exclusiveMinimum", "properties", "required", "additionalProperties", "items",
-             "minItems", "maxItems", "allOf", "if", "then"}
+             "minItems", "maxItems", "allOf", "if", "then", "record"}
 # Each JSON type's test of a value ``{v}``: a number or integer is never a
 # ``bool``, and an integer that is a float is integral.
 _TESTS = {
@@ -93,12 +111,15 @@ class _Source:
         self.names[name] = value
         return name
 
-    def block(self, schema: Dict[str, Any], v: str, path: Tuple[str, ...], known=(), bound=None) -> List[str]:
+    def block(self, schema: Dict[str, Any], v: str, path: Tuple[str, ...], known=(), bound=None) -> Tuple[List[str], str]:
         """What raises ``Refusal`` if ``schema`` refuses the value ``v``,
-        known to be of the JSON types ``known``, at ``path`` (source terms)."""
+        known to be of the JSON types ``known``, at ``path`` (source terms),
+        and the variable that then holds the value parsed, or ``""`` where
+        that is ``v`` itself."""
         _checked(schema.keys(), _KEYWORDS)
         kinds = schema.get("type", known)
         kinds, bound, lines = [kinds] if isinstance(kinds, str) else list(kinds), dict(bound or {}), []
+        record, parsed = schema.get("record"), ""
 
         def fail(reason: str, got: str = "", at: Tuple[str, ...] = path) -> str:
             return f"    raise Refusal(({''.join(term + ', ' for term in at)}), {reason!r}{', ' + got if got else ''})"
@@ -109,6 +130,13 @@ class _Source:
                 return body
             return [f"if {_TESTS[kind].format(v=v)}:", *("    " + line for line in body)]
 
+        def only(judged: Tuple[List[str], str], where: str) -> List[str]:
+            if judged[1]:
+                raise ValueError(f"a record may only be named through properties, items and $ref, not {where}")
+            return judged[0]
+
+        if record is not None and kinds != ["object"]:
+            raise ValueError(f"record {record} must be of type object")
         if "type" in schema:
             said = " or ".join(f"{'an' if kind in ('object', 'array', 'integer') else 'a'} {kind}" for kind in kinds)
             lines += [f"if not ({' or '.join(_TESTS[kind].format(v=v) for kind in kinds)}):", fail(f"must be {said}", v)]
@@ -131,26 +159,44 @@ class _Source:
                 numeric += [f"if {v} {op} {schema[keyword]!r}:", fail(f"must be {said} {schema[keyword]}", v)]
         lines += of_kind("number", numeric)
 
+        # A record's fields, by name, each the variable of its parsed value;
+        # an object without a record copies itself where a field parses.
         fields, properties, required = [], schema.get("properties", {}), schema.get("required", ())
+        values: Dict[str, str] = {}
         for name in [*properties, *(name for name in required if name not in properties)]:
             sub, at = properties.get(name, {}), path + (repr(name),)
+            if record is not None:
+                default = self.name("default", sub.get("default"))  # None where the schema states none
+                sub = {key: value for key, value in sub.items() if key != "default"}
             if name in bound:
-                fields += self.block(sub, bound[name][0], at, bound[name][1])
+                fields += only(self.block(sub, bound[name][0], at, bound[name][1]), "a field judged again")
+                values[name] = bound[name][0]
                 continue
             item = self.name("v")
-            check = self.block(sub, item, at)
-            fields += [f"if {name!r} in {v}:", f"    {item} = {v}[{name!r}]", *("    " + line for line in check)] if check else []
+            check, value = self.block(sub, item, at)
+            if check or record is not None:
+                fields += [f"if {name!r} in {v}:", f"    {item} = {v}[{name!r}]", *("    " + line for line in check)]
+                if value and record is None:
+                    parsed = parsed or self.name("r")
+                    fields.append(f"    {parsed}[{name!r}] = {value}")
+                values[name] = value or item
             if name in required:
-                fields += ["else:" if check else f"if {name!r} not in {v}:", fail("is required", at=at)]
+                fields += ["else:" if check or record is not None else f"if {name!r} not in {v}:", fail("is required", at=at)]
                 if check and kinds == ["object"]:
                     bound[name] = (item, sub.get("type", ()))
+            elif record is not None:
+                fields += ["else:", f"    {values[name]} = {default}"]
+        if parsed:
+            if kinds != ["object"]:
+                raise ValueError("an object holding records must be of type object")
+            fields.insert(0, f"{parsed} = dict({v})")
         additional = schema.get("additionalProperties", True)
         names = self.name("names", frozenset(properties))
         if additional is False:
             fields += [f"if not {names}.issuperset({v}):", f"    raise _unknown(({''.join(t + ', ' for t in path)}), {v}, {names})"]
         elif additional is not True:
             key, item = self.name("k"), self.name("v")
-            check = self.block(additional, item, path + (key,))
+            check = only(self.block(additional, item, path + (key,)), "additionalProperties")
             fields += [f"for {key}, {item} in {v}.items():", f"    if {key} not in {names}:", *("        " + line for line in check)]
         lines += of_kind("object", fields)
 
@@ -161,21 +207,36 @@ class _Source:
             items += [f"if len({v}) < {fewest}{too_many}:", fail(f"must have {span} items", f"len({v})")]
         if "items" in schema:
             index, item = self.name("i"), self.name("v")
-            check = self.block(schema["items"], item, path + (index,))
-            items += [f"for {index}, {item} in enumerate({v}):", *("    " + line for line in check)] if check else []
+            check, value = self.block(schema["items"], item, path + (index,))
+            if value:
+                if kinds != ["array"]:
+                    raise ValueError("an array of records must be of type array")
+                parsed = self.name("r")
+                items += [f"{parsed} = []", f"for {index}, {item} in enumerate({v}):",
+                          *("    " + line for line in check), f"    {parsed}.append({value})"]
+            else:
+                items += [f"for {index}, {item} in enumerate({v}):", *("    " + line for line in check)] if check else []
         lines += of_kind("array", items)
 
         # What follows judges the same value again, of the types now known.
         if "$ref" in schema:
             if not schema["$ref"].startswith("#/$defs/"):
                 raise ValueError(f"$ref {schema['$ref']} does not point into $defs")
-            lines += self.block(self.root["$defs"][schema["$ref"][len("#/$defs/"):]], v, path, kinds, bound)
+            check, value = self.block(self.root["$defs"][schema["$ref"][len("#/$defs/"):]], v, path, kinds, bound)
+            if value and (parsed or record is not None):
+                raise ValueError("a value may be parsed to one record only")
+            lines, parsed = lines + check, value or parsed
         for sub in schema.get("allOf", ()):
-            lines += self.block(sub, v, path, kinds, bound)
+            lines += only(self.block(sub, v, path, kinds, bound), "allOf")
         if "if" in schema:
-            test, then = self.test(schema["if"], v, kinds, bound), self.block(schema.get("then", {}), v, path, kinds, bound)
+            test, then = self.test(schema["if"], v, kinds, bound), only(self.block(schema.get("then", {}), v, path, kinds, bound), "then")
             lines += [f"if {test}:", *("    " + line for line in then)] if then else []
-        return lines
+        if record is not None:
+            if record not in RECORDS:
+                raise ValueError(f"no record {record} is known")
+            build, parsed = self.name("record", RECORDS[record]), self.name("r")
+            lines.append(f"{parsed} = {build}({', '.join(f'{name}={value}' for name, value in values.items())})")
+        return lines, parsed
 
     def test(self, schema: Dict[str, Any], v: str, kinds: List[str], bound: Dict[str, Any]) -> str:
         """An expression, true where the ``if`` schema ``schema`` accepts the
@@ -196,18 +257,19 @@ class _Source:
         return " and ".join(terms) if kinds == ["object"] else f"(not isinstance({v}, dict) or {' and '.join(terms)})"
 
 
-def compile_schema(schema: Dict[str, Any], definition: str = "") -> Callable[[Any], None]:
+def compile_schema(schema: Dict[str, Any], definition: str = "") -> Callable[[Any], Any]:
     """One check that refuses what ``schema``, or its ``$defs`` entry
-    ``definition``, refuses, raising ``Refusal``. Raises ``ValueError`` for a
-    keyword this module does not know."""
+    ``definition``, refuses, raising ``Refusal``, and returns the value it
+    accepts, parsed. Raises ``ValueError`` for a keyword this module does not
+    know, or a record that ``RECORDS`` does not hold."""
     source = _Source(schema)
-    body = source.block(schema["$defs"][definition] if definition else schema, "v", ())
-    exec("\n".join(["def check(v):", *("    " + line for line in body), "    pass"]), source.names)
+    body, parsed = source.block(schema["$defs"][definition] if definition else schema, "v", ())
+    exec("\n".join(["def check(v):", *("    " + line for line in body), f"    return {parsed or 'v'}"]), source.names)
     return source.names["check"]
 
 
 @lru_cache(maxsize=None)
-def check_of(kind: str, definition: str = "") -> Callable[[Any], None]:
+def check_of(kind: str, definition: str = "") -> Callable[[Any], Any]:
     """The check of ``schemas/<kind>.schema.json``, or of its ``$defs`` entry
     ``definition``, compiled at first use."""
     return compile_schema(json.loads((SCHEMAS_DIR / f"{kind}.schema.json").read_text(encoding="utf-8")), definition)

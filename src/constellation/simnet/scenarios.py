@@ -32,7 +32,7 @@ from ..aip.endpoints import (
 )
 from ..clock import VirtualClock
 from ..engine import EngineConfig, Orchestrator
-from ..errors import ParseError
+from ..errors import ParseError, ValidationFailed
 from ..model import TaskConstellation
 from ..planner import PlannerScript, ScriptedPlanner, load_script
 from ..report import RunReport
@@ -103,7 +103,9 @@ def _stamp(path: str) -> Optional[Tuple[int, int]]:
 def _load(source: Any, base: str) -> _Loaded:
     """Read and judge a scenario (a path or a document) and each file it
     names relative to ``base``, each file once. A file is stamped before it
-    is read, so that a change made while it is read shows at the next run."""
+    is read, so that a change made while it is read shows at the next run.
+    Every refusal is a ``ParseError`` naming its file, a constellation file
+    that is not a valid graph included."""
     stamps: Dict[str, Optional[Tuple[int, int]]] = {}
 
     def named(name: str) -> str:
@@ -112,7 +114,11 @@ def _load(source: Any, base: str) -> _Loaded:
         return path
 
     doc = load_scenario(named(source) if isinstance(source, str) else source)
-    template = from_document(read_document(named(doc["constellation"]), "constellation"))
+    constellation = named(doc["constellation"])
+    try:
+        template = from_document(read_document(constellation, "constellation"))
+    except ValidationFailed as exc:
+        raise ParseError(f"bad constellation {constellation}: {exc}") from exc
     template.request = doc["request"]
     executors: Dict[str, ScriptedExecutor] = {}
     reasoners: Dict[str, ScriptedReasoner] = {}

@@ -175,6 +175,17 @@ class TestRun:
         assert code == 2
         assert "reasoner script" in lines[-1]["error"]
 
+    def test_constellation_file_that_is_not_a_graph_exits_two_naming_it(self, capsys, tmp_path):
+        target = tmp_path / "scenarios"
+        shutil.copytree(SCENARIOS_DIR, target)
+        path = target / "fault_constellation.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["dependencies"].append({"id": "eDA", "from_task": "D", "to_task": "A"})
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, lines = run_cli(capsys, "run", "--scenario", str(target / "scenario1.json"), "--seed", "0")
+        assert code == 2
+        assert lines[-1]["error"].startswith(f"bad constellation {path.resolve()}: ")
+
     @pytest.mark.parametrize(
         "script, field, value",
         [

@@ -26,11 +26,12 @@ from constellation import (
     from_document,
     serialize,
 )
-from constellation import edits, serial
+from constellation import edits, model, serial
 from constellation.edits import delta_from_doc, edit_locality_violations
 from constellation.model import CONDITIONS, DependencyKind, from_entries, insert_entries
 from constellation.errors import ConstellationError, IllegalField, ParseError
 from constellation.planner import load_script
+from constellation.schema import check_of
 from conftest import layered_config, random_dag, scanned_incoming
 
 FIG4_CONFIG = {
@@ -115,12 +116,15 @@ class TestBuildConstellation:
         assert summary.added_tasks == 1 and summary.added_dependencies == 0
 
     def test_layered_build_runs_one_cycle_check(self, monkeypatch):
-        """A bulk build and a delta holding one build op insert everything,
-        then judge the graph once, not once per edge: both with one
+        """The walks of a build, counted: a bulk build and a delta holding
+        one build op make one generated check of the config, which returns
+        the records, insert them, then judge the graph once, with one
         ``validate`` call, a linear pass over the whole graph that peels it
-        once, with neither ``topological_order`` nor a search from every
-        edge target. A delta of many edges into a valid graph is searched
-        once from the edges it added, and that region peeled once, with no
+        once. Readiness is counted as the edges go in, so no ``_recount``
+        follows, and neither ``topological_order`` nor a search from every
+        edge target runs. A delta of many edges into a valid graph makes one
+        check per edge spec, is searched once from the edges it added, that
+        region peeled once, and only the ten tasks it touched recounted: no
         pass over the whole graph."""
         config = layered_config(100, width=10, fan_in=2)
         calls = []
@@ -129,26 +133,32 @@ class TestBuildConstellation:
             search = getattr(TaskConstellation, name)
 
             def wrapper(self, *args):
-                calls.append(name)
+                calls.append((name, len(self._touched_tasks)) if name == "_recount" else name)
                 return search(self, *args)
 
             return wrapper
 
+        def counted_check(kind, shape=""):
+            calls.append(f"check {shape}")
+            return check_of(kind, shape)
+
         order, whole, peel = "topological_order", "validate", "_peel"
-        downstream = "_cycle_downstream_of"
-        for prepare, edges, searches in (
-            (by_build, 180, [whole, peel]),
-            (by_build_op, 180, [whole, peel]),
-            (by_edge_ops, 20, [downstream, peel]),
+        downstream, recount = "_cycle_downstream_of", "_recount"
+        for prepare, edges, walks in (
+            (by_build, 180, ["check build_config", whole, peel]),
+            (by_build_op, 180, ["check build_config", whole, peel]),
+            (by_edge_ops, 20, ["check dependency"] * 20 + [downstream, peel, (recount, 10)]),
         ):
             run = prepare(config)
             calls.clear()
             with monkeypatch.context() as patch:
-                for name in (order, whole, downstream, peel):
+                for name in (order, whole, downstream, peel, recount):
                     patch.setattr(TaskConstellation, name, counted(name))
+                patch.setattr(model, "check_of", counted_check)
                 built = run()
             assert (len(built.tasks), len(built.edges)) == (100, edges)
-            assert calls == searches, prepare.__name__
+            assert calls == walks, prepare.__name__
+            assert (built._waiting, built._ready, built._running) == recounted(built), prepare.__name__
 
 
 class TestApplyDelta:

@@ -1,10 +1,14 @@
 """Scripted trigger matching, template substitution."""
 
 import fnmatch
+import itertools
 import json
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from constellation import (
     AddTask,
@@ -32,6 +36,11 @@ def pinput(snapshot=None, batch=()):
     return PlannerInput(
         snapshot=snapshot or TaskConstellation(), batch=tuple(batch), round_index=0
     )
+
+
+KINDS = (EventKind.TASK_COMPLETED, EventKind.TASK_FAILED)
+GLOBS = ("*", "A", "B", "[AB]", "A*", "?", "C*")
+IDS = ("A", "B", "C", "AB", "AA", "C1")
 
 
 class TestTrigger:
@@ -101,6 +110,56 @@ class TestTrigger:
         monkeypatch.setattr(fnmatch, "fnmatchcase", counted)
         assert not Trigger(patterns).matches(batch)
         assert len(calls) <= size * size
+
+
+    def test_identical_patterns_are_matched_in_linear_time(self, monkeypatch):
+        """2 000 identical patterns against 2 000 completions: one glob test
+        per event, as the patterns form one group, and no recursion."""
+        size = 2000
+        patterns = ((EventKind.TASK_COMPLETED, "*"),) * size
+        batch = [event(EventKind.TASK_COMPLETED, f"t{i}") for i in range(size)]
+        calls = []
+        fnmatchcase = fnmatch.fnmatchcase
+
+        def counted(name, pattern):
+            calls.append(1)
+            return fnmatchcase(name, pattern)
+
+        monkeypatch.setattr(fnmatch, "fnmatchcase", counted)
+        started = time.process_time()
+        assert Trigger(patterns).matches(batch)
+        assert not Trigger(patterns[1:] + ((EventKind.TASK_FAILED, "*"),)).matches(batch)
+        assert time.process_time() - started < 0.1
+        assert len(calls) == 2 * size  # a glob meets only the events of its kind
+
+    def test_augmenting_paths_undo_greedy_choices(self):
+        """Each event first takes the first group with room: A1 takes "*",
+        which leaves B without one, so A1 moves on to "A*"."""
+        trigger = Trigger(((EventKind.TASK_COMPLETED, "*"), (EventKind.TASK_COMPLETED, "A*")))
+        assert trigger.matches([event(EventKind.TASK_COMPLETED, "A1"), event(EventKind.TASK_COMPLETED, "B")])
+        assert not trigger.matches([event(EventKind.TASK_COMPLETED, "B"), event(EventKind.TASK_COMPLETED, "C")])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(KINDS), st.sampled_from(GLOBS)), max_size=6).flatmap(
+            lambda patterns: st.tuples(
+                st.just(tuple(patterns)),
+                st.lists(st.tuples(st.sampled_from(KINDS), st.sampled_from(IDS)),
+                         min_size=len(patterns), max_size=len(patterns)),
+            )
+        )
+    )
+    def test_matching_agrees_with_every_permutation(self, case):
+        """Up to six patterns of random kinds and globs: a trigger matches
+        exactly when some permutation of the batch matches it pattern by
+        pattern."""
+        patterns, pairs = case
+        batch = [event(kind, task_id) for kind, task_id in pairs]
+        expected = any(
+            all(e.kind is kind and fnmatch.fnmatchcase(e.task_id, glob) for (kind, glob), e in zip(patterns, order))
+            for order in itertools.permutations(batch)
+        )
+        assert Trigger(patterns).matches(batch) is expected
 
 
 def backtracking_match(patterns, events):

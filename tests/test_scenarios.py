@@ -216,6 +216,21 @@ class TestHarness:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             run_scenario(target / "scenario1.json", seed=0)
 
+    def test_a_constellation_file_that_is_not_a_graph_is_a_parse_error(self, tmp_path):
+        """A constellation file that its schema accepts but whose graph is
+        invalid, here through an added D->A edge, is refused naming the file,
+        as every other fault of a scenario's files is."""
+        target = tmp_path / "scenarios"
+        shutil.copytree(SCENARIOS_DIR, target)
+        path = target / "fault_constellation.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["dependencies"].append({"id": "eDA", "from_task": "D", "to_task": "A"})
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        message = f"bad constellation {os.path.realpath(path)}: CycleIntroduced: cycle through {{A, D}}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as refused:
+            run_scenario(target / "scenario1.json", seed=0)
+        assert [v.kind for v in refused.value.__cause__.violations] == ["CycleIntroduced"]
+
 
 def entry_schema(name):
     """The constellation schema's definition of one task or dependency entry."""

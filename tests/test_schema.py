@@ -4,6 +4,7 @@ configs, entries and patches included, is judged by its schema."""
 
 import copy
 import functools
+import json
 import operator
 import random
 import re
@@ -11,15 +12,22 @@ from collections import Counter
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from constellation import AddDependency, AddTask, EditDelta, UpdateTask, apply_delta, build_constellation, from_document
 from constellation.agent.executor import ScriptedExecutor
 from constellation.agent.reasoner import ScriptedReasoner
+from constellation.aip.messages import AipMessage, MessageType, encode
 from constellation.errors import ConstellationError, IllegalField, ParseError
+from constellation.model import (
+    UNCONDITIONAL, DependencyKind, DependencyType, FailureReason, TaskStar, TaskStarLine, TaskStatus,
+)
 from constellation.planner import load_script
 from constellation.schema import Refusal, check_of, compile_schema, read_document
 from constellation.simnet.scenarios import load_scenario
 from conftest import MUTANT_VALUES, SCENARIOS_DIR, load_json, load_schema, mutated
+from test_aip import valid_messages
 
 # Each runtime schema and the packaged files it judges.
 PACKAGED = {
@@ -296,3 +304,124 @@ def test_an_if_may_test_that_a_field_is_present(value):
     else:
         accepted = True
     assert accepted is jsonschema.Draft202012Validator(schema).is_valid(value)
+
+
+# -- records: what a check returns -----------------------------------------
+
+
+def reference_task(entry):
+    """A task entry's record, built by hand from the judged entry: its name
+    defaults to its id, and an absent status to PENDING."""
+    task_id, status, reason = entry["id"], entry.get("status"), entry.get("failure_reason")
+    return TaskStar(
+        task_id, entry["device"], entry.get("name", task_id), entry.get("description", ""),
+        tuple(entry.get("tips", ())), TaskStatus.PENDING if status is None else TaskStatus(status),
+        entry.get("result"), None if reason is None else FailureReason(reason),
+    )
+
+
+def reference_edge(entry):
+    """A dependency entry's record, built by hand: its type defaults to
+    UNCONDITIONAL."""
+    kind = entry.get("dep_type", "UNCONDITIONAL")
+    dep_type = UNCONDITIONAL if kind == "UNCONDITIONAL" else DependencyType(DependencyKind(kind), entry.get("condition_id"))
+    return TaskStarLine(entry["id"], entry["from_task"], entry["to_task"], dep_type, entry.get("description", ""))
+
+
+def reference_message(doc):
+    return AipMessage(MessageType(doc["msg_type"]), doc["body"], doc.get("session_id"))
+
+
+ids = st.text(min_size=1, max_size=4)
+texts = st.text(max_size=4)
+
+
+@st.composite
+def task_entries(draw, created):
+    entry = {"id": draw(ids), "device": draw(texts)}
+    optional = {"name": texts, "description": texts, "tips": st.lists(texts, max_size=3)}
+    if not created:
+        optional.update(status=st.sampled_from([s.value for s in TaskStatus]), dependencies=st.lists(ids, max_size=3),
+                        result=st.one_of(st.none(), st.integers(), texts, st.lists(st.integers(), max_size=2)))
+    for name, values in optional.items():
+        if draw(st.booleans()):
+            entry[name] = draw(values)
+    if entry.get("status") == "FAILED" and draw(st.booleans()):
+        entry["failure_reason"] = draw(st.sampled_from([r.value for r in FailureReason]))
+    return entry
+
+
+@st.composite
+def dependency_entries(draw):
+    entry = {"id": draw(ids), "from_task": draw(ids), "to_task": draw(ids)}
+    kind = draw(st.sampled_from([None, "UNCONDITIONAL", "SUCCESS_ONLY", "CONDITIONAL"]))
+    if kind is not None:
+        entry["dep_type"] = kind
+    if kind == "CONDITIONAL":
+        entry["condition_id"] = draw(ids)
+    if draw(st.booleans()):
+        entry["description"] = draw(texts)
+    return entry
+
+
+@settings(max_examples=200, deadline=None)
+@given(created=st.lists(task_entries(True), max_size=4), tasks=st.lists(task_entries(False), max_size=4),
+       edges=st.lists(dependency_entries(), max_size=4))
+def test_checks_return_the_records_a_reference_builds(created, tasks, edges):
+    """Over random valid entries, and documents and build configs of them:
+    the generated check of each returns the records built by hand from the
+    entry, defaults filled, and a copy of a document whose entries are
+    records, leaving the document unchanged."""
+    for shape, entries, reference in (("created_task", created, reference_task), ("task", tasks, reference_task),
+                                      ("dependency", edges, reference_edge)):
+        for entry in entries:
+            record = check_of("constellation", shape)(entry)
+            assert type(record) is type(reference(entry)) and record == reference(entry)
+    for shape, doc in (("build_config", {"tasks": created, "dependencies": edges}),
+                       ("", {"request": "r", "tasks": tasks, "dependencies": edges})):
+        before = copy.deepcopy(doc)
+        parsed = check_of("constellation", shape)(doc)
+        assert doc == before and parsed is not doc
+        assert parsed == {**doc, "tasks": [reference_task(entry) for entry in doc["tasks"]],
+                          "dependencies": [reference_edge(entry) for entry in edges]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(msg=valid_messages())
+def test_the_frame_check_returns_the_message_a_reference_builds(msg):
+    doc = json.loads(encode(msg)[4:].decode("utf-8"))
+    parsed = check_of("aip_message")(doc)
+    assert type(parsed) is AipMessage and parsed == reference_message(doc) and parsed.body is doc["body"]
+
+
+def test_a_record_field_the_entry_omits_takes_its_schema_default():
+    schema = {"$defs": {"edge": {
+        "record": "TaskStarLine", "type": "object", "required": ["id"],
+        "properties": {"id": {"type": "string"}, "from_task": {"default": "A"}, "to_task": {"default": "B"},
+                       "dep_type": {"default": "SUCCESS_ONLY"}, "description": {}, "condition_id": {}},
+    }}}
+    edge = compile_schema(schema, "edge")({"id": "e", "description": "d"})
+    assert edge == TaskStarLine("e", "A", "B", DependencyType(DependencyKind.SUCCESS_ONLY), "d")
+    assert compile_schema(schema, "edge")({"id": "e"}).description is None
+
+
+@pytest.mark.parametrize(
+    "schema, message",
+    [
+        ({"record": "NoSuchRecord", "type": "object"}, "no record NoSuchRecord is known"),
+        ({"record": "TaskStar", "type": ["object", "null"]}, "record TaskStar must be of type object"),
+        ({"record": "TaskStar", "properties": {"id": {}}}, "record TaskStar must be of type object"),
+        ({"properties": {"a": {"type": "string", "default": ""}}}, "unknown schema keyword\\(s\\) default"),
+        ({"allOf": [{"$ref": "#/$defs/edge"}], "$defs": {"edge": {"record": "TaskStarLine", "type": "object"}}},
+         "not allOf"),
+        ({"items": {"$ref": "#/$defs/edge"}, "$defs": {"edge": {"record": "TaskStarLine", "type": "object"}}},
+         "an array of records must be of type array"),
+        ({"properties": {"e": {"$ref": "#/$defs/edge"}}, "$defs": {"edge": {"record": "TaskStarLine", "type": "object"}}},
+         "an object holding records must be of type object"),
+        ({"record": "TaskStar", "type": "object", "$ref": "#/$defs/edge",
+          "$defs": {"edge": {"record": "TaskStarLine", "type": "object"}}}, "parsed to one record only"),
+    ],
+)
+def test_compiler_refuses_a_record_it_cannot_build(schema, message):
+    with pytest.raises(ValueError, match=message):
+        compile_schema(schema)
