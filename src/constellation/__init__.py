@@ -28,7 +28,6 @@ from .errors import (
     ConstellationError,
     DuplicateId,
     IllegalTransition,
-    IncompleteRun,
     InvariantViolation,
     NotFound,
     ParseError,
@@ -84,7 +83,6 @@ __all__ = [
     "FailureReason",
     "GOLDEN_STATS",
     "IllegalTransition",
-    "IncompleteRun",
     "InvariantViolation",
     "ModificationSummary",
     "NoopPlanner",

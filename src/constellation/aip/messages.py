@@ -53,25 +53,10 @@ _SCAN = _DECODER.scan_once
 _LENGTH = struct.Struct(">I")
 
 
-class _MessageFields(NamedTuple):
+class AipMessage(NamedTuple):
     msg_type: MessageType
-    body: Optional[Dict[str, Any]] = None
+    body: Dict[str, Any]
     session_id: Optional[str] = None
-
-
-class AipMessage(_MessageFields):
-    """A message: a named tuple whose missing ``body`` is a fresh dict per
-    message, not one default shared by every message."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        msg_type: MessageType,
-        body: Optional[Dict[str, Any]] = None,
-        session_id: Optional[str] = None,
-    ) -> "AipMessage":
-        return tuple.__new__(cls, (msg_type, {} if body is None else body, session_id))
 
 
 def _message(msg_type: str, body: Dict[str, Any], session_id: Optional[str]) -> AipMessage:

@@ -10,9 +10,12 @@ together with any id a build op's config repeats. The check reads the
 post-state's change record: one holding every task, as a build op's does,
 is judged by one ``validate`` call, a linear pass, and any other by the
 region downstream of its edges, ``validate`` listing a fault found there.
-Either the delta passes, commits with its readiness recounted and the
-version risen by exactly one, or one error propagates: the op's refusal or
-lookup error, or one ``ValidationFailed`` listing every violation.
+Either the delta passes and commits, with the version risen by exactly one
+and its readiness settled (counted as a build op inserts its edges, else
+recounted over the change record), or one error propagates: the op's
+refusal or lookup error, or one ``ValidationFailed`` listing every
+violation. A build config becomes a graph only this way:
+``build_constellation`` applies its build op to the empty graph.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Tuple
 
 from .errors import ParseError, ValidationFailed
-from .model import TaskConstellation, TaskStatus, Violation, from_entries, insert_entries
+from .model import TaskConstellation, TaskStatus, Violation, insert_entries
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,9 @@ class ModificationSummary:
 
 
 def build_constellation(config: Dict[str, Any]) -> TaskConstellation:
-    """Create a graph from a build config in one pass, atomically."""
-    target = from_entries(config, created=True)
-    target.version = 1
-    return target
+    """A graph from a build config: its build op applied to the empty graph,
+    so version 1, or one ``ValidationFailed``."""
+    return apply_delta(TaskConstellation(), EditDelta([BuildConstellation(config)]))[0]
 
 
 def apply_delta(
@@ -109,8 +111,8 @@ def apply_delta(
     """Apply every op in order on a clone, check the result once, and
     commit with the version bumped once.
 
-    ``constellation`` must be valid, as every graph made by
-    ``model.from_entries`` or committed here is. The check then needs only
+    ``constellation`` must be valid, as every graph read by
+    ``serial.from_document`` or committed here is. The check then needs only
     the change record, and calls ``validate`` at most once: at once when the
     record holds every task (a build's), otherwise only to list a fault
     ``_changes_valid`` found in the edges added or updated (endpoints,

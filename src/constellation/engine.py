@@ -156,7 +156,7 @@ class Orchestrator:
     def _drain(self) -> None:
         calls, self._intake = self._intake, []
         for handler, args in calls:
-            if self.done:
+            if self.done:  # so a finished run's timers and callbacks do nothing
                 return
             handler(*args)
 
@@ -385,8 +385,7 @@ class Orchestrator:
         )
 
     def _execution_timeout(self, task_id: str) -> None:
-        # Only a RUNNING task has this timer: its completion and _finish cancel it.
-        self._execution_timers.pop(task_id, None)
+        # Only a RUNNING task has this timer: its completion cancels it.
         self._on_task_done(task_id, TaskStatus.FAILED, None, FailureReason.TIMEOUT)
 
     # -- termination -----------------------------------------------------
@@ -414,10 +413,6 @@ class Orchestrator:
         self.report.outcome = outcome
         self.report.finished_at = self.clock.now
         self.report.final_document = to_document(self.constellation)
-        for timers in (self._pending_timers, self._execution_timers):
-            for handle in timers.values():
-                handle.cancel()
-            timers.clear()
 
     @staticmethod
     def _cancel_timer(timers: Dict[str, TimerHandle], key: str) -> None:

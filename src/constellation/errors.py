@@ -2,15 +2,16 @@
 
 One class per failure kind. Reading an entry, a patch or an edit op raises
 ``ParseError``, ``IllegalField``, ``NotFound`` or ``DuplicateId``; every
-structural or edit-locality fault of a graph, whether it comes from a
-document, a build or a delta, is the one ``ValidationFailed`` that lists
-each violation by kind. Every document is judged by the check compiled from
-its packaged schema (``schema.py``): a scenario or script file it refuses is
-a ``ParseError`` naming the JSON path; so is a constellation document, build
-config, entry or patch, except that a field an entry or a patch may not
-carry is an ``IllegalField``; and a protocol frame it refuses is a
-``SchemaViolation`` naming the field, which the receiving endpoint answers
-with an ERROR frame, so no peer's frame raises out of the clock.
+structural or edit-locality fault of a graph, whether a document, a build,
+a delta or the parallelism metrics find it, is the one ``ValidationFailed``
+that lists each violation by kind. Every document is judged by the check
+compiled from its packaged schema (``schema.py``): a scenario or script
+file it refuses is a ``ParseError`` naming the JSON path; so is a
+constellation document, build config, entry or patch, except that a field
+an entry or a patch may not carry is an ``IllegalField``; and a protocol
+frame it refuses is a ``SchemaViolation`` naming the field, which the
+receiving endpoint answers with an ERROR frame, so no peer's frame raises
+out of the clock.
 What a run reports is not an exception: a dispatch to a device outside the
 pool ends its task FAILED (AGENT_DISCONNECTED), a device whose reconnect
 attempts run out is marked ``permanently_failed``, and a verdict mismatch
@@ -63,10 +64,6 @@ class SchemaViolation(ConstellationError):
         self.field = field
         self.reason = reason
         super().__init__(f"{field}: {reason}")
-
-
-class IncompleteRun(ConstellationError):
-    pass
 
 
 class BoundExceeded(ConstellationError):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Dict, NamedTuple, Optional
+from typing import Any, Dict, NamedTuple
 
 
 class EventKind(Enum):
@@ -13,27 +13,11 @@ class EventKind(Enum):
     CONSTELLATION_MODIFIED = "CONSTELLATION_MODIFIED"
 
 
-class _EventFields(NamedTuple):
+class OrchestratorEvent(NamedTuple):
     kind: EventKind
-    task_id: str = ""
-    at: float = 0.0
-    payload: Optional[Dict[str, Any]] = None
-
-
-class OrchestratorEvent(_EventFields):
-    """An event of a run: a named tuple whose missing ``payload`` is a fresh
-    dict per event, not one default shared by every event."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        kind: EventKind,
-        task_id: str = "",
-        at: float = 0.0,
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> "OrchestratorEvent":
-        return tuple.__new__(cls, (kind, task_id, at, {} if payload is None else payload))
+    task_id: str
+    at: float
+    payload: Dict[str, Any]
 
     def as_dict(self) -> Dict[str, Any]:
         # ``_value_`` is the member's value as a plain attribute; the

@@ -8,18 +8,19 @@ its ``$defs``, returns a task entry's ``TaskStar`` and a dependency entry's
 ``TaskStarLine`` (built by ``_task_star`` and ``_task_star_line``, the one
 place for the conversions JSON Schema cannot state). A field that an entry
 or a patch may not carry raises ``IllegalField``, and any other refusal
-``ParseError``, naming the JSON path. Whole graphs
-(``serial.from_document`` and ``edits.build_constellation``) are made by
-``from_entries``: insert the records the check returns, then judge the
-whole graph with one ``validate`` call; a document task's derived
-``dependencies`` list must name its incoming edges. After that the structure
-changes only through ``edits.apply_delta``, which runs the raw ``_...`` ops
-below on a working copy, checks the result once and bumps the version once
-per commit; the engine moves task statuses with ``transition``. The raw ops
-only judge their spec or patch and mutate: they raise ``NotFound``,
-``DuplicateId``, ``ParseError`` and ``IllegalField``, and leave cycles,
-dangling or parallel edges and edits of non-PENDING tasks to the one check
-of the result.
+``ParseError``, naming the JSON path. ``insert_entries`` makes a whole
+graph from the records the check of a document or build config returns,
+and one ``validate`` call then judges it: in ``serial.from_document`` for a
+document, whose tasks' derived ``dependencies`` lists must name their
+incoming edges, and in ``edits.apply_delta`` for a build op, which
+``edits.build_constellation`` applies to the empty graph. After that the
+structure changes only through ``edits.apply_delta``, which runs the raw
+``_...`` ops below on a working copy, checks the result once and bumps the
+version once per commit; the engine moves task statuses with
+``transition``. The raw ops only judge their spec or patch and mutate: they
+raise ``NotFound``, ``DuplicateId``, ``ParseError`` and ``IllegalField``,
+and leave cycles, dangling or parallel edges and edits of non-PENDING tasks
+to the one check of the result.
 
 One judge decides a graph's structure: ``validate`` lists every fault in
 one linear pass, and ``_changes_valid`` judges a commit from the region
@@ -75,7 +76,6 @@ from .errors import (
     IllegalTransition,
     NotFound,
     ParseError,
-    ValidationFailed,
 )
 from .schema import RECORDS, Refusal, UnknownFields, check_of
 
@@ -566,25 +566,6 @@ def _task_star_line(id, from_task, to_task, dep_type, description, condition_id)
 
 
 RECORDS.update(TaskStar=_task_star, TaskStarLine=_task_star_line)
-
-
-def from_entries(doc: Dict[str, Any], created: bool) -> TaskConstellation:
-    """Build a graph from a document or build config in one pass.
-
-    The document is judged and every entry inserted first; a malformed
-    document raises at once. The graph is then judged by one ``validate``
-    call, a linear pass, and repeated ids, mismatched ``dependencies`` lists
-    and its violations are raised together as one ``ValidationFailed``. A
-    valid graph has its readiness settled before it is returned: counted as
-    the edges went in, for created entries, else recounted.
-    """
-    constellation, violations = insert_entries(doc, created)
-    violations.extend(constellation.validate())
-    if violations:
-        raise ValidationFailed(violations)
-    if not created:
-        constellation._recount()
-    return constellation
 
 
 def insert_entries(

@@ -3,9 +3,10 @@
 The layout is fixed (top-level keys, arrays sorted by id, UPPER_SNAKE_CASE
 enums) so serialized documents are stable and diff-friendly. The JSON
 Schema ``constellation/schemas/constellation.schema.json`` is the one judge
-of a document read back: ``from_document`` hands it to ``from_entries``,
-whose check of the schema refuses what the schema refuses, a misspelt key or
-an unknown ``schema_version`` included, and only builds the graph.
+of a document's shape: ``from_document`` hands it to ``insert_entries``,
+whose check refuses what the schema refuses, a misspelt key or an unknown
+``schema_version`` included, and only builds the graph. One ``validate``
+call then judges the graph, and its readiness is counted once it is valid.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
-from .errors import ParseError
-from .model import TaskConstellation, TaskStar, TaskStarLine, from_entries
+from .errors import ParseError, ValidationFailed
+from .model import TaskConstellation, TaskStar, TaskStarLine, insert_entries
 
 SCHEMA_VERSION = 1
 
@@ -69,7 +70,14 @@ def serialize(constellation: TaskConstellation) -> str:
 
 
 def from_document(doc: Dict[str, Any]) -> TaskConstellation:
-    constellation = from_entries(doc, created=False)
+    """The graph of a document. A malformed document raises at once; else
+    its repeated ids, mismatched ``dependencies`` lists and ``validate``
+    violations are raised together as one ``ValidationFailed``."""
+    constellation, violations = insert_entries(doc, created=False)
+    violations.extend(constellation.validate())
+    if violations:
+        raise ValidationFailed(violations)
+    constellation._recount()
     constellation.version = int(doc.get("version", 0))  # an integral float is an integer
     return constellation
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..errors import IncompleteRun
-from ..model import TaskConstellation
+from ..errors import ValidationFailed
+from ..model import TaskConstellation, Violation
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,8 @@ def _infinite_device_schedule(
     the walk takes."""
     order = constellation.topological_order()
     if len(order) < len(constellation.tasks):
-        raise IncompleteRun("dependency graph contains a cycle")
+        cycle = ", ".join(sorted(constellation.tasks.keys() - set(order)))
+        raise ValidationFailed([Violation("CycleIntroduced", f"cycle through {{{cycle}}}")])
     starts: Dict[str, float] = {}
     finishes: Dict[str, float] = {}
     for task_id in order:

@@ -28,7 +28,7 @@ from constellation import (
 )
 from constellation import edits, model, serial
 from constellation.edits import delta_from_doc, edit_locality_violations
-from constellation.model import CONDITIONS, DependencyKind, from_entries, insert_entries
+from constellation.model import CONDITIONS, DependencyKind, insert_entries
 from constellation.errors import ConstellationError, IllegalField, ParseError
 from constellation.planner import load_script
 from constellation.schema import check_of
@@ -915,7 +915,7 @@ class TestOnePassCheck:
             inserted, repeated = insert_entries(doc, created=False)
             expected = [str(v) for v in repeated + reference_validate(inserted)]
             try:
-                c = from_entries(doc, created=False)
+                c = from_document(doc)
             except ValidationFailed as exc:
                 assert [str(v) for v in exc.violations] == expected, seed
                 kinds.update(v.kind for v in exc.violations)

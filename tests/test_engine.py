@@ -16,6 +16,7 @@ from constellation import (
     Planner,
     PlannerOutput,
     PlannerState,
+    RemoveTask,
     RunOutcome,
     ScriptedDispatcher,
     ScriptedPlanner,
@@ -55,6 +56,26 @@ class TestHappyPath:
         assert report.finished_at == 40.0
         starts = {tid: t.dispatched_at for tid, t in report.timings.items()}
         assert starts == {"A": 0.0, "B": 0.0, "C": 10.0, "D": 20.0, "E": 30.0}
+
+    def test_without_an_initial_round_the_run_dispatches_at_once(self):
+        report = run_fig4(config=EngineConfig(initial_round=False))
+        assert report.outcome is RunOutcome.SUCCESS
+        starts = {tid: t.dispatched_at for tid, t in report.timings.items()}
+        assert starts == {"A": 0.0, "B": 0.0, "C": 10.0, "D": 20.0, "E": 30.0}
+        assert report.edit_cycles[0].batch[0]["at"] == 10.0
+
+    def test_the_run_finishes_at_quiescence_not_when_the_clock_empties(self):
+        """An unrelated timer still on the clock does not hold the run open."""
+        clock = VirtualClock()
+        clock.call_later(1000.0, lambda: None)
+        report = Orchestrator(
+            clock,
+            NoopPlanner(),
+            ScriptedDispatcher(clock, default_duration=10.0),
+            constellation=fig4_constellation(),
+        ).run()
+        assert report.outcome is RunOutcome.SUCCESS
+        assert report.finished_at == 40.0 == report.timings["E"].finished_at
 
     def test_events_cover_every_task_start_and_finish(self):
         report = run_fig4()
@@ -169,6 +190,18 @@ def three_independent_tasks():
             "tasks": [{"id": t, "description": f"job {t}", "device": "dev"} for t in "abc"],
         }
     )
+
+
+class TestScriptedDispatcher:
+    def test_a_scripted_failure_arrives_after_the_duration_with_no_error(self):
+        report = run_fig4(durations={"A": 3.0}, failures={"A": "TIMEOUT"})
+        timing = report.timings["A"]
+        assert (timing.dispatched_at, timing.finished_at) == (0.0, 3.0)
+        assert (timing.status, timing.error) == ("FAILED", None)
+        failed = [e for e in report.events if e["kind"] == "TASK_FAILED"]
+        assert failed == [
+            {"kind": "TASK_FAILED", "at": 3.0, "task_id": "A", "payload": {"failure_reason": "TIMEOUT"}}
+        ]
 
 
 class TestHostileDispatchers:
@@ -679,6 +712,28 @@ class TestPlannerFailures:
 
         self.assert_aborted(run_fig4(planner=Raises()), "planner error: model unreachable")
 
+    def test_a_completion_drained_after_an_abort_does_nothing(self):
+        """Two completions land at the same instant; the round the first one
+        starts aborts, and the second starts no round and adds no event."""
+        calls = []
+
+        class RaisesOnAnEvent(NoopPlanner):
+            def edit(self, planner_input):
+                calls.append([e.task_id for e in planner_input.batch])
+                if planner_input.batch:
+                    raise RuntimeError("model unreachable")
+                return super().edit(planner_input)
+
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock, RaisesOnAnEvent(), ScriptedDispatcher(clock), constellation=three_independent_tasks()
+        ).run()
+        self.assert_aborted(report, "planner error: model unreachable")
+        assert calls == [[], ["a"]]
+        assert [e["kind"] for e in report.events].count("TASK_COMPLETED") == 1
+        assert report.timings["b"].finished_at is None
+        assert lock_trace(report) == [("acquire", 0.0), ("release", 0.0), ("acquire", 1.0), ("release", 1.0)]
+
     def test_a_planner_that_answers_no_state_aborts_the_run(self):
         class NoState(NoopPlanner):
             def edit(self, planner_input):
@@ -739,6 +794,20 @@ class TestRejectedDelta:
         assert report.outcome is RunOutcome.FAILED
         assert "rejected twice" in report.error
         assert any("cycle" in v.lower() for v in seen["violations"])
+
+    def test_a_delta_rejected_twice_asks_the_planner_no_more(self):
+        calls = []
+
+        class RemovesAGhost(Planner):
+            def edit(self, planner_input):
+                calls.append(planner_input.violations)
+                delta = EditDelta([RemoveTask("ghost")])
+                return PlannerOutput(observation="", thought="", next_state=PlannerState.CONTINUE, delta=delta)
+
+        report = run_fig4(planner=RemovesAGhost())
+        assert report.outcome is RunOutcome.FAILED
+        assert report.error == "planner delta rejected twice: no task 'ghost'"
+        assert calls == [(), ("no task 'ghost'",)]
 
     def test_corrected_re_presentation_commits_and_is_recorded(self):
         from constellation import PlannerOutput, PlannerState
@@ -827,6 +896,69 @@ class TestTimeouts:
         assert final["A"] == "FAILED" and final["B"] == "FAILED"
         by_id = {t["id"]: t for t in report.final_document["tasks"]}
         assert by_id["A"]["failure_reason"] == "TIMEOUT"
+
+    def test_a_device_that_joins_cancels_its_tasks_pending_timeout(self):
+        """The task waits from 0, its device joins at 5 and it runs for 1 s:
+        the run ends at quiescence, not at the timeout 60 s on."""
+
+        class LateDevice(ScriptedDispatcher):
+            devices = set()
+
+            def available_devices(self):
+                return self.devices
+
+            def set_availability_listener(self, listener):
+                self.listener = listener
+
+        def join():
+            dispatcher.devices = {"dev"}
+            dispatcher.listener()
+
+        clock = VirtualClock()
+        dispatcher = LateDevice(clock)
+        clock.call_later(5.0, join)
+        report = Orchestrator(
+            clock,
+            NoopPlanner(),
+            dispatcher,
+            constellation=build_constellation(chain_config({"A": "dev"})),
+            config=EngineConfig(pending_dispatch_timeout=60.0),
+        ).run()
+        assert report.outcome is RunOutcome.SUCCESS
+        assert (report.timings["A"].dispatched_at, report.finished_at) == (5.0, 6.0)
+
+    def test_a_pending_timeout_of_a_task_a_round_removes_is_skipped(self):
+        """X's pending timeout fires at 2 while the round over A's completion
+        is in flight, and that round's delta removes X: the next round's
+        batch holds X's failure, and the run still ends."""
+
+        class RemovesX(Planner):
+            def edit(self, planner_input):
+                removes = any(e.task_id == "A" for e in planner_input.batch)
+                return PlannerOutput(
+                    observation="",
+                    thought="",
+                    next_state=PlannerState.CONTINUE,
+                    delta=EditDelta([RemoveTask("X")] if removes else []),
+                    duration=1.5 if removes else 0.0,
+                )
+
+        class DevOnly(ScriptedDispatcher):
+            def available_devices(self):
+                return {"dev"}
+
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock,
+            RemovesX(),
+            DevOnly(clock),
+            constellation=build_constellation(chain_config({"A": "dev", "X": "off"})),
+            config=EngineConfig(pending_dispatch_timeout=2.0),
+        ).run()
+        assert report.outcome is RunOutcome.SUCCESS
+        assert [t["id"] for t in report.final_document["tasks"]] == ["A"]
+        batches = [[(e["kind"], e["task_id"], e["at"]) for e in cycle.batch] for cycle in report.edit_cycles]
+        assert batches == [[], [("TASK_COMPLETED", "A", 1.0)], [("TASK_FAILED", "X", 2.0)]]
 
     def test_execution_timeout_fails_running_task(self):
         report = run_fig4(

@@ -445,9 +445,10 @@ class TestExtendedMode:
         assert got == want
 
     def test_each_model_operation_runs_once_per_successor(self, monkeypatch):
-        """No state is rebuilt by replay: apply_delta runs once per Edit
-        successor generated (52) and transition only for the Dispatch and
-        Synchronize successors that change a status (299)."""
+        """No state is rebuilt by replay: apply_delta runs once for the base
+        graph's build and once per Edit successor generated (52), and
+        transition only for the Dispatch and Synchronize successors that
+        change a status (299)."""
         calls = {"apply_delta": 0, "transition": 0}
         apply_delta, transition = edits.apply_delta, TaskConstellation.transition
 
@@ -462,7 +463,7 @@ class TestExtendedMode:
         monkeypatch.setattr(edits, "apply_delta", counted_apply_delta)
         monkeypatch.setattr(TaskConstellation, "transition", counted_transition)
         explore_extended()
-        assert calls == {"apply_delta": 52, "transition": 299}
+        assert calls == {"apply_delta": 53, "transition": 299}
 
     def test_each_graph_is_validated_once(self, monkeypatch):
         """I2 is judged when a graph is first stored, not on every state that

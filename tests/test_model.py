@@ -548,8 +548,7 @@ class TestCopies:
 class TestRecords:
     """The records are named tuples with the value semantics they had as
     frozen dataclasses: the fields, in order, with their defaults, then eq,
-    hash, repr, immutability and ``_replace``. A missing event payload or
-    message body is a fresh dict per record."""
+    hash, repr, immutability and ``_replace``."""
 
     RECORDS = {
         TaskStar: (
@@ -574,16 +573,15 @@ class TestRecords:
             "body={'status': 'COMPLETED', 'result': 'ok'}, session_id='s1')",
         ),
     }
-    # The field whose missing value is a fresh dict, not a shared default.
-    FRESH_DICT = {OrchestratorEvent: "payload", AipMessage: "body"}
+    # The records with a dict field.
+    DICT_FIELD = {OrchestratorEvent: "payload", AipMessage: "body"}
 
     @pytest.fixture(params=list(RECORDS), ids=lambda record: record.__name__)
     def record(self, request):
         return request.param
 
     def test_signature_follows_the_fields(self, record):
-        """Field names in order, each with its default; a field whose
-        missing value is a fresh dict takes ``None`` for it."""
+        """Field names in order, each with its default."""
         parameters = list(inspect.signature(record).parameters.values())
         assert tuple(p.name for p in parameters) == record._fields
         assert len(record._fields) == len(self.RECORDS[record][0])
@@ -593,8 +591,6 @@ class TestRecords:
                 assert parameter.default == record._field_defaults[parameter.name]
             else:
                 assert parameter.default is inspect.Parameter.empty
-        fresh = self.FRESH_DICT.get(record)
-        assert fresh is None or record._field_defaults[fresh] is None
 
     def test_positional_and_keyword_construction_agree(self, record):
         values, expected_repr = self.RECORDS[record]
@@ -603,7 +599,7 @@ class TestRecords:
         assert positional == keyword and positional is not keyword
         assert type(positional) is type(keyword) is record
         assert repr(positional) == repr(keyword) == expected_repr
-        if record in self.FRESH_DICT:
+        if record in self.DICT_FIELD:
             # A dict payload or body makes a record unhashable, as it always was.
             with pytest.raises(TypeError):
                 hash(positional)
@@ -636,19 +632,4 @@ class TestRecords:
             "A", "dev", "", "", (), TaskStatus.PENDING, None, None
         )
         assert TaskStarLine("e", "A", "B").dep_type is UNCONDITIONAL
-        assert OrchestratorEvent(EventKind.TASK_STARTED).as_dict() == {"kind": "TASK_STARTED", "at": 0.0}
-        assert AipMessage(MessageType.HEARTBEAT).session_id is None
-
-    def test_events_without_a_payload_get_their_own_dict(self):
-        first, second = OrchestratorEvent(EventKind.TASK_STARTED), OrchestratorEvent(EventKind.TASK_STARTED)
-        assert first.payload == second.payload == {}
-        assert first.payload is not second.payload
-        first.payload["device"] = "dev"
-        assert second.payload == {}
-
-    def test_messages_without_a_body_get_their_own_dict(self):
-        first, second = AipMessage(MessageType.HEARTBEAT), AipMessage(MessageType.HEARTBEAT)
-        assert first.body == second.body == {}
-        assert first.body is not second.body
-        first.body["timestamp"] = 1.0
-        assert second.body == {}
+        assert AipMessage(MessageType.HEARTBEAT, {}).session_id is None

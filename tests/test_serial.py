@@ -213,7 +213,7 @@ class TestNoRecordReachesJson:
         assert records_in(to_document(orchestrator.constellation)) == []
 
     def test_the_walk_finds_a_record(self):
-        event = OrchestratorEvent(EventKind.TASK_STARTED, "A")
+        event = OrchestratorEvent(EventKind.TASK_STARTED, "A", 0.0, {})
         assert records_in({"events": [{"x": event}], "task": TaskStar("A", "d")}) == [
             "$.events[0].x",
             "$.task",

@@ -13,7 +13,7 @@ from constellation import (
     VirtualClock,
     build_constellation,
 )
-from constellation.errors import IncompleteRun
+from constellation.errors import ValidationFailed
 from constellation.simnet.metrics import _peak_overlap, metrics_from_durations
 from constellation.simnet.mdlog import emit_markdown_log, mermaid_block
 from constellation.simnet.network import LinkSpec, SimNetwork
@@ -313,14 +313,17 @@ class TestMetrics:
                 sum(durations.values()) / expected_l, abs=1e-9
             )
 
-    def test_cycle_raises_incomplete_run(self):
+    def test_cycle_raises_validation_failed(self):
         """A 2-cycle, made with the raw op (a delta would refuse it), leaves
-        the topological order short of the task count."""
+        the topological order short of the task count: the cycle is named as
+        ``validate`` names it."""
         c = build_constellation({"tasks": [{"id": tid, "device": "dev"} for tid in "PQR"]})
         c._add_dependency({"id": "ePQ", "from_task": "P", "to_task": "Q"})
         c._add_dependency({"id": "eQP", "from_task": "Q", "to_task": "P"})
-        with pytest.raises(IncompleteRun, match="dependency graph contains a cycle"):
+        with pytest.raises(ValidationFailed) as caught:
             metrics_from_durations(c, {tid: 1.0 for tid in "PQR"})
+        assert [str(v) for v in caught.value.violations] == [str(v) for v in c.validate()]
+        assert str(caught.value) == "CycleIntroduced: cycle through {P, Q}"
 
 
 class TestPeakOverlap:
