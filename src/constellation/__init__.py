@@ -14,7 +14,6 @@ from .edits import (
     AddTask,
     BuildConstellation,
     EditDelta,
-    ModificationSummary,
     RemoveDependency,
     RemoveTask,
     UpdateDependency,
@@ -45,7 +44,6 @@ from .explorer import (
 )
 from .model import (
     DependencyKind,
-    DependencyType,
     FailureReason,
     TaskConstellation,
     TaskStar,
@@ -74,7 +72,6 @@ __all__ = [
     "BuildConstellation",
     "ConstellationError",
     "DependencyKind",
-    "DependencyType",
     "DuplicateId",
     "EditDelta",
     "EngineConfig",
@@ -84,7 +81,6 @@ __all__ = [
     "GOLDEN_STATS",
     "IllegalTransition",
     "InvariantViolation",
-    "ModificationSummary",
     "NoopPlanner",
     "NotFound",
     "Orchestrator",

@@ -257,9 +257,7 @@ class DeviceServerEndpoint(_Endpoint):
         self.connected = False
         self.permanently_failed = False
         self.active_runs: Dict[str, TaskRun] = {}  # session_id -> run
-        self._beat_timer: Optional[TimerHandle] = None
         self._watchdog = Watchdog(clock, self._local_disconnect)
-        self._reconnect_timer: Optional[TimerHandle] = None
         self._reconnect_attempt = 0
         self._cmd_seq = itertools.count(1)
         self._pending_results: Dict[str, Callable[[List[Dict[str, Any]]], None]] = {}
@@ -287,8 +285,7 @@ class DeviceServerEndpoint(_Endpoint):
             return
         self.connected = True
         self.permanently_failed = False
-        if self._reconnect_timer is not None:
-            self._reconnect_timer.cancel()
+        self._link_timer.cancel()
         self._schedule_beat()
         self._watchdog.start()
 
@@ -328,12 +325,13 @@ class DeviceServerEndpoint(_Endpoint):
 
     # -- liveness / reconnection -----------------------------------------
 
-    # The beat timer is live only while connected and the reconnect timer only
-    # while not: ``_local_disconnect`` cancels the one, the accepting ack the
-    # other.
+    # One link timer: the next beat while connected, else the next REGISTER
+    # attempt. ``start`` arms it before any ack can arrive; the accepting ack
+    # and ``_local_disconnect`` each cancel it and arm the other kind.
+    _link_timer: TimerHandle
 
     def _schedule_beat(self) -> None:
-        self._beat_timer = self.clock.call_later(HEARTBEAT_INTERVAL, self._beat)
+        self._link_timer = self.clock.call_later(HEARTBEAT_INTERVAL, self._beat)
 
     def _beat(self) -> None:
         self.send(
@@ -347,8 +345,7 @@ class DeviceServerEndpoint(_Endpoint):
 
     def _local_disconnect(self) -> None:
         self.connected = False
-        if self._beat_timer is not None:
-            self._beat_timer.cancel()
+        self._link_timer.cancel()
         # Abort ongoing work: both sides converge on FAILED statuses.
         for _, run in sorted(self.active_runs.items()):
             self.agent_server.abort(run, "connection to orchestrator lost", "AGENT_DISCONNECTED")
@@ -361,7 +358,7 @@ class DeviceServerEndpoint(_Endpoint):
             return
         delay = reconnect_delay(self._reconnect_attempt)
         self._reconnect_attempt += 1
-        self._reconnect_timer = self.clock.call_later(delay, self._register)
+        self._link_timer = self.clock.call_later(delay, self._register)
 
     def _register(self) -> None:
         """Send REGISTER, and arm the next attempt."""

@@ -14,7 +14,9 @@ Either the delta passes and commits, with the version risen by exactly one
 and its readiness settled (counted as a build op inserts its edges, else
 recounted over the change record), or one error propagates: the op's
 refusal or lookup error, or one ``ValidationFailed`` listing every
-violation. A build config becomes a graph only this way:
+violation. A commit returns the new graph and its summary, a plain dict
+that counts the changes under each of ``SUMMARY_KEYS``, the form a run
+report stores. A build config becomes a graph only this way:
 ``build_constellation`` applies its build op to the empty graph.
 """
 
@@ -77,26 +79,9 @@ class EditDelta:
         return bool(self.ops)
 
 
-@dataclass
-class ModificationSummary:
-    """Per-delta change counts, one bucket per edit category."""
-
-    added_tasks: int = 0
-    removed_tasks: int = 0
-    modified_tasks: int = 0
-    added_dependencies: int = 0
-    removed_dependencies: int = 0
-    modified_dependencies: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "added_tasks": self.added_tasks,
-            "removed_tasks": self.removed_tasks,
-            "modified_tasks": self.modified_tasks,
-            "added_dependencies": self.added_dependencies,
-            "removed_dependencies": self.removed_dependencies,
-            "modified_dependencies": self.modified_dependencies,
-        }
+# A delta's summary counts its changes, one key per edit category, in this order.
+SUMMARY_KEYS = ("added_tasks", "removed_tasks", "modified_tasks",
+                "added_dependencies", "removed_dependencies", "modified_dependencies")
 
 
 def build_constellation(config: Dict[str, Any]) -> TaskConstellation:
@@ -107,9 +92,9 @@ def build_constellation(config: Dict[str, Any]) -> TaskConstellation:
 
 def apply_delta(
     constellation: TaskConstellation, delta: EditDelta
-) -> Tuple[TaskConstellation, ModificationSummary]:
+) -> Tuple[TaskConstellation, Dict[str, int]]:
     """Apply every op in order on a clone, check the result once, and
-    commit with the version bumped once.
+    commit with the version bumped once, returning it with its summary.
 
     ``constellation`` must be valid, as every graph read by
     ``serial.from_document`` or committed here is. The check then needs only
@@ -123,37 +108,37 @@ def apply_delta(
     pre-state object is never mutated.
     """
     working = constellation.clone()
-    summary = ModificationSummary()
+    summary = dict.fromkeys(SUMMARY_KEYS, 0)
     violations: List[Violation] = []
     counted = False  # whether the last op was a build, whose readiness is counted
     for op in delta.ops:
         counted = isinstance(op, BuildConstellation)
         if isinstance(op, AddTask):
             working._add_task(op.spec)
-            summary.added_tasks += 1
+            summary["added_tasks"] += 1
         elif isinstance(op, RemoveTask):
             working._remove_task(op.task_id)
-            summary.removed_tasks += 1
+            summary["removed_tasks"] += 1
         elif isinstance(op, UpdateTask):
             working._update_task(op.task_id, op.patch)
-            summary.modified_tasks += 1
+            summary["modified_tasks"] += 1
         elif isinstance(op, AddDependency):
             working._add_dependency(op.spec)
-            summary.added_dependencies += 1
+            summary["added_dependencies"] += 1
         elif isinstance(op, RemoveDependency):
             working._remove_dependency(op.edge_id)
-            summary.removed_dependencies += 1
+            summary["removed_dependencies"] += 1
         elif isinstance(op, UpdateDependency):
             working._update_dependency(op.edge_id, op.patch)
-            summary.modified_dependencies += 1
+            summary["modified_dependencies"] += 1
         elif isinstance(op, BuildConstellation):
             built, repeated = insert_entries(op.config, created=True)
             built.request = op.config.get("request", working.request)
             built._touched_tasks.update(constellation.tasks)
             working = built
             violations.extend(repeated)
-            summary.added_tasks += len(working.tasks)
-            summary.added_dependencies += len(working.edges)
+            summary["added_tasks"] += len(working.tasks)
+            summary["added_dependencies"] += len(working.edges)
         else:
             raise ParseError(f"unknown edit op {op!r}")
     if working.tasks.keys() <= working._touched_tasks or not working._changes_valid():

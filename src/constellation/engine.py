@@ -233,7 +233,7 @@ class Orchestrator:
         started_at: float,
         represented: bool,
     ) -> None:
-        summary_doc: Dict[str, int] = {}
+        summary: Dict[str, int] = {}
         if output.delta:
             try:
                 new_constellation, summary = apply_delta(self.constellation, output.delta)
@@ -261,13 +261,12 @@ class Orchestrator:
                 self._abort(f"planner delta failed: {exc}")
                 return
             self.constellation = new_constellation
-            summary_doc = summary.as_dict()
             self.report.record_event(
                 OrchestratorEvent(
                     EventKind.CONSTELLATION_MODIFIED,
                     "",
                     self.clock.now,
-                    {"summary": summary_doc, "version": self.constellation.version},
+                    {"summary": summary, "version": self.constellation.version},
                 )
             )
         if output.next_state is PlannerState.START:
@@ -285,7 +284,7 @@ class Orchestrator:
                 observation=output.observation,
                 thought=output.thought,
                 next_state=output.next_state._value_,
-                summary=summary_doc,
+                summary=summary,
                 version_after=self.constellation.version,
                 represented=represented,
             )
@@ -311,7 +310,7 @@ class Orchestrator:
             return
         self._release_lock()
         self._reschedule()
-        if not self._pending_timers and self.constellation.is_quiescent():
+        if self.constellation.is_quiescent():
             self._finish(self._outcome_from_statuses())
 
     def _release_lock(self) -> None:
@@ -339,7 +338,12 @@ class Orchestrator:
 
     def _reschedule(self) -> None:
         available = self.dispatcher.available_devices()
-        for task_id in self.constellation.ready_tasks():
+        # A task no longer ready (removed or blocked again by a delta) loses
+        # its pending timer: every armed timer belongs to a ready task.
+        ready = self.constellation.ready_tasks()
+        for task_id in self._pending_timers.keys() - ready:
+            self._cancel_timer(self._pending_timers, task_id)
+        for task_id in ready:
             task = self.constellation.tasks[task_id]
             if "*" in available or task.device in available:
                 self._dispatch(task)

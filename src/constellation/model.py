@@ -28,12 +28,15 @@ downstream of the edges it added. Both find a cycle with one Kahn peel
 (``_peel``), as the tasks it leaves out; ``topological_order`` is the same
 peel over every task.
 
-Task and dependency records are named tuples: ``transition`` and the raw
-ops store a replaced record instead of changing one, so ``clone`` copies
-only the dicts and versions share every record they did not change (path
-copying). A record equals a plain tuple of the same values and ``json``
-writes one as a list, so records are compared only with records, and
-``serial`` turns them into JSON objects before anything is written.
+Task and dependency records are named tuples, a dependency's holding its
+entry's fields in the document's order: its ``dep_type`` a
+``DependencyKind`` member, and the ``condition_id`` that only a CONDITIONAL
+edge carries. ``transition`` and the raw ops store a replaced record instead
+of changing one, so ``clone`` copies only the dicts and versions share every
+record they did not change (path copying). A record equals a plain tuple
+of the same values and ``json`` writes one as a list, so records are
+compared only with records, and ``serial`` turns them into JSON objects
+before anything is written.
 ``borrow`` copies nothing: the borrowed graph shares every dict and set
 until its first write (``transition`` or a raw op) copies them, so a
 snapshot per planner round costs O(1). A status's legal targets are a plain
@@ -116,17 +119,9 @@ class DependencyKind(Enum):
     CONDITIONAL = "CONDITIONAL"
 
 
-@dataclass(frozen=True)
-class DependencyType:
-    """An edge's kind, and the condition a CONDITIONAL edge names; the schema
-    refuses any other pairing."""
-
-    kind: DependencyKind
-    condition_id: Optional[str] = None
-
-
-# The type of every UNCONDITIONAL edge: records are frozen, so one is shared.
-UNCONDITIONAL = DependencyType(DependencyKind.UNCONDITIONAL)
+# A plain module name, so ``transition`` tests an edge's kind per edge
+# without a member lookup through the enum class.
+UNCONDITIONAL = DependencyKind.UNCONDITIONAL
 
 # Named predicates a CONDITIONAL edge may use, evaluated over the upstream
 # task's result; an edge naming any other is a validation violation.
@@ -148,8 +143,9 @@ class TaskStarLine(NamedTuple):
     id: str
     from_task: str
     to_task: str
-    dep_type: DependencyType = UNCONDITIONAL
+    dep_type: DependencyKind = UNCONDITIONAL
     description: str = ""
+    condition_id: Optional[str] = None  # a CONDITIONAL edge's only: the schema refuses it elsewhere
 
 
 @dataclass(frozen=True)
@@ -268,9 +264,9 @@ class TaskConstellation:
         # The patched entry is judged as a dependency.
         entry = {"id": edge_id, "from_task": edge.from_task, "to_task": edge.to_task, "description": edge.description}
         if "dep_type" not in patch:
-            entry["dep_type"] = edge.dep_type.kind.value
-            if edge.dep_type.condition_id is not None:
-                entry["condition_id"] = edge.dep_type.condition_id
+            entry["dep_type"] = edge.dep_type.value
+            if edge.condition_id is not None:
+                entry["condition_id"] = edge.condition_id
         entry.update(patch)
         self.edges[edge_id] = _judge(entry, "dependency", what)
         self._touch(edge.to_task, edge_id)
@@ -336,7 +332,7 @@ class TaskConstellation:
                     faults.append((edge_id, Violation("DanglingEdge", detail)))
             if from_task == to_task:
                 faults.append((edge_id, Violation("SelfLoop", f"edge {edge.id!r} on {from_task!r}")))
-            condition_id = edge.dep_type.condition_id  # set on CONDITIONAL edges only
+            condition_id = edge.condition_id
             if condition_id and condition_id not in CONDITIONS:
                 detail = f"edge {edge.id!r} names condition {condition_id!r}"
                 faults.append((edge_id, Violation("UnknownCondition", detail)))
@@ -366,7 +362,7 @@ class TaskConstellation:
         one."""
         tasks, edges, targets = self.tasks, self.edges, set()
         for edge in (edges[edge_id] for edge_id in self._touched_edges if edge_id in edges):
-            condition_id = edge.dep_type.condition_id
+            condition_id = edge.condition_id
             unknown = condition_id and condition_id not in CONDITIONS
             if unknown or edge.from_task not in tasks or edge.to_task not in tasks:
                 return False
@@ -426,7 +422,7 @@ class TaskConstellation:
         upstream = self.task(edge.from_task)
         if not upstream.status.terminal:
             return False
-        kind = edge.dep_type.kind
+        kind = edge.dep_type
         if kind is DependencyKind.SUCCESS_ONLY:
             return upstream.status is TaskStatus.COMPLETED
         return kind is DependencyKind.UNCONDITIONAL or _condition_holds(edge, upstream)
@@ -503,7 +499,7 @@ class TaskConstellation:
 
 
 def _condition_holds(edge: TaskStarLine, upstream: TaskStar) -> bool:
-    return bool(CONDITIONS[edge.dep_type.condition_id](upstream.result))
+    return bool(CONDITIONS[edge.condition_id](upstream.result))
 
 
 def unrecovered_failures(constellation: TaskConstellation) -> List[TaskStar]:
@@ -560,9 +556,9 @@ def _task_star(id, name, description, device, tips, status="PENDING", dependenci
 
 
 def _task_star_line(id, from_task, to_task, dep_type, description, condition_id) -> TaskStarLine:
-    """The record of a dependency entry; every UNCONDITIONAL edge shares one type."""
-    kind = UNCONDITIONAL if dep_type == "UNCONDITIONAL" else DependencyType(_KINDS[dep_type], condition_id)
-    return _new(TaskStarLine, (id, from_task, to_task, kind, description))
+    """The record of a dependency entry: its fields in the entry's order, the
+    kind a member."""
+    return _new(TaskStarLine, (id, from_task, to_task, _KINDS[dep_type], description, condition_id))
 
 
 RECORDS.update(TaskStar=_task_star, TaskStarLine=_task_star_line)

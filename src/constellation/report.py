@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional
 
-from .edits import ModificationSummary
+from .edits import SUMMARY_KEYS
 from .events import OrchestratorEvent
 
 
@@ -76,7 +76,7 @@ class RunReport:
 
     @property
     def edit_summary_totals(self) -> Dict[str, int]:
-        totals = ModificationSummary().as_dict()
+        totals = dict.fromkeys(SUMMARY_KEYS, 0)
         for cycle in self.edit_cycles:
             for key in totals:
                 totals[key] += cycle.summary.get(key, 0)

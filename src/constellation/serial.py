@@ -44,11 +44,11 @@ def edge_to_doc(edge: TaskStarLine) -> Dict[str, Any]:
         "id": edge.id,
         "from_task": edge.from_task,
         "to_task": edge.to_task,
-        "dep_type": edge.dep_type.kind._value_,
+        "dep_type": edge.dep_type._value_,
         "description": edge.description,
     }
-    if edge.dep_type.condition_id is not None:
-        doc["condition_id"] = edge.dep_type.condition_id
+    if edge.condition_id is not None:
+        doc["condition_id"] = edge.condition_id
     return doc
 
 

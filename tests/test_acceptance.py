@@ -314,7 +314,7 @@ def oracle_ready(constellation):
         satisfied = True
         for edge in constellation.incoming(tid):
             upstream = constellation.tasks[edge.from_task].status.value
-            kind = edge.dep_type.kind.value
+            kind = edge.dep_type.value
             if kind == "SUCCESS_ONLY":
                 ok = upstream == "COMPLETED"
             else:  # UNCONDITIONAL, or CONDITIONAL with the "always" predicate

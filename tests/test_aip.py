@@ -709,6 +709,11 @@ class TestLiveness:
         assert orchestrator.available_devices() == set() and not server.connected
         assert server.permanently_failed
 
+    def test_a_device_still_registering_has_not_given_up(self):
+        clock, _, _, server = build_pair(outages=[(0.0, 100000.0)])
+        advance(clock, 10.0)
+        assert not server.connected and not server.permanently_failed
+
     def test_after_a_re_register_the_device_beats_once_per_interval_and_registers_no_more(self):
         """An outage from 5 to 25 s makes the device register again, and its
         attempt at 30 s is accepted. From that ack on it sends one HEARTBEAT
@@ -807,6 +812,30 @@ class TestLiveness:
         orchestrator.dispatch(TaskStar("T", "dev", description="job"), lambda *args: outcomes.append(args))
         advance(clock, 10.0)
         assert outcomes == [("T", TaskStatus.COMPLETED, "ok", None)]
+
+
+class TestExecutorClient:
+    def test_an_executor_that_raises_is_answered_with_a_failed_result_at_once(self):
+        """The raised error becomes the action's result, with status 1, and
+        takes no time: the reply leaves as the COMMAND arrives."""
+
+        class Raising:
+            def execute(self, action):
+                raise RuntimeError("no shell")
+
+        clock = VirtualClock()
+        network = SimNetwork(clock)
+        DeviceClientEndpoint(clock, network, "client", Raising())
+        received = []
+        network.attach("server", lambda src, frame: received.append((clock.now, decode(frame))))
+        network.add_link("server", "client", LinkSpec(latency=0.5))
+        command = AipMessage(MessageType.COMMAND, {"actions": [{"cmd": "ls"}], "response_id": "c1"}, session_id="s1")
+        network.send("server", "client", encode(command))
+        advance(clock, 5.0)
+        ((at, reply),) = received
+        assert at == 1.0  # the two link latencies
+        assert reply.body == {"action_results": [{"status": 1, "stdout": "", "stderr": "no shell"}],
+                              "prev_response_id": "c1"}
 
 
 class TestDispatchOutsideThePool:

@@ -113,7 +113,7 @@ class TestBuildConstellation:
         )
         assert set(post.tasks) == {"F"} and not post.edges
         assert post.request == "fig4" and post.version == base.version + 1
-        assert summary.added_tasks == 1 and summary.added_dependencies == 0
+        assert summary["added_tasks"] == 1 and summary["added_dependencies"] == 0
 
     def test_layered_build_runs_one_cycle_check(self, monkeypatch):
         """The walks of a build, counted: a bulk build and a delta holding
@@ -173,7 +173,7 @@ class TestApplyDelta:
         )
         post, summary = apply_delta(c, delta)
         assert post.version == c.version + 1
-        assert summary.as_dict() == {
+        assert summary == {
             "added_tasks": 1,
             "removed_tasks": 0,
             "modified_tasks": 1,
@@ -181,6 +181,28 @@ class TestApplyDelta:
             "removed_dependencies": 0,
             "modified_dependencies": 0,
         }
+
+    def test_an_empty_delta_commits_one_version_up_with_nothing_counted(self):
+        c = build_constellation(FIG4_CONFIG)
+        post, summary = apply_delta(c, EditDelta())
+        assert post.version == c.version + 1
+        assert summary == {"added_tasks": 0, "removed_tasks": 0, "modified_tasks": 0,
+                           "added_dependencies": 0, "removed_dependencies": 0, "modified_dependencies": 0}
+
+    def test_removals_updates_and_a_build_are_counted_under_their_keys(self):
+        c = build_constellation(FIG4_CONFIG)
+        ops = [UpdateDependency("eAC", {"description": "why"}), RemoveDependency("eBD"), RemoveTask("E")]
+        _, removed = apply_delta(c, EditDelta(ops))
+        _, built = apply_delta(TaskConstellation(), EditDelta([BuildConstellation(FIG4_CONFIG)]))
+        assert removed == {"added_tasks": 0, "removed_tasks": 1, "modified_tasks": 0,
+                           "added_dependencies": 0, "removed_dependencies": 1, "modified_dependencies": 1}
+        assert built == {"added_tasks": 5, "removed_tasks": 0, "modified_tasks": 0,
+                         "added_dependencies": 5, "removed_dependencies": 0, "modified_dependencies": 0}
+
+    def test_an_object_that_is_not_an_op_is_refused(self):
+        c = build_constellation(FIG4_CONFIG)
+        with pytest.raises(ParseError, match="^unknown edit op 'add_task'$"):
+            apply_delta(c, EditDelta(["add_task"]))
 
     def test_failed_delta_leaves_pre_state_untouched(self):
         c = build_constellation(FIG4_CONFIG)
@@ -281,8 +303,8 @@ class TestApplyDelta:
         post, summary = apply_delta(
             c, EditDelta([UpdateDependency("eAC", {"dep_type": "SUCCESS_ONLY"})])
         )
-        assert post.edges["eAC"].dep_type.kind.value == "SUCCESS_ONLY"
-        assert summary.modified_dependencies == 1
+        assert post.edges["eAC"].dep_type.value == "SUCCESS_ONLY"
+        assert summary["modified_dependencies"] == 1
 
     def test_empty_delta_is_falsy(self):
         assert not EditDelta()
@@ -673,7 +695,7 @@ def outcome(pre, ops):
         return type(exc).__name__, str(exc), [str(v) for v in getattr(exc, "violations", ())]
     assert_index_matches_scan(post)
     assert_outgoing_matches_scan(post)
-    return "committed", serialize(post), summary.as_dict()
+    return "committed", serialize(post), summary
 
 
 class TestIncrementalCheck:
@@ -781,8 +803,8 @@ def reference_validate(self):
                 )
         if edge.from_task == edge.to_task:
             violations.append(Violation("SelfLoop", f"edge {edge.id!r} on {edge.from_task!r}"))
-        condition_id = edge.dep_type.condition_id
-        if edge.dep_type.kind is DependencyKind.CONDITIONAL and condition_id not in CONDITIONS:
+        condition_id = edge.condition_id
+        if edge.dep_type is DependencyKind.CONDITIONAL and condition_id not in CONDITIONS:
             violations.append(
                 Violation("UnknownCondition", f"edge {edge.id!r} names condition {condition_id!r}")
             )

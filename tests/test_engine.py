@@ -375,6 +375,13 @@ def chain_config(devices, dependencies=()):
     }
 
 
+class OnlyDev(ScriptedDispatcher):
+    """Only device ``dev`` is available."""
+
+    def available_devices(self):
+        return {"dev"}
+
+
 def task_trace(report):
     return [(e["kind"], e["task_id"], e["at"]) for e in report.events]
 
@@ -959,6 +966,53 @@ class TestTimeouts:
         assert [t["id"] for t in report.final_document["tasks"]] == ["A"]
         batches = [[(e["kind"], e["task_id"], e["at"]) for e in cycle.batch] for cycle in report.edit_cycles]
         assert batches == [[], [("TASK_COMPLETED", "A", 1.0)], [("TASK_FAILED", "X", 2.0)]]
+
+    def test_a_task_a_round_removes_takes_its_pending_timeout_with_it(self):
+        """X waits for a device that never joins, and the round over A's
+        completion removes X at 1.5: the run ends there, quiescent, not when
+        X's pending timeout would have fired at 60."""
+
+        class RemovesX(Planner):
+            def edit(self, planner_input):
+                removes = any(e.task_id == "A" for e in planner_input.batch)
+                delta = EditDelta([RemoveTask("X")] if removes else [])
+                return PlannerOutput("", "", PlannerState.CONTINUE, delta=delta, duration=0.5 if removes else 0.0)
+
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock,
+            RemovesX(),
+            OnlyDev(clock),
+            constellation=build_constellation(chain_config({"A": "dev", "X": "off"})),
+            config=EngineConfig(pending_dispatch_timeout=60.0),
+        ).run()
+        assert report.outcome is RunOutcome.SUCCESS
+        assert [t["id"] for t in report.final_document["tasks"]] == ["A"]
+        assert report.finished_at == 1.5 == report.lock_trace[-1]["at"]
+
+    def test_a_task_a_round_blocks_again_loses_its_pending_timeout(self):
+        """X waits for a device that never joins from 0. At 1 the round over
+        A's completion adds Y, 100 s long, and the edge Y->X, so X is no
+        longer ready and its timer goes: X times out 60 s after Y completes
+        at 101, not at 60."""
+
+        class BlocksX(Planner):
+            def edit(self, planner_input):
+                blocks = any(e.task_id == "A" for e in planner_input.batch)
+                ops = [AddTask({"id": "Y", "device": "dev"}), AddDependency({"id": "Y>X", "from_task": "Y", "to_task": "X"})]
+                return PlannerOutput("", "", PlannerState.CONTINUE, delta=EditDelta(ops if blocks else []))
+
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock,
+            BlocksX(),
+            OnlyDev(clock, durations={"Y": 100.0}),
+            constellation=build_constellation(chain_config({"A": "dev", "X": "off"})),
+            config=EngineConfig(pending_dispatch_timeout=60.0),
+        ).run()
+        failed = [(e["task_id"], e["at"], e["payload"]) for e in report.events if e["kind"] == "TASK_FAILED"]
+        assert failed == [("X", 161.0, {"failure_reason": "TIMEOUT"})]
+        assert report.finished_at == 161.0
 
     def test_execution_timeout_fails_running_task(self):
         report = run_fig4(

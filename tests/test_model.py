@@ -33,9 +33,9 @@ from constellation.errors import ConstellationError, IllegalField, ParseError
 from constellation.aip.messages import AipMessage, MessageType
 from constellation.events import EventKind, OrchestratorEvent
 from constellation.serial import from_document, to_document
-from constellation.model import CONDITIONS, UNCONDITIONAL, DependencyKind, DependencyType
+from constellation.model import CONDITIONS, UNCONDITIONAL, DependencyKind
 from conftest import random_dag, scanned_incoming
-from test_edits import hostile_graph, hostile_op, reshaping_ops
+from test_edits import hostile_graph, hostile_op, recounted, reshaping_ops
 
 
 def chain(*ids):
@@ -179,7 +179,7 @@ class TestEdgeOps:
         ]
         for patch, kind, condition_id in steps:
             c = apply_one(c, UpdateDependency("eAB", patch))
-            assert c.edges["eAB"].dep_type == DependencyType(kind, condition_id), patch
+            assert (c.edges["eAB"].dep_type, c.edges["eAB"].condition_id) == (kind, condition_id), patch
         assert c.edges["eAB"].description == "why"
         assert_rejected(c, UpdateDependency("eAB", {"condition_id": "always"}), ParseError)
         assert_rejected(c, UpdateDependency("eAB", {"dep_type": "CONDITIONAL"}), ParseError)
@@ -319,8 +319,21 @@ class TestValidate:
         c.tasks["A"] = c.tasks["A"]._replace(result="phantom")
         assert any(v.kind == "StatusResult" for v in c.validate())
 
+    def test_a_repeated_dependency_id_is_listed_and_its_first_entry_kept(self):
+        config = {
+            "tasks": [{"id": "A", "device": "d"}, {"id": "B", "device": "d"}],
+            "dependencies": [{"id": "e1", "from_task": "A", "to_task": "B"}, {"id": "e1", "from_task": "B", "to_task": "A"}],
+        }
+        with pytest.raises(ValidationFailed) as err:
+            build_constellation(config)
+        assert [str(v) for v in err.value.violations] == ["DuplicateId: dependency id 'e1' appears twice"]
+
 
 class TestReadiness:
+    def test_a_removed_pending_task_leaves_no_readiness_behind(self):
+        post = apply_one(chain("A", "B", "C"), RemoveTask("C"))
+        assert (post._waiting, post._ready, post._running) == recounted(post)
+
     def test_fig4_progression(self, fig4):
         assert fig4.ready_tasks() == ["A", "B"]
         fig4.transition("A", TaskStatus.RUNNING)
@@ -386,13 +399,11 @@ def oracle_is_quiescent(c):
     def blocked(task_id, live):
         for edge in scanned_incoming(c, task_id):
             upstream = c.tasks[edge.from_task]
-            kind = edge.dep_type.kind
+            kind = edge.dep_type
             if upstream.status.terminal:
                 if kind is DependencyKind.SUCCESS_ONLY and upstream.status is TaskStatus.FAILED:
                     return True
-                if kind is DependencyKind.CONDITIONAL and not CONDITIONS[
-                    edge.dep_type.condition_id
-                ](upstream.result):
+                if kind is DependencyKind.CONDITIONAL and not CONDITIONS[edge.condition_id](upstream.result):
                     return True
             elif edge.from_task not in live:
                 return True
@@ -493,6 +504,45 @@ class TestCopies:
         apply_one(twin, AddDependency({"id": "eBE", "from_task": "B", "to_task": "E"}))
         assert serialize(fig4) == before
 
+    @pytest.mark.parametrize("op, args", [
+        ("_add_task", ({"id": "G", "device": "dev"},)),
+        ("_remove_task", ("F",)),
+        ("_update_task", ("B", {"description": "changed"})),
+        ("_add_dependency", ({"id": "eBE", "from_task": "B", "to_task": "E"},)),
+        ("_remove_dependency", ("eAC",)),
+        ("_update_dependency", ("eAC", {"description": "why"})),
+    ])
+    def test_a_raw_op_as_a_borrowed_graphs_first_write_leaves_the_lender(self, fig4, op, args):
+        """Each raw op copies what a borrowed graph shares before it writes,
+        also as the first write, with no transition before it. F has no
+        edge, so its removal removes no dependency, whose op would copy."""
+        lender = apply_one(fig4, AddTask({"id": "F", "device": "dev"}))
+        before = serialize(lender)
+        getattr(lender.borrow(), op)(*args)
+        assert serialize(lender) == before
+
+    def test_a_clone_is_unchanged_by_a_later_transition_of_its_source(self, fig4):
+        twin = fig4.clone()
+        before = serialize(twin)
+        fig4.transition("A", TaskStatus.RUNNING)
+        fig4.transition("A", TaskStatus.COMPLETED, result="ok")
+        assert serialize(twin) == before and twin.ready_tasks() == ["A", "B"]
+
+    def test_a_move_from_running_on_a_borrowed_graph_leaves_the_lenders_sets(self):
+        lender = chain("A", "B")
+        lender.transition("A", TaskStatus.RUNNING)
+        snapshot = lender.borrow()
+        snapshot.transition("A", TaskStatus.COMPLETED, result="ok")
+        assert snapshot.ready_tasks() == ["B"]
+        assert lender.ready_tasks() == [] and not lender.is_quiescent()
+
+    def test_only_a_borrowed_graphs_first_write_copies(self, fig4):
+        snapshot = fig4.borrow()
+        snapshot.transition("A", TaskStatus.RUNNING)
+        tasks = snapshot.tasks
+        snapshot.transition("B", TaskStatus.RUNNING)
+        assert tasks is snapshot.tasks is not fig4.tasks
+
     def test_clone_constructs_no_record(self, fig4, monkeypatch):
         built = []
 
@@ -558,9 +608,9 @@ class TestRecords:
             "failure_reason=<FailureReason.TIMEOUT: 'TIMEOUT'>)",
         ),
         TaskStarLine: (
-            ("e", "A", "B", DependencyType(DependencyKind.CONDITIONAL, "always"), "x"),
-            "TaskStarLine(id='e', from_task='A', to_task='B', dep_type=DependencyType("
-            "kind=<DependencyKind.CONDITIONAL: 'CONDITIONAL'>, condition_id='always'), description='x')",
+            ("e", "A", "B", DependencyKind.CONDITIONAL, "x", "always"),
+            "TaskStarLine(id='e', from_task='A', to_task='B', dep_type=<DependencyKind.CONDITIONAL: "
+            "'CONDITIONAL'>, description='x', condition_id='always')",
         ),
         OrchestratorEvent: (
             (EventKind.TASK_FAILED, "A", 1.5, {"failure_reason": "TIMEOUT"}),

@@ -20,9 +20,7 @@ from constellation.agent.executor import ScriptedExecutor
 from constellation.agent.reasoner import ScriptedReasoner
 from constellation.aip.messages import AipMessage, MessageType, encode
 from constellation.errors import ConstellationError, IllegalField, ParseError
-from constellation.model import (
-    UNCONDITIONAL, DependencyKind, DependencyType, FailureReason, TaskStar, TaskStarLine, TaskStatus,
-)
+from constellation.model import DependencyKind, FailureReason, TaskStar, TaskStarLine, TaskStatus
 from constellation.planner import load_script
 from constellation.schema import Refusal, check_of, compile_schema, read_document
 from constellation.simnet.scenarios import load_scenario
@@ -323,9 +321,9 @@ def reference_task(entry):
 def reference_edge(entry):
     """A dependency entry's record, built by hand: its type defaults to
     UNCONDITIONAL."""
-    kind = entry.get("dep_type", "UNCONDITIONAL")
-    dep_type = UNCONDITIONAL if kind == "UNCONDITIONAL" else DependencyType(DependencyKind(kind), entry.get("condition_id"))
-    return TaskStarLine(entry["id"], entry["from_task"], entry["to_task"], dep_type, entry.get("description", ""))
+    dep_type = DependencyKind(entry.get("dep_type", "UNCONDITIONAL"))
+    return TaskStarLine(entry["id"], entry["from_task"], entry["to_task"], dep_type, entry.get("description", ""),
+                        entry.get("condition_id"))
 
 
 def reference_message(doc):
@@ -401,7 +399,7 @@ def test_a_record_field_the_entry_omits_takes_its_schema_default():
                        "dep_type": {"default": "SUCCESS_ONLY"}, "description": {}, "condition_id": {}},
     }}}
     edge = compile_schema(schema, "edge")({"id": "e", "description": "d"})
-    assert edge == TaskStarLine("e", "A", "B", DependencyType(DependencyKind.SUCCESS_ONLY), "d")
+    assert edge == TaskStarLine("e", "A", "B", DependencyKind.SUCCESS_ONLY, "d")
     assert compile_schema(schema, "edge")({"id": "e"}).description is None
 
 
