@@ -218,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--planner-script", default=_env("PLANNER_SCRIPT"))
     run.add_argument("--seed", type=int, default=_env("SEED"))
     run.add_argument("--out", default=_env("OUT"))
-    run.add_argument("--deadline", type=float, default=_env("DEADLINE"))
+    run.add_argument("--deadline", type=_deadline, default=_env("DEADLINE"))
     run.add_argument("--task-duration", type=float, default=_env("TASK_DURATION") or "10.0")
     run.set_defaults(handler=cmd_run)
 
@@ -243,6 +243,14 @@ def _mode(raw: str) -> str:
         choices = ", ".join(map(repr, _MODES))
         raise argparse.ArgumentTypeError(f"invalid choice: {raw!r} (choose from {choices})")
     return raw
+
+
+def _deadline(raw: str) -> float:
+    """``--deadline``'s type, held to ``EngineConfig``'s rule."""
+    try:
+        return EngineConfig(deadline=float(raw)).deadline
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _scenario_ref(raw: str) -> Any:

@@ -13,14 +13,26 @@ identity.
 ``run`` with a deadline drops cancelled timers from the head of the heap and
 compares the first live one's due time with the deadline inside its own
 loop; every timer still fires through ``step``.
+
+A ``TimerLane`` holds keyed timers of one delay, which fall due in the order
+they were set: a FIFO of which only the first live entry is on the heap (a
+one-slot timing wheel, Varghese & Lauck 1987). An entry keeps the sequence
+number it drew when added, as ``call_later`` would, so it fires at the place
+a timer of its own would take: one drawn when it is armed would put a
+deadline behind a completion set after it for the same instant. ``discard``
+is O(1); a discarded head fires in one ``step`` that calls nothing and arms
+the next live entry. An empty lane cancels its heap timer, so it never keeps
+the clock running; the heap drops cancelled entries once the lanes'
+cancellations are over half of it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 
 class TimerHandle:
@@ -38,9 +50,11 @@ class VirtualClock:
     now: float = 0.0
     _heap: List[Tuple[float, int, TimerHandle]] = field(default_factory=list)
     _seq: "itertools.count[int]" = field(default_factory=itertools.count)
+    # Lane timers cancelled since the heap was last rebuilt without them.
+    _dropped: int = 0
 
     def call_at(self, when: float, callback: Callable[[], None]) -> TimerHandle:
-        if when < self.now:
+        if not when >= self.now:  # a NaN time fails this too
             raise ValueError(f"cannot schedule at {when} before now={self.now}")
         handle = TimerHandle(callback)
         heapq.heappush(self._heap, (when, next(self._seq), handle))
@@ -48,6 +62,15 @@ class VirtualClock:
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         return self.call_at(self.now + delay, callback)
+
+    def _drop(self, handle: TimerHandle) -> None:
+        """Cancels a lane's heap timer."""
+        handle.callback = None
+        self._dropped += 1
+        if 2 * self._dropped > len(self._heap):
+            self._heap[:] = [entry for entry in self._heap if entry[2].callback is not None]
+            heapq.heapify(self._heap)
+            self._dropped = 0
 
     def step(self) -> bool:
         """Fire the next live timer; returns False when none remain."""
@@ -85,3 +108,47 @@ class VirtualClock:
             if not self.step():
                 return
         raise RuntimeError(f"virtual clock exceeded {max_steps} steps")
+
+
+class TimerLane:
+    """Calls ``callback(key)`` ``delay`` after ``add(key)``, unless the key is
+    discarded first. ``live`` maps each live key to its (due, seq, key) entry."""
+
+    def __init__(self, clock: VirtualClock, delay: float, callback: Callable[[Any], None]) -> None:
+        self.clock, self.delay, self.callback = clock, delay, callback
+        self.live: Dict[Any, Tuple[float, int, Any]] = {}
+        self._entries: Deque[Tuple[float, int, Any]] = deque()
+        self._armed: Optional[TimerHandle] = None
+
+    def add(self, key: Any) -> None:
+        entry = (self.clock.now + self.delay, next(self.clock._seq), key)
+        self._entries.append(entry)
+        self.live[key] = entry
+        if self._armed is None:
+            self._arm(entry)
+
+    def discard(self, key: Any) -> None:
+        if self.live.pop(key, None) is not None and not self.live:
+            self._entries.clear()
+            self.clock._drop(self._armed)
+            self._armed = None
+
+    def _arm(self, entry: Tuple[float, int, Any]) -> None:
+        self._armed = handle = TimerHandle(self._expire)
+        heapq.heappush(self.clock._heap, (entry[0], entry[1], handle))
+
+    def _expire(self) -> None:
+        """Arms the next live entry, then calls back for the head unless it
+        was discarded."""
+        entries, live = self._entries, self.live
+        head = entries.popleft()
+        fire = live.get(head[2]) is head
+        if fire:
+            del live[head[2]]
+        while entries and live.get(entries[0][2]) is not entries[0]:
+            entries.popleft()
+        self._armed = None
+        if entries:
+            self._arm(entries[0])
+        if fire:
+            self.callback(head[2])

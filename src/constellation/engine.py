@@ -15,15 +15,19 @@ order at its next step of the same virtual instant. The engine's own timers
 (commits, timeouts) drain it first, so callbacks fired before them act first.
 A completion for a task already finished, or never dispatched, is counted in
 ``RunReport.dropped_completions`` and otherwise ignored.
+The execution and pending-dispatch deadlines are two ``TimerLane`` FIFOs:
+only each lane's first live deadline is a clock timer, and every deadline
+fires at the (time, sequence) place a timer of its own would take.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Protocol, Set, Tuple
 
-from .clock import TimerHandle, VirtualClock
+from .clock import TimerLane, VirtualClock
 from .edits import apply_delta
 from .errors import ConstellationError, ValidationFailed
 from .events import EventKind, OrchestratorEvent
@@ -89,6 +93,12 @@ class EngineConfig:
     execution_timeout: float = 300.0
     deadline: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        for name in ("pending_dispatch_timeout", "execution_timeout", "deadline"):
+            value = getattr(self, name)
+            if (value is not None or name != "deadline") and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite number of seconds above 0, not {value!r}")
+
 
 class Orchestrator:
     def __init__(
@@ -114,8 +124,8 @@ class Orchestrator:
         self._batch_docs: List[Dict[str, Any]] = []
         self.done = False
         self._round_index = 0
-        self._pending_timers: Dict[str, TimerHandle] = {}
-        self._execution_timers: Dict[str, TimerHandle] = {}
+        self._pending = TimerLane(clock, self.config.pending_dispatch_timeout, partial(self._fire, self._pending_timeout))
+        self._running = TimerLane(clock, self.config.execution_timeout, partial(self._fire, self._execution_timeout))
         self._intake: List[Tuple[Callable[..., None], Tuple[Any, ...]]] = []
         self.dispatcher.set_availability_listener(partial(self._take, self._on_availability_change))
 
@@ -180,7 +190,7 @@ class Orchestrator:
             return
         timing.finished_at = self.clock.now
         timing.status = status._value_
-        self._cancel_timer(self._execution_timers, task_id)
+        self._running.discard(task_id)
         kind = EventKind.TASK_COMPLETED if status is TaskStatus.COMPLETED else EventKind.TASK_FAILED
         payload = {}
         if status is TaskStatus.FAILED:
@@ -339,24 +349,23 @@ class Orchestrator:
     def _reschedule(self) -> None:
         available = self.dispatcher.available_devices()
         # A task no longer ready (removed or blocked again by a delta) loses
-        # its pending timer: every armed timer belongs to a ready task.
+        # its pending deadline: every live one belongs to a ready task.
         ready = self.constellation.ready_tasks()
-        for task_id in self._pending_timers.keys() - ready:
-            self._cancel_timer(self._pending_timers, task_id)
+        pending = self._pending
+        for task_id in pending.live.keys() - ready:
+            pending.discard(task_id)
         for task_id in ready:
             task = self.constellation.tasks[task_id]
             if "*" in available or task.device in available:
                 self._dispatch(task)
-            elif task_id not in self._pending_timers:
-                self._pending_timers[task_id] = self.clock.call_later(
-                    self.config.pending_dispatch_timeout,
-                    partial(self._fire, self._pending_timeout, task_id),
-                )
+            elif task_id not in pending.live:
+                pending.add(task_id)
 
     def _dispatch(self, task: TaskStar) -> None:
         if self.lock_held:
             self.report.assignments_while_held += 1
-        self._cancel_timer(self._pending_timers, task.id)
+        if task.id in self._pending.live:
+            self._pending.discard(task.id)
         self.constellation.transition(task.id, TaskStatus.RUNNING)
         self.report.timings[task.id] = TaskTiming(
             task_id=task.id, device=task.device, dispatched_at=self.clock.now
@@ -365,17 +374,13 @@ class Orchestrator:
         # directly: no event object is made, as no round's batch holds one.
         payload = {"device": task.device, "version": self.constellation.version}
         self.report.events.append({"kind": "TASK_STARTED", "at": self.clock.now, "task_id": task.id, "payload": payload})
-        self._execution_timers[task.id] = self.clock.call_later(
-            self.config.execution_timeout,
-            partial(self._fire, self._execution_timeout, task.id),
-        )
+        self._running.add(task.id)
         try:
             self.dispatcher.dispatch(self.constellation.tasks[task.id], self._report_done)
         except Exception as exc:
             self._report_done(task.id, TaskStatus.FAILED, str(exc), FailureReason.EXECUTION_ERROR)
 
     def _pending_timeout(self, task_id: str) -> None:
-        self._pending_timers.pop(task_id, None)
         task = self.constellation.tasks.get(task_id)
         if task is None or task.status is not TaskStatus.PENDING:
             return
@@ -389,7 +394,7 @@ class Orchestrator:
         )
 
     def _execution_timeout(self, task_id: str) -> None:
-        # Only a RUNNING task has this timer: its completion cancels it.
+        # Only a RUNNING task has this deadline: its completion discards it.
         self._on_task_done(task_id, TaskStatus.FAILED, None, FailureReason.TIMEOUT)
 
     # -- termination -----------------------------------------------------
@@ -414,12 +419,9 @@ class Orchestrator:
         if self.done:
             return
         self.done = True
+        # A finished run's deadlines call nothing, as ``_drain`` would, and the
+        # lanes let go of the engine, so no reference cycle outlives the run.
+        self._pending.callback = self._running.callback = lambda task_id: None
         self.report.outcome = outcome
         self.report.finished_at = self.clock.now
         self.report.final_document = to_document(self.constellation)
-
-    @staticmethod
-    def _cancel_timer(timers: Dict[str, TimerHandle], key: str) -> None:
-        handle = timers.pop(key, None)
-        if handle is not None:
-            handle.cancel()

@@ -275,15 +275,20 @@ def check_of(kind: str, definition: str = "") -> Callable[[Any], Any]:
     return compile_schema(json.loads((SCHEMAS_DIR / f"{kind}.schema.json").read_text(encoding="utf-8")), definition)
 
 
+def _not_json(name: str) -> Any:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_document(source: Union[str, Path, Dict[str, Any]], kind: str) -> Dict[str, Any]:
     """The JSON object in the file at path ``source``, or ``source`` itself;
-    a ``ParseError`` for an unreadable file, invalid JSON, a document that is
-    not an object or one that ``schemas/<kind>.schema.json`` refuses."""
+    a ``ParseError`` for an unreadable file, invalid JSON (``NaN`` and
+    ``Infinity`` included), a document that is not an object or one that
+    ``schemas/<kind>.schema.json`` refuses."""
     what = kind.replace("_", " ")
     if isinstance(source, (str, Path)):
         try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            doc = json.loads(Path(source).read_text(encoding="utf-8"), parse_constant=_not_json)
+        except (OSError, ValueError) as exc:
             raise ParseError(f"cannot load {what} {source}: {exc}") from exc
     else:
         doc = source

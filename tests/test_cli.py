@@ -186,6 +186,32 @@ class TestRun:
         assert code == 2
         assert lines[-1]["error"].startswith(f"bad constellation {path.resolve()}: ")
 
+    @pytest.mark.parametrize("value", ["-5", "nan", "0", "inf", "abc"])
+    def test_a_deadline_that_is_not_finite_and_above_zero_exits_two(self, capsys, value):
+        code, lines = run_cli(capsys, "run", "--constellation", FIG4, "--seed", "0", "--deadline", value)
+        assert (code, lines) == (2, [])
+
+    def test_a_deadline_stops_the_run_there(self, capsys):
+        """Fig. 4's first layer completes at 10 and C is still running at 15."""
+        code, lines = run_cli(capsys, "run", "--constellation", FIG4, "--seed", "0", "--deadline", "15")
+        assert (code, lines[-1]["outcome"], lines[-1]["finished_at"]) == (3, "PARTIAL", 15.0)
+
+    def test_a_deadline_from_the_environment_is_held_to_the_same_rule(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONSTELLATION_DEADLINE", "-5")
+        code, lines = run_cli(capsys, "run", "--scenario", "1", "--seed", "0")
+        assert (code, lines) == (2, [])
+
+    def test_a_scenario_file_with_a_nan_deadline_exits_two(self, capsys, tmp_path):
+        """``NaN`` is not JSON: the file is refused before its schema, whose
+        ``exclusiveMinimum`` a NaN would pass, is checked."""
+        target = tmp_path / "scenarios"
+        shutil.copytree(SCENARIOS_DIR, target)
+        scenario = target / "scenario1.json"
+        scenario.write_text(scenario.read_text().replace('"deadline": 120.0', '"deadline": NaN'))
+        code, lines = run_cli(capsys, "run", "--scenario", str(scenario), "--seed", "0")
+        assert code == 2
+        assert lines == [{"event": "error", "error": f"cannot load scenario {scenario}: NaN is not a JSON number"}]
+
     @pytest.mark.parametrize(
         "script, field, value",
         [

@@ -1,8 +1,13 @@
 """Orchestrator: locked edit cycles, scheduling, outcomes, timeouts."""
 
+import gc
+import heapq
 import random
+import weakref
 import sys
 from collections import Counter
+
+import pytest
 
 from constellation import (
     AddDependency,
@@ -181,6 +186,48 @@ class TestHappyPath:
         assert engine.run().outcome is RunOutcome.SUCCESS
         size = len(config["tasks"]) + len(config["dependencies"])
         assert sum(calls.values()) <= 2 * size, calls
+
+
+class TestTimerHeap:
+    def test_the_clock_holds_about_a_layers_timers_and_a_dispatch_pushes_one(self, monkeypatch):
+        """1 000 tasks in layers of 10, each taking 1 s against the 300 s
+        execution timeout: the clock's heap holds about a layer's completions,
+        not a deadline for every task dispatched so far, and a dispatch pushes
+        only its completion onto it besides a few timers per round."""
+        pushes, longest = 0, 0
+        push = heapq.heappush
+
+        def counted(heap, item):
+            nonlocal pushes, longest
+            push(heap, item)
+            pushes += 1
+            longest = max(longest, len(heap))
+
+        monkeypatch.setattr(heapq, "heappush", counted)
+        width = 10
+        clock = VirtualClock()
+        constellation = build_constellation(layered_config(1000, width=width, fan_in=2))
+        report = Orchestrator(clock, NoopPlanner(), ScriptedDispatcher(clock), constellation=constellation).run()
+        assert report.outcome is RunOutcome.SUCCESS and report.finished_at == 100.0
+        assert longest <= 2 * width + 4, longest
+        assert pushes <= len(report.timings) + 3 * len(report.edit_cycles), (pushes, len(report.edit_cycles))
+
+    def test_a_finished_run_is_freed_without_the_cycle_collector(self):
+        """Nothing the run leaves on the clock, in its lanes or in its
+        dispatcher points back at the engine."""
+        clock = VirtualClock()
+        constellation = build_constellation(layered_config(30, width=10, fan_in=2))
+        engine = Orchestrator(clock, NoopPlanner(), ScriptedDispatcher(clock), constellation=constellation)
+        assert engine.run().outcome is RunOutcome.SUCCESS
+        freed = weakref.ref(engine)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            del engine
+            assert freed() is None
+        finally:
+            if collecting:
+                gc.enable()
 
 
 def three_independent_tasks():
@@ -454,6 +501,30 @@ class TestSameInstantOrder:
         ]
         batches = [[e["task_id"] for e in cycle.batch] for cycle in report.edit_cycles]
         assert batches[-2:] == [["A"], ["X"]]
+
+    def test_deadlines_due_together_act_in_dispatch_order_before_completions(self):
+        """A (60 s) and B (50 s) start at 0 with a 50 s execution timeout. At
+        50, A's deadline, then B's, then B's completion are due: each deadline
+        keeps the place it took when its task was dispatched, so B times out
+        although its completion is due at the same instant."""
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock,
+            NoopPlanner(),
+            ScriptedDispatcher(clock, durations={"A": 60.0, "B": 50.0}),
+            constellation=build_constellation(chain_config({"A": "dev", "B": "dev"})),
+            config=EngineConfig(execution_timeout=50.0),
+        ).run()
+        assert task_trace(report) == [
+            ("TASK_STARTED", "A", 0.0),
+            ("TASK_STARTED", "B", 0.0),
+            ("TASK_FAILED", "A", 50.0),
+            ("TASK_FAILED", "B", 50.0),
+        ]
+        by_id = {t["id"]: t for t in report.final_document["tasks"]}
+        assert [by_id[t]["failure_reason"] for t in "AB"] == ["TIMEOUT", "TIMEOUT"]
+        assert report.dropped_completions == 1
+        assert report.finished_at == 50.0
 
 
 class TestHostilePlanner:
@@ -934,6 +1005,38 @@ class TestTimeouts:
         assert report.outcome is RunOutcome.SUCCESS
         assert (report.timings["A"].dispatched_at, report.finished_at) == (5.0, 6.0)
 
+    def test_a_dispatched_tasks_pending_deadline_never_fires(self, monkeypatch):
+        """A waits from 0 with a 2 s pending timeout, its device joins at 1
+        and it runs until 6: its pending deadline, due at 2, goes at dispatch."""
+
+        class LateDevice(ScriptedDispatcher):
+            devices = set()
+
+            def available_devices(self):
+                return self.devices
+
+            def set_availability_listener(self, listener):
+                self.listener = listener
+
+        def join():
+            dispatcher.devices = {"dev"}
+            dispatcher.listener()
+
+        expired = []
+        monkeypatch.setattr(Orchestrator, "_pending_timeout", lambda self, task_id: expired.append(task_id))
+        clock = VirtualClock()
+        dispatcher = LateDevice(clock, default_duration=5.0)
+        clock.call_later(1.0, join)
+        report = Orchestrator(
+            clock,
+            NoopPlanner(),
+            dispatcher,
+            constellation=build_constellation(chain_config({"A": "dev"})),
+            config=EngineConfig(pending_dispatch_timeout=2.0),
+        ).run()
+        assert report.outcome is RunOutcome.SUCCESS and report.finished_at == 6.0
+        assert expired == []
+
     def test_a_pending_timeout_of_a_task_a_round_removes_is_skipped(self):
         """X's pending timeout fires at 2 while the round over A's completion
         is in flight, and that round's delta removes X: the next round's
@@ -1023,6 +1126,65 @@ class TestTimeouts:
         assert by_id["A"]["status"] == "FAILED"
         assert by_id["A"]["failure_reason"] == "TIMEOUT"
 
+    def test_a_completion_due_at_its_own_execution_deadline_is_dropped(self):
+        """The deadline is set before the task is sent, so it acts first."""
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock,
+            NoopPlanner(),
+            ScriptedDispatcher(clock, durations={"A": 50.0}),
+            constellation=build_constellation(chain_config({"A": "dev"})),
+            config=EngineConfig(execution_timeout=50.0),
+        ).run()
+        assert (report.timings["A"].finished_at, report.timings["A"].status) == (50.0, "FAILED")
+        assert report.final_document["tasks"][0]["failure_reason"] == "TIMEOUT"
+        assert report.dropped_completions == 1
+
+    def test_a_pending_deadline_discarded_and_added_again_fires_at_its_new_time(self):
+        """X and Z wait from 0 for a device that never joins. At 1 the round
+        over A's completion blocks X behind Y (10 s), and Y's completion at
+        11 makes X ready again: Z times out at 60, X at 71 and not at 60."""
+
+        class BlocksX(Planner):
+            def edit(self, planner_input):
+                blocks = any(e.task_id == "A" for e in planner_input.batch)
+                ops = [AddTask({"id": "Y", "device": "dev"}), AddDependency({"id": "Y>X", "from_task": "Y", "to_task": "X"})]
+                return PlannerOutput("", "", PlannerState.CONTINUE, delta=EditDelta(ops if blocks else []))
+
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock,
+            BlocksX(),
+            OnlyDev(clock, durations={"Y": 10.0}),
+            constellation=build_constellation(chain_config({"A": "dev", "X": "off", "Z": "off"})),
+            config=EngineConfig(pending_dispatch_timeout=60.0),
+        ).run()
+        failed = [(e["task_id"], e["at"]) for e in report.events if e["kind"] == "TASK_FAILED"]
+        assert failed == [("Z", 60.0), ("X", 71.0)]
+        assert report.finished_at == 71.0
+
+    def test_execution_deadlines_of_a_layer_run_from_that_layers_dispatch(self):
+        """A and B finish at 10, so no task runs until C and D start there:
+        D (60 s) times out at 60 and C (45 s) completes at 55."""
+        clock = VirtualClock()
+        config = chain_config(
+            {t: "dev" for t in "ABCD"}, [("A", "C"), ("A", "D"), ("B", "C"), ("B", "D")]
+        )
+        report = Orchestrator(
+            clock,
+            NoopPlanner(),
+            ScriptedDispatcher(clock, durations={"A": 10.0, "B": 10.0, "C": 45.0, "D": 60.0}),
+            constellation=build_constellation(config),
+            config=EngineConfig(execution_timeout=50.0),
+        ).run()
+        assert [e for e in task_trace(report) if e[0] != "TASK_STARTED"] == [
+            ("TASK_COMPLETED", "A", 10.0),
+            ("TASK_COMPLETED", "B", 10.0),
+            ("TASK_COMPLETED", "C", 55.0),
+            ("TASK_FAILED", "D", 60.0),
+        ]
+        assert report.finished_at == 60.0 and report.dropped_completions == 0
+
     def test_deadline_marks_report(self):
         report = run_fig4(
             durations={"A": 1000.0}, config=EngineConfig(deadline=5.0)
@@ -1069,6 +1231,17 @@ class TestTimeouts:
         ).run()
         assert report.deadline_exceeded and report.edit_cycles == []
         assert report.outcome is RunOutcome.FAILED
+
+
+class TestEngineConfig:
+    @pytest.mark.parametrize("field", ["pending_dispatch_timeout", "execution_timeout", "deadline"])
+    @pytest.mark.parametrize("value", [-1.0, 0, float("nan"), float("inf")], ids=str)
+    def test_a_time_that_is_not_finite_and_above_zero_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number of seconds above 0"):
+            EngineConfig(**{field: value})
+
+    def test_no_deadline_is_allowed(self):
+        assert EngineConfig(deadline=None).deadline is None
 
 
 class TestVersioning:

@@ -1,5 +1,6 @@
 """Virtual clock, deterministic network, parallelism metrics, markdown log."""
 
+import heapq
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from constellation import (
     VirtualClock,
     build_constellation,
 )
+from constellation.clock import TimerLane
 from constellation.errors import ValidationFailed
 from constellation.simnet.metrics import _peak_overlap, metrics_from_durations
 from constellation.simnet.mdlog import emit_markdown_log, mermaid_block
@@ -127,7 +129,140 @@ class TestVirtualClock:
             clock.call_at(0.5, lambda: None)
 
 
+    def test_scheduling_at_nan_is_rejected(self):
+        with pytest.raises(ValueError, match="cannot schedule at nan"):
+            VirtualClock().call_at(float("nan"), lambda: None)
+
+
+class TestTimerLane:
+    @staticmethod
+    def lane(delay=10.0):
+        clock = VirtualClock()
+        fired = []
+        return clock, TimerLane(clock, delay, lambda key: fired.append((key, clock.now))), fired
+
+    def test_each_entry_fires_at_the_place_its_own_timer_would_take(self):
+        """A timer set between two entries due at one instant fires between them."""
+        clock, lane, fired = self.lane()
+        lane.add("a")
+        clock.call_at(10.0, lambda: fired.append(("timer", clock.now)))
+        lane.add("b")
+        clock.call_later(1.0, lambda: lane.add("c"))
+        clock.run()
+        assert fired == [("a", 10.0), ("timer", 10.0), ("b", 10.0), ("c", 11.0)]
+        assert lane.live == {} and not clock._heap
+
+    def test_a_discarded_head_calls_nothing_and_the_next_entry_fires_on_time(self):
+        clock, lane, fired = self.lane()
+        lane.add("a")
+        clock.call_at(5.0, lambda: lane.add("b"))
+        clock.call_at(8.0, lambda: lane.discard("a"))
+        clock.run(deadline=12.0)
+        assert fired == [] and clock.now == 12.0
+        clock.run()
+        assert fired == [("b", 15.0)]
+
+    def test_a_key_added_again_fires_at_its_new_time_only(self):
+        clock, lane, fired = self.lane()
+        lane.add("a")
+        lane.add("b")
+        clock.call_at(1.0, lambda: (lane.discard("a"), lane.add("a")))
+        clock.run()
+        assert fired == [("b", 10.0), ("a", 11.0)]
+
+    def test_a_lane_left_empty_leaves_the_clock_where_it_was(self):
+        clock, lane, fired = self.lane()
+        lane.add("a")
+        lane.add("b")
+        clock.call_at(1.0, lambda: (lane.discard("b"), lane.discard("a"), lane.discard("a")))
+        clock.run()
+        assert fired == [] and clock.now == 1.0
+
+    def test_a_firing_takes_one_step_and_only_a_discarded_head_adds_one(self, monkeypatch):
+        """a, b and d are discarded, so c fires after one silent step at a's
+        due time. Later entries fire in one step each, whether the lane
+        was left holding discarded entries (d) or emptied by a discard (f)."""
+        clock, steps = TestVirtualClock.counted(monkeypatch)
+        fired = []
+        lane = TimerLane(clock, 10.0, lambda key: fired.append((key, clock.now)))
+        for key in "abcd":
+            lane.add(key)
+        for key in "abd":
+            lane.discard(key)
+        clock.run()
+        assert fired == [("c", 10.0)] and steps == [0.0, 10.0, 10.0]
+        lane.add("e")
+        clock.run()
+        lane.add("f")
+        lane.discard("f")
+        lane.add("g")
+        clock.run()
+        assert fired == [("c", 10.0), ("e", 20.0), ("g", 30.0)]
+        assert steps == [0.0, 10.0, 10.0, 10.0, 20.0, 20.0, 30.0]
+
+    def test_a_lane_refilled_from_its_own_callback_fires_the_new_entry(self):
+        clock = VirtualClock()
+        fired = []
+
+        def again(key):
+            fired.append((key, clock.now))
+            if len(fired) < 3:
+                lane.add(key)
+
+        lane = TimerLane(clock, 2.0, again)
+        lane.add("a")
+        clock.run()
+        assert fired == [("a", 2.0), ("a", 4.0), ("a", 6.0)]
+
+    def test_the_heap_is_rebuilt_once_cancelled_lane_timers_are_over_half_of_it(self, monkeypatch):
+        """A rebuild comes after more cancellations than it keeps entries, so
+        40 cancellations rebuild the heap a few times, not at each."""
+        rebuilds = []
+        heapify = heapq.heapify
+        monkeypatch.setattr(heapq, "heapify", lambda heap: (rebuilds.append(len(heap)), heapify(heap)))
+        clock, lane, fired = self.lane(delay=100.0)
+        sizes = []
+
+        def churn():
+            lane.add("a")
+            lane.discard("a")
+            live = sum(entry[2].callback is not None for entry in clock._heap)
+            sizes.append((len(clock._heap), live))
+
+        for t in range(1, 41):
+            clock.call_at(float(t), churn)
+        clock.run()
+        assert fired == [] and clock.now == 40.0
+        assert all(size <= 2 * live + 1 for size, live in sizes), sizes
+        assert sizes[-1] == (0, 0)
+        assert 0 < len(rebuilds) <= 6, rebuilds
+
+    def test_a_rebuilt_heap_still_fires_in_time_order(self):
+        """Two cancelled lane timers due at 1 stay queued while the clock is
+        at 0.3, where B (5 s) is set after A (6 s) and a third cancellation
+        rebuilds the heap: B still fires first."""
+        clock, lane, fired = self.lane(delay=1.0)
+
+        def churn(key):
+            lane.add(key)
+            lane.discard(key)
+
+        def late():
+            clock.call_at(6.0, lambda: fired.append(("A", clock.now)))
+            clock.call_at(5.0, lambda: fired.append(("B", clock.now)))
+            churn("c")
+
+        clock.call_at(0.1, lambda: None)
+        clock.call_at(0.2, lambda: None)
+        clock.call_at(0.3, late)
+        churn("a")
+        churn("b")
+        clock.run()
+        assert fired == [("B", 5.0), ("A", 6.0)]
+
+
 # ---------------------------------------------------------------------------
+# Simulated network# ---------------------------------------------------------------------------
 # Simulated network
 # ---------------------------------------------------------------------------
 
