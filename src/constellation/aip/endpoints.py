@@ -4,11 +4,11 @@ Three roles talk over the simulated network:
 
 - ``ConstellationEndpoint`` — the orchestrator side and the engine's
   dispatcher: the device pool, task dispatch, heartbeat monitoring and
-  disconnect synthesis. The pool is every agent that registered, less those
-  its watchdog disconnected since; a REGISTER's metadata is typed at
-  ``decode`` and read by no one. The endpoint turns each session's
-  TASK_END, received or synthesised, into the one engine completion of the
-  task the session carried.
+  disconnect synthesis. The pool is its silence lane's live keys: REGISTER
+  and each accepted HEARTBEAT add an agent, a re-add replacing its deadline.
+  A REGISTER's metadata is typed at ``decode`` and read by no one. The
+  endpoint turns each session's TASK_END, received or synthesised, into the
+  one engine completion of the task the session carried.
 - ``DeviceServerEndpoint`` — the per-device agent server: runs the agent
   FSM, issues command batches to its executor client, reports TASK_END,
   heartbeats, and registers with exponential backoff, at start and after an
@@ -29,14 +29,14 @@ import itertools
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..clock import TimerHandle, VirtualClock
+from ..clock import TimerHandle, TimerLane, VirtualClock
 from ..engine import DoneCallback
 from ..errors import SchemaViolation
 from ..model import FailureReason, TaskStar, TaskStatus
 from ..simnet.network import SimNetwork
 from ..agent.server import AgentServer, TaskRun
 from .messages import AipMessage, MessageType, decode, encode
-from .liveness import HEARTBEAT_INTERVAL, RECONNECT_ATTEMPTS, Watchdog, reconnect_delay
+from .liveness import HEARTBEAT_INTERVAL, MISSED_K, RECONNECT_ATTEMPTS, reconnect_delay
 from .session import SessionState
 
 
@@ -95,24 +95,22 @@ class ConstellationEndpoint(_Endpoint):
         super().__init__(clock, network, address)
         self.request = request
         self._availability_listener: Callable[[], None] = lambda: None
-        self._watchdogs: Dict[str, Watchdog] = {}
+        # The pool: a silent agent leaves it, and only a REGISTER brings it back.
+        self._silence = TimerLane(clock, HEARTBEAT_INTERVAL * MISSED_K, self._on_silence)
         self._device_address: Dict[str, str] = {}  # every agent that registered
-        # Agents whose watchdog fired: only a fresh REGISTER brings one back.
-        self._disconnected: Set[str] = set()
         self._outstanding: Dict[str, Tuple[TaskStar, DoneCallback]] = {}  # by session id
         self._seq = itertools.count(1)
 
     # -- dispatcher port -------------------------------------------------
 
     def available_devices(self) -> Set[str]:
-        return self._device_address.keys() - self._disconnected
+        return set(self._silence.live)
 
     def set_availability_listener(self, listener: Callable[[], None]) -> None:
         self._availability_listener = listener
 
     def dispatch(self, task: TaskStar, on_done: DoneCallback) -> None:
-        address = self._device_address.get(task.device)
-        if address is None or task.device in self._disconnected:
+        if task.device not in self._silence.live:
             error = f"device {task.device!r} is not in the scheduling pool"
             on_done(task.id, TaskStatus.FAILED, error, FailureReason.AGENT_DISCONNECTED)
             return
@@ -126,7 +124,7 @@ class ConstellationEndpoint(_Endpoint):
             "tips": list(task.tips),
         }
         self.send(
-            address,
+            self._device_address[task.device],
             AipMessage(
                 MessageType.TASK, {"task": task_doc, "request": self.request}, session_id=session_id
             ),
@@ -141,22 +139,18 @@ class ConstellationEndpoint(_Endpoint):
             agent_id = msg.body.get("agent_id", src)
             if not isinstance(agent_id, str) or agent_id not in self._device_address:
                 self._refuse(src, f"NotFound: no registered agent {agent_id!r}")
-                return
-            if agent_id in self._disconnected:
+            elif agent_id not in self._silence.live:
                 self._refuse(src, f"PeerDisconnected: agent {agent_id!r} must register again")
-                return
-            self._watchdogs[agent_id].feed()
-            self._ack(src)
+            else:
+                self._silence.add(agent_id)
+                self._ack(src)
         elif msg.msg_type is MessageType.TASK_END:
             self._on_task_end(msg.session_id, msg.body)
 
     def _on_register(self, src: str, msg: AipMessage) -> None:
         client_id = msg.body["client_id"]
-        self._disconnected.discard(client_id)
         self._device_address[client_id] = src
-        if client_id not in self._watchdogs:
-            self._watchdogs[client_id] = Watchdog(self.clock, partial(self._on_silence, client_id))
-        self._watchdogs[client_id].start()
+        self._silence.add(client_id)
         self._ack(src)
         self._availability_listener()
 
@@ -181,12 +175,11 @@ class ConstellationEndpoint(_Endpoint):
     # -- liveness --------------------------------------------------------
 
     def _on_silence(self, agent_id: str) -> None:
-        """The agent's watchdog, started at REGISTER and fed by each
-        accepted HEARTBEAT, saw no beat for ``MISSED_K`` intervals: the agent
-        leaves the pool and each of its outstanding tasks ends FAILED. The
-        availability listener is not told: the engine reads the pool afresh
-        whenever it next schedules."""
-        self._disconnected.add(agent_id)
+        """The agent's deadline, added at REGISTER and replaced by each
+        accepted HEARTBEAT, fell due ``MISSED_K`` intervals after the last:
+        the agent has left the pool, and each of its outstanding tasks ends
+        FAILED. The availability listener is not told: the engine reads the
+        pool afresh whenever it next schedules."""
         for session_id in sorted(self._outstanding):
             if self._outstanding[session_id][0].device != agent_id:
                 continue
@@ -257,7 +250,7 @@ class DeviceServerEndpoint(_Endpoint):
         self.connected = False
         self.permanently_failed = False
         self.active_runs: Dict[str, TaskRun] = {}  # session_id -> run
-        self._watchdog = Watchdog(clock, self._local_disconnect)
+        self._silence = TimerLane(clock, HEARTBEAT_INTERVAL * MISSED_K, self._local_disconnect)
         self._reconnect_attempt = 0
         self._cmd_seq = itertools.count(1)
         self._pending_results: Dict[str, Callable[[List[Dict[str, Any]]], None]] = {}
@@ -280,14 +273,12 @@ class DeviceServerEndpoint(_Endpoint):
                 callback(msg.body["action_results"])
 
     def _on_ack(self) -> None:
-        if self.connected:
-            self._watchdog.feed()
-            return
-        self.connected = True
-        self.permanently_failed = False
-        self._link_timer.cancel()
-        self._schedule_beat()
-        self._watchdog.start()
+        if not self.connected:
+            self.connected = True
+            self.permanently_failed = False
+            self._link_timer.cancel()
+            self._schedule_beat()
+        self._silence.add(self.orchestrator_address)
 
     # -- task execution --------------------------------------------------
 
@@ -343,7 +334,8 @@ class DeviceServerEndpoint(_Endpoint):
         )
         self._schedule_beat()
 
-    def _local_disconnect(self) -> None:
+    def _local_disconnect(self, orchestrator_address: str) -> None:
+        """No ack came for ``MISSED_K`` intervals."""
         self.connected = False
         self._link_timer.cancel()
         # Abort ongoing work: both sides converge on FAILED statuses.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -219,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=_env("SEED"))
     run.add_argument("--out", default=_env("OUT"))
     run.add_argument("--deadline", type=_deadline, default=_env("DEADLINE"))
-    run.add_argument("--task-duration", type=float, default=_env("TASK_DURATION") or "10.0")
+    run.add_argument("--task-duration", type=_task_duration, default=_env("TASK_DURATION") or "10.0")
     run.set_defaults(handler=cmd_run)
 
     explore_p = sub.add_parser("explore", help="bounded explicit-state exploration")
@@ -251,6 +252,17 @@ def _deadline(raw: str) -> float:
         return EngineConfig(deadline=float(raw)).deadline
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _task_duration(raw: str) -> float:
+    """``--task-duration``'s type: a finite number of seconds, 0 or more."""
+    try:
+        seconds = float(raw)
+        if 0 <= seconds < math.inf:
+            return seconds
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number of seconds from 0, not {raw!r}")
 
 
 def _scenario_ref(raw: str) -> Any:

@@ -20,10 +20,10 @@ one-slot timing wheel, Varghese & Lauck 1987). An entry keeps the sequence
 number it drew when added, as ``call_later`` would, so it fires at the place
 a timer of its own would take: one drawn when it is armed would put a
 deadline behind a completion set after it for the same instant. ``discard``
-is O(1); a discarded head fires in one ``step`` that calls nothing and arms
-the next live entry. An empty lane cancels its heap timer, so it never keeps
-the clock running; the heap drops cancelled entries once the lanes'
-cancellations are over half of it.
+is O(1), and a re-add replaces a live key's deadline: a discarded or replaced
+head fires in one ``step`` that calls nothing and arms the next live entry.
+An empty lane cancels its heap timer, so it never keeps the clock running;
+the heap drops cancelled timers once lane cancellations are over half of it.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class VirtualClock:
 
 
 class TimerLane:
-    """Calls ``callback(key)`` ``delay`` after ``add(key)``, unless the key is
-    discarded first. ``live`` maps each live key to its (due, seq, key) entry."""
+    """Calls ``callback(key)`` ``delay`` after the last ``add(key)``, unless
+    the key is discarded first. ``live`` maps each live key to its entry."""
 
     def __init__(self, clock: VirtualClock, delay: float, callback: Callable[[Any], None]) -> None:
         self.clock, self.delay, self.callback = clock, delay, callback

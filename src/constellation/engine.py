@@ -271,6 +271,11 @@ class Orchestrator:
                 self._abort(f"planner delta failed: {exc}")
                 return
             self.constellation = new_constellation
+            # The lock may be held past a pending deadline, so one whose task
+            # the delta removed or blocked again goes now, not at a reschedule.
+            if self._pending.live:
+                for task_id in self._pending.live.keys() - self.constellation.ready_tasks():
+                    self._pending.discard(task_id)
             self.report.record_event(
                 OrchestratorEvent(
                     EventKind.CONSTELLATION_MODIFIED,
@@ -348,13 +353,8 @@ class Orchestrator:
 
     def _reschedule(self) -> None:
         available = self.dispatcher.available_devices()
-        # A task no longer ready (removed or blocked again by a delta) loses
-        # its pending deadline: every live one belongs to a ready task.
-        ready = self.constellation.ready_tasks()
         pending = self._pending
-        for task_id in pending.live.keys() - ready:
-            pending.discard(task_id)
-        for task_id in ready:
+        for task_id in self.constellation.ready_tasks():
             task = self.constellation.tasks[task_id]
             if "*" in available or task.device in available:
                 self._dispatch(task)
@@ -381,9 +381,8 @@ class Orchestrator:
             self._report_done(task.id, TaskStatus.FAILED, str(exc), FailureReason.EXECUTION_ERROR)
 
     def _pending_timeout(self, task_id: str) -> None:
-        task = self.constellation.tasks.get(task_id)
-        if task is None or task.status is not TaskStatus.PENDING:
-            return
+        # Only a ready task has this deadline: its dispatch discards it, as
+        # does a commit that removes it or blocks it again.
         self._enqueue(
             OrchestratorEvent(
                 EventKind.TASK_FAILED,

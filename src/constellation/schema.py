@@ -13,9 +13,10 @@ compile, so no schema says more than is checked: ``type`` (a name or a list),
 ``if``/``then`` (an ``if`` may only test ``required`` and properties against a
 ``const``) and ``$ref`` into ``$defs``. As in JSON Schema 2020-12, a keyword
 applies only to values of its own kind, booleans are not numbers and an
-integral float such as ``1.0`` is an integer. A check refuses at the first
-fault: of an object, its fields in the schema's order, then unknown fields,
-then what ``$ref``, ``allOf`` and ``if``/``then`` add.
+integral float such as ``1.0`` is an integer; as in JSON, a number is
+finite. A check refuses at the first fault: of an object, its fields in the
+schema's order, then unknown fields, then what ``$ref``, ``allOf`` and
+``if``/``then`` add.
 
 A check also parses what it accepts (parse, don't validate) and returns it.
 An object schema naming a ``record`` (``TaskStar``, ``TaskStarLine`` or
@@ -52,11 +53,12 @@ _KEYWORDS = {"$schema", "$id", "$defs", "$ref", "title", "type", "enum", "const"
              "minimum", "maximum", "exclusiveMinimum", "properties", "required", "additionalProperties", "items",
              "minItems", "maxItems", "allOf", "if", "then", "record"}
 # Each JSON type's test of a value ``{v}``: a number or integer is never a
-# ``bool``, and an integer that is a float is integral.
+# ``bool``, an integer that is a float is integral, and a number is finite,
+# as JSON has no NaN or Infinity (``{v} - {v}`` is NaN for just those).
 _TESTS = {
     "object": "isinstance({v}, dict)", "array": "isinstance({v}, list)", "string": "isinstance({v}, str)",
     "boolean": "isinstance({v}, bool)", "null": "{v} is None",
-    "number": "isinstance({v}, (int, float)) and {v}.__class__ is not bool",
+    "number": "isinstance({v}, (int, float)) and {v}.__class__ is not bool and {v} - {v} == 0",
     "integer": "(isinstance({v}, int) and {v}.__class__ is not bool or isinstance({v}, float) and {v}.is_integer())",
 }
 

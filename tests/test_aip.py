@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import struct
 from collections import Counter
 
@@ -22,10 +23,11 @@ from constellation.aip.messages import (
     decode,
     encode,
 )
-from constellation.aip.liveness import HEARTBEAT_INTERVAL, MISSED_K, RECONNECT_BASE, Watchdog, reconnect_delay
+from constellation.aip.liveness import HEARTBEAT_INTERVAL, MISSED_K, RECONNECT_BASE, reconnect_delay
 from constellation.agent.executor import ScriptedExecutor
 from constellation.agent.reasoner import ScriptedReasoner
 from constellation.agent.server import AgentServer
+from constellation.clock import TimerLane
 from constellation.errors import SchemaViolation
 from constellation.model import FailureReason, TaskStar, TaskStatus
 from constellation.simnet.network import LinkSpec, SimNetwork
@@ -88,6 +90,15 @@ class TestMessages:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload, MESSAGE_SCHEMA)
 
+    @pytest.mark.parametrize("number", [b"NaN", b"Infinity", b"-Infinity", b"1e999"])
+    def test_a_number_that_is_not_finite_is_refused_by_name(self, number):
+        """JSON has no NaN or Infinity, so a timestamp that ``json`` parses
+        to one is refused."""
+        payload = b'{"msg_type":"HEARTBEAT","body":{"timestamp":%s}}' % number
+        with pytest.raises(SchemaViolation) as refusal:
+            decode(payload_frame(payload))
+        assert refusal.value.field == "timestamp"
+
     def test_truncated_frame_rejected(self):
         frame = encode(AipMessage(MessageType.HEARTBEAT, {"timestamp": 1.0}))
         with pytest.raises(SchemaViolation):
@@ -138,6 +149,8 @@ def reference_validate(msg):
             )
         if expected is str and not msg.body[name]:
             raise SchemaViolation(name, "must be non-empty")
+        if expected == (int, float) and not math.isfinite(msg.body[name]):
+            raise SchemaViolation(name, "must be finite, as JSON has no NaN or Infinity")
     if msg.msg_type is MessageType.TASK_END:
         statuses = ("COMPLETED", "FAILED")
         if msg.body["status"] not in statuses:
@@ -592,54 +605,26 @@ def advance(clock, until):
 
 
 class TestLiveness:
-    def test_watchdog_reports_silence_once_after_the_last_feed(self):
-        """Started at 10 and fed at 20, the watchdog is silent at 20 + 15:
-        its timer, armed at 25, re-checks the last feed and is re-armed at
-        35, where silence is reported once and nothing is armed again."""
-        clock = VirtualClock(now=10.0)
-        silences = []
-        watchdog = Watchdog(clock, lambda: silences.append(clock.now))
-        watchdog.start()
-        advance(clock, 20.0)
-        watchdog.feed()
-        assert watchdog.last_seen == 20.0
-        clock.run()
-        assert silences == [20.0 + HEARTBEAT_INTERVAL * MISSED_K]
-        assert not clock.step()
-
-    def test_watchdog_restart_replaces_the_armed_timer(self):
-        """An agent that registers again while still counted alive restarts
-        its watchdog: silence is reported once, 15 s after the restart."""
-        clock = VirtualClock()
-        silences = []
-        watchdog = Watchdog(clock, lambda: silences.append(clock.now))
-        watchdog.start()
-        advance(clock, 4.0)
-        watchdog.start()
-        clock.run()
-        assert silences == [4.0 + HEARTBEAT_INTERVAL * MISSED_K]
-
     def test_heartbeats_keep_agent_idle(self):
         clock, _, orchestrator, server = build_pair(outages=[])
         advance(clock, 60.0)
         assert orchestrator.available_devices() == {"dev"}
         assert server.connected
 
-    def test_deadline_timers_are_re_armed_on_expiry_not_per_beat(self):
-        """Over 60 s of beats every 5 s, each side schedules its liveness
-        deadline at most once per 15 s (its first arm included), where one
-        per beat would be 13: a beat only moves the time the armed timer
-        re-checks when it expires."""
+    def test_deadline_timers_are_re_armed_on_expiry_not_per_beat(self, monkeypatch):
+        """Over 60 s of beats every 5 s, each side's silence lane arms a
+        clock timer at most once per 15 s (its first arm included), where one
+        per beat would be 13: a beat only replaces its peer's entry, and the
+        armed one, gone stale, arms the next when it expires."""
         clock, _, orchestrator, server = build_pair(outages=[])
         armed = Counter()
-        schedule = clock.call_at
+        arm = TimerLane._arm
 
-        def call_at(when, callback):
-            if getattr(callback, "__qualname__", "") == "Watchdog._expire":
-                armed["device" if callback.__self__ is server._watchdog else "orchestrator"] += 1
-            return schedule(when, callback)
+        def counting_arm(lane, entry):
+            armed["device" if lane is server._silence else "orchestrator" if lane is orchestrator._silence else "other"] += 1
+            arm(lane, entry)
 
-        clock.call_at = call_at
+        monkeypatch.setattr(TimerLane, "_arm", counting_arm)
         advance(clock, 60.0)
         assert orchestrator.available_devices() == {"dev"} and server.connected
         bound = 1 + 60.0 / (HEARTBEAT_INTERVAL * MISSED_K)
@@ -668,6 +653,42 @@ class TestLiveness:
         deltas = [round(t - 15.001, 1) for t in register_times[1:]]
         assert deltas == [1.0, 3.0, 7.0, 15.0, 31.0]
         assert server.permanently_failed
+
+    def test_the_pool_is_the_registered_agents_whose_deadline_is_live(self):
+        """At every step across a silence and a fresh REGISTER, the pool is
+        the registered agents whose deadline is live: the agent stays
+        registered, and leaves the pool at its deadline and rejoins it when
+        its REGISTER is accepted."""
+        clock, _, orchestrator, _ = build_pair(outages=[(5.0, 40.0)])
+        changes = []
+        while clock.now < 60.0 and clock.step():
+            pool = orchestrator.available_devices()
+            assert pool == orchestrator._device_address.keys() & orchestrator._silence.live.keys()
+            if not changes or changes[-1][1] != pool:
+                changes.append((round(clock.now, 3), pool))
+        assert changes == [(0.001, {"dev"}), (15.001, set()), (46.003, {"dev"})]
+        assert set(orchestrator._device_address) == {"dev"}
+
+    def test_a_beat_arriving_at_the_silence_deadline_is_too_late(self):
+        """The beats sent near 10 and 15 are lost, so the next one arrives at
+        the very instant the orchestrator's deadline, 15 s after the beat it
+        received at 5.003, falls due. The deadline acts first: the beat is
+        refused, the device's own deadline expires and it registers again
+        1 s later."""
+        clock, network, _, _ = build_pair(outages=[(10.0, 16.0)])
+        advance(clock, 22.0)
+        link = [f for f in network.wire_log if "dev-client" not in (f["src"], f["dst"])]
+        received = [f["deliver_at"] for f in link if f["src"] == "dev" and not f["dropped"]]
+        assert received[2] == received[1] + HEARTBEAT_INTERVAL * MISSED_K
+        tail = [(round(f["at"], 3), f["src"], f["summary"], f["dropped"]) for f in link if f["at"] >= 10.0]
+        assert tail == [
+            (10.002, "dev", "HEARTBEAT", True),
+            (15.002, "dev", "HEARTBEAT", True),
+            (20.002, "dev", "HEARTBEAT", False),
+            (20.003, "orchestrator", "ERROR", False),
+            (21.004, "dev", "REGISTER", False),
+            (21.005, "orchestrator", "HEARTBEAT", False),
+        ]
 
     def test_beat_after_the_orchestrator_gave_up_is_refused_so_the_device_registers(self):
         """An outage ending just as the orchestrator's deadline expires lets
@@ -869,8 +890,8 @@ class TestDispatchOutsideThePool:
 
 class TestFramesFromOutside:
     """A frame the orchestrator endpoint cannot act on is answered with an
-    ERROR frame; no watchdog is armed or fed and the pool is left as it
-    was."""
+    ERROR frame; no deadline is added or replaced, and the pool is left as
+    it was."""
 
     def send_from_rogue(self, msg):
         clock, network, orchestrator, _ = build_pair(outages=[])
@@ -878,17 +899,11 @@ class TestFramesFromOutside:
         received = []
         network.attach("rogue", lambda src, frame: received.append(decode(frame)))
         network.add_link("rogue", "orchestrator", LinkSpec(latency=0.001))
-        pool = (dict(orchestrator._device_address), set(orchestrator._disconnected))
-
-        def watchdogs():
-            return {a: (w.last_seen, w._timer) for a, w in orchestrator._watchdogs.items()}
-
-        before = watchdogs()
+        pool = (dict(orchestrator._device_address), dict(orchestrator._silence.live))
         network.send("rogue", "orchestrator", encode(msg))
         advance(clock, 2.0)
         assert [m.msg_type for m in received] == [MessageType.ERROR]
-        assert watchdogs() == before
-        assert (orchestrator._device_address, orchestrator._disconnected) == pool
+        assert (orchestrator._device_address, orchestrator._silence.live) == pool
         return received[0].body["error"]
 
     @pytest.mark.parametrize("agent_id", ["ghost", ["ghost"]])

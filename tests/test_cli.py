@@ -212,6 +212,28 @@ class TestRun:
         assert code == 2
         assert lines == [{"event": "error", "error": f"cannot load scenario {scenario}: NaN is not a JSON number"}]
 
+    def test_a_scenario_file_with_a_deadline_past_the_float_range_exits_two(self, capsys, tmp_path):
+        """``1e999`` is JSON, which ``json`` reads as infinity: the schema
+        refuses it, as JSON has no infinity."""
+        target = tmp_path / "scenarios"
+        shutil.copytree(SCENARIOS_DIR, target)
+        scenario = target / "scenario1.json"
+        scenario.write_text(scenario.read_text().replace('"deadline": 120.0', '"deadline": 1e999'))
+        code, lines = run_cli(capsys, "run", "--scenario", str(scenario), "--seed", "0")
+        assert code == 2
+        assert lines == [{"event": "error", "error": f"bad scenario {scenario}: deadline must be a number, got inf"}]
+
+    @pytest.mark.parametrize("value", ["-5", "nan", "inf", "-inf", "abc"])
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_a_task_duration_that_is_not_finite_and_at_least_zero_exits_two(self, capsys, monkeypatch, source, value):
+        argv = ["run", "--constellation", FIG4, "--seed", "0"]
+        if source == "flag":
+            argv.append(f"--task-duration={value}")
+        else:
+            monkeypatch.setenv("CONSTELLATION_TASK_DURATION", value)
+        code, lines = run_cli(capsys, *argv)
+        assert (code, lines) == (2, [])
+
     @pytest.mark.parametrize(
         "script, field, value",
         [

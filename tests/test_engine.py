@@ -21,6 +21,7 @@ from constellation import (
     Planner,
     PlannerOutput,
     PlannerState,
+    RemoveDependency,
     RemoveTask,
     RunOutcome,
     ScriptedDispatcher,
@@ -1116,6 +1117,81 @@ class TestTimeouts:
         failed = [(e["task_id"], e["at"], e["payload"]) for e in report.events if e["kind"] == "TASK_FAILED"]
         assert failed == [("X", 161.0, {"failure_reason": "TIMEOUT"})]
         assert report.finished_at == 161.0
+
+    def test_a_pending_deadline_of_a_task_blocked_again_under_the_lock_is_void(self):
+        """X waits from 0 for a device that never joins. The round over A's
+        completion commits at 11 and blocks X behind Y, and the round over
+        B's, queued at 5, holds the lock until 111, so no reschedule drops X's
+        deadline before it falls due at 60. It finds X no longer ready and
+        does nothing: X times out 60 s after Y completes at 112."""
+
+        class BlocksX(Planner):
+            def edit(self, planner_input):
+                done = {e.task_id for e in planner_input.batch}
+                ops = [AddTask({"id": "Y", "device": "dev"}), AddDependency({"id": "Y>X", "from_task": "Y", "to_task": "X"})]
+                duration = 10.0 if "A" in done else 100.0 if "B" in done else 0.0
+                return PlannerOutput("", "", PlannerState.CONTINUE, delta=EditDelta(ops if "A" in done else []), duration=duration)
+
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock,
+            BlocksX(),
+            OnlyDev(clock, durations={"A": 1.0, "B": 5.0, "Y": 1.0}),
+            constellation=build_constellation(chain_config({"A": "dev", "B": "dev", "X": "off"})),
+            config=EngineConfig(initial_round=False, pending_dispatch_timeout=60.0),
+        ).run()
+        assert [(c.started_at, c.committed_at) for c in report.edit_cycles][:2] == [(1.0, 11.0), (11.0, 111.0)]
+        failed = [(e["task_id"], e["at"], e["payload"]) for e in report.events if e["kind"] == "TASK_FAILED"]
+        assert failed == [("X", 172.0, {"failure_reason": "TIMEOUT"})]
+        assert report.finished_at == 172.0
+
+    def test_a_task_blocked_and_freed_again_under_the_lock_waits_afresh(self):
+        """X waits from 0. The round over A's completion blocks it behind Y
+        at 11, and the round over B's, holding the lock until 40, frees it
+        again: its deadline went at 11, so X waits its full 60 s from the
+        reschedule at 40, as a task blocked and freed between reschedules
+        does, and times out at 100, not at 60."""
+
+        class BlocksThenFreesX(Planner):
+            def edit(self, planner_input):
+                done = {e.task_id for e in planner_input.batch}
+                if "A" in done:
+                    ops = [AddTask({"id": "Y", "device": "dev"}), AddDependency({"id": "Y>X", "from_task": "Y", "to_task": "X"})]
+                    return PlannerOutput("", "", PlannerState.CONTINUE, delta=EditDelta(ops), duration=10.0)
+                if "B" in done:
+                    return PlannerOutput("", "", PlannerState.CONTINUE, delta=EditDelta([RemoveDependency("Y>X")]), duration=29.0)
+                return PlannerOutput("", "", PlannerState.CONTINUE)
+
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock,
+            BlocksThenFreesX(),
+            OnlyDev(clock, durations={"A": 1.0, "B": 5.0, "Y": 1.0}),
+            constellation=build_constellation(chain_config({"A": "dev", "B": "dev", "X": "off"})),
+            config=EngineConfig(initial_round=False, pending_dispatch_timeout=60.0),
+        ).run()
+        assert [(c.started_at, c.committed_at) for c in report.edit_cycles][:2] == [(1.0, 11.0), (11.0, 40.0)]
+        failed = [(e["task_id"], e["at"]) for e in report.events if e["kind"] == "TASK_FAILED"]
+        assert failed == [("X", 100.0)]
+
+    def test_pending_deadlines_falling_due_together_sort_no_ready_list_each(self, monkeypatch):
+        """1 000 tasks wait for a device that never joins and time out
+        together at 60. Each deadline tests its own task's readiness, so the
+        sorted ready list is read a few times per round, not once a task."""
+        calls = []
+        ready_tasks = TaskConstellation.ready_tasks
+        monkeypatch.setattr(TaskConstellation, "ready_tasks", lambda self: calls.append(1) or ready_tasks(self))
+        clock = VirtualClock()
+        report = Orchestrator(
+            clock,
+            NoopPlanner(),
+            OnlyDev(clock),
+            constellation=build_constellation(chain_config({f"T{i:04d}": "off" for i in range(1000)})),
+            config=EngineConfig(initial_round=False),
+        ).run()
+        failed = [e["at"] for e in report.events if e["kind"] == "TASK_FAILED"]
+        assert failed == [60.0] * 1000 and report.finished_at == 60.0
+        assert len(calls) <= 2 * len(report.edit_cycles) + 2, (len(calls), len(report.edit_cycles))
 
     def test_execution_timeout_fails_running_task(self):
         report = run_fig4(

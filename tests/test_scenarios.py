@@ -181,6 +181,22 @@ class TestHarness:
         with pytest.raises(ParseError, match=f"bad scenario document: {re.escape(message)}$"):
             run_scenario(doc, seed=0)
 
+    @pytest.mark.parametrize("path", [("deadline",), ("execution_timeout",), ("devices", "linux1", "latency")], ids=".".join)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=str)
+    def test_a_number_that_is_not_finite_is_a_parse_error(self, path, value):
+        """JSON has no NaN or Infinity, so the schema refuses either where a
+        number goes, by path, before the run starts: a NaN latency would
+        reach the clock mid-run, and an infinite one a link that never
+        delivers."""
+        doc = load_scenario(1)
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        message = f"{'.'.join(path)} must be a number, got {value!r}"
+        with pytest.raises(ParseError, match=f"^bad scenario document: {re.escape(message)}$"):
+            run_scenario(doc, seed=0)
+
     def test_run_leaves_the_callers_document_unchanged(self):
         doc = load_json(SCENARIOS_DIR / "scenario1.json")
         before = copy.deepcopy(doc)

@@ -123,6 +123,15 @@ def test_refusal_names_the_json_path(load, doc, message):
         load(doc)
 
 
+@pytest.mark.parametrize("kind", ["number", "integer"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+def test_a_float_that_is_not_finite_is_not_a_json_number(kind, value):
+    said = "an integer" if kind == "integer" else "a number"
+    with pytest.raises(Refusal, match=f"^the document must be {said}, got {value!r}$"):
+        compile_schema({"type": kind})(value)
+    assert compile_schema({"type": [kind, "null"]})(None) is None
+
+
 def test_an_integral_float_is_an_integer():
     assert ScriptedExecutor.load({"table": [{"status": 1.0}]}).table == [{"status": 1.0}]
     scenario = load_scenario(1)

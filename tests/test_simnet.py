@@ -170,6 +170,35 @@ class TestTimerLane:
         clock.run()
         assert fired == [("b", 10.0), ("a", 11.0)]
 
+    def test_a_key_re_added_falls_due_once_after_its_last_add(self):
+        """Added at 10 and again at 20, as a peer's silence deadline is by
+        its beats, a key of a 15 s lane falls due once, at 20 + 15: its entry
+        of 10 comes due at 25 and only arms the one of 20, after which
+        nothing is armed."""
+        clock = VirtualClock(now=10.0)
+        fired = []
+        lane = TimerLane(clock, 15.0, lambda key: fired.append((key, clock.now)))
+        lane.add("peer")
+        clock.run(deadline=20.0)
+        lane.add("peer")
+        assert lane.live["peer"][0] == 35.0
+        clock.run()
+        assert fired == [("peer", 35.0)]
+        assert not clock.step()
+
+    def test_a_re_add_replaces_the_armed_deadline(self, monkeypatch):
+        """A key added again at 4, as an agent that registers again while
+        still counted alive is, falls due once, 15 s after the re-add; its
+        first entry comes due at 15 in one step that calls nothing."""
+        clock, steps = TestVirtualClock.counted(monkeypatch)
+        fired = []
+        lane = TimerLane(clock, 15.0, lambda key: fired.append((key, clock.now)))
+        lane.add("peer")
+        clock.call_at(4.0, lambda: lane.add("peer"))
+        clock.run()
+        assert fired == [("peer", 19.0)]
+        assert steps == [0.0, 4.0, 15.0, 19.0]
+
     def test_a_lane_left_empty_leaves_the_clock_where_it_was(self):
         clock, lane, fired = self.lane()
         lane.add("a")
