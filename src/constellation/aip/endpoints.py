@@ -247,7 +247,6 @@ class DeviceServerEndpoint(_Endpoint):
         self.manifest = dict(manifest or {})
         self.telemetry = dict(telemetry or {})
 
-        self.connected = False
         self.permanently_failed = False
         self.active_runs: Dict[str, TaskRun] = {}  # session_id -> run
         self._silence = TimerLane(clock, HEARTBEAT_INTERVAL * MISSED_K, self._local_disconnect)
@@ -273,8 +272,7 @@ class DeviceServerEndpoint(_Endpoint):
                 callback(msg.body["action_results"])
 
     def _on_ack(self) -> None:
-        if not self.connected:
-            self.connected = True
+        if self.orchestrator_address not in self._silence.live:  # connected just while the lane holds it
             self.permanently_failed = False
             self._link_timer.cancel()
             self._schedule_beat()
@@ -309,7 +307,7 @@ class DeviceServerEndpoint(_Endpoint):
         body = {"status": status}
         body.update(payload)
         reply = AipMessage(MessageType.TASK_END, body, session_id=session_id)
-        if self.connected:
+        if self.orchestrator_address in self._silence.live:
             self.send(self.orchestrator_address, reply)
         else:
             self.session(session_id).record("local", reply, self.clock.now, synthetic=True)
@@ -336,7 +334,6 @@ class DeviceServerEndpoint(_Endpoint):
 
     def _local_disconnect(self, orchestrator_address: str) -> None:
         """No ack came for ``MISSED_K`` intervals."""
-        self.connected = False
         self._link_timer.cancel()
         # Abort ongoing work: both sides converge on FAILED statuses.
         for _, run in sorted(self.active_runs.items()):

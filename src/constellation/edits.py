@@ -4,19 +4,18 @@ A delta is an ordered list of edit ops applied to a clone of the pre-state.
 The clone shares the pre-state's immutable records, and an op replaces the
 records it changes, so the pre-state is never touched. An op only has its
 spec, patch or config judged by the check of the constellation schema, and
-mutates, so a delta is judged on its result: the post-state is checked
-once, for structure and for edit locality (no non-PENDING task changed),
-together with any id a build op's config repeats. The check reads the
-post-state's change record: one holding every task, as a build op's does,
-is judged by one ``validate`` call, a linear pass, and any other by the
-region downstream of its edges, ``validate`` listing a fault found there.
-Either the delta passes and commits, with the version risen by exactly one
-and its readiness settled (counted as a build op inserts its edges, else
-recounted over the change record), or one error propagates: the op's
-refusal or lookup error, or one ``ValidationFailed`` listing every
-violation. A commit returns the new graph and its summary, a plain dict
-that counts the changes under each of ``SUMMARY_KEYS``, the form a run
-report stores. A build config becomes a graph only this way:
+mutates, so a delta is judged on its result, once: for edit locality (no
+non-PENDING task changed), for any id a build op's config repeats, and for
+structure, by the walk of a build op that ends the delta, which judges the
+graph it inserts, else from the post-state's change record: by one
+``validate`` call when the record holds every task (as after a build op),
+otherwise by the region downstream of its edges. Either the delta passes and
+commits, with the version risen by exactly one and its readiness settled (by
+that walk, else recounted over the change record), or one error propagates:
+the op's refusal or lookup error, or one ``ValidationFailed`` listing every
+violation. A commit returns the new graph and its summary, a plain dict that
+counts the changes under each of ``SUMMARY_KEYS``, the form a run report
+stores. A build config becomes a graph only this way:
 ``build_constellation`` applies its build op to the empty graph.
 """
 
@@ -97,12 +96,13 @@ def apply_delta(
     commit with the version bumped once, returning it with its summary.
 
     ``constellation`` must be valid, as every graph read by
-    ``serial.from_document`` or committed here is. The check then needs only
-    the change record, and calls ``validate`` at most once: at once when the
-    record holds every task (a build's), otherwise only to list a fault
-    ``_changes_valid`` found in the edges added or updated (endpoints,
-    condition, no parallel edge, no cycle downstream of their targets). The
-    locality check reads the tasks touched.
+    ``serial.from_document`` or committed here is. The check needs only a
+    last build op's verdict, or the change record, and calls ``validate`` at
+    most once: at once when the record holds every task (after a build op),
+    otherwise only to list a fault ``_changes_valid`` found in the edges
+    added or updated (endpoints, condition, no parallel edge, no cycle
+    downstream of their targets). The locality check reads the tasks
+    touched.
 
     Any failure aborts the whole delta and propagates; the caller's
     pre-state object is never mutated.
@@ -110,9 +110,9 @@ def apply_delta(
     working = constellation.clone()
     summary = dict.fromkeys(SUMMARY_KEYS, 0)
     violations: List[Violation] = []
-    counted = False  # whether the last op was a build, whose readiness is counted
+    judged = None  # the last op's verdict on its whole graph, if it was a build
     for op in delta.ops:
-        counted = isinstance(op, BuildConstellation)
+        judged = None
         if isinstance(op, AddTask):
             working._add_task(op.spec)
             summary["added_tasks"] += 1
@@ -132,21 +132,23 @@ def apply_delta(
             working._update_dependency(op.edge_id, op.patch)
             summary["modified_dependencies"] += 1
         elif isinstance(op, BuildConstellation):
-            built, repeated = insert_entries(op.config, created=True)
+            built, judged = insert_entries(op.config, created=True)
+            violations.extend(violation for violation in judged if violation.kind == "DuplicateId")
             built.request = op.config.get("request", working.request)
-            built._touched_tasks.update(constellation.tasks)
+            built._touched_tasks = built.tasks.keys() | constellation.tasks.keys()
             working = built
-            violations.extend(repeated)
             summary["added_tasks"] += len(working.tasks)
             summary["added_dependencies"] += len(working.edges)
         else:
             raise ParseError(f"unknown edit op {op!r}")
-    if working.tasks.keys() <= working._touched_tasks or not working._changes_valid():
+    if judged is not None:  # the build's walk judged the graph: its faults follow the ids it repeated
+        violations.extend(violation for violation in judged if violation.kind != "DuplicateId")
+    elif working.tasks.keys() <= working._touched_tasks or not working._changes_valid():
         violations.extend(working.validate())
     violations.extend(edit_locality_violations(constellation, working))
     if violations:
         raise ValidationFailed(violations)
-    if not counted:
+    if judged is None:
         working._recount()
     working.version = constellation.version + 1
     return working, summary

@@ -8,25 +8,22 @@ its ``$defs``, returns a task entry's ``TaskStar`` and a dependency entry's
 ``TaskStarLine`` (built by ``_task_star`` and ``_task_star_line``, the one
 place for the conversions JSON Schema cannot state). A field that an entry
 or a patch may not carry raises ``IllegalField``, and any other refusal
-``ParseError``, naming the JSON path. ``insert_entries`` makes a whole
-graph from the records the check of a document or build config returns,
-and one ``validate`` call then judges it: in ``serial.from_document`` for a
-document, whose tasks' derived ``dependencies`` lists must name their
-incoming edges, and in ``edits.apply_delta`` for a build op, which
-``edits.build_constellation`` applies to the empty graph. After that the
-structure changes only through ``edits.apply_delta``, which runs the raw
-``_...`` ops below on a working copy, checks the result once and bumps the
-version once per commit; the engine moves task statuses with
-``transition``. The raw ops only judge their spec or patch and mutate: they
-raise ``NotFound``, ``DuplicateId``, ``ParseError`` and ``IllegalField``,
-and leave cycles, dangling or parallel edges and edits of non-PENDING tasks
-to the one check of the result.
+``ParseError``, naming the JSON path. ``insert_entries`` makes a whole graph
+from the records the check of a document (``serial.from_document``) or of a
+build op's config (``edits.apply_delta``) returns, and judges it in the same
+walk over its edges. After that the structure changes only through
+``edits.apply_delta``, which runs the raw ``_...`` ops below on a working
+copy, checks the result once and bumps the version once per commit; the
+engine moves task statuses with ``transition``. The raw ops only judge their
+spec or patch and mutate: they raise ``NotFound``, ``DuplicateId``,
+``ParseError`` and ``IllegalField``, and leave cycles, dangling or parallel
+edges and edits of non-PENDING tasks to the one check of the result.
 
-One judge decides a graph's structure: ``validate`` lists every fault in
-one linear pass, and ``_changes_valid`` judges a commit from the region
-downstream of the edges it added. Both find a cycle with one Kahn peel
-(``_peel``), as the tasks it leaves out; ``topological_order`` is the same
-peel over every task.
+One judge decides a graph's structure: ``_walk`` lists every fault of a
+whole graph in one linear pass, and ``_changes_valid`` judges a commit from
+the region downstream of the edges it added. Both find a cycle with one
+Kahn peel (``_peel``), as the tasks it leaves out; ``topological_order`` is
+the same peel over every task.
 
 Task and dependency records are named tuples, a dependency's holding its
 entry's fields in the document's order: its ``dep_type`` a
@@ -42,22 +39,20 @@ until its first write (``transition`` or a raw op) copies them, so a
 snapshot per planner round costs O(1). A status's legal targets are a plain
 tuple on the member, so ``transition`` checks a move without hashing.
 Two derived indexes map each task to the ids of its incoming and outgoing
-edges, id-sorted. They are filled as a graph's edges are inserted, kept up
-to date by the raw ops, and copied by ``clone`` as dicts sharing their
-immutable tuples.
+edges, id-sorted. They are filled by the walk that inserts a graph's edges,
+kept up to date by the raw ops, and copied by ``clone`` as dicts sharing
+their immutable tuples.
 
 Every graph keeps one change record: the ids of tasks whose record or
 incoming edges the raw ops replaced since ``clone``, and of edges they added
-or updated. ``clone`` and ``borrow`` start it empty; ``insert_entries`` puts
-every record it inserts in it. A commit judges a delta from this record
-alone (see ``edits.apply_delta``).
+or updated. ``clone``, ``borrow`` and ``insert_entries`` start it empty. A
+commit judges a delta from this record alone (see ``edits.apply_delta``).
 
 Readiness is kept, not searched for (Kahn's in-degree counts, applied to
 edge satisfaction): each PENDING task's count of unsatisfied incoming edges,
 the PENDING tasks whose count is zero, and the RUNNING tasks. They are
-settled whenever a graph becomes valid: a graph of created entries has
-them counted as its edges are inserted, a document's are counted once its
-check passes, and a commit recounts the tasks in its record. After that
+settled whenever a graph becomes valid: from the in-degrees of the walk
+that inserts it, and for the tasks in its record by a commit. After that
 ``transition`` lowers the counts of a task's downstream tasks when it turns
 terminal (satisfaction only ever goes from false to true, since a terminal
 record never changes), so the queries only read. ``clone`` copies the
@@ -71,7 +66,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import (
     DuplicateId,
@@ -292,9 +287,13 @@ class TaskConstellation:
         self.tasks[task_id] = TaskStar(
             task_id, task.device, task.name, task.description, task.tips, new_status, result, failure_reason
         )
+        self._moved(task_id, new_status)
+
+    def _moved(self, task_id: str, status: TaskStatus) -> None:
+        """Keep readiness once a task has left PENDING for ``status``."""
         self._waiting.pop(task_id, None)
         self._ready.discard(task_id)
-        if new_status is TaskStatus.RUNNING:
+        if status is TaskStatus.RUNNING:
             self._running.add(task_id)
             return
         self._running.discard(task_id)
@@ -311,55 +310,78 @@ class TaskConstellation:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> List[Violation]:
-        """Every structural fault, found in one linear pass: one walk over
-        ``edges`` checks endpoints, self-loops, conditions and parallel pairs
-        and counts in-degrees, then ``_peel`` leaves the cycle. Only the
-        faults found are sorted: each edge's in edge id order, a
-        ``DuplicateEdge`` per edge of a pair but its smallest id, the cycle,
-        and each task holding a result while not terminal, by id."""
-        tasks = self.tasks
+        """Every structural fault: ``_walk`` over the graph's own edges."""
+        return self._walk(self.edges.values())
+
+    def _walk(self, edges: Iterable[TaskStarLine], repeated: Optional[List[Violation]] = None) -> List[Violation]:
+        """Every structural fault, in one linear pass: each edge's endpoints,
+        self-loop, condition and parallel pair judged and its in-degree
+        counted, then ``_peel`` leaves the cycle. With ``repeated``, the list
+        for a repeated id's ``DuplicateId``, the edges are inserted as they go
+        and readiness is settled if no fault shows. Only the faults found are
+        sorted: each edge's in edge id order, a ``DuplicateEdge`` per edge of
+        a pair but its smallest id, the cycle, and each task holding a result
+        while not terminal, by id."""
+        tasks, inserting = self.tasks, repeated is not None
         faults: List[Tuple[str, Violation]] = []  # (edge id, fault)
         parallel: List[Tuple[str, Violation]] = []  # (edge id, DuplicateEdge)
         least: Dict[Tuple[str, str], str] = {}  # (from, to) -> its smallest edge id so far
-        indegree = dict.fromkeys(tasks, 0)
-        for edge_id, edge in self.edges.items():
+        indegree = dict.fromkeys(tasks, 0)  # of edges between tasks
+        if inserting:  # the id-sorted indexes, as lists: ``insort`` appends an id that arrives in order
+            incoming: Dict[str, List[str]] = defaultdict(list)
+            outgoing: Dict[str, List[str]] = defaultdict(list)
+        for edge in edges:
+            edge_id = edge.id
             pair = from_task, to_task = edge.from_task, edge.to_task
+            if inserting:
+                if edge_id in self.edges:
+                    repeated.append(Violation("DuplicateId", f"dependency id {edge_id!r} appears twice"))
+                    continue
+                self.edges[edge_id] = edge
+                insort(incoming[to_task], edge_id)
+                insort(outgoing[from_task], edge_id)
             if from_task in tasks and to_task in tasks:
                 indegree[to_task] += 1
             else:
                 for missing in (task_id for task_id in pair if task_id not in tasks):
-                    detail = f"edge {edge.id!r} references missing task {missing!r}"
+                    detail = f"edge {edge_id!r} references missing task {missing!r}"
                     faults.append((edge_id, Violation("DanglingEdge", detail)))
             if from_task == to_task:
-                faults.append((edge_id, Violation("SelfLoop", f"edge {edge.id!r} on {from_task!r}")))
+                faults.append((edge_id, Violation("SelfLoop", f"edge {edge_id!r} on {from_task!r}")))
             condition_id = edge.condition_id
             if condition_id and condition_id not in CONDITIONS:
-                detail = f"edge {edge.id!r} names condition {condition_id!r}"
+                detail = f"edge {edge_id!r} names condition {condition_id!r}"
                 faults.append((edge_id, Violation("UnknownCondition", detail)))
             first = least.setdefault(pair, edge_id)
             if first != edge_id:
                 detail = f"multiple edges {from_task!r}->{to_task!r}"
                 parallel.append((max(first, edge_id), Violation("DuplicateEdge", detail)))
                 least[pair] = min(first, edge_id)
+        if inserting:
+            self._incoming = {task_id: tuple(ids) for task_id, ids in incoming.items()}
+            self._outgoing = {task_id: tuple(ids) for task_id, ids in outgoing.items()}
         faults.sort(key=itemgetter(0))  # stable: an edge's faults keep their order
         violations = [violation for _, violation in faults + sorted(parallel, key=itemgetter(0))]
-        self._peel(indegree)
-        cycle = [task_id for task_id, count in indegree.items() if count]
+        left = dict(indegree) if inserting else indegree  # the peel uses up its counts
+        self._peel(left)
+        cycle = [task_id for task_id, count in left.items() if count]
         if cycle:
             violations.append(Violation("CycleIntroduced", f"cycle through {{{', '.join(sorted(cycle))}}}"))
         holding = [task for task in tasks.values() if task.result is not None and not task.status.terminal]
         for task in sorted(holding, key=attrgetter("id")):
             violations.append(Violation("StatusResult", f"task {task.id!r} has a result while {task.status.value}"))
+        if inserting and not violations:  # readiness: every task as if PENDING, then moved to its status
+            self._waiting, self._ready = indegree, {task_id for task_id, count in indegree.items() if not count}
+            for task in tasks.values():
+                if task.status is not TaskStatus.PENDING:
+                    self._moved(task.id, task.status)
         return violations
 
     def _changes_valid(self) -> bool:
         """Whether ``validate()`` would return no violation, judged from the
-        edges in the change record alone. Exact when the graph the record
-        starts from was valid: a clone of a valid graph, or the empty graph
-        ``insert_entries`` fills from created entries. Removals add no
-        violation, neither the raw ops nor created entries set a result, a
-        new parallel pair has a recorded edge and a new cycle runs through
-        one."""
+        edges in the change record alone; exact from a valid graph: removals
+        add no violation, the raw ops set no result, a new parallel pair has a
+        recorded edge and a new cycle runs through one."""
         tasks, edges, targets = self.tasks, self.edges, set()
         for edge in (edges[edge_id] for edge_id in self._touched_edges if edge_id in edges):
             condition_id = edge.condition_id
@@ -408,13 +430,10 @@ class TaskConstellation:
         return order
 
     def topological_order(self) -> List[str]:
-        """The peel over every task: a topological order, leaving out the
-        tasks on or behind a cycle."""
-        indegree = dict.fromkeys(self.tasks, 0)
-        for edge in self.edges.values():
-            if edge.from_task in indegree and edge.to_task in indegree:
-                indegree[edge.to_task] += 1
-        return self._peel(indegree)
+        """The peel over every task of a graph whose edges all have their
+        endpoints, its in-degrees read from the incoming index: a
+        topological order, leaving out the tasks on or behind a cycle."""
+        return self._peel({task_id: len(self._incoming.get(task_id, ())) for task_id in self.tasks})
 
     # -- readiness -------------------------------------------------------
 
@@ -567,53 +586,28 @@ RECORDS.update(TaskStar=_task_star, TaskStarLine=_task_star_line)
 def insert_entries(
     doc: Dict[str, Any], created: bool
 ) -> Tuple[TaskConstellation, List[Violation]]:
-    """Judge a document, or with ``created`` a build config, and insert every
-    record its check returns, without validating the result. Returns the
-    graph, whose change record holds every inserted record, and the
-    violations the graph itself no longer shows: a ``DuplicateId`` per
-    repeated id (the first entry is kept), then a ``DependencyMismatch`` per
-    inserted document task whose derived ``dependencies`` list, taken as a
-    set, is not the set of its incoming edge ids.
-
-    The edge indexes are filled as the edges go in, by ``insort``, which
-    appends an id that arrives in order, so no global sort runs. Created
-    tasks are PENDING with no result, so each one's count of unsatisfied
-    edges is its in-degree, counted here too: a valid graph of created
-    entries needs no ``_recount``."""
+    """Judge a document, or with ``created`` a build config, insert every
+    record its check returns and judge the graph in the same walk over its
+    edges (``_walk``). Returns the graph and every violation: a
+    ``DuplicateId`` per repeated id (the first entry is kept), a
+    ``DependencyMismatch`` per inserted document task whose ``dependencies``
+    list, taken as a set, is not the set of its incoming edge ids, then what
+    ``validate`` lists."""
     parsed = _judge(doc, "build_config" if created else "", "build config" if created else "constellation document")
     constellation = TaskConstellation(doc.get("request", ""))
-    tasks, edges = constellation.tasks, constellation.edges
+    tasks = constellation.tasks
     violations: List[Violation] = []
     for task in parsed.get("tasks", ()):
         if task.id in tasks:
             violations.append(Violation("DuplicateId", f"task id {task.id!r} appears twice"))
         else:
             tasks[task.id] = task
-    incoming: Dict[str, List[str]] = defaultdict(list)
-    outgoing: Dict[str, List[str]] = defaultdict(list)
-    indegree = dict.fromkeys(tasks, 0)  # of edges between tasks
-    for edge in parsed.get("dependencies", ()):
-        edge_id, from_task, to_task = edge.id, edge.from_task, edge.to_task
-        if edge_id in edges:
-            violations.append(Violation("DuplicateId", f"dependency id {edge_id!r} appears twice"))
-            continue
-        edges[edge_id] = edge
-        insort(incoming[to_task], edge_id)
-        insort(outgoing[from_task], edge_id)
-        if to_task in indegree and from_task in indegree:
-            indegree[to_task] += 1
-    constellation._incoming = {task_id: tuple(ids) for task_id, ids in incoming.items()}
-    constellation._outgoing = {task_id: tuple(ids) for task_id, ids in outgoing.items()}
-    if created:
-        constellation._waiting = indegree
-        constellation._ready = {task_id for task_id, count in indegree.items() if not count}
-    else:
+    faults = constellation._walk(parsed.get("dependencies", ()), violations)
+    if not created:
         for entry, task in zip(doc.get("tasks", ()), parsed.get("tasks", ())):
             if "dependencies" in entry and tasks[task.id] is task:
                 dependencies, ids = entry["dependencies"], constellation._incoming.get(task.id, ())
                 if set(dependencies) != set(ids):
                     detail = f"task {task.id!r} lists {sorted(set(dependencies))}, its incoming edges are {list(ids)}"
                     violations.append(Violation("DependencyMismatch", detail))
-    constellation._touched_tasks = set(tasks)
-    constellation._touched_edges = set(edges)
-    return constellation, violations
+    return constellation, violations + faults

@@ -277,19 +277,25 @@ def check_of(kind: str, definition: str = "") -> Callable[[Any], Any]:
     return compile_schema(json.loads((SCHEMAS_DIR / f"{kind}.schema.json").read_text(encoding="utf-8")), definition)
 
 
-def _not_json(name: str) -> Any:
-    raise ValueError(f"{name} is not a JSON number")
+def _finite(text: str) -> float:
+    number = float(text)
+    if number - number != 0:  # NaN for just NaN and the infinities (1e999), which JSON has not
+        raise ValueError(f"{text} is not a JSON number")
+    return number
+
+
+_JSON = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)  # of read_document and serial.deserialize
 
 
 def read_document(source: Union[str, Path, Dict[str, Any]], kind: str) -> Dict[str, Any]:
     """The JSON object in the file at path ``source``, or ``source`` itself;
-    a ``ParseError`` for an unreadable file, invalid JSON (``NaN`` and
-    ``Infinity`` included), a document that is not an object or one that
+    a ``ParseError`` for an unreadable file, invalid JSON (what ``_JSON``
+    refuses), a document that is not an object or one that
     ``schemas/<kind>.schema.json`` refuses."""
     what = kind.replace("_", " ")
     if isinstance(source, (str, Path)):
         try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"), parse_constant=_not_json)
+            doc = _JSON.decode(Path(source).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ParseError(f"cannot load {what} {source}: {exc}") from exc
     else:

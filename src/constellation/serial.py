@@ -5,8 +5,8 @@ enums) so serialized documents are stable and diff-friendly. The JSON
 Schema ``constellation/schemas/constellation.schema.json`` is the one judge
 of a document's shape: ``from_document`` hands it to ``insert_entries``,
 whose check refuses what the schema refuses, a misspelt key or an unknown
-``schema_version`` included, and only builds the graph. One ``validate``
-call then judges the graph, and its readiness is counted once it is valid.
+``schema_version`` included. The walk that inserts the graph's edges judges
+the graph too, and settles its readiness once it is valid.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Any, Dict
 
 from .errors import ParseError, ValidationFailed
 from .model import TaskConstellation, TaskStar, TaskStarLine, insert_entries
+from .schema import _JSON
 
 SCHEMA_VERSION = 1
 
@@ -66,25 +67,24 @@ def to_document(constellation: TaskConstellation) -> Dict[str, Any]:
 
 
 def serialize(constellation: TaskConstellation) -> str:
-    return json.dumps(to_document(constellation), indent=2, ensure_ascii=False) + "\n"
+    """The document as JSON text, or a ``ValueError`` for NaN or Infinity."""
+    return json.dumps(to_document(constellation), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def from_document(doc: Dict[str, Any]) -> TaskConstellation:
     """The graph of a document. A malformed document raises at once; else
-    its repeated ids, mismatched ``dependencies`` lists and ``validate``
-    violations are raised together as one ``ValidationFailed``."""
+    its repeated ids, mismatched ``dependencies`` lists and structural
+    faults are raised together as one ``ValidationFailed``."""
     constellation, violations = insert_entries(doc, created=False)
-    violations.extend(constellation.validate())
     if violations:
         raise ValidationFailed(violations)
-    constellation._recount()
     constellation.version = int(doc.get("version", 0))  # an integral float is an integer
     return constellation
 
 
 def deserialize(text: str) -> TaskConstellation:
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = _JSON.decode(text)
+    except ValueError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return from_document(doc)

@@ -564,6 +564,12 @@ class TestBackoff:
         assert reconnect_delay(7) == 30.0
 
 
+def linked(server):
+    """Whether a device server is connected: its silence lane holds the
+    orchestrator's address."""
+    return server.orchestrator_address in server._silence.live
+
+
 def build_pair(outages, exec_duration=1.0):
     """One orchestrator endpoint plus one device server/client pair."""
     clock = VirtualClock()
@@ -609,7 +615,7 @@ class TestLiveness:
         clock, _, orchestrator, server = build_pair(outages=[])
         advance(clock, 60.0)
         assert orchestrator.available_devices() == {"dev"}
-        assert server.connected
+        assert linked(server)
 
     def test_deadline_timers_are_re_armed_on_expiry_not_per_beat(self, monkeypatch):
         """Over 60 s of beats every 5 s, each side's silence lane arms a
@@ -626,7 +632,7 @@ class TestLiveness:
 
         monkeypatch.setattr(TimerLane, "_arm", counting_arm)
         advance(clock, 60.0)
-        assert orchestrator.available_devices() == {"dev"} and server.connected
+        assert orchestrator.available_devices() == {"dev"} and linked(server)
         bound = 1 + 60.0 / (HEARTBEAT_INTERVAL * MISSED_K)
         assert set(armed) == {"orchestrator", "device"}
         assert all(count <= bound for count in armed.values()), armed
@@ -635,10 +641,10 @@ class TestLiveness:
         clock, _, orchestrator, server = build_pair(outages=[(5.0, 100000.0)])
         advance(clock, 14.9)
         assert orchestrator.available_devices() == {"dev"}
-        assert server.connected
+        assert linked(server)
         advance(clock, 15.1)
         assert orchestrator.available_devices() == set()
-        assert not server.connected
+        assert not linked(server)
 
     def test_reconnect_schedule_is_cumulative_and_exhausts(self):
         clock, network, _, server = build_pair(outages=[(5.0, 100000.0)])
@@ -698,7 +704,7 @@ class TestLiveness:
         clock, network, orchestrator, server = build_pair(outages=[(5.0, 15.0)])
         advance(clock, 200.0)
         registers = [f for f in network.wire_log if f["summary"] == "REGISTER"]
-        assert orchestrator.available_devices() == {"dev"} and server.connected
+        assert orchestrator.available_devices() == {"dev"} and linked(server)
         assert len(registers) == 2
 
     def test_outage_recovery_rejoins_pool_via_reregister(self):
@@ -708,7 +714,7 @@ class TestLiveness:
         assert orchestrator.available_devices() == set()
         advance(clock, 50.0)
         assert orchestrator.available_devices() == {"dev"}
-        assert server.connected
+        assert linked(server)
         assert not server.permanently_failed
 
     def test_a_lost_first_register_is_sent_again_on_the_backoff_schedule(self):
@@ -719,7 +725,7 @@ class TestLiveness:
         advance(clock, 300.0)
         registers = [round(f["at"], 3) for f in network.wire_log if f["summary"] == "REGISTER"]
         assert registers == [0.0, 1.0]
-        assert orchestrator.available_devices() == {"dev"} and server.connected
+        assert orchestrator.available_devices() == {"dev"} and linked(server)
         assert not server.permanently_failed
 
     def test_a_device_never_heard_from_registers_on_the_backoff_schedule_and_gives_up(self):
@@ -727,13 +733,13 @@ class TestLiveness:
         advance(clock, 300.0)
         registers = [round(f["at"], 3) for f in network.wire_log if f["summary"] == "REGISTER"]
         assert registers == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0]
-        assert orchestrator.available_devices() == set() and not server.connected
+        assert orchestrator.available_devices() == set() and not linked(server)
         assert server.permanently_failed
 
     def test_a_device_still_registering_has_not_given_up(self):
         clock, _, _, server = build_pair(outages=[(0.0, 100000.0)])
         advance(clock, 10.0)
-        assert not server.connected and not server.permanently_failed
+        assert not linked(server) and not server.permanently_failed
 
     def test_after_a_re_register_the_device_beats_once_per_interval_and_registers_no_more(self):
         """An outage from 5 to 25 s makes the device register again, and its
@@ -748,7 +754,7 @@ class TestLiveness:
         sent = [(f["at"], f["summary"]) for f in network.wire_log if f["src"] == "dev" and f["at"] > ack]
         beats = [(pytest.approx(ack + 0.001 + HEARTBEAT_INTERVAL * k), "HEARTBEAT") for k in range(1, 18)]
         assert sent == beats
-        assert orchestrator.available_devices() == {"dev"} and server.connected
+        assert orchestrator.available_devices() == {"dev"} and linked(server)
 
     def test_running_task_synthesizes_failed_task_end_on_both_sides(self):
         clock, _, orchestrator, server = build_pair(
@@ -972,7 +978,7 @@ class TestFramesTheCodecRefuses:
         network.add_link("rogue", target, LinkSpec(latency=0.001))
         network.send("rogue", target, frame)
         advance(clock, 60.0)
-        assert orchestrator.available_devices() == {"dev"} and server.connected
+        assert orchestrator.available_devices() == {"dev"} and linked(server)
         assert {m.msg_type for m in received} == {MessageType.ERROR}
         return [m.body["error"] for m in received]
 

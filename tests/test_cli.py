@@ -54,6 +54,13 @@ class TestValidate:
             "UnknownCondition"
         ]
 
+    @pytest.mark.parametrize("number", ["1e999", "NaN"])
+    def test_a_result_json_has_not_exits_two(self, capsys, tmp_path, number):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"tasks": [{"id": "A", "device": "d", "status": "COMPLETED", "result": %s}]}' % number)
+        code, lines = run_cli(capsys, "validate", "--constellation", str(bad))
+        assert code == 2 and [line["event"] for line in lines] == ["error"]
+
     def test_failure_reason_on_a_pending_task_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         task = {"id": "A", "device": "d", "status": "PENDING", "failure_reason": "TIMEOUT"}
@@ -213,15 +220,15 @@ class TestRun:
         assert lines == [{"event": "error", "error": f"cannot load scenario {scenario}: NaN is not a JSON number"}]
 
     def test_a_scenario_file_with_a_deadline_past_the_float_range_exits_two(self, capsys, tmp_path):
-        """``1e999`` is JSON, which ``json`` reads as infinity: the schema
-        refuses it, as JSON has no infinity."""
+        """``1e999`` is JSON, which ``json`` reads as infinity: the reader of
+        every document refuses it, as JSON has no infinity."""
         target = tmp_path / "scenarios"
         shutil.copytree(SCENARIOS_DIR, target)
         scenario = target / "scenario1.json"
         scenario.write_text(scenario.read_text().replace('"deadline": 120.0', '"deadline": 1e999'))
         code, lines = run_cli(capsys, "run", "--scenario", str(scenario), "--seed", "0")
         assert code == 2
-        assert lines == [{"event": "error", "error": f"bad scenario {scenario}: deadline must be a number, got inf"}]
+        assert lines == [{"event": "error", "error": f"cannot load scenario {scenario}: 1e999 is not a JSON number"}]
 
     @pytest.mark.parametrize("value", ["-5", "nan", "inf", "-inf", "abc"])
     @pytest.mark.parametrize("source", ["flag", "environment"])

@@ -2,6 +2,7 @@
 
 import heapq
 import random
+from types import SimpleNamespace
 from typing import Dict, List, Set, Tuple
 
 import pytest
@@ -116,16 +117,16 @@ class TestBuildConstellation:
         assert summary["added_tasks"] == 1 and summary["added_dependencies"] == 0
 
     def test_layered_build_runs_one_cycle_check(self, monkeypatch):
-        """The walks of a build, counted: a bulk build and a delta holding
-        one build op make one generated check of the config, which returns
-        the records, insert them, then judge the graph once, with one
-        ``validate`` call, a linear pass over the whole graph that peels it
-        once. Readiness is counted as the edges go in, so no ``_recount``
-        follows, and neither ``topological_order`` nor a search from every
-        edge target runs. A delta of many edges into a valid graph makes one
-        check per edge spec, is searched once from the edges it added, that
-        region peeled once, and only the ten tasks it touched recounted: no
-        pass over the whole graph."""
+        """The walks of a build, counted: a bulk build and a delta holding one
+        build op make one generated check of the config, which returns the
+        records, and one walk that inserts them and judges the graph, peeling
+        it once, with no ``validate`` call. Readiness is settled from the
+        walk's counts, so no ``_recount`` follows, and neither
+        ``topological_order`` nor a search from every edge target runs. A
+        delta of many edges into a valid graph makes one check per edge spec,
+        is searched once from the edges it added, that region peeled once, and
+        only the ten tasks it touched recounted: no pass over the whole
+        graph."""
         config = layered_config(100, width=10, fan_in=2)
         calls = []
 
@@ -145,8 +146,8 @@ class TestBuildConstellation:
         order, whole, peel = "topological_order", "validate", "_peel"
         downstream, recount = "_cycle_downstream_of", "_recount"
         for prepare, edges, walks in (
-            (by_build, 180, ["check build_config", whole, peel]),
-            (by_build_op, 180, ["check build_config", whole, peel]),
+            (by_build, 180, ["check build_config", peel]),
+            (by_build_op, 180, ["check build_config", peel]),
             (by_edge_ops, 20, ["check dependency"] * 20 + [downstream, peel, (recount, 10)]),
         ):
             run = prepare(config)
@@ -826,6 +827,25 @@ def reference_validate(self):
     return violations
 
 
+def reference_insert(doc, created):
+    """The oracle's own insertion, sharing no code with the walk of
+    ``insert_entries``: the records that the schema's check of a document,
+    or with ``created`` a build config, returns, the first entry of each id
+    kept, and a ``DuplicateId`` per repeated id, tasks first. The graph is a
+    namespace of the two dicts, which is all that ``reference_validate``
+    reads."""
+    parsed = check_of("constellation", "build_config" if created else "")(doc)
+    graph, repeated = SimpleNamespace(tasks={}, edges={}), []
+    for kind, records, kept in (("task", parsed.get("tasks", ()), graph.tasks),
+                                ("dependency", parsed.get("dependencies", ()), graph.edges)):
+        for record in records:
+            if record.id in kept:
+                repeated.append(Violation("DuplicateId", f"{kind} id {record.id!r} appears twice"))
+            else:
+                kept[record.id] = record
+    return graph, repeated
+
+
 def faulty_document(rng):
     """A document of up to 8 tasks and 14 dependencies, entered in shuffled
     order under ids whose sorted order is not their numeric one, so the
@@ -899,16 +919,17 @@ class TestReferenceValidate:
 
 class TestOnePassCheck:
     """A build, by ``build_constellation`` or by a ``BuildConstellation`` op,
-    is judged by one ``validate`` call; ``reference_validate`` is the oracle
-    its violations must agree with exactly."""
+    and a document are judged by the walk that inserts them;
+    ``reference_insert`` and ``reference_validate`` are the oracle their
+    violations must agree with exactly."""
 
     def test_build_raises_validates_violations_or_commits_counted(self):
         kinds, committed = set(), 0
         for seed in range(1500):
             rng = random.Random(seed)
             config = hostile_config(rng)
-            inserted, repeated = insert_entries(config, created=True)
-            expected = [str(v) for v in repeated + reference_validate(inserted)]
+            graph, repeated = reference_insert(config, created=True)
+            expected = [str(v) for v in repeated + reference_validate(graph)]
             try:
                 built = build_constellation(config)
             except ValidationFailed as exc:
@@ -934,8 +955,8 @@ class TestOnePassCheck:
                 entry["status"] = rng.choice(["PENDING", "RUNNING", "COMPLETED", "FAILED"])
                 if rng.random() < (0.5 if entry["status"] == "COMPLETED" else 0.05):
                     entry["result"] = rng.choice(["ok", "done"])
-            inserted, repeated = insert_entries(doc, created=False)
-            expected = [str(v) for v in repeated + reference_validate(inserted)]
+            graph, repeated = reference_insert(doc, created=False)
+            expected = [str(v) for v in repeated + reference_validate(graph)]
             try:
                 c = from_document(doc)
             except ValidationFailed as exc:
@@ -948,24 +969,32 @@ class TestOnePassCheck:
         assert loaded >= 300, loaded
         assert "StatusResult" in kinds, kinds
 
-    def test_build_op_has_the_outcome_of_the_whole_graph_check(self, monkeypatch):
+    def test_build_op_has_the_outcome_of_the_whole_graph_check(self):
         """Into the empty graph or into a graph holding RUNNING and terminal
-        tasks, whose edit locality is listed with the structural faults."""
+        tasks, whose edit locality is listed with the structural faults. A
+        built task is PENDING, so ``whole_graph_locality`` finds each
+        non-PENDING task of the pre-state removed or modified from the
+        records alone."""
         kinds, committed = set(), 0
         for seed in range(1500):
             rng = random.Random(seed)
             pre = hostile_graph(rng) if rng.random() < 0.5 else TaskConstellation()
-            ops = [BuildConstellation(hostile_config(rng))]
+            config = hostile_config(rng)
+            ops = [BuildConstellation(config)]
             got = outcome(pre, ops)
-            with monkeypatch.context() as patch:
-                patch.setattr(TaskConstellation, "validate", reference_validate)
-                expected = outcome(pre, ops)
-            assert got == expected, (seed, ops)
-            if got[0] == "committed":
+            graph, repeated = reference_insert(config, created=True)
+            violations = repeated + reference_validate(graph) + whole_graph_locality(pre, graph)
+            if violations:
+                expected = ("ValidationFailed", str(ValidationFailed(violations)), [str(v) for v in violations])
+                assert got == expected, (seed, ops)
+                kinds.update(violation.split(":")[0] for violation in got[2])
+            else:
+                summary = dict.fromkeys(edits.SUMMARY_KEYS, 0)
+                summary.update(added_tasks=len(graph.tasks), added_dependencies=len(graph.edges))
+                assert (got[0], got[2]) == ("committed", summary), (seed, ops)
                 post, _ = apply_delta(pre, EditDelta(ops))
+                assert (post.tasks, post.edges) == (graph.tasks, graph.edges), seed
                 assert (post._waiting, post._ready, post._running) == recounted(post), seed
                 committed += 1
-            else:
-                kinds.update(violation.split(":")[0] for violation in got[2])
         assert committed >= 200, committed
         assert "ImmutableTask" in kinds and "CycleIntroduced" in kinds, kinds

@@ -90,8 +90,8 @@ def scenario_digest(scenario: int, seed: int) -> str:
 
 def outage_sweep() -> Iterator[List[Any]]:
     """Each run of the sweep, in order: its wire log, session logs,
-    callbacks, pool and the device's connection flag."""
-    from test_aip import advance, build_pair
+    callbacks, pool and whether the device is connected."""
+    from test_aip import advance, build_pair, linked
 
     for exec_duration in SWEEP_EXEC_DURATIONS:
         for length in SWEEP_LENGTHS:
@@ -113,7 +113,7 @@ def outage_sweep() -> Iterator[List[Any]]:
                     for endpoint in (orchestrator, server)
                     for sid, session in sorted(endpoint.sessions.items())
                 }
-                yield [network.wire_log, logs, callbacks, sorted(orchestrator.available_devices()), server.connected]
+                yield [network.wire_log, logs, callbacks, sorted(orchestrator.available_devices()), linked(server)]
 
 
 def outage_sweep_digest() -> str:

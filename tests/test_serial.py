@@ -24,6 +24,7 @@ from constellation import (
     to_document,
 )
 from constellation.aip.messages import AipMessage
+from constellation.schema import read_document
 from constellation.simnet.scenarios import run_scenario
 from conftest import SCENARIOS_DIR, load_schema, random_dag
 
@@ -81,6 +82,26 @@ class TestRejection:
     def test_invalid_json_is_parse_error(self):
         with pytest.raises(ParseError):
             deserialize("{not json")
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+    def test_a_number_json_has_not_is_a_parse_error(self, number, tmp_path):
+        """One reader for every document: JSON has no NaN or Infinity, so
+        neither ``deserialize`` nor ``read_document`` loads one, even in the
+        untyped ``result`` of a COMPLETED task."""
+        text = '{"tasks": [{"id": "A", "device": "d", "status": "COMPLETED", "result": %s}]}' % number
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            deserialize(text)
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="^cannot load constellation "):
+            read_document(path, "constellation")
+
+    def test_a_non_finite_result_is_not_written(self):
+        """A result that reached a graph without a document, such as an
+        executor's, is not written as the ``Infinity`` that JSON has not."""
+        c = from_document({"tasks": [{"id": "A", "device": "d", "status": "COMPLETED", "result": float("inf")}]})
+        with pytest.raises(ValueError):
+            serialize(c)
 
     def test_non_object_document_rejected(self):
         with pytest.raises(ParseError):
