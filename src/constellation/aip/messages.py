@@ -9,10 +9,10 @@ where it enters an endpoint, at ``decode``, by the check generated from
 endpoints build. Every frame goes through one encoder and one decoder built
 at import and one length ``Struct``, and message types are looked up by
 their string value, so the codec makes no ``Enum`` call. ``decode`` parses a payload with one call of
-the decoder's scanner; only a payload that scan does not read whole goes
-through ``JSONDecoder.decode``, which accepts or refuses it in its own words.
-A payload nested past the recursion limit is refused too, so ``decode``
-raises nothing but ``SchemaViolation``.
+the scanner of the one reader of JSON text, which refuses NaN and infinity;
+only a payload that scan does not read whole goes through its ``decode``,
+which accepts or refuses it in its own words. A payload nested too deep is
+refused too, so ``decode`` raises nothing but ``SchemaViolation``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from json.encoder import c_make_encoder, encode_basestring
 from typing import Any, Dict, NamedTuple, Optional
 
 from ..errors import SchemaViolation
-from ..schema import RECORDS, Refusal, check_of
+from ..schema import _JSON, RECORDS, Refusal, check_of
 
 
 class MessageType(Enum):
@@ -48,7 +48,7 @@ _C_ENCODE = c_make_encoder and c_make_encoder(
     None, _ENCODER.default, encode_basestring, _ENCODER.indent, _ENCODER.key_separator,
     _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
 )
-_DECODER = json.JSONDecoder()
+_DECODER = _JSON  # the one reader of JSON text: no NaN or Infinity, as in documents
 _SCAN = _DECODER.scan_once
 _LENGTH = struct.Struct(">I")
 
@@ -91,7 +91,7 @@ def decode(frame: bytes) -> AipMessage:
             end = -1
         if end != len(text):
             doc = _DECODER.decode(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON or a number JSON has not
         if type(exc) is json.JSONDecodeError and payload.startswith(codecs.BOM_UTF8):
             # refused in the words of ``json.loads``
             exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", "", 0)

@@ -4,19 +4,19 @@ A delta is an ordered list of edit ops applied to a clone of the pre-state.
 The clone shares the pre-state's immutable records, and an op replaces the
 records it changes, so the pre-state is never touched. An op only has its
 spec, patch or config judged by the check of the constellation schema, and
-mutates, so a delta is judged on its result, once: for edit locality (no
-non-PENDING task changed), for any id a build op's config repeats, and for
-structure, by the walk of a build op that ends the delta, which judges the
-graph it inserts, else from the post-state's change record: by one
-``validate`` call when the record holds every task (as after a build op),
-otherwise by the region downstream of its edges. Either the delta passes and
-commits, with the version risen by exactly one and its readiness settled (by
-that walk, else recounted over the change record), or one error propagates:
-the op's refusal or lookup error, or one ``ValidationFailed`` listing every
-violation. A commit returns the new graph and its summary, a plain dict that
-counts the changes under each of ``SUMMARY_KEYS``, the form a run report
-stores. A build config becomes a graph only this way:
-``build_constellation`` applies its build op to the empty graph.
+mutates, keeping readiness as it goes (see ``model``), so a delta is judged
+on its result, once: for edit locality (no non-PENDING task changed), for
+any id a build op's config repeats, and for structure, by the walk of a
+build op that ends the delta, which judges the graph it inserts, else from
+the post-state's change record: by one ``validate`` call when the record
+holds every task (as after a build op), otherwise by the region downstream
+of its edges. Either the delta passes and commits, with the version risen by
+exactly one, or one error propagates: the op's refusal or lookup error, or
+one ``ValidationFailed`` listing every violation. A commit returns the new
+graph and its summary, a plain dict that counts the changes under each of
+``SUMMARY_KEYS``, the form a run report stores. A build config becomes a
+graph only this way: ``build_constellation`` applies its build op to the
+empty graph.
 """
 
 from __future__ import annotations
@@ -148,8 +148,6 @@ def apply_delta(
     violations.extend(edit_locality_violations(constellation, working))
     if violations:
         raise ValidationFailed(violations)
-    if judged is None:
-        working._recount()
     working.version = constellation.version + 1
     return working, summary
 

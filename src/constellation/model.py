@@ -14,8 +14,8 @@ build op's config (``edits.apply_delta``) returns, and judges it in the same
 walk over its edges. After that the structure changes only through
 ``edits.apply_delta``, which runs the raw ``_...`` ops below on a working
 copy, checks the result once and bumps the version once per commit; the
-engine moves task statuses with ``transition``. The raw ops only judge their
-spec or patch and mutate: they raise ``NotFound``, ``DuplicateId``,
+engine moves task statuses with ``transition``. The raw ops judge their spec
+or patch, mutate and keep readiness: they raise ``NotFound``, ``DuplicateId``,
 ``ParseError`` and ``IllegalField``, and leave cycles, dangling or parallel
 edges and edits of non-PENDING tasks to the one check of the result.
 
@@ -48,15 +48,16 @@ incoming edges the raw ops replaced since ``clone``, and of edges they added
 or updated. ``clone``, ``borrow`` and ``insert_entries`` start it empty. A
 commit judges a delta from this record alone (see ``edits.apply_delta``).
 
-Readiness is kept, not searched for (Kahn's in-degree counts, applied to
-edge satisfaction): each PENDING task's count of unsatisfied incoming edges,
-the PENDING tasks whose count is zero, and the RUNNING tasks. They are
-settled whenever a graph becomes valid: from the in-degrees of the walk
-that inserts it, and for the tasks in its record by a commit. After that
-``transition`` lowers the counts of a task's downstream tasks when it turns
-terminal (satisfaction only ever goes from false to true, since a terminal
-record never changes), so the queries only read. ``clone`` copies the
-counts and sets.
+Readiness is kept, not searched for (Kahn's in-degree counts, applied to edge
+satisfaction): each PENDING task's count of the incoming edges holding it
+back, the PENDING tasks counting zero, and the RUNNING tasks. One rule
+decides: an edge holds its PENDING target back unless its upstream exists, is
+terminal and satisfies it (an unknown condition never does). The walk that
+inserts a graph settles the counts, each raw op adds or takes one for the task
+it affects (``_hold``), and ``transition`` lowers them downstream of a task
+that turns terminal (satisfaction only ever goes from false to true: a
+terminal record never changes). So the queries only read, and read true on any
+graph, a written snapshot included. ``clone`` copies them.
 """
 
 from __future__ import annotations
@@ -206,6 +207,10 @@ class TaskConstellation:
         if task.id in self.tasks:
             raise DuplicateId(f"task id {task.id!r} already present")
         self.tasks[task.id] = task
+        self._waiting[task.id] = 0
+        self._ready.add(task.id)
+        for edge in self.incoming(task.id):
+            self._hold(edge, 1)
         self._touch(task.id)
 
     def _remove_task(self, task_id: str) -> None:
@@ -215,6 +220,9 @@ class TaskConstellation:
         for edge_id in dict.fromkeys(incident):
             self._remove_dependency(edge_id)
         del self.tasks[task_id]
+        self._waiting.pop(task_id, None)
+        self._ready.discard(task_id)
+        self._running.discard(task_id)
         self._touch(task_id)
 
     def _update_task(self, task_id: str, patch: Dict[str, Any]) -> None:
@@ -236,11 +244,13 @@ class TaskConstellation:
         at = bisect(ids, edge.id)
         self._incoming[edge.to_task] = ids[:at] + (edge.id,) + ids[at:]
         self._outgoing[edge.from_task] = self._outgoing.get(edge.from_task, ()) + (edge.id,)
+        self._hold(edge, 1)
         self._touch(edge.to_task, edge.id)
 
     def _remove_dependency(self, edge_id: str) -> None:
         self._own()
         edge = self.edges.pop(self.edge(edge_id).id)
+        self._hold(edge, -1)
         for index, task_id in ((self._incoming, edge.to_task), (self._outgoing, edge.from_task)):
             ids = tuple(other for other in index[task_id] if other != edge_id)
             if ids:
@@ -263,8 +273,18 @@ class TaskConstellation:
             if edge.condition_id is not None:
                 entry["condition_id"] = edge.condition_id
         entry.update(patch)
-        self.edges[edge_id] = _judge(entry, "dependency", what)
+        self.edges[edge_id] = patched = _judge(entry, "dependency", what)
+        self._hold(edge, -1)
+        self._hold(patched, 1)
         self._touch(edge.to_task, edge_id)
+
+    def _hold(self, edge: TaskStarLine, change: int) -> None:
+        """Add ``change`` to the count of ``edge``'s PENDING target if the edge
+        holds it back: unless its upstream exists, is terminal and satisfies it."""
+        count = self._waiting.get(edge.to_task)
+        if count is not None and (edge.from_task not in self.tasks or not self.edge_satisfied(edge)):
+            self._waiting[edge.to_task] = count = count + change
+            (self._ready.discard if count else self._ready.add)(edge.to_task)
 
     # -- engine-owned status transitions ---------------------------------
 
@@ -318,7 +338,7 @@ class TaskConstellation:
         self-loop, condition and parallel pair judged and its in-degree
         counted, then ``_peel`` leaves the cycle. With ``repeated``, the list
         for a repeated id's ``DuplicateId``, the edges are inserted as they go
-        and readiness is settled if no fault shows. Only the faults found are
+        and readiness is settled, faults or not. Only the faults found are
         sorted: each edge's in edge id order, a ``DuplicateEdge`` per edge of
         a pair but its smallest id, the cycle, and each task holding a result
         while not terminal, by id."""
@@ -362,16 +382,16 @@ class TaskConstellation:
             self._outgoing = {task_id: tuple(ids) for task_id, ids in outgoing.items()}
         faults.sort(key=itemgetter(0))  # stable: an edge's faults keep their order
         violations = [violation for _, violation in faults + sorted(parallel, key=itemgetter(0))]
-        left = dict(indegree) if inserting else indegree  # the peel uses up its counts
-        self._peel(left)
-        cycle = [task_id for task_id, count in left.items() if count]
+        self._peel(indegree)
+        cycle = [task_id for task_id, count in indegree.items() if count]
         if cycle:
             violations.append(Violation("CycleIntroduced", f"cycle through {{{', '.join(sorted(cycle))}}}"))
         holding = [task for task in tasks.values() if task.result is not None and not task.status.terminal]
         for task in sorted(holding, key=attrgetter("id")):
             violations.append(Violation("StatusResult", f"task {task.id!r} has a result while {task.status.value}"))
-        if inserting and not violations:  # readiness: every task as if PENDING, then moved to its status
-            self._waiting, self._ready = indegree, {task_id for task_id, count in indegree.items() if not count}
+        if inserting:  # readiness: each task held by all its incoming edges as if PENDING, then moved to its status
+            self._waiting = {task_id: len(self._incoming.get(task_id, ())) for task_id in tasks}
+            self._ready = {task_id for task_id, count in self._waiting.items() if not count}
             for task in tasks.values():
                 if task.status is not TaskStatus.PENDING:
                     self._moved(task.id, task.status)
@@ -444,7 +464,8 @@ class TaskConstellation:
         kind = edge.dep_type
         if kind is DependencyKind.SUCCESS_ONLY:
             return upstream.status is TaskStatus.COMPLETED
-        return kind is DependencyKind.UNCONDITIONAL or _condition_holds(edge, upstream)
+        condition = CONDITIONS.get(edge.condition_id)  # an unknown one, refused at commit, is unsatisfied
+        return kind is UNCONDITIONAL or condition is not None and bool(condition(upstream.result))
 
     def ready_tasks(self) -> List[str]:
         """PENDING tasks whose incoming edges are all satisfied, id-sorted:
@@ -460,31 +481,6 @@ class TaskConstellation:
         can never satisfy it, so no completion can make progress.
         """
         return not self._running and not self._ready
-
-    def _recount(self) -> None:
-        """Recount the readiness of the tasks in the change record from
-        their record and incoming edges, whatever status they had before.
-        The graph must be valid, so that every edge has its endpoints. An
-        edge whose upstream is not terminal is unsatisfied at a glance."""
-        waiting, ready, running = self._waiting, self._ready, self._running
-        for task_id in self._touched_tasks:
-            waiting.pop(task_id, None)
-            ready.discard(task_id)
-            running.discard(task_id)
-            task = self.tasks.get(task_id)
-            if task is None:
-                continue
-            if task.status is TaskStatus.PENDING:
-                unsatisfied = 0
-                for edge_id in self._incoming.get(task_id, ()):
-                    edge = self.edges[edge_id]
-                    terminal = self.tasks[edge.from_task].status.terminal
-                    unsatisfied += not (terminal and self.edge_satisfied(edge))
-                waiting[task_id] = unsatisfied
-                if not unsatisfied:
-                    ready.add(task_id)
-            elif task.status is TaskStatus.RUNNING:
-                running.add(task_id)
 
     # -- copies and equality ---------------------------------------------
 
@@ -515,10 +511,6 @@ class TaskConstellation:
             self._incoming, self._outgoing = dict(self._incoming), dict(self._outgoing)
             self._waiting, self._ready = dict(self._waiting), set(self._ready)
             self._running = set(self._running)
-
-
-def _condition_holds(edge: TaskStarLine, upstream: TaskStar) -> bool:
-    return bool(CONDITIONS[edge.condition_id](upstream.result))
 
 
 def unrecovered_failures(constellation: TaskConstellation) -> List[TaskStar]:
@@ -552,7 +544,7 @@ def _judge(value: Any, shape: str, what: str) -> Any:
         return check_of("constellation", shape)(value)
     except Refusal as exc:
         illegal = isinstance(exc, UnknownFields) and (exc.path or shape not in ("", "build_config"))
-        raise (IllegalField if illegal else ParseError)(f"bad {what}: {exc}") from None
+        raise (IllegalField if illegal else ParseError)(f"bad {what}: {exc}") from exc
 
 
 # The builders of the records the schema's checks return, with the

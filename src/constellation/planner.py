@@ -37,8 +37,8 @@ class PlannerInput:
     """One round's input. ``snapshot`` is the committed graph, borrowed
     (``TaskConstellation.borrow``) for this round, and for its re-presentation
     after a refused delta. Writes through ``transition`` or the raw ops copy
-    it first and never reach the engine; direct dict writes are not allowed,
-    and after a raw op its ``ready_tasks`` and ``is_quiescent`` are stale."""
+    it first, keep its ``ready_tasks`` and ``is_quiescent`` true and never
+    reach the engine; direct dict writes are not allowed."""
 
     snapshot: TaskConstellation
     batch: Tuple[OrchestratorEvent, ...]

@@ -284,15 +284,13 @@ def _finite(text: str) -> float:
     return number
 
 
-_JSON = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)  # of read_document and serial.deserialize
+_JSON = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)  # of documents, deserialize and AIP frames
 
 
-def read_document(source: Union[str, Path, Dict[str, Any]], kind: str) -> Dict[str, Any]:
-    """The JSON object in the file at path ``source``, or ``source`` itself;
-    a ``ParseError`` for an unreadable file, invalid JSON (what ``_JSON``
-    refuses), a document that is not an object or one that
-    ``schemas/<kind>.schema.json`` refuses."""
-    what = kind.replace("_", " ")
+def _read_object(source: Union[str, Path, Dict[str, Any]], what: str) -> Dict[str, Any]:
+    """The JSON object in the file at path ``source``, or ``source`` itself,
+    not yet judged; a ``ParseError`` for an unreadable file, invalid JSON
+    (what ``_JSON`` refuses) or a document that is not an object."""
     if isinstance(source, (str, Path)):
         try:
             doc = _JSON.decode(Path(source).read_text(encoding="utf-8"))
@@ -302,6 +300,14 @@ def read_document(source: Union[str, Path, Dict[str, Any]], kind: str) -> Dict[s
         doc = source
     if not isinstance(doc, dict):
         raise ParseError(f"cannot load {what} {source}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def read_document(source: Union[str, Path, Dict[str, Any]], kind: str) -> Dict[str, Any]:
+    """The object ``_read_object`` reads, judged by
+    ``schemas/<kind>.schema.json``: a refusal is a ``ParseError`` too."""
+    what = kind.replace("_", " ")
+    doc = _read_object(source, what)
     try:
         check_of(kind)(doc)
     except Refusal as exc:

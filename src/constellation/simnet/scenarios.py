@@ -32,11 +32,11 @@ from ..aip.endpoints import (
 )
 from ..clock import VirtualClock
 from ..engine import EngineConfig, Orchestrator
-from ..errors import ParseError, ValidationFailed
+from ..errors import IllegalField, ParseError, ValidationFailed
 from ..model import TaskConstellation
 from ..planner import PlannerScript, ScriptedPlanner, load_script
 from ..report import RunReport
-from ..schema import read_document
+from ..schema import _read_object, read_document
 from ..serial import from_document
 from .mdlog import emit_markdown_log
 from .network import LinkSpec, SimNetwork
@@ -105,7 +105,7 @@ def _load(source: Any, base: str) -> _Loaded:
     names relative to ``base``, each file once. A file is stamped before it
     is read, so that a change made while it is read shows at the next run.
     Every refusal is a ``ParseError`` naming its file, a constellation file
-    that is not a valid graph included."""
+    that is not a valid graph included: ``from_document`` alone judges it."""
     stamps: Dict[str, Optional[Tuple[int, int]]] = {}
 
     def named(name: str) -> str:
@@ -115,10 +115,12 @@ def _load(source: Any, base: str) -> _Loaded:
 
     doc = load_scenario(named(source) if isinstance(source, str) else source)
     constellation = named(doc["constellation"])
+    document = _read_object(constellation, "constellation")
     try:
-        template = from_document(read_document(constellation, "constellation"))
-    except ValidationFailed as exc:
-        raise ParseError(f"bad constellation {constellation}: {exc}") from exc
+        template = from_document(document)
+    except (IllegalField, ParseError, ValidationFailed) as exc:
+        refusal = exc.__cause__ or exc  # the schema's refusal, or the graph's faults
+        raise ParseError(f"bad constellation {constellation}: {refusal}") from refusal
     template.request = doc["request"]
     executors: Dict[str, ScriptedExecutor] = {}
     reasoners: Dict[str, ScriptedReasoner] = {}

@@ -93,11 +93,26 @@ class TestMessages:
     @pytest.mark.parametrize("number", [b"NaN", b"Infinity", b"-Infinity", b"1e999"])
     def test_a_number_that_is_not_finite_is_refused_by_name(self, number):
         """JSON has no NaN or Infinity, so a timestamp that ``json`` parses
-        to one is refused."""
+        to one is refused where it is parsed, naming the number, as in a
+        document."""
         payload = b'{"msg_type":"HEARTBEAT","body":{"timestamp":%s}}' % number
         with pytest.raises(SchemaViolation) as refusal:
             decode(payload_frame(payload))
-        assert refusal.value.field == "timestamp"
+        assert (refusal.value.field, refusal.value.reason) == (
+            "frame", f"invalid JSON payload: {number.decode()} is not a JSON number")
+
+    @pytest.mark.parametrize("number", [b"NaN", b"Infinity", b"-Infinity", b"1e999", b"-1e999"])
+    @pytest.mark.parametrize("template", [
+        b'{"msg_type":"TASK_END","session_id":"s1","body":{"status":"COMPLETED","result":%s}}',
+        b'{"msg_type":"ERROR","body":{"error":"x","context":{"load":[1.5,%s]}}}',
+    ], ids=["result", "context"])
+    def test_a_number_that_is_not_finite_is_refused_in_an_untyped_field(self, template, number):
+        """No schema type guards a TASK_END's ``result`` or an ERROR's
+        ``context``, so the parse alone keeps NaN and the infinities out."""
+        with pytest.raises(SchemaViolation) as refusal:
+            decode(payload_frame(template % number))
+        assert (refusal.value.field, refusal.value.reason) == (
+            "frame", f"invalid JSON payload: {number.decode()} is not a JSON number")
 
     def test_truncated_frame_rejected(self):
         frame = encode(AipMessage(MessageType.HEARTBEAT, {"timestamp": 1.0}))
@@ -189,6 +204,15 @@ def reference_encode(msg):
     return struct.pack(">I", len(payload)) + payload
 
 
+def reference_finite(text):
+    """A JSON number token as ``json`` reads it, refusing NaN and the
+    infinities, which JSON has not."""
+    number = float(text)
+    if math.isnan(number) or math.isinf(number):
+        raise ValueError(f"{text} is not a JSON number")
+    return number
+
+
 def reference_decode(frame):
     if len(frame) < 4:
         raise SchemaViolation("frame", "shorter than the length prefix")
@@ -197,8 +221,8 @@ def reference_decode(frame):
     if len(payload) != length:
         raise SchemaViolation("frame", f"length prefix {length} != payload {len(payload)}")
     try:
-        doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = json.loads(payload.decode("utf-8"), parse_constant=reference_finite, parse_float=reference_finite)
+    except ValueError as exc:
         raise SchemaViolation("frame", f"invalid JSON payload: {exc}") from exc
     except RecursionError:
         raise SchemaViolation("frame", "invalid JSON payload: nested too deep") from None
@@ -1004,6 +1028,13 @@ class TestFramesTheCodecRefuses:
             {"msg_type": "HEARTBEAT", "session_id": session_id, "body": {"timestamp": 1.0}}
         )
         error = f"SchemaViolation: session_id: must be a string, got {session_id!r}"
+        assert self.refused_by(target, frame) == [error]
+
+    @pytest.mark.parametrize("target", ["orchestrator", "dev", "dev-client"])
+    def test_a_non_finite_number_in_an_untyped_field_is_answered_with_an_error(self, target):
+        body = {"status": "COMPLETED", "result": float("nan")}
+        frame = raw_frame({"msg_type": "TASK_END", "session_id": "s1", "body": body})
+        error = "SchemaViolation: frame: invalid JSON payload: NaN is not a JSON number"
         assert self.refused_by(target, frame) == [error]
 
     @pytest.mark.parametrize("target", ["orchestrator", "dev", "dev-client"])

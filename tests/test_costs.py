@@ -9,11 +9,18 @@ the calls made to the program's own named functions (those defined in
   random.Random(1))`` from ``benchmarks/workloads.py``
 - ``from_document`` of that graph's ``to_document``
 
-for n = 100, 1 000 and 3 000 tasks. Calls into builtins and the standard
-library, and comprehensions, are left out: their counts differ between the
-Python versions the program supports (3.12 inlines comprehensions). The file pins each total and the counts of the whole-graph
-steps (``insert_entries``, ``validate``, ``_peel``, ``_recount``), and the
-totals must grow near-linearly in the graph's size.
+for n = 100, 1 000 and 3 000 tasks, and
+
+- ``apply_delta`` of a one-edge ``AddDependency`` delta into the 1 000-task
+  graph, near its roots (from the first layer to the second) and near its
+  leaves (from the last layer but one to the last)
+
+Calls into builtins and the standard library, and comprehensions, are left
+out: their counts differ between the Python versions the program supports
+(3.12 inlines comprehensions). The file pins each total, the counts of the
+whole-graph steps of a build (``insert_entries``, ``validate``, ``_peel``)
+and the count of every function a delta calls, and the totals of builds
+must grow near-linearly in the graph's size.
 
 A change that means to move a count regenerates the file and names in
 CHANGES.md each count that moved, and why:
@@ -24,17 +31,18 @@ CHANGES.md each count that moved, and why:
 from __future__ import annotations
 
 import cProfile
+import itertools
 import json
 import math
 import pstats
 import random
 from pathlib import Path
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Iterable, Optional
 
 import pytest
 
 import constellation
-from constellation import build_constellation, from_document, to_document
+from constellation import AddDependency, EditDelta, apply_delta, build_constellation, from_document, to_document
 from test_fingerprints import _workloads_module
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -42,34 +50,53 @@ COSTS = TESTS_DIR / "golden" / "costs.json"
 PACKAGE_DIR = str(Path(constellation.__file__).resolve().parent)
 
 SIZES = (100, 1000, 3000)
-PINNED = ("insert_entries", "validate", "_peel", "_recount")
+PINNED = ("insert_entries", "validate", "_peel")
+DELTA_SIZE = 1000
 MAX_GROWTH = 1.1
 
 
-def counts(run: Callable[[], Any]) -> Dict[str, int]:
+def counts(run: Callable[[], Any], pinned: Optional[Iterable[str]] = PINNED) -> Dict[str, int]:
     """The calls ``run()`` makes to the program's own named functions:
-    their total, and the count of each function ``PINNED`` names."""
+    their total, and the count of each function ``pinned`` names, or of
+    every function called where it is None."""
     profile = cProfile.Profile()
     profile.runcall(run)
-    calls = {name: 0 for name in PINNED}
+    calls = dict.fromkeys(pinned or (), 0)
     total = 0
     for (filename, _, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items():
         if not name.startswith("<") and str(Path(filename).resolve()).startswith(PACKAGE_DIR):
             total += ncalls
-            if name in calls:
-                calls[name] += ncalls
+            if pinned is None or name in calls:
+                calls[name] = calls.get(name, 0) + ncalls
     return {"total": total, **calls}
+
+
+def one_edge(config: Dict[str, Any], near_roots: bool) -> AddDependency:
+    """An edge, not yet in ``config``, from the first layer to the second,
+    or from the last layer but one to the last: the lowest pair of ids."""
+    width = _workloads_module().LAYER_WIDTH
+    ids = [task["id"] for task in config["tasks"]]
+    upper, lower = (ids[:width], ids[width:2 * width]) if near_roots else (ids[-2 * width:-width], ids[-width:])
+    present = {(edge["from_task"], edge["to_task"]) for edge in config["dependencies"]}
+    from_task, to_task = min(pair for pair in itertools.product(upper, lower) if pair not in present)
+    return AddDependency({"id": "added", "from_task": from_task, "to_task": to_task})
 
 
 def compute() -> Dict[str, Dict[str, Dict[str, int]]]:
     layered_dag = _workloads_module().layered_dag
     configs = {size: layered_dag(size, random.Random(1)).config for size in SIZES}
     documents = {size: to_document(build_constellation(config)) for size, config in configs.items()}
+    graph = build_constellation(configs[DELTA_SIZE])
+    deltas = {f"{DELTA_SIZE} near the {end}": EditDelta([one_edge(configs[DELTA_SIZE], end == "roots")])
+              for end in ("roots", "leaves")}
     # Warm up first: a schema's check is compiled at its first use in a process.
     from_document(documents[SIZES[0]])
+    for delta in deltas.values():
+        apply_delta(graph, delta)
     return {
         "build_constellation": {str(size): counts(lambda: build_constellation(configs[size])) for size in SIZES},
         "from_document": {str(size): counts(lambda: from_document(documents[size])) for size in SIZES},
+        "apply_delta": {name: counts(lambda: apply_delta(graph, delta), None) for name, delta in deltas.items()},
     }
 
 
@@ -86,7 +113,7 @@ def computed():
     return compute()
 
 
-@pytest.mark.parametrize("entry", ["build_constellation", "from_document"])
+@pytest.mark.parametrize("entry", ["build_constellation", "from_document", "apply_delta"])
 def test_call_counts_match_the_committed_file(computed, entry):
     expected = json.loads(COSTS.read_text(encoding="utf-8"))[entry]
     assert computed[entry] == expected

@@ -120,13 +120,11 @@ class TestBuildConstellation:
         """The walks of a build, counted: a bulk build and a delta holding one
         build op make one generated check of the config, which returns the
         records, and one walk that inserts them and judges the graph, peeling
-        it once, with no ``validate`` call. Readiness is settled from the
-        walk's counts, so no ``_recount`` follows, and neither
-        ``topological_order`` nor a search from every edge target runs. A
-        delta of many edges into a valid graph makes one check per edge spec,
-        is searched once from the edges it added, that region peeled once, and
-        only the ten tasks it touched recounted: no pass over the whole
-        graph."""
+        it once, with no ``validate`` call. Readiness is settled by the walk
+        and kept by each op, so neither ``topological_order`` nor a search
+        from every edge target runs. A delta of many edges into a valid graph
+        makes one check per edge spec, and is searched once from the edges it
+        added and that region peeled once: no pass over the whole graph."""
         config = layered_config(100, width=10, fan_in=2)
         calls = []
 
@@ -134,7 +132,7 @@ class TestBuildConstellation:
             search = getattr(TaskConstellation, name)
 
             def wrapper(self, *args):
-                calls.append((name, len(self._touched_tasks)) if name == "_recount" else name)
+                calls.append(name)
                 return search(self, *args)
 
             return wrapper
@@ -144,16 +142,16 @@ class TestBuildConstellation:
             return check_of(kind, shape)
 
         order, whole, peel = "topological_order", "validate", "_peel"
-        downstream, recount = "_cycle_downstream_of", "_recount"
+        downstream = "_cycle_downstream_of"
         for prepare, edges, walks in (
             (by_build, 180, ["check build_config", peel]),
             (by_build_op, 180, ["check build_config", peel]),
-            (by_edge_ops, 20, ["check dependency"] * 20 + [downstream, peel, (recount, 10)]),
+            (by_edge_ops, 20, ["check dependency"] * 20 + [downstream, peel]),
         ):
             run = prepare(config)
             calls.clear()
             with monkeypatch.context() as patch:
-                for name in (order, whole, downstream, peel, recount):
+                for name in (order, whole, downstream, peel):
                     patch.setattr(TaskConstellation, name, counted(name))
                 patch.setattr(model, "check_of", counted_check)
                 built = run()

@@ -33,9 +33,9 @@ from constellation.errors import ConstellationError, IllegalField, ParseError
 from constellation.aip.messages import AipMessage, MessageType
 from constellation.events import EventKind, OrchestratorEvent
 from constellation.serial import from_document, to_document
-from constellation.model import CONDITIONS, UNCONDITIONAL, DependencyKind
+from constellation.model import CONDITIONS, UNCONDITIONAL, DependencyKind, insert_entries
 from conftest import random_dag, scanned_incoming
-from test_edits import hostile_graph, hostile_op, recounted, reshaping_ops
+from test_edits import faulty_document, hostile_config, hostile_graph, hostile_op, recounted, reshaping_ops
 
 
 def chain(*ids):
@@ -489,6 +489,86 @@ class TestReadinessOracles:
                 assert twin.ready_tasks() == oracle_ready_tasks(twin) == []
                 assert c.ready_tasks() == before == oracle_ready_tasks(c), seed
         assert commits >= 800, commits
+
+
+
+def oracle_readiness(c):
+    """``ready_tasks`` and ``is_quiescent`` by the one rule, over a scan of
+    every edge: an edge holds its PENDING target back unless its upstream
+    exists, is terminal and satisfies it (``edge_satisfied``); an edge naming
+    an unknown condition always holds."""
+    def holds(edge):
+        known = edge.condition_id is None or edge.condition_id in CONDITIONS
+        return edge.from_task not in c.tasks or not known or not c.edge_satisfied(edge)
+
+    ready = [task_id for task_id, task in sorted(c.tasks.items())
+             if task.status is TaskStatus.PENDING and not any(map(holds, scanned_incoming(c, task_id)))]
+    return ready, not ready and all(task.status is not TaskStatus.RUNNING for task in c.tasks.values())
+
+
+# Each kind an added or patched edge may take; "never" names no condition.
+EDGE_KINDS = [{"dep_type": "UNCONDITIONAL"}, {"dep_type": "SUCCESS_ONLY"},
+              {"dep_type": "CONDITIONAL", "condition_id": "always"},
+              {"dep_type": "CONDITIONAL", "condition_id": "never"}]
+MOVES = {TaskStatus.PENDING: [TaskStatus.RUNNING, TaskStatus.FAILED],
+         TaskStatus.RUNNING: [TaskStatus.COMPLETED, TaskStatus.FAILED]}
+
+
+def random_write(rng, c):
+    """One raw op or transition on ``c``, naming missing tasks and edges at
+    times, so edges dangle and ops are refused."""
+    tasks, edges = sorted(c.tasks) + ["g0", "g1"], sorted(c.edges) + ["eN0", "eN1"]
+    kind = rng.randrange(7)
+    if kind == 0:
+        c._add_task({"id": rng.choice(tasks), "device": "d"})
+    elif kind == 1:
+        c._remove_task(rng.choice(tasks))
+    elif kind == 2:
+        c._update_task(rng.choice(tasks), {"description": "patched"})
+    elif kind == 3:
+        spec = {"id": rng.choice(edges), "from_task": rng.choice(tasks), "to_task": rng.choice(tasks)}
+        c._add_dependency({**spec, **rng.choice(EDGE_KINDS)})
+    elif kind == 4:
+        c._remove_dependency(rng.choice(edges))
+    elif kind == 5:
+        c._update_dependency(rng.choice(edges), rng.choice(EDGE_KINDS))
+    else:
+        live = [task_id for task_id, task in sorted(c.tasks.items()) if task.status in MOVES]
+        if live:
+            task_id = rng.choice(live)
+            status = rng.choice(MOVES[c.tasks[task_id].status])
+            c.transition(task_id, status, result=rng.choice([None, "ok"]) if status is TaskStatus.COMPLETED else None)
+
+
+class TestReadinessKeptByEveryWrite:
+    def test_every_write_keeps_readiness_true(self):
+        """Seeded walks of raw ops and transitions on a borrowed snapshot of
+        a committed graph, on a build config's graph and on a document's,
+        faults included (dangling edges, cycles, unknown conditions), as a
+        build op followed by other ops leaves them. After every step the
+        graph reads as the oracle does, and a snapshot's writes never reach
+        the graph it borrowed."""
+        refused = moved = 0
+        for seed in range(1200):
+            rng = random.Random(seed)
+            start = seed % 3
+            if start == 0:
+                base = hostile_graph(rng)
+                c, before = base.borrow(), (base.ready_tasks(), base.is_quiescent())
+            else:
+                c = insert_entries(hostile_config(rng) if start == 1 else faulty_document(rng), created=start == 1)[0]
+            assert (c.ready_tasks(), c.is_quiescent()) == oracle_readiness(c), seed
+            for step in range(25):
+                ready = c.ready_tasks()
+                try:
+                    random_write(rng, c)
+                except ConstellationError:
+                    refused += 1
+                assert (c.ready_tasks(), c.is_quiescent()) == oracle_readiness(c), (seed, step)
+                moved += c.ready_tasks() != ready
+            if start == 0:
+                assert (base.ready_tasks(), base.is_quiescent()) == before == oracle_readiness(base), seed
+        assert refused >= 6000 and moved >= 3000, (refused, moved)
 
 
 class TestCopies:

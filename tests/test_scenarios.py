@@ -232,6 +232,24 @@ class TestHarness:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             run_scenario(target / "scenario1.json", seed=0)
 
+    def test_the_constellation_file_is_judged_once(self, tmp_path, monkeypatch):
+        """The whole-document check of the constellation schema runs once per
+        load: in ``from_document``, not first in ``read_document`` too."""
+        from constellation import model, schema
+
+        target = tmp_path / "scenarios"
+        shutil.copytree(SCENARIOS_DIR, target)
+        judged, check_of = [], schema.check_of
+
+        def counted(kind, definition=""):
+            judged.append((kind, definition))
+            return check_of(kind, definition)
+
+        monkeypatch.setattr(model, "check_of", counted)
+        monkeypatch.setattr(schema, "check_of", counted)
+        run_scenario(target / "scenario1.json", seed=0)
+        assert judged.count(("constellation", "")) == 1
+
     def test_a_constellation_file_that_is_not_a_graph_is_a_parse_error(self, tmp_path):
         """A constellation file that its schema accepts but whose graph is
         invalid, here through an added D->A edge, is refused naming the file,
@@ -246,6 +264,24 @@ class TestHarness:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as refused:
             run_scenario(target / "scenario1.json", seed=0)
         assert [v.kind for v in refused.value.__cause__.violations] == ["CycleIntroduced"]
+
+    @pytest.mark.parametrize("field, error", [
+        ("bogus", "unknown field(s) tasks.0.bogus"),
+        ("device", "tasks.0.device must be a string, got 5"),
+    ])
+    def test_a_constellation_file_its_schema_refuses_is_a_parse_error(self, tmp_path, field, error):
+        """The schema's refusal, made once by ``from_document``, names the
+        file as ``read_document`` names any other."""
+        target = tmp_path / "scenarios"
+        shutil.copytree(SCENARIOS_DIR, target)
+        path = target / "fault_constellation.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["tasks"][0][field] = 5
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        message = f"bad constellation {os.path.realpath(path)}: {error}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as refused:
+            run_scenario(target / "scenario1.json", seed=0)
+        assert str(refused.value.__cause__) == error
 
 
 def entry_schema(name):
