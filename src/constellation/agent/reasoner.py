@@ -9,10 +9,9 @@ state and the reasoning-trace strings; a step no entry answers is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Union
 
 from ..errors import ScriptMiss
 from ..schema import read_document
@@ -28,10 +27,9 @@ class AgentFsmState(Enum):
         return self is not AgentFsmState.CONTINUE
 
 
-@dataclass
-class ReasonerOutput:
+class ReasonerOutput(NamedTuple):
     next_state: AgentFsmState
-    commands: List[Dict[str, Any]] = field(default_factory=list)
+    commands: Sequence[Dict[str, Any]] = ()
     thought: str = ""
     result: str = ""
     error: str = ""

@@ -33,6 +33,7 @@ EndCallback = Callable[[str, Dict[str, Any]], None]  # (status, payload)
 
 @dataclass
 class TaskRun:
+    """One task's run on a device, moved along by its reasoning steps."""
     task: Dict[str, Any]
     send_commands: SendCommands
     on_end: EndCallback

@@ -19,8 +19,8 @@ Three roles talk over the simulated network:
 Both sides keep per-session logs. When either side aborts a task because of
 a disconnect, it records a synthetic TASK_END entry locally so that every
 TASK is matched by exactly one TASK_END in the combined logs even though no
-frame crossed the wire. A frame that fails to decode is answered with an
-ERROR frame and otherwise ignored, at every role.
+frame crossed the wire. A frame that fails to decode or comes from another
+peer than its own is answered with an ERROR frame and ignored, at every role.
 """
 
 from __future__ import annotations
@@ -67,7 +67,11 @@ class _Endpoint:
         try:
             msg = decode(frame)
         except SchemaViolation as exc:
-            self._refuse(src, f"SchemaViolation: {exc}")
+            refusal = f"SchemaViolation: {exc}"
+        else:
+            refusal = self.refusal(src, msg)
+        if refusal is not None:
+            self._refuse(src, refusal)
             return
         session_id = msg.session_id
         if session_id in self.sessions or (session_id is not None and msg.msg_type is self.opened_by):
@@ -76,6 +80,10 @@ class _Endpoint:
 
     def _refuse(self, src: str, error: str) -> None:
         self.send(src, AipMessage(MessageType.ERROR, {"error": error, "context": {}}))
+
+    def refusal(self, src: str, msg: AipMessage) -> Optional[str]:
+        """Why this role does not act on ``msg`` from ``src``, or None."""
+        return None
 
     def handle(self, src: str, msg: AipMessage) -> None:
         raise NotImplementedError
@@ -99,6 +107,7 @@ class ConstellationEndpoint(_Endpoint):
         self._silence = TimerLane(clock, HEARTBEAT_INTERVAL * MISSED_K, self._on_silence)
         self._device_address: Dict[str, str] = {}  # every agent that registered
         self._outstanding: Dict[str, Tuple[TaskStar, DoneCallback]] = {}  # by session id
+        self._task_address: Dict[str, str] = {}  # session id -> where its TASK went
         self._seq = itertools.count(1)
 
     # -- dispatcher port -------------------------------------------------
@@ -116,34 +125,33 @@ class ConstellationEndpoint(_Endpoint):
             return
         session_id = f"s{next(self._seq)}-{task.device}-{task.id}"
         self._outstanding[session_id] = (task, on_done)
-        task_doc = {
-            "id": task.id,
-            "name": task.name,
-            "description": task.description,
-            "device": task.device,
-            "tips": list(task.tips),
-        }
-        self.send(
-            self._device_address[task.device],
-            AipMessage(
-                MessageType.TASK, {"task": task_doc, "request": self.request}, session_id=session_id
-            ),
-        )
+        self._task_address[session_id] = address = self._device_address[task.device]
+        task_doc = {"id": task.id, "name": task.name, "description": task.description,
+                    "device": task.device, "tips": list(task.tips)}
+        body = {"task": task_doc, "request": self.request}
+        self.send(address, AipMessage(MessageType.TASK, body, session_id=session_id))
 
     # -- inbound ---------------------------------------------------------
+
+    def refusal(self, src: str, msg: AipMessage) -> Optional[str]:
+        """A HEARTBEAT from its agent's address while in the pool; a TASK_END from where its TASK went."""
+        kind = msg.msg_type._value_  # a string compare costs less than an Enum attribute
+        if kind == "HEARTBEAT":
+            agent_id = msg.body.get("agent_id", src)
+            if not isinstance(agent_id, str) or self._device_address.get(agent_id) != src:
+                return f"NotFound: no registered agent {agent_id!r} at {src!r}"
+            if agent_id not in self._silence.live:
+                return f"PeerDisconnected: agent {agent_id!r} must register again"
+        elif kind == "TASK_END" and self._task_address.get(msg.session_id) != src:
+            return f"NotFound: no session {msg.session_id!r} sent to {src!r}"
+        return None
 
     def handle(self, src: str, msg: AipMessage) -> None:
         if msg.msg_type is MessageType.REGISTER:
             self._on_register(src, msg)
         elif msg.msg_type is MessageType.HEARTBEAT:
-            agent_id = msg.body.get("agent_id", src)
-            if not isinstance(agent_id, str) or agent_id not in self._device_address:
-                self._refuse(src, f"NotFound: no registered agent {agent_id!r}")
-            elif agent_id not in self._silence.live:
-                self._refuse(src, f"PeerDisconnected: agent {agent_id!r} must register again")
-            else:
-                self._silence.add(agent_id)
-                self._ack(src)
+            self._silence.add(msg.body.get("agent_id", src))
+            self._ack(src)
         elif msg.msg_type is MessageType.TASK_END:
             self._on_task_end(msg.session_id, msg.body)
 
@@ -244,6 +252,8 @@ class DeviceServerEndpoint(_Endpoint):
         self.agent_server = agent_server
         self.orchestrator_address = orchestrator_address
         self.client_address = client_address
+        self._peer = {"HEARTBEAT": orchestrator_address, "TASK": orchestrator_address,  # by type value
+                      "COMMAND_RESULTS": client_address}
         self.manifest = dict(manifest or {})
         self.telemetry = dict(telemetry or {})
 
@@ -260,6 +270,11 @@ class DeviceServerEndpoint(_Endpoint):
         """Register, and keep registering on the backoff schedule until the
         orchestrator accepts, so a lost first REGISTER is sent again."""
         self._register()
+
+    def refusal(self, src: str, msg: AipMessage) -> Optional[str]:
+        """HEARTBEAT and TASK come from the orchestrator, COMMAND_RESULTS from the client."""
+        taken = self._peer.get(msg.msg_type._value_, src) == src
+        return None if taken else f"NotFound: no {msg.msg_type._value_} is taken from {src!r}"
 
     def handle(self, src: str, msg: AipMessage) -> None:
         if msg.msg_type is MessageType.HEARTBEAT:

@@ -10,6 +10,7 @@ from .messages import AipMessage
 
 @dataclass
 class SessionState:
+    """One session's send counter and the log of its frames."""
     session_id: str
     next_send_seq: int = 0
     log: List[Dict[str, Any]] = field(default_factory=list)

@@ -2,7 +2,8 @@
 
 Callbacks are ordered by (due time, schedule sequence number), so two timers
 due at the same instant always fire in the order they were scheduled. All
-time is virtual; nothing here touches wall-clock time.
+time is virtual; nothing here touches wall-clock time. The clock and its
+handles are plain classes, so a process builds no code for them at import.
 
 A ``TimerHandle`` is a plain ``__slots__`` class holding only its callback,
 built once per timer: the heap entry carries the due time and sequence
@@ -31,7 +32,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 
@@ -45,13 +45,13 @@ class TimerHandle:
         self.callback = None
 
 
-@dataclass
 class VirtualClock:
-    now: float = 0.0
-    _heap: List[Tuple[float, int, TimerHandle]] = field(default_factory=list)
-    _seq: "itertools.count[int]" = field(default_factory=itertools.count)
-    # Lane timers cancelled since the heap was last rebuilt without them.
-    _dropped: int = 0
+    def __init__(self, now: float = 0.0) -> None:
+        self.now = now
+        self._heap: List[Tuple[float, int, TimerHandle]] = []
+        self._seq = itertools.count()
+        # Lane timers cancelled since the heap was last rebuilt without them.
+        self._dropped = 0
 
     def call_at(self, when: float, callback: Callable[[], None]) -> TimerHandle:
         if not when >= self.now:  # a NaN time fails this too

@@ -17,62 +17,57 @@ graph and its summary, a plain dict that counts the changes under each of
 ``SUMMARY_KEYS``, the form a run report stores. A build config becomes a
 graph only this way: ``build_constellation`` applies its build op to the
 empty graph.
+
+An op and a delta are named tuples, so an op equals any tuple of the same
+values, and ``RemoveTask("x") == RemoveDependency("x")``: compare an op only
+with ops of its own kind. A delta is true when it holds an op.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import ParseError, ValidationFailed
 from .model import TaskConstellation, TaskStatus, Violation, insert_entries
 
 
-@dataclass(frozen=True)
-class AddTask:
+class AddTask(NamedTuple):
     spec: Dict[str, Any]
 
 
-@dataclass(frozen=True)
-class RemoveTask:
+class RemoveTask(NamedTuple):
     task_id: str
 
 
-@dataclass(frozen=True)
-class UpdateTask:
+class UpdateTask(NamedTuple):
     task_id: str
     patch: Dict[str, Any]
 
 
-@dataclass(frozen=True)
-class AddDependency:
+class AddDependency(NamedTuple):
     spec: Dict[str, Any]
 
 
-@dataclass(frozen=True)
-class RemoveDependency:
+class RemoveDependency(NamedTuple):
     edge_id: str
 
 
-@dataclass(frozen=True)
-class UpdateDependency:
+class UpdateDependency(NamedTuple):
     edge_id: str
     patch: Dict[str, Any]
 
 
-@dataclass(frozen=True)
-class BuildConstellation:
+class BuildConstellation(NamedTuple):
     """Replaces the whole graph; grow one with AddTask/AddDependency ops."""
 
     config: Dict[str, Any]
 
 
-EditOp = Any  # one of the dataclasses above
+EditOp = Any  # one of the named tuples above
 
 
-@dataclass
-class EditDelta:
-    ops: List[EditOp] = field(default_factory=list)
+class EditDelta(NamedTuple):
+    ops: Sequence[EditOp] = ()
 
     def __bool__(self) -> bool:
         return bool(self.ops)
@@ -209,7 +204,7 @@ def op_from_doc(doc: Dict[str, Any]) -> EditOp:
     """The op of an op document that ``schemas/planner_script.schema.json``
     accepts: its ``op`` names the op, and it carries that op's fields."""
     op = _OPS[doc["op"]]
-    return op(*(doc[f.name] for f in fields(op)))
+    return op(*(doc[name] for name in op._fields))
 
 
 def delta_from_doc(docs: List[Dict[str, Any]]) -> EditDelta:

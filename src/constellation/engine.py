@@ -88,6 +88,7 @@ class ScriptedDispatcher:
 
 @dataclass
 class EngineConfig:
+    """A run's settings, judged when built."""
     initial_round: bool = True
     pending_dispatch_timeout: float = 60.0
     execution_timeout: float = 300.0

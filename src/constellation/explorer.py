@@ -95,6 +95,7 @@ def check_invariants(state: State) -> None:
 
 @dataclass
 class ExploreStats:
+    """Counts an exploration keeps as it goes."""
     distinct: int = 0
     generated: int = 0
     depth: int = 0

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 from bisect import bisect, insort
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
@@ -144,8 +143,7 @@ class TaskStarLine(NamedTuple):
     condition_id: Optional[str] = None  # a CONDITIONAL edge's only: the schema refuses it elsewhere
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     detail: str
 

@@ -6,17 +6,19 @@ events drained under the lock, and answers with an observation, a thought, a
 next FSM state, an optional final result and an edit delta. FINISH and FAIL
 end the run, so the orchestrator refuses only a move to START, and needs no
 state of its own for that: the planner is in START until its first round
-commits, and in CONTINUE after.
+commits, and in CONTINUE after. A round's input, a trigger and a loaded
+script are named tuples, never changed once built; a round's output is
+judged when built.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .edits import EditDelta, delta_from_doc
 from .errors import ScriptMiss
@@ -32,8 +34,7 @@ class PlannerState(Enum):
     FAIL = "FAIL"
 
 
-@dataclass(frozen=True)
-class PlannerInput:
+class PlannerInput(NamedTuple):
     """One round's input. ``snapshot`` is the committed graph, borrowed
     (``TaskConstellation.borrow``) for this round, and for its re-presentation
     after a refused delta. Writes through ``transition`` or the raw ops copy
@@ -48,11 +49,12 @@ class PlannerInput:
 
 @dataclass
 class PlannerOutput:
+    """One round's answer; the engine applies its delta and moves to its state."""
     observation: str
     thought: str
     next_state: PlannerState
     result: Optional[str] = None
-    delta: EditDelta = field(default_factory=EditDelta)
+    delta: EditDelta = EditDelta()
     duration: float = 0.0
 
     def __post_init__(self) -> None:
@@ -83,8 +85,7 @@ class NoopPlanner(Planner):
 # -- scripted planner ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Trigger:
+class Trigger(NamedTuple):
     """Multiset of (event kind, task-id glob) patterns.
 
     A trigger matches a batch when the patterns can be matched one-to-one
@@ -168,14 +169,12 @@ class Trigger:
         return not free
 
 
-@dataclass
-class ScriptEntry:
+class ScriptEntry(NamedTuple):
     trigger: Trigger
     output_doc: Dict[str, Any]
 
 
-@dataclass
-class PlannerScript:
+class PlannerScript(NamedTuple):
     entries: List[ScriptEntry]
     strict: bool = True
 

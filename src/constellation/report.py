@@ -1,11 +1,12 @@
-"""Structured record of a single orchestration run."""
+"""Structured record of a single orchestration run; an edit cycle's record is
+a named tuple, written out by ``_asdict``."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from .edits import SUMMARY_KEYS
 from .events import OrchestratorEvent
@@ -19,6 +20,7 @@ class RunOutcome(Enum):
 
 @dataclass
 class TaskTiming:
+    """One dispatch of a task, finished when its completion arrives."""
     task_id: str
     device: str
     dispatched_at: float
@@ -33,8 +35,7 @@ class TaskTiming:
         return self.finished_at - self.dispatched_at
 
 
-@dataclass
-class EditCycleRecord:
+class EditCycleRecord(NamedTuple):
     round_index: int
     started_at: float
     committed_at: float
@@ -49,6 +50,7 @@ class EditCycleRecord:
 
 @dataclass
 class RunReport:
+    """The record of one run, filled in as the run goes."""
     request: str = ""
     outcome: Optional[RunOutcome] = None
     result: Optional[str] = None
@@ -93,7 +95,7 @@ class RunReport:
             "initial_document": self.initial_document,
             "final_document": self.final_document,
             "events": self.events,
-            "edit_cycles": [asdict(c) for c in self.edit_cycles],
+            "edit_cycles": [c._asdict() for c in self.edit_cycles],
             "timings": {
                 tid: {
                     "device": t.device,

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from ..errors import ValidationFailed
 from ..model import TaskConstellation, Violation
 
 
-@dataclass(frozen=True)
-class ParallelismMetrics:
+class ParallelismMetrics(NamedTuple):
     total_work: float  # W: sum of task durations
     critical_path: float  # L: longest duration-weighted path
     max_parallel_width: int  # peak concurrency, infinite-device replay

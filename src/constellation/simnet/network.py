@@ -21,12 +21,16 @@ FrameHandler = Callable[[str, bytes], None]  # (source address, frame)
 
 @dataclass
 class LinkSpec:
+    """A link's latency and its outages, each a [down, up) interval."""
     latency: float = 0.005
     outages: List[Tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         intervals = sorted(self.outages)
-        for (a_down, a_up), (b_down, _) in zip(intervals, intervals[1:]):
+        for down, up in intervals:
+            if not down < up:
+                raise ValueError(f"an outage must end after it starts, not [{down}, {up})")
+        for (_, a_up), (b_down, _) in zip(intervals, intervals[1:]):
             if b_down < a_up:
                 raise ValueError("outage intervals must not overlap")
         self.outages = intervals

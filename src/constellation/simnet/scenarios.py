@@ -18,9 +18,8 @@ reuses what was loaded. Runs only read what is loaded. A scenario document
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..agent.reasoner import ScriptedReasoner
 from ..agent.executor import ScriptedExecutor
@@ -38,18 +37,16 @@ from ..planner import PlannerScript, ScriptedPlanner, load_script
 from ..report import RunReport
 from ..schema import _read_object, read_document
 from ..serial import from_document
-from .mdlog import emit_markdown_log
 from .network import LinkSpec, SimNetwork
 
 SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     scenario_id: int
     report: RunReport
     session_logs: Dict[str, List[Dict[str, Any]]]
-    diffs: List[str] = field(default_factory=list)
+    diffs: Sequence[str] = ()
 
     @property
     def verdict_ok(self) -> bool:
@@ -58,6 +55,7 @@ class ScenarioResult:
     @property
     def markdown(self) -> str:
         """The report's Markdown run log, rendered when read."""
+        from .mdlog import emit_markdown_log
         return emit_markdown_log(self.report)
 
 
@@ -77,8 +75,7 @@ def load_scenario(source: Any) -> Dict[str, Any]:
     return doc
 
 
-@dataclass(frozen=True)
-class _Loaded:
+class _Loaded(NamedTuple):
     """What a scenario names, read and judged: runs only read it."""
 
     doc: Dict[str, Any]
@@ -179,14 +176,8 @@ def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
             telemetry=spec.get("telemetry", {}),
         )
         device_servers[device_id] = server
-        network.add_link(
-            "orchestrator",
-            device_id,
-            LinkSpec(
-                latency=spec.get("latency", 0.005),
-                outages=[tuple(o) for o in spec.get("outages", [])],
-            ),
-        )
+        outages = [tuple(o) for o in spec.get("outages", [])]
+        network.add_link("orchestrator", device_id, LinkSpec(spec.get("latency", 0.005), outages))
         network.add_link(device_id, client_address, LinkSpec(latency=0.001))
         server.start()
 
@@ -211,13 +202,7 @@ def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
         for session_id, session in sorted(endpoint.sessions.items()):
             session_logs[f"{endpoint.address}:{session_id}"] = session.log
 
-    result = ScenarioResult(
-        scenario_id=int(doc["id"]),
-        report=report,
-        session_logs=session_logs,
-    )
-    result.diffs = _verify(doc, report)
-    return result
+    return ScenarioResult(int(doc["id"]), report, session_logs, _verify(doc, report))
 
 
 # -- verdict checks ------------------------------------------------------

@@ -988,6 +988,95 @@ class TestFramesFromOutside:
         assert (orchestrator.sessions, server.sessions) == before
 
 
+TASK_DOC = {"id": "T", "name": "T", "description": "job", "device": "dev", "tips": []}
+
+
+class TestFramesFromAnotherPeer:
+    """An endpoint acts on a frame only when it comes from the peer that the
+    frame belongs to: the device server takes HEARTBEAT and TASK only from
+    the orchestrator and COMMAND_RESULTS only from its executor client, and
+    the orchestrator takes a HEARTBEAT only from the address its agent
+    registered and a TASK_END only from the address its session's TASK went
+    to. Any other such frame is answered with an ERROR frame, and makes no
+    session entry and calls nothing."""
+
+    @staticmethod
+    def refusals(network, since):
+        return [(f["src"], f["dst"]) for f in network.wire_log[since:] if f["summary"] == "ERROR"]
+
+    def test_device_takes_heartbeat_and_task_only_from_the_orchestrator(self):
+        clock, network, _, server = build_pair(outages=[(5.0, 100.0)])
+        advance(clock, 30.0)
+        assert not linked(server)
+        since = len(network.wire_log)
+        beat = AipMessage(MessageType.HEARTBEAT, {"timestamp": 30.0, "status": "OK"})
+        task = AipMessage(MessageType.TASK, {"task": TASK_DOC, "request": "r"}, session_id="forged")
+        for msg in (beat, task):
+            network.send("dev-client", "dev", encode(msg))
+        advance(clock, 40.0)
+        assert not linked(server)
+        assert "forged" not in server.sessions and server.active_runs == {}
+        assert self.refusals(network, since) == [("dev", "dev-client")] * 2
+        # The backoff goes on, and no beat goes out into the outage.
+        sent = [f["summary"] for f in network.wire_log[since:] if f["src"] == "dev"]
+        assert sent == ["ERROR", "ERROR", "REGISTER"]
+
+    def test_device_takes_command_results_only_from_its_client(self):
+        clock, network, _, server = build_pair(outages=[], exec_duration=5.0)
+        advance(clock, 1.0)
+        server._on_task(AipMessage(MessageType.TASK, {"task": TASK_DOC, "request": "r"}, session_id="s"))
+        advance(clock, 1.5)
+        (command_id,) = server._pending_results
+        since = len(network.wire_log)
+        forged = AipMessage(
+            MessageType.COMMAND_RESULTS,
+            {"action_results": [{"status": 0, "stdout": "forged"}], "prev_response_id": command_id},
+            session_id="s",
+        )
+        log = list(server.sessions["s"].log)
+        network.send("orchestrator", "dev", encode(forged))
+        advance(clock, 2.0)
+        assert self.refusals(network, since) == [("dev", "orchestrator")]
+        assert server.sessions["s"].log == log and command_id in server._pending_results
+        advance(clock, 10.0)
+        assert server.active_runs == {} and server._pending_results == {}
+        results = [e["body"] for e in server.sessions["s"].log if e["msg_type"] == "COMMAND_RESULTS"]
+        assert [r["action_results"][0]["stdout"] for r in results] == ["ok"]
+
+    def test_orchestrator_takes_task_end_only_from_where_its_task_went(self):
+        clock, network, orchestrator, _ = build_pair(outages=[], exec_duration=5.0)
+        outcomes = []
+        advance(clock, 1.0)
+        orchestrator.dispatch(TaskStar("T", "dev", description="job"), lambda *args: outcomes.append(args))
+        (session_id,) = orchestrator.sessions
+        network.attach("other", lambda src, frame: None)
+        network.add_link("other", "orchestrator", LinkSpec(latency=0.001))
+        since = len(network.wire_log)
+        log = list(orchestrator.sessions[session_id].log)
+        body = {"status": "COMPLETED", "result": "forged"}
+        forged = AipMessage(MessageType.TASK_END, body, session_id=session_id)
+        network.send("other", "orchestrator", encode(forged))
+        advance(clock, 2.0)
+        assert outcomes == [] and session_id in orchestrator._outstanding
+        assert orchestrator.sessions[session_id].log == log
+        assert self.refusals(network, since) == [("orchestrator", "other")]
+        advance(clock, 10.0)
+        assert outcomes == [("T", TaskStatus.COMPLETED, "ok", None)]
+
+    def test_orchestrator_takes_a_heartbeat_only_from_where_its_agent_registered(self):
+        clock, network, orchestrator, _ = build_pair(outages=[(5.0, 100.0)])
+        network.attach("other", lambda src, frame: None)
+        network.add_link("other", "orchestrator", LinkSpec(latency=0.001))
+        advance(clock, 14.0)
+        since = len(network.wire_log)
+        beat = AipMessage(MessageType.HEARTBEAT, {"timestamp": 14.0, "agent_id": "dev"})
+        network.send("other", "orchestrator", encode(beat))
+        advance(clock, 14.5)
+        assert self.refusals(network, since) == [("orchestrator", "other")]
+        advance(clock, 15.1)
+        assert orchestrator.available_devices() == set()
+
+
 class TestFramesTheCodecRefuses:
     """A frame that fails to decode is answered with an ERROR frame, at
     every role, and the run goes on."""

@@ -14,13 +14,23 @@ for n = 100, 1 000 and 3 000 tasks, and
 - ``apply_delta`` of a one-edge ``AddDependency`` delta into the 1 000-task
   graph, near its roots (from the first layer to the second) and near its
   leaves (from the last layer but one to the last)
+- ``Trigger.matches`` of 2 000 patterns against 2 000 events, the path a
+  batch of more than one event takes
+- ``run_scenario`` of each of scenarios 1-3, once its files are loaded
 
 Calls into builtins and the standard library, and comprehensions, are left
 out: their counts differ between the Python versions the program supports
 (3.12 inlines comprehensions). The file pins each total, the counts of the
 whole-graph steps of a build (``insert_entries``, ``validate``, ``_peel``)
-and the count of every function a delta calls, and the totals of builds
-must grow near-linearly in the graph's size.
+and the count of every function a delta, a trigger or a scenario run calls,
+and the totals of builds must grow near-linearly in the graph's size.
+
+It also pins what importing the program builds: in a fresh interpreter,
+after ``import constellation, constellation.simnet.scenarios`` (the import
+a scenario run makes), the number of the program's classes that
+``dataclasses`` built, each of which generates and compiles code at import,
+and whether the Markdown log module was imported, which only a reader of a
+run log needs.
 
 A change that means to move a count regenerates the file and names in
 CHANGES.md each count that moved, and why:
@@ -34,15 +44,29 @@ import cProfile
 import itertools
 import json
 import math
+import os
 import pstats
 import random
+import subprocess
+import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Optional
 
 import pytest
 
 import constellation
-from constellation import AddDependency, EditDelta, apply_delta, build_constellation, from_document, to_document
+from constellation import (
+    AddDependency,
+    EditDelta,
+    EventKind,
+    OrchestratorEvent,
+    apply_delta,
+    build_constellation,
+    from_document,
+    to_document,
+)
+from constellation.planner import Trigger
+from constellation.simnet.scenarios import run_scenario
 from test_fingerprints import _workloads_module
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -52,7 +76,19 @@ PACKAGE_DIR = str(Path(constellation.__file__).resolve().parent)
 SIZES = (100, 1000, 3000)
 PINNED = ("insert_entries", "validate", "_peel")
 DELTA_SIZE = 1000
+TRIGGER_SIZE = 2000
+SCENARIOS = (1, 2, 3)
 MAX_GROWTH = 1.1
+
+# Run in a fresh interpreter: what importing the scenario runner builds.
+IMPORTED = """
+import dataclasses, json, sys
+import constellation, constellation.simnet.scenarios
+classes = [value for name, module in list(sys.modules.items()) if name.split(".")[0] == "constellation"
+           for value in vars(module).values() if isinstance(value, type) and value.__module__ == name]
+print(json.dumps({"dataclasses": sum(map(dataclasses.is_dataclass, classes)),
+                  "mdlog_imported": "constellation.simnet.mdlog" in sys.modules}))
+"""
 
 
 def counts(run: Callable[[], Any], pinned: Optional[Iterable[str]] = PINNED) -> Dict[str, int]:
@@ -82,18 +118,32 @@ def one_edge(config: Dict[str, Any], near_roots: bool) -> AddDependency:
     return AddDependency({"id": "added", "from_task": from_task, "to_task": to_task})
 
 
-def compute() -> Dict[str, Dict[str, Dict[str, int]]]:
+def imported() -> Dict[str, Any]:
+    env = dict(os.environ, PYTHONPATH=str(Path(PACKAGE_DIR).parent))
+    run = subprocess.run([sys.executable, "-c", IMPORTED], env=env, capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
+def compute() -> Dict[str, Any]:
     layered_dag = _workloads_module().layered_dag
     configs = {size: layered_dag(size, random.Random(1)).config for size in SIZES}
     documents = {size: to_document(build_constellation(config)) for size, config in configs.items()}
     graph = build_constellation(configs[DELTA_SIZE])
     deltas = {f"{DELTA_SIZE} near the {end}": EditDelta([one_edge(configs[DELTA_SIZE], end == "roots")])
               for end in ("roots", "leaves")}
-    # Warm up first: a schema's check is compiled at its first use in a process.
+    patterns = ((EventKind.TASK_COMPLETED, "*"),) * TRIGGER_SIZE
+    batch = [OrchestratorEvent(EventKind.TASK_COMPLETED, f"t{i}", 0.0, {}) for i in range(TRIGGER_SIZE)]
+    # Warm up first: a schema's check is compiled at its first use in a
+    # process, and a scenario's files are read and judged at its first run.
     from_document(documents[SIZES[0]])
     for delta in deltas.values():
         apply_delta(graph, delta)
+    for scenario in SCENARIOS:
+        run_scenario(scenario)
     return {
+        "import": imported(),
+        "trigger": {f"{TRIGGER_SIZE} patterns": counts(lambda: Trigger(patterns).matches(batch), None)},
+        "run_scenario": {str(scenario): counts(lambda: run_scenario(scenario), None) for scenario in SCENARIOS},
         "build_constellation": {str(size): counts(lambda: build_constellation(configs[size])) for size in SIZES},
         "from_document": {str(size): counts(lambda: from_document(documents[size])) for size in SIZES},
         "apply_delta": {name: counts(lambda: apply_delta(graph, delta), None) for name, delta in deltas.items()},
@@ -113,10 +163,16 @@ def computed():
     return compute()
 
 
-@pytest.mark.parametrize("entry", ["build_constellation", "from_document", "apply_delta"])
+@pytest.mark.parametrize(
+    "entry", ["build_constellation", "from_document", "apply_delta", "trigger", "run_scenario", "import"]
+)
 def test_call_counts_match_the_committed_file(computed, entry):
     expected = json.loads(COSTS.read_text(encoding="utf-8"))[entry]
     assert computed[entry] == expected
+
+
+def test_importing_the_scenario_runner_leaves_the_markdown_log_out(computed):
+    assert computed["import"]["mdlog_imported"] is False
 
 
 @pytest.mark.parametrize("entry", ["build_constellation", "from_document"])

@@ -197,6 +197,15 @@ class TestHarness:
         with pytest.raises(ParseError, match=f"^bad scenario document: {re.escape(message)}$"):
             run_scenario(doc, seed=0)
 
+    @pytest.mark.parametrize("outage", [[40.0, 5.0], [5.0, 5.0]], ids=str)
+    def test_an_outage_that_does_not_end_after_it_starts_is_a_parse_error(self, outage):
+        """Such an outage would never take the link down."""
+        doc = load_scenario(1)
+        doc["devices"]["linux1"]["outages"] = [outage]
+        message = f"devices.linux1.outages: an outage must end after it starts, not [{outage[0]}, {outage[1]})"
+        with pytest.raises(ParseError, match=f"^bad scenario document: {re.escape(message)}$"):
+            load_scenario(doc)
+
     def test_run_leaves_the_callers_document_unchanged(self):
         doc = load_json(SCENARIOS_DIR / "scenario1.json")
         before = copy.deepcopy(doc)

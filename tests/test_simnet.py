@@ -345,6 +345,11 @@ class TestSimNetwork:
         with pytest.raises(ValueError):
             LinkSpec(outages=[(0.0, 10.0), (5.0, 15.0)])
 
+    @pytest.mark.parametrize("outage", [(5.0, 3.0), (5.0, 5.0), (float("nan"), 3.0)], ids=str)
+    def test_outage_that_does_not_end_after_it_starts_rejected(self, outage):
+        with pytest.raises(ValueError, match="an outage must end after it starts"):
+            LinkSpec(outages=[(0.0, 1.0), outage])
+
     def test_missing_link_raises(self):
         clock, net, _ = make_net()
         net.attach("c", lambda src, frame: None)
