@@ -16,11 +16,14 @@ Three roles talk over the simulated network:
 - ``DeviceClientEndpoint`` — the executor: runs command batches and
   returns results; it never originates a state transition.
 
-Both sides keep per-session logs. When either side aborts a task because of
-a disconnect, it records a synthetic TASK_END entry locally so that every
-TASK is matched by exactly one TASK_END in the combined logs even though no
-frame crossed the wire. A frame that fails to decode or comes from another
-peer than its own is answered with an ERROR frame and ignored, at every role.
+Each role logs and acts on only the frame types in its table of handlers.
+The orchestrator and the device server keep per-session logs, a session
+opening at its TASK, sent or received; the executor client keeps none. When
+either side aborts a task because of a disconnect, it records a synthetic
+TASK_END entry locally so that every TASK is matched by exactly one TASK_END
+in the combined logs even though no frame crossed the wire. A frame that
+fails to decode or comes from another peer than its own is answered with an
+ERROR frame and ignored, at every role.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .session import SessionState
 class _Endpoint:
     """Shared plumbing: frame IO and session bookkeeping."""
 
-    # A session opens at a frame sent, or at a received frame of this type.
-    opened_by: Optional[MessageType] = None
+    opened_by: Optional[str] = "TASK"  # the type value of the frame, sent or received, that opens a session
+    _handlers: Dict[str, Callable[..., None]] = {}  # type value -> handler, for each frame type the role takes
 
     def __init__(self, clock: VirtualClock, network: SimNetwork, address: str):
         self.clock = clock
@@ -58,9 +61,13 @@ class _Endpoint:
             self.sessions[session_id] = SessionState(session_id)
         return self.sessions[session_id]
 
+    def _log(self, direction: str, msg: AipMessage) -> None:
+        session_id = msg.session_id
+        if session_id in self.sessions or (session_id is not None and msg.msg_type._value_ == self.opened_by):
+            self.session(session_id).record(direction, msg, self.clock.now)
+
     def send(self, dst: str, msg: AipMessage) -> None:
-        if msg.session_id is not None:
-            self.session(msg.session_id).record("sent", msg, self.clock.now)
+        self._log("sent", msg)
         self.network.send(self.address, dst, encode(msg), summary=msg.msg_type._value_)
 
     def _on_frame(self, src: str, frame: bytes) -> None:
@@ -73,9 +80,6 @@ class _Endpoint:
         if refusal is not None:
             self._refuse(src, refusal)
             return
-        session_id = msg.session_id
-        if session_id in self.sessions or (session_id is not None and msg.msg_type is self.opened_by):
-            self.session(session_id).record("received", msg, self.clock.now)
         self.handle(src, msg)
 
     def _refuse(self, src: str, error: str) -> None:
@@ -86,7 +90,11 @@ class _Endpoint:
         return None
 
     def handle(self, src: str, msg: AipMessage) -> None:
-        raise NotImplementedError
+        """Log and act on a decoded frame of a type this role takes; ignore any other."""
+        act = self._handlers.get(msg.msg_type._value_)
+        if act is not None:
+            self._log("received", msg)
+            act(self, src, msg)
 
 
 class ConstellationEndpoint(_Endpoint):
@@ -146,15 +154,6 @@ class ConstellationEndpoint(_Endpoint):
             return f"NotFound: no session {msg.session_id!r} sent to {src!r}"
         return None
 
-    def handle(self, src: str, msg: AipMessage) -> None:
-        if msg.msg_type is MessageType.REGISTER:
-            self._on_register(src, msg)
-        elif msg.msg_type is MessageType.HEARTBEAT:
-            self._silence.add(msg.body.get("agent_id", src))
-            self._ack(src)
-        elif msg.msg_type is MessageType.TASK_END:
-            self._on_task_end(msg.session_id, msg.body)
-
     def _on_register(self, src: str, msg: AipMessage) -> None:
         client_id = msg.body["client_id"]
         self._device_address[client_id] = src
@@ -162,23 +161,29 @@ class ConstellationEndpoint(_Endpoint):
         self._ack(src)
         self._availability_listener()
 
+    def _on_heartbeat(self, src: str, msg: AipMessage) -> None:
+        self._silence.add(msg.body.get("agent_id", src))
+        self._ack(src)
+
     def _ack(self, src: str) -> None:
         """Answer an accepted REGISTER or HEARTBEAT."""
         ack = {"timestamp": self.clock.now, "status": "OK"}
         self.send(src, AipMessage(MessageType.HEARTBEAT, ack))
 
-    def _on_task_end(self, session_id: Optional[str], body: Dict[str, Any]) -> None:
+    def _on_task_end(self, src: str, msg: AipMessage) -> None:
         """A session's first TASK_END is its task's completion; a later one
         is dropped, as the session is already resolved."""
-        entry = self._outstanding.pop(session_id, None)
+        entry = self._outstanding.pop(msg.session_id, None)
         if entry is None:
             return
         task, on_done = entry
-        if body["status"] == "COMPLETED":
-            on_done(task.id, TaskStatus.COMPLETED, body["result"], None)
+        if msg.body["status"] == "COMPLETED":
+            on_done(task.id, TaskStatus.COMPLETED, msg.body["result"], None)
         else:
-            reason = FailureReason(body.get("failure_reason", "EXECUTION_ERROR"))
-            on_done(task.id, TaskStatus.FAILED, body["error"], reason)
+            reason = FailureReason(msg.body.get("failure_reason", "EXECUTION_ERROR"))
+            on_done(task.id, TaskStatus.FAILED, msg.body["error"], reason)
+
+    _handlers = {"REGISTER": _on_register, "HEARTBEAT": _on_heartbeat, "TASK_END": _on_task_end}
 
     # -- liveness --------------------------------------------------------
 
@@ -201,40 +206,39 @@ class ConstellationEndpoint(_Endpoint):
                 session_id=session_id,
             )
             self.session(session_id).record("local", synthetic, self.clock.now, synthetic=True)
-            self._on_task_end(session_id, synthetic.body)
+            self._on_task_end(self.address, synthetic)
 
 
 class DeviceClientEndpoint(_Endpoint):
     """Executor client: runs command batches sequentially, returns results."""
 
-    opened_by = MessageType.COMMAND
+    opened_by = None
 
     def __init__(self, clock: VirtualClock, network: SimNetwork, address: str, executor):
         super().__init__(clock, network, address)
         self.executor = executor
 
-    def handle(self, src: str, msg: AipMessage) -> None:
-        if msg.msg_type is MessageType.COMMAND:
-            results: List[Dict[str, Any]] = []
-            total = 0.0
-            for action in msg.body["actions"]:
-                try:
-                    result, duration = self.executor.execute(action)
-                except Exception as exc:
-                    result, duration = {"status": 1, "stdout": "", "stderr": str(exc)}, 0.0
-                results.append(result)
-                total += duration
-            reply = AipMessage(
-                MessageType.COMMAND_RESULTS,
-                {"action_results": results, "prev_response_id": msg.body["response_id"]},
-                session_id=msg.session_id,
-            )
-            self.clock.call_later(total, lambda: self.send(src, reply))
+    def _on_command(self, src: str, msg: AipMessage) -> None:
+        results: List[Dict[str, Any]] = []
+        total = 0.0
+        for action in msg.body["actions"]:
+            try:
+                result, duration = self.executor.execute(action)
+            except Exception as exc:
+                result, duration = {"status": 1, "stdout": "", "stderr": str(exc)}, 0.0
+            results.append(result)
+            total += duration
+        reply = AipMessage(
+            MessageType.COMMAND_RESULTS,
+            {"action_results": results, "prev_response_id": msg.body["response_id"]},
+            session_id=msg.session_id,
+        )
+        self.clock.call_later(total, lambda: self.send(src, reply))
+
+    _handlers = {"COMMAND": _on_command}
 
 
 class DeviceServerEndpoint(_Endpoint):
-    opened_by = MessageType.TASK
-
     def __init__(
         self,
         clock: VirtualClock,
@@ -276,17 +280,7 @@ class DeviceServerEndpoint(_Endpoint):
         taken = self._peer.get(msg.msg_type._value_, src) == src
         return None if taken else f"NotFound: no {msg.msg_type._value_} is taken from {src!r}"
 
-    def handle(self, src: str, msg: AipMessage) -> None:
-        if msg.msg_type is MessageType.HEARTBEAT:
-            self._on_ack()
-        elif msg.msg_type is MessageType.TASK:
-            self._on_task(msg)
-        elif msg.msg_type is MessageType.COMMAND_RESULTS:
-            callback = self._pending_results.pop(msg.body["prev_response_id"], None)
-            if callback is not None:
-                callback(msg.body["action_results"])
-
-    def _on_ack(self) -> None:
+    def _on_ack(self, src: str, msg: AipMessage) -> None:
         if self.orchestrator_address not in self._silence.live:  # connected just while the lane holds it
             self.permanently_failed = False
             self._link_timer.cancel()
@@ -295,7 +289,7 @@ class DeviceServerEndpoint(_Endpoint):
 
     # -- task execution --------------------------------------------------
 
-    def _on_task(self, msg: AipMessage) -> None:
+    def _on_task(self, src: str, msg: AipMessage) -> None:
         session_id = msg.session_id or ""
         task = msg.body["task"]
         if session_id in self.active_runs:
@@ -316,6 +310,13 @@ class DeviceServerEndpoint(_Endpoint):
         run = self.agent_server.serve_task(task, send_commands, partial(self._end_task, session_id))
         if not run.state.terminal:  # a run can end inside serve_task; only live runs are kept
             self.active_runs[session_id] = run
+
+    def _on_results(self, src: str, msg: AipMessage) -> None:
+        callback = self._pending_results.pop(msg.body["prev_response_id"], None)
+        if callback is not None:
+            callback(msg.body["action_results"])
+
+    _handlers = {"HEARTBEAT": _on_ack, "TASK": _on_task, "COMMAND_RESULTS": _on_results}
 
     def _end_task(self, session_id: str, status: str, payload: Dict[str, Any]) -> None:
         self.active_runs.pop(session_id, None)

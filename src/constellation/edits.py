@@ -2,17 +2,20 @@
 
 A delta is an ordered list of edit ops applied to a clone of the pre-state.
 The clone shares the pre-state's immutable records, and an op replaces the
-records it changes, so the pre-state is never touched. An op only has its
+records it changes, so the pre-state is never touched. Each op kind is one
+row of one table: its name in a script, the raw op of ``TaskConstellation``
+it runs with its own fields, and its summary key; a build op, which
+replaces the graph, is the one kind without a raw op. An op only has its
 spec, patch or config judged by the check of the constellation schema, and
 mutates, keeping readiness as it goes (see ``model``), so a delta is judged
 on its result, once: for edit locality (no non-PENDING task changed), for
-any id a build op's config repeats, and for structure, by the walk of a
-build op that ends the delta, which judges the graph it inserts, else from
-the post-state's change record: by one ``validate`` call when the record
-holds every task (as after a build op), otherwise by the region downstream
-of its edges. Either the delta passes and commits, with the version risen by
-exactly one, or one error propagates: the op's refusal or lookup error, or
-one ``ValidationFailed`` listing every violation. A commit returns the new
+any id a build op's config repeats, and for structure in one of two ways:
+by the walk of a build op that ends the delta, which judges the graph it
+inserts, else from the post-state's change record, by the region
+downstream of its edges (a build op records every edge it inserts). Either
+the delta passes and commits, with the version risen by exactly one, or
+one error propagates: the op's refusal or lookup error, or one
+``ValidationFailed`` listing every violation. A commit returns the new
 graph and its summary, a plain dict that counts the changes under each of
 ``SUMMARY_KEYS``, the form a run report stores. A build config becomes a
 graph only this way: ``build_constellation`` applies its build op to the
@@ -25,7 +28,7 @@ with ops of its own kind. A delta is true when it holds an op.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ParseError, ValidationFailed
 from .model import TaskConstellation, TaskStatus, Violation, insert_entries
@@ -73,9 +76,22 @@ class EditDelta(NamedTuple):
         return bool(self.ops)
 
 
+# One row per op kind: its name in a script, the raw op it runs as
+# ``raw(working, *op)`` and the summary key it counts under. A build op has
+# neither: ``apply_delta`` replaces the graph with the one it builds.
+_ROWS: Dict[type, Tuple[str, Any, Optional[str]]] = {
+    AddTask: ("add_task", TaskConstellation._add_task, "added_tasks"),
+    RemoveTask: ("remove_task", TaskConstellation._remove_task, "removed_tasks"),
+    UpdateTask: ("update_task", TaskConstellation._update_task, "modified_tasks"),
+    AddDependency: ("add_dependency", TaskConstellation._add_dependency, "added_dependencies"),
+    RemoveDependency: ("remove_dependency", TaskConstellation._remove_dependency, "removed_dependencies"),
+    UpdateDependency: ("update_dependency", TaskConstellation._update_dependency, "modified_dependencies"),
+    BuildConstellation: ("build_constellation", None, None),
+}
+
 # A delta's summary counts its changes, one key per edit category, in this order.
-SUMMARY_KEYS = ("added_tasks", "removed_tasks", "modified_tasks",
-                "added_dependencies", "removed_dependencies", "modified_dependencies")
+SUMMARY_KEYS = tuple(key for _, _, key in _ROWS.values() if key)
+_OPS = {name: op for op, (name, _, _) in _ROWS.items()}
 
 
 def build_constellation(config: Dict[str, Any]) -> TaskConstellation:
@@ -91,13 +107,12 @@ def apply_delta(
     commit with the version bumped once, returning it with its summary.
 
     ``constellation`` must be valid, as every graph read by
-    ``serial.from_document`` or committed here is. The check needs only a
-    last build op's verdict, or the change record, and calls ``validate`` at
-    most once: at once when the record holds every task (after a build op),
-    otherwise only to list a fault ``_changes_valid`` found in the edges
-    added or updated (endpoints, condition, no parallel edge, no cycle
-    downstream of their targets). The locality check reads the tasks
-    touched.
+    ``serial.from_document`` or committed here is. The check needs only the
+    verdict of a build op that ends the delta, or else the change record:
+    ``_changes_valid`` judges the edges added or updated (endpoints,
+    condition, no parallel edge, no cycle downstream of their targets), and
+    ``validate`` runs only to list the faults it found. The locality check
+    reads the tasks touched.
 
     Any failure aborts the whole delta and propagates; the caller's
     pre-state object is never mutated.
@@ -107,38 +122,26 @@ def apply_delta(
     violations: List[Violation] = []
     judged = None  # the last op's verdict on its whole graph, if it was a build
     for op in delta.ops:
+        try:
+            _, raw, key = _ROWS[type(op)]
+        except KeyError:
+            raise ParseError(f"unknown edit op {op!r}") from None
         judged = None
-        if isinstance(op, AddTask):
-            working._add_task(op.spec)
-            summary["added_tasks"] += 1
-        elif isinstance(op, RemoveTask):
-            working._remove_task(op.task_id)
-            summary["removed_tasks"] += 1
-        elif isinstance(op, UpdateTask):
-            working._update_task(op.task_id, op.patch)
-            summary["modified_tasks"] += 1
-        elif isinstance(op, AddDependency):
-            working._add_dependency(op.spec)
-            summary["added_dependencies"] += 1
-        elif isinstance(op, RemoveDependency):
-            working._remove_dependency(op.edge_id)
-            summary["removed_dependencies"] += 1
-        elif isinstance(op, UpdateDependency):
-            working._update_dependency(op.edge_id, op.patch)
-            summary["modified_dependencies"] += 1
-        elif isinstance(op, BuildConstellation):
-            built, judged = insert_entries(op.config, created=True)
-            violations.extend(violation for violation in judged if violation.kind == "DuplicateId")
-            built.request = op.config.get("request", working.request)
-            built._touched_tasks = built.tasks.keys() | constellation.tasks.keys()
-            working = built
-            summary["added_tasks"] += len(working.tasks)
-            summary["added_dependencies"] += len(working.edges)
-        else:
-            raise ParseError(f"unknown edit op {op!r}")
-    if judged is not None:  # the build's walk judged the graph: its faults follow the ids it repeated
+        if raw is not None:
+            raw(working, *op)
+            summary[key] += 1
+            continue
+        built, judged = insert_entries(op.config, created=True)
+        violations.extend(violation for violation in judged if violation.kind == "DuplicateId")
+        built.request = op.config.get("request", working.request)
+        built._touched_tasks = built.tasks.keys() | constellation.tasks.keys()
+        built._touched_edges = set(built.edges)
+        working = built
+        summary["added_tasks"] += len(working.tasks)
+        summary["added_dependencies"] += len(working.edges)
+    if judged is not None:  # a build ended the delta: its walk judged the graph, after the ids it repeated
         violations.extend(violation for violation in judged if violation.kind != "DuplicateId")
-    elif working.tasks.keys() <= working._touched_tasks or not working._changes_valid():
+    elif not working._changes_valid():
         violations.extend(working.validate())
     violations.extend(edit_locality_violations(constellation, working))
     if violations:
@@ -170,35 +173,18 @@ def edit_locality_violations(
         if task.status is TaskStatus.PENDING:
             continue
         if task_id not in post.tasks:
-            violations.append(
-                Violation("ImmutableTask", f"non-PENDING task {task_id!r} was removed")
-            )
+            detail = "non-PENDING task {!r} was removed"
         elif post.tasks[task_id] != task or pre.dependencies_of(task_id) != post.dependencies_of(task_id):
-            violations.append(
-                Violation("ImmutableTask", f"non-PENDING task {task_id!r} was modified")
-            )
+            detail = "non-PENDING task {!r} was modified"
         elif pre.incoming(task_id) != post.incoming(task_id):
-            violations.append(
-                Violation(
-                    "ImmutableTask",
-                    f"incoming edges of non-PENDING task {task_id!r} changed",
-                )
-            )
+            detail = "incoming edges of non-PENDING task {!r} changed"
+        else:
+            continue
+        violations.append(Violation("ImmutableTask", detail.format(task_id)))
     return violations
 
 
 # -- document form (script files) ---------------------------------------
-
-_OPS = {
-    "add_task": AddTask,
-    "remove_task": RemoveTask,
-    "update_task": UpdateTask,
-    "add_dependency": AddDependency,
-    "remove_dependency": RemoveDependency,
-    "update_dependency": UpdateDependency,
-    "build_constellation": BuildConstellation,
-}
-
 
 def op_from_doc(doc: Dict[str, Any]) -> EditOp:
     """The op of an op document that ``schemas/planner_script.schema.json``

@@ -45,8 +45,10 @@ their immutable tuples.
 
 Every graph keeps one change record: the ids of tasks whose record or
 incoming edges the raw ops replaced since ``clone``, and of edges they added
-or updated. ``clone``, ``borrow`` and ``insert_entries`` start it empty. A
-commit judges a delta from this record alone (see ``edits.apply_delta``).
+or updated. ``clone``, ``borrow`` and ``insert_entries`` start it empty; a
+build op records every task it inserts or replaces and every edge it inserts.
+A commit that no build op ends is judged from this record alone (see
+``edits.apply_delta``).
 
 Readiness is kept, not searched for (Kahn's in-degree counts, applied to edge
 satisfaction): each PENDING task's count of the incoming edges holding it

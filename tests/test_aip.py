@@ -826,13 +826,14 @@ class TestLiveness:
 
     def test_run_ended_inside_serve_task_is_not_kept_active(self):
         """An empty description fails the task before serve_task returns: its
-        TASK_END is sent and no ended run is left in active_runs."""
+        TASK_END is sent and no ended run is left in active_runs. The TASK
+        that ``handle`` takes opens the session, as one off the wire does."""
         clock, _, _, server = build_pair(outages=[])
         advance(clock, 1.0)
         task = {"task": {"id": "T", "description": ""}, "request": "request"}
         server.handle("orchestrator", AipMessage(MessageType.TASK, task, session_id="s1"))
         assert server.active_runs == {}
-        assert [e["msg_type"] for e in server.sessions["s1"].log] == ["TASK_END"]
+        assert [e["msg_type"] for e in server.sessions["s1"].log] == ["TASK", "TASK_END"]
 
     def test_duplicate_task_end_fires_the_callback_once(self):
         clock, network, orchestrator, _ = build_pair(outages=[])
@@ -1024,7 +1025,7 @@ class TestFramesFromAnotherPeer:
     def test_device_takes_command_results_only_from_its_client(self):
         clock, network, _, server = build_pair(outages=[], exec_duration=5.0)
         advance(clock, 1.0)
-        server._on_task(AipMessage(MessageType.TASK, {"task": TASK_DOC, "request": "r"}, session_id="s"))
+        server.handle("orchestrator", AipMessage(MessageType.TASK, {"task": TASK_DOC, "request": "r"}, session_id="s"))
         advance(clock, 1.5)
         (command_id,) = server._pending_results
         since = len(network.wire_log)
@@ -1075,6 +1076,30 @@ class TestFramesFromAnotherPeer:
         assert self.refusals(network, since) == [("orchestrator", "other")]
         advance(clock, 15.1)
         assert orchestrator.available_devices() == set()
+
+
+class TestSessionLogs:
+    def test_a_session_log_holds_only_the_frames_its_role_takes(self):
+        """The orchestrator takes no TASK and no ERROR: from its own device and
+        naming an open session, each is neither logged nor acted on nor
+        answered, so the session shows one TASK and one TASK_END."""
+        clock, network, orchestrator, _ = build_pair(outages=[])
+        outcomes = []
+        advance(clock, 1.0)
+        orchestrator.dispatch(TaskStar("T", "dev", description="job"), lambda *args: outcomes.append(args))
+        (session_id,) = orchestrator.sessions
+        advance(clock, 1.01)
+        since = len(network.wire_log)
+        task = AipMessage(MessageType.TASK, {"task": TASK_DOC, "request": "r"}, session_id=session_id)
+        error = AipMessage(MessageType.ERROR, {"error": "stray", "context": {}}, session_id=session_id)
+        for msg in (task, error):
+            network.send("dev", "orchestrator", encode(msg))
+        advance(clock, 1.05)
+        assert [e["msg_type"] for e in orchestrator.sessions[session_id].log] == ["TASK"]
+        assert [f for f in network.wire_log[since:] if f["src"] == "orchestrator"] == []
+        advance(clock, 10.0)
+        assert [e["msg_type"] for e in orchestrator.sessions[session_id].log] == ["TASK", "TASK_END"]
+        assert outcomes == [("T", TaskStatus.COMPLETED, "ok", None)]
 
 
 class TestFramesTheCodecRefuses:

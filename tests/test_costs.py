@@ -13,17 +13,21 @@ for n = 100, 1 000 and 3 000 tasks, and
 
 - ``apply_delta`` of a one-edge ``AddDependency`` delta into the 1 000-task
   graph, near its roots (from the first layer to the second) and near its
-  leaves (from the last layer but one to the last)
+  leaves (from the last layer but one to the last); of the ten ``AddTask``
+  ops that replan-stream's first round puts into the empty graph; and of a
+  build of the 100-task config followed by one such edge near its roots
 - ``Trigger.matches`` of 2 000 patterns against 2 000 events, the path a
   batch of more than one event takes
 - ``run_scenario`` of each of scenarios 1-3, once its files are loaded
+- ``explore`` and ``explore_extended``, the golden and the extended
+  explorations
 
 Calls into builtins and the standard library, and comprehensions, are left
 out: their counts differ between the Python versions the program supports
 (3.12 inlines comprehensions). The file pins each total, the counts of the
 whole-graph steps of a build (``insert_entries``, ``validate``, ``_peel``)
-and the count of every function a delta, a trigger or a scenario run calls,
-and the totals of builds must grow near-linearly in the graph's size.
+and the count of every function a delta, a trigger, a scenario run or an
+exploration calls, and the totals of builds must grow near-linearly in the graph's size.
 
 It also pins what importing the program builds: in a fresh interpreter,
 after ``import constellation, constellation.simnet.scenarios`` (the import
@@ -57,7 +61,10 @@ import pytest
 import constellation
 from constellation import (
     AddDependency,
+    AddTask,
+    BuildConstellation,
     EditDelta,
+    TaskConstellation,
     EventKind,
     OrchestratorEvent,
     apply_delta,
@@ -65,6 +72,7 @@ from constellation import (
     from_document,
     to_document,
 )
+from constellation import explorer
 from constellation.planner import Trigger
 from constellation.simnet.scenarios import run_scenario
 from test_fingerprints import _workloads_module
@@ -129,15 +137,20 @@ def compute() -> Dict[str, Any]:
     configs = {size: layered_dag(size, random.Random(1)).config for size in SIZES}
     documents = {size: to_document(build_constellation(config)) for size, config in configs.items()}
     graph = build_constellation(configs[DELTA_SIZE])
-    deltas = {f"{DELTA_SIZE} near the {end}": EditDelta([one_edge(configs[DELTA_SIZE], end == "roots")])
+    deltas = {(graph, f"{DELTA_SIZE} near the {end}"): EditDelta([one_edge(configs[DELTA_SIZE], end == "roots")])
               for end in ("roots", "leaves")}
+    workloads = _workloads_module()
+    roots = [AddTask(workloads._task_spec(f"r{i:03d}")) for i in range(workloads.REPLAN_ROOTS)]
+    deltas[TaskConstellation(), f"{len(roots)} tasks into the empty graph"] = EditDelta(roots)
+    build = [BuildConstellation(configs[SIZES[0]]), one_edge(configs[SIZES[0]], True)]
+    deltas[TaskConstellation(), f"{SIZES[0]} built, then one edge near the roots"] = EditDelta(build)
     patterns = ((EventKind.TASK_COMPLETED, "*"),) * TRIGGER_SIZE
     batch = [OrchestratorEvent(EventKind.TASK_COMPLETED, f"t{i}", 0.0, {}) for i in range(TRIGGER_SIZE)]
     # Warm up first: a schema's check is compiled at its first use in a
     # process, and a scenario's files are read and judged at its first run.
     from_document(documents[SIZES[0]])
-    for delta in deltas.values():
-        apply_delta(graph, delta)
+    for (pre, _), delta in deltas.items():
+        apply_delta(pre, delta)
     for scenario in SCENARIOS:
         run_scenario(scenario)
     return {
@@ -146,7 +159,8 @@ def compute() -> Dict[str, Any]:
         "run_scenario": {str(scenario): counts(lambda: run_scenario(scenario), None) for scenario in SCENARIOS},
         "build_constellation": {str(size): counts(lambda: build_constellation(configs[size])) for size in SIZES},
         "from_document": {str(size): counts(lambda: from_document(documents[size])) for size in SIZES},
-        "apply_delta": {name: counts(lambda: apply_delta(graph, delta), None) for name, delta in deltas.items()},
+        "apply_delta": {name: counts(lambda: apply_delta(pre, delta), None) for (pre, name), delta in deltas.items()},
+        "explore": {"golden": counts(explorer.explore, None), "extended": counts(explorer.explore_extended, None)},
     }
 
 
@@ -164,7 +178,7 @@ def computed():
 
 
 @pytest.mark.parametrize(
-    "entry", ["build_constellation", "from_document", "apply_delta", "trigger", "run_scenario", "import"]
+    "entry", ["build_constellation", "from_document", "apply_delta", "trigger", "run_scenario", "explore", "import"]
 )
 def test_call_counts_match_the_committed_file(computed, entry):
     expected = json.loads(COSTS.read_text(encoding="utf-8"))[entry]

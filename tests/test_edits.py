@@ -996,3 +996,31 @@ class TestOnePassCheck:
                 committed += 1
         assert committed >= 200, committed
         assert "ImmutableTask" in kinds and "CycleIntroduced" in kinds, kinds
+
+
+class TestBuildFollowedByOps:
+    """A build op that more ops follow is judged from the change record,
+    which holds every edge the build inserted, like any delta that no build
+    op ends; the whole-graph check (``validate`` plus the full locality walk)
+    is the oracle it must agree with exactly. The ops are drawn against the
+    built graph, so they reach its tasks and edges."""
+
+    def test_same_outcome_as_the_whole_graph_check(self, monkeypatch):
+        outcomes, kinds = {}, set()
+        for seed in range(1000):
+            rng = random.Random(seed)
+            pre = hostile_graph(rng) if rng.random() < 0.5 else TaskConstellation()
+            config = hostile_config(rng)
+            built, _ = reference_insert(config, created=True)
+            ops = [BuildConstellation(config)] + [hostile_op(rng, built) for _ in range(rng.randint(1, 3))]
+            got = outcome(pre, ops)
+            with monkeypatch.context() as patch:
+                patch.setattr(TaskConstellation, "_changes_valid", lambda self: False)
+                patch.setattr(edits, "edit_locality_violations", whole_graph_locality)
+                expected = outcome(pre, ops)
+            assert got == expected, (seed, ops)
+            outcomes[got[0]] = outcomes.get(got[0], 0) + 1
+            if got[0] == "ValidationFailed":
+                kinds.update(violation.split(":")[0] for violation in got[2])
+        assert outcomes["committed"] >= 80 and outcomes["ValidationFailed"] >= 250, outcomes
+        assert {"CycleIntroduced", "SelfLoop", "DanglingEdge", "DuplicateEdge", "UnknownCondition"} <= kinds, kinds
