@@ -18,7 +18,9 @@ Three roles talk over the simulated network:
 
 Each role logs and acts on only the frame types in its table of handlers.
 The orchestrator and the device server keep per-session logs, a session
-opening at its TASK, sent or received; the executor client keeps none. When
+opening at its TASK, sent or received; the executor client keeps none. A
+frame without a session id (REGISTER, HEARTBEAT, most ERRORs) makes no log
+call, and TASK, COMMAND, COMMAND_RESULTS and TASK_END must carry one. When
 either side aborts a task because of a disconnect, it records a synthetic
 TASK_END entry locally so that every TASK is matched by exactly one TASK_END
 in the combined logs even though no frame crossed the wire. A frame that
@@ -42,6 +44,8 @@ from .messages import AipMessage, MessageType, decode, encode
 from .liveness import HEARTBEAT_INTERVAL, MISSED_K, RECONNECT_ATTEMPTS, reconnect_delay
 from .session import SessionState
 
+_HEARTBEAT = MessageType.HEARTBEAT  # read once: an Enum class attribute costs more than a global
+
 
 class _Endpoint:
     """Shared plumbing: frame IO and session bookkeeping."""
@@ -62,13 +66,15 @@ class _Endpoint:
         return self.sessions[session_id]
 
     def _log(self, direction: str, msg: AipMessage) -> None:
+        """Record a frame that has a session id, sent or received."""
         session_id = msg.session_id
-        if session_id in self.sessions or (session_id is not None and msg.msg_type._value_ == self.opened_by):
+        if session_id in self.sessions or msg.msg_type._value_ == self.opened_by:
             self.session(session_id).record(direction, msg, self.clock.now)
 
     def send(self, dst: str, msg: AipMessage) -> None:
-        self._log("sent", msg)
-        self.network.send(self.address, dst, encode(msg), summary=msg.msg_type._value_)
+        if msg.session_id is not None:
+            self._log("sent", msg)
+        self.network.send(self.address, dst, encode(msg), msg.msg_type._value_)
 
     def _on_frame(self, src: str, frame: bytes) -> None:
         try:
@@ -93,7 +99,8 @@ class _Endpoint:
         """Log and act on a decoded frame of a type this role takes; ignore any other."""
         act = self._handlers.get(msg.msg_type._value_)
         if act is not None:
-            self._log("received", msg)
+            if msg.session_id is not None:
+                self._log("received", msg)
             act(self, src, msg)
 
 
@@ -168,7 +175,7 @@ class ConstellationEndpoint(_Endpoint):
     def _ack(self, src: str) -> None:
         """Answer an accepted REGISTER or HEARTBEAT."""
         ack = {"timestamp": self.clock.now, "status": "OK"}
-        self.send(src, AipMessage(MessageType.HEARTBEAT, ack))
+        self.send(src, tuple.__new__(AipMessage, (_HEARTBEAT, ack, None)))
 
     def _on_task_end(self, src: str, msg: AipMessage) -> None:
         """A session's first TASK_END is its task's completion; a later one
@@ -290,7 +297,7 @@ class DeviceServerEndpoint(_Endpoint):
     # -- task execution --------------------------------------------------
 
     def _on_task(self, src: str, msg: AipMessage) -> None:
-        session_id = msg.session_id or ""
+        session_id = msg.session_id
         task = msg.body["task"]
         if session_id in self.active_runs:
             return  # a duplicate TASK is not re-executed
@@ -339,13 +346,8 @@ class DeviceServerEndpoint(_Endpoint):
         self._link_timer = self.clock.call_later(HEARTBEAT_INTERVAL, self._beat)
 
     def _beat(self) -> None:
-        self.send(
-            self.orchestrator_address,
-            AipMessage(
-                MessageType.HEARTBEAT,
-                {"timestamp": self.clock.now, "agent_id": self.agent_id},
-            ),
-        )
+        beat = {"timestamp": self.clock.now, "agent_id": self.agent_id}
+        self.send(self.orchestrator_address, tuple.__new__(AipMessage, (_HEARTBEAT, beat, None)))
         self._schedule_beat()
 
     def _local_disconnect(self, orchestrator_address: str) -> None:

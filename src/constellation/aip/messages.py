@@ -6,13 +6,16 @@ where it enters an endpoint, at ``decode``, by the check generated from
 ``schemas/aip_message.schema.json``, which also returns its ``AipMessage``: a
 ``SchemaViolation`` names the field it refuses, a body field without its
 ``body.`` prefix. ``encode`` checks nothing, as it only writes frames the
-endpoints build. Every frame goes through one encoder and one decoder built
-at import and one length ``Struct``, and message types are looked up by
-their string value, so the codec makes no ``Enum`` call. ``decode`` parses a payload with one call of
-the scanner of the one reader of JSON text, which refuses NaN and infinity;
-only a payload that scan does not read whole goes through its ``decode``,
-which accepts or refuses it in its own words. A payload nested too deep is
-refused too, so ``decode`` raises nothing but ``SchemaViolation``.
+endpoints build. It writes the envelope by hand, as the encoder would (keys
+sorted, the session id escaped by the encoder's own string function), and
+only the body goes through the one encoder built at import. Every frame goes
+through one decoder and one length ``Struct``, and message types are looked
+up by their string value, so the codec makes no ``Enum`` call. ``decode``
+parses a payload with one call of the scanner of the one reader of JSON
+text, which refuses NaN and infinity; only a payload that scan does not read
+whole goes through its ``decode``, which accepts or refuses it in its own
+words. A payload nested too deep is refused too, so ``decode`` raises
+nothing but ``SchemaViolation``.
 """
 
 from __future__ import annotations
@@ -68,10 +71,13 @@ RECORDS["AipMessage"] = _message
 
 
 def encode(msg: AipMessage) -> bytes:
-    doc: Dict[str, Any] = {"msg_type": msg.msg_type._value_, "body": msg.body}
-    if msg.session_id is not None:
-        doc["session_id"] = msg.session_id
-    text = _ENCODER.encode(doc) if _C_ENCODE is None else "".join(_C_ENCODE(doc, 0))
+    msg_type, body, session_id = msg
+    text = _ENCODER.encode(body) if _C_ENCODE is None else "".join(_C_ENCODE(body, 0))
+    # The envelope as ``_ENCODER`` writes it: keys sorted, the same separators.
+    if session_id is None:
+        text = f'{{"body": {text}, "msg_type": "{msg_type._value_}"}}'
+    else:
+        text = f'{{"body": {text}, "msg_type": "{msg_type._value_}", "session_id": {encode_basestring(session_id)}}}'
     payload = text.encode("utf-8")
     return _LENGTH.pack(len(payload)) + payload
 
@@ -80,9 +86,9 @@ def decode(frame: bytes) -> AipMessage:
     if len(frame) < 4:
         raise SchemaViolation("frame", "shorter than the length prefix")
     (length,) = _LENGTH.unpack_from(frame)
+    if length != len(frame) - 4:
+        raise SchemaViolation("frame", f"length prefix {length} != payload {len(frame) - 4}")
     payload = frame[4:]
-    if len(payload) != length:
-        raise SchemaViolation("frame", f"length prefix {length} != payload {len(payload)}")
     try:
         text = payload.decode("utf-8")
         try:

@@ -31,10 +31,16 @@ from .clock import TimerLane, VirtualClock
 from .edits import apply_delta
 from .errors import ConstellationError, ValidationFailed
 from .events import EventKind, OrchestratorEvent
-from .model import FailureReason, TaskConstellation, TaskStar, TaskStatus, unrecovered_failures
+from .model import _REASONS, FailureReason, TaskConstellation, TaskStar, TaskStatus, unrecovered_failures
 from .planner import Planner, PlannerInput, PlannerOutput, PlannerState
 from .report import EditCycleRecord, RunOutcome, RunReport, TaskTiming
 from .serial import to_document
+
+# Members the per-completion and per-round paths compare: a global costs a
+# fraction of an ``Enum`` class attribute read.
+_COMPLETED, _FAILED, _RUNNING = TaskStatus.COMPLETED, TaskStatus.FAILED, TaskStatus.RUNNING
+_TASK_COMPLETED, _TASK_FAILED = EventKind.TASK_COMPLETED, EventKind.TASK_FAILED
+_START, _FINISH, _FAIL, _RUN_FAILED = PlannerState.START, PlannerState.FINISH, PlannerState.FAIL, RunOutcome.FAILED
 
 # on_done(task_id, status, text, failure_reason): the text is a COMPLETED
 # task's result, or the error a FAILED one reports (kept out of its event).
@@ -79,9 +85,9 @@ class ScriptedDispatcher:
 
     def dispatch(self, task: TaskStar, on_done: DoneCallback) -> None:
         if task.id in self.failures:
-            report = (task.id, TaskStatus.FAILED, None, FailureReason(self.failures[task.id]))
+            report = (task.id, _FAILED, None, FailureReason(self.failures[task.id]))
         else:
-            report = (task.id, TaskStatus.COMPLETED, f"{task.id} done", None)
+            report = (task.id, _COMPLETED, f"{task.id} done", None)
         duration = self.durations.get(task.id, self.default_duration)
         self.clock.call_later(duration, partial(on_done, *report))
 
@@ -192,9 +198,9 @@ class Orchestrator:
         timing.finished_at = self.clock.now
         timing.status = status._value_
         self._running.discard(task_id)
-        kind = EventKind.TASK_COMPLETED if status is TaskStatus.COMPLETED else EventKind.TASK_FAILED
+        kind = _TASK_COMPLETED if status is _COMPLETED else _TASK_FAILED
         payload = {}
-        if status is TaskStatus.FAILED:
+        if status is _FAILED:
             timing.error = result
         elif result is not None:
             payload["result"] = result
@@ -285,7 +291,7 @@ class Orchestrator:
                     {"summary": summary, "version": self.constellation.version},
                 )
             )
-        if output.next_state is PlannerState.START:
+        if output.next_state is _START:
             # The one move a planner may not make: FINISH and FAIL end the
             # run below, and a planner is in START until a round commits.
             current = "CONTINUE" if self._round_index else "START"
@@ -306,20 +312,20 @@ class Orchestrator:
             )
         )
         self._round_index += 1
-        if output.next_state is PlannerState.FINISH:
+        if output.next_state is _FINISH:
             self._release_lock()
             self.report.result = output.result
             outcome = self._outcome_from_statuses()
-            if outcome is RunOutcome.FAILED:
+            if outcome is _RUN_FAILED:
                 # The planner declared the request finished, so the run is at
                 # worst partial even if every remaining task failed.
                 outcome = RunOutcome.PARTIAL
             self._finish(outcome)
             return
-        if output.next_state is PlannerState.FAIL:
+        if output.next_state is _FAIL:
             self._release_lock()
             self.report.result = output.result
-            self._finish(RunOutcome.FAILED)
+            self._finish(_RUN_FAILED)
             return
         if self.queue:
             self._start_round()
@@ -338,17 +344,11 @@ class Orchestrator:
             task = self.constellation.tasks.get(event.task_id)
             if task is None or task.status.terminal:
                 continue
-            if event.kind is EventKind.TASK_COMPLETED:
-                self.constellation.transition(
-                    event.task_id, TaskStatus.COMPLETED, result=event.payload.get("result")
-                )
-            elif event.kind is EventKind.TASK_FAILED:
-                reason = FailureReason(
-                    event.payload.get("failure_reason", FailureReason.EXECUTION_ERROR.value)
-                )
-                self.constellation.transition(
-                    event.task_id, TaskStatus.FAILED, failure_reason=reason
-                )
+            if event.kind is _TASK_COMPLETED:
+                self.constellation.transition(event.task_id, _COMPLETED, result=event.payload.get("result"))
+            elif event.kind is _TASK_FAILED:
+                reason = _REASONS[event.payload.get("failure_reason", "EXECUTION_ERROR")]
+                self.constellation.transition(event.task_id, _FAILED, failure_reason=reason)
 
     # -- scheduling ------------------------------------------------------
 
@@ -367,7 +367,7 @@ class Orchestrator:
             self.report.assignments_while_held += 1
         if task.id in self._pending.live:
             self._pending.discard(task.id)
-        self.constellation.transition(task.id, TaskStatus.RUNNING)
+        self.constellation.transition(task.id, _RUNNING)
         self.report.timings[task.id] = TaskTiming(
             task_id=task.id, device=task.device, dispatched_at=self.clock.now
         )

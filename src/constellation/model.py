@@ -413,7 +413,7 @@ class TaskConstellation:
             sources = [edges[edge_id].from_task for edge_id in self._incoming[task_id]]
             if len(set(sources)) < len(sources):
                 return False
-        return not self._cycle_downstream_of(targets)
+        return not targets or not self._cycle_downstream_of(targets)
 
     def _cycle_downstream_of(self, starts: Set[str]) -> bool:
         """Whether a cycle runs through the tasks reachable from ``starts``.

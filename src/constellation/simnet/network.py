@@ -53,10 +53,10 @@ class SimNetwork:
         self._handlers[address] = handler
 
     def add_link(self, a: str, b: str, spec: LinkSpec) -> None:
-        self._links[(a, b) if a <= b else (b, a)] = spec
+        self._links[a, b] = self._links[b, a] = spec
 
     def send(self, src: str, dst: str, frame: bytes, summary: str = "") -> None:
-        link = self._links.get((src, dst) if src <= dst else (dst, src))
+        link = self._links.get((src, dst))
         if link is None:
             raise KeyError(f"no link between {src!r} and {dst!r}")
         now = self.clock.now

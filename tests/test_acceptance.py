@@ -39,7 +39,7 @@ from constellation.model import FailureReason
 from constellation.simnet.metrics import metrics_from_durations
 from constellation.simnet.scenarios import run_scenario
 from conftest import GOLDEN_DIR, random_dag
-from test_aip import VALID_BODIES, build_pair, advance
+from test_aip import SESSION_TYPES, VALID_BODIES, build_pair, advance
 from test_simnet import (
     fig4_with_uniform_durations,
     oracle_longest_path,
@@ -429,7 +429,7 @@ def random_message(rng):
     elif msg_type is MessageType.COMMAND:
         body["response_id"] = f"c{rng.randrange(10_000)}"
         body["actions"] = [{"function": "EXEC_CLI", "args": {"command_line": "x"}}]
-    session = f"s{rng.randrange(100)}" if rng.random() < 0.8 else None
+    session = f"s{rng.randrange(100)}" if rng.random() < 0.8 or msg_type in SESSION_TYPES else None
     return AipMessage(msg_type, body, session_id=session)
 
 

@@ -46,6 +46,8 @@ VALID_BODIES = {
     MessageType.HEARTBEAT: {"timestamp": 12.5},
     MessageType.ERROR: {"error": "boom", "context": {}},
 }
+# The types whose frames belong to a session: each carries a session id.
+SESSION_TYPES = {MessageType.TASK, MessageType.COMMAND, MessageType.COMMAND_RESULTS, MessageType.TASK_END}
 
 
 class TestMessages:
@@ -122,7 +124,7 @@ class TestMessages:
     @settings(max_examples=200, deadline=None)
     @given(
         timestamp=st.floats(allow_nan=False, allow_infinity=False),
-        session=st.one_of(st.none(), st.text(max_size=20)),
+        session=st.one_of(st.none(), st.text(min_size=1, max_size=20)),
     )
     def test_heartbeat_round_trip_fuzzed(self, timestamp, session):
         msg = AipMessage(MessageType.HEARTBEAT, {"timestamp": timestamp}, session_id=session)
@@ -155,6 +157,8 @@ def reference_validate(msg):
     schema = _REFERENCE_SCHEMAS.get(msg.msg_type)
     if schema is None:
         raise SchemaViolation("msg_type", f"unknown message type {msg.msg_type!r}")
+    if msg.session_id == "":
+        raise SchemaViolation("session_id", "must be non-empty")
     for name, expected in schema.items():
         if name not in msg.body:
             raise SchemaViolation(name, f"required by {msg.msg_type.value}")
@@ -193,6 +197,9 @@ def reference_validate(msg):
                         f"metadata.{layer}.{name}",
                         f"expected {expected.__name__}, got {type(data[name]).__name__}",
                     )
+    # After the body: the schema's ``then`` judges a type's body before its session id.
+    if msg.session_id is None and msg.msg_type in SESSION_TYPES:
+        raise SchemaViolation("session_id", f"required by {msg.msg_type.value}")
 
 
 def reference_encode(msg):
@@ -293,7 +300,8 @@ def valid_messages(draw):
         body["result" if body["status"] == "COMPLETED" else "error"] = draw(json_values)
         if draw(st.booleans()):
             body["failure_reason"] = draw(st.sampled_from([r.value for r in FailureReason]))
-    session_id = draw(st.one_of(st.none(), st.text(max_size=8)))
+    session_ids = st.text(min_size=1, max_size=8)
+    session_id = draw(session_ids if msg_type in SESSION_TYPES else st.one_of(st.none(), session_ids))
     return AipMessage(msg_type, body, session_id=session_id)
 
 
@@ -339,11 +347,23 @@ MALFORMED_DOCS = {
     "true timestamp": {"msg_type": "HEARTBEAT", "body": {"timestamp": True}},
     "false timestamp": {"msg_type": "HEARTBEAT", "body": {"timestamp": False}},
     "extra frame field": {"msg_type": "HEARTBEAT", "body": {"timestamp": 1.0}, "extra": 1},
+    "task without a session": {"msg_type": "TASK", "body": {"task": {}, "request": "r"}},
+    "empty session": {"msg_type": "HEARTBEAT", "session_id": "", "body": {"timestamp": 1.0}},
     "misspelt session": {"msg_type": "TASK_END", "sesion_id": "s1", "body": {"status": "FAILED", "error": "x"}},
     **{
         f"ill-typed layer {name}": {"msg_type": "REGISTER", "body": {"client_id": "g", "metadata": metadata}}
         for name, metadata in ILL_TYPED_LAYERS.items()
     },
+}
+
+
+# Text that JSON escapes, or that ``ensure_ascii=False`` writes as it is.
+ESCAPED_TEXTS = {
+    "quote": 'say "hi"',
+    "backslash": "C:\\tmp\\x",
+    "control character": "a\x01b\n\t",
+    "non-ascii": "d\u00e9j\u00e0 \u2603 \U0001f600",
+    "line separator": "a\u2028b\u2029c",
 }
 
 
@@ -368,6 +388,22 @@ class TestCodecOracle:
             assert encode(msg) == reference_encode(msg)
         finally:
             messages._C_ENCODE = c_encode
+
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c encoder", "fallback encoder"])
+    @pytest.mark.parametrize("text", list(ESCAPED_TEXTS.values()), ids=list(ESCAPED_TEXTS))
+    def test_text_that_needs_escaping_matches_the_reference(self, monkeypatch, c_encoder, text):
+        """``encode`` writes the envelope and its session id itself; escaped
+        there as by the encoder, in a session id, a body key and a body value."""
+        from constellation.aip import messages
+
+        if not c_encoder:
+            monkeypatch.setattr(messages, "_C_ENCODE", None)
+        for msg_type, body in ((MessageType.TASK_END, {"status": "FAILED", "error": text, text: [text]}),
+                               (MessageType.HEARTBEAT, {"timestamp": 1.0, "agent_id": text})):
+            msg = AipMessage(msg_type, body, session_id=text)
+            frame = encode(msg)
+            assert frame == reference_encode(msg)
+            assert decode(frame) == msg
 
     @pytest.mark.parametrize("doc", list(MALFORMED_DOCS.values()), ids=list(MALFORMED_DOCS))
     def test_malformed_frames_refused_like_the_reference(self, doc):
@@ -1100,6 +1136,23 @@ class TestSessionLogs:
         advance(clock, 10.0)
         assert [e["msg_type"] for e in orchestrator.sessions[session_id].log] == ["TASK", "TASK_END"]
         assert outcomes == [("T", TaskStatus.COMPLETED, "ok", None)]
+
+
+    def test_a_task_without_a_session_id_is_refused(self, monkeypatch):
+        """No TASK_END could ever match a TASK that has no session id: the
+        device answers it with an ERROR naming ``session_id`` and runs nothing."""
+        from constellation.aip import endpoints
+
+        clock, network, _, server = build_pair(outages=[])
+        sent = []
+        monkeypatch.setattr(endpoints, "encode", lambda msg: sent.append(msg) or encode(msg))
+        advance(clock, 1.0)
+        network.send("orchestrator", "dev", encode(AipMessage(MessageType.TASK, {"task": TASK_DOC, "request": "r"})))
+        advance(clock, 4.0)
+        (error,) = [msg for msg in sent if msg.msg_type is not MessageType.HEARTBEAT]
+        assert error.msg_type is MessageType.ERROR and "session_id" in error.body["error"]
+        assert server.active_runs == {} and server.sessions == {}
+        assert not any(f["summary"] in ("COMMAND", "TASK_END") for f in network.wire_log)
 
 
 class TestFramesTheCodecRefuses:

@@ -19,6 +19,8 @@ for n = 100, 1 000 and 3 000 tasks, and
 - ``Trigger.matches`` of 2 000 patterns against 2 000 events, the path a
   batch of more than one event takes
 - ``run_scenario`` of each of scenarios 1-3, once its files are loaded
+- the heartbeats of one idle device: ``build_pair`` of ``test_aip`` run
+  to 500 s with no task, which sends 200 frames, none with a session id
 - ``explore`` and ``explore_extended``, the golden and the extended
   explorations
 
@@ -26,8 +28,9 @@ Calls into builtins and the standard library, and comprehensions, are left
 out: their counts differ between the Python versions the program supports
 (3.12 inlines comprehensions). The file pins each total, the counts of the
 whole-graph steps of a build (``insert_entries``, ``validate``, ``_peel``)
-and the count of every function a delta, a trigger, a scenario run or an
-exploration calls, and the totals of builds must grow near-linearly in the graph's size.
+and the count of every function a delta, a trigger, a scenario run, an
+exploration or the heartbeats call, and the totals of builds must grow
+near-linearly in the graph's size.
 
 It also pins what importing the program builds: in a fresh interpreter,
 after ``import constellation, constellation.simnet.scenarios`` (the import
@@ -75,6 +78,7 @@ from constellation import (
 from constellation import explorer
 from constellation.planner import Trigger
 from constellation.simnet.scenarios import run_scenario
+from test_aip import advance, build_pair
 from test_fingerprints import _workloads_module
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -85,6 +89,7 @@ SIZES = (100, 1000, 3000)
 PINNED = ("insert_entries", "validate", "_peel")
 DELTA_SIZE = 1000
 TRIGGER_SIZE = 2000
+HEARTBEAT_SECONDS = 500.0
 SCENARIOS = (1, 2, 3)
 MAX_GROWTH = 1.1
 
@@ -126,6 +131,12 @@ def one_edge(config: Dict[str, Any], near_roots: bool) -> AddDependency:
     return AddDependency({"id": "added", "from_task": from_task, "to_task": to_task})
 
 
+def heartbeats() -> None:
+    clock, network, _, _ = build_pair(outages=[])
+    advance(clock, HEARTBEAT_SECONDS)
+    assert len(network.wire_log) == 200 and all(f["summary"] in ("REGISTER", "HEARTBEAT") for f in network.wire_log)
+
+
 def imported() -> Dict[str, Any]:
     env = dict(os.environ, PYTHONPATH=str(Path(PACKAGE_DIR).parent))
     run = subprocess.run([sys.executable, "-c", IMPORTED], env=env, capture_output=True, text=True, check=True)
@@ -157,6 +168,7 @@ def compute() -> Dict[str, Any]:
         "import": imported(),
         "trigger": {f"{TRIGGER_SIZE} patterns": counts(lambda: Trigger(patterns).matches(batch), None)},
         "run_scenario": {str(scenario): counts(lambda: run_scenario(scenario), None) for scenario in SCENARIOS},
+        "heartbeats": {f"{HEARTBEAT_SECONDS:g} s idle": counts(heartbeats, None)},
         "build_constellation": {str(size): counts(lambda: build_constellation(configs[size])) for size in SIZES},
         "from_document": {str(size): counts(lambda: from_document(documents[size])) for size in SIZES},
         "apply_delta": {name: counts(lambda: apply_delta(pre, delta), None) for (pre, name), delta in deltas.items()},
@@ -178,7 +190,8 @@ def computed():
 
 
 @pytest.mark.parametrize(
-    "entry", ["build_constellation", "from_document", "apply_delta", "trigger", "run_scenario", "explore", "import"]
+    "entry",
+    ["build_constellation", "from_document", "apply_delta", "trigger", "run_scenario", "heartbeats", "explore", "import"],
 )
 def test_call_counts_match_the_committed_file(computed, entry):
     expected = json.loads(COSTS.read_text(encoding="utf-8"))[entry]
