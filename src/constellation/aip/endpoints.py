@@ -17,15 +17,18 @@ Three roles talk over the simulated network:
   returns results; it never originates a state transition.
 
 Each role logs and acts on only the frame types in its table of handlers.
-The orchestrator and the device server keep per-session logs, a session
-opening at its TASK, sent or received; the executor client keeps none. A
-frame without a session id (REGISTER, HEARTBEAT, most ERRORs) makes no log
-call, and TASK, COMMAND, COMMAND_RESULTS and TASK_END must carry one. When
-either side aborts a task because of a disconnect, it records a synthetic
-TASK_END entry locally so that every TASK is matched by exactly one TASK_END
-in the combined logs even though no frame crossed the wire. A frame that
-fails to decode or comes from another peer than its own is answered with an
-ERROR frame and ignored, at every role.
+A session is its log: ``sessions`` maps a session id to the list of its
+entries, which ``_log`` alone appends. A session opens at its TASK, sent or
+received, so the orchestrator and the device server keep logs and the
+executor client, which never sees a TASK, keeps none. A sent entry's ``seq``
+counts the sent entries before it in its log. A frame without a session id
+(REGISTER, HEARTBEAT, most ERRORs) makes no log call, and TASK, COMMAND,
+COMMAND_RESULTS and TASK_END must carry one. When either side aborts a task
+because of a disconnect, it logs a local TASK_END entry, marked synthetic,
+so that every TASK is matched by exactly one TASK_END in the combined logs
+even though no frame crossed the wire. A frame that fails to decode or comes
+from another peer than its own is answered with an ERROR frame and ignored,
+at every role.
 """
 
 from __future__ import annotations
@@ -42,34 +45,38 @@ from ..simnet.network import SimNetwork
 from ..agent.server import AgentServer, TaskRun
 from .messages import AipMessage, MessageType, decode, encode
 from .liveness import HEARTBEAT_INTERVAL, MISSED_K, RECONNECT_ATTEMPTS, reconnect_delay
-from .session import SessionState
 
 _HEARTBEAT = MessageType.HEARTBEAT  # read once: an Enum class attribute costs more than a global
 
 
 class _Endpoint:
-    """Shared plumbing: frame IO and session bookkeeping."""
+    """Shared plumbing: frame IO and session logs."""
 
-    opened_by: Optional[str] = "TASK"  # the type value of the frame, sent or received, that opens a session
     _handlers: Dict[str, Callable[..., None]] = {}  # type value -> handler, for each frame type the role takes
 
     def __init__(self, clock: VirtualClock, network: SimNetwork, address: str):
         self.clock = clock
         self.network = network
         self.address = address
-        self.sessions: Dict[str, SessionState] = {}
+        self.sessions: Dict[str, List[Dict[str, Any]]] = {}  # session id -> its log
         network.attach(address, self._on_frame)
 
-    def session(self, session_id: str) -> SessionState:
-        if session_id not in self.sessions:
-            self.sessions[session_id] = SessionState(session_id)
-        return self.sessions[session_id]
-
     def _log(self, direction: str, msg: AipMessage) -> None:
-        """Record a frame that has a session id, sent or received."""
-        session_id = msg.session_id
-        if session_id in self.sessions or msg.msg_type._value_ == self.opened_by:
-            self.session(session_id).record(direction, msg, self.clock.now)
+        """Append a frame that has a session id, "sent", "received" or
+        "local", to its session's log; a TASK opens the session. A sent
+        entry's ``seq`` counts the sent entries before it, and a local one
+        is marked synthetic: no frame crossed the wire."""
+        kind = msg.msg_type._value_
+        if kind != "TASK" and msg.session_id not in self.sessions:
+            return
+        log = self.sessions.setdefault(msg.session_id, [])
+        entry: Dict[str, Any] = {"at": self.clock.now, "direction": direction, "msg_type": kind,
+                                 "body": msg.body, "seq": None}
+        if direction == "sent":
+            entry["seq"] = sum(e["direction"] == "sent" for e in log)
+        elif direction == "local":
+            entry["synthetic"] = True
+        log.append(entry)
 
     def send(self, dst: str, msg: AipMessage) -> None:
         if msg.session_id is not None:
@@ -212,14 +219,12 @@ class ConstellationEndpoint(_Endpoint):
                 },
                 session_id=session_id,
             )
-            self.session(session_id).record("local", synthetic, self.clock.now, synthetic=True)
+            self._log("local", synthetic)
             self._on_task_end(self.address, synthetic)
 
 
 class DeviceClientEndpoint(_Endpoint):
     """Executor client: runs command batches sequentially, returns results."""
-
-    opened_by = None
 
     def __init__(self, clock: VirtualClock, network: SimNetwork, address: str, executor):
         super().__init__(clock, network, address)
@@ -333,7 +338,7 @@ class DeviceServerEndpoint(_Endpoint):
         if self.orchestrator_address in self._silence.live:
             self.send(self.orchestrator_address, reply)
         else:
-            self.session(session_id).record("local", reply, self.clock.now, synthetic=True)
+            self._log("local", reply)
 
     # -- liveness / reconnection -----------------------------------------
 

@@ -3,10 +3,11 @@
 Seven message types and a length-prefixed UTF-8 JSON wire encoding;
 ``decode(encode(m)) == m`` for every valid message. A frame is judged once,
 where it enters an endpoint, at ``decode``, by the check generated from
-``schemas/aip_message.schema.json``, which also returns its ``AipMessage``: a
-``SchemaViolation`` names the field it refuses, a body field without its
-``body.`` prefix. ``encode`` checks nothing, as it only writes frames the
-endpoints build. It writes the envelope by hand, as the encoder would (keys
+``schemas/aip_message.schema.json`` and compiled at the first frame, which
+also returns its ``AipMessage``: a ``SchemaViolation`` names the field it
+refuses, a body field without its ``body.`` prefix. ``encode`` checks
+nothing, as it only writes frames the endpoints build. It writes the
+envelope by hand, as the encoder would (keys
 sorted, the session id escaped by the encoder's own string function), and
 only the body goes through the one encoder built at import. Every frame goes
 through one decoder and one length ``Struct``, and message types are looked
@@ -70,6 +71,14 @@ def _message(msg_type: str, body: Dict[str, Any], session_id: Optional[str]) -> 
 RECORDS["AipMessage"] = _message
 
 
+def _judge(doc: Any) -> AipMessage:
+    """The check of a frame's document: compiled at the first frame, which
+    binds it in this function's place, so a later frame calls it directly."""
+    global _judge
+    _judge = check_of("aip_message")
+    return _judge(doc)
+
+
 def encode(msg: AipMessage) -> bytes:
     msg_type, body, session_id = msg
     text = _ENCODER.encode(body) if _C_ENCODE is None else "".join(_C_ENCODE(body, 0))
@@ -105,6 +114,6 @@ def decode(frame: bytes) -> AipMessage:
     except RecursionError:  # its text depends on where the limit is met
         raise SchemaViolation("frame", "invalid JSON payload: nested too deep") from None
     try:
-        return check_of("aip_message")(doc)
+        return _judge(doc)
     except Refusal as exc:
         raise SchemaViolation(".".join(map(str, exc.path[1:] or exc.path)) or "frame", exc.reason) from exc

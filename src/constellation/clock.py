@@ -34,6 +34,8 @@ import itertools
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+MAX_STEPS = 1_000_000  # the steps one ``run`` may take
+
 
 class TimerHandle:
     __slots__ = ("callback",)
@@ -86,17 +88,13 @@ class VirtualClock:
             return True
         return False
 
-    def run(
-        self,
-        until: Optional[Callable[[], bool]] = None,
-        deadline: Optional[float] = None,
-        max_steps: int = 1_000_000,
-    ) -> None:
+    def run(self, until: Optional[Callable[[], bool]] = None, deadline: Optional[float] = None) -> None:
         """Drain timers until the predicate holds, the deadline passes or the
         queue empties. A timer due exactly at the deadline fires; when the
-        next live timer is later, ``now`` becomes the deadline."""
+        next live timer is later, ``now`` becomes the deadline. More than
+        ``MAX_STEPS`` steps is a runaway: a ``RuntimeError``."""
         heap = self._heap
-        for _ in range(max_steps):
+        for _ in range(MAX_STEPS):
             if until is not None and until():
                 return
             if deadline is not None:
@@ -107,7 +105,7 @@ class VirtualClock:
                     return
             if not self.step():
                 return
-        raise RuntimeError(f"virtual clock exceeded {max_steps} steps")
+        raise RuntimeError(f"virtual clock exceeded {MAX_STEPS} steps")
 
 
 class TimerLane:

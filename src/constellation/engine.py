@@ -416,8 +416,6 @@ class Orchestrator:
         self._finish(RunOutcome.FAILED)
 
     def _finish(self, outcome: RunOutcome) -> None:
-        if self.done:
-            return
         self.done = True
         # A finished run's deadlines call nothing, as ``_drain`` would, and the
         # lanes let go of the engine, so no reference cycle outlives the run.

@@ -199,8 +199,8 @@ def run_scenario(scenario: Any, seed: int = 0) -> ScenarioResult:
 
     session_logs: Dict[str, List[Dict[str, Any]]] = {}
     for endpoint in [orchestrator_ep, *device_servers.values()]:
-        for session_id, session in sorted(endpoint.sessions.items()):
-            session_logs[f"{endpoint.address}:{session_id}"] = session.log
+        for session_id, log in sorted(endpoint.sessions.items()):
+            session_logs[f"{endpoint.address}:{session_id}"] = log
 
     return ScenarioResult(int(doc["id"]), report, session_logs, _verify(doc, report))
 

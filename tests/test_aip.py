@@ -30,6 +30,7 @@ from constellation.agent.server import AgentServer
 from constellation.clock import TimerLane
 from constellation.errors import SchemaViolation
 from constellation.model import FailureReason, TaskStar, TaskStatus
+from constellation.schema import check_of
 from constellation.simnet.network import LinkSpec, SimNetwork
 from conftest import MUTANT_VALUES, load_schema, mutated
 
@@ -61,6 +62,14 @@ class TestMessages:
         msg = AipMessage(msg_type, VALID_BODIES[msg_type], session_id="s1")
         payload = json.loads(encode(msg)[4:].decode("utf-8"))
         jsonschema.validate(payload, MESSAGE_SCHEMA)
+
+    def test_the_frame_check_is_bound_at_the_first_frame(self):
+        """After a frame, ``decode`` calls the compiled check itself, with no
+        lookup in ``check_of``'s cache."""
+        from constellation.aip import messages
+
+        decode(encode(AipMessage(MessageType.HEARTBEAT, {"timestamp": 1.0})))
+        assert messages._judge is check_of("aip_message")
 
     def test_length_prefix_is_big_endian_frame_length(self):
         frame = encode(AipMessage(MessageType.HEARTBEAT, {"timestamp": 1.0}))
@@ -834,8 +843,8 @@ class TestLiveness:
         for endpoint in (orchestrator, server):
             synthetic = [
                 entry
-                for session in endpoint.sessions.values()
-                for entry in session.log
+                for log in endpoint.sessions.values()
+                for entry in log
                 if entry.get("synthetic") and entry["msg_type"] == "TASK_END"
             ]
             assert len(synthetic) == 1
@@ -869,7 +878,7 @@ class TestLiveness:
         task = {"task": {"id": "T", "description": ""}, "request": "request"}
         server.handle("orchestrator", AipMessage(MessageType.TASK, task, session_id="s1"))
         assert server.active_runs == {}
-        assert [e["msg_type"] for e in server.sessions["s1"].log] == ["TASK", "TASK_END"]
+        assert [e["msg_type"] for e in server.sessions["s1"]] == ["TASK", "TASK_END"]
 
     def test_duplicate_task_end_fires_the_callback_once(self):
         clock, network, orchestrator, _ = build_pair(outages=[])
@@ -883,13 +892,13 @@ class TestLiveness:
         (session_id,) = orchestrator.sessions
         (body,) = [
             entry["body"]
-            for entry in orchestrator.sessions[session_id].log
+            for entry in orchestrator.sessions[session_id]
             if entry["msg_type"] == "TASK_END"
         ]
         duplicate = AipMessage(MessageType.TASK_END, body, session_id=session_id)
         network.send("dev", "orchestrator", encode(duplicate))  # delivered a second time
         advance(clock, 11.0)
-        received = [e for e in orchestrator.sessions[session_id].log if e["msg_type"] == "TASK_END"]
+        received = [e for e in orchestrator.sessions[session_id] if e["msg_type"] == "TASK_END"]
         assert len(received) == 2
         assert outcomes == [("T", TaskStatus.COMPLETED)]
 
@@ -1070,14 +1079,14 @@ class TestFramesFromAnotherPeer:
             {"action_results": [{"status": 0, "stdout": "forged"}], "prev_response_id": command_id},
             session_id="s",
         )
-        log = list(server.sessions["s"].log)
+        log = list(server.sessions["s"])
         network.send("orchestrator", "dev", encode(forged))
         advance(clock, 2.0)
         assert self.refusals(network, since) == [("dev", "orchestrator")]
-        assert server.sessions["s"].log == log and command_id in server._pending_results
+        assert server.sessions["s"] == log and command_id in server._pending_results
         advance(clock, 10.0)
         assert server.active_runs == {} and server._pending_results == {}
-        results = [e["body"] for e in server.sessions["s"].log if e["msg_type"] == "COMMAND_RESULTS"]
+        results = [e["body"] for e in server.sessions["s"] if e["msg_type"] == "COMMAND_RESULTS"]
         assert [r["action_results"][0]["stdout"] for r in results] == ["ok"]
 
     def test_orchestrator_takes_task_end_only_from_where_its_task_went(self):
@@ -1089,13 +1098,13 @@ class TestFramesFromAnotherPeer:
         network.attach("other", lambda src, frame: None)
         network.add_link("other", "orchestrator", LinkSpec(latency=0.001))
         since = len(network.wire_log)
-        log = list(orchestrator.sessions[session_id].log)
+        log = list(orchestrator.sessions[session_id])
         body = {"status": "COMPLETED", "result": "forged"}
         forged = AipMessage(MessageType.TASK_END, body, session_id=session_id)
         network.send("other", "orchestrator", encode(forged))
         advance(clock, 2.0)
         assert outcomes == [] and session_id in orchestrator._outstanding
-        assert orchestrator.sessions[session_id].log == log
+        assert orchestrator.sessions[session_id] == log
         assert self.refusals(network, since) == [("orchestrator", "other")]
         advance(clock, 10.0)
         assert outcomes == [("T", TaskStatus.COMPLETED, "ok", None)]
@@ -1131,12 +1140,27 @@ class TestSessionLogs:
         for msg in (task, error):
             network.send("dev", "orchestrator", encode(msg))
         advance(clock, 1.05)
-        assert [e["msg_type"] for e in orchestrator.sessions[session_id].log] == ["TASK"]
+        assert [e["msg_type"] for e in orchestrator.sessions[session_id]] == ["TASK"]
         assert [f for f in network.wire_log[since:] if f["src"] == "orchestrator"] == []
         advance(clock, 10.0)
-        assert [e["msg_type"] for e in orchestrator.sessions[session_id].log] == ["TASK", "TASK_END"]
+        assert [e["msg_type"] for e in orchestrator.sessions[session_id]] == ["TASK", "TASK_END"]
         assert outcomes == [("T", TaskStatus.COMPLETED, "ok", None)]
 
+    def test_only_a_task_opens_a_session(self):
+        """The executor client, which never sees a TASK, logs none of the
+        COMMAND and COMMAND_RESULTS frames of a task it ran; a frame naming a
+        session that no TASK opened is acted on and logged nowhere."""
+        clock, network, orchestrator, server = build_pair(outages=[])
+        advance(clock, 1.0)
+        orchestrator.dispatch(TaskStar("T", "dev", description="job"), lambda *args: None)
+        advance(clock, 10.0)
+        client = network._handlers["dev-client"].__self__
+        assert client.sessions == {} and len(orchestrator.sessions) == len(server.sessions) == 1
+        results = {"action_results": [], "prev_response_id": "c0-dev"}
+        server.handle("dev-client", AipMessage(MessageType.COMMAND_RESULTS, results, session_id="unopened"))
+        end = {"status": "COMPLETED", "result": "ok"}
+        orchestrator.handle("dev", AipMessage(MessageType.TASK_END, end, session_id="unopened"))
+        assert "unopened" not in orchestrator.sessions and "unopened" not in server.sessions
 
     def test_a_task_without_a_session_id_is_refused(self, monkeypatch):
         """No TASK_END could ever match a TASK that has no session id: the
@@ -1286,8 +1310,7 @@ class TestFramesTheEndpointsSend:
 
             return wrapper
 
-        judge = counting("judge", messages.check_of("aip_message"))
-        monkeypatch.setattr(messages, "check_of", lambda kind: judge)
+        monkeypatch.setattr(messages, "_judge", counting("judge", check_of("aip_message")))
         monkeypatch.setattr(endpoints, "decode", counting("decode", decode))
         monkeypatch.setattr(endpoints, "encode", counting("encode", encode))
         run_scenario(1, 0)

@@ -28,6 +28,7 @@ from constellation.explorer import (
     successors,
     witness_path,
 )
+from constellation.model import TaskStatus
 
 
 def buggy_successors(state):
@@ -464,6 +465,33 @@ class TestExtendedMode:
         monkeypatch.setattr(TaskConstellation, "transition", counted_transition)
         explore_extended()
         assert calls == {"apply_delta": 53, "transition": 299}
+
+    @pytest.mark.parametrize(
+        "invariant, fault",
+        [
+            ("I1", lambda graph: graph.transition("x", TaskStatus.RUNNING)),
+            ("I2", lambda graph: graph._add_dependency({"id": "dangling", "from_task": "x", "to_task": "gone"})),
+        ],
+    )
+    def test_a_faulty_edit_is_caught(self, monkeypatch, invariant, fault):
+        """An Edit step whose graph has a task RUNNING with no assignment
+        breaks I1; one whose graph has an edge to no task, added by a raw op
+        with no check, breaks I2. The base graph's build goes through
+        ``apply_delta`` too, and is left as it is."""
+        apply_delta = edits.apply_delta
+
+        def faulty_apply_delta(graph, delta):
+            edited, summary = apply_delta(graph, delta)
+            if "x" in edited.tasks:
+                fault(edited)
+            return edited, summary
+
+        monkeypatch.setattr(edits, "apply_delta", faulty_apply_delta)
+        with pytest.raises(InvariantViolation) as caught:
+            explore_extended()
+        tasks, edges, lock, _ = caught.value.state
+        assert caught.value.invariant == invariant and lock == "held"
+        assert ("x", "RUNNING", NULL) in tasks if invariant == "I1" else ("dangling", "x", "gone") in edges
 
     def test_each_graph_is_validated_once(self, monkeypatch):
         """I2 is judged when a graph is first stored, not on every state that

@@ -109,9 +109,9 @@ def outage_sweep() -> Iterator[List[Any]]:
                 )
                 advance(clock, 300.0)
                 logs = {
-                    f"{endpoint.address}:{sid}": session.log
+                    f"{endpoint.address}:{sid}": log
                     for endpoint in (orchestrator, server)
-                    for sid, session in sorted(endpoint.sessions.items())
+                    for sid, log in sorted(endpoint.sessions.items())
                 }
                 yield [network.wire_log, logs, callbacks, sorted(orchestrator.available_devices()), linked(server)]
 

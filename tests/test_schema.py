@@ -313,6 +313,19 @@ def test_an_if_may_test_that_a_field_is_present(value):
     assert accepted is jsonschema.Draft202012Validator(schema).is_valid(value)
 
 
+@pytest.mark.parametrize("value", [{}, {"b": 1}, [], "a"])
+def test_an_if_that_tests_nothing_always_holds(value):
+    """An ``if`` with no term compiles to ``True``: its ``then`` judges every value."""
+    schema = {"if": {}, "then": {"required": ["b"]}}
+    try:
+        compile_schema(schema)(value)
+    except Refusal:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted is jsonschema.Draft202012Validator(schema).is_valid(value)
+
+
 # -- records: what a check returns -----------------------------------------
 
 

@@ -14,8 +14,10 @@ from constellation import (
     VirtualClock,
     build_constellation,
 )
+from constellation import clock as clock_module
 from constellation.clock import TimerLane
 from constellation.errors import ValidationFailed
+from constellation.report import RunReport
 from constellation.simnet.metrics import _peak_overlap, metrics_from_durations
 from constellation.simnet.mdlog import emit_markdown_log, mermaid_block
 from constellation.simnet.network import LinkSpec, SimNetwork
@@ -132,6 +134,19 @@ class TestVirtualClock:
     def test_scheduling_at_nan_is_rejected(self):
         with pytest.raises(ValueError, match="cannot schedule at nan"):
             VirtualClock().call_at(float("nan"), lambda: None)
+
+    def test_a_run_that_never_drains_stops_at_the_step_bound(self, monkeypatch):
+        monkeypatch.setattr(clock_module, "MAX_STEPS", 50)
+        clock, fired = VirtualClock(), []
+
+        def again():
+            fired.append(clock.now)
+            clock.call_later(1.0, again)
+
+        clock.call_later(1.0, again)
+        with pytest.raises(RuntimeError, match="^virtual clock exceeded 50 steps$"):
+            clock.run()
+        assert len(fired) == 50 and clock.now == 50.0
 
 
 class TestTimerLane:
@@ -554,3 +569,9 @@ class TestMarkdownLog:
 
     def test_markdown_log_is_deterministic(self):
         assert emit_markdown_log(self.run_report()) == emit_markdown_log(self.run_report())
+
+    def test_markdown_log_of_an_empty_report_says_what_is_missing(self):
+        text = emit_markdown_log(RunReport())
+        assert "**Outcome:** UNFINISHED" in text and "**Finished at:** — virtual s" in text
+        assert "## Planner trace\n\n(no planner rounds)\n" in text
+        assert "## Event timeline\n\n(no events)\n" in text
